@@ -270,14 +270,16 @@ class ServiceConfig(PlannerConfig):
         Rolling-window size of the cross-batch pipelined scheduler: how many
         consecutive pending batches the service hands to the backend in one
         :meth:`~repro.serving.protocol.ServingBackend.execute_window` call.
-        ``1`` (the default) is the per-batch barrier — byte-for-byte the
-        pre-pipelining behaviour.  With a larger window the pooled backend
-        dispatches a shard of batch N+1 as soon as every earlier in-flight
-        batch whose reach-expanded destination cells intersect the shard's
-        has merged (see :mod:`repro.serving.pipeline`), keeping the pool
-        saturated across batch boundaries.  Merges stay strictly in
-        submission order, so results are identical for every window size —
-        only latency and throughput depend on it.
+        ``1`` (the default) is the per-batch barrier.  A barrier is a
+        one-batch window: the pooled backend serves a lone batch through the
+        same dispatcher, which then has nothing to overlap it with.  With a
+        larger window the pooled backend dispatches a shard of batch N+1 as
+        soon as every earlier in-flight batch whose reach-expanded
+        destination cells intersect the shard's has merged (see
+        :mod:`repro.serving.pipeline`), keeping the pool saturated across
+        batch boundaries.  Merges stay strictly in submission order, so
+        results are identical for every window size — only latency and
+        throughput depend on it.
     stream_batch_size:
         Default batch size of :meth:`RecommendationService.stream`.
         :meth:`~repro.serving.RecommendationService.stream` also keeps up to

@@ -4,10 +4,10 @@
 :class:`~repro.serving.service.RecommendationService` and is kept only for
 backwards compatibility (and as the per-batch-fork baseline the
 ``crowd_stream`` benchmark measures the persistent pool against).  Each
-:meth:`recommend_batch` call builds a one-shot service around a
-**non-persistent** :class:`~repro.serving.service.PooledBackend` — fork the
-pool, serve the batch, stop the pool — which is exactly the old engine's
-cost model, now expressed through the same shard/merge machinery the
+:meth:`recommend_batch` call builds a one-shot service around a fresh
+:class:`~repro.serving.service.PooledBackend` and closes it afterwards —
+fork the pool, serve the batch, stop the pool — which is exactly the old
+engine's cost model, now expressed through the same dispatcher the
 persistent pool uses.
 
 Migrate by replacing::
@@ -128,7 +128,6 @@ class ShardedRecommendationEngine:
         backend = PooledBackend(
             pool_size=min(worker_count, len(plan.shards)),
             use_processes=self.use_processes,
-            persistent=False,
         )
         service = RecommendationService(self.planner, backend=backend)
         try:

@@ -73,10 +73,13 @@ def batch_dependencies(plans: Sequence[ShardPlan]) -> List[List[int]]:
         batch_deps = []
         for shard in plan.shards:
             dep = -1
-            for cell in shard.destination_cells:
-                dep = max(dep, cell_last_batch.get(cell, -1))
+            if cell_last_batch:  # the first batch depends on nothing
+                for cell in shard.destination_cells:
+                    dep = max(dep, cell_last_batch.get(cell, -1))
             batch_deps.append(dep)
         deps.append(batch_deps)
+        if batch_index == len(plans) - 1:
+            break  # no later batch reads the last batch's writes
         # Record writes only after computing this batch's deps: shards of
         # the same batch never depend on each other here (the shard plan
         # already made them interaction-closed siblings).

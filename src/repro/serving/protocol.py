@@ -255,19 +255,31 @@ class ServingBackend(abc.ABC):
           deterministically when the failing batch is retried at the head of
           a later window); only a failure of the **first** batch raises.
         """
+        return self._execute_in_order(batches, self.planner)
+
+    def _execute_in_order(
+        self,
+        batches: Sequence[WindowBatch],
+        planner: Optional[CrowdPlanner],
+        **batch_kwargs: Any,
+    ) -> List[BatchExecution]:
+        """The barrier loop behind :meth:`execute_window`: each batch through
+        :meth:`execute_batch` (with ``batch_kwargs``), ``truth_span``
+        bracketed on ``planner``'s truth cursor."""
         executions: List[BatchExecution] = []
         for batch in batches:
-            before = self.planner.truth_cursor() if self.planner is not None else 0
+            before = planner.truth_cursor() if planner is not None else 0
             try:
                 execution = self.execute_batch(
                     batch.queries,
                     share_candidate_generation=batch.share_candidate_generation,
+                    **batch_kwargs,
                 )
             except Exception:
                 if executions:
                     break
                 raise
-            after = self.planner.truth_cursor() if self.planner is not None else 0
+            after = planner.truth_cursor() if planner is not None else 0
             execution.truth_span = (before, after)
             executions.append(execution)
         return executions

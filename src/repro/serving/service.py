@@ -42,6 +42,7 @@ answers because batch-level optimisations are performance-only channels
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import random
@@ -89,6 +90,10 @@ QueryLike = Union[RouteQuery, RecommendRequest]
 #: backend was bound to.  Named workspaces (``repro.serving.tenancy``)
 #: register additional planners beside it on the same pool.
 DEFAULT_TENANT = ""
+
+#: A dispatcher entry: ``(batch_index, job, resubmitted)`` — the flag
+#: survives requeues so the final outcome is attributed to supervision.
+_Entry = Tuple[int, ShardJob, bool]
 
 
 # ------------------------------------------------------------ inline backend
@@ -306,10 +311,9 @@ class PooledBackend(ServingBackend):
     sync with the parent via streamed deltas, so consecutive batches pay
     only shard-clone construction, never a fork or a whole-store clone.
 
-    ``persistent=False`` degrades to the old per-batch behaviour (fork,
-    serve one batch, stop) — kept as the baseline the ``crowd_stream``
-    benchmark and the deprecated engine shim measure against.  When
-    ``use_processes`` is false or the platform offers no ``fork`` start
+    A lone batch is a one-batch window: :meth:`execute_batch` and
+    :meth:`execute_window` share one dispatcher (:meth:`_run_window`).
+    When ``use_processes`` is false or the platform offers no ``fork`` start
     method, shards execute inline through the same clone-and-merge
     machinery, keeping results identical everywhere.
 
@@ -343,7 +347,6 @@ class PooledBackend(ServingBackend):
         self,
         pool_size: Optional[int] = None,
         use_processes: bool = True,
-        persistent: bool = True,
         merge_every_batches: int = 1,
         truth_wire: str = "columnar",
         respawn_workers: bool = True,
@@ -380,7 +383,6 @@ class PooledBackend(ServingBackend):
             raise ServingError("hedge_after_s must be positive (or None to disable)")
         self.pool_size = pool_size
         self.use_processes = use_processes
-        self.persistent = persistent
         self.merge_every_batches = merge_every_batches
         self.truth_wire = truth_wire
         self.respawn_workers = respawn_workers
@@ -635,7 +637,7 @@ class PooledBackend(ServingBackend):
 
     def _chain_encoder(self):
         """Hand-off payload codec: columnar on the wire, objects otherwise."""
-        if self.truth_wire != "columnar":
+        if self.truth_wire != "columnar" or not self._can_fork():
             return None
         network = self.planner.network
         return lambda truths: encode_truth_delta(truths, network)
@@ -648,95 +650,20 @@ class PooledBackend(ServingBackend):
         plan: Optional[ShardPlan] = None,
         tenant: str = DEFAULT_TENANT,
     ) -> BatchExecution:
+        """Serve one batch as a one-batch window (see :meth:`_serve_window`).
+
+        An explicit ``plan`` overrides the planner's own shard plan (it may
+        regroup shards only along whole interaction-closed components).
+        Raises when the batch fails.
+        """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
-        planner = self._planner_for(tenant)
+        self._planner_for(tenant)  # an unknown tenant fails even when empty
         queries = list(queries)
         if not queries:
             return BatchExecution(results=[], origins=[])
-        counters_before = self._counter_snapshot()
-
-        started = time.perf_counter()
-        if plan is None:
-            plan = planner.shard_plan(queries, self.resolved_pool_size())
-        raw_plan = plan
-        plan = self._split_plan(planner, plan, queries)
-        self._note_plan(raw_plan, plan)
-        plan_s = time.perf_counter() - started
-
-        # Warm shared read-only state before any fork so first-batch workers
-        # inherit the compiled graph and source caches instead of rebuilding
-        # them per process.
-        planner.warm_batch(queries)
-        jobs = [
-            ShardJob(
-                shard_id=shard.shard_id,
-                indices=shard.indices,
-                destination_cells=shard.destination_cells,
-                queries=[queries[index] for index in shard.indices],
-                share_candidate_generation=share_candidate_generation,
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
-                tenant=tenant,
-            )
-            for shard in plan.shards
-        ]
-
-        started = time.perf_counter()
-        warm = False
-        resubmitted: Set[int] = set()
-        respawns = 0
-        degraded = False
-        if self._can_fork():
-            # Warm only when an existing pool served this batch — a re-fork
-            # after a whole-pool loss is a cold batch like the first one
-            # (replacing individual dead workers is not: the survivors'
-            # warm state is what the batch runs on).
-            warm = not self._ensure_pool()
-            if warm:
-                self._poll_lame()
-                self._respawn_dead()
-            try:
-                chain = ChainState(jobs, handoff_id_base(), self._chain_encoder())
-                outcomes, resubmitted, respawns, degraded = self._run_on_pool(
-                    jobs, chain, tenant
-                )
-            finally:
-                if not self.persistent:
-                    self._stop_pool()
-        else:
-            outcomes = execute_jobs_inline(
-                planner, jobs, ChainState(jobs, handoff_id_base())
-            )
-        execute_s = time.perf_counter() - started
-        if degraded:
-            self.degraded_batches += 1
-
-        started = time.perf_counter()
-        results = merge_shard_outcomes(planner, len(queries), outcomes)
-        merge_s = time.perf_counter() - started
-
-        self.batches_executed += 1
-        self._attribute_counters(tenant, counters_before, batches=1)
-        if self._workers and self.batches_executed % self.merge_every_batches == 0:
-            self._push_sync(tenant)
-
-        origins: List[Tuple[Optional[int], Optional[int]]] = [(None, None)] * len(queries)
-        for outcome in outcomes:
-            for index in outcome.indices:
-                origins[index] = (outcome.shard_id, outcome.worker_pid)
-        return BatchExecution(
-            results=results,
-            origins=origins,
-            plan_s=plan_s,
-            execute_s=execute_s,
-            merge_s=merge_s,
-            warm_pool=warm,
-            resubmitted=(
-                [origin[0] in resubmitted for origin in origins] if resubmitted else None
-            ),
-            respawn_count=respawns,
-        )
+        window = [WindowBatch(queries, share_candidate_generation)]
+        return self._serve_window(window, tenant, plans=[plan])[0]
 
     def execute_window(
         self, batches: Sequence[WindowBatch], tenant: str = DEFAULT_TENANT
@@ -750,45 +677,70 @@ class PooledBackend(ServingBackend):
         dependency has merged — it need not wait for the whole previous
         batch.  Merges still happen strictly in submission order (the window
         contract), so parent truth-id issuance — and with it every
-        fingerprint — is identical to the barrier scheduler and to the
-        sequential oracle.
+        fingerprint — is identical to the sequential oracle.
 
-        Degenerate windows fall back to the barrier scheduler byte for byte:
-        a single-batch window, a non-persistent pool (the per-batch baseline
-        has nothing to keep warm across batches), and platforms without
-        ``fork`` all delegate to the default :meth:`ServingBackend.execute_window`.
+        A barrier is a one-batch window: :meth:`execute_batch` runs the same
+        dispatcher.  Only platforms without ``fork`` (or
+        ``use_processes=False``) execute the window batch by batch through
+        :meth:`execute_batch`, the default barrier of
+        :meth:`ServingBackend.execute_window`.
 
-        Supervision carries over from the barrier path with two per-window
-        readings: ``max_respawns_per_batch`` acts as a per-*window* respawn
-        budget, and ``warm_pool``/``respawn_count`` provenance fields are
-        window-level (all batches of a window report the same warm flag and
-        the respawns seen up to their own merge).
+        Supervision is per window: ``max_respawns_per_batch`` acts as a
+        per-*window* respawn budget, and ``warm_pool``/``respawn_count``
+        provenance fields are window-level (all batches of a window report
+        the same warm flag and the respawns seen up to their own merge).
         """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
-        planner = self._planner_for(tenant)
         window = [
             WindowBatch(list(batch.queries), batch.share_candidate_generation)
             for batch in batches
         ]
-        if len(window) <= 1 or not self.persistent or not self._can_fork():
-            return self._execute_window_barrier(window, tenant)
+        if self._can_fork():
+            return self._serve_window(window, tenant)
+        # The tenant kwarg is threaded only when set, so subclasses that
+        # override ``execute_batch`` with the base signature keep working
+        # for the default tenant.
+        kwargs = {} if tenant == DEFAULT_TENANT else {"tenant": tenant}
+        return self._execute_in_order(window, self._planner_for(tenant), **kwargs)
 
+    def _serve_window(
+        self,
+        window: List[WindowBatch],
+        tenant: str,
+        plans: Optional[List[Optional[ShardPlan]]] = None,
+    ) -> List[BatchExecution]:
+        """The one execution path: plan, dispatch and merge a window.
+
+        Plans each batch (or takes its explicit entry in ``plans``) and
+        applies the ``max_shard_fraction`` split, builds the jobs and
+        hand-off chains, ensures the pool (polling lame workers and
+        replacing dead ones on a warm pool), runs :meth:`_run_window`,
+        attributes the supervision counters to ``tenant`` and applies the
+        sync cadence.  Window-structure counters (``pipeline_stats``) count
+        only windows of two or more batches.
+        """
+        planner = self._planner_for(tenant)
         counters_before = self._counter_snapshot()
-        plans: List[ShardPlan] = []
+        split_plans: List[ShardPlan] = []
         plan_times: List[float] = []
-        for batch in window:
+        for batch, plan in zip(window, plans or [None] * len(window)):
             started = time.perf_counter()
-            raw_plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
-            split_plan = self._split_plan(planner, raw_plan, batch.queries)
-            self._note_plan(raw_plan, split_plan)
-            plans.append(split_plan)
+            if plan is None:
+                plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
+            split_plan = self._split_plan(planner, plan, batch.queries)
+            self._note_plan(plan, split_plan)
+            split_plans.append(split_plan)
             plan_times.append(time.perf_counter() - started)
-        deps = batch_dependencies(plans)
-        parallelism = window_parallelism(deps)
-        self.independent_shards_total += parallelism["independent_shards"]
-        self.cross_batch_edges_total += parallelism["cross_batch_edges"]
-        self.serialized_batches_total += parallelism["serialized_batches"]
+        deps = batch_dependencies(split_plans)
+        if len(window) > 1:
+            parallelism = window_parallelism(deps)
+            self.independent_shards_total += parallelism["independent_shards"]
+            self.cross_batch_edges_total += parallelism["cross_batch_edges"]
+            self.serialized_batches_total += parallelism["serialized_batches"]
+        # Warm shared read-only state before any fork so first-batch workers
+        # inherit the compiled graph and source caches instead of rebuilding
+        # them per process.
         planner.warm_batch([query for batch in window for query in batch.queries])
         jobs_per_batch: List[List[ShardJob]] = [
             [
@@ -804,7 +756,7 @@ class PooledBackend(ServingBackend):
                 )
                 for shard in plan.shards
             ]
-            for batch, plan in zip(window, plans)
+            for batch, plan in zip(window, split_plans)
         ]
         # Per-batch hand-off chains: id bases are pre-computed stripes above
         # the current watermark, so retagged hand-off ids of a later batch
@@ -815,15 +767,22 @@ class PooledBackend(ServingBackend):
             for batch_offset, jobs in enumerate(jobs_per_batch)
         ]
 
-        warm = not self._ensure_pool()
-        if warm:
-            self._poll_lame()
-            self._respawn_dead()
+        warm = False
+        if self._can_fork():
+            # Warm only when an existing pool serves this window — a re-fork
+            # after a whole-pool loss is cold like the first one (replacing
+            # individual dead workers is not: the survivors' warm state is
+            # what the window runs on).
+            warm = not self._ensure_pool()
+            if warm:
+                self._poll_lame()
+                self._respawn_dead()
         batches_before = self.batches_executed
         executions = self._run_window(
             window, plan_times, jobs_per_batch, deps, warm, chains, tenant
         )
-        self.windows_executed += 1
+        if len(window) > 1:
+            self.windows_executed += 1
         self._attribute_counters(tenant, counters_before, batches=len(executions))
         # Sync cadence at the window edge (never mid-window: a blocking
         # "synced" round-trip while shards are in flight would swallow their
@@ -834,35 +793,6 @@ class PooledBackend(ServingBackend):
             > batches_before // self.merge_every_batches
         ):
             self._push_sync(tenant)
-        return executions
-
-    def _execute_window_barrier(
-        self, window: List[WindowBatch], tenant: str
-    ) -> List[BatchExecution]:
-        """The barrier scheduler with tenant threading: each batch through
-        :meth:`execute_batch` in submission order, ``truth_span`` bracketed
-        on the *tenant's* truth cursor (mirrors the default
-        :meth:`ServingBackend.execute_window` contract byte for byte)."""
-        planner = self._planner_for(tenant)
-        executions: List[BatchExecution] = []
-        for batch in window:
-            before = planner.truth_cursor()
-            # The tenant kwarg is threaded only when set, so subclasses that
-            # override ``execute_batch`` with the base signature keep
-            # working for the default tenant.
-            kwargs = {} if tenant == DEFAULT_TENANT else {"tenant": tenant}
-            try:
-                execution = self.execute_batch(
-                    batch.queries,
-                    share_candidate_generation=batch.share_candidate_generation,
-                    **kwargs,
-                )
-            except Exception:
-                if executions:
-                    break
-                raise
-            execution.truth_span = (before, planner.truth_cursor())
-            executions.append(execution)
         return executions
 
     def _run_window(
@@ -880,9 +810,13 @@ class PooledBackend(ServingBackend):
         The scheduler keeps two shard pools: ``ready`` (dependency already
         merged — dispatchable now, in (batch, shard) order so the merge
         frontier is favoured) and ``blocked[d]`` (waiting for batch ``d`` to
-        merge).  Whenever the frontier batch has all its outcomes, it merges
-        into the parent — strictly in submission order — and releases the
-        shards that were blocked on it.
+        merge).  One job per dispatch: each idle worker pulls the next ready
+        shard as soon as it finishes its previous one (like ``Pool.map``
+        with chunk size 1), so a skewed batch — one giant shard plus several
+        small ones — never serialises small shards behind the giant.
+        Whenever the frontier batch has all its outcomes, it merges into the
+        parent — strictly in submission order — and releases the shards that
+        were blocked on it.
 
         Sub-shard chains add a third pool: ``chain_blocked[b]`` holds batch
         ``b``'s sub-shards whose cross-batch dependency is satisfied but
@@ -892,19 +826,27 @@ class PooledBackend(ServingBackend):
         hand-off payload, so a resubmitted sub-shard adopts exactly the same
         truths as the first attempt.
 
-        Fault handling mirrors :meth:`_run_on_pool`: a crashed, desynced or
-        hung in-flight worker gets its shard requeued at the *front* of the
-        ready queue (its dependency is already satisfied, and the frontier
-        may be waiting on it) and a replacement forked budget permitting;
-        with the whole pool gone and the breaker open, the remaining shards
-        degrade to in-process execution in strict batch order with frontier
-        merges between batches — the parent then holds exactly the
-        sequential prefix each shard would have seen, so results are
-        unchanged.  A shard *execution* error stops dispatching, drains
-        in-flight workers (their frontier batches may still merge), and the
-        merged prefix is returned; the failing batch never merges, so it
-        stays pending at the service and the error re-raises
-        deterministically when it heads a later window.
+        The supervisor declares an in-flight worker dead on pipe EOF
+        (crash), on desync (its warm base can no longer be trusted), or on
+        silence past ``rpc_deadline_s`` with no heartbeat (hung — killed
+        outright, since SIGKILL works where a reply never will).  Either way
+        its shard is requeued *resubmitted* at the *front* of the ready
+        queue (its dependency is already satisfied, and the frontier may be
+        waiting on it) and a replacement is forked immediately, budget
+        permitting.  Once the ``max_respawns_per_batch`` breaker opens and
+        no worker remains — or when the platform cannot fork at all — the
+        remaining shards run in-process through
+        :func:`~repro.serving.shards.execute_jobs_inline`, batch by batch
+        with frontier merges between batches: the parent then holds exactly
+        the sequential prefix each shard would have seen, so results are
+        unchanged.  Only a lost pool counts as a degraded batch.
+
+        A shard *execution* error (worker state intact) stops dispatching,
+        drains in-flight workers (their frontier batches may still merge),
+        and the merged prefix is returned; the failing batch never merges,
+        so it stays pending at the service and the error re-raises
+        deterministically when it heads a later window.  With no merged
+        prefix — always the case for a one-batch window — the error raises.
         """
         planner = self._planner_for(tenant)
         num_batches = len(window)
@@ -918,18 +860,19 @@ class PooledBackend(ServingBackend):
         respawns = 0
         degraded = False
         error: Optional[str] = None
-        # Hedging state (see ``_run_on_pool``); shard ids are per-batch, so
-        # duplicates are keyed ``(batch_index, shard_id)`` here.
+        # Hedging state: shards with a recorded outcome (duplicates discard
+        # against this), workers whose in-flight dispatch is the speculative
+        # copy, and per-dispatch wall-clock starts for the hedge budget.
+        # Shard ids are per-batch, so shards are keyed (batch_index, shard_id).
         completed: Set[Tuple[int, int]] = set()
         hedge_workers: Set[_PoolWorker] = set()
         dispatched_at: Dict[_PoolWorker, float] = {}
 
-        # Entries are (batch_index, job, resubmitted).
-        ready: "deque[Tuple[int, ShardJob, bool]]" = deque()
-        blocked: Dict[int, List[Tuple[int, ShardJob, bool]]] = {}
-        chain_blocked: Dict[int, List[Tuple[int, ShardJob, bool]]] = {}
+        ready: "deque[_Entry]" = deque()
+        blocked: Dict[int, List[_Entry]] = {}
+        chain_blocked: Dict[int, List[_Entry]] = {}
 
-        def release(entry: Tuple[int, ShardJob, bool]) -> None:
+        def release(entry: _Entry) -> None:
             """Queue an entry whose cross-batch dependency is satisfied."""
             if entry[1].predecessors and not chains[entry[0]].ready(entry[1]):
                 chain_blocked.setdefault(entry[0], []).append(entry)
@@ -941,7 +884,7 @@ class PooledBackend(ServingBackend):
             waiting = chain_blocked.pop(batch_index, None)
             if not waiting:
                 return
-            still: List[Tuple[int, ShardJob, bool]] = []
+            still: List[_Entry] = []
             for entry in waiting:
                 if chains[batch_index].ready(entry[1]):
                     ready.append(entry)
@@ -1015,7 +958,7 @@ class PooledBackend(ServingBackend):
                 for entry in blocked.pop(batch_index, ()):
                     release(entry)
 
-        def lost(entry: Tuple[int, ShardJob, bool]) -> None:
+        def lost(entry: _Entry) -> None:
             """Requeue a dead worker's shard and try to restore capacity.
 
             With hedging, the shard may already be recorded or still
@@ -1044,13 +987,15 @@ class PooledBackend(ServingBackend):
                 del inflight[peer]
                 dispatched_at.pop(peer, None)
                 if peer in hedge_workers:
+                    # The original finished first: the speculative copy
+                    # bought nothing.
                     hedge_workers.discard(peer)
                     self.hedges_wasted += 1
                 self._retire_to_lame(peer)
 
         merge_frontier()  # zero-shard batches at the head merge immediately
 
-        inflight: Dict[_PoolWorker, Tuple[int, ShardJob, bool]] = {}
+        inflight: Dict[_PoolWorker, _Entry] = {}
         while ((ready or blocked or chain_blocked) and error is None) or inflight:
             self._poll_lame()
             if error is None:
@@ -1074,13 +1019,7 @@ class PooledBackend(ServingBackend):
                     else:
                         ready.appendleft(entry)
                 if self.hedge_after_s is not None and not ready and inflight:
-                    self._hedge_stragglers(
-                        inflight,
-                        dispatched_at,
-                        hedge_workers,
-                        key_of=lambda e: (e[0], e[1].shard_id),
-                        job_of=lambda e: e[1],
-                    )
+                    self._hedge_stragglers(inflight, dispatched_at, hedge_workers)
                 if (
                     (ready or blocked or chain_blocked)
                     and not inflight
@@ -1090,38 +1029,31 @@ class PooledBackend(ServingBackend):
                     if replacement is not None:
                         respawns += 1
                         continue
-                    # Whole pool gone, breaker open: degrade in strict batch
-                    # order with frontier merges between batches, so each
-                    # in-process shard executes against exactly the
-                    # sequential prefix.  Within a batch, shard-id order is a
-                    # topological order of its hand-off chain, so every
-                    # sub-shard's payload is available when it executes.
-                    degraded = True
-                    remaining: Dict[int, List[Tuple[int, ShardJob, bool]]] = {}
-                    for entry in ready:
-                        remaining.setdefault(entry[0], []).append(entry)
-                    for entries in blocked.values():
-                        for entry in entries:
-                            remaining.setdefault(entry[0], []).append(entry)
-                    for entries in chain_blocked.values():
-                        for entry in entries:
-                            remaining.setdefault(entry[0], []).append(entry)
+                    # No worker left and none coming (breaker open, respawns
+                    # disabled, or no fork at all): run the rest in-process
+                    # in strict batch order with frontier merges between
+                    # batches, so each shard executes against exactly the
+                    # sequential prefix.
+                    degraded = self._can_fork()
+                    remaining: Dict[int, List[ShardJob]] = {}
+                    for batch_index, job, was_resubmitted in itertools.chain(
+                        ready, *blocked.values(), *chain_blocked.values()
+                    ):
+                        remaining.setdefault(batch_index, []).append(job)
+                        if was_resubmitted:
+                            resubmitted_ids[batch_index].add(job.shard_id)
                     ready.clear()
                     blocked.clear()
                     chain_blocked.clear()
                     for batch_index in sorted(remaining):
-                        for entry in sorted(
-                            remaining[batch_index], key=lambda item: item[1].shard_id
-                        ):
-                            if first_dispatch[batch_index] is None:
-                                first_dispatch[batch_index] = time.perf_counter()
-                            entry[1].adopt = chains[batch_index].payload(entry[1])
-                            record(
-                                batch_index,
-                                [execute_shard_job(planner, entry[1])],
-                                entry[2],
-                                entry[1].shard_id,
+                        if first_dispatch[batch_index] is None:
+                            first_dispatch[batch_index] = time.perf_counter()
+                        done[batch_index].extend(
+                            execute_jobs_inline(
+                                planner, remaining[batch_index], chains[batch_index]
                             )
+                        )
+                        last_done[batch_index] = time.perf_counter()
                         merge_frontier()
                     break
                 if not ready and not inflight and (blocked or chain_blocked):
@@ -1176,6 +1108,7 @@ class PooledBackend(ServingBackend):
                         record(entry[0], reply[2], entry[2], entry[1].shard_id)
                         merge_frontier()
                     elif reply[0] == "desync":
+                        # The worker's warm base is no longer trustworthy.
                         worker.mark_dead()
                         hedge_workers.discard(worker)
                         lost(entry)
@@ -1189,6 +1122,8 @@ class PooledBackend(ServingBackend):
                     dispatched_at.pop(worker, None)
                     lost(inflight.pop(worker))
                 elif now - worker.last_heard > self.rpc_deadline_s:
+                    # Alive but silent past the deadline — no reply and no
+                    # heartbeat — so it is hung, not slow.
                     self._kill_worker(worker)
                     self.hung_workers_killed += 1
                     hedge_workers.discard(worker)
@@ -1256,7 +1191,7 @@ class PooledBackend(ServingBackend):
         are dropped, so the pool returns to ``resolved_pool_size()`` workers
         instead of shrinking towards inline fallback.
         """
-        if not (self.persistent and self.respawn_workers):
+        if not self.respawn_workers:
             return
         survivors = [worker for worker in self._workers if worker.alive]
         missing = self.resolved_pool_size() - len(survivors)
@@ -1313,7 +1248,7 @@ class PooledBackend(ServingBackend):
         (outcomes merge only after execution), so it is exactly as synced as
         the workers the batch was dispatched to.
         """
-        if not (self.persistent and self.respawn_workers and self._can_fork()):
+        if not (self.respawn_workers and self._can_fork()):
             return None
         if respawns_so_far >= self.max_respawns_per_batch:
             return None
@@ -1389,29 +1324,22 @@ class PooledBackend(ServingBackend):
 
     def _hedge_stragglers(
         self,
-        inflight: Dict[_PoolWorker, Any],
+        inflight: Dict[_PoolWorker, _Entry],
         dispatched_at: Dict[_PoolWorker, float],
         hedge_workers: Set[_PoolWorker],
-        key_of=None,
-        job_of=None,
     ) -> None:
         """Speculatively duplicate overdue dispatches onto idle workers.
 
-        Called by both dispatchers once their queues are empty but workers
+        Called by the dispatcher once its ready queue is empty but workers
         idle: any in-flight shard whose wall-clock exceeds ``hedge_after_s``
         — its worker still heartbeating, so the hang supervisor will never
         fire — is re-dispatched (same job object, same memoised hand-off
         payload) to an idle worker.  First outcome wins; the loser goes
         lame (see ``_retire_to_lame``).  One hedge per shard: racing more
         than two copies buys nothing the content-keyed RNG has not already
-        guaranteed.  ``key_of`` identifies a shard across duplicate entries
-        (``(batch, shard_id)`` under windows), ``job_of`` extracts the
-        :class:`ShardJob` from a dispatcher entry.
+        guaranteed.  A shard is identified across duplicate dispatcher
+        entries by ``(batch_index, shard_id)``.
         """
-        if key_of is None:
-            key_of = lambda entry: entry[0].shard_id  # noqa: E731
-        if job_of is None:
-            job_of = lambda entry: entry[0]  # noqa: E731
         idle = [
             worker
             for worker in self._alive_workers()
@@ -1432,12 +1360,12 @@ class PooledBackend(ServingBackend):
         )
         for _, straggler in overdue:
             entry = inflight[straggler]
-            key = key_of(entry)
-            if sum(1 for peer in inflight.values() if key_of(peer) == key) > 1:
+            key = (entry[0], entry[1].shard_id)
+            if sum(1 for peer in inflight.values() if (peer[0], peer[1].shard_id) == key) > 1:
                 continue  # already hedged
             while idle:
                 worker = idle.pop(0)
-                if self._dispatch(worker, [job_of(entry)]):
+                if self._dispatch(worker, [entry[1]]):
                     worker.touch()
                     inflight[worker] = entry
                     dispatched_at[worker] = now
@@ -1544,230 +1472,6 @@ class PooledBackend(ServingBackend):
             return False
         worker.cursors[tenant] = self._planner_for(tenant).truth_cursor()
         return True
-
-    def _run_on_pool(
-        self,
-        jobs: List[ShardJob],
-        chain: Optional[ChainState] = None,
-        tenant: str = DEFAULT_TENANT,
-    ) -> Tuple[List[ShardOutcome], Set[int], int, bool]:
-        """Serve jobs on the pool with dynamic pull dispatch + supervision.
-
-        One job per dispatch: each idle worker pulls the next queued job as
-        soon as it finishes its previous one (like ``Pool.map`` with chunk
-        size 1), so a skewed batch — one giant shard plus several small
-        ones — never serialises small shards behind the giant.
-
-        With a ``chain``, sub-shards whose hand-off predecessors have not
-        completed wait aside until the chain marks them ready; dispatch
-        attaches each sub-shard's (memoised) adopt payload, so resubmission
-        after a fault replays the identical hand-off truths.
-
-        The supervisor declares an in-flight worker dead on pipe EOF
-        (crash), on desync (its warm base can no longer be trusted), or on
-        silence past ``rpc_deadline_s`` with no heartbeat (hung — killed
-        outright, since SIGKILL works where a reply never will).  Either
-        way its job is requeued *resubmitted* and a replacement is forked
-        immediately, budget permitting; once the ``max_respawns_per_batch``
-        breaker opens and no worker remains, the remaining queue degrades to
-        in-process execution instead of failing the ticket.  A shard
-        *execution* error (worker state intact) is raised to the caller
-        after in-flight jobs drain.
-
-        Returns ``(outcomes, resubmitted shard ids, respawns, degraded)``.
-        """
-        planner = self._planner_for(tenant)
-        outcomes: List[ShardOutcome] = []
-        # Queue entries are (job, resubmitted): the flag survives requeues so
-        # the final outcome can be attributed to supervision in provenance.
-        queue: "deque[Tuple[ShardJob, bool]]" = deque()
-        chain_blocked: List[Tuple[ShardJob, bool]] = []
-        for job in jobs:
-            if chain is not None and job.predecessors and not chain.ready(job):
-                chain_blocked.append((job, False))
-            else:
-                queue.append((job, False))
-        inflight: Dict[_PoolWorker, Tuple[ShardJob, bool]] = {}
-        error: Optional[str] = None
-        resubmitted: Set[int] = set()
-        respawns = 0
-        degraded = False
-        # Hedging state: shards with a recorded outcome (duplicates discard
-        # against this), workers whose in-flight dispatch is the speculative
-        # copy, and per-dispatch wall-clock starts for the hedge budget.
-        completed: Set[int] = set()
-        hedge_workers: Set[_PoolWorker] = set()
-        dispatched_at: Dict[_PoolWorker, float] = {}
-
-        def release_chain_ready() -> None:
-            """Move sub-shards whose hand-off just completed to the queue."""
-            if chain is None or not chain_blocked:
-                return
-            still: List[Tuple[ShardJob, bool]] = []
-            for entry in chain_blocked:
-                if chain.ready(entry[0]):
-                    queue.append(entry)
-                else:
-                    still.append(entry)
-            chain_blocked[:] = still
-
-        def lost(entry: Tuple[ShardJob, bool]) -> None:
-            """Requeue a dead worker's job and try to restore capacity.
-
-            With hedging, the shard may already be served (completed) or
-            still covered by its surviving duplicate dispatch — requeuing
-            would double-serve it, so only truly orphaned shards requeue."""
-            nonlocal respawns
-            shard_id = entry[0].shard_id
-            covered = shard_id in completed or any(
-                peer_entry[0].shard_id == shard_id for peer_entry in inflight.values()
-            )
-            if not covered:
-                queue.append((entry[0], True))
-                self.resubmitted_shards_total += 1
-            if self._mid_batch_respawn(respawns) is not None:
-                respawns += 1
-
-        def retire_losers(shard_id: int) -> None:
-            """Move every other in-flight dispatch of a won shard to lame."""
-            for peer in [
-                peer
-                for peer, peer_entry in inflight.items()
-                if peer_entry[0].shard_id == shard_id
-            ]:
-                del inflight[peer]
-                dispatched_at.pop(peer, None)
-                if peer in hedge_workers:
-                    # The original finished first: the speculative copy
-                    # bought nothing.
-                    hedge_workers.discard(peer)
-                    self.hedges_wasted += 1
-                self._retire_to_lame(peer)
-
-        while ((queue or chain_blocked) and error is None) or inflight:
-            self._poll_lame()
-            if error is None:
-                for worker in self._alive_workers():
-                    if not queue:
-                        break
-                    if worker in inflight or worker in self._lame:
-                        continue
-                    entry = queue.popleft()
-                    if chain is not None:
-                        entry[0].adopt = chain.payload(entry[0])
-                    if self._dispatch(worker, [entry[0]]):
-                        worker.touch()
-                        inflight[worker] = entry
-                        dispatched_at[worker] = time.monotonic()
-                    else:
-                        queue.appendleft(entry)
-                if self.hedge_after_s is not None and not queue and inflight:
-                    self._hedge_stragglers(inflight, dispatched_at, hedge_workers)
-                if (queue or chain_blocked) and not inflight and not self._alive_workers():
-                    replacement = self._mid_batch_respawn(respawns)
-                    if replacement is not None:
-                        respawns += 1
-                        continue
-                    # The whole pool is gone and the breaker is open (or
-                    # respawns are disabled): degrade — serve the remainder
-                    # in-process rather than fail the ticket.  Shard-id order
-                    # is a topological order of the hand-off chain, so every
-                    # payload is available when its consumer executes.
-                    degraded = True
-                    remaining = sorted(
-                        list(queue) + chain_blocked, key=lambda item: item[0].shard_id
-                    )
-                    queue.clear()
-                    chain_blocked.clear()
-                    for job, was_resubmitted in remaining:
-                        if chain is not None:
-                            job.adopt = chain.payload(job)
-                        outcome = execute_shard_job(planner, job)
-                        outcomes.append(outcome)
-                        if chain is not None:
-                            chain.record(outcome)
-                        if was_resubmitted:
-                            resubmitted.add(job.shard_id)
-                    break
-                if not queue and not inflight and chain_blocked:
-                    # Defensive: re-release, and fail loudly over spinning
-                    # (unreachable while predecessors precede consumers).
-                    release_chain_ready()
-                    if not queue:  # pragma: no cover - scheduler guard
-                        raise ServingError(
-                            "batch dispatch deadlocked on the sub-shard chain"
-                        )
-            if not inflight:
-                if self._lame:
-                    # Nothing in flight but a crawler still owes a reply:
-                    # yield briefly instead of hot-spinning on _poll_lame.
-                    time.sleep(0.005)
-                continue
-            wait_ready = mp_wait([worker.conn for worker in inflight], timeout=0.05)
-            now = time.monotonic()
-            for worker in list(inflight):
-                if worker not in inflight:
-                    continue  # retired to lame by an earlier win this sweep
-                if worker.conn in wait_ready:
-                    try:
-                        reply = worker.conn.recv()
-                    except (EOFError, OSError):
-                        reply = None
-                    if reply is not None and reply[0] == "beat":
-                        worker.touch()
-                        continue
-                    entry = inflight.pop(worker)
-                    dispatched_at.pop(worker, None)
-                    if reply is None:
-                        worker.mark_dead()
-                        hedge_workers.discard(worker)
-                        lost(entry)
-                    elif reply[0] == "done":
-                        worker.touch()
-                        shard_id = entry[0].shard_id
-                        if shard_id in completed:
-                            # Stale duplicate of an already-served shard:
-                            # bit-identical by the content-keyed crowd RNG,
-                            # so discarding it is a pure no-op.
-                            hedge_workers.discard(worker)
-                            continue
-                        completed.add(shard_id)
-                        if worker in hedge_workers:
-                            hedge_workers.discard(worker)
-                            self.hedges_won += 1
-                        retire_losers(shard_id)
-                        outcomes.extend(reply[2])
-                        if chain is not None:
-                            for outcome in reply[2]:
-                                chain.record(outcome)
-                            release_chain_ready()
-                        if entry[1]:
-                            resubmitted.add(shard_id)
-                    elif reply[0] == "desync":
-                        # The worker's warm base is no longer trustworthy.
-                        worker.mark_dead()
-                        hedge_workers.discard(worker)
-                        lost(entry)
-                    elif reply[0] == "error":
-                        error = error or str(reply[2])
-                    else:  # pragma: no cover - protocol guard
-                        error = error or f"unexpected pool reply {reply[0]!r}"
-                elif not worker.process.is_alive():
-                    worker.mark_dead()
-                    hedge_workers.discard(worker)
-                    dispatched_at.pop(worker, None)
-                    lost(inflight.pop(worker))
-                elif now - worker.last_heard > self.rpc_deadline_s:
-                    # Alive but silent past the deadline — no reply and no
-                    # heartbeat — so it is hung, not slow.
-                    self._kill_worker(worker)
-                    self.hung_workers_killed += 1
-                    hedge_workers.discard(worker)
-                    dispatched_at.pop(worker, None)
-                    lost(inflight.pop(worker))
-        if error is not None:
-            raise ServingError(f"shard execution failed in a pool worker:\n{error}")
-        return outcomes, resubmitted, respawns, degraded
 
     def _push_sync(self, tenant: str = DEFAULT_TENANT) -> None:
         """Stream one tenant's merged truth deltas to workers that are

@@ -537,9 +537,9 @@ def execute_jobs_inline(
 
     Shard ids are a topological order of the chain DAG (``split_oversized``
     renumbers them that way), so ascending execution satisfies every
-    predecessor before its consumers — this is the fork-less fallback and
-    the degraded tail of the pooled dispatchers, and it reproduces the
-    sequential prefix exactly.
+    predecessor before its consumers — the pooled dispatcher's in-process
+    tail, run once per batch both without ``fork`` and after whole-pool
+    loss, and it reproduces the sequential prefix exactly.
     """
     outcomes: List[ShardOutcome] = []
     for job in sorted(jobs, key=lambda item: item.shard_id):

@@ -179,6 +179,24 @@ class TestHotspotDiagnostics:
         assert sharding["max_chain_depth"] >= sharding["chain_depth"]
         assert sharding["sub_shards_total"] > 0
 
+    def test_inprocess_chain_is_not_a_degraded_batch(
+        self, build_serving_planner, dominant_workload, sequential_oracle
+    ):
+        """Without fork the dispatcher's in-process tail serves every shard;
+        with no pool to lose, that is not a degradation."""
+        planner = build_serving_planner()
+        backend = PooledBackend(
+            pool_size=4, use_processes=False, max_shard_fraction=FRACTION
+        )
+        half = len(dominant_workload) // 2
+        with RecommendationService(planner, backend=backend) as service:
+            responses = service.results(service.submit(list(dominant_workload[:half])))
+            responses += service.results(service.submit(list(dominant_workload[half:])))
+            stats = service.statistics()
+        assert stats["sharding"]["max_chain_depth"] >= 2
+        assert stats["supervision"]["degraded_batches"] == 0
+        assert _fingerprints(responses) == sequential_oracle["dominant"]["fingerprints"]
+
     def test_inline_backend_reports_neutral_sharding(
         self, build_serving_planner, serving_workload
     ):

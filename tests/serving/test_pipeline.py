@@ -134,6 +134,26 @@ class TestDegenerateWindows:
         assert len(responses) == 24
         assert service.statistics()["pipeline"]["windows"] == 0
 
+    @needs_fork
+    def test_lone_batches_on_forked_pool_count_no_windows(
+        self, build_serving_planner, serving_workload, sequential_oracle
+    ):
+        """A lone batch on a real pool is a one-batch window: served by the
+        DAG dispatcher, yet counted in no window-structure statistic."""
+        planner = build_serving_planner()
+        with _service(planner, pool_size=2, pipeline_window=4) as service:
+            responses = [
+                r
+                for chunk in _chunks(serving_workload, 4)
+                for r in service.results(service.submit(chunk))
+            ]
+            stats = service.statistics()["pipeline"]
+        assert stats["windows"] == 0
+        assert stats["independent_shards"] == 0
+        assert stats["overlapped_dispatches"] == 0
+        assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
+        assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
+
     def test_fully_dependent_stream_serializes(
         self, build_serving_planner, serving_workload
     ):

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.config import ServiceConfig
+from repro.core.planner import QueryShard, ShardPlan
 from repro.exceptions import ServingError
 from repro.routing.base import RouteQuery
 from repro.serving import (
@@ -187,6 +188,42 @@ class TestPersistentPool:
             repeat = service.results(service.submit(serving_workload))
         assert all(response.method == "truth_reuse" for response in repeat)
         assert all(response.provenance.truth_reused for response in repeat)
+
+    def test_explicit_plan_on_forked_pool(
+        self, build_serving_planner, serving_workload, sequential_oracle
+    ):
+        """``plan=`` on the pool: shards follow the given regrouping of
+        whole components, and answers stay the sequential oracle's."""
+        planner = build_serving_planner()
+        atomic = planner.shard_plan(serving_workload, shards=len(serving_workload))
+        groups = [atomic.shards[start::3] for start in range(3)]
+        plan = ShardPlan(
+            shards=tuple(
+                QueryShard(
+                    shard_id=shard_id,
+                    indices=tuple(sorted(i for s in members for i in s.indices)),
+                    destination_cells=frozenset().union(*(s.destination_cells for s in members)),
+                    components=sum(s.components for s in members),
+                )
+                for shard_id, members in enumerate(groups)
+            ),
+            num_queries=atomic.num_queries,
+            interaction_radius_m=atomic.interaction_radius_m,
+            cell_size_m=atomic.cell_size_m,
+            cell_reach=atomic.cell_reach,
+        )
+        assert len(atomic.shards) >= 3
+        expected_shard = {i: shard.shard_id for shard in plan.shards for i in shard.indices}
+        with _service(planner, "pooled", 2) as service:
+            responses = service.recommend_batch(serving_workload, plan=plan)
+            pool_pids = set(service.worker_pids())
+        assert len(pool_pids) == 2
+        assert [r.provenance.shard_id for r in responses] == [
+            expected_shard[i] for i in range(len(serving_workload))
+        ]
+        assert {r.provenance.worker_pid for r in responses} <= pool_pids
+        assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
+        assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
 
 
 @needs_fork
