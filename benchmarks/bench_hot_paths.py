@@ -1,8 +1,8 @@
 """Hot-path microbenchmarks: compiled routing core vs. reference, spatial
 index queries, sparse vs. dense PMF training, the crowd-evaluation pipeline
 (compiled popularity routing, vectorized familiarity kernels, batched crowd
-simulation) vs. its preserved sequential oracles, the sharded serving
-engine vs. sequential ``recommend_batch``, the cross-batch pipelined
+simulation) vs. its preserved sequential oracles, sharded serving vs.
+sequential ``recommend_batch``, the cross-batch pipelined
 scheduler vs. the per-batch barrier, and the intra-component sub-shard
 chain vs. the monolithic hotspot plan.
 
@@ -49,11 +49,11 @@ from repro.roadnet import shortest_path as fast
 from repro.roadnet.generators import GridCityConfig, generate_grid_city, random_od_pairs
 from repro.routing.base import RouteQuery
 from repro.routing.mpr import MostPopularRouteMiner
+from repro.routing.reference import ClosureMostPopularRouteMiner
 from repro.core.truth import TruthDatabase
 from repro.serving.service import PooledBackend
 from repro.serving import (
     RecommendationService,
-    ShardedRecommendationEngine,
     TruthJournal,
     WorkspaceService,
     encode_truth_delta,
@@ -216,15 +216,15 @@ def test_pmf_fit_dense(benchmark, pmf_problem):
 # ---------------------------------------------------------------- popularity
 @pytest.fixture(scope="module")
 def popularity_setup(bench_scenario):
-    """Paired MPR miners (compiled cost vector vs. closure) over one transfer
-    network, plus the scenario's hot od-pairs as queries."""
+    """Paired MPR miners (compiled cost vector vs. the per-edge closure of
+    ``repro.routing.reference``) over one transfer network, plus the
+    scenario's hot od-pairs as queries."""
     compiled_miner = MostPopularRouteMiner(bench_scenario.network, bench_scenario.store, min_support=2)
-    reference_miner = MostPopularRouteMiner(
+    reference_miner = ClosureMostPopularRouteMiner(
         bench_scenario.network,
         bench_scenario.store,
         min_support=2,
         transfer_network=compiled_miner.transfer,
-        use_compiled_costs=False,
     )
     queries = [RouteQuery(origin, destination) for origin, destination in bench_scenario.hot_pairs]
     return compiled_miner, reference_miner, queries
@@ -409,9 +409,9 @@ def serving_city():
 def shard_setup(serving_city):
     """A clustered large-batch workload plus the sequential oracle.
 
-    The sequential oracle runs once here; before any timing, the sharded
-    engine is asserted bit-identical to it for worker counts {1, 2, 4} — the
-    acceptance gate of the serving subsystem.
+    The sequential oracle runs once here; before any timing, a one-batch
+    pooled service is asserted bit-identical to it for pool sizes {1, 2, 4}
+    — the acceptance gate of the serving subsystem.
     """
     scenario, build_planner = serving_city
     workload = generate_large_batch_workload(
@@ -424,17 +424,22 @@ def shard_setup(serving_city):
         recommendation_fingerprint(result)
         for result in build_planner().recommend_batch(workload)
     ]
-    # Equivalence before timing: workers {1, 2, 4} must match the oracle.
+    # Equivalence before timing: pool sizes {1, 2, 4} must match the oracle.
     for workers in (1, 2, 4):
-        engine = ShardedRecommendationEngine(build_planner(), workers=workers)
-        sharded = [recommendation_fingerprint(r) for r in engine.recommend_batch(workload)]
+        sharded = [recommendation_fingerprint(r) for r in _run_sharded(build_planner, workload, workers)]
         assert sharded == oracle, f"sharded serving diverged from sequential at workers={workers}"
     return build_planner, workload, oracle
 
 
+def _serve_once(planner, batch, pool_size):
+    """Serve one batch on a freshly forked pool, then stop the pool."""
+    config = ServiceConfig.from_planner_config(planner.config, pool_size=pool_size)
+    with RecommendationService(planner, config) as service:
+        return [response.result for response in service.recommend_batch(batch)]
+
+
 def _run_sharded(build_planner, workload, workers):
-    engine = ShardedRecommendationEngine(build_planner(), workers=workers)
-    return engine.recommend_batch(workload)
+    return _serve_once(build_planner(), workload, workers)
 
 
 @pytest.mark.benchmark(group="crowd_shard")
@@ -469,8 +474,9 @@ def stream_setup(serving_city):
 
     Before any timing, both contenders are asserted bit-identical to the
     sequential oracle over the whole stream: the persistent-pool service
-    (fork once, stream truth deltas) and the per-batch shim (fork every
-    batch) — the amortisation this suite exists to measure.
+    (fork once, stream truth deltas) and a service opened and closed per
+    batch (fork every batch) — the amortisation this suite exists to
+    measure.
     """
     scenario, build_planner = serving_city
     batches = generate_stream_workload(
@@ -507,11 +513,11 @@ def _run_stream_persistent(build_planner, batches):
 
 
 def _run_stream_per_batch(build_planner, batches):
-    """The deprecated shim: a fresh fork + truth clone for every batch."""
-    engine = ShardedRecommendationEngine(build_planner(), workers=2)
+    """A fresh pool fork + truth clone for every batch."""
+    planner = build_planner()
     results = []
     for batch in batches:
-        results.extend(engine.recommend_batch(batch))
+        results.extend(_serve_once(planner, batch, 2))
     return results
 
 
@@ -862,8 +868,8 @@ class _OneStragglerPool(PooledBackend):
     duty cycle ends.
     """
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, config):
+        super().__init__(config)
         self._straggler_ordinal = 0
         self._straggler_threads = []
 
@@ -911,7 +917,7 @@ class _OneStragglerPool(PooledBackend):
 
 
 def _straggler_service(build_planner, hedge_after_s):
-    backend = _OneStragglerPool(pool_size=2, hedge_after_s=hedge_after_s)
+    backend = _OneStragglerPool(ServiceConfig(pool_size=2, hedge_after_s=hedge_after_s))
     return RecommendationService(build_planner(), backend=backend)
 
 

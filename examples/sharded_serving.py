@@ -14,9 +14,8 @@ three ways:
    their truth partitions warm between batches and the parent streams
    merged truth deltas back, so per-batch wall time drops once the pool is
    warm;
-3. through the deprecated :class:`ShardedRecommendationEngine` shim, which
-   forks a fresh pool for every batch — the amortisation baseline (and the
-   proof that the legacy API still runs).
+3. through a service opened and closed around every batch, which forks a
+   fresh pool for every batch — the amortisation baseline.
 
 All three produce bit-identical answers — the serving layer's contract.
 """
@@ -33,11 +32,7 @@ from repro.config import ServiceConfig
 from repro.core.planner import CrowdPlanner
 from repro.datasets import SyntheticCityConfig, build_scenario
 from repro.datasets.workloads import StreamWorkloadConfig, generate_stream_workload
-from repro.serving import (
-    RecommendationService,
-    ShardedRecommendationEngine,
-    recommendation_fingerprint,
-)
+from repro.serving import RecommendationService, recommendation_fingerprint
 
 POOL_SIZE = 4
 
@@ -109,22 +104,22 @@ def main() -> None:
         print(f"  {total / service_s:,.0f} queries/s overall; "
               f"worker pids {pids} stayed constant across all {len(batches)} batches")
 
-    print("\nServing through the deprecated per-batch shim (forks every batch)...")
-    shim_planner = build_planner(scenario, familiarity)
-    engine = ShardedRecommendationEngine(shim_planner, workers=POOL_SIZE)
-    shim_results = []
+    print("\nServing through a service per batch (forks a fresh pool every batch)...")
+    per_batch_planner = build_planner(scenario, familiarity)
+    per_batch_responses = []
     started = time.perf_counter()
     for batch in batches:
-        shim_results.extend(engine.recommend_batch(batch))
-    shim_s = time.perf_counter() - started
-    print(f"  {total / shim_s:,.0f} queries/s "
-          f"(persistent pool amortised {shim_s / service_s:.2f}x of this)")
+        with RecommendationService(per_batch_planner, config) as one_shot:
+            per_batch_responses.extend(one_shot.recommend_batch(batch))
+    per_batch_s = time.perf_counter() - started
+    print(f"  {total / per_batch_s:,.0f} queries/s "
+          f"(persistent pool amortised {per_batch_s / service_s:.2f}x of this)")
 
     oracle_fp = [recommendation_fingerprint(r) for r in oracle]
     service_fp = [recommendation_fingerprint(r.result) for r in responses]
-    shim_fp = [recommendation_fingerprint(r) for r in shim_results]
-    print(f"\nService answers identical to sequential: {service_fp == oracle_fp}")
-    print(f"Shim answers identical to sequential:    {shim_fp == oracle_fp}")
+    per_batch_fp = [recommendation_fingerprint(r.result) for r in per_batch_responses]
+    print(f"\nService answers identical to sequential:   {service_fp == oracle_fp}")
+    print(f"Per-batch answers identical to sequential: {per_batch_fp == oracle_fp}")
 
     methods = {}
     truth_hits = 0

@@ -50,8 +50,6 @@ batches whose closures are disjoint::
 See ``examples/sharded_serving.py`` and ``examples/pipelined_stream.py`` for
 end-to-end walkthroughs, experiment E8 (``repro.experiments.exp_throughput``)
 for the backend sweep, and ``docs/serving-invariants.md`` for the contract.
-(The deprecated per-batch :class:`ShardedRecommendationEngine` remains as a
-thin shim over the same machinery.)
 
 Performance
 -----------
@@ -71,7 +69,6 @@ from .config import DEFAULT_CONFIG, PlannerConfig
 from .exceptions import CrowdPlannerError
 from .core.planner import CrowdPlanner, RecommendationResult, ShardPlan
 from .routing.base import CandidateRoute, RouteQuery
-from .serving import ShardedRecommendationEngine
 
 __version__ = "1.8.0"
 
@@ -82,7 +79,6 @@ __all__ = [
     "CrowdPlanner",
     "RecommendationResult",
     "ShardPlan",
-    "ShardedRecommendationEngine",
     "CandidateRoute",
     "RouteQuery",
     "__version__",

@@ -202,14 +202,6 @@ class ServiceConfig(PlannerConfig):
         arrays, several times smaller on the wire) or ``"pickle"`` (the
         pickled-object fallback).  A pure transport choice — decoded deltas
         are exactly the pickled objects, so results never depend on it.
-    respawn_workers:
-        When ``True`` (the default) the pooled backend replaces dead pool
-        workers in place — immediately when the supervisor declares one
-        dead mid-batch, and at the next batch edge for anything that
-        slipped through: one process is re-forked per loss — inheriting
-        the parent's current truth state — instead of resubmitting around
-        a shrinking pool until whole-pool loss forces a full re-fork.
-        Purely a capacity/latency policy; results are identical either way.
     journal_path:
         Directory of the :class:`~repro.serving.journal.TruthJournal`.
         When set, the service appends every batch's truth delta to an
@@ -297,7 +289,6 @@ class ServiceConfig(PlannerConfig):
     max_pending_batches: int = 16
     merge_every_batches: int = 1
     truth_wire: str = "columnar"
-    respawn_workers: bool = True
     journal_path: Optional[str] = None
     journal_fsync: bool = True
     snapshot_every_truths: int = 512

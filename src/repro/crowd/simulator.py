@@ -175,24 +175,20 @@ class SimulatedCrowd(CrowdBackend):
         Accuracy model; defaults to :class:`AnswerBehaviorModel`.
     seed:
         Seed for answer sampling and response times.
-    batched:
-        When true (the default) responses are produced columnar (one
-        vectorized behaviour-model evaluation per crew, compiled tree walk,
-        flat columns); ``False`` routes every call through the sequential
-        oracle and disables the columnar fast path.
-    use_population_accuracies:
-        When true (the default) a familiarity refresh
-        (:meth:`refresh_population_accuracies`, called from
-        :meth:`CrowdPlanner.prepare_workers <repro.core.planner.CrowdPlanner.prepare_workers>`)
-        precomputes one population-level ``(worker, landmark)`` accuracy
-        matrix over the whole pool and catalogue; per-task crew rows are
-        then plain list slices of it, removing the last per-task numpy
-        dispatch from the columnar hot path.  Slices are bit-identical to
-        the per-task matrix (the computation is elementwise per (worker,
-        landmark) and an ``inf``-padded anchor never wins the
-        nearest-anchor minimum); ``False`` keeps the per-task evaluation,
-        which stays in place as the equivalence oracle and the fallback
-        for workers or landmarks registered after the refresh.
+
+    Responses are produced columnar: one vectorized behaviour-model
+    evaluation per crew, a compiled tree walk, flat columns.  A familiarity
+    refresh (:meth:`refresh_population_accuracies`, called from
+    :meth:`CrowdPlanner.prepare_workers <repro.core.planner.CrowdPlanner.prepare_workers>`)
+    precomputes one population-level ``(worker, landmark)`` accuracy matrix
+    over the whole pool and catalogue; per-task crew rows are then plain
+    list slices of it, removing the last per-task numpy dispatch from the
+    hot path.  Slices are bit-identical to the per-task matrix (the
+    computation is elementwise per (worker, landmark) and an ``inf``-padded
+    anchor never wins the nearest-anchor minimum).  A crew that was never
+    refreshed keeps the per-task evaluation, which is the equivalence
+    oracle and the fallback for workers or landmarks registered after the
+    refresh.
     """
 
     def __init__(
@@ -203,8 +199,6 @@ class SimulatedCrowd(CrowdBackend):
         ground_truth: GroundTruthProvider,
         behavior: Optional[AnswerBehaviorModel] = None,
         seed: int = 37,
-        batched: bool = True,
-        use_population_accuracies: bool = True,
     ):
         self.pool = pool
         self.catalog = catalog
@@ -212,14 +206,12 @@ class SimulatedCrowd(CrowdBackend):
         self.ground_truth = ground_truth
         self.behavior = behavior or AnswerBehaviorModel()
         self.seed = seed
-        self.batched = batched
-        self.use_population_accuracies = use_population_accuracies
         # Population accuracy matrix, rebuilt by refresh_population_accuracies:
         # (worker_id -> full accuracy row, landmark_id -> column index).
         self._population: Optional[
             Tuple[Dict[int, List[float]], Dict[int, int]]
         ] = None
-        # Per-query ground-truth landmark sets (batched path only).  The
+        # Per-query ground-truth landmark sets (columnar path only).  The
         # ground-truth provider is deterministic per query, so calibrating its
         # route once per od-pair instead of once per task removes the
         # dominant shared cost when the experiment harness re-queries hot
@@ -232,23 +224,10 @@ class SimulatedCrowd(CrowdBackend):
     # ------------------------------------------------------------- interface
     def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
         """Simulate every assigned worker and return responses in arrival order."""
-        if not worker_ids:
-            raise CrowdPlannerError("collect_responses called with no workers")
-        if not self.batched:
-            return self._collect_sequential(task, worker_ids)
         return self.collect_responses_block(task, worker_ids).to_responses()
 
-    def collect_responses_block(
-        self, task: Task, worker_ids: Sequence[int]
-    ) -> Optional[ResponseBlock]:
-        """The columnar fast path: one :class:`ResponseBlock` per task.
-
-        Returns ``None`` when the simulator was built with ``batched=False``
-        (the planner then falls back to :meth:`collect_responses`, keeping
-        the pure object path exercisable end to end).
-        """
-        if not self.batched:
-            return None
+    def collect_responses_block(self, task: Task, worker_ids: Sequence[int]) -> ResponseBlock:
+        """The columnar fast path: one :class:`ResponseBlock` per task."""
         if not worker_ids:
             raise CrowdPlannerError("collect_responses called with no workers")
         tree = self._compiled_tree(task)
@@ -397,7 +376,13 @@ class SimulatedCrowd(CrowdBackend):
         """The original question-by-question simulation (the batched oracle)."""
         if not worker_ids:
             raise CrowdPlannerError("collect_responses called with no workers")
-        return self._collect_sequential(task, worker_ids)
+        rng = self._task_rng(task)
+        truth_landmarks = self._ground_truth_landmarks(task.query)
+        responses = []
+        for worker_id in worker_ids:
+            responses.append(self._simulate_worker(task, worker_id, truth_landmarks, rng))
+        responses.sort(key=lambda response: (response.total_response_time_s, response.worker_id))
+        return responses
 
     # ------------------------------------------------- population accuracies
     def refresh_population_accuracies(self) -> None:
@@ -408,12 +393,10 @@ class SimulatedCrowd(CrowdBackend):
         next refresh changes the population.  One vectorized evaluation over
         every pool worker and catalogue landmark replaces all later per-task
         ``answer_accuracies_matrix`` calls with pure-list slicing (see
-        :meth:`_crew_accuracies`).  A no-op (clearing any stale matrix) when
-        the columnar path or the knob is off, or the pool/catalogue is empty.
+        :meth:`_crew_accuracies`).  Only clears any stale matrix when the
+        pool or catalogue is empty.
         """
         self._population = None
-        if not (self.batched and self.use_population_accuracies):
-            return
         workers = self.pool.workers()
         landmarks = self.catalog.all()
         if not workers or not landmarks:
@@ -458,16 +441,6 @@ class SimulatedCrowd(CrowdBackend):
             tree = _CompiledTree(task, self.catalog)
             self._compiled_trees[task.question_tree] = tree
         return tree
-
-    def _collect_sequential(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
-        rng = self._task_rng(task)
-        truth_landmarks = self._ground_truth_landmarks(task.query)
-
-        responses = []
-        for worker_id in worker_ids:
-            responses.append(self._simulate_worker(task, worker_id, truth_landmarks, rng))
-        responses.sort(key=lambda response: (response.total_response_time_s, response.worker_id))
-        return responses
 
     def _task_rng(self, task: Task) -> random.Random:
         """Derive the task's RNG from its *content* rather than a counter.

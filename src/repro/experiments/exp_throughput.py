@@ -7,7 +7,8 @@ destination cell mixed in — the skew case) through every configured backend:
 the ``inline`` sequential oracle, the ``pooled`` persistent worker pool at
 several pool sizes, ``pipelined`` — the same pool with
 ``pipeline_window`` batches overlapped by the cross-batch DAG dispatcher —
-plus the deprecated per-batch-fork shim as the amortisation baseline.  The
+plus ``per_batch``, a service opened and closed around every batch (a fresh
+pool fork per batch), as the amortisation baseline.  The
 pipelined runs submit the whole stream before collecting, so consecutive
 batches are actually pending together and the window can engage.  Per run
 it reports wall time, throughput, speedup
@@ -32,11 +33,7 @@ from typing import List, Optional, Tuple
 from ..config import ServiceConfig
 from ..datasets.synthetic_city import Scenario
 from ..datasets.workloads import StreamWorkloadConfig, generate_stream_workload
-from ..serving import (
-    RecommendationService,
-    ShardedRecommendationEngine,
-    recommendation_fingerprint,
-)
+from ..serving import RecommendationService, recommendation_fingerprint
 from .metrics import ExperimentResult
 
 
@@ -126,29 +123,26 @@ def run(scenario: Scenario, config: Optional[ThroughputExperimentConfig] = None)
 
     all_identical = True
     for backend_name, pool_size, planner in runs:
+        pipelined = backend_name == "pipelined"
+        service_config = ServiceConfig.from_planner_config(
+            planner.config,
+            backend="inline" if backend_name == "inline" else "pooled",
+            pool_size=pool_size,
+            use_processes=config.use_processes,
+            pipeline_window=config.pipeline_window if pipelined else 1,
+            max_pending_batches=max(16, len(batches)),
+        )
         if backend_name == "per_batch":
-            # The deprecated shim: fork a fresh pool every batch (baseline).
-            engine = ShardedRecommendationEngine(
-                planner, workers=pool_size, use_processes=config.use_processes
-            )
+            # The baseline: a fresh service (and pool fork) for every batch.
             started = time.perf_counter()
-            results = []
+            responses = []
             for batch in batches:
-                results.extend(engine.recommend_batch(batch))
+                with RecommendationService(planner, service_config) as service:
+                    responses.extend(service.recommend_batch(batch))
             elapsed = time.perf_counter() - started
-            fingerprints = [recommendation_fingerprint(r) for r in results]
             warm_batches = 0
             worker_reuse = False
         else:
-            pipelined = backend_name == "pipelined"
-            service_config = ServiceConfig.from_planner_config(
-                planner.config,
-                backend="pooled" if pipelined else backend_name,
-                pool_size=pool_size,
-                use_processes=config.use_processes,
-                pipeline_window=config.pipeline_window if pipelined else 1,
-                max_pending_batches=max(16, len(batches)),
-            )
             with RecommendationService(planner, service_config) as service:
                 serve = _serve_stream_pipelined if pipelined else _serve_stream
                 responses, elapsed = serve(service, batches)
@@ -158,7 +152,6 @@ def run(scenario: Scenario, config: Optional[ThroughputExperimentConfig] = None)
                         pids_per_batch.setdefault(response.provenance.batch_id, set()).add(
                             response.provenance.worker_pid
                         )
-            fingerprints = [recommendation_fingerprint(r.result) for r in responses]
             warm_batches = len({r.provenance.batch_id for r in responses if r.provenance.warm_pool})
             if backend_name == "pooled" and len(pids_per_batch) > 1:
                 all_pids = set().union(*pids_per_batch.values())
@@ -170,6 +163,7 @@ def run(scenario: Scenario, config: Optional[ThroughputExperimentConfig] = None)
             else:
                 worker_reuse = False
 
+        fingerprints = [recommendation_fingerprint(r.result) for r in responses]
         identical = fingerprints == oracle
         all_identical = all_identical and identical
         result.add_row(

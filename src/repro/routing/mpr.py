@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..exceptions import InsufficientSupportError, RoutingError
-from ..roadnet.graph import RoadEdge, RoadNetwork
+from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import dijkstra_path
 from ..trajectory.storage import TrajectoryStore
 from .base import CandidateRoute, RouteQuery, RouteSource
@@ -37,13 +37,12 @@ class MostPopularRouteMiner(RouteSource):
         Additive smoothing of transition probabilities.
     support_radius_m:
         Radius used when counting supporting trajectories around endpoints.
-    use_compiled_costs:
-        When true (the default) the popularity costs are compiled into a
-        cached cost vector on the road network's
-        :class:`~repro.roadnet.compiled.CompiledGraph` (keyed by the transfer
-        network's version), so routing skips the per-relaxation Python
-        closure.  ``False`` keeps the original closure path — the oracle the
-        equivalence tests and benchmarks compare against.
+
+    Popularity costs are compiled into a cached cost vector on the road
+    network's :class:`~repro.roadnet.compiled.CompiledGraph` (keyed by the
+    transfer network's version), so routing skips a per-relaxation Python
+    closure.  The closure path survives as the oracle
+    :class:`~repro.routing.reference.ClosureMostPopularRouteMiner`.
     """
 
     name = "MPR"
@@ -56,7 +55,6 @@ class MostPopularRouteMiner(RouteSource):
         smoothing: float = 0.1,
         support_radius_m: float = 300.0,
         transfer_network: Optional[TransferNetwork] = None,
-        use_compiled_costs: bool = True,
     ):
         if min_support < 0:
             raise RoutingError("min_support must be non-negative")
@@ -66,27 +64,16 @@ class MostPopularRouteMiner(RouteSource):
         self.smoothing = smoothing
         self.support_radius_m = support_radius_m
         self.transfer = transfer_network or TransferNetwork(network, store)
-        self.use_compiled_costs = use_compiled_costs
 
     def _popularity_cost_spec(self):
-        """The ``cost`` argument for the popularity search.
-
-        The compiled path returns a registered metric name (cost vector and
-        relaxation lists cached on the compiled graph); the oracle path
-        returns the per-edge closure the original implementation used.
-        """
-        if self.use_compiled_costs:
-            return self.transfer.compiled_cost_metric(self.network, self.smoothing)
-
-        def popularity_cost(edge: RoadEdge) -> float:
-            return self.transfer.edge_popularity_cost(edge.source, edge.target, self.smoothing)
-
-        return popularity_cost
+        """The ``cost`` argument for the popularity search: a registered
+        metric name (cost vector and relaxation lists cached on the compiled
+        graph)."""
+        return self.transfer.compiled_cost_metric(self.network, self.smoothing)
 
     def prepare_batch(self, queries) -> None:
         """Warm the compiled popularity metric before a query batch."""
-        if self.use_compiled_costs:
-            self.transfer.compiled_cost_metric(self.network, self.smoothing)
+        self._popularity_cost_spec()
 
     def recommend(self, query: RouteQuery) -> CandidateRoute:
         origin_location = self.network.node_location(query.origin)

@@ -30,9 +30,7 @@ path, which stays in place as the behavioural oracle:
   own an isolated truth store, histories, batch numbering and journal
   directory while sharing one warm :class:`PooledBackend` through the
   tenant-tagged :class:`TenantBackend` facade, with whole-tree crash
-  recovery via :meth:`WorkspaceService.recover_all`;
-* :class:`ShardedRecommendationEngine` — the deprecated per-batch shim kept
-  for backwards compatibility and as the fork-per-batch baseline.
+  recovery via :meth:`WorkspaceService.recover_all`.
 
 The service contract — for any backend, pool size and submission
 interleaving, results and post-batch planner state match the sequential
@@ -42,7 +40,6 @@ enforced by the ``tests/serving`` suites and the
 ``crowd_shard``/``crowd_stream``/``crowd_pipeline`` benchmark gates.
 """
 
-from .engine import ShardedRecommendationEngine
 from .journal import TruthJournal
 from .pipeline import batch_dependencies, window_parallelism
 from .protocol import (
@@ -73,7 +70,6 @@ __all__ = [
     "RecommendationService",
     "ResultProvenance",
     "ServingBackend",
-    "ShardedRecommendationEngine",
     "TenantBackend",
     "Ticket",
     "TruthDeltaBlock",

@@ -17,8 +17,7 @@ that answers a *stream* of query batches instead of one-shot calls.
   :class:`PooledBackend` a **persistent** forked worker pool — workers are
   forked once, keep warm :class:`~repro.core.truth.TruthDatabase` state
   between batches, and receive only the truth deltas the parent merged
-  since their last shard, amortising the per-batch fork + clone cost of the
-  old engine;
+  since their last shard, amortising a per-batch fork + clone;
 * with ``config.pipeline_window > 1`` consecutive pending batches execute
   as one *window*: the pooled backend's DAG dispatcher
   (:meth:`PooledBackend.execute_window`, dependencies from
@@ -54,7 +53,7 @@ from collections import OrderedDict, deque
 from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..config import TRUTH_WIRE_FORMATS, ServiceConfig
+from ..config import ServiceConfig
 from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import JournalError, OverloadError, ServingError
 from ..routing.base import RouteQuery
@@ -336,63 +335,19 @@ class PooledBackend(ServingBackend):
     ``max_respawns_per_batch`` respawns the circuit breaker opens: no more
     forks this batch, and if the whole pool is gone the remaining shards
     degrade to in-process execution — the ticket is still served, and the
-    results are identical by the serving contract.  With ``respawn_workers``
-    (the default) remaining lost capacity is restored at the next batch
-    edge.
+    results are identical by the serving contract.  Remaining lost capacity
+    is restored at the next batch edge.
+
+    Every knob (pool size, wire codec, supervision deadlines, respawn
+    budget, hedging, hotspot splitting) is read from the
+    :class:`~repro.config.ServiceConfig` the pool is built from.
     """
 
     name = "pooled"
 
-    def __init__(
-        self,
-        pool_size: Optional[int] = None,
-        use_processes: bool = True,
-        merge_every_batches: int = 1,
-        truth_wire: str = "columnar",
-        respawn_workers: bool = True,
-        heartbeat_interval_s: float = 0.5,
-        rpc_deadline_s: float = 8.0,
-        max_respawns_per_batch: int = 2,
-        respawn_backoff_s: float = 0.05,
-        respawn_backoff_max_s: float = 1.0,
-        max_shard_fraction: Optional[float] = None,
-        hedge_after_s: Optional[float] = None,
-    ):
+    def __init__(self, config: ServiceConfig):
         super().__init__()
-        if pool_size is not None and pool_size < 1:
-            raise ServingError("pool_size must be at least 1")
-        if max_shard_fraction is not None and not (0 < max_shard_fraction <= 1):
-            raise ServingError("max_shard_fraction must be in (0, 1]")
-        if merge_every_batches < 1:
-            raise ServingError("merge_every_batches must be at least 1")
-        if truth_wire not in TRUTH_WIRE_FORMATS:
-            raise ServingError(
-                f"truth_wire must be one of {TRUTH_WIRE_FORMATS}, got {truth_wire!r}"
-            )
-        if heartbeat_interval_s <= 0:
-            raise ServingError("heartbeat_interval_s must be positive")
-        if rpc_deadline_s <= heartbeat_interval_s:
-            raise ServingError("rpc_deadline_s must exceed heartbeat_interval_s")
-        if max_respawns_per_batch < 0:
-            raise ServingError("max_respawns_per_batch must be non-negative")
-        if respawn_backoff_s < 0 or respawn_backoff_max_s < respawn_backoff_s:
-            raise ServingError(
-                "respawn backoff must be non-negative and bounded by its maximum"
-            )
-        if hedge_after_s is not None and hedge_after_s <= 0:
-            raise ServingError("hedge_after_s must be positive (or None to disable)")
-        self.pool_size = pool_size
-        self.use_processes = use_processes
-        self.merge_every_batches = merge_every_batches
-        self.truth_wire = truth_wire
-        self.respawn_workers = respawn_workers
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.rpc_deadline_s = rpc_deadline_s
-        self.max_respawns_per_batch = max_respawns_per_batch
-        self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_max_s = respawn_backoff_max_s
-        self.max_shard_fraction = max_shard_fraction
-        self.hedge_after_s = hedge_after_s
+        self.config = config
         self.batches_executed = 0
         # Lifetime supervision counters (surfaced by ``supervision_stats``).
         self.respawns_total = 0
@@ -445,24 +400,6 @@ class PooledBackend(ServingBackend):
         self._tenant_stats: Dict[str, Dict[str, int]] = {}
         # One-entry-per-tenant memo of the last encoded delta (_wire_delta).
         self._wire_cache: Dict[str, Tuple[Tuple[int, int], object]] = {}
-
-    @classmethod
-    def from_config(cls, config: "ServiceConfig") -> "PooledBackend":
-        """Build a pool from a service configuration's serving knobs."""
-        return cls(
-            pool_size=config.pool_size,
-            use_processes=config.use_processes,
-            merge_every_batches=config.merge_every_batches,
-            truth_wire=config.truth_wire,
-            respawn_workers=config.respawn_workers,
-            heartbeat_interval_s=config.heartbeat_interval_s,
-            rpc_deadline_s=config.rpc_deadline_s,
-            max_respawns_per_batch=config.max_respawns_per_batch,
-            respawn_backoff_s=config.respawn_backoff_s,
-            respawn_backoff_max_s=config.respawn_backoff_max_s,
-            max_shard_fraction=config.max_shard_fraction,
-            hedge_after_s=config.hedge_after_s,
-        )
 
     # -------------------------------------------------------------- plumbing
     def bind(self, planner: CrowdPlanner) -> None:
@@ -571,12 +508,12 @@ class PooledBackend(ServingBackend):
         return {name: dict(stats) for name, stats in self._tenant_stats.items()}
 
     def resolved_pool_size(self) -> int:
-        if self.pool_size is not None:
-            return self.pool_size
+        if self.config.pool_size is not None:
+            return self.config.pool_size
         return os.cpu_count() or 1
 
     def _can_fork(self) -> bool:
-        return self.use_processes and "fork" in multiprocessing.get_all_start_methods()
+        return self.config.use_processes and "fork" in multiprocessing.get_all_start_methods()
 
     def worker_pids(self) -> List[int]:
         return [worker.pid for worker in self._workers if worker.alive]
@@ -623,9 +560,9 @@ class PooledBackend(ServingBackend):
         self, planner: CrowdPlanner, plan: ShardPlan, queries: Sequence[RouteQuery]
     ) -> ShardPlan:
         """Apply the configured ``max_shard_fraction`` split (idempotent)."""
-        if self.max_shard_fraction is None:
+        if self.config.max_shard_fraction is None:
             return plan
-        return split_oversized(planner, plan, queries, self.max_shard_fraction)
+        return split_oversized(planner, plan, queries, self.config.max_shard_fraction)
 
     def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
         """Record one batch's skew diagnostics (see ``sharding_stats``)."""
@@ -637,7 +574,7 @@ class PooledBackend(ServingBackend):
 
     def _chain_encoder(self):
         """Hand-off payload codec: columnar on the wire, objects otherwise."""
-        if self.truth_wire != "columnar" or not self._can_fork():
+        if self.config.truth_wire != "columnar" or not self._can_fork():
             return None
         network = self.planner.network
         return lambda truths: encode_truth_delta(truths, network)
@@ -789,8 +726,8 @@ class PooledBackend(ServingBackend):
         # "done" replies).  Crossing any multiple of the cadence inside the
         # window triggers one sync here.
         if self._workers and (
-            self.batches_executed // self.merge_every_batches
-            > batches_before // self.merge_every_batches
+            self.batches_executed // self.config.merge_every_batches
+            > batches_before // self.config.merge_every_batches
         ):
             self._push_sync(tenant)
         return executions
@@ -1018,7 +955,7 @@ class PooledBackend(ServingBackend):
                         inflight[worker] = entry
                     else:
                         ready.appendleft(entry)
-                if self.hedge_after_s is not None and not ready and inflight:
+                if self.config.hedge_after_s is not None and not ready and inflight:
                     self._hedge_stragglers(inflight, dispatched_at, hedge_workers)
                 if (
                     (ready or blocked or chain_blocked)
@@ -1121,7 +1058,7 @@ class PooledBackend(ServingBackend):
                     hedge_workers.discard(worker)
                     dispatched_at.pop(worker, None)
                     lost(inflight.pop(worker))
-                elif now - worker.last_heard > self.rpc_deadline_s:
+                elif now - worker.last_heard > self.config.rpc_deadline_s:
                     # Alive but silent past the deadline — no reply and no
                     # heartbeat — so it is hung, not slow.
                     self._kill_worker(worker)
@@ -1156,7 +1093,7 @@ class PooledBackend(ServingBackend):
                 child_conn,
                 self.planner,
                 dict(self._tenants),
-                self.heartbeat_interval_s,
+                self.config.heartbeat_interval_s,
                 stale_conns,
             ),
             daemon=True,
@@ -1191,8 +1128,6 @@ class PooledBackend(ServingBackend):
         are dropped, so the pool returns to ``resolved_pool_size()`` workers
         instead of shrinking towards inline fallback.
         """
-        if not self.respawn_workers:
-            return
         survivors = [worker for worker in self._workers if worker.alive]
         missing = self.resolved_pool_size() - len(survivors)
         if not survivors or missing <= 0:
@@ -1248,13 +1183,13 @@ class PooledBackend(ServingBackend):
         (outcomes merge only after execution), so it is exactly as synced as
         the workers the batch was dispatched to.
         """
-        if not (self.respawn_workers and self._can_fork()):
+        if not self._can_fork():
             return None
-        if respawns_so_far >= self.max_respawns_per_batch:
+        if respawns_so_far >= self.config.max_respawns_per_batch:
             return None
         delay = min(
-            self.respawn_backoff_max_s,
-            self.respawn_backoff_s * (2 ** respawns_so_far),
+            self.config.respawn_backoff_max_s,
+            self.config.respawn_backoff_s * (2 ** respawns_so_far),
         )
         if delay > 0:
             time.sleep(delay * (1.0 + 0.25 * self._backoff_rng.random()))
@@ -1279,7 +1214,7 @@ class PooledBackend(ServingBackend):
         deadline is **not** renewed by heartbeats: the crawler gets
         ``rpc_deadline_s`` of wall-clock on top of losing the race, then is
         killed (``stragglers_killed``)."""
-        self._lame[worker] = time.monotonic() + self.rpc_deadline_s
+        self._lame[worker] = time.monotonic() + self.config.rpc_deadline_s
 
     def _poll_lame(self) -> None:
         """Drain, recycle or retire lame workers (non-blocking).
@@ -1354,7 +1289,7 @@ class PooledBackend(ServingBackend):
                 for worker, started in dispatched_at.items()
                 if worker in inflight
                 and worker not in hedge_workers
-                and now - started > self.hedge_after_s
+                and now - started > self.config.hedge_after_s
             ),
             key=lambda item: item[0],  # oldest first: it gates the batch
         )
@@ -1439,7 +1374,7 @@ class PooledBackend(ServingBackend):
         """
         planner = self._planner_for(tenant)
         delta = planner.truth_delta(cursor)
-        if not delta or self.truth_wire != "columnar":
+        if not delta or self.config.truth_wire != "columnar":
             return delta
         key = (cursor, planner.truth_cursor())
         cached = self._wire_cache.get(tenant)
@@ -1493,7 +1428,7 @@ class PooledBackend(ServingBackend):
                 worker.cursors[tenant] = total
                 synced.append(worker)
         for worker in synced:
-            reply = self._recv(worker, deadline_s=self.rpc_deadline_s)
+            reply = self._recv(worker, deadline_s=self.config.rpc_deadline_s)
             if reply is None or reply[0] != "synced":
                 # Death, or a partial adopt ("desync"): either way this
                 # worker's warm base can no longer be trusted — retire it
@@ -1537,7 +1472,7 @@ class RecommendationService:
             if config.backend == "inline":
                 backend = InlineBackend()
             else:
-                backend = PooledBackend.from_config(config)
+                backend = PooledBackend(config)
         backend.bind(planner)
         self.backend = backend
         self._closed = False
@@ -1750,10 +1685,10 @@ class RecommendationService:
     ) -> List[RecommendResponse]:
         """Submit-and-collect one batch in a single call.
 
-        An explicit ``plan`` (diagnostics / the deprecated engine shim)
-        bypasses the ticket queue: pending batches are drained first so
-        submission order is preserved, then the batch executes under the
-        given plan.
+        An explicit ``plan`` (e.g. a hand-built regrouping of whole
+        interaction-closed components) bypasses the ticket queue: pending
+        batches are drained first so submission order is preserved, then
+        the batch executes under the given plan.
         """
         if plan is None:
             return self.results(self.submit(queries, share_candidate_generation))
@@ -1852,13 +1787,13 @@ class RecommendationService:
             query.query if isinstance(query, RecommendRequest) else query for query in queries
         ]
         # Duck-typed so the tenancy facade (which wraps the shared pool
-        # without subclassing it) plans against the real pool width too.
+        # without subclassing it) plans against the real pool too.
         resolver = getattr(self.backend, "resolved_pool_size", None)
         shards = resolver() if resolver is not None else 1
         plan = self.planner.shard_plan(resolved, shards)
-        fraction = getattr(self.backend, "max_shard_fraction", None)
-        if fraction is not None:
-            plan = split_oversized(self.planner, plan, resolved, fraction)
+        pool_config = getattr(self.backend, "config", None)
+        if pool_config is not None and pool_config.max_shard_fraction is not None:
+            plan = split_oversized(self.planner, plan, resolved, pool_config.max_shard_fraction)
         return plan
 
     # -------------------------------------------------------------- internal

@@ -4,9 +4,8 @@ A *shard job* is the unit of work the serving layer hands to a worker — a
 slice of a batch (whole interaction-closed components, see
 :meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
 cells whose truth slice the shard may observe.  The primitives here are used
-identically by the persistent pool workers (:mod:`repro.serving.service`),
-the per-batch forked pool behind the deprecated engine shim, and the inline
-fallback:
+identically by the persistent pool workers (:mod:`repro.serving.service`)
+and the inline fallback:
 
 * :func:`build_shard_clone` — a planner over a copy-on-write
   :meth:`~repro.core.truth.TruthDatabase.view_by_cells` slice of the base

@@ -163,8 +163,8 @@ class TenantBackend(ServingBackend):
         return self.pool.resolved_pool_size()
 
     @property
-    def max_shard_fraction(self) -> Optional[float]:
-        return self.pool.max_shard_fraction
+    def config(self) -> ServiceConfig:
+        return self.pool.config
 
     def worker_pids(self) -> List[int]:
         return self.pool.worker_pids()
@@ -317,7 +317,7 @@ class WorkspaceService:
         self._pool: Optional[PooledBackend] = None
         if config.backend == "pooled":
             if pool is None:
-                pool = PooledBackend.from_config(config)
+                pool = PooledBackend(config)
             # The pool's default (unnamed) tenant is the template planner;
             # workspaces register beside it.  Binding must precede the first
             # fork so workers inherit the substrate.

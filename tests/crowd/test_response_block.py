@@ -21,6 +21,8 @@ from repro.crowd.simulator import SimulatedCrowd
 from repro.exceptions import TaskGenerationError
 from repro.serving import recommendation_fingerprint
 
+from .object_path import ObjectPathCrowd
+
 
 @pytest.fixture(scope="module")
 def crowd_tasks(scenario):
@@ -145,14 +147,13 @@ class TestBlockEquivalenceProperty:
             )
 
     def test_batched_false_declines_block(self, scenario, crowd_tasks):
-        crowd = SimulatedCrowd(
+        crowd = ObjectPathCrowd(
             pool=scenario.worker_pool,
             catalog=scenario.catalog,
             calibrator=scenario.calibrator,
             ground_truth=scenario.crowd.ground_truth,
             behavior=scenario.crowd.behavior,
             seed=5,
-            batched=False,
         )
         assert crowd.collect_responses_block(crowd_tasks[0], scenario.worker_pool.ids()) is None
 
@@ -166,16 +167,15 @@ class TestPlannerBlockParity:
         queries = scenario.sample_queries(30, seed=881)
         familiarity = scenario.build_planner().familiarity
 
-        def run(batched):
+        def run(crowd_class):
             pool = copy.deepcopy(scenario.worker_pool)
-            crowd = SimulatedCrowd(
+            crowd = crowd_class(
                 pool=pool,
                 catalog=scenario.catalog,
                 calibrator=scenario.calibrator,
                 ground_truth=scenario.crowd.ground_truth,
                 behavior=scenario.crowd.behavior,
                 seed=scenario.crowd.seed,
-                batched=batched,
             )
             planner = CrowdPlanner(
                 network=scenario.network,
@@ -203,4 +203,4 @@ class TestPlannerBlockParity:
                 rewards,
             )
 
-        assert run(batched=True) == run(batched=False)
+        assert run(SimulatedCrowd) == run(ObjectPathCrowd)

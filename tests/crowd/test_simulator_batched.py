@@ -8,6 +8,8 @@ from repro.core.task_generation import TaskGenerator
 from repro.crowd.simulator import SimulatedCrowd
 from repro.exceptions import TaskGenerationError
 
+from .object_path import ObjectPathCrowd
+
 
 @pytest.fixture(scope="module")
 def crowd_tasks(scenario):
@@ -35,15 +37,14 @@ def crowd_tasks(scenario):
     return tasks
 
 
-def _fresh_crowd(scenario, seed, batched=True):
-    return SimulatedCrowd(
+def _fresh_crowd(scenario, seed, crowd_class=SimulatedCrowd):
+    return crowd_class(
         pool=scenario.worker_pool,
         catalog=scenario.catalog,
         calibrator=scenario.calibrator,
         ground_truth=scenario.crowd.ground_truth,
         behavior=scenario.crowd.behavior,
         seed=seed,
-        batched=batched,
     )
 
 
@@ -60,7 +61,7 @@ class TestBatchedEquivalence:
 
     def test_batched_false_uses_sequential_path(self, scenario, crowd_tasks):
         worker_ids = scenario.worker_pool.ids()[:6]
-        plain = _fresh_crowd(scenario, 5, batched=False)
+        plain = _fresh_crowd(scenario, 5, crowd_class=ObjectPathCrowd)
         oracle = _fresh_crowd(scenario, 5)
         task = crowd_tasks[0]
         assert plain.collect_responses(task, worker_ids) == (
@@ -94,8 +95,7 @@ class TestPopulationAccuracies:
         population = _fresh_crowd(scenario, 23)
         population.refresh_population_accuracies()
         assert population._population is not None
-        oracle = _fresh_crowd(scenario, 23)
-        oracle.use_population_accuracies = False
+        oracle = _fresh_crowd(scenario, 23)  # never refreshed: per-task rows
         for task in crowd_tasks:
             assert population.collect_responses(task, worker_ids) == (
                 oracle.collect_responses(task, worker_ids)
@@ -146,17 +146,10 @@ class TestPopulationAccuracies:
             lid: col for lid, col in landmark_cols.items() if lid != tree.landmark_ids[0]
         }
         crowd._population = (worker_rows, stale_cols)
-        oracle = _fresh_crowd(scenario, 37)
-        oracle.use_population_accuracies = False
+        oracle = _fresh_crowd(scenario, 37)  # never refreshed: per-task rows
         assert crowd.collect_responses(task, worker_ids) == (
             oracle.collect_responses(task, worker_ids)
         )
-
-    def test_knob_off_disables_the_matrix(self, scenario):
-        crowd = _fresh_crowd(scenario, 41)
-        crowd.use_population_accuracies = False
-        crowd.refresh_population_accuracies()
-        assert crowd._population is None
 
 
 class TestVectorizedAccuracies:

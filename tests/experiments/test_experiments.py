@@ -6,10 +6,18 @@ paper's findings (who wins, what decreases) rather than absolute numbers.
 
 import pytest
 
-from repro.experiments import exp_pmf, exp_questions, exp_selection_efficiency, exp_significance
+from repro.datasets.synthetic_city import build_scenario
+from repro.experiments import (
+    exp_pmf,
+    exp_questions,
+    exp_selection_efficiency,
+    exp_significance,
+    exp_throughput,
+)
 from repro.experiments.exp_pmf import PMFExperimentConfig
 from repro.experiments.exp_questions import QuestionExperimentConfig
 from repro.experiments.exp_selection_efficiency import SelectionEfficiencyConfig
+from repro.experiments.exp_throughput import ThroughputExperimentConfig
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.synthetic_routes import make_synthetic_landmark_routes
 
@@ -77,6 +85,23 @@ class TestScenarioExperiments:
         row = result.rows[0]
         assert row["pmf_rmse"] <= row["zero_baseline_rmse"]
         assert row["heldout_cells"] > 0
+
+    def test_throughput_backends_identical_to_sequential(self, scenario):
+        # A fresh copy of the shared scenario: E8's crowd tasks write worker
+        # answer histories, which other tests read.
+        result = exp_throughput.run(
+            build_scenario(scenario.config),
+            ThroughputExperimentConfig(
+                num_batches=2, batch_size=12, pool_sizes=(2,), use_processes=False
+            ),
+        )
+        assert {row["backend"] for row in result.rows} == {
+            "inline",
+            "pooled",
+            "pipelined",
+            "per_batch",
+        }
+        assert result.summary["all_runs_identical_to_sequential"]
 
 
 class TestHarness:

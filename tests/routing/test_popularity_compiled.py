@@ -9,6 +9,7 @@ from repro.roadnet.shortest_path import dijkstra_path
 from repro.routing.base import RouteQuery
 from repro.routing.mpr import MostPopularRouteMiner
 from repro.routing.popularity import TransferNetwork
+from repro.routing.reference import ClosureMostPopularRouteMiner
 from repro.spatial import Point
 from repro.trajectory.generator import TrajectoryGenerator, TrajectoryGeneratorConfig
 from repro.trajectory.storage import TrajectoryStore
@@ -149,12 +150,11 @@ class TestIncrementalIngest:
     def test_routing_stays_equal_to_closure_after_live_ingest(self, small_network, mining_setup):
         store, hot_pairs = mining_setup
         compiled_miner = MostPopularRouteMiner(small_network, store, min_support=2)
-        closure_miner = MostPopularRouteMiner(
+        closure_miner = ClosureMostPopularRouteMiner(
             small_network,
             store,
             min_support=2,
             transfer_network=compiled_miner.transfer,
-            use_compiled_costs=False,
         )
         compiled_miner.prepare_batch([])
         for origin, destination in hot_pairs[:2]:
@@ -274,12 +274,11 @@ class TestMinerEquivalence:
     def test_routes_match_closure_oracle(self, small_network, mining_setup):
         store, hot_pairs = mining_setup
         compiled_miner = MostPopularRouteMiner(small_network, store, min_support=2)
-        closure_miner = MostPopularRouteMiner(
+        closure_miner = ClosureMostPopularRouteMiner(
             small_network,
             store,
             min_support=2,
             transfer_network=compiled_miner.transfer,
-            use_compiled_costs=False,
         )
         queries = [RouteQuery(origin, destination) for origin, destination in hot_pairs]
         queries += [query.reversed() for query in queries]

@@ -50,6 +50,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.config import ServiceConfig
 from repro.serving.service import DEFAULT_TENANT, PooledBackend, _PoolWorker
 
 #: Supervision knobs tight enough for fast tests: a hung worker is declared
@@ -85,8 +86,7 @@ class FaultInjectingBackend(PooledBackend):
         slow_total_s: float = 1.2,
         **kwargs,
     ):
-        kwargs = {**FAST_SUPERVISION, **kwargs}
-        super().__init__(**kwargs)
+        super().__init__(ServiceConfig(**{**FAST_SUPERVISION, **kwargs}))
         self.schedule = dict(schedule or {})
         self.delay_s = delay_s
         # ``slow`` duty cycle: stopped slices must stay well under

@@ -155,7 +155,7 @@ class TestHotspotDiagnostics:
     def test_service_plan_reports_split(self, build_serving_planner, dominant_workload):
         planner = build_serving_planner()
         backend = PooledBackend(
-            pool_size=4, use_processes=False, max_shard_fraction=FRACTION
+            ServiceConfig(pool_size=4, use_processes=False, max_shard_fraction=FRACTION)
         )
         with RecommendationService(planner, backend=backend) as service:
             plan = service.plan(list(dominant_workload))
@@ -168,7 +168,7 @@ class TestHotspotDiagnostics:
     ):
         planner = build_serving_planner()
         backend = PooledBackend(
-            pool_size=4, use_processes=False, max_shard_fraction=FRACTION
+            ServiceConfig(pool_size=4, use_processes=False, max_shard_fraction=FRACTION)
         )
         with RecommendationService(planner, backend=backend) as service:
             service.results(service.submit(list(dominant_workload)))
@@ -186,7 +186,7 @@ class TestHotspotDiagnostics:
         with no pool to lose, that is not a degradation."""
         planner = build_serving_planner()
         backend = PooledBackend(
-            pool_size=4, use_processes=False, max_shard_fraction=FRACTION
+            ServiceConfig(pool_size=4, use_processes=False, max_shard_fraction=FRACTION)
         )
         half = len(dominant_workload) // 2
         with RecommendationService(planner, backend=backend) as service:
@@ -262,7 +262,6 @@ class TestMidChainFaults:
             build_serving_planner,
             dominant_workload,
             {0: "kill_after", 1: "kill_after", 2: "kill_after", 3: "kill_after"},
-            respawn_workers=False,
             max_respawns_per_batch=0,
         )
         assert fingerprints == sequential_oracle["dominant"]["fingerprints"]

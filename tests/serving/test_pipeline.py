@@ -301,7 +301,7 @@ class TestWindowFaults:
     ):
         class FlakyWindowBackend(PooledBackend):
             def __init__(self, fail_on_calls):
-                super().__init__(pool_size=2, use_processes=False)
+                super().__init__(ServiceConfig(pool_size=2, use_processes=False))
                 self.fail_on_calls = set(fail_on_calls)
                 self.calls = 0
 

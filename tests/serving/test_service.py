@@ -124,9 +124,11 @@ class TestServiceContract:
             pytest.skip("platform has no fork start method")
         planner = build_serving_planner()
         backend = PooledBackend(
-            pool_size=pool_size,
-            use_processes=use_processes,
-            max_shard_fraction=max_shard_fraction,
+            ServiceConfig(
+                pool_size=pool_size,
+                use_processes=use_processes,
+                max_shard_fraction=max_shard_fraction,
+            )
         )
         with RecommendationService(planner, backend=backend) as service:
             responses = service.results(service.submit(dominant_workload))
@@ -235,24 +237,6 @@ class TestCrashRecovery:
         # next ``is_alive`` check reaps it, so a short fixed grace period is
         # the right wait here.
         time.sleep(0.2)
-
-    def test_worker_crash_resubmits_to_healthy_worker(
-        self, build_serving_planner, serving_workload, sequential_oracle
-    ):
-        """With respawn disabled, the pool shrinks but keeps serving."""
-        planner = build_serving_planner()
-        first, second = serving_workload[:80], serving_workload[80:]
-        backend = PooledBackend(pool_size=2, respawn_workers=False)
-        with RecommendationService(planner, backend=backend) as service:
-            before = _fingerprints(service.results(service.submit(first)))
-            victim, survivor = service.worker_pids()
-            os.kill(victim, signal.SIGKILL)
-            self._wait_dead(victim)
-            after = _fingerprints(service.results(service.submit(second)))
-            assert service.worker_pids() == [survivor]
-        oracle = sequential_oracle["plain"]["fingerprints"]
-        assert before + after == oracle
-        assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
 
     def test_dead_worker_respawned_in_place(
         self, build_serving_planner, serving_workload, sequential_oracle
@@ -392,7 +376,7 @@ class TestLifecycle:
 
     def test_explicit_backend_instance(self, build_serving_planner, serving_workload):
         planner = build_serving_planner()
-        backend = PooledBackend(pool_size=2, use_processes=False)
+        backend = PooledBackend(ServiceConfig(pool_size=2, use_processes=False))
         with RecommendationService(planner, backend=backend) as service:
             responses = service.results(service.submit(serving_workload[:20]))
         assert len(responses) == 20
@@ -424,7 +408,7 @@ class TestLifecycle:
         backend = InlineBackend()
         RecommendationService(build_serving_planner(), backend=backend)
         # InlineBackend allows rebinding; PooledBackend does not.
-        pooled = PooledBackend(pool_size=1)
+        pooled = PooledBackend(ServiceConfig(pool_size=1))
         RecommendationService(build_serving_planner(), backend=pooled)
         with pytest.raises(ServingError):
             RecommendationService(build_serving_planner(), backend=pooled)
@@ -465,7 +449,7 @@ class TestInterleavingProperty:
             planner = build_serving_planner()
             # use_processes=False keeps the property sweep affordable; the
             # forked path is covered by the parametrised contract tests.
-            backend = PooledBackend(pool_size=pool_size, use_processes=False)
+            backend = PooledBackend(ServiceConfig(pool_size=pool_size, use_processes=False))
             config = ServiceConfig.from_planner_config(
                 planner.config, pipeline_window=pipeline_window
             )

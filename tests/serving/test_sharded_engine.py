@@ -1,16 +1,31 @@
-"""Shard determinism: the engine's answers must be bit-identical to the
-sequential ``recommend_batch`` oracle for every worker count, execution mode
-(forked processes or inline) and component partitioning — including skewed
-workloads where one destination cell dominates."""
+"""Shard determinism: a pooled service's answers to one batch must be
+bit-identical to the sequential ``recommend_batch`` oracle for every pool
+size, execution mode (forked processes or inline) and component
+partitioning — including skewed workloads where one destination cell
+dominates."""
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.core.planner import QueryShard, ShardPlan
-from repro.serving import ShardedRecommendationEngine, recommendation_fingerprint
+from repro.serving import RecommendationService, recommendation_fingerprint
 
 
 def _fingerprints(results):
     return [recommendation_fingerprint(result) for result in results]
+
+
+def _service(planner, pool_size, use_processes=True):
+    config = ServiceConfig.from_planner_config(
+        planner.config, pool_size=pool_size, use_processes=use_processes
+    )
+    return RecommendationService(planner, config)
+
+
+def _serve(planner, workload, pool_size, use_processes=True, plan=None):
+    """One batch through a pooled service opened and closed around it."""
+    with _service(planner, pool_size, use_processes) as service:
+        return [r.result for r in service.recommend_batch(workload, plan=plan)]
 
 
 class TestWorkerSweep:
@@ -21,8 +36,7 @@ class TestWorkerSweep:
         self, build_serving_planner, serving_workload, sequential_oracle, workers
     ):
         planner = build_serving_planner()
-        engine = ShardedRecommendationEngine(planner, workers=workers)
-        results = engine.recommend_batch(serving_workload)
+        results = _serve(planner, serving_workload, workers)
         assert _fingerprints(results) == sequential_oracle["plain"]["fingerprints"]
         assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
 
@@ -31,8 +45,7 @@ class TestWorkerSweep:
         self, build_serving_planner, serving_workload, sequential_oracle, workers
     ):
         planner = build_serving_planner()
-        engine = ShardedRecommendationEngine(planner, workers=workers, use_processes=False)
-        results = engine.recommend_batch(serving_workload)
+        results = _serve(planner, serving_workload, workers, use_processes=False)
         assert _fingerprints(results) == sequential_oracle["plain"]["fingerprints"]
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -40,8 +53,7 @@ class TestWorkerSweep:
         self, build_serving_planner, dominant_workload, sequential_oracle, workers
     ):
         planner = build_serving_planner()
-        engine = ShardedRecommendationEngine(planner, workers=workers, use_processes=False)
-        results = engine.recommend_batch(dominant_workload)
+        results = _serve(planner, dominant_workload, workers, use_processes=False)
         assert _fingerprints(results) == sequential_oracle["dominant"]["fingerprints"]
 
 
@@ -50,7 +62,7 @@ class TestParentStateParity:
         self, build_serving_planner, serving_workload, sequential_oracle
     ):
         planner = build_serving_planner()
-        ShardedRecommendationEngine(planner, workers=4).recommend_batch(serving_workload)
+        _serve(planner, serving_workload, 4)
         merged = [
             (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
             for t in planner.truths.all()
@@ -59,23 +71,22 @@ class TestParentStateParity:
 
     def test_truth_ids_ascend_in_submission_order(self, build_serving_planner, serving_workload):
         planner = build_serving_planner()
-        ShardedRecommendationEngine(planner, workers=4).recommend_batch(serving_workload)
+        _serve(planner, serving_workload, 4)
         ids = [t.truth_id for t in planner.truths.all()]
         assert ids == sorted(ids)
 
     def test_second_batch_reuses_merged_truths(self, build_serving_planner, serving_workload):
         """After the merge, a repeat of the same batch is served from truths."""
         planner = build_serving_planner()
-        engine = ShardedRecommendationEngine(planner, workers=4)
-        engine.recommend_batch(serving_workload)
-        repeat = engine.recommend_batch(serving_workload)
-        assert all(result.method == "truth_reuse" for result in repeat)
+        with _service(planner, 4) as service:
+            service.recommend_batch(serving_workload)
+            repeat = service.recommend_batch(serving_workload)
+        assert all(response.method == "truth_reuse" for response in repeat)
 
     def test_crowd_side_effects_replayed(self, build_serving_planner, serving_workload):
         """Crowd tasks run in shards must credit the parent's reward ledger."""
         planner = build_serving_planner()
-        engine = ShardedRecommendationEngine(planner, workers=4)
-        results = engine.recommend_batch(serving_workload)
+        results = _serve(planner, serving_workload, 4)
         crowd_results = [r for r in results if r.task_result is not None]
         assert planner.statistics.crowd_tasks == len(crowd_results)
         if crowd_results:
@@ -87,28 +98,11 @@ class TestParentStateParity:
 
 class TestEngineBasics:
     def test_empty_batch(self, build_serving_planner):
-        engine = ShardedRecommendationEngine(build_serving_planner(), workers=4)
-        assert engine.recommend_batch([]) == []
-
-    def test_invalid_worker_count(self, build_serving_planner):
-        from repro.exceptions import CrowdPlannerError
-
-        with pytest.raises(CrowdPlannerError):
-            ShardedRecommendationEngine(build_serving_planner(), workers=0)
-
-    def test_workers_one_serves_in_process(self, build_serving_planner, serving_workload):
-        """workers=1 is the sequential path itself: no clones, parent truths
-        are recorded directly with contiguous ids."""
-        planner = build_serving_planner()
-        engine = ShardedRecommendationEngine(planner, workers=1)
-        results = engine.recommend_batch(serving_workload[:20])
-        assert len(results) == 20
-        recorded = [r for r in results if r.method != "truth_reuse"]
-        assert len(planner.truths) == len(recorded)
+        assert _serve(build_serving_planner(), [], 4) == []
 
     def test_plan_diagnostics(self, build_serving_planner, serving_workload):
-        engine = ShardedRecommendationEngine(build_serving_planner(), workers=4)
-        plan = engine.plan(serving_workload)
+        with _service(build_serving_planner(), 4) as service:
+            plan = service.plan(serving_workload)
         assert plan.num_queries == len(serving_workload)
         assert 1 <= len(plan.shards) <= 4
 
@@ -193,7 +187,7 @@ class TestAnyPartitioningProperty:
             workload = workloads[workload_name]
             planner = build_serving_planner()
             # One shard per component, then regroup them randomly: this
-            # explores partitionings the engine's own bin packing never
+            # explores partitionings the planner's own bin packing never
             # produces.
             atomic = planner.shard_plan(workload, shards=len(workload))
             rng = random.Random(assignment_seed)
@@ -217,8 +211,7 @@ class TestAnyPartitioningProperty:
                 cell_size_m=atomic.cell_size_m,
                 cell_reach=atomic.cell_reach,
             )
-            engine = ShardedRecommendationEngine(planner, use_processes=False)
-            results = engine.recommend_batch(workload, plan=plan)
+            results = _serve(planner, workload, len(shards), use_processes=False, plan=plan)
             assert _fingerprints(results) == sequential_oracle[workload_name]["fingerprints"]
             assert planner.statistics.as_dict() == sequential_oracle[workload_name]["statistics"]
 

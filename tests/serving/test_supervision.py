@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.serving import RecommendationService, recommendation_fingerprint
 from repro.serving.service import PooledBackend
 
@@ -47,7 +48,7 @@ class TestHungWorkerDetection:
         """The fast-tier smoke case of the acceptance criteria: a SIGSTOP'd
         worker (alive but silent) is killed within the RPC deadline and its
         shards complete elsewhere with results unchanged."""
-        backend = PooledBackend(pool_size=2, **FAST_SUPERVISION)
+        backend = PooledBackend(ServiceConfig(pool_size=2, **FAST_SUPERVISION))
         service, planner = _service(build_serving_planner, backend)
         with service:
             produced = _fingerprints(service.results(service.submit(list(serving_workload[:8]))))
@@ -190,7 +191,7 @@ class TestShutdownEscalation:
         """Satellite fix: a wedged worker must not hang interpreter shutdown.
         SIGTERM stays pending on a SIGSTOP'd process, so close() must
         escalate to SIGKILL."""
-        backend = PooledBackend(pool_size=2, **FAST_SUPERVISION)
+        backend = PooledBackend(ServiceConfig(pool_size=2, **FAST_SUPERVISION))
         service, _ = _service(build_serving_planner, backend)
         service.results(service.submit(list(serving_workload[:8])))
         pids = service.worker_pids()

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import ServiceConfig
 from repro.core.truth import TruthDatabase, VerifiedTruth
-from repro.exceptions import ServingError
+from repro.exceptions import ConfigurationError
 from repro.routing.base import CandidateRoute, RouteQuery
 from repro.serving import (
     PooledBackend,
@@ -167,7 +167,7 @@ class TestCodecRoundTrip:
 class TestServiceWireParity:
     def _run(self, build_serving_planner, workload, **backend_kwargs):
         planner = build_serving_planner()
-        backend = PooledBackend(pool_size=2, **backend_kwargs)
+        backend = PooledBackend(ServiceConfig(pool_size=2, **backend_kwargs))
         with RecommendationService(planner, backend=backend) as service:
             responses = []
             # Several batches so later dispatches carry non-empty deltas.
@@ -203,8 +203,8 @@ class TestServiceWireParity:
         assert responses[0] == sequential_oracle["plain"]["fingerprints"]
 
     def test_config_knob_validation(self, build_serving_planner):
-        with pytest.raises(ServingError):
-            PooledBackend(pool_size=1, truth_wire="msgpack")
+        with pytest.raises(ConfigurationError):
+            PooledBackend(ServiceConfig(pool_size=1, truth_wire="msgpack"))
         config = ServiceConfig.from_planner_config(
             build_serving_planner().config, backend="pooled", truth_wire="pickle"
         )

@@ -66,6 +66,18 @@ class TestServiceConfig:
             ("max_pending_batches", 0),
             ("merge_every_batches", 0),
             ("stream_batch_size", 0),
+            ("max_shard_fraction", 0),
+            ("max_shard_fraction", 1.5),
+            ("heartbeat_interval_s", 0),
+            # Equal to the default heartbeat interval (0.5 s).
+            ("rpc_deadline_s", 0.5),
+            ("max_respawns_per_batch", -1),
+            ("respawn_backoff_s", -1),
+            # Below the default respawn_backoff_s (0.05 s).
+            ("respawn_backoff_max_s", 0.01),
+            ("hedge_after_s", 0),
+            ("truth_wire", "msgpack"),
+            ("pipeline_window", 0),
             # Planner-level validation still applies to the subclass.
             ("confidence_threshold", 0.0),
         ],
