@@ -8,7 +8,10 @@ Checks, over ``README.md`` and ``docs/*.md``:
    the way GitHub does);
 2. every ``examples/*.py`` is listed in the README's Examples section, and
    the description the README gives is the first line of the example's
-   module docstring — so the index can never drift from the scripts.
+   module docstring — so the index can never drift from the scripts;
+3. the Statistics table in ``docs/architecture.md`` lists exactly the
+   counters of ``SCHEMA`` in ``src/repro/serving/metrics.py`` (group, key,
+   scope and kind), read with ``ast`` so no package needs installing.
 
 Run from anywhere: paths resolve against the repo root.  Exits non-zero
 with one line per problem (consumed by ``scripts/ci.sh`` and the CI lint
@@ -91,10 +94,50 @@ def _check_examples(errors: list) -> None:
             )
 
 
+def _schema_rows() -> set:
+    """``(group, key, scope, kind)`` for every counter of the metrics schema."""
+    tree = ast.parse((ROOT / "src/repro/serving/metrics.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "SCHEMA" for target in node.targets
+        ):
+            schema = ast.literal_eval(node.value)
+            return {
+                (group, key, scope, kind)
+                for group, (scope, entries) in schema.items()
+                for key, kind, _ in entries
+            }
+    return set()
+
+
+def _table_rows() -> set:
+    """``(group, key, scope, kind)`` rows of the architecture doc's
+    Statistics table (its key column is code-formatted)."""
+    text = (ROOT / "docs/architecture.md").read_text()
+    section = text.partition("\n## Statistics\n")[2].partition("\n## ")[0]
+    rows = set()
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[1].startswith("`"):
+            rows.add((cells[0], cells[1].strip("`"), cells[2], cells[3]))
+    return rows
+
+
+def _check_statistics(errors: list) -> None:
+    schema, table = _schema_rows(), _table_rows()
+    if not schema:
+        errors.append("src/repro/serving/metrics.py: no SCHEMA literal found")
+    for row in sorted(schema - table):
+        errors.append(f"docs/architecture.md: Statistics table lacks schema counter {row}")
+    for row in sorted(table - schema):
+        errors.append(f"docs/architecture.md: Statistics table row {row} is not in the schema")
+
+
 def main() -> int:
     errors: list = []
     _check_links(errors)
     _check_examples(errors)
+    _check_statistics(errors)
     for error in errors:
         print(f"docs_check: {error}", file=sys.stderr)
     if errors:

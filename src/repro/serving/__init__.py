@@ -30,7 +30,9 @@ path, which stays in place as the behavioural oracle:
   own an isolated truth store, histories, batch numbering and journal
   directory while sharing one warm :class:`PooledBackend` through the
   tenant-tagged :class:`TenantBackend` facade, with whole-tree crash
-  recovery via :meth:`WorkspaceService.recover_all`.
+  recovery via :meth:`WorkspaceService.recover_all`;
+* :mod:`~repro.serving.metrics` — the one counter registry behind every
+  backend's ``statistics()`` groups, charged per tenant on a shared pool.
 
 The service contract — for any backend, pool size and submission
 interleaving, results and post-batch planner state match the sequential

@@ -54,6 +54,7 @@ from ..core.truth import VerifiedTruth
 from ..roadnet.graph import RoadNetwork
 from ..routing.base import CandidateRoute, RouteQuery
 from ..spatial import Point
+from .metrics import Counters
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,16 @@ class ServingBackend(abc.ABC):
 
     #: Name recorded in every response's provenance.
     name: str = "backend"
+    #: The tenant whose share of :attr:`counters` this backend's statistics
+    #: report; ``None`` reports the sum over every tenant.
+    tenant: Optional[str] = None
 
     def __init__(self) -> None:
         self.planner: Optional[CrowdPlanner] = None
+        #: Supervision, pipelining, sharding and hedging counters (see
+        #: :mod:`repro.serving.metrics`); an in-process backend never
+        #: records any, so its statistics are the schema's zeros.
+        self.counters = Counters()
 
     def bind(self, planner: CrowdPlanner) -> None:
         """Attach the backend to the planner it will serve (idempotent)."""
@@ -287,50 +295,6 @@ class ServingBackend(abc.ABC):
     def worker_pids(self) -> List[int]:
         """PIDs of live pool workers (empty for in-process backends)."""
         return []
-
-    def supervision_stats(self) -> Dict[str, int]:
-        """Aggregate supervision counters (all zero for in-process backends,
-        which have no workers to lose)."""
-        return {
-            "respawns": 0,
-            "resubmitted_shards": 0,
-            "hung_workers_killed": 0,
-            "degraded_batches": 0,
-        }
-
-    def pipeline_stats(self) -> Dict[str, int]:
-        """Cross-batch pipelining counters (all zero for backends that only
-        run the default barrier :meth:`execute_window`)."""
-        return {
-            "windows": 0,
-            "overlapped_dispatches": 0,
-            "independent_shards": 0,
-            "cross_batch_edges": 0,
-            "serialized_batches": 0,
-        }
-
-    def sharding_stats(self) -> Dict[str, Any]:
-        """Skew / hotspot-splitting diagnostics (neutral for backends that
-        never shard): the last batch's largest-shard fraction before and
-        after ``split_oversized``, its sub-shard chain depth, and lifetime
-        aggregates."""
-        return {
-            "largest_shard_fraction_before": 0.0,
-            "largest_shard_fraction_after": 0.0,
-            "chain_depth": 0,
-            "max_chain_depth": 0,
-            "sub_shards_total": 0,
-        }
-
-    def resilience_stats(self) -> Dict[str, int]:
-        """Hedged-execution counters (all zero for in-process backends,
-        which have no stragglers to hedge against)."""
-        return {
-            "hedges_issued": 0,
-            "hedges_won": 0,
-            "hedges_wasted": 0,
-            "stragglers_killed": 0,
-        }
 
     def close(self) -> None:
         """Release any long-lived resources (idempotent)."""

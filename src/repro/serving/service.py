@@ -58,6 +58,7 @@ from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import JournalError, OverloadError, ServingError
 from ..routing.base import RouteQuery
 from .journal import TruthJournal
+from .metrics import BATCHES, DEFAULT_TENANT, SCHEMA
 from .pipeline import batch_dependencies, window_parallelism
 from .protocol import (
     BatchExecution,
@@ -84,11 +85,6 @@ from .shards import (
 )
 
 QueryLike = Union[RouteQuery, RecommendRequest]
-
-#: The implicit workspace of a single-tenant backend: the planner the
-#: backend was bound to.  Named workspaces (``repro.serving.tenancy``)
-#: register additional planners beside it on the same pool.
-DEFAULT_TENANT = ""
 
 #: A dispatcher entry: ``(batch_index, job, resubmitted)`` — the flag
 #: survives requeues so the final outcome is attributed to supervision.
@@ -349,46 +345,12 @@ class PooledBackend(ServingBackend):
         super().__init__()
         self.config = config
         self.batches_executed = 0
-        # Lifetime supervision counters (surfaced by ``supervision_stats``).
-        self.respawns_total = 0
-        self.resubmitted_shards_total = 0
-        self.hung_workers_killed = 0
-        self.degraded_batches = 0
-        # Hedged-execution counters (surfaced by ``resilience_stats``):
-        # speculative duplicate dispatches against slow-but-alive workers,
-        # how many finished first (won) vs were overtaken by the original
-        # (wasted), and stragglers killed for breaching ``rpc_deadline_s``
-        # on top of losing their hedge race.
-        self.hedges_issued = 0
-        self.hedges_won = 0
-        self.hedges_wasted = 0
-        self.stragglers_killed = 0
         # Workers overtaken by a hedge ("lame"): each still owes one stale
         # reply under the strict request/reply protocol, so it is excluded
         # from dispatch and sync until drained.  Value = the hard,
         # non-heartbeat-renewable deadline (monotonic) after which the
         # crawler is killed (see ``_poll_lame``).
         self._lame: Dict[_PoolWorker, float] = {}
-        # Pipelining counters (surfaced by ``pipeline_stats``): windows run
-        # through the DAG dispatcher, and dispatches that actually overlapped
-        # batch boundaries (a shard sent while an earlier batch was unmerged).
-        self.windows_executed = 0
-        self.overlapped_dispatches = 0
-        # Window-parallelism structure counters (also ``pipeline_stats``):
-        # accumulated from :func:`~repro.serving.pipeline.window_parallelism`
-        # over every window this backend has dispatched.
-        self.independent_shards_total = 0
-        self.cross_batch_edges_total = 0
-        self.serialized_batches_total = 0
-        # Skew / hotspot-splitting diagnostics (surfaced by
-        # ``sharding_stats``): the last batch's largest-shard fraction before
-        # and after ``split_oversized``, its hand-off chain depth, and
-        # lifetime aggregates.
-        self.last_shard_fraction_before = 0.0
-        self.last_shard_fraction_after = 0.0
-        self.last_chain_depth = 0
-        self.max_chain_depth = 0
-        self.sub_shards_total = 0
         # Seeded so backoff jitter is reproducible run to run.
         self._backoff_rng = random.Random(0x5EED)
         self._workers: List[_PoolWorker] = []
@@ -396,8 +358,6 @@ class PooledBackend(ServingBackend):
         # planner: tenant name -> planner.  Registration order is the order
         # freshly forked workers inherit the warm bases in.
         self._tenants: "OrderedDict[str, CrowdPlanner]" = OrderedDict()
-        # Per-tenant supervision attribution (see ``tenant_stats``).
-        self._tenant_stats: Dict[str, Dict[str, int]] = {}
         # One-entry-per-tenant memo of the last encoded delta (_wire_delta).
         self._wire_cache: Dict[str, Tuple[Tuple[int, int], object]] = {}
 
@@ -453,60 +413,6 @@ class PooledBackend(ServingBackend):
         except KeyError:
             raise ServingError(f"unknown tenant {tenant!r}") from None
 
-    #: Counters attributed per tenant by ``_attribute_counters`` — the order
-    #: must match ``_counter_snapshot``.
-    _ATTRIBUTED_COUNTERS = (
-        "respawns",
-        "resubmitted_shards",
-        "hung_workers_killed",
-        "degraded_batches",
-        "hedges_issued",
-        "hedges_won",
-        "hedges_wasted",
-        "stragglers_killed",
-    )
-
-    def _tenant_counters(self, tenant: str) -> Dict[str, int]:
-        return self._tenant_stats.setdefault(
-            tenant,
-            dict({"batches": 0}, **{key: 0 for key in self._ATTRIBUTED_COUNTERS}),
-        )
-
-    def _counter_snapshot(self) -> Tuple[int, ...]:
-        return (
-            self.respawns_total,
-            self.resubmitted_shards_total,
-            self.hung_workers_killed,
-            self.degraded_batches,
-            self.hedges_issued,
-            self.hedges_won,
-            self.hedges_wasted,
-            self.stragglers_killed,
-        )
-
-    def _attribute_counters(
-        self, tenant: str, before: Tuple[int, ...], batches: int
-    ) -> None:
-        """Attribute the supervision counter deltas since ``before`` to one
-        tenant.  Sound because batches/windows execute one at a time on the
-        shared pool: every respawn, resubmission, hang-kill, degrade or
-        hedge between the snapshots happened inside this tenant's work.
-        (A lame straggler killed at a *later* batch edge charges its kill
-        to the tenant running then; hedges issued/won/wasted are always
-        counted inside the batch that raced them, so those attribute
-        exactly.)"""
-        after = self._counter_snapshot()
-        stats = self._tenant_counters(tenant)
-        stats["batches"] += batches
-        for key, start, end in zip(self._ATTRIBUTED_COUNTERS, before, after):
-            stats[key] += end - start
-
-    def tenant_stats(self, tenant: Optional[str] = None):
-        """Per-tenant supervision breakdown (all tenants, or one copy)."""
-        if tenant is not None:
-            return dict(self._tenant_counters(tenant))
-        return {name: dict(stats) for name, stats in self._tenant_stats.items()}
-
     def resolved_pool_size(self) -> int:
         if self.config.pool_size is not None:
             return self.config.pool_size
@@ -517,40 +423,6 @@ class PooledBackend(ServingBackend):
 
     def worker_pids(self) -> List[int]:
         return [worker.pid for worker in self._workers if worker.alive]
-
-    def supervision_stats(self) -> Dict[str, int]:
-        return {
-            "respawns": self.respawns_total,
-            "resubmitted_shards": self.resubmitted_shards_total,
-            "hung_workers_killed": self.hung_workers_killed,
-            "degraded_batches": self.degraded_batches,
-        }
-
-    def pipeline_stats(self) -> Dict[str, int]:
-        return {
-            "windows": self.windows_executed,
-            "overlapped_dispatches": self.overlapped_dispatches,
-            "independent_shards": self.independent_shards_total,
-            "cross_batch_edges": self.cross_batch_edges_total,
-            "serialized_batches": self.serialized_batches_total,
-        }
-
-    def sharding_stats(self) -> Dict[str, Any]:
-        return {
-            "largest_shard_fraction_before": self.last_shard_fraction_before,
-            "largest_shard_fraction_after": self.last_shard_fraction_after,
-            "chain_depth": self.last_chain_depth,
-            "max_chain_depth": self.max_chain_depth,
-            "sub_shards_total": self.sub_shards_total,
-        }
-
-    def resilience_stats(self) -> Dict[str, int]:
-        return {
-            "hedges_issued": self.hedges_issued,
-            "hedges_won": self.hedges_won,
-            "hedges_wasted": self.hedges_wasted,
-            "stragglers_killed": self.stragglers_killed,
-        }
 
     def close(self) -> None:
         self._stop_pool()
@@ -565,12 +437,13 @@ class PooledBackend(ServingBackend):
         return split_oversized(planner, plan, queries, self.config.max_shard_fraction)
 
     def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
-        """Record one batch's skew diagnostics (see ``sharding_stats``)."""
-        self.last_shard_fraction_before = before.largest_shard_fraction()
-        self.last_shard_fraction_after = after.largest_shard_fraction()
-        self.last_chain_depth = after.chain_depth()
-        self.max_chain_depth = max(self.max_chain_depth, self.last_chain_depth)
-        self.sub_shards_total += max(0, len(after.shards) - len(before.shards))
+        """Record one batch's skew diagnostics (the ``sharding`` group)."""
+        record, depth = self.counters.record, after.chain_depth()
+        record("largest_shard_fraction_before", before.largest_shard_fraction())
+        record("largest_shard_fraction_after", after.largest_shard_fraction())
+        record("chain_depth", depth)
+        record("max_chain_depth", depth)
+        record("sub_shards_total", max(0, len(after.shards) - len(before.shards)))
 
     def _chain_encoder(self):
         """Hand-off payload codec: columnar on the wire, objects otherwise."""
@@ -652,84 +525,83 @@ class PooledBackend(ServingBackend):
         Plans each batch (or takes its explicit entry in ``plans``) and
         applies the ``max_shard_fraction`` split, builds the jobs and
         hand-off chains, ensures the pool (polling lame workers and
-        replacing dead ones on a warm pool), runs :meth:`_run_window`,
-        attributes the supervision counters to ``tenant`` and applies the
-        sync cadence.  Window-structure counters (``pipeline_stats``) count
-        only windows of two or more batches.
+        replacing dead ones on a warm pool), runs :meth:`_run_window` and
+        applies the sync cadence.  Everything recorded meanwhile — the
+        cadence sync included — is charged to ``tenant``.  Window-structure
+        counters (the ``pipeline`` group) count only windows of two or more
+        batches.
         """
         planner = self._planner_for(tenant)
-        counters_before = self._counter_snapshot()
-        split_plans: List[ShardPlan] = []
-        plan_times: List[float] = []
-        for batch, plan in zip(window, plans or [None] * len(window)):
-            started = time.perf_counter()
-            if plan is None:
-                plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
-            split_plan = self._split_plan(planner, plan, batch.queries)
-            self._note_plan(plan, split_plan)
-            split_plans.append(split_plan)
-            plan_times.append(time.perf_counter() - started)
-        deps = batch_dependencies(split_plans)
-        if len(window) > 1:
-            parallelism = window_parallelism(deps)
-            self.independent_shards_total += parallelism["independent_shards"]
-            self.cross_batch_edges_total += parallelism["cross_batch_edges"]
-            self.serialized_batches_total += parallelism["serialized_batches"]
-        # Warm shared read-only state before any fork so first-batch workers
-        # inherit the compiled graph and source caches instead of rebuilding
-        # them per process.
-        planner.warm_batch([query for batch in window for query in batch.queries])
-        jobs_per_batch: List[List[ShardJob]] = [
-            [
-                ShardJob(
-                    shard_id=shard.shard_id,
-                    indices=shard.indices,
-                    destination_cells=shard.destination_cells,
-                    queries=[batch.queries[index] for index in shard.indices],
-                    share_candidate_generation=batch.share_candidate_generation,
-                    predecessors=shard.predecessors,
-                    handoff_from=shard.handoff_from,
-                    tenant=tenant,
-                )
-                for shard in plan.shards
+        with self.counters.charging(tenant):
+            split_plans: List[ShardPlan] = []
+            plan_times: List[float] = []
+            for batch, plan in zip(window, plans or [None] * len(window)):
+                started = time.perf_counter()
+                if plan is None:
+                    plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
+                split_plan = self._split_plan(planner, plan, batch.queries)
+                self._note_plan(plan, split_plan)
+                split_plans.append(split_plan)
+                plan_times.append(time.perf_counter() - started)
+            deps = batch_dependencies(split_plans)
+            if len(window) > 1:
+                for key, value in window_parallelism(deps).items():
+                    self.counters.record(key, value)
+            # Warm shared read-only state before any fork so first-batch workers
+            # inherit the compiled graph and source caches instead of rebuilding
+            # them per process.
+            planner.warm_batch([query for batch in window for query in batch.queries])
+            jobs_per_batch: List[List[ShardJob]] = [
+                [
+                    ShardJob(
+                        shard_id=shard.shard_id,
+                        indices=shard.indices,
+                        destination_cells=shard.destination_cells,
+                        queries=[batch.queries[index] for index in shard.indices],
+                        share_candidate_generation=batch.share_candidate_generation,
+                        predecessors=shard.predecessors,
+                        handoff_from=shard.handoff_from,
+                        tenant=tenant,
+                    )
+                    for shard in plan.shards
+                ]
+                for batch, plan in zip(window, split_plans)
             ]
-            for batch, plan in zip(window, split_plans)
-        ]
-        # Per-batch hand-off chains: id bases are pre-computed stripes above
-        # the current watermark, so retagged hand-off ids of a later batch
-        # stay above everything merged while earlier batches complete.
-        encoder = self._chain_encoder()
-        chains = [
-            ChainState(jobs, handoff_id_base(batch_offset), encoder)
-            for batch_offset, jobs in enumerate(jobs_per_batch)
-        ]
+            # Per-batch hand-off chains: id bases are pre-computed stripes above
+            # the current watermark, so retagged hand-off ids of a later batch
+            # stay above everything merged while earlier batches complete.
+            encoder = self._chain_encoder()
+            chains = [
+                ChainState(jobs, handoff_id_base(batch_offset), encoder)
+                for batch_offset, jobs in enumerate(jobs_per_batch)
+            ]
 
-        warm = False
-        if self._can_fork():
-            # Warm only when an existing pool serves this window — a re-fork
-            # after a whole-pool loss is cold like the first one (replacing
-            # individual dead workers is not: the survivors' warm state is
-            # what the window runs on).
-            warm = not self._ensure_pool()
-            if warm:
-                self._poll_lame()
-                self._respawn_dead()
-        batches_before = self.batches_executed
-        executions = self._run_window(
-            window, plan_times, jobs_per_batch, deps, warm, chains, tenant
-        )
-        if len(window) > 1:
-            self.windows_executed += 1
-        self._attribute_counters(tenant, counters_before, batches=len(executions))
-        # Sync cadence at the window edge (never mid-window: a blocking
-        # "synced" round-trip while shards are in flight would swallow their
-        # "done" replies).  Crossing any multiple of the cadence inside the
-        # window triggers one sync here.
-        if self._workers and (
-            self.batches_executed // self.config.merge_every_batches
-            > batches_before // self.config.merge_every_batches
-        ):
-            self._push_sync(tenant)
+            warm = False
+            if self._can_fork():
+                # Warm only when an existing pool serves this window — a re-fork
+                # after a whole-pool loss is cold like the first one (replacing
+                # individual dead workers is not: the survivors' warm state is
+                # what the window runs on).
+                warm = not self._ensure_pool()
+                if warm:
+                    self._poll_lame()
+                    self._respawn_dead()
+            batches_before = self.batches_executed
+            executions = self._run_window(
+                window, plan_times, jobs_per_batch, deps, warm, chains, tenant
+            )
+            if len(window) > 1:
+                self.counters.record("windows")
+            self.counters.record(BATCHES, len(executions))
+            # Sync cadence at the window edge (never mid-window: a blocking
+            # "synced" round-trip while shards are in flight would swallow their
+            # "done" replies).  Crossing any multiple of the cadence inside the
+            # window triggers one sync here.
+            if self._workers and (
+                self.batches_executed // self.config.merge_every_batches
+                > batches_before // self.config.merge_every_batches
+            ):
+                self._push_sync(tenant)
         return executions
 
     def _run_window(
@@ -776,7 +648,8 @@ class PooledBackend(ServingBackend):
         :func:`~repro.serving.shards.execute_jobs_inline`, batch by batch
         with frontier merges between batches: the parent then holds exactly
         the sequential prefix each shard would have seen, so results are
-        unchanged.  Only a lost pool counts as a degraded batch.
+        unchanged.  Only a lost pool counts degraded batches: one per batch
+        with shards run in-process.
 
         A shard *execution* error (worker state intact) stops dispatching,
         drains in-flight workers (their frontier batches may still merge),
@@ -795,7 +668,6 @@ class PooledBackend(ServingBackend):
         executions: List[BatchExecution] = []
         merged = 0
         respawns = 0
-        degraded = False
         error: Optional[str] = None
         # Hedging state: shards with a recorded outcome (duplicates discard
         # against this), workers whose in-flight dispatch is the speculative
@@ -910,7 +782,7 @@ class PooledBackend(ServingBackend):
                 # Front of the queue: the frontier may be waiting on this
                 # shard, and its dependency is already satisfied.
                 ready.appendleft((entry[0], entry[1], True))
-                self.resubmitted_shards_total += 1
+                self.counters.record("resubmitted_shards")
             if self._mid_batch_respawn(respawns) is not None:
                 respawns += 1
 
@@ -927,7 +799,7 @@ class PooledBackend(ServingBackend):
                     # The original finished first: the speculative copy
                     # bought nothing.
                     hedge_workers.discard(peer)
-                    self.hedges_wasted += 1
+                    self.counters.record("hedges_wasted")
                 self._retire_to_lame(peer)
 
         merge_frontier()  # zero-shard batches at the head merge immediately
@@ -951,7 +823,7 @@ class PooledBackend(ServingBackend):
                         if entry[0] > merged:
                             # Dispatched while an earlier batch is unmerged:
                             # genuine cross-batch overlap.
-                            self.overlapped_dispatches += 1
+                            self.counters.record("overlapped_dispatches")
                         inflight[worker] = entry
                     else:
                         ready.appendleft(entry)
@@ -971,7 +843,6 @@ class PooledBackend(ServingBackend):
                     # in strict batch order with frontier merges between
                     # batches, so each shard executes against exactly the
                     # sequential prefix.
-                    degraded = self._can_fork()
                     remaining: Dict[int, List[ShardJob]] = {}
                     for batch_index, job, was_resubmitted in itertools.chain(
                         ready, *blocked.values(), *chain_blocked.values()
@@ -982,6 +853,10 @@ class PooledBackend(ServingBackend):
                     ready.clear()
                     blocked.clear()
                     chain_blocked.clear()
+                    if self._can_fork():
+                        # A lost pool: every batch with shards run inline
+                        # is a degraded batch.
+                        self.counters.record("degraded_batches", len(remaining))
                     for batch_index in sorted(remaining):
                         if first_dispatch[batch_index] is None:
                             first_dispatch[batch_index] = time.perf_counter()
@@ -1040,7 +915,7 @@ class PooledBackend(ServingBackend):
                             continue
                         if worker in hedge_workers:
                             hedge_workers.discard(worker)
-                            self.hedges_won += 1
+                            self.counters.record("hedges_won")
                         retire_losers(key)
                         record(entry[0], reply[2], entry[2], entry[1].shard_id)
                         merge_frontier()
@@ -1062,12 +937,10 @@ class PooledBackend(ServingBackend):
                     # Alive but silent past the deadline — no reply and no
                     # heartbeat — so it is hung, not slow.
                     self._kill_worker(worker)
-                    self.hung_workers_killed += 1
+                    self.counters.record("hung_workers_killed")
                     hedge_workers.discard(worker)
                     dispatched_at.pop(worker, None)
                     lost(inflight.pop(worker))
-        if degraded:
-            self.degraded_batches += 1
         if error is not None and not executions:
             raise ServingError(f"shard execution failed in a pool worker:\n{error}")
         return executions
@@ -1196,7 +1069,7 @@ class PooledBackend(ServingBackend):
         context = multiprocessing.get_context("fork")
         worker = self._spawn_worker(context)
         self._workers = [peer for peer in self._workers if peer.alive] + [worker]
-        self.respawns_total += 1
+        self.counters.record("respawns")
         return worker
 
     def _alive_workers(self) -> List[_PoolWorker]:
@@ -1254,7 +1127,7 @@ class PooledBackend(ServingBackend):
                 del self._lame[worker]
             elif now > deadline:
                 self._kill_worker(worker)
-                self.stragglers_killed += 1
+                self.counters.record("stragglers_killed")
                 del self._lame[worker]
 
     def _hedge_stragglers(
@@ -1305,7 +1178,7 @@ class PooledBackend(ServingBackend):
                     inflight[worker] = entry
                     dispatched_at[worker] = now
                     hedge_workers.add(worker)
-                    self.hedges_issued += 1
+                    self.counters.record("hedges_issued")
                     break
             if not idle:
                 return
@@ -1355,7 +1228,7 @@ class PooledBackend(ServingBackend):
                 return None
             if deadline is not None and time.monotonic() > deadline:
                 self._kill_worker(worker)
-                self.hung_workers_killed += 1
+                self.counters.record("hung_workers_killed")
                 return None
 
     def _wire_delta(self, tenant: str, cursor: int):
@@ -1759,20 +1632,16 @@ class RecommendationService:
         graceful-degradation counters (hedges issued/won/wasted, stragglers
         killed, admission sheds, deadline breaches, journal suspension),
         and ``journal`` (present only when journaling) the durability
-        counters.
+        counters.  The four backend groups are views over the backend's
+        counters, declared in :data:`repro.serving.metrics.SCHEMA`.
         """
-        stats: Dict[str, Any] = {
-            "planner": self.planner.statistics.as_dict(),
-            "supervision": dict(self.backend.supervision_stats()),
-            "pipeline": dict(self.backend.pipeline_stats()),
-            "sharding": dict(self.backend.sharding_stats()),
-        }
+        stats: Dict[str, Any] = {"planner": self.planner.statistics.as_dict()}
+        for group in SCHEMA:
+            stats[group] = self.backend.counters.group(group, self.backend.tenant)
         stats["supervision"]["resubmitted_results"] = self._resubmitted_results
-        resilience = dict(self.backend.resilience_stats())
-        resilience["sheds"] = self._sheds
-        resilience["deadline_breaches"] = self._deadline_breaches
-        resilience["journal_suspended"] = self._journal_suspended
-        stats["resilience"] = resilience
+        stats["resilience"]["sheds"] = self._sheds
+        stats["resilience"]["deadline_breaches"] = self._deadline_breaches
+        stats["resilience"]["journal_suspended"] = self._journal_suspended
         if self._journal is not None:
             stats["journal"] = self._journal.stats()
         return stats

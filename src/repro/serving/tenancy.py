@@ -71,6 +71,7 @@ from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import ServingError, WorkspaceManifestError
 from ..routing.base import RouteQuery
 from .journal import TruthJournal
+from .metrics import SCHEMA
 from .protocol import BatchExecution, RecommendResponse, ServingBackend, Ticket, WindowBatch
 from .service import (
     InlineBackend,
@@ -93,24 +94,6 @@ __all__ = [
 #: manifest survives compaction untouched.
 WORKSPACE_MANIFEST = "workspace.json"
 
-#: Counter keys of the pool's per-tenant supervision breakdown that map onto
-#: the standard ``supervision_stats`` surface (everything but ``batches``).
-_SUPERVISION_KEYS = (
-    "respawns",
-    "resubmitted_shards",
-    "hung_workers_killed",
-    "degraded_batches",
-)
-
-#: Counter keys of the per-tenant breakdown that map onto the pool's hedged
-#: execution surface (``resilience_stats``).
-_RESILIENCE_KEYS = (
-    "hedges_issued",
-    "hedges_won",
-    "hedges_wasted",
-    "stragglers_killed",
-)
-
 
 class TenantBackend(ServingBackend):
     """A workspace's view of the shared pool.
@@ -119,6 +102,11 @@ class TenantBackend(ServingBackend):
     rebinding the pool itself, then delegates batches and windows with the
     tenant tag attached.  ``name`` stays ``"pooled"`` so response provenance
     is byte-identical to a dedicated pooled service.
+
+    Its statistics read the pool's counters: its own share of the
+    per-tenant groups (faults and hedges are charged to the tenant whose
+    batch was running, so another tenant's fault never shows up here) and
+    the pool-wide ``pipeline`` and ``sharding`` groups.
 
     Closing the facade drops the tenant from the pool (workers forget its
     warm base) without stopping the pool — other workspaces keep serving.
@@ -132,6 +120,7 @@ class TenantBackend(ServingBackend):
             raise ServingError("tenant name must be non-empty")
         self.pool = pool
         self.tenant = tenant
+        self.counters = pool.counters
 
     # -------------------------------------------------------------- lifecycle
     def bind(self, planner: CrowdPlanner) -> None:
@@ -168,33 +157,6 @@ class TenantBackend(ServingBackend):
 
     def worker_pids(self) -> List[int]:
         return self.pool.worker_pids()
-
-    def supervision_stats(self) -> Dict[str, int]:
-        """This tenant's share of the pool's supervision counters.
-
-        Faults are attributed to the tenant whose batch was executing when
-        they happened (batches run one at a time on the shared pool), so a
-        fault inside another tenant's batch never shows up here.
-        """
-        stats = self.pool.tenant_stats(self.tenant)
-        return {key: stats[key] for key in _SUPERVISION_KEYS}
-
-    def resilience_stats(self) -> Dict[str, int]:
-        """This tenant's share of the pool's hedged-execution counters.
-
-        Attribution mirrors ``supervision_stats``: hedges are counted inside
-        the batch that raced them, so another tenant's stragglers never show
-        up here."""
-        stats = self.pool.tenant_stats(self.tenant)
-        return {key: stats[key] for key in _RESILIENCE_KEYS}
-
-    def pipeline_stats(self) -> Dict[str, int]:
-        # Pool-global: windows of every tenant share one DAG dispatcher.
-        return self.pool.pipeline_stats()
-
-    def sharding_stats(self) -> Dict[str, Any]:
-        # Pool-global: the splitting diagnostics track the last batch run.
-        return self.pool.sharding_stats()
 
 
 class Workspace:
@@ -524,9 +486,9 @@ class WorkspaceService:
 
         ``workspaces`` maps each open workspace to its lifetime batch count,
         current truth-store size, attributed worker respawns, and on-disk
-        journal footprint; ``pool`` (pooled backend only) carries the
-        pool-global supervision/pipeline/sharding counters and the
-        per-tenant supervision attribution.
+        journal footprint; ``pool`` (pooled backend only) carries every
+        counter group summed over the pool and, under ``tenants``, each
+        tenant's share of the per-tenant counters.
         """
         report: Dict[str, Any] = {"workspaces": {}}
         for name, workspace in self._workspaces.items():
@@ -537,19 +499,20 @@ class WorkspaceService:
                 "journal_bytes": 0,
             }
             if self._pool is not None:
-                entry["respawns"] = self._pool.tenant_stats(name)["respawns"]
+                entry["respawns"] = self._pool.counters.group("supervision", name)["respawns"]
             journal = workspace.journal
             if journal is not None:
                 entry["journal_bytes"] = journal.disk_bytes
             report["workspaces"][name] = entry
         if self._pool is not None:
-            report["pool"] = {
-                "workers": self._pool.worker_pids(),
-                "supervision": dict(self._pool.supervision_stats()),
-                "pipeline": dict(self._pool.pipeline_stats()),
-                "sharding": dict(self._pool.sharding_stats()),
-                "tenants": self._pool.tenant_stats(),
-            }
+            counters = self._pool.counters
+            pool: Dict[str, Any] = {"workers": self._pool.worker_pids()}
+            for group in SCHEMA:
+                pool[group] = counters.group(group)
+            # Open workspaces are listed even before their first batch.
+            names = dict.fromkeys([*counters.tenants(), *self._workspaces])
+            pool["tenants"] = {name: counters.breakdown(name) for name in names}
+            report["pool"] = pool
         return report
 
     def worker_pids(self) -> List[int]:

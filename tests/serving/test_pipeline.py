@@ -362,6 +362,31 @@ class TestWindowFaults:
         assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
         assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
 
+    @needs_fork
+    def test_lost_pool_counts_each_degraded_batch(
+        self, build_serving_planner, serving_workload, sequential_oracle
+    ):
+        """The only worker dies before the first dispatch with the breaker
+        open: every batch of the window runs in-process, and each one
+        counts as a degraded batch."""
+        planner = build_serving_planner()
+        backend = FaultInjectingBackend(
+            schedule={0: "kill_before"}, pool_size=1, max_respawns_per_batch=0
+        )
+        config = ServiceConfig.from_planner_config(
+            planner.config, backend="pooled", pool_size=1, pipeline_window=3
+        )
+        chunks = _chunks(serving_workload, 3)
+        with RecommendationService(planner, config=config, backend=backend) as service:
+            tickets = [service.submit(chunk) for chunk in chunks]
+            responses = [r for t in tickets for r in service.results(t)]
+            supervision = service.statistics()["supervision"]
+        assert backend.injected == ["kill_before"]
+        assert supervision["degraded_batches"] == len(chunks)
+        assert supervision["respawns"] == 0
+        assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
+        assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
+
 
 @needs_fork
 class TestWindowJournal:

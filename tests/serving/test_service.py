@@ -24,6 +24,7 @@ from repro.serving import (
     InlineBackend,
     PooledBackend,
     RecommendationService,
+    WorkspaceService,
     recommendation_fingerprint,
 )
 
@@ -412,6 +413,34 @@ class TestLifecycle:
         RecommendationService(build_serving_planner(), backend=pooled)
         with pytest.raises(ServingError):
             RecommendationService(build_serving_planner(), backend=pooled)
+
+
+class TestStatisticsSurface:
+    def test_same_keys_on_every_backend(self, build_serving_planner, serving_workload):
+        """Inline, pooled and workspace services report the same groups and
+        keys, so a dashboard reads one shape whatever serves it."""
+        batch = list(serving_workload[:12])
+
+        def key_sets(stats):
+            return {group: set(values) for group, values in stats.items()}
+
+        surfaces = {}
+        for backend in ("inline", "pooled"):
+            with _service(build_serving_planner(), backend, use_processes=False) as service:
+                service.results(service.submit(batch))
+                surfaces[backend] = key_sets(service.statistics())
+        template = build_serving_planner()
+        config = ServiceConfig.from_planner_config(
+            template.config, backend="pooled", pool_size=2, use_processes=False
+        )
+        with WorkspaceService(template, config=config) as workspaces:
+            workspace = workspaces.create_workspace("alpha")
+            workspace.results(workspace.submit(batch))
+            surfaces["workspace"] = key_sets(workspace.statistics())
+        assert surfaces["inline"] == surfaces["pooled"] == surfaces["workspace"]
+        assert {"planner", "supervision", "pipeline", "sharding", "resilience"} == set(
+            surfaces["inline"]
+        )
 
 
 @pytest.mark.property

@@ -14,6 +14,8 @@ the supervision fallout is attributed to the faulted tenant only.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,9 +23,14 @@ from hypothesis import strategies as st
 
 from repro.config import PlannerConfig, ServiceConfig
 from repro.exceptions import ServingError, WorkspaceManifestError
-from repro.serving import WorkspaceService, recommendation_fingerprint
+from repro.serving import (
+    DEFAULT_TENANT,
+    PooledBackend,
+    WorkspaceService,
+    recommendation_fingerprint,
+)
 
-from .faults import FaultInjectingBackend
+from .faults import FAST_SUPERVISION, FaultInjectingBackend
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
@@ -231,6 +238,13 @@ class TestTenantIsolationContract:
                 assert entry["journal_bytes"] > 0
             assert len(stats["pool"]["workers"]) == 2
             assert stats["pool"]["tenants"]["alpha"]["batches"] == len(tenant_batches["alpha"])
+            # Every backend group is in the pool view, and the per-tenant
+            # breakdown adds up to the pool aggregate.
+            pool = stats["pool"]
+            assert {"supervision", "pipeline", "sharding", "resilience"} <= set(pool)
+            for group in ("supervision", "resilience"):
+                for key, total in pool[group].items():
+                    assert sum(tenant[key] for tenant in pool["tenants"].values()) == total
 
     @pytest.mark.property
     @pytest.mark.slow
@@ -354,7 +368,7 @@ class TestTenantFaultIsolation:
             # Answers: every tenant (faulted one included) matches its oracle.
             _assert_matches_oracles(svc, fingerprints, tenant_oracles)
             # Attribution: the fallout landed on alpha, and only alpha.
-            stats = pool.tenant_stats()
+            stats = svc.statistics()["pool"]["tenants"]
             alpha_faults = sum(
                 stats["alpha"][key]
                 for key in ("respawns", "resubmitted_shards", "hung_workers_killed")
@@ -370,6 +384,45 @@ class TestTenantFaultIsolation:
                         "degraded_batches",
                     )
                 ), f"fault fallout leaked into tenant {name}: {stats[name]}"
+
+    def test_worker_hung_in_cadence_sync_is_charged_to_its_tenant(
+        self, build_serving_planner, tenant_batches, tenant_oracles
+    ):
+        """A worker that hangs in the window-edge truth sync is killed there;
+        the kill belongs to the tenant whose window triggered the sync."""
+
+        class HangInSync(PooledBackend):
+            hung_pid = None
+
+            def _push_sync(self, tenant=DEFAULT_TENANT):
+                total = self._planner_for(tenant).truth_cursor()
+                behind = [
+                    worker
+                    for worker in self._workers
+                    if worker.alive and worker.cursors.get(tenant, total) < total
+                ]
+                if behind and self.hung_pid is None:
+                    self.hung_pid = behind[0].pid
+                    os.kill(behind[0].pid, signal.SIGSTOP)
+                super()._push_sync(tenant)
+
+        template = build_serving_planner()
+        config = _tenant_config(
+            template, backend="pooled", pool_size=2, merge_every_batches=1, **FAST_SUPERVISION
+        )
+        pool = HangInSync(config)
+        with WorkspaceService(template, config=config, pool=pool) as svc:
+            workspace = svc.create_workspace("alpha")
+            fingerprints = [
+                recommendation_fingerprint(response.result)
+                for batch in tenant_batches["alpha"]
+                for response in workspace.recommend_batch(batch)
+            ]
+            stats = svc.statistics()["pool"]
+        assert pool.hung_pid is not None
+        assert fingerprints == tenant_oracles["alpha"]["fingerprints"]
+        assert stats["supervision"]["hung_workers_killed"] == 1
+        assert stats["tenants"]["alpha"]["hung_workers_killed"] == 1
 
 
 @needs_fork
