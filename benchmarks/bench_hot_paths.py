@@ -1,5 +1,6 @@
 """Hot-path microbenchmarks: compiled routing core vs. reference, spatial
-index queries, sparse vs. dense PMF training, the crowd-evaluation pipeline
+index queries, sparse vs. dense PMF training, time-dependent fastest routing
+vs. its per-edge closure, the crowd-evaluation pipeline
 (compiled popularity routing, vectorized familiarity kernels, batched crowd
 simulation) vs. its preserved sequential oracles, sharded serving vs.
 sequential ``recommend_batch``, the cross-batch pipelined
@@ -49,7 +50,8 @@ from repro.roadnet import shortest_path as fast
 from repro.roadnet.generators import GridCityConfig, generate_grid_city, random_od_pairs
 from repro.routing.base import RouteQuery
 from repro.routing.mpr import MostPopularRouteMiner
-from repro.routing.reference import ClosureMostPopularRouteMiner
+from repro.routing.reference import ClosureFastestRouteService, ClosureMostPopularRouteMiner
+from repro.routing.web_service import FastestRouteService
 from repro.core.truth import TruthDatabase
 from repro.serving.service import PooledBackend
 from repro.serving import (
@@ -248,6 +250,46 @@ def test_popularity_reference(benchmark, popularity_setup):
     benchmark(_run_popularity, reference_miner, queries)
 
 
+# ----------------------------------------------------------- fastest routing
+@pytest.fixture(scope="module")
+def fastest_setup(serving_city):
+    """Paired fastest-route services (per-road-class cost vector vs. the
+    per-edge travel-time closure of ``repro.routing.reference``) over the
+    serving city, with od pairs departing at both rush-hour peaks and off
+    peak."""
+    scenario, _ = serving_city
+    network = scenario.network
+    compiled_service = FastestRouteService(network)
+    reference_service = ClosureFastestRouteService(network, compiled_service.travel_time_model)
+    pairs = random_od_pairs(network, 20, min_distance_m=1500.0, seed=13)
+    departures = (8.0 * 3600, 17.5 * 3600, 3.0 * 3600, 12.25 * 3600)
+    queries = [
+        RouteQuery(origin, destination, departure_time_s=departure)
+        for departure in departures
+        for origin, destination in pairs
+    ]
+    return compiled_service, reference_service, queries
+
+
+def _run_fastest(service, queries):
+    return [service.recommend(query) for query in queries]
+
+
+@pytest.mark.benchmark(group="fastest_routing")
+def test_fastest_routing_compiled(benchmark, fastest_setup):
+    compiled_service, reference_service, queries = fastest_setup
+    expected = _run_fastest(reference_service, queries)
+    routes = _run_fastest(compiled_service, queries)
+    assert [(r.path, r.metadata) for r in routes] == [(r.path, r.metadata) for r in expected]
+    benchmark(_run_fastest, compiled_service, queries)
+
+
+@pytest.mark.benchmark(group="fastest_routing")
+def test_fastest_routing_reference(benchmark, fastest_setup):
+    _, reference_service, queries = fastest_setup
+    benchmark(_run_fastest, reference_service, queries)
+
+
 # --------------------------------------------------------------- familiarity
 @pytest.fixture(scope="module")
 def familiarity_setup(bench_scenario):
@@ -368,7 +410,8 @@ def test_crowd_columnar_reference(benchmark, crowd_setup):
 def serving_city():
     """An 18x18 city with independent od neighbourhoods, one pre-fitted
     familiarity model, and a planner factory — shared by every serving
-    benchmark (``crowd_shard`` and ``crowd_stream``).
+    benchmark (``crowd_shard``, ``crowd_stream``, ...) and by
+    ``fastest_routing``.
 
     Answers do not depend on worker answer histories or reward balances
     while the familiarity model is frozen, so planners built by the factory

@@ -5,9 +5,10 @@ Re-runs the hot-path microbenchmarks and compares each suite's
 speedup-vs-reference against the committed ``BENCH_hot_paths.json``: the check
 fails when any suite drops below ``--threshold`` (default 0.7) times its
 committed speedup — i.e. a fast path that lost more than ~30% of its recorded
-advantage over the preserved oracle.  Absolute timings are machine-dependent,
-but the fast/reference *ratio* is measured on the same machine in the same
-run, which makes it a portable regression signal.
+advantage over the preserved oracle — and when a committed suite was not
+measured or a measured suite has no committed speedup yet.  Absolute timings
+are machine-dependent, but the fast/reference *ratio* is measured on the same
+machine in the same run, which makes it a portable regression signal.
 
 Usage::
 
@@ -36,16 +37,34 @@ TRAJECTORY = REPO_ROOT / "BENCH_hot_paths.json"
 
 
 def compare(committed: dict, candidate: dict, threshold: float) -> list:
-    """Return ``(group, committed, measured, floor)`` rows that regressed."""
+    """Return ``(group, committed, measured, floor)`` rows that fail the gate.
+
+    A suite fails when its measured speedup is below ``threshold`` times the
+    committed one, when a committed suite was not measured (``measured`` is
+    ``None``), or when a measured suite has no committed speedup
+    (``committed`` and ``floor`` are ``None``): a suite nobody committed a
+    ratio for would otherwise pass ungated for good.
+    """
+    recorded_speedups = committed.get("speedups", {})
+    measured_speedups = candidate.get("speedups", {})
     failures = []
-    for group, recorded in sorted(committed.get("speedups", {}).items()):
-        measured = candidate.get("speedups", {}).get(group)
+    for group in sorted(set(recorded_speedups) | set(measured_speedups)):
+        recorded = recorded_speedups.get(group)
+        measured = measured_speedups.get(group)
+        if recorded is None:
+            failures.append((group, None, measured, None))
+            continue
         floor = recorded * threshold
-        if measured is None:
-            failures.append((group, recorded, None, floor))
-        elif measured < floor:
+        if measured is None or measured < floor:
             failures.append((group, recorded, measured, floor))
     return failures
+
+
+def _failure_text(group: str, recorded, measured, floor) -> str:
+    if recorded is None:
+        return f"{group}: {measured:.2f}x measured but no committed speedup (commit it to gate it)"
+    measured_text = "missing" if measured is None else f"{measured:.2f}x"
+    return f"{group}: {measured_text} < floor {floor:.2f}x (committed {recorded:.2f}x)"
 
 
 def _wire_bytes_text(summary: dict, group: str) -> str:
@@ -98,7 +117,7 @@ def render_summary_markdown(committed: dict, candidate: dict, threshold: float, 
             delta = (measured - recorded) / recorded
             delta_text = f"{delta:+.1%}"
         elif recorded is None and measured is not None:
-            delta_text = "new suite"
+            delta_text = "uncommitted"
         else:
             delta_text = "—"
         wire_text = _wire_bytes_text(candidate, group)
@@ -114,7 +133,12 @@ def render_summary_markdown(committed: dict, candidate: dict, threshold: float, 
             recorded_skew = _skew_text(committed, group)
             if recorded_skew != "—":
                 skew_text = f"{recorded_skew} (committed)"
-        status = "❌ regressed" if group in failed_groups else "✅"
+        if group not in failed_groups:
+            status = "✅"
+        elif recorded is None:
+            status = "❌ uncommitted"
+        else:
+            status = "❌ regressed"
         lines.append(
             f"| {group} | {recorded_text} | {measured_text} | {delta_text} "
             f"| {wire_text} | {skew_text} | {status} |"
@@ -122,7 +146,8 @@ def render_summary_markdown(committed: dict, candidate: dict, threshold: float, 
     lines.append("")
     if failures:
         lines.append(
-            f"**FAIL** — {len(failures)} suite(s) below {threshold:.0%} of the committed speedup."
+            f"**FAIL** — {len(failures)} suite(s) below {threshold:.0%} of the committed "
+            "speedup, missing, or without a committed speedup."
         )
     else:
         lines.append(f"**OK** — every suite holds ≥ {threshold:.0%} of its committed speedup.")
@@ -177,7 +202,7 @@ def main() -> int:
 
     for group, measured in sorted(candidate.get("speedups", {}).items()):
         recorded = committed.get("speedups", {}).get(group)
-        recorded_text = f"{recorded:.2f}x committed" if recorded else "new suite"
+        recorded_text = f"{recorded:.2f}x committed" if recorded else "no committed speedup"
         print(f"  {group}: {measured:.2f}x measured ({recorded_text})")
 
     failures = compare(committed, candidate, args.threshold)
@@ -186,10 +211,9 @@ def main() -> int:
         args.summary_file,
     )
     if failures:
-        print(f"\nFAIL: {len(failures)} suite(s) below {args.threshold:.0%} of the trajectory:")
-        for group, recorded, measured, floor in failures:
-            measured_text = "missing" if measured is None else f"{measured:.2f}x"
-            print(f"  {group}: {measured_text} < floor {floor:.2f}x (committed {recorded:.2f}x)")
+        print(f"\nFAIL: {len(failures)} suite(s) off the trajectory (threshold {args.threshold:.0%}):")
+        for failure in failures:
+            print(f"  {_failure_text(*failure)}")
         return 1
     print(f"\nOK: every suite holds >= {args.threshold:.0%} of its committed speedup")
     return 0

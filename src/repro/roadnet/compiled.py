@@ -12,7 +12,13 @@ lookups and re-evaluated Python cost callbacks per relaxation.  The
   implementations in :mod:`repro.roadnet.reference`;
 * **named cost metrics** — per-edge ``"length"`` and ``"time"`` cost vectors
   precomputed once at compile time, so the common searches never call back
-  into Python per edge;
+  into Python per edge, plus a per-edge road-class index from which
+  time-dependent travel times are built with one congestion multiplier per
+  class (:meth:`~repro.roadnet.travel_time.TravelTimeModel.cost_vector_at`);
+* **two Dijkstra entries** — :meth:`CompiledGraph.dijkstra` over cached
+  per-node relaxation lists (metric searches), and
+  :meth:`CompiledGraph.dijkstra_vector` straight over a per-query cost
+  vector, so a one-off vector costs no O(E) list rebuild;
 * **a reusable search-state pool** — distance/parent/heuristic scratch arrays
   allocated once per graph and recycled across calls with generation stamps,
   so repeated searches (Yen runs dozens of spur searches per query) do not
@@ -41,7 +47,7 @@ import numpy as np
 from ..exceptions import RoadNetworkError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .graph import RoadEdge, RoadNetwork
+    from .graph import RoadClass, RoadEdge, RoadNetwork
 
 #: Named cost metrics resolvable without a Python callback.
 METRIC_LENGTH = "length"
@@ -117,6 +123,8 @@ class CompiledGraph:
         edge_records: List["RoadEdge"] = []
         lengths: List[float] = []
         times: List[float] = []
+        edge_class: List[int] = []
+        class_index: Dict["RoadClass", int] = {}
         edge_pos: Dict[Tuple[int, int], int] = {}
 
         index_of = self.index_of
@@ -130,6 +138,7 @@ class CompiledGraph:
                 edge_records.append(edge)
                 lengths.append(edge.length_m)
                 times.append(edge.free_flow_travel_time_s)
+                edge_class.append(class_index.setdefault(edge.road_class, len(class_index)))
             indptr[i + 1] = len(neighbor)
 
         self.xs = xs
@@ -138,6 +147,11 @@ class CompiledGraph:
         self.neighbor = neighbor
         self.edge_records = edge_records
         self.edge_pos = edge_pos
+        # Road classes present in the graph (first-seen order) and each
+        # edge's index into that list: time-dependent costs evaluate one
+        # congestion multiplier per class instead of one per edge.
+        self.road_classes: List["RoadClass"] = list(class_index)
+        self.edge_class = edge_class
         self._metric_costs: Dict[str, List[float]] = {
             METRIC_LENGTH: lengths,
             METRIC_TIME: times,
@@ -429,6 +443,61 @@ class CompiledGraph:
                     if check_blocked and (target in blocked_nodes or pos in blocked_positions):
                         continue
                     candidate = current_cost + edge_cost
+                    if stamp[target] != gen or candidate < dist[target]:
+                        dist[target] = candidate
+                        parent[target] = current
+                        stamp[target] = gen
+                        heappush(frontier, (candidate, counter, target))
+                        counter += 1
+            return None
+        finally:
+            self._release_state(state)
+
+    def dijkstra_vector(
+        self,
+        costs: Sequence[float],
+        origin: int,
+        destination: int,
+        forbidden_nodes: Optional[frozenset] = None,
+        forbidden_positions: Optional[frozenset] = None,
+    ) -> Optional[List[int]]:
+        """:meth:`dijkstra` over a flat per-edge cost vector in CSR order.
+
+        Reads ``costs[pos]`` through the ``indptr``/``neighbor`` skeleton,
+        so a per-query vector (time-dependent travel times) is searched
+        without first building relaxation lists for it.  Relaxation order,
+        the ``(cost, push-counter)`` tie-break and the accumulation order
+        are those of :meth:`dijkstra`, so both return the same path for the
+        same costs.  Cached metric vectors are faster on :meth:`dijkstra`,
+        whose tuple lists skip two index lookups per relaxation.
+        """
+        state = self._acquire_state()
+        try:
+            gen = state.next_generation()
+            dist, parent, stamp, settled = state.dist, state.parent, state.stamp, state.settled
+            indptr, neighbor = self.indptr, self.neighbor
+            heappush, heappop = heapq.heappush, heapq.heappop
+            blocked_nodes = forbidden_nodes or ()
+            blocked_positions = forbidden_positions or ()
+            check_blocked = bool(blocked_nodes) or bool(blocked_positions)
+
+            dist[origin] = 0.0
+            parent[origin] = -1
+            stamp[origin] = gen
+            frontier: List[Tuple[float, int, int]] = [(0.0, 0, origin)]
+            counter = 1
+            while frontier:
+                current_cost, _, current = heappop(frontier)
+                if settled[current] == gen:
+                    continue
+                settled[current] = gen
+                if current == destination:
+                    return self._reconstruct(state, gen, origin, destination)
+                for pos in range(indptr[current], indptr[current + 1]):
+                    target = neighbor[pos]
+                    if check_blocked and (target in blocked_nodes or pos in blocked_positions):
+                        continue
+                    candidate = current_cost + costs[pos]
                     if stamp[target] != gen or candidate < dist[target]:
                         dist[target] = candidate
                         parent[target] = current

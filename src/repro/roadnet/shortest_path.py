@@ -7,19 +7,31 @@ driver-preferred routes that deviate from the pure shortest path.
 
 All searches run on the network's :class:`~repro.roadnet.compiled.CompiledGraph`
 flat-array fast path (CSR adjacency, precomputed metric cost vectors, pooled
-search state).  ``cost`` still accepts any ``Callable[[RoadEdge], float]`` —
-the well-known :func:`length_cost` / :func:`free_flow_time_cost` callables
-(and the metric names ``"length"`` / ``"time"``) resolve to cost vectors
-precomputed at compile time; arbitrary callables are evaluated once per edge
-per call instead of once per relaxation, which in particular lets Yen's spur
-searches share a single evaluation.  Routes are bit-identical to the
-reference implementations in :mod:`repro.roadnet.reference` (same relaxation
-order, same heap tie-breaking, same floating-point accumulation order).
+search state).  A ``cost`` spec is one of:
+
+* a metric name (``"length"``, ``"time"`` or a name registered with
+  :meth:`CompiledGraph.register_metric`), or one of the well-known
+  :func:`length_cost` / :func:`free_flow_time_cost` callables — these
+  resolve to cost vectors cached on the compiled graph, whose relaxation
+  lists are cached too, so metric searches build nothing per call;
+* any other ``Callable[[RoadEdge], float]`` — evaluated once per edge per
+  call instead of once per relaxation, which in particular lets Yen's spur
+  searches share a single evaluation;
+* a per-edge cost sequence in CSR order (``compiled.edge_records`` order),
+  e.g. :meth:`~repro.roadnet.travel_time.TravelTimeModel.cost_vector_at`.
+
+:func:`dijkstra_path` searches per-call vectors (callables and sequences)
+with :meth:`CompiledGraph.dijkstra_vector`, straight over the CSR skeleton,
+so no per-call relaxation lists are built; metric searches keep the cached
+lists.  Routes are bit-identical to the reference implementations in
+:mod:`repro.roadnet.reference` (same relaxation order, same heap
+tie-breaking, same floating-point accumulation order).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import NoPathError, RoadNetworkError
@@ -27,7 +39,7 @@ from .compiled import CompiledGraph, METRIC_LENGTH, METRIC_TIME
 from .graph import RoadEdge, RoadNetwork
 
 EdgeCost = Callable[[RoadEdge], float]
-CostSpec = Union[EdgeCost, str]
+CostSpec = Union[EdgeCost, str, Sequence[float]]
 
 
 def length_cost(edge: RoadEdge) -> float:
@@ -58,7 +70,7 @@ def _metric_vector(compiled: CompiledGraph, cost: CostSpec) -> Optional[List[flo
     return None
 
 
-def resolve_cost_vector(compiled: CompiledGraph, cost: CostSpec) -> Tuple[List[float], bool]:
+def resolve_cost_vector(compiled: CompiledGraph, cost: CostSpec) -> Tuple[Sequence[float], bool]:
     """Resolve a cost spec to ``(per-edge cost vector in CSR order, is_metric)``.
 
     The canonical callables and their metric names hit vectors precomputed at
@@ -66,12 +78,17 @@ def resolve_cost_vector(compiled: CompiledGraph, cost: CostSpec) -> Tuple[List[f
     :meth:`CompiledGraph.register_metric` (``is_metric=True`` — known
     non-negative, since built-in metrics are validated positive at
     construction and registered vectors at registration); any other callable
-    is evaluated once per edge and must be range-checked by the caller.
+    is evaluated once per edge, and a cost sequence is taken as given after
+    a length check.  Per-call vectors must be range-checked by the caller.
     """
     vector = _metric_vector(compiled, cost)
     if vector is not None:
         return vector, True
-    return compiled.cost_vector(cost), False
+    if callable(cost):
+        return compiled.cost_vector(cost), False
+    if len(cost) != compiled.edge_count:
+        raise RoadNetworkError(f"cost vector has {len(cost)} costs for {compiled.edge_count} edges")
+    return cost, False
 
 
 def _endpoint_indices(
@@ -85,7 +102,11 @@ def _endpoint_indices(
 
 
 def _check_non_negative(costs: Sequence[float]) -> None:
-    if costs and min(costs) < 0:
+    # ``min`` alone is not enough: a NaN compares false both ways, so
+    # whether it hides depends on where it sits.  Any NaN makes the sum NaN
+    # (``inf`` stays allowed — it marks an untraversable edge), and with no
+    # NaN present ``min`` is exact.
+    if len(costs) and (math.isnan(sum(costs)) or min(costs) < 0):
         raise RoadNetworkError("edge costs must be non-negative")
 
 
@@ -110,7 +131,6 @@ def dijkstra_path(
     costs, is_metric = resolve_cost_vector(compiled, cost)
     if not is_metric:
         _check_non_negative(costs)
-    adjacency = compiled.relaxation_lists(costs)
 
     index_of = compiled.index_of
     blocked_nodes = (
@@ -126,7 +146,12 @@ def dijkstra_path(
             for a, b in forbidden_edges
             if a in index_of and b in index_of and (index_of[a], index_of[b]) in edge_pos
         )
-    path = compiled.dijkstra(adjacency, source, target, blocked_nodes, blocked_positions)
+    if is_metric:
+        path = compiled.dijkstra(
+            compiled.relaxation_lists(costs), source, target, blocked_nodes, blocked_positions
+        )
+    else:
+        path = compiled.dijkstra_vector(costs, source, target, blocked_nodes, blocked_positions)
     if path is None:
         raise NoPathError(origin, destination)
     node_ids = compiled.node_ids
@@ -171,9 +196,11 @@ def path_cost(network: RoadNetwork, path: Sequence[int], cost: CostSpec = length
     compiled = network.compiled()
     costs = _metric_vector(compiled, cost)
     if costs is None:
-        # One-off callable: evaluating only the path's own edges is cheaper
-        # than building a full cost vector.
-        return sum(cost(network.edge(a, b)) for a, b in zip(path, path[1:]))
+        if callable(cost):
+            # One-off callable: evaluating only the path's own edges is
+            # cheaper than building a full cost vector.
+            return sum(cost(network.edge(a, b)) for a, b in zip(path, path[1:]))
+        costs, _ = resolve_cost_vector(compiled, cost)
     index_of = compiled.index_of
     return compiled.path_cost(costs, [index_of[n] for n in path])
 

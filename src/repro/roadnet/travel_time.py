@@ -10,10 +10,11 @@ time, plus traffic-light waiting penalties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError
+from .compiled import METRIC_TIME, CompiledGraph
 from .graph import RoadClass, RoadEdge, RoadNetwork
 
 SECONDS_PER_DAY = 24 * 3600
@@ -36,6 +37,11 @@ class SpeedProfile:
     base_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ConfigurationError(f"{field.name} must be finite")
+        if self.base_multiplier < 0:
+            raise ConfigurationError("base_multiplier must be non-negative")
         if self.peak_multiplier < self.base_multiplier:
             raise ConfigurationError("peak_multiplier must be >= base_multiplier")
         if self.peak_width_hours <= 0:
@@ -110,6 +116,23 @@ class TravelTimeModel:
             total += traversal
             clock += traversal
         return total
+
+    def cost_vector_at(self, compiled: CompiledGraph, departure_time_s: float) -> List[float]:
+        """Per-edge travel times in CSR order, frozen at a departure time.
+
+        The congestion multiplier depends only on (road class, time), so it
+        is evaluated once per class present in the graph and applied through
+        the compiled per-edge class index.  Each entry is the same float
+        product as :meth:`edge_travel_time`, so the vector is bit-identical
+        to ``compiled.cost_vector(self.edge_cost_at(departure_time_s))``.
+        """
+        default = SpeedProfile()
+        multipliers = [
+            self.profiles.get(road_class, default).multiplier(departure_time_s)
+            for road_class in compiled.road_classes
+        ]
+        free_flow = compiled.metric_costs(METRIC_TIME)
+        return [time * multipliers[cls] for time, cls in zip(free_flow, compiled.edge_class)]
 
     def edge_cost_at(self, departure_time_s: float):
         """Return an edge-cost function (for Dijkstra/A*) frozen at a departure time."""

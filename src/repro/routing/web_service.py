@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..exceptions import RoutingError
 from ..roadnet.graph import RoadNetwork
-from ..roadnet.shortest_path import dijkstra_path, k_shortest_paths, length_cost
+from ..roadnet.shortest_path import CostSpec, dijkstra_path, k_shortest_paths, length_cost
 from ..roadnet.travel_time import TravelTimeModel
 from .base import CandidateRoute, RouteQuery, RouteSource
 
@@ -41,7 +41,10 @@ class FastestRouteService(RouteSource):
     """A map service returning the minimum expected travel-time route.
 
     Travel times are time-dependent (rush-hour congestion), evaluated at the
-    query's departure time.
+    query's departure time: one congestion multiplier per road class, applied
+    to the compiled free-flow times
+    (:meth:`~repro.roadnet.travel_time.TravelTimeModel.cost_vector_at`) and
+    searched as a flat cost vector.
     """
 
     name = "fastest"
@@ -50,8 +53,11 @@ class FastestRouteService(RouteSource):
         self.network = network
         self.travel_time_model = travel_time_model or TravelTimeModel()
 
+    def _travel_time_cost_spec(self, departure_time_s: float) -> CostSpec:
+        return self.travel_time_model.cost_vector_at(self.network.compiled(), departure_time_s)
+
     def recommend(self, query: RouteQuery) -> CandidateRoute:
-        cost = self.travel_time_model.edge_cost_at(query.departure_time_s)
+        cost = self._travel_time_cost_spec(query.departure_time_s)
         path = dijkstra_path(self.network, query.origin, query.destination, cost=cost)
         travel_time = self.travel_time_model.path_travel_time(
             self.network, path, query.departure_time_s

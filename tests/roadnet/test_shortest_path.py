@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import NoPathError, RoadNetworkError
+from repro.roadnet import reference
 from repro.roadnet.generators import GridCityConfig, generate_grid_city
 from repro.roadnet.graph import RoadEdge, RoadNetwork, RoadNode
 from repro.roadnet.shortest_path import (
@@ -49,6 +50,62 @@ class TestDijkstra:
     def test_negative_cost_rejected(self, tiny_network):
         with pytest.raises(RoadNetworkError):
             dijkstra_path(tiny_network, 0, 3, cost=lambda edge: -1.0)
+
+    @pytest.mark.parametrize("nan_at", ["first", "middle"])
+    def test_nan_cost_rejected_wherever_it_sits(self, small_network, nan_at):
+        edges = small_network.compiled().edge_records
+        poisoned = edges[0] if nan_at == "first" else edges[len(edges) // 2]
+
+        def cost(edge):
+            return float("nan") if edge is poisoned else edge.length_m
+
+        origin, destination = small_network.node_ids()[0], small_network.node_ids()[-1]
+        with pytest.raises(RoadNetworkError, match="non-negative"):
+            dijkstra_path(small_network, origin, destination, cost=cost)
+        with pytest.raises(RoadNetworkError, match="non-negative"):
+            dijkstra_path(small_network, origin, destination, cost=[cost(e) for e in edges])
+        with pytest.raises(RoadNetworkError, match="non-negative"):
+            k_shortest_paths(small_network, origin, destination, 2, cost=cost)
+
+    def test_negative_cost_vector_rejected(self, tiny_network):
+        costs = [1.0] * tiny_network.compiled().edge_count
+        costs[-1] = -1.0
+        with pytest.raises(RoadNetworkError, match="non-negative"):
+            dijkstra_path(tiny_network, 0, 3, cost=costs)
+
+    def test_cost_vector_length_checked(self, tiny_network):
+        with pytest.raises(RoadNetworkError, match="edges"):
+            dijkstra_path(tiny_network, 0, 3, cost=[1.0, 1.0])
+
+    def test_cost_vector_matches_callable(self, small_network):
+        compiled = small_network.compiled()
+        costs = compiled.cost_vector(free_flow_time_cost)
+        ids = small_network.node_ids()
+        for origin, destination in [(ids[0], ids[-1]), (ids[5], ids[40]), (ids[-3], ids[2])]:
+            expected = dijkstra_path(small_network, origin, destination, cost="time")
+            assert dijkstra_path(small_network, origin, destination, cost=costs) == expected
+            assert path_cost(small_network, expected, costs) == path_cost(
+                small_network, expected, free_flow_time_cost
+            )
+            blocked = {expected[len(expected) // 2]} if len(expected) > 2 else set()
+            assert dijkstra_path(
+                small_network, origin, destination, cost=costs, forbidden_nodes=blocked
+            ) == dijkstra_path(
+                small_network, origin, destination, cost="time", forbidden_nodes=blocked
+            )
+
+    def test_cost_vector_breaks_exact_ties_like_reference(self):
+        # Unjittered blocks of one length: equal-cost routes everywhere, so
+        # only the relaxation order and the heap tie-break pick the path.
+        network = generate_grid_city(
+            GridCityConfig(rows=6, cols=6, seed=2, jitter_m=0.0, drop_edge_probability=0.0)
+        )
+        costs = network.compiled().cost_vector(length_cost)
+        ids = network.node_ids()
+        for origin, destination in itertools.permutations(ids[::5], 2):
+            assert dijkstra_path(network, origin, destination, cost=costs) == reference.dijkstra_path(
+                network, origin, destination
+            )
 
     def test_origin_equals_destination(self, tiny_network):
         assert dijkstra_path(tiny_network, 0, 0) == [0]

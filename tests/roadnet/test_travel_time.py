@@ -28,6 +28,28 @@ class TestSpeedProfile:
         with pytest.raises(ConfigurationError):
             SpeedProfile(peak_width_hours=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "morning_peak_hour",
+            "evening_peak_hour",
+            "peak_multiplier",
+            "peak_width_hours",
+            "base_multiplier",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SpeedProfile(**{field: value})
+
+    def test_negative_base_multiplier_rejected(self):
+        with pytest.raises(ConfigurationError, match="base_multiplier"):
+            SpeedProfile(base_multiplier=-0.5, peak_multiplier=1.0)
+
+    def test_zero_base_multiplier_allowed(self):
+        assert SpeedProfile(base_multiplier=0.0).multiplier(3 * 3600.0) >= 0.0
+
     def test_wraps_around_midnight(self):
         profile = SpeedProfile(morning_peak_hour=0.5)
         assert profile.multiplier(23.5 * 3600) > profile.multiplier(12 * 3600)

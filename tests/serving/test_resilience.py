@@ -85,7 +85,11 @@ class TestHedgedExecution:
             hedge_after_s=0.15,
             # Stalled far longer than the healthy worker needs to drain the
             # queue and run the hedge: the hedge must be issued and must win.
+            # A ~3% duty cycle: a 16-query shard costs only tens of ms of
+            # CPU, so the crawler must not reach a run slice before ~0.3 s.
             slow_total_s=6.0,
+            slow_stop_s=0.3,
+            slow_run_s=0.01,
         )
         service = RecommendationService(build_serving_planner(), backend=backend)
         with service:
@@ -160,11 +164,14 @@ class TestHedgedExecution:
             schedule={0: "slow"},
             pool_size=2,
             hedge_after_s=0.1,
-            # A ~3% duty cycle: the loser accumulates almost no CPU, so it
-            # cannot deliver its duplicate before the lame deadline expires.
+            # A <0.5% duty cycle: the loser accumulates almost no CPU (a few
+            # ms before the next batch edge, against tens of ms for its
+            # shard), so it cannot deliver its duplicate before the lame
+            # deadline expires.  A lame worker is past hang supervision, so
+            # its run slices need not fit a heartbeat.
             slow_total_s=8.0,
-            slow_stop_s=0.3,
-            slow_run_s=0.01,
+            slow_stop_s=0.45,
+            slow_run_s=0.002,
         )
         service = RecommendationService(build_serving_planner(), backend=backend)
         with service:
