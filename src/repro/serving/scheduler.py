@@ -1,0 +1,355 @@
+"""The window scheduler: DAG dispatch and supervision as a pure state machine.
+
+:class:`WindowScheduler` decides what the pooled backend does with one
+window of batches; :class:`~repro.serving.service.PooledBackend` — the
+transport — forks, sends, kills and reads replies, and reports back.  The
+scheduler never touches a pipe, a process, a signal, the clock or the
+planner: workers are opaque hashable handles, times arrive as arguments and
+merging stays in the backend, so a test can drive every decision with
+scripted events and a fake clock.
+
+It owns the ``ready`` queue (dependency merged; (batch, shard) order
+favours the merge frontier), ``blocked[d]`` (waiting for batch ``d`` to
+merge), ``chain_blocked[b]`` (waiting for intra-batch hand-off truths, see
+:class:`~repro.serving.shards.ChainState`), one :class:`Flight` per busy
+worker plus the ``copies`` of each shard, the ``lame`` hedge losers (a
+dict the backend keeps across windows), the merge frontier and the respawn
+budget.  :meth:`~WindowScheduler.tick` yields decisions — ``("dispatch",
+worker, job)``, ``("hedge", worker, job)``, ``("respawn", attempt)``,
+``("degrade", {batch: jobs})`` — lazily, so a dispatch the transport could
+not send (:meth:`~WindowScheduler.unsent`) goes to the next idle worker in
+the same tick.  :meth:`~WindowScheduler.outcome`,
+:meth:`~WindowScheduler.lost` and :meth:`~WindowScheduler.error` report
+replies, :meth:`~WindowScheduler.expired` names the lame workers to kill,
+and every call that can complete a batch returns the batches to merge.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+from ..exceptions import ServingError
+from .shards import ChainState, ShardJob, ShardOutcome, handoff_id_base
+
+#: A queued shard: ``(batch_index, job, resubmitted)`` — the flag survives
+#: requeues so the final outcome is attributed to supervision.
+Entry = Tuple[int, ShardJob, bool]
+
+#: Shards are identified across duplicate dispatches by (batch, shard id).
+Key = Tuple[int, int]
+
+
+class Flight(NamedTuple):
+    """One worker's in-flight dispatch."""
+
+    batch: int
+    job: ShardJob
+    resubmitted: bool
+    started: float
+    hedge: bool  # the speculative copy of an overdue shard
+
+    @property
+    def key(self) -> Key:
+        return (self.batch, self.job.shard_id)
+
+
+class WindowScheduler:
+    """Scheduling state of one window (see the module docstring).
+
+    ``deps[b][i]`` is the batch shard ``i`` of batch ``b`` waits on (``-1``
+    for none); ``lame`` is the backend's lame-worker dict; ``record`` is a
+    counter sink (``record(key, value=1)``); ``encoder`` encodes hand-off
+    payloads (see :class:`ChainState`).  ``hedge_after_s`` enables
+    hedging, ``lame_grace_s`` is a hedge loser's hard deadline and
+    ``max_respawns`` the window's respawn budget (0 when nothing can fork).
+    """
+
+    def __init__(
+        self,
+        jobs_per_batch: Sequence[Sequence[ShardJob]],
+        deps: Sequence[Sequence[int]],
+        lame: Dict[Any, float],
+        record: Callable[..., None],
+        encoder: Optional[Callable[[list], object]] = None,
+        hedge_after_s: Optional[float] = None,
+        lame_grace_s: float = 0.0,
+        max_respawns: int = 0,
+    ):
+        # Per-batch hand-off chains: id bases are pre-computed stripes above
+        # the current watermark, so retagged hand-off ids of a later batch
+        # stay above everything merged while earlier batches complete.
+        self.chains = [
+            ChainState(jobs, handoff_id_base(offset), encoder)
+            for offset, jobs in enumerate(jobs_per_batch)
+        ]
+        self.lame = lame
+        self._record = record
+        self.hedge_after_s = hedge_after_s
+        self.lame_grace_s = lame_grace_s
+        self.max_respawns = max_respawns
+        count = len(jobs_per_batch)
+        self.total = [len(jobs) for jobs in jobs_per_batch]
+        self.done: List[List[ShardOutcome]] = [[] for _ in range(count)]
+        self.resubmitted: List[Set[int]] = [set() for _ in range(count)]
+        self.first: List[Optional[float]] = [None] * count
+        self.last: List[Optional[float]] = [None] * count
+        self.completed: Set[Key] = set()
+        self.ready: "deque[Entry]" = deque()
+        self.blocked: Dict[int, List[Entry]] = {}
+        self.chain_blocked: Dict[int, List[Entry]] = {}
+        self.inflight: Dict[Any, Flight] = {}
+        self.copies: Dict[Key, List[Any]] = {}
+        self.merged = 0
+        self.respawns = 0
+        self.failure: Optional[str] = None
+        for batch, (jobs, batch_deps) in enumerate(zip(jobs_per_batch, deps)):
+            for job, dep in zip(jobs, batch_deps):
+                if dep < 0:
+                    self._release((batch, job, False))
+                else:
+                    self.blocked.setdefault(dep, []).append((batch, job, False))
+
+    # ------------------------------------------------------------- queries
+    def pending(self) -> bool:
+        """Whether any shard still waits to be dispatched."""
+        return bool(self.ready or self.blocked or self.chain_blocked)
+
+    def active(self) -> bool:
+        """Whether the window still needs the transport: work left to
+        dispatch (until a failure stops dispatching) or replies owed."""
+        return (self.failure is None and self.pending()) or bool(self.inflight)
+
+    def execute_s(self, batch: int) -> float:
+        """Wall-clock from a batch's first dispatch to its last outcome."""
+        first, last = self.first[batch], self.last[batch]
+        return last - first if first is not None and last is not None else 0.0
+
+    # -------------------------------------------------------------- inputs
+    def tick(self, now: float, workers: Sequence[Any]) -> Iterator[tuple]:
+        """The next decisions, given the live workers in pool order.
+
+        Each idle worker pulls the next ready shard (one job per dispatch,
+        like ``Pool.map`` with chunk size 1, so a giant shard never
+        serialises the small ones behind it).  With nothing left to
+        dispatch, overdue shards are hedged onto idle workers.  With work
+        left, nothing in flight and no worker alive, the window respawns
+        (budget permitting) or degrades the rest to in-process execution.
+        """
+        if self.failure is not None:
+            return
+        gone: Set[Any] = set()  # workers a send failed on this tick
+        for worker in workers:
+            if not self.ready:
+                break
+            if worker in self.inflight or worker in self.lame:
+                continue
+            batch, job, resubmitted = self.ready.popleft()
+            job.adopt = self.chains[batch].payload(job)
+            flight = self._launch(worker, Flight(batch, job, resubmitted, now, False))
+            yield ("dispatch", worker, job)
+            if self.inflight.get(worker) is not flight:
+                gone.add(worker)
+                continue
+            if self.first[batch] is None:
+                self.first[batch] = now
+            if batch > self.merged:
+                # Dispatched while an earlier batch is unmerged: genuine
+                # cross-batch overlap.
+                self._record("overlapped_dispatches")
+        if self.hedge_after_s is not None and not self.ready and self.inflight:
+            idle = [w for w in workers if w not in self.inflight and w not in self.lame and w not in gone]
+            yield from self._hedge(now, idle, gone)
+        if self.pending() and not self.inflight and all(w in gone for w in workers):
+            yield from self._respawn() or [("degrade", self._drain())]
+            return
+        if self.pending() and not self.ready and not self.inflight:  # pragma: no cover
+            # Unreachable while chain predecessors precede their consumers,
+            # which split_oversized guarantees; fail loudly over spinning.
+            raise ServingError("window dispatch deadlocked on the sub-shard chain")
+
+    def unsent(self, worker: Any) -> None:
+        """The transport could not send ``worker``'s dispatch: requeue it at
+        the front (a failed hedge copy is simply dropped)."""
+        flight = self._land(worker)
+        if not flight.hedge:
+            self.ready.appendleft((flight.batch, flight.job, flight.resubmitted))
+
+    def outcome(self, worker: Any, outcomes: List[ShardOutcome], now: float) -> List[int]:
+        """``worker`` replied with its shard's outcomes.
+
+        A lame worker's stale reply just returns it to service.  The first
+        copy of a shard to finish wins: other copies go lame, and a later
+        duplicate is discarded — bit-identical by the content-keyed crowd
+        RNG, so dropping it is a pure no-op.  Returns the batches to merge.
+        """
+        if self.lame.pop(worker, None) is not None:
+            return []
+        flight = self._land(worker)
+        if flight.key in self.completed:
+            return []
+        if flight.hedge:
+            self._record("hedges_won")
+        for peer in self.copies.pop(flight.key, ()):
+            if self.inflight.pop(peer).hedge:
+                # The original finished first: the speculative copy bought
+                # nothing.
+                self._record("hedges_wasted")
+            self.lame[peer] = now + self.lame_grace_s
+        if flight.resubmitted:
+            self.resubmitted[flight.batch].add(flight.job.shard_id)
+        for outcome in outcomes:
+            self.chains[flight.batch].record(outcome)
+        return self._complete(flight.batch, outcomes, now)
+
+    def inline(
+        self, batch: int, outcomes: List[ShardOutcome], started: float, now: float
+    ) -> List[int]:
+        """The degrade tail executed ``batch``'s remaining shards in-process
+        (their hand-off chain already recorded).  Returns the batches to
+        merge."""
+        if self.first[batch] is None:
+            self.first[batch] = started
+        return self._complete(batch, outcomes, now)
+
+    def lost(self, worker: Any) -> List[tuple]:
+        """``worker`` is gone (crash, hang, desync, stale error).
+
+        A lame worker just leaves the lame set.  An in-flight shard is
+        requeued *resubmitted* at the *front* of the ready queue — its
+        dependency is satisfied and the frontier may be waiting on it —
+        unless it already completed or a duplicate copy still covers it.
+        Either way a replacement is requested while the budget lasts.
+        """
+        if self.lame.pop(worker, None) is not None or worker not in self.inflight:
+            return []
+        flight = self._land(worker)
+        if flight.key not in self.completed and flight.key not in self.copies:
+            self.ready.appendleft((flight.batch, flight.job, True))
+            self._record("resubmitted_shards")
+        return self._respawn()
+
+    def error(self, worker: Any, text: str) -> None:
+        """A shard execution failed (the worker's state is intact; ``None``
+        for the in-process tail).  Dispatching stops, in-flight shards
+        drain — their frontier batches may still merge — and the backend
+        returns the merged prefix."""
+        if worker is not None:
+            self._land(worker)
+        if self.failure is None:
+            self.failure = text
+
+    def expired(self, now: float) -> List[Any]:
+        """Lame workers past their hard deadline: they breached
+        ``lame_grace_s`` on top of losing a hedge race, so the transport
+        kills them as stragglers."""
+        overdue = [worker for worker, deadline in self.lame.items() if now > deadline]
+        for worker in overdue:
+            del self.lame[worker]
+        return overdue
+
+    def advance(self) -> List[int]:
+        """Advance the merge frontier over every fully-executed batch at the
+        head of the window, releasing the shards blocked on each.  Returns
+        those batches: the backend merges them, strictly in order, before
+        anything else is dispatched."""
+        merged: List[int] = []
+        total, done = self.total, self.done
+        while self.merged < len(total) and len(done[self.merged]) == total[self.merged]:
+            merged.append(self.merged)
+            for entry in self.blocked.pop(self.merged, ()):
+                self._release(entry)
+            self.merged += 1
+        return merged
+
+    # ------------------------------------------------------------ internal
+    def _hedge(self, now: float, idle: List[Any], gone: Set[Any]) -> Iterator[tuple]:
+        """Duplicate overdue dispatches onto idle workers, oldest first (it
+        gates the batch).  One hedge per shard: racing more than two copies
+        buys nothing the content-keyed RNG has not already guaranteed."""
+        overdue = sorted(
+            (
+                flight
+                for flight in self.inflight.values()
+                if not flight.hedge and now - flight.started > self.hedge_after_s
+            ),
+            key=lambda flight: flight.started,
+        )
+        for flight in overdue:
+            if not idle:
+                return
+            if len(self.copies[flight.key]) > 1:
+                continue  # already hedged
+            while idle:
+                worker = idle.pop(0)
+                copy = self._launch(worker, flight._replace(started=now, hedge=True))
+                yield ("hedge", worker, flight.job)
+                if self.inflight.get(worker) is copy:
+                    self._record("hedges_issued")
+                    break
+                gone.add(worker)
+
+    def _respawn(self) -> List[tuple]:
+        """Request a replacement worker while the respawn budget lasts."""
+        if self.respawns >= self.max_respawns:
+            return []
+        self.respawns += 1
+        return [("respawn", self.respawns - 1)]
+
+    def _launch(self, worker: Any, flight: Flight) -> Flight:
+        self.inflight[worker] = flight
+        self.copies.setdefault(flight.key, []).append(worker)
+        return flight
+
+    def _land(self, worker: Any) -> Flight:
+        """Take ``worker``'s flight out of the in-flight record."""
+        flight = self.inflight.pop(worker)
+        peers = self.copies[flight.key]
+        peers.remove(worker)
+        if not peers:
+            del self.copies[flight.key]
+        return flight
+
+    def _complete(self, batch: int, outcomes: List[ShardOutcome], now: float) -> List[int]:
+        """Record outcomes whose hand-off truths the chain already holds."""
+        self.completed.update((batch, outcome.shard_id) for outcome in outcomes)
+        self.done[batch].extend(outcomes)
+        self.last[batch] = now
+        self._release_chain(batch)
+        return self.advance()
+
+    def _release(self, entry: Entry) -> None:
+        """Queue an entry whose cross-batch dependency is satisfied."""
+        if entry[1].predecessors and not self.chains[entry[0]].ready(entry[1]):
+            self.chain_blocked.setdefault(entry[0], []).append(entry)
+        else:
+            self.ready.append(entry)
+
+    def _release_chain(self, batch: int) -> None:
+        """Move newly hand-off-ready sub-shards of one batch to ready."""
+        waiting = self.chain_blocked.pop(batch, None)
+        if not waiting:
+            return
+        still: List[Entry] = []
+        for entry in waiting:
+            (self.ready if self.chains[batch].ready(entry[1]) else still).append(entry)
+        if still:
+            self.chain_blocked[batch] = still
+
+    def _drain(self) -> Dict[int, List[ShardJob]]:
+        """Empty every queue into ``{batch: jobs}`` for the in-process tail,
+        which runs them in strict batch order with frontier merges between
+        batches, so each shard executes against exactly the sequential
+        prefix."""
+        remaining: Dict[int, List[ShardJob]] = {}
+        for batch, job, resubmitted in itertools.chain(
+            self.ready, *self.blocked.values(), *self.chain_blocked.values()
+        ):
+            remaining.setdefault(batch, []).append(job)
+            if resubmitted:
+                self.resubmitted[batch].add(job.shard_id)
+        self.ready.clear()
+        self.blocked.clear()
+        self.chain_blocked.clear()
+        return remaining

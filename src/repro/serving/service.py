@@ -41,15 +41,14 @@ answers because batch-level optimisations are performance-only channels
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import multiprocessing
 import os
 import random
-import threading
 import time
 import traceback
 import warnings
 from collections import OrderedDict, deque
+from functools import partial
 from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -72,23 +71,14 @@ from .protocol import (
     encode_truth_delta,
     wrap_requests,
 )
-from .shards import (
-    ChainState,
-    ShardJob,
-    ShardOutcome,
-    build_tenant_planner,
-    execute_jobs_inline,
-    execute_shard_job,
-    handoff_id_base,
-    merge_shard_outcomes,
-    split_oversized,
-)
+from .scheduler import WindowScheduler
+from .shards import ShardJob, execute_jobs_inline, merge_shard_outcomes, split_oversized
+from .worker import pool_worker_main
 
 QueryLike = Union[RouteQuery, RecommendRequest]
 
-#: A dispatcher entry: ``(batch_index, job, resubmitted)`` — the flag
-#: survives requeues so the final outcome is attributed to supervision.
-_Entry = Tuple[int, ShardJob, bool]
+#: :meth:`_PoolWorker.read`'s "nothing but heartbeats waiting" marker.
+_SILENT = object()
 
 
 # ------------------------------------------------------------ inline backend
@@ -125,146 +115,6 @@ class InlineBackend(ServingBackend):
 
 
 # ------------------------------------------------------------ pooled backend
-def _pool_worker_main(
-    conn,
-    planner: CrowdPlanner,
-    tenants=None,
-    heartbeat_interval_s: float = 0.5,
-    stale_conns=(),
-) -> None:
-    """Long-lived pool worker loop (child process, entered right after fork).
-
-    The worker's ``planner`` is its fork-inherited copy of the parent's —
-    the *base* whose truth store is kept warm across batches: ``run`` and
-    ``sync`` messages carry the truths the parent merged since this worker
-    last heard from it — as a columnar
-    :class:`~repro.serving.protocol.TruthDeltaBlock` or a pickled object
-    list, whichever codec the backend is configured with;
-    :meth:`TruthDatabase.adopt_all` accepts both and preserves parent ids,
-    keeping lookup tie-breaks identical — and each shard then executes on a
-    fresh clone over a copy-on-write slice of the warm base.  Strict
-    request/reply: every *substantive* message gets exactly one response.
-
-    Tenancy: the worker keeps one warm truth base *per workspace* —
-    ``tenants`` maps workspace names to their fork-inherited planners, and
-    the default tenant ``""`` is ``planner`` itself.  Every ``sync``/``run``
-    message names its tenant and may carry a :class:`~repro.config.
-    PlannerConfig` spec; a tenant registered after this worker forked is
-    built lazily from that spec via :func:`build_tenant_planner` (sharing
-    the fork-inherited substrate and *frozen* familiarity, so the lazy copy
-    is behaviourally identical to a fork-inherited one) and then brought
-    current by the message's own delta, which spans that tenant's whole
-    store.  Deltas adopt into the named tenant's base only — one tenant's
-    traffic can never touch another tenant's warm truths.
-
-    While a message is being served, a daemon thread additionally emits a
-    ``("beat", pid)`` heartbeat every ``heartbeat_interval_s`` so the
-    parent's supervisor can tell *slow but alive* from *hung*: a worker that
-    neither replies nor beats past the RPC deadline is declared dead
-    mid-batch.  Beats are only sent while busy — an idle worker stays silent,
-    so heartbeats can never fill the pipe buffer of a parent that is not
-    currently draining it (which would deadlock both sides).
-    """
-    # Close fork-inherited copies of parent-side pipe ends — this worker's
-    # own ``parent_conn`` and those of every sibling forked before it.
-    # Holding them would keep each pipe's write end open inside the pool
-    # itself, so ``conn.recv()`` could never see EOF after the pool owner is
-    # SIGKILLed and the whole pool would leak as orphans re-parented to init.
-    for stale in stale_conns:
-        try:
-            stale.close()
-        except OSError:  # pragma: no cover - already closed pre-fork
-            pass
-    pid = os.getpid()
-    bases: Dict[str, CrowdPlanner] = {DEFAULT_TENANT: planner}
-    if tenants:
-        bases.update(tenants)
-
-    def base_for(tenant: str, spec) -> CrowdPlanner:
-        base = bases.get(tenant)
-        if base is None:
-            if spec is None:
-                raise ServingError(
-                    f"worker {pid} received work for unknown tenant {tenant!r} "
-                    "without a planner spec"
-                )
-            base = build_tenant_planner(planner, spec)
-            bases[tenant] = base
-        return base
-
-    send_lock = threading.Lock()
-    busy = threading.Event()
-    stopping = threading.Event()
-
-    def send(message) -> None:
-        with send_lock:
-            conn.send(message)
-
-    def beat_loop() -> None:
-        while not stopping.wait(heartbeat_interval_s):
-            if not busy.is_set():
-                continue
-            try:
-                send(("beat", pid))
-            except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-                return
-
-    threading.Thread(target=beat_loop, daemon=True).start()
-
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        kind = message[0]
-        busy.set()
-        # Exceptions cross the pipe as rendered text: exception objects with
-        # custom constructors do not round-trip through pickle.  A failure
-        # while adopting deltas is reported as "desync" — the warm base may
-        # be partially updated, so the parent must retire this worker — while
-        # a failure during shard execution leaves the base intact ("error").
-        try:
-            if kind == "stop":
-                break
-            if kind == "ping":
-                send(("pong", pid))
-            elif kind == "drop":
-                # Forget a closed workspace's warm base (no reply — like
-                # "stop", it carries no work to acknowledge).  The name may
-                # be reused by a future workspace whose state is rebuilt
-                # from its spec + full delta.
-                bases.pop(message[1], None)
-            elif kind in ("sync", "run"):
-                # ("sync"|"run", tenant, spec, delta[, jobs]) — a failure
-                # while resolving the tenant base or adopting its delta is a
-                # desync (the warm base may be partially updated); a failure
-                # during shard execution leaves every base intact.
-                tenant, spec, delta = message[1], message[2], message[3]
-                try:
-                    base = base_for(tenant, spec)
-                    base.truths.adopt_all(delta)
-                except Exception:
-                    send(("desync", pid, traceback.format_exc()))
-                    continue
-                if kind == "sync":
-                    send(("synced", pid))
-                    continue
-                try:
-                    outcomes = [execute_shard_job(base, job) for job in message[4]]
-                except Exception:
-                    send(("error", pid, traceback.format_exc()))
-                    continue
-                send(("done", pid, outcomes))
-            else:  # pragma: no cover - protocol guard
-                send(("error", pid, f"unknown message kind {kind!r}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-            break
-        finally:
-            busy.clear()
-    stopping.set()
-    conn.close()
-
-
 class _PoolWorker:
     """Parent-side handle of one pool worker."""
 
@@ -284,6 +134,20 @@ class _PoolWorker:
 
     def touch(self) -> None:
         self.last_heard = time.monotonic()
+
+    def read(self):
+        """The next substantive message already in the pipe: the reply,
+        ``None`` on EOF, or ``_SILENT`` when only heartbeats (each one
+        renewing ``last_heard``) or nothing were waiting."""
+        try:
+            while self.conn.poll(0):
+                reply = self.conn.recv()
+                self.touch()
+                if reply[0] != "beat":
+                    return reply
+        except (EOFError, OSError):
+            return None
+        return _SILENT
 
     @property
     def alive(self) -> bool:
@@ -307,10 +171,12 @@ class PooledBackend(ServingBackend):
     only shard-clone construction, never a fork or a whole-store clone.
 
     A lone batch is a one-batch window: :meth:`execute_batch` and
-    :meth:`execute_window` share one dispatcher (:meth:`_run_window`).
-    When ``use_processes`` is false or the platform offers no ``fork`` start
-    method, shards execute inline through the same clone-and-merge
-    machinery, keeping results identical everywhere.
+    :meth:`execute_window` share one dispatcher: a
+    :class:`~repro.serving.scheduler.WindowScheduler` decides, and this
+    backend's transport (:meth:`_drive`) forks, sends, kills and reads
+    replies.  When ``use_processes`` is false or the platform offers no
+    ``fork`` start method, shards execute inline through the same
+    clone-and-merge machinery, keeping results identical everywhere.
 
     Truth deltas stream to workers in the codec named by ``truth_wire``:
     ``"columnar"`` (default) encodes each delta as a
@@ -319,20 +185,13 @@ class PooledBackend(ServingBackend):
     — and the worker's :meth:`TruthDatabase.adopt_all` decodes it against
     its fork-inherited network, so adopted truths are identical either way.
 
-    A worker failure never fails a batch.  The supervisor watches every
-    in-flight worker: a crash is seen as pipe EOF, and a *hung* worker — one
-    that neither replies nor heartbeats for ``rpc_deadline_s`` (SIGSTOP'd,
-    deadlocked, swapped out) — is killed outright.  Either way its in-flight
-    shard is resubmitted to a healthy worker, and (budget permitting) a
-    replacement is re-forked immediately, mid-batch, behind a bounded
-    exponential backoff with jitter; the replacement inherits the parent's
-    current planner (truth store included) through ``fork``, so it starts
-    exactly as synced as a freshly-dispatched survivor.  After
-    ``max_respawns_per_batch`` respawns the circuit breaker opens: no more
-    forks this batch, and if the whole pool is gone the remaining shards
-    degrade to in-process execution — the ticket is still served, and the
-    results are identical by the serving contract.  Remaining lost capacity
-    is restored at the next batch edge.
+    A worker failure never fails a batch.  A crash (pipe EOF) or a *hung*
+    worker — silent, no reply and no heartbeat, past ``rpc_deadline_s``,
+    then killed — has its shard resubmitted and, within the
+    ``max_respawns_per_batch`` budget, a replacement forked mid-window
+    behind a jittered exponential backoff; with the budget spent and the
+    whole pool gone the rest degrades to in-process execution, with
+    identical results.  Lost capacity is restored at the next window edge.
 
     Every knob (pool size, wire codec, supervision deadlines, respawn
     budget, hedging, hotspot splitting) is read from the
@@ -400,9 +259,6 @@ class PooledBackend(ServingBackend):
             if worker.cursors.pop(name, None) is not None and worker.alive:
                 self._send(worker, ("drop", name))
 
-    def tenant_names(self) -> List[str]:
-        return list(self._tenants)
-
     def _planner_for(self, tenant: str) -> CrowdPlanner:
         if tenant == DEFAULT_TENANT:
             if self.planner is None:
@@ -428,14 +284,6 @@ class PooledBackend(ServingBackend):
         self._stop_pool()
 
     # ------------------------------------------------------ hotspot splitting
-    def _split_plan(
-        self, planner: CrowdPlanner, plan: ShardPlan, queries: Sequence[RouteQuery]
-    ) -> ShardPlan:
-        """Apply the configured ``max_shard_fraction`` split (idempotent)."""
-        if self.config.max_shard_fraction is None:
-            return plan
-        return split_oversized(planner, plan, queries, self.config.max_shard_fraction)
-
     def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
         """Record one batch's skew diagnostics (the ``sharding`` group)."""
         record, depth = self.counters.record, after.chain_depth()
@@ -444,13 +292,6 @@ class PooledBackend(ServingBackend):
         record("chain_depth", depth)
         record("max_chain_depth", depth)
         record("sub_shards_total", max(0, len(after.shards) - len(before.shards)))
-
-    def _chain_encoder(self):
-        """Hand-off payload codec: columnar on the wire, objects otherwise."""
-        if self.config.truth_wire != "columnar" or not self._can_fork():
-            return None
-        network = self.planner.network
-        return lambda truths: encode_truth_delta(truths, network)
 
     # ------------------------------------------------------------- execution
     def execute_batch(
@@ -523,10 +364,10 @@ class PooledBackend(ServingBackend):
         """The one execution path: plan, dispatch and merge a window.
 
         Plans each batch (or takes its explicit entry in ``plans``) and
-        applies the ``max_shard_fraction`` split, builds the jobs and
-        hand-off chains, ensures the pool (polling lame workers and
-        replacing dead ones on a warm pool), runs :meth:`_run_window` and
-        applies the sync cadence.  Everything recorded meanwhile — the
+        applies the ``max_shard_fraction`` split, builds the jobs and the
+        window's :class:`WindowScheduler`, ensures the pool (polling lame
+        workers and replacing dead ones on a warm pool), runs :meth:`_drive`
+        and applies the sync cadence.  Everything recorded meanwhile — the
         cadence sync included — is charged to ``tenant``.  Window-structure
         counters (the ``pipeline`` group) count only windows of two or more
         batches.
@@ -539,7 +380,10 @@ class PooledBackend(ServingBackend):
                 started = time.perf_counter()
                 if plan is None:
                     plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
-                split_plan = self._split_plan(planner, plan, batch.queries)
+                split_plan = plan
+                if self.config.max_shard_fraction is not None:
+                    fraction = self.config.max_shard_fraction
+                    split_plan = split_oversized(planner, plan, batch.queries, fraction)
                 self._note_plan(plan, split_plan)
                 split_plans.append(split_plan)
                 plan_times.append(time.perf_counter() - started)
@@ -567,29 +411,29 @@ class PooledBackend(ServingBackend):
                 ]
                 for batch, plan in zip(window, split_plans)
             ]
-            # Per-batch hand-off chains: id bases are pre-computed stripes above
-            # the current watermark, so retagged hand-off ids of a later batch
-            # stay above everything merged while earlier batches complete.
-            encoder = self._chain_encoder()
-            chains = [
-                ChainState(jobs, handoff_id_base(batch_offset), encoder)
-                for batch_offset, jobs in enumerate(jobs_per_batch)
-            ]
-
+            can_fork = self._can_fork()
+            columnar = can_fork and self.config.truth_wire == "columnar"
+            sched = WindowScheduler(
+                jobs_per_batch,
+                deps,
+                self._lame,
+                self.counters.record,
+                # Hand-off payload codec: columnar on the wire, objects otherwise.
+                encoder=partial(encode_truth_delta, network=self.planner.network) if columnar else None,
+                hedge_after_s=self.config.hedge_after_s,
+                lame_grace_s=self.config.rpc_deadline_s,
+                max_respawns=self.config.max_respawns_per_batch if can_fork else 0,
+            )
             warm = False
-            if self._can_fork():
+            if can_fork:
                 # Warm only when an existing pool serves this window — a re-fork
                 # after a whole-pool loss is cold like the first one (replacing
                 # individual dead workers is not: the survivors' warm state is
                 # what the window runs on).
+                self._poll_lame(sched)
                 warm = not self._ensure_pool()
-                if warm:
-                    self._poll_lame()
-                    self._respawn_dead()
             batches_before = self.batches_executed
-            executions = self._run_window(
-                window, plan_times, jobs_per_batch, deps, warm, chains, tenant
-            )
+            executions = self._drive(sched, planner, window, plan_times, warm)
             if len(window) > 1:
                 self.counters.record("windows")
             self.counters.record(BATCHES, len(executions))
@@ -604,348 +448,156 @@ class PooledBackend(ServingBackend):
                 self._push_sync(tenant)
         return executions
 
-    def _run_window(
+    def _drive(
         self,
+        sched: WindowScheduler,
+        planner: CrowdPlanner,
         window: List[WindowBatch],
         plan_times: List[float],
-        jobs_per_batch: List[List[ShardJob]],
-        deps: List[List[int]],
         warm: bool,
-        chains: List[ChainState],
-        tenant: str = DEFAULT_TENANT,
     ) -> List[BatchExecution]:
-        """DAG dispatch + supervision for one window (see ``execute_window``).
-
-        The scheduler keeps two shard pools: ``ready`` (dependency already
-        merged — dispatchable now, in (batch, shard) order so the merge
-        frontier is favoured) and ``blocked[d]`` (waiting for batch ``d`` to
-        merge).  One job per dispatch: each idle worker pulls the next ready
-        shard as soon as it finishes its previous one (like ``Pool.map``
-        with chunk size 1), so a skewed batch — one giant shard plus several
-        small ones — never serialises small shards behind the giant.
-        Whenever the frontier batch has all its outcomes, it merges into the
-        parent — strictly in submission order — and releases the shards that
-        were blocked on it.
-
-        Sub-shard chains add a third pool: ``chain_blocked[b]`` holds batch
-        ``b``'s sub-shards whose cross-batch dependency is satisfied but
-        whose intra-batch hand-off truths have not all arrived.  Each
-        recorded outcome feeds its batch's :class:`ChainState` and releases
-        the sub-shards it just made ready; dispatch attaches the (memoised)
-        hand-off payload, so a resubmitted sub-shard adopts exactly the same
-        truths as the first attempt.
-
-        The supervisor declares an in-flight worker dead on pipe EOF
-        (crash), on desync (its warm base can no longer be trusted), or on
-        silence past ``rpc_deadline_s`` with no heartbeat (hung — killed
-        outright, since SIGKILL works where a reply never will).  Either way
-        its shard is requeued *resubmitted* at the *front* of the ready
-        queue (its dependency is already satisfied, and the frontier may be
-        waiting on it) and a replacement is forked immediately, budget
-        permitting.  Once the ``max_respawns_per_batch`` breaker opens and
-        no worker remains — or when the platform cannot fork at all — the
-        remaining shards run in-process through
-        :func:`~repro.serving.shards.execute_jobs_inline`, batch by batch
-        with frontier merges between batches: the parent then holds exactly
-        the sequential prefix each shard would have seen, so results are
-        unchanged.  Only a lost pool counts degraded batches: one per batch
-        with shards run in-process.
-
-        A shard *execution* error (worker state intact) stops dispatching,
-        drains in-flight workers (their frontier batches may still merge),
-        and the merged prefix is returned; the failing batch never merges,
-        so it stays pending at the service and the error re-raises
-        deterministically when it heads a later window.  With no merged
-        prefix — always the case for a one-batch window — the error raises.
-        """
-        planner = self._planner_for(tenant)
-        num_batches = len(window)
-        total = [len(jobs) for jobs in jobs_per_batch]
-        done: List[List[ShardOutcome]] = [[] for _ in range(num_batches)]
-        resubmitted_ids: List[Set[int]] = [set() for _ in range(num_batches)]
-        first_dispatch: List[Optional[float]] = [None] * num_batches
-        last_done: List[Optional[float]] = [None] * num_batches
+        """The transport loop of one window: carry out ``sched``'s decisions
+        on the pool, feed it every reply, and merge each batch it completes
+        into the parent, strictly in submission order.  A shard execution
+        error (a worker's ``"error"`` reply or the in-process tail raising)
+        returns the merged prefix — the window contract — and raises when
+        there is none."""
         executions: List[BatchExecution] = []
-        merged = 0
-        respawns = 0
-        error: Optional[str] = None
-        # Hedging state: shards with a recorded outcome (duplicates discard
-        # against this), workers whose in-flight dispatch is the speculative
-        # copy, and per-dispatch wall-clock starts for the hedge budget.
-        # Shard ids are per-batch, so shards are keyed (batch_index, shard_id).
-        completed: Set[Tuple[int, int]] = set()
-        hedge_workers: Set[_PoolWorker] = set()
-        dispatched_at: Dict[_PoolWorker, float] = {}
 
-        ready: "deque[_Entry]" = deque()
-        blocked: Dict[int, List[_Entry]] = {}
-        chain_blocked: Dict[int, List[_Entry]] = {}
-
-        def release(entry: _Entry) -> None:
-            """Queue an entry whose cross-batch dependency is satisfied."""
-            if entry[1].predecessors and not chains[entry[0]].ready(entry[1]):
-                chain_blocked.setdefault(entry[0], []).append(entry)
-            else:
-                ready.append(entry)
-
-        def release_chain_ready(batch_index: int) -> None:
-            """Move newly hand-off-ready sub-shards of one batch to ready."""
-            waiting = chain_blocked.pop(batch_index, None)
-            if not waiting:
-                return
-            still: List[_Entry] = []
-            for entry in waiting:
-                if chains[batch_index].ready(entry[1]):
-                    ready.append(entry)
-                else:
-                    still.append(entry)
-            if still:
-                chain_blocked[batch_index] = still
-
-        for batch_index in range(num_batches):
-            for job, dep in zip(jobs_per_batch[batch_index], deps[batch_index]):
-                if dep < 0:
-                    release((batch_index, job, False))
-                else:
-                    blocked.setdefault(dep, []).append((batch_index, job, False))
-
-        def record(batch_index: int, outcomes, was_resubmitted: bool, shard_id: int) -> None:
-            completed.add((batch_index, shard_id))
-            done[batch_index].extend(outcomes)
-            last_done[batch_index] = time.perf_counter()
-            if was_resubmitted:
-                resubmitted_ids[batch_index].add(shard_id)
-            for outcome in outcomes:
-                chains[batch_index].record(outcome)
-            release_chain_ready(batch_index)
-
-        def merge_frontier() -> None:
-            """Merge every fully-executed batch at the head of the window."""
-            nonlocal merged
-            while merged < num_batches and len(done[merged]) == total[merged]:
-                batch_index = merged
-                batch = window[batch_index]
+        def merge(batches: List[int]) -> None:
+            for index in batches:
+                size, outcomes = len(window[index].queries), sched.done[index]
                 before = planner.truth_cursor()
                 started = time.perf_counter()
-                results = merge_shard_outcomes(
-                    planner, len(batch.queries), done[batch_index]
-                )
+                results = merge_shard_outcomes(planner, size, outcomes)
                 merge_s = time.perf_counter() - started
-                after = planner.truth_cursor()
                 self.batches_executed += 1
-                origins: List[Tuple[Optional[int], Optional[int]]] = [
-                    (None, None)
-                ] * len(batch.queries)
-                for outcome in done[batch_index]:
-                    for index in outcome.indices:
-                        origins[index] = (outcome.shard_id, outcome.worker_pid)
-                resub = resubmitted_ids[batch_index]
-                start_t = first_dispatch[batch_index]
-                end_t = last_done[batch_index]
+                origins: List[Tuple[Optional[int], Optional[int]]] = [(None, None)] * size
+                for outcome in outcomes:
+                    for query_index in outcome.indices:
+                        origins[query_index] = (outcome.shard_id, outcome.worker_pid)
+                resubmitted = sched.resubmitted[index]
                 executions.append(
                     BatchExecution(
                         results=results,
                         origins=origins,
-                        plan_s=plan_times[batch_index],
-                        execute_s=(
-                            (end_t - start_t)
-                            if start_t is not None and end_t is not None
-                            else 0.0
-                        ),
+                        plan_s=plan_times[index],
+                        execute_s=sched.execute_s(index),
                         merge_s=merge_s,
                         warm_pool=warm,
                         resubmitted=(
-                            [origin[0] in resub for origin in origins] if resub else None
+                            [origin[0] in resubmitted for origin in origins] if resubmitted else None
                         ),
-                        respawn_count=respawns,
-                        truth_span=(before, after),
+                        respawn_count=sched.respawns,
+                        truth_span=(before, planner.truth_cursor()),
                     )
                 )
-                merged += 1
-                # "Every batch <= batch_index merged" is now satisfied; the
-                # released entries may still wait on their hand-off chain.
-                for entry in blocked.pop(batch_index, ()):
-                    release(entry)
 
-        def lost(entry: _Entry) -> None:
-            """Requeue a dead worker's shard and try to restore capacity.
-
-            With hedging, the shard may already be recorded or still
-            covered by a surviving duplicate dispatch — requeuing then
-            would double-serve it and break the merge accounting."""
-            nonlocal respawns
-            key = (entry[0], entry[1].shard_id)
-            covered = key in completed or any(
-                (peer[0], peer[1].shard_id) == key for peer in inflight.values()
-            )
-            if not covered:
-                # Front of the queue: the frontier may be waiting on this
-                # shard, and its dependency is already satisfied.
-                ready.appendleft((entry[0], entry[1], True))
-                self.counters.record("resubmitted_shards")
-            if self._mid_batch_respawn(respawns) is not None:
-                respawns += 1
-
-        def retire_losers(key: Tuple[int, int]) -> None:
-            """Move every other in-flight dispatch of a won shard to lame."""
-            for peer in [
-                peer
-                for peer, peer_entry in inflight.items()
-                if (peer_entry[0], peer_entry[1].shard_id) == key
-            ]:
-                del inflight[peer]
-                dispatched_at.pop(peer, None)
-                if peer in hedge_workers:
-                    # The original finished first: the speculative copy
-                    # bought nothing.
-                    hedge_workers.discard(peer)
-                    self.counters.record("hedges_wasted")
-                self._retire_to_lame(peer)
-
-        merge_frontier()  # zero-shard batches at the head merge immediately
-
-        inflight: Dict[_PoolWorker, _Entry] = {}
-        while ((ready or blocked or chain_blocked) and error is None) or inflight:
-            self._poll_lame()
-            if error is None:
-                for worker in self._alive_workers():
-                    if not ready:
-                        break
-                    if worker in inflight or worker in self._lame:
-                        continue
-                    entry = ready.popleft()
-                    entry[1].adopt = chains[entry[0]].payload(entry[1])
-                    if self._dispatch(worker, [entry[1]]):
+        def apply(decisions) -> None:
+            for kind, *args in decisions:
+                if kind in ("dispatch", "hedge"):
+                    worker, job = args
+                    if self._dispatch(worker, [job]):
                         worker.touch()
-                        dispatched_at[worker] = time.monotonic()
-                        if first_dispatch[entry[0]] is None:
-                            first_dispatch[entry[0]] = time.perf_counter()
-                        if entry[0] > merged:
-                            # Dispatched while an earlier batch is unmerged:
-                            # genuine cross-batch overlap.
-                            self.counters.record("overlapped_dispatches")
-                        inflight[worker] = entry
                     else:
-                        ready.appendleft(entry)
-                if self.config.hedge_after_s is not None and not ready and inflight:
-                    self._hedge_stragglers(inflight, dispatched_at, hedge_workers)
-                if (
-                    (ready or blocked or chain_blocked)
-                    and not inflight
-                    and not self._alive_workers()
-                ):
-                    replacement = self._mid_batch_respawn(respawns)
-                    if replacement is not None:
-                        respawns += 1
-                        continue
-                    # No worker left and none coming (breaker open, respawns
-                    # disabled, or no fork at all): run the rest in-process
-                    # in strict batch order with frontier merges between
-                    # batches, so each shard executes against exactly the
-                    # sequential prefix.
-                    remaining: Dict[int, List[ShardJob]] = {}
-                    for batch_index, job, was_resubmitted in itertools.chain(
-                        ready, *blocked.values(), *chain_blocked.values()
-                    ):
-                        remaining.setdefault(batch_index, []).append(job)
-                        if was_resubmitted:
-                            resubmitted_ids[batch_index].add(job.shard_id)
-                    ready.clear()
-                    blocked.clear()
-                    chain_blocked.clear()
-                    if self._can_fork():
-                        # A lost pool: every batch with shards run inline
-                        # is a degraded batch.
-                        self.counters.record("degraded_batches", len(remaining))
-                    for batch_index in sorted(remaining):
-                        if first_dispatch[batch_index] is None:
-                            first_dispatch[batch_index] = time.perf_counter()
-                        done[batch_index].extend(
-                            execute_jobs_inline(
-                                planner, remaining[batch_index], chains[batch_index]
-                            )
-                        )
-                        last_done[batch_index] = time.perf_counter()
-                        merge_frontier()
-                    break
-                if not ready and not inflight and (blocked or chain_blocked):
-                    # Defensive: nothing dispatchable and nothing in flight —
-                    # re-release chain waiters, and fail loudly over spinning
-                    # (unreachable when chain predecessors precede their
-                    # consumers, which split_oversized guarantees).
-                    for batch_index in list(chain_blocked):
-                        release_chain_ready(batch_index)
-                    if not ready:  # pragma: no cover - scheduler guard
-                        raise ServingError(
-                            "window dispatch deadlocked on the sub-shard chain"
-                        )
-            if not inflight:
+                        sched.unsent(worker)
+                elif kind == "respawn":
+                    self._respawn(*args)
+                else:  # "degrade": no worker left and none coming
+                    self._run_tail(sched, args[0], planner, merge)
+
+        merge(sched.advance())  # zero-shard batches at the head merge immediately
+        while sched.active():
+            self._poll_lame(sched)
+            apply(sched.tick(time.monotonic(), self._alive_workers()))
+            if not sched.inflight:
                 if self._lame:
                     # Nothing in flight but a crawler still owes a reply:
-                    # yield briefly instead of hot-spinning on _poll_lame.
+                    # yield briefly instead of hot-spinning on the lame poll.
                     time.sleep(0.005)
                 continue
-            wait_ready = mp_wait([worker.conn for worker in inflight], timeout=0.05)
-            now = time.monotonic()
-            for worker in list(inflight):
-                if worker not in inflight:
-                    continue  # retired to lame by an earlier win this sweep
-                if worker.conn in wait_ready:
-                    try:
-                        reply = worker.conn.recv()
-                    except (EOFError, OSError):
-                        reply = None
-                    if reply is not None and reply[0] == "beat":
-                        worker.touch()
-                        continue
-                    entry = inflight.pop(worker)
-                    dispatched_at.pop(worker, None)
-                    if reply is None:
-                        worker.mark_dead()
-                        hedge_workers.discard(worker)
-                        lost(entry)
-                    elif reply[0] == "done":
-                        worker.touch()
-                        key = (entry[0], entry[1].shard_id)
-                        if key in completed:
-                            # Stale duplicate of an already-recorded shard:
-                            # bit-identical by the content-keyed crowd RNG,
-                            # so discarding it is a pure no-op.
-                            hedge_workers.discard(worker)
-                            continue
-                        if worker in hedge_workers:
-                            hedge_workers.discard(worker)
-                            self.counters.record("hedges_won")
-                        retire_losers(key)
-                        record(entry[0], reply[2], entry[2], entry[1].shard_id)
-                        merge_frontier()
-                    elif reply[0] == "desync":
-                        # The worker's warm base is no longer trustworthy.
-                        worker.mark_dead()
-                        hedge_workers.discard(worker)
-                        lost(entry)
-                    elif reply[0] == "error":
-                        error = error or str(reply[2])
-                    else:  # pragma: no cover - protocol guard
-                        error = error or f"unexpected pool reply {reply[0]!r}"
-                elif not worker.process.is_alive():
+            for worker, reply in self._poll(sched.inflight, 0.05, self.config.rpc_deadline_s):
+                kind = reply[0] if reply is not None else None
+                if kind == "done":
+                    merge(sched.outcome(worker, reply[2], time.monotonic()))
+                elif kind == "error":
+                    sched.error(worker, str(reply[2]))
+                else:  # EOF, exit, hang or desync: its warm base is gone or suspect
                     worker.mark_dead()
-                    hedge_workers.discard(worker)
-                    dispatched_at.pop(worker, None)
-                    lost(inflight.pop(worker))
-                elif now - worker.last_heard > self.config.rpc_deadline_s:
-                    # Alive but silent past the deadline — no reply and no
-                    # heartbeat — so it is hung, not slow.
-                    self._kill_worker(worker)
-                    self.counters.record("hung_workers_killed")
-                    hedge_workers.discard(worker)
-                    dispatched_at.pop(worker, None)
-                    lost(inflight.pop(worker))
-        if error is not None and not executions:
-            raise ServingError(f"shard execution failed in a pool worker:\n{error}")
+                    apply(sched.lost(worker))
+        if sched.failure is not None and not executions:
+            raise ServingError(f"shard execution failed:\n{sched.failure}")
         return executions
 
-    # ------------------------------------------------------------- pool mgmt
+    def _run_tail(self, sched: WindowScheduler, remaining, planner: CrowdPlanner, merge) -> None:
+        """Run the window's remaining shards in-process, batch by batch with
+        frontier merges between batches, so each shard executes against
+        exactly the sequential prefix and results are unchanged.  An
+        execution error takes the same path as a worker's ``"error"``
+        reply."""
+        if self._can_fork():
+            # A lost pool: every batch with shards run in-process is degraded.
+            self.counters.record("degraded_batches", len(remaining))
+        for index in sorted(remaining):
+            started = time.monotonic()
+            try:
+                outcomes = execute_jobs_inline(planner, remaining[index], sched.chains[index])
+            except Exception:
+                sched.error(None, traceback.format_exc())
+                return
+            merge(sched.inline(index, outcomes, started, time.monotonic()))
+
+    # ------------------------------------------------------------- transport
+    def _poll(self, workers, timeout: float, silence_s: Optional[float] = None):
+        """The one reply reader: yield ``(worker, reply)`` per settled worker.
+
+        Waits up to ``timeout`` for any of ``workers`` — a live container:
+        a worker that leaves it mid-sweep is skipped — absorbs heartbeats
+        (each one renews ``last_heard``) and yields the next substantive
+        reply, or ``None`` for a worker found dead: EOF, exited (after
+        draining what it wrote first), or — with ``silence_s`` — silent, no
+        reply and no heartbeat, past ``silence_s``: hung, so killed outright
+        (SIGKILL works where a reply never will).  Dead workers are marked
+        dead before they are yielded.
+        """
+        snapshot = list(workers)
+        live = [worker.conn for worker in snapshot if not worker.dead]
+        ready = mp_wait(live, timeout) if live else []
+        now = time.monotonic()
+        for worker in snapshot:
+            if worker not in workers:
+                continue
+            reply = worker.read() if worker.dead or worker.conn in ready else _SILENT
+            if reply is _SILENT:
+                if not worker.process.is_alive():
+                    reply = worker.read()  # anything written before it exited
+                    reply = None if reply is _SILENT else reply
+                elif silence_s is not None and now - worker.last_heard > silence_s:
+                    self._kill_worker(worker)
+                    self.counters.record("hung_workers_killed")
+                    reply = None
+                else:
+                    continue
+            if reply is None:
+                worker.mark_dead()
+            yield worker, reply
+
+    def _poll_lame(self, sched: WindowScheduler) -> None:
+        """Drain, recycle or retire lame workers (non-blocking).
+
+        A stale ``done`` returns the worker, whose warm base is intact, to
+        service; a stale ``desync`` or ``error`` — or death — retires it;
+        past its hard deadline the scheduler has it killed as a straggler."""
+        for worker, reply in self._poll(self._lame, 0):
+            if reply is not None and reply[0] == "done":
+                sched.outcome(worker, reply[2], time.monotonic())
+            else:
+                worker.mark_dead()
+                sched.lost(worker)
+        for worker in sched.expired(time.monotonic()):
+            self._kill_worker(worker)
+            self.counters.record("stragglers_killed")
+
     def _spawn_worker(self, context) -> _PoolWorker:
         """Fork one worker inheriting every tenant planner's *current* state.
 
@@ -956,12 +608,12 @@ class PooledBackend(ServingBackend):
         """
         parent_conn, child_conn = context.Pipe()
         # The fork context passes args by reference, so the child receives
-        # the inherited parent-side ends to close (see _pool_worker_main):
+        # the inherited parent-side ends to close (see pool_worker_main):
         # its own pipe's, plus each live sibling's.
         stale_conns = [peer.conn for peer in self._workers if peer.alive]
         stale_conns.append(parent_conn)
         process = context.Process(
-            target=_pool_worker_main,
+            target=pool_worker_main,
             args=(
                 child_conn,
                 self.planner,
@@ -979,37 +631,35 @@ class PooledBackend(ServingBackend):
         return _PoolWorker(process, parent_conn, cursors)
 
     def _ensure_pool(self) -> bool:
-        """Fork the pool if none is alive; ``True`` when a fork happened."""
-        if any(worker.alive for worker in self._workers):
-            return False
-        self._workers = []
+        """Top the pool up to ``resolved_pool_size()`` live workers, dropping
+        dead handles; ``True`` when it was forked from scratch (cold).  Each
+        fork inherits the planner's current truth store, so replacements
+        start exactly as synced as the survivors."""
+        self._workers = self._alive_workers()
+        cold = not self._workers
         context = multiprocessing.get_context("fork")
         # Spawn via append so each fork sees the siblings forked before it in
         # self._workers and closes its inherited copies of their pipe ends.
-        for _ in range(self.resolved_pool_size()):
+        for _ in range(self.resolved_pool_size() - len(self._workers)):
             self._workers.append(self._spawn_worker(context))
-        return True
+        return cold
 
-    def _respawn_dead(self) -> None:
-        """Replace dead pool workers in place (the respawn policy).
+    def _respawn(self, attempt: int) -> None:
+        """Fork a replacement for a worker lost mid-window.
 
-        Called at batch start while at least one worker survives (whole-pool
-        loss is `_ensure_pool`'s re-fork).  Each replacement is forked from
-        the parent *now*, so it inherits the planner's current truth store —
-        the same state a survivor holds after adopting every streamed delta
-        — and its cursor starts at the current truth position.  Dead handles
-        are dropped, so the pool returns to ``resolved_pool_size()`` workers
-        instead of shrinking towards inline fallback.
+        Bounded exponential backoff plus jitter spaces consecutive respawns
+        so a fast crash loop cannot hot-spin forks; the scheduler's
+        ``max_respawns_per_batch`` budget is the circuit breaker.
         """
-        survivors = [worker for worker in self._workers if worker.alive]
-        missing = self.resolved_pool_size() - len(survivors)
-        if not survivors or missing <= 0:
-            self._workers = survivors or self._workers
-            return
-        context = multiprocessing.get_context("fork")
-        self._workers = survivors
-        for _ in range(missing):
-            self._workers.append(self._spawn_worker(context))
+        delay = min(
+            self.config.respawn_backoff_max_s,
+            self.config.respawn_backoff_s * (2**attempt),
+        )
+        if delay > 0:
+            time.sleep(delay * (1.0 + 0.25 * self._backoff_rng.random()))
+        worker = self._spawn_worker(multiprocessing.get_context("fork"))
+        self._workers = self._alive_workers() + [worker]
+        self.counters.record("respawns")
 
     def _stop_pool(self) -> None:
         """Stop every worker, escalating politely: ``stop`` message →
@@ -1043,145 +693,8 @@ class PooledBackend(ServingBackend):
             pass
         worker.process.join(timeout=1.0)
 
-    def _mid_batch_respawn(self, respawns_so_far: int) -> Optional[_PoolWorker]:
-        """Fork a replacement for a worker lost mid-batch, budget permitting.
-
-        Bounded exponential backoff plus jitter spaces consecutive respawns
-        so a fast crash loop cannot hot-spin forks, and
-        ``max_respawns_per_batch`` is the circuit breaker: once the budget
-        is spent, capacity is not restored until the batch edge and — if the
-        whole pool is gone — the remaining shards degrade to in-process
-        execution instead of failing the ticket.  The replacement forks from
-        the parent's *current* planner, which is unchanged since batch start
-        (outcomes merge only after execution), so it is exactly as synced as
-        the workers the batch was dispatched to.
-        """
-        if not self._can_fork():
-            return None
-        if respawns_so_far >= self.config.max_respawns_per_batch:
-            return None
-        delay = min(
-            self.config.respawn_backoff_max_s,
-            self.config.respawn_backoff_s * (2 ** respawns_so_far),
-        )
-        if delay > 0:
-            time.sleep(delay * (1.0 + 0.25 * self._backoff_rng.random()))
-        context = multiprocessing.get_context("fork")
-        worker = self._spawn_worker(context)
-        self._workers = [peer for peer in self._workers if peer.alive] + [worker]
-        self.counters.record("respawns")
-        return worker
-
     def _alive_workers(self) -> List[_PoolWorker]:
         return [worker for worker in self._workers if worker.alive]
-
-    # ------------------------------------------------------ hedged execution
-    def _retire_to_lame(self, worker: _PoolWorker) -> None:
-        """Park the loser of a hedged pair until its stale reply drains.
-
-        The strict request/reply protocol means an outstanding reply must be
-        drained (or the worker killed) before the worker can be reused — but
-        the *batch* need not wait for it: the shard's winning outcome is
-        already recorded, so the worker leaves the in-flight set and the
-        dispatcher moves on.  Unlike the supervision deadline, the lame
-        deadline is **not** renewed by heartbeats: the crawler gets
-        ``rpc_deadline_s`` of wall-clock on top of losing the race, then is
-        killed (``stragglers_killed``)."""
-        self._lame[worker] = time.monotonic() + self.config.rpc_deadline_s
-
-    def _poll_lame(self) -> None:
-        """Drain, recycle or retire lame workers (non-blocking).
-
-        A stale ``done`` whose shard already merged is discarded — safe
-        because the content-keyed crowd RNG makes the duplicate outcome
-        bit-identical to the one already recorded — and the worker, whose
-        warm base is intact, returns to service.  A stale ``desync`` or
-        ``error`` retires the worker.  Crossing the hard deadline kills it:
-        at that point it has breached ``rpc_deadline_s`` on top of losing
-        its hedge race, so it is treated as hung, not slow."""
-        if not self._lame:
-            return
-        now = time.monotonic()
-        for worker, deadline in list(self._lame.items()):
-            if not worker.alive:
-                del self._lame[worker]
-                continue
-            reply = None
-            try:
-                while worker.conn.poll(0):
-                    reply = worker.conn.recv()
-                    if reply[0] != "beat":
-                        break
-                    reply = None
-            except (EOFError, OSError):
-                worker.mark_dead()
-                del self._lame[worker]
-                continue
-            if reply is not None:
-                del self._lame[worker]
-                if reply[0] != "done":
-                    # A stale desync/error: its warm base is suspect.
-                    worker.mark_dead()
-            elif not worker.process.is_alive():
-                worker.mark_dead()
-                del self._lame[worker]
-            elif now > deadline:
-                self._kill_worker(worker)
-                self.counters.record("stragglers_killed")
-                del self._lame[worker]
-
-    def _hedge_stragglers(
-        self,
-        inflight: Dict[_PoolWorker, _Entry],
-        dispatched_at: Dict[_PoolWorker, float],
-        hedge_workers: Set[_PoolWorker],
-    ) -> None:
-        """Speculatively duplicate overdue dispatches onto idle workers.
-
-        Called by the dispatcher once its ready queue is empty but workers
-        idle: any in-flight shard whose wall-clock exceeds ``hedge_after_s``
-        — its worker still heartbeating, so the hang supervisor will never
-        fire — is re-dispatched (same job object, same memoised hand-off
-        payload) to an idle worker.  First outcome wins; the loser goes
-        lame (see ``_retire_to_lame``).  One hedge per shard: racing more
-        than two copies buys nothing the content-keyed RNG has not already
-        guaranteed.  A shard is identified across duplicate dispatcher
-        entries by ``(batch_index, shard_id)``.
-        """
-        idle = [
-            worker
-            for worker in self._alive_workers()
-            if worker not in inflight and worker not in self._lame
-        ]
-        if not idle:
-            return
-        now = time.monotonic()
-        overdue = sorted(
-            (
-                (started, worker)
-                for worker, started in dispatched_at.items()
-                if worker in inflight
-                and worker not in hedge_workers
-                and now - started > self.config.hedge_after_s
-            ),
-            key=lambda item: item[0],  # oldest first: it gates the batch
-        )
-        for _, straggler in overdue:
-            entry = inflight[straggler]
-            key = (entry[0], entry[1].shard_id)
-            if sum(1 for peer in inflight.values() if (peer[0], peer[1].shard_id) == key) > 1:
-                continue  # already hedged
-            while idle:
-                worker = idle.pop(0)
-                if self._dispatch(worker, [entry[1]]):
-                    worker.touch()
-                    inflight[worker] = entry
-                    dispatched_at[worker] = now
-                    hedge_workers.add(worker)
-                    self.counters.record("hedges_issued")
-                    break
-            if not idle:
-                return
 
     def _send(self, worker: _PoolWorker, message) -> bool:
         if not worker.alive:
@@ -1192,44 +705,6 @@ class PooledBackend(ServingBackend):
         except (BrokenPipeError, OSError):
             worker.mark_dead()
             return False
-
-    def _recv(self, worker: _PoolWorker, deadline_s: Optional[float] = None):
-        """Next substantive reply from ``worker``, or ``None`` once dead.
-
-        Heartbeats are absorbed (each one renews the deadline).  With a
-        ``deadline_s``, a worker that stays silent — no reply, no beat —
-        past the deadline is killed and reported dead: it is hung, and
-        waiting longer cannot help.
-        """
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        while True:
-            try:
-                if worker.conn.poll(0.02):
-                    reply = worker.conn.recv()
-                    worker.touch()
-                    if reply[0] == "beat":
-                        if deadline is not None:
-                            deadline = time.monotonic() + deadline_s
-                        continue
-                    return reply
-            except (EOFError, OSError):
-                worker.mark_dead()
-                return None
-            if not worker.process.is_alive():
-                # Drain anything written before the process died.
-                try:
-                    while worker.conn.poll(0):
-                        reply = worker.conn.recv()
-                        if reply[0] != "beat":
-                            return reply
-                except (EOFError, OSError):
-                    pass
-                worker.mark_dead()
-                return None
-            if deadline is not None and time.monotonic() > deadline:
-                self._kill_worker(worker)
-                self.counters.record("hung_workers_killed")
-                return None
 
     def _wire_delta(self, tenant: str, cursor: int):
         """One tenant's truths recorded since ``cursor``, in the configured
@@ -1299,14 +774,16 @@ class PooledBackend(ServingBackend):
             message = ("sync", tenant, None, self._wire_delta(tenant, cursor))
             if self._send(worker, message):
                 worker.cursors[tenant] = total
+                worker.touch()
                 synced.append(worker)
-        for worker in synced:
-            reply = self._recv(worker, deadline_s=self.config.rpc_deadline_s)
-            if reply is None or reply[0] != "synced":
-                # Death, or a partial adopt ("desync"): either way this
-                # worker's warm base can no longer be trusted — retire it
-                # rather than serve stale lookups from it later.
-                worker.mark_dead()
+        while synced:
+            for worker, reply in self._poll(synced, 0.02, self.config.rpc_deadline_s):
+                synced.remove(worker)
+                if reply is None or reply[0] != "synced":
+                    # Death, hang, or a partial adopt ("desync"): either way
+                    # this worker's warm base can no longer be trusted —
+                    # retire it rather than serve stale lookups from it later.
+                    worker.mark_dead()
 
 
 # ---------------------------------------------------------------- the service

@@ -23,6 +23,7 @@ from repro.serving import (
     PooledBackend,
     RecommendationService,
     recommendation_fingerprint,
+    shards,
 )
 from repro.serving.pipeline import batch_dependencies, window_parallelism
 
@@ -385,6 +386,42 @@ class TestWindowFaults:
         assert supervision["degraded_batches"] == len(chunks)
         assert supervision["respawns"] == 0
         assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
+        assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
+
+    @needs_fork
+    def test_lost_pool_tail_failure_returns_merged_prefix(
+        self, build_serving_planner, serving_workload, sequential_oracle, monkeypatch
+    ):
+        """A shard execution error in the lost pool's in-process tail takes
+        the worker-error path: batch 0 (already merged) is returned as the
+        window's prefix instead of the raw exception escaping, so its ticket
+        is finalised once and a retry never executes it again."""
+        planner = build_serving_planner()
+        backend = FaultInjectingBackend(
+            schedule={0: "kill_before"}, pool_size=1, max_respawns_per_batch=0
+        )
+        config = ServiceConfig.from_planner_config(
+            planner.config, backend="pooled", pool_size=1, pipeline_window=3
+        )
+        chunks = _chunks(serving_workload, 3)
+        poisoned = {id(query) for query in chunks[1]}
+        real_execute = shards.execute_shard_job
+
+        def failing_execute(base, job):
+            if any(id(query) in poisoned for query in job.queries):
+                raise RuntimeError("injected shard execution failure")
+            return real_execute(base, job)
+
+        monkeypatch.setattr(shards, "execute_shard_job", failing_execute)
+        with RecommendationService(planner, config=config, backend=backend) as service:
+            tickets = [service.submit(chunk) for chunk in chunks]
+            first = service.results(tickets[0])
+            assert backend.injected == ["kill_before"]
+            # Batch 1 stays pending; once the fault clears it redeems, and
+            # batch 0 is never executed twice.
+            monkeypatch.undo()
+            rest = [r for t in tickets[1:] for r in service.results(t)]
+        assert _fingerprints(first + rest) == sequential_oracle["plain"]["fingerprints"]
         assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
 
 
