@@ -1070,7 +1070,7 @@ def test_crowd_straggler_reference(benchmark, straggler_setup):
 
 # ---------------------------------------------------------------- truth wire
 @pytest.fixture(scope="module")
-def truth_wire_setup(serving_city, shard_setup):
+def wire_delta_setup(serving_city, shard_setup):
     """The large-batch truth delta, plus the serving acceptance gate.
 
     Before any timing: (1) service responses must be fingerprint-identical
@@ -1085,7 +1085,7 @@ def truth_wire_setup(serving_city, shard_setup):
     def run_service(backend_name, pool_size=None):
         planner = build_planner()
         config = ServiceConfig.from_planner_config(
-            planner.config, backend=backend_name, pool_size=pool_size, truth_wire="columnar"
+            planner.config, backend=backend_name, pool_size=pool_size
         )
         with RecommendationService(planner, config) as service:
             return [
@@ -1125,14 +1125,14 @@ def _wire_roundtrip_pickle(delta, _network):
 
 
 @pytest.mark.benchmark(group="truth_wire")
-def test_truth_wire_compiled(benchmark, truth_wire_setup):
+def test_truth_wire_compiled(benchmark, wire_delta_setup):
     """Columnar codec: encode + pickle + unpickle + decode of the delta.
 
     The headline win is bytes on the wire (several times smaller — recorded
     in ``extra_info`` and surfaced by ``bench_check``); the time ratio vs
     raw pickle trades a little codec CPU for that payload cut, so its
     committed value sits near 1x rather than above it."""
-    delta, network, columnar_bytes, _ = truth_wire_setup
+    delta, network, columnar_bytes, _ = wire_delta_setup
     decoded = benchmark(_wire_roundtrip_columnar, delta, network)
     assert decoded == delta
     benchmark.extra_info["wire_bytes"] = columnar_bytes
@@ -1140,9 +1140,10 @@ def test_truth_wire_compiled(benchmark, truth_wire_setup):
 
 
 @pytest.mark.benchmark(group="truth_wire")
-def test_truth_wire_reference(benchmark, truth_wire_setup):
-    """The pickled-object fallback codec on the same delta."""
-    delta, network, _, pickled_bytes = truth_wire_setup
+def test_truth_wire_reference(benchmark, wire_delta_setup):
+    """The pickled object list — the pre-columnar wire format — on the
+    same delta."""
+    delta, network, _, pickled_bytes = wire_delta_setup
     decoded = benchmark(_wire_roundtrip_pickle, delta, network)
     assert decoded == delta
     benchmark.extra_info["wire_bytes"] = pickled_bytes
@@ -1190,7 +1191,7 @@ def _run_pickle_checkpoints(chunks, network, directory):
 
 
 @pytest.fixture(scope="module")
-def journal_setup(truth_wire_setup, tmp_path_factory):
+def journal_setup(wire_delta_setup, tmp_path_factory):
     """The large-batch delta split into per-batch appends, plus the gate.
 
     Before any timing, both durability strategies must reload exactly the
@@ -1199,7 +1200,7 @@ def journal_setup(truth_wire_setup, tmp_path_factory):
     snapshot + columnar deltas).  ``fsync`` is off for both contenders so the
     timing compares codec + I/O volume, not device sync latency.
     """
-    delta, network, _, _ = truth_wire_setup
+    delta, network, _, _ = wire_delta_setup
     # Small per-batch deltas (a serving batch verifies a handful of truths):
     # the shape under which incremental appends beat whole-store rewrites.
     chunks = [delta[i : i + 8] for i in range(0, len(delta), 8)]

@@ -67,7 +67,9 @@ echo "== tier-1 tests =="
 if [[ "$run_all" == 1 ]]; then
     python -m pytest -x -q ${cov_args[@]+"${cov_args[@]}"}
 else
-    python -m pytest -x -q -m "not slow" ${cov_args[@]+"${cov_args[@]}"}
+    # --durations: the slowest tests (mostly the forked legs) print on
+    # every run, so growth in tier-1 wall time shows where it happened.
+    python -m pytest -x -q -m "not slow" --durations=15 ${cov_args[@]+"${cov_args[@]}"}
 fi
 
 echo "== benchmarks (timing disabled) =="

@@ -83,12 +83,15 @@ class PlannerConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` if any parameter is out of range."""
+        """Raise :class:`ConfigurationError` if any parameter is out of range.
+
+        Float checks state what is valid and reject the rest, so a NaN —
+        which fails every comparison — is rejected too."""
         if not 0.0 < self.confidence_threshold <= 1.0:
             raise ConfigurationError("confidence_threshold must be in (0, 1]")
         if not 0.0 < self.agreement_threshold <= 1.0:
             raise ConfigurationError("agreement_threshold must be in (0, 1]")
-        if self.truth_reuse_radius_m <= 0:
+        if not self.truth_reuse_radius_m > 0:
             raise ConfigurationError("truth_reuse_radius_m must be positive")
         if self.truth_time_slot_minutes <= 0:
             raise ConfigurationError("truth_time_slot_minutes must be positive")
@@ -96,7 +99,7 @@ class PlannerConfig:
             raise ConfigurationError("worker_quota must be at least 1")
         if not 0.0 < self.response_time_threshold <= 1.0:
             raise ConfigurationError("response_time_threshold must be in (0, 1]")
-        if self.knowledge_radius_m <= 0:
+        if not self.knowledge_radius_m > 0:
             raise ConfigurationError("knowledge_radius_m must be positive")
         if not 0.0 <= self.familiarity_alpha <= 1.0:
             raise ConfigurationError("familiarity_alpha must be in [0, 1]")
@@ -108,7 +111,7 @@ class PlannerConfig:
             raise ConfigurationError("early_stop_confidence must be in (0, 1]")
         if self.pmf_latent_dim < 1:
             raise ConfigurationError("pmf_latent_dim must be at least 1")
-        if self.reward_per_question < 0:
+        if not self.reward_per_question >= 0:
             raise ConfigurationError("reward_per_question must be non-negative")
 
     def with_overrides(self, **overrides: Any) -> "PlannerConfig":
@@ -142,10 +145,6 @@ DEFAULT_CONFIG = PlannerConfig()
 
 #: Names accepted by :attr:`ServiceConfig.backend`.
 SERVING_BACKENDS = ("inline", "pooled")
-
-#: Codecs accepted by :attr:`ServiceConfig.truth_wire` — how the pooled
-#: backend ships parent→worker truth deltas.
-TRUTH_WIRE_FORMATS = ("columnar", "pickle")
 
 #: Policies accepted by :attr:`ServiceConfig.journal_on_error` — what the
 #: service does when the journal hits a disk error (ENOSPC, EIO, ...).
@@ -181,10 +180,6 @@ class ServiceConfig(PlannerConfig):
         (the default) keeps components whole.  Merges, truth-id issuance and
         journaling stay in strict submission order, so results are identical
         for every value — only parallelism depends on it.
-    use_processes:
-        When ``False`` (or on platforms without ``fork``), the pooled
-        backend executes shards inline through the same clone-and-merge
-        machinery — results are identical, only the parallelism is lost.
     max_pending_batches:
         Submission-queue bound: :meth:`RecommendationService.submit` raises
         :class:`~repro.exceptions.ServingError` once this many submitted
@@ -195,13 +190,6 @@ class ServiceConfig(PlannerConfig):
         always receive the deltas they are missing with their shard
         dispatch, so this only bounds how stale an *idle* worker's warm
         partition may grow — it never affects results.
-    truth_wire:
-        Codec for parent→worker truth-delta streaming: ``"columnar"`` (the
-        default — deltas travel as a
-        :class:`~repro.serving.protocol.TruthDeltaBlock` of node-index
-        arrays, several times smaller on the wire) or ``"pickle"`` (the
-        pickled-object fallback).  A pure transport choice — decoded deltas
-        are exactly the pickled objects, so results never depend on it.
     journal_path:
         Directory of the :class:`~repro.serving.journal.TruthJournal`.
         When set, the service appends every batch's truth delta to an
@@ -285,10 +273,8 @@ class ServiceConfig(PlannerConfig):
     backend: str = "pooled"
     pool_size: Optional[int] = None
     max_shard_fraction: Optional[float] = None
-    use_processes: bool = True
     max_pending_batches: int = 16
     merge_every_batches: int = 1
-    truth_wire: str = "columnar"
     journal_path: Optional[str] = None
     journal_fsync: bool = True
     snapshot_every_truths: int = 512
@@ -307,14 +293,14 @@ class ServiceConfig(PlannerConfig):
         super().validate()
         if self.snapshot_every_truths < 1:
             raise ConfigurationError("snapshot_every_truths must be at least 1")
-        if self.heartbeat_interval_s <= 0:
+        if not self.heartbeat_interval_s > 0:
             raise ConfigurationError("heartbeat_interval_s must be positive")
-        if self.rpc_deadline_s <= self.heartbeat_interval_s:
+        if not self.rpc_deadline_s > self.heartbeat_interval_s:
             raise ConfigurationError(
                 "rpc_deadline_s must exceed heartbeat_interval_s (a busy worker "
                 "is only as fresh as its last heartbeat)"
             )
-        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
+        if self.hedge_after_s is not None and not self.hedge_after_s > 0:
             raise ConfigurationError(
                 "hedge_after_s must be positive (or None to disable hedging)"
             )
@@ -325,9 +311,9 @@ class ServiceConfig(PlannerConfig):
             )
         if self.max_respawns_per_batch < 0:
             raise ConfigurationError("max_respawns_per_batch must be non-negative")
-        if self.respawn_backoff_s < 0:
+        if not self.respawn_backoff_s >= 0:
             raise ConfigurationError("respawn_backoff_s must be non-negative")
-        if self.respawn_backoff_max_s < self.respawn_backoff_s:
+        if not self.respawn_backoff_max_s >= self.respawn_backoff_s:
             raise ConfigurationError(
                 "respawn_backoff_max_s must be at least respawn_backoff_s"
             )
@@ -345,10 +331,6 @@ class ServiceConfig(PlannerConfig):
             raise ConfigurationError("max_pending_batches must be at least 1")
         if self.merge_every_batches < 1:
             raise ConfigurationError("merge_every_batches must be at least 1")
-        if self.truth_wire not in TRUTH_WIRE_FORMATS:
-            raise ConfigurationError(
-                f"truth_wire must be one of {TRUTH_WIRE_FORMATS}, got {self.truth_wire!r}"
-            )
         if self.pipeline_window < 1:
             raise ConfigurationError("pipeline_window must be at least 1")
         if self.stream_batch_size < 1:

@@ -47,7 +47,6 @@ class ThroughputExperimentConfig:
     batch_size: int = 60
     num_clusters: int = 6
     dominant_destination_fraction: float = 0.15
-    use_processes: bool = True
     #: Overlap depth of the ``pipelined`` runs (1 would be the barrier).
     pipeline_window: int = 4
     seed: int = 131
@@ -116,7 +115,6 @@ def run(scenario: Scenario, config: Optional[ThroughputExperimentConfig] = None)
             "batch_size": config.batch_size,
             "num_clusters": config.num_clusters,
             "dominant_destination_fraction": config.dominant_destination_fraction,
-            "use_processes": config.use_processes,
             "pipeline_window": config.pipeline_window,
         },
     )
@@ -128,7 +126,6 @@ def run(scenario: Scenario, config: Optional[ThroughputExperimentConfig] = None)
             planner.config,
             backend="inline" if backend_name == "inline" else "pooled",
             pool_size=pool_size,
-            use_processes=config.use_processes,
             pipeline_window=config.pipeline_window if pipelined else 1,
             max_pending_batches=max(16, len(batches)),
         )

@@ -15,13 +15,12 @@ directory::
 
 Every executed batch appends exactly one **record** — even when its delta is
 empty — so the record count doubles as a durable "batches executed" counter
-for crash recovery.  A record's payload is the batch's truth delta in the
-configured wire codec: the PR 5 columnar
-:class:`~repro.serving.protocol.TruthDeltaBlock` (``wire="columnar"``) or the
-pickled object list (``wire="pickle"``).  Replay is codec-agnostic — payloads
-are decoded by duck-typing exactly like
-:meth:`TruthDatabase.adopt_all <repro.core.truth.TruthDatabase.adopt_all>` —
-so a journal written under one codec reads back under the other.
+for crash recovery.  A record's payload is the batch's truth delta as a
+columnar :class:`~repro.serving.protocol.TruthDeltaBlock`.  Replay decodes
+payloads by duck-typing exactly like
+:meth:`TruthDatabase.adopt_all <repro.core.truth.TruthDatabase.adopt_all>`,
+so journals written by older releases, whose records could hold pickled
+truth lists instead, still read back.
 
 Records are framed with an explicit length and a CRC32 over the payload, and
 the file is flushed (+ ``fsync`` by default) after every append, so the only
@@ -53,7 +52,6 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import TRUTH_WIRE_FORMATS
 from ..core.truth import TruthDatabase, VerifiedTruth
 from ..exceptions import JournalError
 from ..roadnet.graph import RoadNetwork
@@ -74,7 +72,8 @@ _SNAPSHOT_NAME = re.compile(r"snapshot-(\d{8})\.snap$")
 
 
 def _decode_payload(payload, network: RoadNetwork) -> List[VerifiedTruth]:
-    """Materialise a record payload (block or object list) as truths."""
+    """Materialise a record payload as truths: a block, or a plain list —
+    an empty record's, or a legacy record's pickled truths."""
     decode = getattr(payload, "decode_truths", None)
     if decode is not None:
         return decode(network)
@@ -91,10 +90,6 @@ class TruthJournal:
         directory resumes the existing journal: the durable counters are
         restored by scanning it, a torn tail is truncated with a warning,
         and appends continue where the previous process stopped.
-    wire:
-        Codec for *newly appended* records: ``"columnar"``
-        (:class:`~repro.serving.protocol.TruthDeltaBlock`) or ``"pickle"``.
-        Reading is always codec-agnostic.
     fsync:
         Fsync after every append (the default).  The flush still happens
         when disabled, so only an OS crash — not a process crash — can
@@ -107,16 +102,12 @@ class TruthJournal:
         self,
         path,
         *,
-        wire: str = "columnar",
         fsync: bool = True,
         snapshot_every_truths: int = 512,
     ):
-        if wire not in TRUTH_WIRE_FORMATS:
-            raise JournalError(f"wire must be one of {TRUTH_WIRE_FORMATS}, got {wire!r}")
         if snapshot_every_truths < 1:
             raise JournalError("snapshot_every_truths must be at least 1")
         self.path = Path(path)
-        self.wire = wire
         self.fsync = fsync
         self.snapshot_every_truths = snapshot_every_truths
         self._closed = False
@@ -332,7 +323,6 @@ class TruthJournal:
     def stats(self) -> Dict[str, Any]:
         return {
             "path": str(self.path),
-            "wire": self.wire,
             "generation": self._generation,
             "truths": self._truth_count,
             "batches": self._batch_count,
@@ -348,11 +338,7 @@ class TruthJournal:
             raise JournalError("the truth journal is closed")
 
     def _encode(self, truths: Sequence[VerifiedTruth], network: RoadNetwork):
-        if not truths:
-            return []
-        if self.wire == "columnar":
-            return encode_truth_delta(list(truths), network)
-        return list(truths)
+        return encode_truth_delta(list(truths), network) if truths else []
 
     def append(
         self,

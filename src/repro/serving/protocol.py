@@ -43,7 +43,7 @@ import abc
 import pickle
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -263,25 +263,13 @@ class ServingBackend(abc.ABC):
           deterministically when the failing batch is retried at the head of
           a later window); only a failure of the **first** batch raises.
         """
-        return self._execute_in_order(batches, self.planner)
-
-    def _execute_in_order(
-        self,
-        batches: Sequence[WindowBatch],
-        planner: Optional[CrowdPlanner],
-        **batch_kwargs: Any,
-    ) -> List[BatchExecution]:
-        """The barrier loop behind :meth:`execute_window`: each batch through
-        :meth:`execute_batch` (with ``batch_kwargs``), ``truth_span``
-        bracketed on ``planner``'s truth cursor."""
+        planner = self.planner
         executions: List[BatchExecution] = []
         for batch in batches:
             before = planner.truth_cursor() if planner is not None else 0
             try:
                 execution = self.execute_batch(
-                    batch.queries,
-                    share_candidate_generation=batch.share_candidate_generation,
-                    **batch_kwargs,
+                    batch.queries, share_candidate_generation=batch.share_candidate_generation
                 )
             except Exception:
                 if executions:

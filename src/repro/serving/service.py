@@ -171,19 +171,18 @@ class PooledBackend(ServingBackend):
     only shard-clone construction, never a fork or a whole-store clone.
 
     A lone batch is a one-batch window: :meth:`execute_batch` and
-    :meth:`execute_window` share one dispatcher: a
-    :class:`~repro.serving.scheduler.WindowScheduler` decides, and this
+    :meth:`execute_window` share one execution path, :meth:`_serve_window`:
+    a :class:`~repro.serving.scheduler.WindowScheduler` decides, and this
     backend's transport (:meth:`_drive`) forks, sends, kills and reads
-    replies.  When ``use_processes`` is false or the platform offers no
-    ``fork`` start method, shards execute inline through the same
-    clone-and-merge machinery, keeping results identical everywhere.
+    replies.  On a platform without ``fork`` no pool is started and every
+    window runs through the in-process tail — the same clone-and-merge
+    machinery — so results are identical everywhere.
 
-    Truth deltas stream to workers in the codec named by ``truth_wire``:
-    ``"columnar"`` (default) encodes each delta as a
+    Truth deltas stream to workers as a columnar
     :class:`~repro.serving.protocol.TruthDeltaBlock` — node-index arrays,
-    several times smaller on the wire than the ``"pickle"`` object fallback
-    — and the worker's :meth:`TruthDatabase.adopt_all` decodes it against
-    its fork-inherited network, so adopted truths are identical either way.
+    several times smaller on the wire than the pickled objects — which the
+    worker's :meth:`TruthDatabase.adopt_all` decodes against its
+    fork-inherited network into identical truths.
 
     A worker failure never fails a batch.  A crash (pipe EOF) or a *hung*
     worker — silent, no reply and no heartbeat, past ``rpc_deadline_s``,
@@ -193,8 +192,8 @@ class PooledBackend(ServingBackend):
     whole pool gone the rest degrades to in-process execution, with
     identical results.  Lost capacity is restored at the next window edge.
 
-    Every knob (pool size, wire codec, supervision deadlines, respawn
-    budget, hedging, hotspot splitting) is read from the
+    Every knob (pool size, supervision deadlines, respawn budget, hedging,
+    hotspot splitting) is read from the
     :class:`~repro.config.ServiceConfig` the pool is built from.
     """
 
@@ -275,7 +274,7 @@ class PooledBackend(ServingBackend):
         return os.cpu_count() or 1
 
     def _can_fork(self) -> bool:
-        return self.config.use_processes and "fork" in multiprocessing.get_all_start_methods()
+        return "fork" in multiprocessing.get_all_start_methods()
 
     def worker_pids(self) -> List[int]:
         return [worker.pid for worker in self._workers if worker.alive]
@@ -331,10 +330,7 @@ class PooledBackend(ServingBackend):
         fingerprint — is identical to the sequential oracle.
 
         A barrier is a one-batch window: :meth:`execute_batch` runs the same
-        dispatcher.  Only platforms without ``fork`` (or
-        ``use_processes=False``) execute the window batch by batch through
-        :meth:`execute_batch`, the default barrier of
-        :meth:`ServingBackend.execute_window`.
+        dispatcher.
 
         Supervision is per window: ``max_respawns_per_batch`` acts as a
         per-*window* respawn budget, and ``warm_pool``/``respawn_count``
@@ -347,13 +343,7 @@ class PooledBackend(ServingBackend):
             WindowBatch(list(batch.queries), batch.share_candidate_generation)
             for batch in batches
         ]
-        if self._can_fork():
-            return self._serve_window(window, tenant)
-        # The tenant kwarg is threaded only when set, so subclasses that
-        # override ``execute_batch`` with the base signature keep working
-        # for the default tenant.
-        kwargs = {} if tenant == DEFAULT_TENANT else {"tenant": tenant}
-        return self._execute_in_order(window, self._planner_for(tenant), **kwargs)
+        return self._serve_window(window, tenant)
 
     def _serve_window(
         self,
@@ -365,9 +355,9 @@ class PooledBackend(ServingBackend):
 
         Plans each batch (or takes its explicit entry in ``plans``) and
         applies the ``max_shard_fraction`` split, builds the jobs and the
-        window's :class:`WindowScheduler`, ensures the pool (polling lame
-        workers and replacing dead ones on a warm pool), runs :meth:`_drive`
-        and applies the sync cadence.  Everything recorded meanwhile — the
+        window's :class:`WindowScheduler`, ensures the pool where ``fork``
+        exists (polling lame workers and replacing dead ones on a warm
+        pool), runs :meth:`_drive` and applies the sync cadence.  Everything recorded meanwhile — the
         cadence sync included — is charged to ``tenant``.  Window-structure
         counters (the ``pipeline`` group) count only windows of two or more
         batches.
@@ -412,14 +402,12 @@ class PooledBackend(ServingBackend):
                 for batch, plan in zip(window, split_plans)
             ]
             can_fork = self._can_fork()
-            columnar = can_fork and self.config.truth_wire == "columnar"
             sched = WindowScheduler(
                 jobs_per_batch,
                 deps,
                 self._lame,
                 self.counters.record,
-                # Hand-off payload codec: columnar on the wire, objects otherwise.
-                encoder=partial(encode_truth_delta, network=self.planner.network) if columnar else None,
+                encoder=partial(encode_truth_delta, network=self.planner.network),
                 hedge_after_s=self.config.hedge_after_s,
                 lame_grace_s=self.config.rpc_deadline_s,
                 max_respawns=self.config.max_respawns_per_batch if can_fork else 0,
@@ -530,8 +518,9 @@ class PooledBackend(ServingBackend):
         return executions
 
     def _run_tail(self, sched: WindowScheduler, remaining, planner: CrowdPlanner, merge) -> None:
-        """Run the window's remaining shards in-process, batch by batch with
-        frontier merges between batches, so each shard executes against
+        """Run the window's remaining shards in-process — all of them without
+        ``fork``, the rest of the window after a lost pool — batch by batch
+        with frontier merges between batches, so each shard executes against
         exactly the sequential prefix and results are unchanged.  An
         execution error takes the same path as a worker's ``"error"``
         reply."""
@@ -562,7 +551,7 @@ class PooledBackend(ServingBackend):
         """
         snapshot = list(workers)
         live = [worker.conn for worker in snapshot if not worker.dead]
-        ready = mp_wait(live, timeout) if live else []
+        ready = self._wait(live, timeout) if live else []
         now = time.monotonic()
         for worker in snapshot:
             if worker not in workers:
@@ -582,6 +571,11 @@ class PooledBackend(ServingBackend):
                 worker.mark_dead()
             yield worker, reply
 
+    def _wait(self, conns, timeout: float):
+        """The pipes among ``conns`` with something to read, waiting up to
+        ``timeout`` for one."""
+        return mp_wait(conns, timeout)
+
     def _poll_lame(self, sched: WindowScheduler) -> None:
         """Drain, recycle or retire lame workers (non-blocking).
 
@@ -598,7 +592,7 @@ class PooledBackend(ServingBackend):
             self._kill_worker(worker)
             self.counters.record("stragglers_killed")
 
-    def _spawn_worker(self, context) -> _PoolWorker:
+    def _spawn_worker(self) -> _PoolWorker:
         """Fork one worker inheriting every tenant planner's *current* state.
 
         The fork carries the default planner plus all registered tenant
@@ -606,6 +600,7 @@ class PooledBackend(ServingBackend):
         current position, so the first dispatch per tenant ships an empty
         delta.
         """
+        context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
         # The fork context passes args by reference, so the child receives
         # the inherited parent-side ends to close (see pool_worker_main):
@@ -637,11 +632,10 @@ class PooledBackend(ServingBackend):
         start exactly as synced as the survivors."""
         self._workers = self._alive_workers()
         cold = not self._workers
-        context = multiprocessing.get_context("fork")
         # Spawn via append so each fork sees the siblings forked before it in
         # self._workers and closes its inherited copies of their pipe ends.
         for _ in range(self.resolved_pool_size() - len(self._workers)):
-            self._workers.append(self._spawn_worker(context))
+            self._workers.append(self._spawn_worker())
         return cold
 
     def _respawn(self, attempt: int) -> None:
@@ -657,7 +651,7 @@ class PooledBackend(ServingBackend):
         )
         if delay > 0:
             time.sleep(delay * (1.0 + 0.25 * self._backoff_rng.random()))
-        worker = self._spawn_worker(multiprocessing.get_context("fork"))
+        worker = self._spawn_worker()
         self._workers = self._alive_workers() + [worker]
         self.counters.record("respawns")
 
@@ -707,22 +701,20 @@ class PooledBackend(ServingBackend):
             return False
 
     def _wire_delta(self, tenant: str, cursor: int):
-        """One tenant's truths recorded since ``cursor``, in the configured
-        codec.
-
-        Columnar deltas cross the pipe as a
+        """One tenant's truths recorded since ``cursor``, as a
         :class:`~repro.serving.protocol.TruthDeltaBlock` tagged with the
-        tenant; empty deltas (the steady-state case for workers dispatched
-        every batch) skip encoding entirely, and the pickle fallback ships
-        the objects unchanged.  Workers synced to the same point share one
-        encoding: after any batch every participant sits at the same
-        cursor, so the per-tenant one-entry memo (keyed by cursor + store
-        length — truths are append-only) turns N per-worker encodings of
-        the identical delta into one.
+        tenant.
+
+        Empty deltas (the steady-state case for workers dispatched every
+        batch) skip encoding entirely.  Workers synced to the same point
+        share one encoding: after any batch every participant sits at the
+        same cursor, so the per-tenant one-entry memo (keyed by cursor +
+        store length — truths are append-only) turns N per-worker encodings
+        of the identical delta into one.
         """
         planner = self._planner_for(tenant)
         delta = planner.truth_delta(cursor)
-        if not delta or self.config.truth_wire != "columnar":
+        if not delta:
             return delta
         key = (cursor, planner.truth_cursor())
         cached = self._wire_cache.get(tenant)
@@ -840,7 +832,6 @@ class RecommendationService:
         if config.journal_path is not None:
             self._journal = TruthJournal(
                 config.journal_path,
-                wire=config.truth_wire,
                 fsync=config.journal_fsync,
                 snapshot_every_truths=config.snapshot_every_truths,
             )
@@ -961,7 +952,7 @@ class RecommendationService:
         redeemed in.
         """
         self._ensure_open()
-        if deadline_s is not None and deadline_s <= 0:
+        if deadline_s is not None and not deadline_s > 0:
             raise ServingError("deadline_s must be positive (or None for no deadline)")
         # Reject before consuming anything: a caller whose submit is refused
         # must be able to retry with the same (possibly generator) queries.
@@ -1065,7 +1056,7 @@ class RecommendationService:
         batch is redeemed as soon as it is submitted, exactly as before.
         """
         size = batch_size if batch_size is not None else self.config.stream_batch_size
-        if size < 1:
+        if not size >= 1:
             raise ServingError("batch_size must be at least 1")
         window = self.config.pipeline_window
         max_outstanding = (

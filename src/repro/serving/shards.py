@@ -4,8 +4,8 @@ A *shard job* is the unit of work the serving layer hands to a worker — a
 slice of a batch (whole interaction-closed components, see
 :meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
 cells whose truth slice the shard may observe.  The primitives here are used
-identically by the persistent pool workers (:mod:`repro.serving.service`)
-and the inline fallback:
+identically by the persistent pool workers (:mod:`repro.serving.worker`)
+and the pooled backend's in-process tail (:func:`execute_jobs_inline`):
 
 * :func:`build_shard_clone` — a planner over a copy-on-write
   :meth:`~repro.core.truth.TruthDatabase.view_by_cells` slice of the base
@@ -464,8 +464,8 @@ class ChainState:
     Tracks which sub-shards completed, retags every producer's new truths
     with provisional ids (``id_base + submission_index`` — see
     :func:`handoff_id_base`), and builds each downstream job's adopt payload
-    — encoded with ``encoder`` (the columnar codec on the pooled wire) or
-    shipped as a plain list in-process.  Payloads are memoised per
+    — encoded with ``encoder`` (the pooled backend passes the columnar
+    codec) or left a plain list.  Payloads are memoised per
     ``handoff_from`` signature, so a resubmitted job rebuilds byte-identical
     state.
     """
@@ -528,28 +528,24 @@ class ChainState:
 
 
 def execute_jobs_inline(
-    planner: CrowdPlanner,
-    jobs: Sequence[ShardJob],
-    chain: Optional[ChainState] = None,
+    planner: CrowdPlanner, jobs: Sequence[ShardJob], chain: ChainState
 ) -> List[ShardOutcome]:
-    """Execute jobs in-process in shard-id order, driving the hand-off chain.
+    """Execute one batch's jobs in-process in shard-id order, driving its
+    hand-off ``chain``: the pooled backend's in-process tail, which serves
+    every window on a platform without ``fork`` and the rest of a window
+    whose pool was lost with the respawn budget spent.
 
     Shard ids are a topological order of the chain DAG (``split_oversized``
     renumbers them that way), so ascending execution satisfies every
-    predecessor before its consumers — the pooled dispatcher's in-process
-    tail, run once per batch both without ``fork`` and after whole-pool
-    loss, and it reproduces the sequential prefix exactly.
+    predecessor before its consumers and reproduces the sequential prefix
+    exactly.
     """
     outcomes: List[ShardOutcome] = []
     for job in sorted(jobs, key=lambda item: item.shard_id):
-        if chain is not None:
-            if not chain.ready(job):  # pragma: no cover - topo-order guard
-                raise ServingError(
-                    f"sub-shard {job.shard_id} is not executable in shard-id order"
-                )
-            job.adopt = chain.payload(job)
+        if not chain.ready(job):  # pragma: no cover - topo-order guard
+            raise ServingError(f"sub-shard {job.shard_id} is not executable in shard-id order")
+        job.adopt = chain.payload(job)
         outcome = execute_shard_job(planner, job)
         outcomes.append(outcome)
-        if chain is not None:
-            chain.record(outcome)
+        chain.record(outcome)
     return outcomes

@@ -1,8 +1,8 @@
 """The pool worker process: the child side of the pooled backend's protocol.
 
 :class:`~repro.serving.service.PooledBackend` forks one process per pool
-worker straight into :func:`pool_worker_main`, which serves ``sync`` /
-``run`` / ``drop`` / ``stop`` messages until its pipe closes.
+worker straight into :func:`pool_worker_main`, which feeds every parent
+message to :func:`serve_message` until its pipe closes.
 """
 
 from __future__ import annotations
@@ -17,6 +17,56 @@ from ..exceptions import ServingError
 from .metrics import DEFAULT_TENANT
 from .shards import build_tenant_planner, execute_shard_job
 
+#: :func:`serve_message`'s answer to ``stop``: leave the loop.
+STOP = object()
+
+
+def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
+    """Serve one ``sync`` / ``run`` / ``drop`` / ``stop`` message.
+
+    ``bases`` maps tenant names to the worker's warm planners (the default
+    tenant ``""`` is the fork-inherited root).  Returns the reply to send,
+    ``None`` for a message that takes none (``drop``), or :data:`STOP`.
+    Exceptions cross the pipe as rendered text: exception objects with
+    custom constructors do not round-trip through pickle.  A failure while
+    resolving the tenant base or adopting its delta is a ``desync`` — the
+    warm base may be partially updated, so the parent must retire this
+    worker — while a failure during shard execution leaves every base
+    intact (``error``).
+    """
+    kind = message[0]
+    if kind == "stop":
+        return STOP
+    if kind == "drop":
+        # Forget a closed workspace's warm base.  The name may be reused by
+        # a future workspace whose state is rebuilt from its spec + full
+        # delta.
+        bases.pop(message[1], None)
+        return None
+    if kind not in ("sync", "run"):  # pragma: no cover - protocol guard
+        return ("error", pid, f"unknown message kind {kind!r}")
+    # ("sync"|"run", tenant, spec, delta[, jobs])
+    tenant, spec, delta = message[1], message[2], message[3]
+    try:
+        base = bases.get(tenant)
+        if base is None:
+            if spec is None:
+                raise ServingError(
+                    f"worker {pid} received work for unknown tenant {tenant!r} "
+                    "without a planner spec"
+                )
+            base = bases[tenant] = build_tenant_planner(bases[DEFAULT_TENANT], spec)
+        base.truths.adopt_all(delta)
+    except Exception:
+        return ("desync", pid, traceback.format_exc())
+    if kind == "sync":
+        return ("synced", pid)
+    try:
+        outcomes = [execute_shard_job(base, job) for job in message[4]]
+    except Exception:
+        return ("error", pid, traceback.format_exc())
+    return ("done", pid, outcomes)
+
 
 def pool_worker_main(
     conn,
@@ -30,12 +80,12 @@ def pool_worker_main(
     The worker's ``planner`` is its fork-inherited copy of the parent's —
     the *base* whose truth store is kept warm across batches: ``run`` and
     ``sync`` messages carry the truths the parent merged since this worker
-    last heard from it — as a columnar
-    :class:`~repro.serving.protocol.TruthDeltaBlock` or a pickled object
-    list, whichever codec the backend is configured with;
-    :meth:`TruthDatabase.adopt_all` accepts both and preserves parent ids,
-    keeping lookup tie-breaks identical — and each shard then executes on a
-    fresh clone over a copy-on-write slice of the warm base.  Strict
+    last heard from it, as a columnar
+    :class:`~repro.serving.protocol.TruthDeltaBlock` that
+    :meth:`TruthDatabase.adopt_all` decodes against the fork-inherited
+    network, preserving parent ids and so lookup tie-breaks — and each
+    shard then executes on a fresh clone over a copy-on-write slice of the
+    warm base.  Each message is served by :func:`serve_message`.  Strict
     request/reply: every *substantive* message gets exactly one response.
 
     Tenancy: the worker keeps one warm truth base *per workspace* —
@@ -73,18 +123,6 @@ def pool_worker_main(
     if tenants:
         bases.update(tenants)
 
-    def base_for(tenant: str, spec) -> CrowdPlanner:
-        base = bases.get(tenant)
-        if base is None:
-            if spec is None:
-                raise ServingError(
-                    f"worker {pid} received work for unknown tenant {tenant!r} "
-                    "without a planner spec"
-                )
-            base = build_tenant_planner(planner, spec)
-            bases[tenant] = base
-        return base
-
     send_lock = threading.Lock()
     busy = threading.Event()
     stopping = threading.Event()
@@ -109,45 +147,13 @@ def pool_worker_main(
             message = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
-        kind = message[0]
         busy.set()
-        # Exceptions cross the pipe as rendered text: exception objects with
-        # custom constructors do not round-trip through pickle.  A failure
-        # while adopting deltas is reported as "desync" — the warm base may
-        # be partially updated, so the parent must retire this worker — while
-        # a failure during shard execution leaves the base intact ("error").
         try:
-            if kind == "stop":
+            reply = serve_message(bases, message, pid)
+            if reply is STOP:
                 break
-            if kind == "drop":
-                # Forget a closed workspace's warm base (no reply — like
-                # "stop", it carries no work to acknowledge).  The name may
-                # be reused by a future workspace whose state is rebuilt
-                # from its spec + full delta.
-                bases.pop(message[1], None)
-            elif kind in ("sync", "run"):
-                # ("sync"|"run", tenant, spec, delta[, jobs]) — a failure
-                # while resolving the tenant base or adopting its delta is a
-                # desync (the warm base may be partially updated); a failure
-                # during shard execution leaves every base intact.
-                tenant, spec, delta = message[1], message[2], message[3]
-                try:
-                    base = base_for(tenant, spec)
-                    base.truths.adopt_all(delta)
-                except Exception:
-                    send(("desync", pid, traceback.format_exc()))
-                    continue
-                if kind == "sync":
-                    send(("synced", pid))
-                    continue
-                try:
-                    outcomes = [execute_shard_job(base, job) for job in message[4]]
-                except Exception:
-                    send(("error", pid, traceback.format_exc()))
-                    continue
-                send(("done", pid, outcomes))
-            else:  # pragma: no cover - protocol guard
-                send(("error", pid, f"unknown message kind {kind!r}"))
+            if reply is not None:
+                send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             break
         finally:

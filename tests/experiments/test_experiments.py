@@ -91,9 +91,7 @@ class TestScenarioExperiments:
         # answer histories, which other tests read.
         result = exp_throughput.run(
             build_scenario(scenario.config),
-            ThroughputExperimentConfig(
-                num_batches=2, batch_size=12, pool_sizes=(2,), use_processes=False
-            ),
+            ThroughputExperimentConfig(num_batches=2, batch_size=12, pool_sizes=(2,)),
         )
         assert {row["backend"] for row in result.rows} == {
             "inline",

@@ -34,7 +34,9 @@ Fault kinds:
     pure stall the batch must ride out.
 
 The journal helpers at the bottom tear files the way a crash would
-(truncating mid-record, corrupting payload bytes in place), and
+(truncating mid-record, corrupting payload bytes in place),
+:func:`append_legacy_record` writes a record the way journals did before
+their payloads were always columnar, and
 :func:`break_journal_disk` models a *dying disk*: the journal's open segment
 handle starts raising ``ENOSPC``/``EIO`` at a chosen append ordinal.
 """
@@ -43,10 +45,12 @@ from __future__ import annotations
 
 import errno
 import os
+import pickle
 import signal
 import struct
 import threading
 import time
+import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -225,6 +229,16 @@ def corrupt_tail(journal_dir) -> None:
     assert last_payload_at is not None and last_payload_at < len(data)
     data[last_payload_at] ^= 0xFF
     segment.write_bytes(bytes(data))
+
+
+def append_legacy_record(journal_dir, truths, meta=None) -> None:
+    """Append a record as older journals wrote it: the same frame, with a
+    pickled ``(meta, list_of_truths)`` payload instead of a columnar block.
+    Reopen the journal afterwards to see it."""
+    payload = pickle.dumps((dict(meta or {}), list(truths)), protocol=pickle.HIGHEST_PROTOCOL)
+    with open(journal_segment(journal_dir), "ab") as handle:
+        handle.write(_FRAME.pack(len(payload), zlib.crc32(payload), len(truths)))
+        handle.write(payload)
 
 
 def append_garbage(journal_dir, blob: bytes = b"\x07garbage\x07" * 3) -> None:

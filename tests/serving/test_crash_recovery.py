@@ -316,11 +316,7 @@ class TestChaosMatrix:
         journal_dir = tmp_path / "journal"
         planner = build_serving_planner()
         config = _journaled_config(planner, journal_dir)
-        backend = FaultInjectingBackend(
-            schedule={1: "kill_after", 4: "hang"},
-            pool_size=2,
-            truth_wire=config.truth_wire,
-        )
+        backend = FaultInjectingBackend(schedule={1: "kill_after", 4: "hang"}, pool_size=2)
         service = RecommendationService(planner, config=config, backend=backend)
         chunks = _chunks(serving_workload)
         produced = []

@@ -17,10 +17,11 @@ import multiprocessing
 import pytest
 
 from repro.config import ServiceConfig
-from repro.serving import PooledBackend, RecommendationService, recommendation_fingerprint
+from repro.serving import RecommendationService, recommendation_fingerprint
 from repro.serving.shards import ChainState, handoff_id_base, split_oversized
 
 from .faults import FaultInjectingBackend
+from .sim_pool import SimulatedPool
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
@@ -154,9 +155,7 @@ class TestSplitPlan:
 class TestHotspotDiagnostics:
     def test_service_plan_reports_split(self, build_serving_planner, dominant_workload):
         planner = build_serving_planner()
-        backend = PooledBackend(
-            ServiceConfig(pool_size=4, use_processes=False, max_shard_fraction=FRACTION)
-        )
+        backend = SimulatedPool(ServiceConfig(pool_size=4, max_shard_fraction=FRACTION))
         with RecommendationService(planner, backend=backend) as service:
             plan = service.plan(list(dominant_workload))
             assert plan.largest_shard_fraction() <= FRACTION + 1e-9
@@ -167,9 +166,7 @@ class TestHotspotDiagnostics:
         self, build_serving_planner, dominant_workload
     ):
         planner = build_serving_planner()
-        backend = PooledBackend(
-            ServiceConfig(pool_size=4, use_processes=False, max_shard_fraction=FRACTION)
-        )
+        backend = SimulatedPool(ServiceConfig(pool_size=4, max_shard_fraction=FRACTION))
         with RecommendationService(planner, backend=backend) as service:
             service.results(service.submit(list(dominant_workload)))
             sharding = service.statistics()["sharding"]
@@ -182,12 +179,10 @@ class TestHotspotDiagnostics:
     def test_inprocess_chain_is_not_a_degraded_batch(
         self, build_serving_planner, dominant_workload, sequential_oracle
     ):
-        """Without fork the dispatcher's in-process tail serves every shard;
-        with no pool to lose, that is not a degradation."""
+        """Every shard of the chains runs on a live (simulated) pool; with no
+        pool lost, that is not a degradation."""
         planner = build_serving_planner()
-        backend = PooledBackend(
-            ServiceConfig(pool_size=4, use_processes=False, max_shard_fraction=FRACTION)
-        )
+        backend = SimulatedPool(ServiceConfig(pool_size=4, max_shard_fraction=FRACTION))
         half = len(dominant_workload) // 2
         with RecommendationService(planner, backend=backend) as service:
             responses = service.results(service.submit(list(dominant_workload[:half])))

@@ -21,6 +21,7 @@ from repro.serving import RecommendationService, TruthJournal, recommendation_fi
 
 from .faults import (
     append_garbage,
+    append_legacy_record,
     break_journal_disk,
     corrupt_tail,
     journal_segment,
@@ -108,21 +109,19 @@ class TestJournalUnit:
 
     def test_pickle_written_columnar_read(self, tmp_path, recorded_truths):
         planner, truths = recorded_truths
-        with TruthJournal(
-            tmp_path / "j", wire="pickle", snapshot_every_truths=10_000
-        ) as journal:
-            journal.append(truths, planner.truths, meta={})
+        TruthJournal(tmp_path / "j", snapshot_every_truths=10_000).close()
+        append_legacy_record(tmp_path / "j", truths, meta={})
 
-        # Reading is codec-agnostic: the columnar-configured handle replays
-        # records written by the pickle-configured one (and vice versa).
-        reopened = TruthJournal(tmp_path / "j", wire="columnar")
+        # Replay reads legacy pickled records, and columnar records appended
+        # after them, in one pass.
+        reopened = TruthJournal(tmp_path / "j")
         store = _empty_store(planner)
         assert reopened.replay_into(store) == len(truths)
         assert _truth_keys(store) == _truth_keys(planner.truths)
         reopened.append(truths[:1], planner.truths, meta={})  # columnar append
         reopened.close()
 
-        mixed = TruthJournal(tmp_path / "j", wire="pickle")
+        mixed = TruthJournal(tmp_path / "j")
         assert mixed.batch_count == 2
         assert mixed.replay_into(_empty_store(planner)) == len(truths)
         mixed.close()
@@ -226,8 +225,6 @@ class TestJournalUnit:
         with pytest.raises(JournalError):
             journal.append(truths, planner.truths)
         with pytest.raises(JournalError):
-            TruthJournal(tmp_path / "j", wire="msgpack")
-        with pytest.raises(JournalError):
             TruthJournal(tmp_path / "j", snapshot_every_truths=0)
         rogue = tmp_path / "file"
         rogue.write_text("not a directory")
@@ -299,16 +296,23 @@ class TestServiceJournalIntegration:
     ):
         chunks = self._chunks(serving_workload)
         planner = build_serving_planner()
-        pickle_config = self._config(planner, tmp_path, truth_wire="pickle")
-        service = RecommendationService(planner, config=pickle_config)
+        config = self._config(planner, tmp_path)
+        # The first two batches leave a journal of legacy pickled records,
+        # one per batch, as an older release would have written it.
+        TruthJournal(tmp_path / "j").close()
+        service = RecommendationService(
+            planner, config=dataclasses.replace(config, journal_path=None)
+        )
         produced = []
-        for chunk in chunks[:2]:
+        for batch_id, chunk in enumerate(chunks[:2], start=1):
+            before = planner.truth_cursor()
             for response in service.results(service.submit(chunk)):
                 produced.append(recommendation_fingerprint(response.result))
+            meta = {"batch_id": batch_id, "size": len(chunk)}
+            append_legacy_record(tmp_path / "j", planner.truth_delta(before), meta=meta)
 
-        columnar_config = dataclasses.replace(pickle_config, truth_wire="columnar")
         recovered = RecommendationService.recover(
-            build_serving_planner(), tmp_path / "j", config=columnar_config
+            build_serving_planner(), tmp_path / "j", config=config
         )
         for chunk in chunks[2:]:
             for response in recovered.results(recovered.submit(chunk)):

@@ -24,10 +24,12 @@ from repro.serving import (
     RecommendationService,
     recommendation_fingerprint,
     shards,
+    worker,
 )
 from repro.serving.pipeline import batch_dependencies, window_parallelism
 
 from .faults import FaultInjectingBackend
+from .sim_pool import simulated_service
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
@@ -118,7 +120,7 @@ class TestDegenerateWindows:
             raise AssertionError("pipeline_window=1 must stay on the barrier path")
 
         monkeypatch.setattr(PooledBackend, "execute_window", forbidden)
-        with _service(planner, pool_size=2, use_processes=False) as service:
+        with simulated_service(planner, pool_size=2) as service:
             tickets = [service.submit(chunk) for chunk in _chunks(serving_workload, 4)]
             responses = [r for t in tickets for r in service.results(t)]
         assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
@@ -130,7 +132,7 @@ class TestDegenerateWindows:
         """Even with a window configured, a lone pending batch runs the
         plain execute_batch path (nothing to overlap with)."""
         planner = build_serving_planner()
-        with _service(planner, pool_size=2, use_processes=False, pipeline_window=4) as service:
+        with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             responses = service.results(service.submit(serving_workload[:24]))
         assert len(responses) == 24
         assert service.statistics()["pipeline"]["windows"] == 0
@@ -177,7 +179,7 @@ class TestDegenerateWindows:
             for _ in range(4)
             for result in oracle_planner.recommend_batch(list(repeated))
         ]
-        with _service(planner, pool_size=2, use_processes=False, pipeline_window=4) as service:
+        with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             tickets = [service.submit(list(repeated)) for _ in range(4)]
             responses = [r for t in tickets for r in service.results(t)]
         assert _fingerprints(responses) == oracle
@@ -195,15 +197,17 @@ class TestWindowedContract:
         pool_size, pipeline_window,
     ):
         planner = build_serving_planner()
-        with _service(
-            planner, pool_size=pool_size, use_processes=False,
-            pipeline_window=pipeline_window,
+        with simulated_service(
+            planner, pool_size=pool_size, pipeline_window=pipeline_window
         ) as service:
             tickets = [service.submit(chunk) for chunk in _chunks(serving_workload, 5)]
             collected = {t.ticket_id: service.results(t) for t in reversed(tickets)}
+            stats = service.statistics()
         responses = [r for t in tickets for r in collected[t.ticket_id]]
         assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
         assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
+        # The simulated pool runs the real window dispatcher, not a barrier.
+        assert stats["pipeline"]["windows"] >= 1
 
     @needs_fork
     @pytest.mark.parametrize("pipeline_window", [2, 4])
@@ -298,20 +302,8 @@ class TestWindowFaults:
     """Failures inside a window: prefix semantics + chaos parity."""
 
     def test_mid_window_failure_keeps_later_tickets_redeemable(
-        self, build_serving_planner, serving_workload
+        self, build_serving_planner, serving_workload, monkeypatch
     ):
-        class FlakyWindowBackend(PooledBackend):
-            def __init__(self, fail_on_calls):
-                super().__init__(ServiceConfig(pool_size=2, use_processes=False))
-                self.fail_on_calls = set(fail_on_calls)
-                self.calls = 0
-
-            def execute_batch(self, queries, share_candidate_generation=True, plan=None):
-                self.calls += 1
-                if self.calls in self.fail_on_calls:
-                    raise ServingError("transient shard failure")
-                return super().execute_batch(queries, share_candidate_generation, plan)
-
         planner = build_serving_planner()
         oracle_planner = build_serving_planner()
         batches = _chunks(serving_workload[:72], 3)
@@ -320,13 +312,18 @@ class TestWindowFaults:
             for batch in batches
             for result in oracle_planner.recommend_batch(list(batch))
         ]
-        # Call 2 fails mid-window (prefix of one batch returned); call 3 is
-        # the retried batch heading the next window, so it raises.
-        backend = FlakyWindowBackend(fail_on_calls={2, 3})
-        config = ServiceConfig.from_planner_config(
-            planner.config, backend="pooled", pipeline_window=4
-        )
-        with RecommendationService(planner, config=config, backend=backend) as service:
+        # Batch 1's shards fail on the workers until the fault clears.
+        poisoned = set(batches[1])
+        assert not poisoned & set(batches[0] + batches[2])
+        real_execute = worker.execute_shard_job
+
+        def failing_execute(base, job):
+            if poisoned & set(job.queries):
+                raise RuntimeError("transient shard failure")
+            return real_execute(base, job)
+
+        monkeypatch.setattr(worker, "execute_shard_job", failing_execute)
+        with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             tickets = [service.submit(batch) for batch in batches]
             # The window executes batch 1, fails on batch 2: the prefix is
             # finalised and ticket 1 redeems fine.
@@ -336,6 +333,7 @@ class TestWindowFaults:
             with pytest.raises(ServingError):
                 service.results(tickets[1])
             # Both tickets stayed pending and redeem after the fault clears.
+            monkeypatch.undo()
             second = service.results(tickets[1])
             third = service.results(tickets[2])
         assert _fingerprints(first + second + third) == oracle

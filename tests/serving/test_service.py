@@ -28,6 +28,8 @@ from repro.serving import (
     recommendation_fingerprint,
 )
 
+from .sim_pool import SimulatedPool, simulated_service
+
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
 
@@ -108,7 +110,7 @@ class TestServiceContract:
 
     @pytest.mark.parametrize("max_shard_fraction", [1.0, 0.5, 0.25])
     @pytest.mark.parametrize("pool_size", [1, 2, 4])
-    @pytest.mark.parametrize("use_processes", [False, True])
+    @pytest.mark.parametrize("forked", [False, True])
     def test_hotspot_split_matches_sequential(
         self,
         build_serving_planner,
@@ -116,21 +118,16 @@ class TestServiceContract:
         sequential_oracle,
         max_shard_fraction,
         pool_size,
-        use_processes,
+        forked,
     ):
         """The hotspot matrix: every splitting level is observationally
         invisible — fingerprints, statistics and the merged truth store all
-        equal the sequential oracle, forked pool and in-process alike."""
-        if use_processes and not HAS_FORK:
+        equal the sequential oracle, forked pool and simulated pool alike."""
+        if forked and not HAS_FORK:
             pytest.skip("platform has no fork start method")
+        config = ServiceConfig(pool_size=pool_size, max_shard_fraction=max_shard_fraction)
         planner = build_serving_planner()
-        backend = PooledBackend(
-            ServiceConfig(
-                pool_size=pool_size,
-                use_processes=use_processes,
-                max_shard_fraction=max_shard_fraction,
-            )
-        )
+        backend = PooledBackend(config) if forked else SimulatedPool(config)
         with RecommendationService(planner, backend=backend) as service:
             responses = service.results(service.submit(dominant_workload))
         oracle = sequential_oracle["dominant"]
@@ -364,6 +361,16 @@ class TestLifecycle:
             service.drain()
             assert service.submit(source).size == 4
 
+    def test_nan_deadline_and_batch_size_rejected(self, build_serving_planner, serving_workload):
+        """NaN fails every comparison, so it must fail validation too: a NaN
+        deadline would never shed or breach, a NaN batch size would send a
+        whole stream as one batch."""
+        with _service(build_serving_planner(), "inline") as service:
+            with pytest.raises(ServingError):
+                service.submit(serving_workload[:4], deadline_s=float("nan"))
+            with pytest.raises(ServingError):
+                next(service.stream(serving_workload[:4], batch_size=float("nan")))
+
     def test_empty_batch(self, build_serving_planner):
         with _service(build_serving_planner(), "inline") as service:
             assert service.results(service.submit([])) == []
@@ -377,7 +384,7 @@ class TestLifecycle:
 
     def test_explicit_backend_instance(self, build_serving_planner, serving_workload):
         planner = build_serving_planner()
-        backend = PooledBackend(ServiceConfig(pool_size=2, use_processes=False))
+        backend = SimulatedPool(ServiceConfig(pool_size=2))
         with RecommendationService(planner, backend=backend) as service:
             responses = service.results(service.submit(serving_workload[:20]))
         assert len(responses) == 20
@@ -425,15 +432,16 @@ class TestStatisticsSurface:
             return {group: set(values) for group, values in stats.items()}
 
         surfaces = {}
-        for backend in ("inline", "pooled"):
-            with _service(build_serving_planner(), backend, use_processes=False) as service:
-                service.results(service.submit(batch))
-                surfaces[backend] = key_sets(service.statistics())
+        with _service(build_serving_planner(), "inline") as service:
+            service.results(service.submit(batch))
+            surfaces["inline"] = key_sets(service.statistics())
+        with simulated_service(build_serving_planner(), pool_size=2) as service:
+            service.results(service.submit(batch))
+            surfaces["pooled"] = key_sets(service.statistics())
         template = build_serving_planner()
-        config = ServiceConfig.from_planner_config(
-            template.config, backend="pooled", pool_size=2, use_processes=False
-        )
-        with WorkspaceService(template, config=config) as workspaces:
+        config = ServiceConfig.from_planner_config(template.config, backend="pooled", pool_size=2)
+        pool = SimulatedPool(config)
+        with WorkspaceService(template, config=config, pool=pool) as workspaces:
             workspace = workspaces.create_workspace("alpha")
             workspace.results(workspace.submit(batch))
             surfaces["workspace"] = key_sets(workspace.statistics())
@@ -476,13 +484,11 @@ class TestInterleavingProperty:
                 chunks.append(workload[position:position + size])
                 position += size
             planner = build_serving_planner()
-            # use_processes=False keeps the property sweep affordable; the
+            # The simulated pool keeps the property sweep affordable; the
             # forked path is covered by the parametrised contract tests.
-            backend = PooledBackend(ServiceConfig(pool_size=pool_size, use_processes=False))
-            config = ServiceConfig.from_planner_config(
-                planner.config, pipeline_window=pipeline_window
-            )
-            with RecommendationService(planner, config=config, backend=backend) as service:
+            with simulated_service(
+                planner, seed=chunk_seed, pool_size=pool_size, pipeline_window=pipeline_window
+            ) as service:
                 tickets = [service.submit(chunk) for chunk in chunks]
                 order = list(range(len(tickets)))
                 rng.shuffle(order)

@@ -1,6 +1,6 @@
 """Shard determinism: a pooled service's answers to one batch must be
 bit-identical to the sequential ``recommend_batch`` oracle for every pool
-size, execution mode (forked processes or inline) and component
+size, execution mode (forked or simulated workers) and component
 partitioning — including skewed workloads where one destination cell
 dominates."""
 
@@ -10,21 +10,23 @@ from repro.config import ServiceConfig
 from repro.core.planner import QueryShard, ShardPlan
 from repro.serving import RecommendationService, recommendation_fingerprint
 
+from .sim_pool import simulated_service
+
 
 def _fingerprints(results):
     return [recommendation_fingerprint(result) for result in results]
 
 
-def _service(planner, pool_size, use_processes=True):
-    config = ServiceConfig.from_planner_config(
-        planner.config, pool_size=pool_size, use_processes=use_processes
-    )
+def _service(planner, pool_size, forked=True):
+    if not forked:
+        return simulated_service(planner, pool_size=pool_size)
+    config = ServiceConfig.from_planner_config(planner.config, pool_size=pool_size)
     return RecommendationService(planner, config)
 
 
-def _serve(planner, workload, pool_size, use_processes=True, plan=None):
+def _serve(planner, workload, pool_size, forked=True, plan=None):
     """One batch through a pooled service opened and closed around it."""
-    with _service(planner, pool_size, use_processes) as service:
+    with _service(planner, pool_size, forked) as service:
         return [r.result for r in service.recommend_batch(workload, plan=plan)]
 
 
@@ -45,7 +47,7 @@ class TestWorkerSweep:
         self, build_serving_planner, serving_workload, sequential_oracle, workers
     ):
         planner = build_serving_planner()
-        results = _serve(planner, serving_workload, workers, use_processes=False)
+        results = _serve(planner, serving_workload, workers, forked=False)
         assert _fingerprints(results) == sequential_oracle["plain"]["fingerprints"]
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -53,7 +55,7 @@ class TestWorkerSweep:
         self, build_serving_planner, dominant_workload, sequential_oracle, workers
     ):
         planner = build_serving_planner()
-        results = _serve(planner, dominant_workload, workers, use_processes=False)
+        results = _serve(planner, dominant_workload, workers, forked=False)
         assert _fingerprints(results) == sequential_oracle["dominant"]["fingerprints"]
 
 
@@ -211,7 +213,7 @@ class TestAnyPartitioningProperty:
                 cell_size_m=atomic.cell_size_m,
                 cell_reach=atomic.cell_reach,
             )
-            results = _serve(planner, workload, len(shards), use_processes=False, plan=plan)
+            results = _serve(planner, workload, len(shards), forked=False, plan=plan)
             assert _fingerprints(results) == sequential_oracle[workload_name]["fingerprints"]
             assert planner.statistics.as_dict() == sequential_oracle[workload_name]["statistics"]
 

@@ -31,6 +31,7 @@ from repro.serving import (
 )
 
 from .faults import FAST_SUPERVISION, FaultInjectingBackend
+from .sim_pool import SimulatedPool
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform has no fork start method")
@@ -84,10 +85,7 @@ def tenant_oracles(build_serving_planner, tenant_batches):
 
 
 def _tenant_config(template, **overrides):
-    use_processes = overrides.pop("use_processes", HAS_FORK)
-    return ServiceConfig.from_planner_config(
-        template.config, use_processes=use_processes, **overrides
-    )
+    return ServiceConfig.from_planner_config(template.config, **overrides)
 
 
 def _round_robin(tenant_batches):
@@ -258,10 +256,8 @@ class TestTenantIsolationContract:
         self, build_serving_planner, tenant_batches, tenant_oracles, order
     ):
         template = build_serving_planner()
-        config = _tenant_config(
-            template, backend="pooled", pool_size=2, use_processes=False
-        )
-        with WorkspaceService(template, config=config) as svc:
+        config = _tenant_config(template, backend="pooled", pool_size=2)
+        with WorkspaceService(template, config=config, pool=SimulatedPool(config)) as svc:
             for name in TENANTS:
                 svc.create_workspace(name)
             fingerprints = _run_interleaved(svc, tenant_batches, order=order)

@@ -6,7 +6,7 @@ including ids (the lookup tie-break), endpoint coordinates, paths, metadata
 and enum-like strings — for any delta a :class:`TruthDatabase` can hold,
 empty deltas and merge-cadence sync deltas included.  Service-level tests
 pin that a pooled service on the columnar wire is fingerprint-identical to
-the pickle wire and the sequential oracle.
+the sequential oracle.
 """
 
 import pickle
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import ServiceConfig
 from repro.core.truth import TruthDatabase, VerifiedTruth
-from repro.exceptions import ConfigurationError
 from repro.routing.base import CandidateRoute, RouteQuery
 from repro.serving import (
     PooledBackend,
@@ -182,12 +181,10 @@ class TestServiceWireParity:
             ],
         )
 
-    def test_columnar_wire_matches_pickle_wire_and_oracle(
+    def test_columnar_wire_matches_oracle(
         self, build_serving_planner, serving_workload, sequential_oracle
     ):
-        columnar = self._run(build_serving_planner, serving_workload, truth_wire="columnar")
-        pickled = self._run(build_serving_planner, serving_workload, truth_wire="pickle")
-        assert columnar == pickled
+        columnar = self._run(build_serving_planner, serving_workload)
         assert columnar[0] == sequential_oracle["plain"]["fingerprints"]
         assert columnar[2] == sequential_oracle["plain"]["truths"]
 
@@ -196,17 +193,5 @@ class TestServiceWireParity:
     ):
         """merge_every_batches > 1 leaves idle workers dirty between
         cadences; the catch-up sync ships columnar deltas too."""
-        responses = self._run(
-            build_serving_planner, serving_workload,
-            truth_wire="columnar", merge_every_batches=3,
-        )
+        responses = self._run(build_serving_planner, serving_workload, merge_every_batches=3)
         assert responses[0] == sequential_oracle["plain"]["fingerprints"]
-
-    def test_config_knob_validation(self, build_serving_planner):
-        with pytest.raises(ConfigurationError):
-            PooledBackend(ServiceConfig(pool_size=1, truth_wire="msgpack"))
-        config = ServiceConfig.from_planner_config(
-            build_serving_planner().config, backend="pooled", truth_wire="pickle"
-        )
-        assert config.truth_wire == "pickle"
-        assert "truth_wire" in config.to_dict()

@@ -1,5 +1,7 @@
 """Tests for repro.config."""
 
+import math
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG, DEFAULT_SERVICE_CONFIG, PlannerConfig, ServiceConfig
@@ -27,6 +29,10 @@ class TestPlannerConfigValidation:
             ("early_stop_confidence", 0.0),
             ("pmf_latent_dim", 0),
             ("reward_per_question", -1.0),
+            # NaN fails every comparison, so it must fail validation too.
+            ("truth_reuse_radius_m", math.nan),
+            ("knowledge_radius_m", math.nan),
+            ("reward_per_question", math.nan),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -76,8 +82,14 @@ class TestServiceConfig:
             # Below the default respawn_backoff_s (0.05 s).
             ("respawn_backoff_max_s", 0.01),
             ("hedge_after_s", 0),
-            ("truth_wire", "msgpack"),
             ("pipeline_window", 0),
+            ("heartbeat_interval_s", math.nan),
+            ("rpc_deadline_s", math.nan),
+            ("hedge_after_s", math.nan),
+            ("respawn_backoff_s", math.nan),
+            ("respawn_backoff_max_s", math.nan),
+            ("truth_reuse_radius_m", math.nan),
+            ("knowledge_radius_m", math.nan),
             # Planner-level validation still applies to the subclass.
             ("confidence_threshold", 0.0),
         ],
