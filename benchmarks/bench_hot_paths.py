@@ -5,7 +5,8 @@ vs. its per-edge closure, the crowd-evaluation pipeline
 simulation) vs. its preserved sequential oracles, sharded serving vs.
 sequential ``recommend_batch``, the cross-batch pipelined
 scheduler vs. the per-batch barrier, and the intra-component sub-shard
-chain vs. the monolithic hotspot plan.
+chain vs. the monolithic hotspot plan, and hotspot sub-shard execution on
+a structurally copied worker pool vs. a deep-copied one.
 
 These benchmarks seed the repo's performance trajectory: run them through
 ``scripts/bench_to_json.py`` to (re)generate ``BENCH_hot_paths.json`` at the
@@ -21,6 +22,7 @@ city named in the acceptance criteria.
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import random
@@ -28,6 +30,7 @@ import shutil
 import signal
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,7 +56,9 @@ from repro.routing.mpr import MostPopularRouteMiner
 from repro.routing.reference import ClosureFastestRouteService, ClosureMostPopularRouteMiner
 from repro.routing.web_service import FastestRouteService
 from repro.core.truth import TruthDatabase
+from repro.core.worker import WorkerPool
 from repro.serving.service import PooledBackend
+from repro.serving.shards import ShardJob, execute_shard_job, split_oversized
 from repro.serving import (
     RecommendationService,
     TruthJournal,
@@ -817,6 +822,16 @@ def _run_hotspot(build_planner, workload, max_shard_fraction):
     return [response.result for response in responses], stats
 
 
+def _hotspot_workload(scenario):
+    """A city-center hotspot batch: 30% of queries share one destination."""
+    return generate_large_batch_workload(
+        scenario.network,
+        LargeBatchWorkloadConfig(
+            num_queries=160, num_clusters=5, dominant_destination_fraction=0.3, seed=77
+        ),
+    )
+
+
 @pytest.fixture(scope="module")
 def hotspot_setup(serving_city):
     """A city-center hotspot batch (30% of queries share one destination)
@@ -828,12 +843,7 @@ def hotspot_setup(serving_city):
     never hide a visibility or ordering divergence in the pipeline.
     """
     scenario, build_planner = serving_city
-    workload = generate_large_batch_workload(
-        scenario.network,
-        LargeBatchWorkloadConfig(
-            num_queries=160, num_clusters=5, dominant_destination_fraction=0.3, seed=77
-        ),
-    )
+    workload = _hotspot_workload(scenario)
     oracle = [
         recommendation_fingerprint(result)
         for result in build_planner().recommend_batch(workload)
@@ -893,6 +903,101 @@ def test_crowd_hotspot_reference(benchmark, hotspot_setup):
         warmup_rounds=0,
     )
     assert [recommendation_fingerprint(r) for r in results] == oracle
+
+
+# --------------------------------------------------------------- shard clone
+class _DeepCopiedPool(WorkerPool):
+    """The former shard-clone pool copy: ``copy.deepcopy`` of the pool."""
+
+    def copy(self):
+        return copy.deepcopy(self)
+
+
+def _deep_copy_planner(planner):
+    """``planner`` as the former shard clones saw it: same substrate and
+    truths, but a worker pool that each clone deep-copies."""
+    reference = copy.copy(planner)
+    reference.worker_pool = _DeepCopiedPool(planner.worker_pool)
+    return reference
+
+
+def _outcome_key(outcome):
+    return (
+        [recommendation_fingerprint(result) for result in outcome.results],
+        outcome.statistics_delta,
+        [
+            (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
+            for t in outcome.new_truths
+        ],
+    )
+
+
+def _chain_head_jobs(planner, batch):
+    """The hotspot split of ``batch``: one job per sub-shard that heads a
+    chain (no hand-off to adopt), in shard-id order."""
+    plan = planner.shard_plan(batch, 2)
+    split = split_oversized(planner, plan, batch, HOTSPOT_FRACTION)
+    shared = Counter(id(shard.destination_cells) for shard in split.shards)
+    return [
+        ShardJob(
+            shard_id=shard.shard_id,
+            indices=shard.indices,
+            destination_cells=shard.destination_cells,
+            queries=[batch[i] for i in shard.indices],
+        )
+        for shard in split.shards
+        if shared[id(shard.destination_cells)] > 1 and not shard.handoff_from
+    ]
+
+
+def _run_shard_jobs(planner, jobs):
+    return [_outcome_key(execute_shard_job(planner, job)) for job in jobs]
+
+
+@pytest.fixture(scope="module")
+def shard_clone_setup(serving_city):
+    """The chain-head sub-shards of a repeated hotspot batch: the
+    ``hotspot_repeat`` regime, where truth reuse answers most queries and
+    the clone a worker builds per sub-shard is most of the hop.
+
+    Before timing, the structural pool copy and the deep copy are asserted
+    to give identical outcomes (answers, statistics, recorded truths) on the
+    chain-head sub-shards of the cold batch, which send queries to the crowd
+    and so write the copied pool, and on the timed sub-shards.
+    """
+    scenario, build_planner = serving_city
+    workload = _hotspot_workload(scenario)
+    planner = build_planner()
+    cold = _chain_head_jobs(planner, workload)
+    outcomes = [execute_shard_job(planner, job) for job in cold]
+    assert [_outcome_key(outcome) for outcome in outcomes] == _run_shard_jobs(
+        _deep_copy_planner(planner), cold
+    )
+    assert any(r.method == "crowd" for outcome in outcomes for r in outcome.results), (
+        "no chain-head sub-shard reached the crowd"
+    )
+    planner.recommend_batch(workload)
+    reference = _deep_copy_planner(planner)
+    jobs = _chain_head_jobs(planner, workload)
+    expected = _run_shard_jobs(planner, jobs)
+    assert expected == _run_shard_jobs(reference, jobs)
+    return planner, reference, jobs, expected
+
+
+@pytest.mark.benchmark(group="shard_clone")
+def test_shard_clone_compiled(benchmark, shard_clone_setup):
+    """``execute_shard_job`` on each chain-head sub-shard: the clone copies
+    the worker pool structurally and its truth view walks populated cells."""
+    planner, _, jobs, expected = shard_clone_setup
+    assert benchmark(_run_shard_jobs, planner, jobs) == expected
+
+
+@pytest.mark.benchmark(group="shard_clone")
+def test_shard_clone_reference(benchmark, shard_clone_setup):
+    """The same sub-shards with the former per-clone ``copy.deepcopy`` of
+    the 28-worker pool."""
+    _, reference, jobs, expected = shard_clone_setup
+    assert benchmark(_run_shard_jobs, reference, jobs) == expected
 
 
 # ------------------------------------------------------------ crowd straggler

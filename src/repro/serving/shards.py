@@ -98,13 +98,20 @@ def build_shard_clone(planner: CrowdPlanner, destination_cells) -> CrowdPlanner:
     store (a copy-on-write destination-cell view), evaluator, worker pool,
     rewards and statistics are isolated so a shard's writes never leak into
     another shard or the base planner.
+
+    A clone is built for every shard and sub-shard a worker runs, so its
+    fixed cost is paid per hop of a hotspot chain.  The worker pool is
+    therefore copied structurally (:meth:`~repro.core.worker.WorkerPool.copy`:
+    fresh per-worker mutable state, shared frozen anchors) rather than
+    deep-copied, and the view touches only the populated cells of the
+    destination index.
     """
     clone = CrowdPlanner(
         network=planner.network,
         catalog=planner.catalog,
         calibrator=planner.calibrator,
         sources=planner.sources,
-        worker_pool=copy.deepcopy(planner.worker_pool),
+        worker_pool=planner.worker_pool.copy(),
         crowd_backend=planner.crowd_backend,
         config=planner.config,
         familiarity=planner.familiarity,
@@ -142,7 +149,7 @@ def build_tenant_planner(template: CrowdPlanner, config=None) -> CrowdPlanner:
         catalog=template.catalog,
         calibrator=template.calibrator,
         sources=template.sources,
-        worker_pool=copy.deepcopy(template.worker_pool),
+        worker_pool=template.worker_pool.copy(),
         crowd_backend=template.crowd_backend,
         config=config,
         familiarity=template.familiarity,

@@ -137,13 +137,24 @@ class GridIndex(Generic[T]):
         """Items whose locations fall in the given grid cells, in insertion order.
 
         This is the partitioning read path (truth-store destination
-        partitions): O(matching items), not O(index); duplicate cells in the
-        input are harmless (each item lives in exactly one cell and the cell
-        set is deduplicated first).
+        partitions and the views shard clones are built on): O(matching
+        items), not O(index); duplicate cells in the input are harmless (each
+        item lives in exactly one cell and the cell set is deduplicated
+        first).  The loop runs over whichever side is smaller: the queried
+        cells, or the populated cells when the query names more cells than
+        the index holds — a reach-expanded shard closure asks for hundreds of
+        cells of which a handful are populated.
         """
+        wanted = cells if isinstance(cells, (set, frozenset)) else set(cells)
+        populated = self._cells
         slots: List[int] = []
-        for cell in set(cells):
-            slots.extend(self._cells.get(cell, ()))
+        if len(populated) < len(wanted):
+            for cell, cell_slots in populated.items():
+                if cell in wanted:
+                    slots.extend(cell_slots)
+        else:
+            for cell in wanted:
+                slots.extend(populated.get(cell, ()))
         slots.sort()
         return [self._slot_item[slot] for slot in slots]
 

@@ -1,5 +1,6 @@
 """Tests for worker profiles, familiarity scores, PMF and response times."""
 
+import copy
 import math
 import random
 
@@ -64,6 +65,39 @@ class TestWorkerPool:
         record = worker.history_for(7)
         assert record.correct == 1 and record.wrong == 1 and record.total == 2
         assert worker.history_for(99).total == 0
+
+    def test_copy_equals_source_and_is_isolated_both_ways(self):
+        source = WorkerPool([make_worker(1), make_worker(2, home=(5.0, 5.0))])
+        source.get(1).familiar_places.append(Point(3.0, 4.0))
+        source.get(1).record_answer(7, correct=True)
+        source.get(2).record_answer(8, correct=False)
+        source.get(2).reward_points = 1.5
+        source.assign(2)
+
+        twin = source.copy()
+        assert twin.ids() == source.ids()
+        for original, copied in zip(source, twin):
+            assert copied is not original
+            assert copied == original  # every field, answer records included
+            assert copied.familiar_places is not original.familiar_places
+            assert copied.answer_history is not original.answer_history
+            for landmark_id, record in original.answer_history.items():
+                assert copied.answer_history[landmark_id] is not record
+            assert copied.home is original.home  # frozen anchors are shared
+
+        def mutate(pool, new_id):
+            pool.assign(1)
+            pool.get(2).reward_points += 2.0
+            pool.get(1).record_answer(7, correct=False)  # existing record
+            pool.get(2).record_answer(9, correct=True)  # new record
+            pool.get(2).familiar_places.append(Point(9.0, 9.0))
+            pool.add(make_worker(new_id))
+
+        for mutated, other, new_id in ((twin, source, 3), (source, twin, 4)):
+            frozen = copy.deepcopy(other.workers())
+            mutate(mutated, new_id)
+            assert other.workers() == frozen
+            assert new_id not in other
 
     def test_nearest_familiar_place_defaults_to_home(self):
         worker = make_worker(1, home=(5, 5))

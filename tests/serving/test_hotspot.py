@@ -12,13 +12,21 @@ reproduce the sequential fingerprints exactly.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 
 import pytest
 
 from repro.config import ServiceConfig
 from repro.serving import RecommendationService, recommendation_fingerprint
-from repro.serving.shards import ChainState, handoff_id_base, split_oversized
+from repro.serving.shards import (
+    ChainState,
+    ShardJob,
+    execute_jobs_inline,
+    handoff_id_base,
+    merge_shard_outcomes,
+    split_oversized,
+)
 
 from .faults import FaultInjectingBackend
 from .sim_pool import SimulatedPool
@@ -150,6 +158,41 @@ class TestSplitPlan:
         ids = [truth.truth_id for truth in payload]
         assert ids == sorted(ids)
         assert all(truth_id >= base for truth_id in ids)
+
+
+class TestShardCloneCost:
+    """A sub-shard's fixed cost: every hop of a chain builds a shard clone,
+    so the clone copies the worker pool structurally.  A deep copy per clone
+    (most of a hop's cost on a 28-worker pool) must not come back."""
+
+    def test_split_chain_executes_without_deep_copy(
+        self, split_case, sequential_oracle, monkeypatch
+    ):
+        planner, queries, _, split = split_case
+        jobs = [
+            ShardJob(
+                shard_id=shard.shard_id,
+                indices=shard.indices,
+                destination_cells=shard.destination_cells,
+                queries=[queries[i] for i in shard.indices],
+                predecessors=shard.predecessors,
+                handoff_from=shard.handoff_from,
+            )
+            for shard in split.shards
+        ]
+        assert any(job.handoff_from for job in jobs)
+        chain = ChainState(jobs, handoff_id_base())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shard clone made a deep copy")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        outcomes = execute_jobs_inline(planner, jobs, chain)
+        monkeypatch.undo()
+        results = merge_shard_outcomes(planner, len(queries), outcomes)
+        assert [recommendation_fingerprint(r) for r in results] == (
+            sequential_oracle["dominant"]["fingerprints"]
+        )
 
 
 class TestHotspotDiagnostics:

@@ -16,6 +16,8 @@ import multiprocessing
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ServiceConfig
 from repro.exceptions import ServingError
@@ -106,6 +108,61 @@ class TestBatchDependencies:
         assert batch_dependencies([]) == []
         assert batch_dependencies([_plan(), _plan([(1, 1)])]) == [[], [-1]]
         assert window_parallelism([[], [-1]])["independent_shards"] == 1
+
+
+def _per_cell_dependencies(plans):
+    """The former per-shard, per-cell loop: the oracle of ``batch_dependencies``."""
+    cell_last_batch = {}
+    deps = []
+    for batch_index, plan in enumerate(plans):
+        batch_deps = []
+        for shard in plan.shards:
+            dep = -1
+            for cell in shard.destination_cells:
+                dep = max(dep, cell_last_batch.get(cell, -1))
+            batch_deps.append(dep)
+        deps.append(batch_deps)
+        for shard in plan.shards:
+            for cell in shard.destination_cells:
+                cell_last_batch[cell] = batch_index
+    return deps
+
+
+_cells = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8)
+#: One cell set and how it is carried by ``count`` shards: one shared
+#: frozenset object (what ``split_oversized`` emits), equal but distinct
+#: frozensets, or plain sets (the shape ``_plan`` callers and tests build).
+_groups = st.tuples(_cells, st.integers(1, 4), st.sampled_from(["shared", "copies", "plain"]))
+
+
+@st.composite
+def _window_plans(draw):
+    plans = []
+    for _ in range(draw(st.integers(0, 5))):
+        shards = []
+        for cells, count, shape in draw(st.lists(_groups, max_size=4)):
+            shared = frozenset(cells)
+            for _ in range(count):
+                if shape == "shared":
+                    shard_cells = shared
+                elif shape == "copies":
+                    shard_cells = frozenset(cells)
+                else:
+                    shard_cells = set(cells)
+                shards.append(SimpleNamespace(destination_cells=shard_cells))
+        plans.append(SimpleNamespace(shards=draw(st.permutations(shards))))
+    return plans
+
+
+class TestBatchDependenciesEquivalence:
+    """``batch_dependencies`` scans each distinct cell-set object once; it
+    must answer exactly like the per-shard, per-cell loop it replaced."""
+
+    @pytest.mark.property
+    @settings(max_examples=200, deadline=None)
+    @given(plans=_window_plans())
+    def test_matches_per_cell_loop(self, plans):
+        assert batch_dependencies(plans) == _per_cell_dependencies(plans)
 
 
 class TestDegenerateWindows:

@@ -113,55 +113,65 @@ class TestTruthViewShardEquivalence:
     """The copy-on-write truth views that seed shard clones must answer
     exactly like materialised partitions (the pre-view shipping scheme)."""
 
-    def test_view_clone_matches_partition_clone(self, build_serving_planner, serving_workload):
+    def test_view_clone_matches_partition_clone(
+        self, build_serving_planner, serving_workload, dominant_workload
+    ):
         import copy
 
         from repro.core.planner import CrowdPlanner
         from repro.serving.shards import ShardJob, execute_shard_job
 
-        planner = build_serving_planner()
-        # Seed warm truths so the shard slices are non-trivial.
-        planner.recommend_batch(serving_workload[:40])
-        tail = serving_workload[40:120]
-        plan = planner.shard_plan(tail, 4)
-        assert len(plan.shards) > 1
-        for shard in plan.shards:
-            job = ShardJob(
-                shard_id=shard.shard_id,
-                indices=shard.indices,
-                destination_cells=shard.destination_cells,
-                queries=[tail[index] for index in shard.indices],
-            )
-            view_outcome = execute_shard_job(planner, job)
+        methods = []
+        # The dominant workload's tail sends queries to the crowd.
+        for workload in (serving_workload, dominant_workload):
+            planner = build_serving_planner()
+            # Seed warm truths so the shard slices are non-trivial.
+            planner.recommend_batch(workload[:40])
+            tail = workload[40:120]
+            plan = planner.shard_plan(tail, 4)
+            assert len(plan.shards) > 1
+            for shard in plan.shards:
+                job = ShardJob(
+                    shard_id=shard.shard_id,
+                    indices=shard.indices,
+                    destination_cells=shard.destination_cells,
+                    queries=[tail[index] for index in shard.indices],
+                )
+                view_outcome = execute_shard_job(planner, job)
 
-            # The former scheme: a clone over a materialised partition.
-            partition = planner.truths.partition_by_cells(shard.destination_cells)
-            clone = CrowdPlanner(
-                network=planner.network,
-                catalog=planner.catalog,
-                calibrator=planner.calibrator,
-                sources=planner.sources,
-                worker_pool=copy.deepcopy(planner.worker_pool),
-                crowd_backend=planner.crowd_backend,
-                config=planner.config,
-                familiarity=planner.familiarity,
-                task_generator=planner.task_generator,
-            )
-            clone.truths = partition
-            evaluator = copy.copy(planner.evaluator)
-            evaluator.truths = partition
-            clone.evaluator = evaluator
-            before = len(partition)
-            partition_results = clone.recommend_batch(job.queries)
+                # The former scheme: a clone over a materialised partition.
+                partition = planner.truths.partition_by_cells(shard.destination_cells)
+                clone = CrowdPlanner(
+                    network=planner.network,
+                    catalog=planner.catalog,
+                    calibrator=planner.calibrator,
+                    sources=planner.sources,
+                    worker_pool=copy.deepcopy(planner.worker_pool),
+                    crowd_backend=planner.crowd_backend,
+                    config=planner.config,
+                    familiarity=planner.familiarity,
+                    task_generator=planner.task_generator,
+                )
+                clone.truths = partition
+                evaluator = copy.copy(planner.evaluator)
+                evaluator.truths = partition
+                clone.evaluator = evaluator
+                before = len(partition)
+                partition_results = clone.recommend_batch(job.queries)
 
-            assert _fingerprints(view_outcome.results) == _fingerprints(partition_results)
-            assert [
-                (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
-                for t in view_outcome.new_truths
-            ] == [
-                (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
-                for t in partition.all()[before:]
-            ]
+                assert _fingerprints(view_outcome.results) == _fingerprints(partition_results)
+                methods.extend(result.method for result in view_outcome.results)
+                assert [
+                    (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
+                    for t in view_outcome.new_truths
+                ] == [
+                    (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
+                    for t in partition.all()[before:]
+                ]
+        # A crowd query assigns tasks in, and records answers into, the
+        # clone's worker pool: the structural pool copy is really written
+        # and compared against the deep-copied one above.
+        assert "crowd" in methods
 
 
 @pytest.mark.property
