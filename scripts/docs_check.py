@@ -11,7 +11,11 @@ Checks, over ``README.md`` and ``docs/*.md``:
    module docstring — so the index can never drift from the scripts;
 3. the Statistics table in ``docs/architecture.md`` lists exactly the
    counters of ``SCHEMA`` in ``src/repro/serving/metrics.py`` (group, key,
-   scope and kind), read with ``ast`` so no package needs installing.
+   scope and kind), read with ``ast`` so no package needs installing;
+4. every field of ``PlannerConfig`` and ``ServiceConfig`` in
+   ``src/repro/config.py`` is documented in its class docstring's
+   Attributes section, and every name documented there is a field of that
+   class (``a / b:`` documents two), also read with ``ast``.
 
 Run from anywhere: paths resolve against the repo root.  Exits non-zero
 with one line per problem (consumed by ``scripts/ci.sh`` and the CI lint
@@ -133,11 +137,55 @@ def _check_statistics(errors: list) -> None:
         errors.append(f"docs/architecture.md: Statistics table row {row} is not in the schema")
 
 
+#: Config classes whose fields must match their docstring's Attributes.
+_CONFIG_CLASSES = ("PlannerConfig", "ServiceConfig")
+#: An Attributes entry: ``name:`` or ``name / other_name:`` at column 0.
+_ATTRIBUTE = re.compile(r"^(\w+(?:\s*/\s*\w+)*):\s*$")
+
+
+def _documented_attributes(docstring: str) -> list:
+    """Names the Attributes section of a numpy-style docstring documents."""
+    lines = docstring.splitlines()
+    if "Attributes" not in lines:
+        return []
+    names = []
+    for line in lines[lines.index("Attributes") + 2 :]:
+        match = _ATTRIBUTE.match(line)
+        if match:
+            names.extend(name.strip() for name in match.group(1).split("/"))
+    return names
+
+
+def _check_config_knobs(errors: list) -> None:
+    tree = ast.parse((ROOT / "src/repro/config.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in _CONFIG_CLASSES:
+        node = classes.get(name)
+        if node is None:
+            errors.append(f"src/repro/config.py: class {name} not found")
+            continue
+        fields = [
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+        documented = _documented_attributes(ast.get_docstring(node) or "")
+        for field in fields:
+            if field not in documented:
+                errors.append(f"src/repro/config.py: {name}.{field} is not documented")
+        for attribute in documented:
+            if attribute not in fields:
+                errors.append(
+                    f"src/repro/config.py: {name} documents {attribute!r}, which is not a field"
+                )
+
+
 def main() -> int:
     errors: list = []
     _check_links(errors)
     _check_examples(errors)
     _check_statistics(errors)
+    _check_config_knobs(errors)
     for error in errors:
         print(f"docs_check: {error}", file=sys.stderr)
     if errors:

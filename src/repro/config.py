@@ -119,24 +119,9 @@ class PlannerConfig:
         return replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Return the configuration as a plain dictionary (for reporting)."""
-        return {
-            "confidence_threshold": self.confidence_threshold,
-            "agreement_threshold": self.agreement_threshold,
-            "truth_reuse_radius_m": self.truth_reuse_radius_m,
-            "truth_time_slot_minutes": self.truth_time_slot_minutes,
-            "min_landmark_set_size_slack": self.min_landmark_set_size_slack,
-            "worker_quota": self.worker_quota,
-            "response_time_threshold": self.response_time_threshold,
-            "knowledge_radius_m": self.knowledge_radius_m,
-            "familiarity_alpha": self.familiarity_alpha,
-            "familiarity_beta": self.familiarity_beta,
-            "workers_per_task": self.workers_per_task,
-            "early_stop_confidence": self.early_stop_confidence,
-            "pmf_latent_dim": self.pmf_latent_dim,
-            "reward_per_question": self.reward_per_question,
-            "random_seed": self.random_seed,
-        }
+        """Return the configuration as a plain dictionary, one key per field
+        in declaration order (for reporting and workspace manifests)."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 DEFAULT_CONFIG = PlannerConfig()
@@ -247,27 +232,21 @@ class ServiceConfig(PlannerConfig):
         ``min(respawn_backoff_s * 2**n, respawn_backoff_max_s)`` plus a
         random jitter of up to ``respawn_backoff_s``.
     pipeline_window:
-        Rolling-window size of the cross-batch pipelined scheduler: how many
-        consecutive pending batches the service hands to the backend in one
-        :meth:`~repro.serving.protocol.ServingBackend.execute_window` call.
-        ``1`` (the default) is the per-batch barrier.  A barrier is a
-        one-batch window: the pooled backend serves a lone batch through the
-        same dispatcher, which then has nothing to overlap it with.  With a
-        larger window the pooled backend dispatches a shard of batch N+1 as
-        soon as every earlier in-flight batch whose reach-expanded
-        destination cells intersect the shard's has merged (see
-        :mod:`repro.serving.pipeline`), keeping the pool saturated across
-        batch boundaries.  Merges stay strictly in submission order, so
-        results are identical for every window size — only latency and
-        throughput depend on it.
-    stream_batch_size:
-        Default batch size of :meth:`RecommendationService.stream`.
-        :meth:`~repro.serving.RecommendationService.stream` also keeps up to
-        ``pipeline_window`` submitted batches outstanding before redeeming,
-        so a stream actually engages the window scheduler.
-    share_candidate_generation:
-        Default for the batch-level candidate-generation memo (see
-        :meth:`CrowdPlanner.recommend_batch`); never changes answers.
+        Window size: the most consecutive pending batches the service hands
+        to the backend in one
+        :meth:`~repro.serving.protocol.ServingBackend.execute_window` call —
+        every batch executes inside such a window, so this is a size, never
+        a choice of code path.  ``1`` (the default) serves one batch per
+        window: a per-batch barrier.  With a larger window the pooled
+        backend dispatches a shard of batch N+1 as soon as every earlier
+        in-flight batch whose reach-expanded destination cells intersect the
+        shard's has merged (see :mod:`repro.serving.pipeline`), keeping the
+        pool saturated across batch boundaries, and
+        :meth:`~repro.serving.RecommendationService.stream` keeps up to a
+        window's worth of batches outstanding so its redemptions form full
+        windows.  Merges stay strictly in submission order, so results are
+        identical for every window size — only latency and throughput
+        depend on it.
     """
 
     backend: str = "pooled"
@@ -286,8 +265,6 @@ class ServiceConfig(PlannerConfig):
     respawn_backoff_s: float = 0.05
     respawn_backoff_max_s: float = 1.0
     pipeline_window: int = 1
-    stream_batch_size: int = 32
-    share_candidate_generation: bool = True
 
     def validate(self) -> None:
         super().validate()
@@ -333,8 +310,6 @@ class ServiceConfig(PlannerConfig):
             raise ConfigurationError("merge_every_batches must be at least 1")
         if self.pipeline_window < 1:
             raise ConfigurationError("pipeline_window must be at least 1")
-        if self.stream_batch_size < 1:
-            raise ConfigurationError("stream_batch_size must be at least 1")
 
     @classmethod
     def from_planner_config(cls, config: PlannerConfig, **overrides: Any) -> "ServiceConfig":
@@ -348,14 +323,6 @@ class ServiceConfig(PlannerConfig):
         return PlannerConfig(
             **{field.name: getattr(self, field.name) for field in fields(PlannerConfig)}
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        report = super().to_dict()
-        planner_fields = {field.name for field in fields(PlannerConfig)}
-        for field in fields(self):
-            if field.name not in planner_fields:
-                report[field.name] = getattr(self, field.name)
-        return report
 
 
 DEFAULT_SERVICE_CONFIG = ServiceConfig()

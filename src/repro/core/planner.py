@@ -483,9 +483,7 @@ class CrowdPlanner:
             if prepare is not None:
                 prepare(queries)
 
-    def recommend_batch(
-        self, queries: Sequence[RouteQuery], share_candidate_generation: bool = True
-    ) -> List[RecommendationResult]:
+    def recommend_batch(self, queries: Sequence[RouteQuery]) -> List[RecommendationResult]:
         """Answer a batch of route-recommendation requests in order.
 
         Semantically identical to calling :meth:`recommend` per query —
@@ -503,20 +501,16 @@ class CrowdPlanner:
           multi-member groups, od-identical queries share one candidate
           generation pass — sound because sources answer a fixed query
           deterministically, and worthwhile because production traffic is
-          dominated by repeated hot od-pairs.  ``share_candidate_generation``
-          disables only this memoisation; the warm-ups above always run.
+          dominated by repeated hot od-pairs.
         """
         queries = list(queries)
         self.warm_batch(queries)
-        if share_candidate_generation:
-            shareable = {
-                index
-                for members in self.od_cell_groups(queries).values()
-                if len(members) > 1
-                for index in members
-            }
-        else:
-            shareable = set()
+        shareable = {
+            index
+            for members in self.od_cell_groups(queries).values()
+            if len(members) > 1
+            for index in members
+        }
         memo: Dict[tuple, List[CandidateRoute]] = {}
         results: List[RecommendationResult] = []
         try:

@@ -52,7 +52,6 @@ from .protocol import (
     ServingBackend,
     Ticket,
     TruthDeltaBlock,
-    WindowBatch,
     encode_truth_delta,
     recommendation_fingerprint,
     response_fingerprint,
@@ -76,7 +75,6 @@ __all__ = [
     "Ticket",
     "TruthDeltaBlock",
     "TruthJournal",
-    "WindowBatch",
     "Workspace",
     "WorkspaceService",
     "batch_dependencies",

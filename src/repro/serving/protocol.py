@@ -12,16 +12,15 @@ vocabulary regardless of how batches are executed:
   and the batch's planning/execution/merge timings;
 * :class:`Ticket` is the handle ``submit`` returns and ``results`` consumes;
 * :class:`ServingBackend` is the pluggable execution strategy — the service
-  owns ordering, envelopes and lifecycle, a backend owns *how* one batch of
-  queries becomes ordered results (and parent planner state);
-* :class:`WindowBatch` + :meth:`ServingBackend.execute_window` are the
-  cross-batch pipelining surface: the service hands the backend a rolling
-  window of consecutive pending batches, the backend returns the merged
-  prefix of their executions (merges strictly in submission order, each
-  stamped with its ``truth_span`` for per-batch journaling).  The default
-  implementation is the per-batch barrier; the pooled backend overrides it
-  with the DAG-walking dispatcher in :mod:`repro.serving.service`, whose
-  shard-level dependency analysis lives in :mod:`repro.serving.pipeline`.
+  owns ordering, envelopes and lifecycle, a backend owns *how* batches of
+  queries become ordered results (and parent planner state).  Its one
+  execution method, :meth:`ServingBackend.execute_window`, takes a *window*
+  of consecutive pending batches and returns the merged prefix of their
+  executions (merges strictly in submission order, each stamped with its
+  ``truth_span`` for per-batch journaling); a lone batch is a one-batch
+  window.  The pooled backend serves windows with the DAG-walking
+  dispatcher in :mod:`repro.serving.service`, whose shard-level dependency
+  analysis lives in :mod:`repro.serving.pipeline`.
 
 The module also hosts the serving layer's two comparison/wire primitives:
 
@@ -169,12 +168,16 @@ class BatchExecution:
     """What a backend hands back for one executed batch.
 
     ``results`` are in submission order; ``origins`` pairs each result with
-    its ``(shard_id, worker_pid)``; the parent planner's post-batch state has
+    its ``(shard_id, worker_pid)``; ``truth_span`` is the ``(before, after)``
+    pair of parent truth cursors around this batch's merge, so the service
+    journals each batch's own truth delta even when several batches merged
+    inside one window call.  The parent planner's post-batch state has
     already been brought up to date (that is part of the backend contract).
     """
 
     results: List[RecommendationResult]
     origins: List[Tuple[Optional[int], Optional[int]]]
+    truth_span: Tuple[int, int]
     plan_s: float = 0.0
     execute_s: float = 0.0
     merge_s: float = 0.0
@@ -184,26 +187,6 @@ class BatchExecution:
     resubmitted: Optional[List[bool]] = None
     #: Workers re-forked by the supervisor while this batch executed.
     respawn_count: int = 0
-    #: ``(before, after)`` parent truth cursors around this batch's merge —
-    #: recorded by :meth:`ServingBackend.execute_window` so the service can
-    #: journal each batch's own truth delta even when several batches merged
-    #: inside one window call.  ``None`` on the plain ``execute_batch`` path,
-    #: where the caller brackets the cursors itself.
-    truth_span: Optional[Tuple[int, int]] = None
-
-
-@dataclass
-class WindowBatch:
-    """One submitted batch inside a pipeline window, backend-ready.
-
-    The service hands the backend a *window* — up to
-    ``ServiceConfig.pipeline_window`` consecutive pending batches — as a list
-    of these; the backend executes them with submission-order merge semantics
-    (see :meth:`ServingBackend.execute_window`).
-    """
-
-    queries: List[RouteQuery]
-    share_candidate_generation: bool = True
 
 
 class ServingBackend(abc.ABC):
@@ -234,23 +217,13 @@ class ServingBackend(abc.ABC):
         self.planner = planner
 
     @abc.abstractmethod
-    def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
-    ) -> BatchExecution:
-        """Answer one batch in submission order and update the parent planner."""
-
-    def execute_window(self, batches: Sequence[WindowBatch]) -> List[BatchExecution]:
+    def execute_window(self, batches: Sequence[Sequence[RouteQuery]]) -> List[BatchExecution]:
         """Execute a window of consecutive batches; return the merged prefix.
 
-        The default implementation is the barrier scheduler: each batch runs
-        through :meth:`execute_batch` in submission order, one at a time —
-        byte-for-byte the behaviour of calling the service without a window.
-        Backends that can overlap batches (the pooled backend's DAG
-        dispatcher) override this, but every override must keep the window
-        contract:
+        The service's only call into a backend: ``batches`` holds up to
+        ``ServiceConfig.pipeline_window`` consecutive pending batches, each a
+        list of queries, and a lone batch is a one-batch window.  Every
+        implementation keeps the window contract:
 
         * batches **merge strictly in submission order** — the parent
           planner's state after the call is exactly the sequential prefix;
@@ -263,22 +236,11 @@ class ServingBackend(abc.ABC):
           deterministically when the failing batch is retried at the head of
           a later window); only a failure of the **first** batch raises.
         """
-        planner = self.planner
-        executions: List[BatchExecution] = []
-        for batch in batches:
-            before = planner.truth_cursor() if planner is not None else 0
-            try:
-                execution = self.execute_batch(
-                    batch.queries, share_candidate_generation=batch.share_candidate_generation
-                )
-            except Exception:
-                if executions:
-                    break
-                raise
-            after = planner.truth_cursor() if planner is not None else 0
-            execution.truth_span = (before, after)
-            executions.append(execution)
-        return executions
+
+    def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
+        """The shard plan one batch would execute under (diagnostics): a
+        single shard, unless the backend shards."""
+        return planner.shard_plan(queries, 1)
 
     def worker_pids(self) -> List[int]:
         """PIDs of live pool workers (empty for in-process backends)."""

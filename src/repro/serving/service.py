@@ -18,12 +18,15 @@ that answers a *stream* of query batches instead of one-shot calls.
   forked once, keep warm :class:`~repro.core.truth.TruthDatabase` state
   between batches, and receive only the truth deltas the parent merged
   since their last shard, amortising a per-batch fork + clone;
-* with ``config.pipeline_window > 1`` consecutive pending batches execute
-  as one *window*: the pooled backend's DAG dispatcher
-  (:meth:`PooledBackend.execute_window`, dependencies from
-  :mod:`repro.serving.pipeline`) overlaps shards across batch boundaries
-  wherever their interaction closures are disjoint, while merges — and so
-  all observable state — stay strictly in submission order.
+* every batch executes inside a *window* of up to
+  ``config.pipeline_window`` consecutive pending batches, handed to the
+  backend's one execution method,
+  :meth:`~repro.serving.protocol.ServingBackend.execute_window` (a lone
+  batch is a one-batch window); the pooled backend's DAG dispatcher
+  (dependencies from :mod:`repro.serving.pipeline`) overlaps shards across
+  batch boundaries wherever their interaction closures are disjoint, while
+  merges — and so all observable state — stay strictly in submission
+  order.
 
 Service contract
 ----------------
@@ -41,6 +44,7 @@ answers because batch-level optimisations are performance-only channels
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import random
@@ -67,7 +71,6 @@ from .protocol import (
     ResultProvenance,
     ServingBackend,
     Ticket,
-    WindowBatch,
     encode_truth_delta,
     wrap_requests,
 )
@@ -91,27 +94,31 @@ class InlineBackend(ServingBackend):
 
     name = "inline"
 
-    def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
-    ) -> BatchExecution:
-        if self.planner is None:
+    def execute_window(self, batches: Sequence[Sequence[RouteQuery]]) -> List[BatchExecution]:
+        """Answer each batch with ``planner.recommend_batch``, in order."""
+        planner = self.planner
+        if planner is None:
             raise ServingError("backend is not bound to a planner")
-        if plan is not None:
-            raise ServingError("the inline backend does not accept shard plans")
-        started = time.perf_counter()
-        results = self.planner.recommend_batch(
-            list(queries), share_candidate_generation=share_candidate_generation
-        )
-        elapsed = time.perf_counter() - started
         pid = os.getpid()
-        return BatchExecution(
-            results=results,
-            origins=[(None, pid) for _ in results],
-            execute_s=elapsed,
-        )
+        executions: List[BatchExecution] = []
+        for queries in batches:
+            before = planner.truth_cursor()
+            started = time.perf_counter()
+            try:
+                results = planner.recommend_batch(queries)
+            except Exception:
+                if executions:
+                    break  # the window contract: return the merged prefix
+                raise
+            executions.append(
+                BatchExecution(
+                    results=results,
+                    origins=[(None, pid)] * len(results),
+                    truth_span=(before, planner.truth_cursor()),
+                    execute_s=time.perf_counter() - started,
+                )
+            )
+        return executions
 
 
 # ------------------------------------------------------------ pooled backend
@@ -170,9 +177,9 @@ class PooledBackend(ServingBackend):
     sync with the parent via streamed deltas, so consecutive batches pay
     only shard-clone construction, never a fork or a whole-store clone.
 
-    A lone batch is a one-batch window: :meth:`execute_batch` and
-    :meth:`execute_window` share one execution path, :meth:`_serve_window`:
-    a :class:`~repro.serving.scheduler.WindowScheduler` decides, and this
+    Every window, a lone batch included, takes one execution path,
+    :meth:`_serve_window`: a
+    :class:`~repro.serving.scheduler.WindowScheduler` decides, and this
     backend's transport (:meth:`_drive`) forks, sends, kills and reads
     replies.  On a platform without ``fork`` no pool is started and every
     window runs through the in-process tail — the same clone-and-merge
@@ -283,6 +290,23 @@ class PooledBackend(ServingBackend):
         self._stop_pool()
 
     # ------------------------------------------------------ hotspot splitting
+    def _split_plan(
+        self, planner: CrowdPlanner, queries: Sequence[RouteQuery]
+    ) -> Tuple[ShardPlan, ShardPlan]:
+        """One batch's shard plan over the pool, and that plan with its
+        oversized components split into sub-shard chains when
+        ``max_shard_fraction`` is set (the plan itself otherwise)."""
+        plan = planner.shard_plan(queries, self.resolved_pool_size())
+        fraction = self.config.max_shard_fraction
+        if fraction is None:
+            return plan, plan
+        return plan, split_oversized(planner, plan, queries, fraction)
+
+    def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
+        """The plan :meth:`_serve_window` executes a batch under, splits
+        included."""
+        return self._split_plan(planner, queries)[1]
+
     def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
         """Record one batch's skew diagnostics (the ``sharding`` group)."""
         record, depth = self.counters.record, after.chain_depth()
@@ -293,30 +317,8 @@ class PooledBackend(ServingBackend):
         record("sub_shards_total", max(0, len(after.shards) - len(before.shards)))
 
     # ------------------------------------------------------------- execution
-    def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
-        tenant: str = DEFAULT_TENANT,
-    ) -> BatchExecution:
-        """Serve one batch as a one-batch window (see :meth:`_serve_window`).
-
-        An explicit ``plan`` overrides the planner's own shard plan (it may
-        regroup shards only along whole interaction-closed components).
-        Raises when the batch fails.
-        """
-        if self.planner is None:
-            raise ServingError("backend is not bound to a planner")
-        self._planner_for(tenant)  # an unknown tenant fails even when empty
-        queries = list(queries)
-        if not queries:
-            return BatchExecution(results=[], origins=[])
-        window = [WindowBatch(queries, share_candidate_generation)]
-        return self._serve_window(window, tenant, plans=[plan])[0]
-
     def execute_window(
-        self, batches: Sequence[WindowBatch], tenant: str = DEFAULT_TENANT
+        self, batches: Sequence[Sequence[RouteQuery]], tenant: str = DEFAULT_TENANT
     ) -> List[BatchExecution]:
         """Overlap a window of consecutive batches on the pool (DAG dispatch).
 
@@ -327,10 +329,8 @@ class PooledBackend(ServingBackend):
         dependency has merged — it need not wait for the whole previous
         batch.  Merges still happen strictly in submission order (the window
         contract), so parent truth-id issuance — and with it every
-        fingerprint — is identical to the sequential oracle.
-
-        A barrier is a one-batch window: :meth:`execute_batch` runs the same
-        dispatcher.
+        fingerprint — is identical to the sequential oracle.  A lone batch
+        is a one-batch window with nothing to overlap.
 
         Supervision is per window: ``max_respawns_per_batch`` acts as a
         per-*window* respawn budget, and ``warm_pool``/``respawn_count``
@@ -339,41 +339,27 @@ class PooledBackend(ServingBackend):
         """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
-        window = [
-            WindowBatch(list(batch.queries), batch.share_candidate_generation)
-            for batch in batches
-        ]
-        return self._serve_window(window, tenant)
+        return self._serve_window([list(queries) for queries in batches], tenant)
 
-    def _serve_window(
-        self,
-        window: List[WindowBatch],
-        tenant: str,
-        plans: Optional[List[Optional[ShardPlan]]] = None,
-    ) -> List[BatchExecution]:
+    def _serve_window(self, window: List[List[RouteQuery]], tenant: str) -> List[BatchExecution]:
         """The one execution path: plan, dispatch and merge a window.
 
-        Plans each batch (or takes its explicit entry in ``plans``) and
-        applies the ``max_shard_fraction`` split, builds the jobs and the
-        window's :class:`WindowScheduler`, ensures the pool where ``fork``
-        exists (polling lame workers and replacing dead ones on a warm
-        pool), runs :meth:`_drive` and applies the sync cadence.  Everything recorded meanwhile — the
-        cadence sync included — is charged to ``tenant``.  Window-structure
-        counters (the ``pipeline`` group) count only windows of two or more
-        batches.
+        Plans each batch and applies the ``max_shard_fraction`` split
+        (:meth:`_split_plan`), builds the jobs and the window's
+        :class:`WindowScheduler`, ensures the pool where ``fork`` exists
+        (polling lame workers and replacing dead ones on a warm pool), runs
+        :meth:`_drive` and applies the sync cadence.  Everything recorded
+        meanwhile — the cadence sync included — is charged to ``tenant``.
+        Window-structure counters (the ``pipeline`` group) count only
+        windows of two or more batches.
         """
         planner = self._planner_for(tenant)
         with self.counters.charging(tenant):
             split_plans: List[ShardPlan] = []
             plan_times: List[float] = []
-            for batch, plan in zip(window, plans or [None] * len(window)):
+            for queries in window:
                 started = time.perf_counter()
-                if plan is None:
-                    plan = planner.shard_plan(batch.queries, self.resolved_pool_size())
-                split_plan = plan
-                if self.config.max_shard_fraction is not None:
-                    fraction = self.config.max_shard_fraction
-                    split_plan = split_oversized(planner, plan, batch.queries, fraction)
+                plan, split_plan = self._split_plan(planner, queries)
                 self._note_plan(plan, split_plan)
                 split_plans.append(split_plan)
                 plan_times.append(time.perf_counter() - started)
@@ -384,22 +370,21 @@ class PooledBackend(ServingBackend):
             # Warm shared read-only state before any fork so first-batch workers
             # inherit the compiled graph and source caches instead of rebuilding
             # them per process.
-            planner.warm_batch([query for batch in window for query in batch.queries])
+            planner.warm_batch([query for queries in window for query in queries])
             jobs_per_batch: List[List[ShardJob]] = [
                 [
                     ShardJob(
                         shard_id=shard.shard_id,
                         indices=shard.indices,
                         destination_cells=shard.destination_cells,
-                        queries=[batch.queries[index] for index in shard.indices],
-                        share_candidate_generation=batch.share_candidate_generation,
+                        queries=[queries[index] for index in shard.indices],
                         predecessors=shard.predecessors,
                         handoff_from=shard.handoff_from,
                         tenant=tenant,
                     )
                     for shard in plan.shards
                 ]
-                for batch, plan in zip(window, split_plans)
+                for queries, plan in zip(window, split_plans)
             ]
             can_fork = self._can_fork()
             sched = WindowScheduler(
@@ -440,7 +425,7 @@ class PooledBackend(ServingBackend):
         self,
         sched: WindowScheduler,
         planner: CrowdPlanner,
-        window: List[WindowBatch],
+        window: List[List[RouteQuery]],
         plan_times: List[float],
         warm: bool,
     ) -> List[BatchExecution]:
@@ -454,7 +439,7 @@ class PooledBackend(ServingBackend):
 
         def merge(batches: List[int]) -> None:
             for index in batches:
-                size, outcomes = len(window[index].queries), sched.done[index]
+                size, outcomes = len(window[index]), sched.done[index]
                 before = planner.truth_cursor()
                 started = time.perf_counter()
                 results = merge_shard_outcomes(planner, size, outcomes)
@@ -844,11 +829,9 @@ class RecommendationService:
             self._journal.batch_count + 1 if self._journal is not None else 1
         )
         # Submitted-but-unexecuted batches, in submission order.  Each entry
-        # is (requests, share, deadline_at) — deadline_at an absolute
+        # is (requests, deadline_at) — deadline_at an absolute
         # time.monotonic() budget, or None when the caller named none.
-        self._pending: (
-            "OrderedDict[int, Tuple[List[RecommendRequest], bool, Optional[float]]]"
-        ) = OrderedDict()
+        self._pending: "OrderedDict[int, Tuple[List[RecommendRequest], Optional[float]]]" = OrderedDict()
         # Executed-but-uncollected responses, keyed by ticket id.
         self._ready: Dict[int, List[RecommendResponse]] = {}
         self._collected: Set[int] = set()
@@ -933,7 +916,6 @@ class RecommendationService:
     def submit(
         self,
         queries: Union[QueryLike, Iterable[QueryLike]],
-        share_candidate_generation: Optional[bool] = None,
         deadline_s: Optional[float] = None,
     ) -> Ticket:
         """Enqueue one batch; returns the ticket that redeems its results.
@@ -969,11 +951,14 @@ class RecommendationService:
                     f"deadline {deadline_s:.3f}s unmeetable: {len(self._pending)} batches "
                     f"pending at ~{self._batch_s_ewma:.3f}s/batch (~{estimate:.3f}s to finish)"
                 )
-        requests, share = self._wrap(queries, share_candidate_generation)
+        if isinstance(queries, (RouteQuery, RecommendRequest)):
+            queries = [queries]
+        requests = wrap_requests(queries, self._next_request_id)
+        self._next_request_id += len(requests)
         ticket = Ticket(ticket_id=self._next_ticket_id, size=len(requests))
         self._next_ticket_id += 1
         deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
-        self._pending[ticket.ticket_id] = (requests, share, deadline_at)
+        self._pending[ticket.ticket_id] = (requests, deadline_at)
         return ticket
 
     def results(self, ticket: Union[Ticket, int]) -> List[RecommendResponse]:
@@ -1001,7 +986,7 @@ class RecommendationService:
             self._execute_next_pending()
 
     def pump(self) -> bool:
-        """Execute at most one pending batch (a window when pipelining).
+        """Execute the next window of pending batches, if any.
 
         ``True`` when something ran, ``False`` on an empty queue.  The
         fairness primitive: :class:`~repro.serving.tenancy.WorkspaceService`
@@ -1018,32 +1003,12 @@ class RecommendationService:
         """Answer a single query through the full batch pipeline."""
         return self.results(self.submit(query))[0]
 
-    def recommend_batch(
-        self,
-        queries: Iterable[QueryLike],
-        share_candidate_generation: Optional[bool] = None,
-        plan: Optional[ShardPlan] = None,
-    ) -> List[RecommendResponse]:
-        """Submit-and-collect one batch in a single call.
+    def recommend_batch(self, queries: Iterable[QueryLike]) -> List[RecommendResponse]:
+        """Submit-and-collect one batch in a single call."""
+        return self.results(self.submit(queries))
 
-        An explicit ``plan`` (e.g. a hand-built regrouping of whole
-        interaction-closed components) bypasses the ticket queue: pending
-        batches are drained first so submission order is preserved, then
-        the batch executes under the given plan.
-        """
-        if plan is None:
-            return self.results(self.submit(queries, share_candidate_generation))
-        self._ensure_open()
-        self.drain()
-        requests, share = self._wrap(queries, share_candidate_generation)
-        return self._execute(requests, share, plan)
-
-    def stream(
-        self,
-        queries: Iterable[QueryLike],
-        batch_size: Optional[int] = None,
-    ) -> Iterator[RecommendResponse]:
-        """Pipeline a query iterable through the service in batches.
+    def stream(self, queries: Iterable[QueryLike], batch_size: int = 32) -> Iterator[RecommendResponse]:
+        """Pipeline a query iterable through the service in ``batch_size`` batches.
 
         Batches are submitted and redeemed lazily as the iterator is
         consumed, so an unbounded query source streams with bounded memory;
@@ -1055,8 +1020,7 @@ class RecommendationService:
         backend full windows to overlap; at the default window of 1 each
         batch is redeemed as soon as it is submitted, exactly as before.
         """
-        size = batch_size if batch_size is not None else self.config.stream_batch_size
-        if not size >= 1:
+        if not batch_size >= 1:
             raise ServingError("batch_size must be at least 1")
         window = self.config.pipeline_window
         max_outstanding = (
@@ -1066,7 +1030,7 @@ class RecommendationService:
         chunk: List[QueryLike] = []
         for query in queries:
             chunk.append(query)
-            if len(chunk) >= size:
+            if len(chunk) >= batch_size:
                 tickets.append(self.submit(chunk))
                 chunk = []
                 while len(tickets) > max_outstanding:
@@ -1123,73 +1087,28 @@ class RecommendationService:
         resolved = [
             query.query if isinstance(query, RecommendRequest) else query for query in queries
         ]
-        # Duck-typed so the tenancy facade (which wraps the shared pool
-        # without subclassing it) plans against the real pool too.
-        resolver = getattr(self.backend, "resolved_pool_size", None)
-        shards = resolver() if resolver is not None else 1
-        plan = self.planner.shard_plan(resolved, shards)
-        pool_config = getattr(self.backend, "config", None)
-        if pool_config is not None and pool_config.max_shard_fraction is not None:
-            plan = split_oversized(self.planner, plan, resolved, pool_config.max_shard_fraction)
-        return plan
+        return self.backend.plan(self.planner, resolved)
 
     # -------------------------------------------------------------- internal
-    def _wrap(
-        self,
-        queries: Union[QueryLike, Iterable[QueryLike]],
-        share_candidate_generation: Optional[bool],
-    ) -> Tuple[List[RecommendRequest], bool]:
-        """Envelope queries under fresh request ids + resolve the share flag."""
-        if isinstance(queries, (RouteQuery, RecommendRequest)):
-            queries = [queries]
-        requests = wrap_requests(queries, self._next_request_id)
-        self._next_request_id += len(requests)
-        share = (
-            self.config.share_candidate_generation
-            if share_candidate_generation is None
-            else share_candidate_generation
-        )
-        return requests, share
-
     def _execute_next_pending(self) -> None:
-        # Pop only after a successful execution: a backend failure leaves the
-        # batch pending, so the ticket stays redeemable (retryable) instead
-        # of silently becoming "unknown".
-        if self.config.pipeline_window > 1 and len(self._pending) > 1:
-            self._execute_pending_window()
-            return
-        ticket_id, (requests, share, deadline_at) = next(iter(self._pending.items()))
-        responses = self._execute(requests, share)
-        del self._pending[ticket_id]
-        self._ready[ticket_id] = responses
-        self._note_deadline(deadline_at)
-
-    def _execute_pending_window(self) -> None:
-        """Execute up to ``pipeline_window`` pending batches as one window.
+        """Execute the first ``min(pipeline_window, len(pending))`` pending
+        batches as one window.
 
         The backend returns the successfully merged *prefix* (the window
         contract): exactly those batches are finalised — journaled, popped
-        from pending, marked ready — in submission order; a failing batch
-        and everything after it stay pending and redeemable, and the failure
-        surfaces deterministically when the failing batch heads a later
-        window (a first-batch failure raises out of the backend directly).
+        from pending, marked ready — in submission order.  Batches leave
+        pending only once executed, so a failing batch and everything after
+        it stay pending and redeemable, and the failure surfaces
+        deterministically when the failing batch heads a later window (a
+        first-batch failure raises out of the backend directly).
         """
-        entries = []
-        for item in self._pending.items():
-            entries.append(item)
-            if len(entries) >= self.config.pipeline_window:
-                break
-        window = [
-            WindowBatch(
-                queries=[request.query for request in requests],
-                share_candidate_generation=share,
-            )
-            for _, (requests, share, _deadline) in entries
-        ]
-        executions = self.backend.execute_window(window)
+        entries = list(itertools.islice(self._pending.items(), self.config.pipeline_window))
+        executions = self.backend.execute_window(
+            [[request.query for request in requests] for _, (requests, _) in entries]
+        )
         if not executions:  # pragma: no cover - window contract guard
             raise ServingError("backend returned no executions for a non-empty window")
-        for position, ((ticket_id, (requests, _share, deadline_at)), execution) in enumerate(
+        for position, ((ticket_id, (requests, deadline_at)), execution) in enumerate(
             zip(entries, executions)
         ):
             # Snapshots are deferred to the window's last journaled batch:
@@ -1206,21 +1125,6 @@ class RecommendationService:
         """Count a breach when an admitted batch finalised past its budget."""
         if deadline_at is not None and time.monotonic() > deadline_at:
             self._deadline_breaches += 1
-
-    def _execute(
-        self,
-        requests: List[RecommendRequest],
-        share_candidate_generation: bool,
-        plan: Optional[ShardPlan] = None,
-    ) -> List[RecommendResponse]:
-        queries = [request.query for request in requests]
-        truth_cursor = self.planner.truth_cursor()
-        execution = self.backend.execute_batch(
-            queries, share_candidate_generation=share_candidate_generation, plan=plan
-        )
-        if execution.truth_span is None:
-            execution.truth_span = (truth_cursor, self.planner.truth_cursor())
-        return self._finalize(requests, execution)
 
     def _finalize(
         self,
@@ -1243,10 +1147,10 @@ class RecommendationService:
         if self._journal is not None and not self._journal_suspended:
             # One record per executed batch — even with an empty delta — so
             # the journal's record count is an exact durable progress marker
-            # for crash recovery (which batches need re-executing).  Under
-            # pipelining several batches merge inside one window call, so the
-            # delta is bounded to this batch's own truth span.
-            before, after = execution.truth_span or (0, self.planner.truth_cursor())
+            # for crash recovery (which batches need re-executing).  Several
+            # batches may merge inside one window call, so the delta is
+            # bounded to this batch's own truth span.
+            before, after = execution.truth_span
             try:
                 self._journal.append(
                     self.planner.truth_delta(before, upto=after),

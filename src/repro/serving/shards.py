@@ -70,7 +70,6 @@ class ShardJob:
     indices: Tuple[int, ...]
     destination_cells: FrozenSet[Tuple[int, int]]
     queries: List[RouteQuery]
-    share_candidate_generation: bool = True
     predecessors: Tuple[int, ...] = ()
     handoff_from: Tuple[int, ...] = ()
     adopt: Optional[object] = None
@@ -171,9 +170,7 @@ def execute_shard_job(planner: CrowdPlanner, job: ShardJob) -> ShardOutcome:
     if job.adopt:
         clone.truths.adopt_all(job.adopt)
     before = len(clone.truths)
-    results = clone.recommend_batch(
-        job.queries, share_candidate_generation=job.share_candidate_generation
-    )
+    results = clone.recommend_batch(job.queries)
     return ShardOutcome(
         shard_id=job.shard_id,
         indices=job.indices,

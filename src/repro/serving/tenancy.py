@@ -64,21 +64,15 @@ import dataclasses
 import json
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..config import PlannerConfig, ServiceConfig
 from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import ServingError, WorkspaceManifestError
 from ..routing.base import RouteQuery
-from .journal import TruthJournal
 from .metrics import SCHEMA
-from .protocol import BatchExecution, RecommendResponse, ServingBackend, Ticket, WindowBatch
-from .service import (
-    InlineBackend,
-    PooledBackend,
-    QueryLike,
-    RecommendationService,
-)
+from .protocol import BatchExecution, ServingBackend
+from .service import InlineBackend, PooledBackend, RecommendationService
 from .shards import build_tenant_planner
 
 __all__ = [
@@ -99,7 +93,7 @@ class TenantBackend(ServingBackend):
     """A workspace's view of the shared pool.
 
     Binds the workspace's planner to the pool as a named tenant instead of
-    rebinding the pool itself, then delegates batches and windows with the
+    rebinding the pool itself, then delegates windows and planning with the
     tenant tag attached.  ``name`` stays ``"pooled"`` so response provenance
     is byte-identical to a dedicated pooled service.
 
@@ -131,29 +125,12 @@ class TenantBackend(ServingBackend):
         self.pool.drop_tenant(self.tenant)
 
     # -------------------------------------------------------------- execution
-    def execute_batch(
-        self,
-        queries: Sequence[RouteQuery],
-        share_candidate_generation: bool = True,
-        plan: Optional[ShardPlan] = None,
-    ) -> BatchExecution:
-        return self.pool.execute_batch(
-            queries,
-            share_candidate_generation=share_candidate_generation,
-            plan=plan,
-            tenant=self.tenant,
-        )
-
-    def execute_window(self, batches: Sequence[WindowBatch]) -> List[BatchExecution]:
+    def execute_window(self, batches: Sequence[Sequence[RouteQuery]]) -> List[BatchExecution]:
         return self.pool.execute_window(batches, tenant=self.tenant)
 
     # ------------------------------------------------------------ diagnostics
-    def resolved_pool_size(self) -> int:
-        return self.pool.resolved_pool_size()
-
-    @property
-    def config(self) -> ServiceConfig:
-        return self.pool.config
+    def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
+        return self.pool.plan(planner, queries)
 
     def worker_pids(self) -> List[int]:
         return self.pool.worker_pids()
@@ -165,7 +142,7 @@ class Workspace:
     Wraps a dedicated :class:`~repro.serving.RecommendationService`, so the
     full single-tenant surface — ``submit`` / ``results`` / ``drain`` /
     ``recommend`` / ``recommend_batch`` / ``stream`` / ``statistics`` — is
-    available per workspace with identical semantics.  Attribute access
+    available per workspace with identical semantics: attribute access
     falls through to the wrapped service.
     """
 
@@ -173,50 +150,11 @@ class Workspace:
         self.name = name
         self.service = service
 
-    # ----------------------------------------------------- delegated surface
-    @property
-    def planner(self) -> CrowdPlanner:
-        return self.service.planner
-
-    @property
-    def journal(self) -> Optional[TruthJournal]:
-        return self.service.journal
-
-    @property
-    def closed(self) -> bool:
-        return self.service.closed
-
     @property
     def batches_executed(self) -> int:
         """Batches this workspace has finalised, lifetime — journal-backed
         numbering means the count survives crash recovery."""
         return self.service._next_batch_id - 1
-
-    def submit(self, queries, share_candidate_generation=None, deadline_s=None) -> Ticket:
-        return self.service.submit(queries, share_candidate_generation, deadline_s)
-
-    def pump(self) -> bool:
-        return self.service.pump()
-
-    def results(self, ticket: Union[Ticket, int]) -> List[RecommendResponse]:
-        return self.service.results(ticket)
-
-    def drain(self) -> None:
-        self.service.drain()
-
-    def recommend(self, query: QueryLike) -> RecommendResponse:
-        return self.service.recommend(query)
-
-    def recommend_batch(self, queries, share_candidate_generation=None, plan=None):
-        return self.service.recommend_batch(queries, share_candidate_generation, plan)
-
-    def stream(
-        self, queries: Iterable[QueryLike], batch_size: Optional[int] = None
-    ) -> Iterator[RecommendResponse]:
-        return self.service.stream(queries, batch_size)
-
-    def statistics(self) -> Dict[str, Any]:
-        return self.service.statistics()
 
     def __getattr__(self, attr: str):
         return getattr(self.service, attr)

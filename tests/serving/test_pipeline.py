@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.config import ServiceConfig
 from repro.exceptions import ServingError
 from repro.serving import (
+    DEFAULT_TENANT,
     PooledBackend,
     RecommendationService,
     recommendation_fingerprint,
@@ -168,31 +169,58 @@ class TestBatchDependenciesEquivalence:
 class TestDegenerateWindows:
     """Window size 1 is the barrier scheduler, byte for byte."""
 
-    def test_window_one_never_calls_execute_window(
+    def test_window_one_serves_one_batch_per_call(
         self, build_serving_planner, serving_workload, sequential_oracle, monkeypatch
     ):
+        """At ``pipeline_window=1`` every ``execute_window`` call carries
+        exactly one batch, even with several batches pending."""
         planner = build_serving_planner()
+        window_sizes = []
+        execute_window = PooledBackend.execute_window
 
-        def forbidden(self, batches):  # pragma: no cover - the assertion
-            raise AssertionError("pipeline_window=1 must stay on the barrier path")
+        def spy(self, batches, *args, **kwargs):
+            window_sizes.append(len(batches))
+            return execute_window(self, batches, *args, **kwargs)
 
-        monkeypatch.setattr(PooledBackend, "execute_window", forbidden)
+        monkeypatch.setattr(PooledBackend, "execute_window", spy)
         with simulated_service(planner, pool_size=2) as service:
             tickets = [service.submit(chunk) for chunk in _chunks(serving_workload, 4)]
             responses = [r for t in tickets for r in service.results(t)]
+        assert window_sizes == [1] * len(tickets)
         assert _fingerprints(responses) == sequential_oracle["plain"]["fingerprints"]
         assert planner.statistics.as_dict() == sequential_oracle["plain"]["statistics"]
 
     def test_single_pending_batch_skips_the_window_path(
         self, build_serving_planner, serving_workload
     ):
-        """Even with a window configured, a lone pending batch runs the
-        plain execute_batch path (nothing to overlap with)."""
+        """Even with a window configured, a lone pending batch is a
+        one-batch window: nothing to overlap, so no window is counted."""
         planner = build_serving_planner()
         with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             responses = service.results(service.submit(serving_workload[:24]))
         assert len(responses) == 24
         assert service.statistics()["pipeline"]["windows"] == 0
+
+    def test_empty_batch_counts_the_same_at_every_window(
+        self, build_serving_planner, serving_workload
+    ):
+        """An empty batch is a batch whatever the window size: it advances
+        ``batches_executed`` (the sync cadence) and the tenant's batch count
+        alike at windows 1 and 4."""
+        counts = {}
+        for window in (1, 4):
+            planner = build_serving_planner()
+            with simulated_service(planner, pool_size=2, pipeline_window=window) as service:
+                batches = [serving_workload[:10], [], serving_workload[10:20]]
+                tickets = [service.submit(batch) for batch in batches]
+                sizes = [len(service.results(ticket)) for ticket in tickets]
+                backend = service.backend
+                counts[window] = (
+                    backend.batches_executed,
+                    backend.counters.breakdown(DEFAULT_TENANT)["batches"],
+                )
+            assert sizes == [10, 0, 10]
+        assert counts[1] == counts[4] == (3, 3)
 
     @needs_fork
     def test_lone_batches_on_forked_pool_count_no_windows(

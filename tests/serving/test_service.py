@@ -192,8 +192,9 @@ class TestPersistentPool:
     def test_explicit_plan_on_forked_pool(
         self, build_serving_planner, serving_workload, sequential_oracle
     ):
-        """``plan=`` on the pool: shards follow the given regrouping of
-        whole components, and answers stay the sequential oracle's."""
+        """A substituted shard plan on the pool: shards follow the given
+        regrouping of whole components, and answers stay the sequential
+        oracle's."""
         planner = build_serving_planner()
         atomic = planner.shard_plan(serving_workload, shards=len(serving_workload))
         groups = [atomic.shards[start::3] for start in range(3)]
@@ -214,8 +215,9 @@ class TestPersistentPool:
         )
         assert len(atomic.shards) >= 3
         expected_shard = {i: shard.shard_id for shard in plan.shards for i in shard.indices}
+        planner.shard_plan = lambda queries, shards: plan
         with _service(planner, "pooled", 2) as service:
-            responses = service.recommend_batch(serving_workload, plan=plan)
+            responses = service.recommend_batch(serving_workload)
             pool_pids = set(service.worker_pids())
         assert len(pool_pids) == 2
         assert [r.provenance.shard_id for r in responses] == [
@@ -398,11 +400,11 @@ class TestLifecycle:
                 super().__init__()
                 self.fail_next = True
 
-            def execute_batch(self, queries, share_candidate_generation=True, plan=None):
+            def execute_window(self, batches):
                 if self.fail_next:
                     self.fail_next = False
                     raise ServingError("transient backend failure")
-                return super().execute_batch(queries, share_candidate_generation, plan)
+                return super().execute_window(batches)
 
         planner = build_serving_planner()
         with RecommendationService(planner, backend=FlakyBackend()) as service:

@@ -25,9 +25,12 @@ def _service(planner, pool_size, forked=True):
 
 
 def _serve(planner, workload, pool_size, forked=True, plan=None):
-    """One batch through a pooled service opened and closed around it."""
+    """One batch through a pooled service opened and closed around it;
+    a given ``plan`` replaces the planner's own shard plan."""
+    if plan is not None:
+        planner.shard_plan = lambda queries, shards: plan
     with _service(planner, pool_size, forked) as service:
-        return [r.result for r in service.recommend_batch(workload, plan=plan)]
+        return [r.result for r in service.recommend_batch(workload)]
 
 
 class TestWorkerSweep:

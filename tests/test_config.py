@@ -71,7 +71,6 @@ class TestServiceConfig:
             ("pool_size", 0),
             ("max_pending_batches", 0),
             ("merge_every_batches", 0),
-            ("stream_batch_size", 0),
             ("max_shard_fraction", 0),
             ("max_shard_fraction", 1.5),
             ("heartbeat_interval_s", 0),
