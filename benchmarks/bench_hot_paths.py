@@ -39,7 +39,13 @@ from repro.config import ServiceConfig
 from repro.core.familiarity import FamiliarityModel
 from repro.core.planner import CrowdPlanner
 from repro.core.pmf import ProbabilisticMatrixFactorization
+from repro.core.reference import (
+    DenseProbabilisticMatrixFactorization,
+    accumulate_reference,
+    build_raw_matrix_reference,
+)
 from repro.core.task_generation import TaskGenerator
+from repro.crowd.reference import EagerObjectCrowd, SequentialCrowd
 from repro.datasets.synthetic_city import SyntheticCityConfig, build_scenario
 from repro.datasets.workloads import (
     LargeBatchWorkloadConfig,
@@ -202,22 +208,22 @@ def pmf_problem():
     return np.where(mask, full, 0.0)
 
 
-def _fit_pmf(matrix, method):
-    pmf = ProbabilisticMatrixFactorization(latent_dim=8, max_iterations=120)
-    pmf.fit(matrix, method=method)
+def _fit_pmf(matrix, pmf_class):
+    pmf = pmf_class(latent_dim=8, max_iterations=120)
+    pmf.fit(matrix)
     return pmf.report.final_objective
 
 
 @pytest.mark.benchmark(group="pmf_fit")
 def test_pmf_fit_sparse(benchmark, pmf_problem):
-    objective = benchmark(_fit_pmf, pmf_problem, "sparse")
-    dense_objective = _fit_pmf(pmf_problem, "dense")
+    objective = benchmark(_fit_pmf, pmf_problem, ProbabilisticMatrixFactorization)
+    dense_objective = _fit_pmf(pmf_problem, DenseProbabilisticMatrixFactorization)
     assert objective == pytest.approx(dense_objective, rel=1e-6)
 
 
 @pytest.mark.benchmark(group="pmf_fit")
 def test_pmf_fit_dense(benchmark, pmf_problem):
-    benchmark(_fit_pmf, pmf_problem, "dense")
+    benchmark(_fit_pmf, pmf_problem, DenseProbabilisticMatrixFactorization)
 
 
 # ---------------------------------------------------------------- popularity
@@ -309,13 +315,13 @@ def familiarity_setup(bench_scenario):
 def test_familiarity_compiled(benchmark, familiarity_setup):
     model, completed = familiarity_setup
     accumulated = benchmark(model._accumulate, completed)
-    assert np.array_equal(accumulated, model._accumulate_reference(completed))
+    assert np.array_equal(accumulated, accumulate_reference(model, completed))
 
 
 @pytest.mark.benchmark(group="familiarity")
 def test_familiarity_reference(benchmark, familiarity_setup):
     model, completed = familiarity_setup
-    benchmark(model._accumulate_reference, completed)
+    benchmark(accumulate_reference, model, completed)
 
 
 # ----------------------------------------------------------- familiarity raw
@@ -323,7 +329,7 @@ def test_familiarity_reference(benchmark, familiarity_setup):
 def test_familiarity_raw_compiled(benchmark, familiarity_setup):
     model, _ = familiarity_setup
     matrix = benchmark(model.build_raw_matrix)
-    oracle = model.build_raw_matrix_reference()
+    oracle = build_raw_matrix_reference(model)
     # The numpy kernel may differ from the scalar loop by an ulp (np.hypot /
     # np.exp); the "no information" zero pattern must agree exactly.
     np.testing.assert_allclose(matrix, oracle, rtol=1e-12, atol=1e-15)
@@ -333,7 +339,7 @@ def test_familiarity_raw_compiled(benchmark, familiarity_setup):
 @pytest.mark.benchmark(group="familiarity_raw")
 def test_familiarity_raw_reference(benchmark, familiarity_setup):
     model, _ = familiarity_setup
-    benchmark(model.build_raw_matrix_reference)
+    benchmark(build_raw_matrix_reference, model)
 
 
 # --------------------------------------------------------------- crowd batch
@@ -364,6 +370,26 @@ def crowd_setup(bench_scenario):
     return bench_scenario.crowd, tasks, bench_scenario.worker_pool.ids()
 
 
+@pytest.fixture(scope="module")
+def reference_crowds(crowd_setup):
+    """The ``repro.crowd.reference`` oracles over the scenario crowd's pool,
+    catalogue, ground truth, behaviour model and seed: ``(sequential, eager
+    object)``.  Module-scoped, so each keeps its caches across the paired
+    tests the way the scenario crowd does."""
+    crowd = crowd_setup[0]
+    return tuple(
+        crowd_class(
+            pool=crowd.pool,
+            catalog=crowd.catalog,
+            calibrator=crowd.calibrator,
+            ground_truth=crowd.ground_truth,
+            behavior=crowd.behavior,
+            seed=crowd.seed,
+        )
+        for crowd_class in (SequentialCrowd, EagerObjectCrowd)
+    )
+
+
 def _run_crowd(collect, crowd, tasks, worker_ids):
     # Task RNG derivation is content-keyed, so every timing round (and the
     # batched/sequential pair) samples identical randomness by construction.
@@ -371,21 +397,23 @@ def _run_crowd(collect, crowd, tasks, worker_ids):
 
 
 @pytest.mark.benchmark(group="crowd_batch")
-def test_crowd_batch_compiled(benchmark, crowd_setup):
+def test_crowd_batch_compiled(benchmark, crowd_setup, reference_crowds):
     crowd, tasks, worker_ids = crowd_setup
+    sequential = reference_crowds[0]
     responses = benchmark(_run_crowd, crowd.collect_responses, crowd, tasks, worker_ids)
-    assert responses == _run_crowd(crowd.collect_responses_sequential, crowd, tasks, worker_ids)
+    assert responses == _run_crowd(sequential.collect_responses, sequential, tasks, worker_ids)
 
 
 @pytest.mark.benchmark(group="crowd_batch")
-def test_crowd_batch_reference(benchmark, crowd_setup):
-    crowd, tasks, worker_ids = crowd_setup
-    benchmark(_run_crowd, crowd.collect_responses_sequential, crowd, tasks, worker_ids)
+def test_crowd_batch_reference(benchmark, crowd_setup, reference_crowds):
+    _, tasks, worker_ids = crowd_setup
+    sequential = reference_crowds[0]
+    benchmark(_run_crowd, sequential.collect_responses, sequential, tasks, worker_ids)
 
 
 # ------------------------------------------------------------ crowd columnar
 @pytest.mark.benchmark(group="crowd_columnar")
-def test_crowd_columnar_compiled(benchmark, crowd_setup):
+def test_crowd_columnar_compiled(benchmark, crowd_setup, reference_crowds):
     """Columnar crowd responses (``ResponseBlock``) vs the object path.
 
     The columnar path walks a compiled question tree appending scalars to
@@ -398,16 +426,18 @@ def test_crowd_columnar_compiled(benchmark, crowd_setup):
     points.  Materializing every timed block must reproduce the oracle's
     objects exactly."""
     crowd, tasks, worker_ids = crowd_setup
+    eager = reference_crowds[1]
     blocks = benchmark(_run_crowd, crowd.collect_responses_block, crowd, tasks, worker_ids)
-    expected = _run_crowd(crowd.collect_responses_objects, crowd, tasks, worker_ids)
+    expected = _run_crowd(eager.collect_responses, eager, tasks, worker_ids)
     assert [block.to_responses() for block in blocks] == expected
 
 
 @pytest.mark.benchmark(group="crowd_columnar")
-def test_crowd_columnar_reference(benchmark, crowd_setup):
+def test_crowd_columnar_reference(benchmark, crowd_setup, reference_crowds):
     """The preserved object path (eager answer-object construction)."""
-    crowd, tasks, worker_ids = crowd_setup
-    benchmark(_run_crowd, crowd.collect_responses_objects, crowd, tasks, worker_ids)
+    _, tasks, worker_ids = crowd_setup
+    eager = reference_crowds[1]
+    benchmark(_run_crowd, eager.collect_responses, eager, tasks, worker_ids)
 
 
 # --------------------------------------------------------------- crowd shard

@@ -15,7 +15,11 @@ Checks, over ``README.md`` and ``docs/*.md``:
 4. every field of ``PlannerConfig`` and ``ServiceConfig`` in
    ``src/repro/config.py`` is documented in its class docstring's
    Attributes section, and every name documented there is a field of that
-   class (``a / b:`` documents two), also read with ``ast``.
+   class (``a / b:`` documents two), also read with ``ast``;
+5. every backticked dotted ``repro.…`` name resolves by import, as a
+   module or as an attribute of one (so an oracle or API the docs name by
+   its dotted path cannot be moved or deleted without the docs following).
+   This check imports the package from ``src``, so it needs numpy.
 
 Run from anywhere: paths resolve against the repo root.  Exits non-zero
 with one line per problem (consumed by ``scripts/ci.sh`` and the CI lint
@@ -25,6 +29,7 @@ job).
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -180,12 +185,46 @@ def _check_config_knobs(errors: list) -> None:
                 )
 
 
+#: A backticked dotted name in the ``repro`` package, e.g. `repro.core.reference`.
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute path below one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as error:
+            if not (error.name or "").startswith("repro"):
+                raise  # a missing dependency, not a missing name
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def _check_dotted_names(errors: list) -> None:
+    sys.path.insert(0, str(ROOT / "src"))
+    for doc in _doc_files():
+        if not doc.exists():
+            continue  # reported by the link check
+        for name in sorted(set(_DOTTED.findall(doc.read_text()))):
+            if not _resolves(name):
+                errors.append(f"{doc.relative_to(ROOT)}: `{name}` does not resolve")
+
+
 def main() -> int:
     errors: list = []
     _check_links(errors)
     _check_examples(errors)
     _check_statistics(errors)
     _check_config_knobs(errors)
+    _check_dotted_names(errors)
     for error in errors:
         print(f"docs_check: {error}", file=sys.stderr)
     if errors:

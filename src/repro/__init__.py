@@ -53,9 +53,12 @@ for the backend sweep, and ``docs/serving-invariants.md`` for the contract.
 
 Performance
 -----------
-The routing, spatial-index and PMF hot paths run on flat-array fast paths
-(see ``repro.roadnet.compiled``); the original implementations are preserved
-in ``repro.roadnet.reference`` as behavioural oracles.  Benchmark them with::
+The routing, spatial-index, PMF, familiarity and crowd hot paths run on
+flat-array fast paths (see ``repro.roadnet.compiled``); the original
+implementations are preserved as behavioural oracles in the ``reference``
+modules — ``repro.roadnet.reference``, ``repro.routing.reference``,
+``repro.core.reference`` and ``repro.crowd.reference`` — which tests and
+benchmarks import and production code never does.  Benchmark them with::
 
     python scripts/bench_to_json.py       # writes BENCH_hot_paths.json
     scripts/ci.sh                         # tier-1 tests + un-timed benchmarks

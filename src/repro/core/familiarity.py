@@ -11,7 +11,10 @@ The familiarity of worker ``w`` with landmark ``l`` combines two signals:
 Raw scores form a very sparse worker x landmark matrix ``M``; PMF completes
 it by exploiting latent similarity between workers, and the *accumulated*
 familiarity of a landmark is the Gaussian-weighted sum of the completed
-scores over all landmarks within the knowledge radius ``eta_dis``.
+scores over all landmarks within the knowledge radius ``eta_dis``.  Both
+steps run as vectorized numpy kernels; the per-pair scalar score and the
+sequential accumulation loop they replaced are preserved in
+:mod:`repro.core.reference` as their oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from ..config import DEFAULT_CONFIG, PlannerConfig
 from ..exceptions import WorkerSelectionError
 from ..landmarks.model import LandmarkCatalog
 from .pmf import ProbabilisticMatrixFactorization
-from .worker import Worker, WorkerPool
+from .worker import WorkerPool
 
 
 class FamiliarityModel:
@@ -54,36 +57,6 @@ class FamiliarityModel:
         self._rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # ---------------------------------------------------------------- scores
-    def raw_score(self, worker: Worker, landmark_id: int) -> float:
-        """The paper's ``f_w^l`` for one worker-landmark pair.
-
-        Distances beyond the knowledge radius ``eta_dis`` are treated as
-        infinite (their exponential term vanishes).  Distances are expressed
-        in units of the knowledge radius so the exponential stays in a useful
-        range regardless of city size.
-        """
-        landmark = self.catalog.get(landmark_id)
-        anchor = landmark.anchor
-        radius = self.config.knowledge_radius_m
-
-        def scaled(distance: float) -> float:
-            if distance > radius:
-                return float("inf")
-            return distance / radius
-
-        distance_sum = (
-            scaled(anchor.distance_to(worker.home))
-            + scaled(anchor.distance_to(worker.workplace))
-            + scaled(anchor.distance_to(worker.nearest_familiar_place(anchor)))
-        )
-        profile_term = 0.0 if math.isinf(distance_sum) else math.exp(-distance_sum)
-        history = worker.history_for(landmark_id)
-        history_term = history.correct + self.config.familiarity_beta * history.wrong
-        return (
-            self.config.familiarity_alpha * profile_term
-            + (1.0 - self.config.familiarity_alpha) * history_term
-        )
-
     def build_raw_matrix(self) -> np.ndarray:
         """The sparse observed matrix ``M`` (zeros mean "no information").
 
@@ -93,11 +66,16 @@ class FamiliarityModel:
         place, the latter via an ``inf``-padded ``(worker, place)`` minimum —
         are computed for every (worker, landmark) pair in one numpy pass, and
         the sparse answer-history term is scattered on top from each worker's
-        per-landmark records.  The former double loop is preserved as
-        :meth:`build_raw_matrix_reference`, the oracle the equivalence tests
-        and the ``familiarity_raw`` benchmark compare against (``np.hypot`` /
-        ``np.exp`` may differ from the scalar ``math`` calls in the final
-        ulp, so the comparison is a tight ``allclose`` rather than bitwise).
+        per-landmark records.  Distances beyond the knowledge radius
+        ``eta_dis`` count as infinite (their exponential term vanishes) and
+        are expressed in units of that radius, so the exponential stays in a
+        useful range regardless of city size.  The former double loop over
+        the paper's per-pair ``f_w^l`` is preserved as
+        :func:`repro.core.reference.build_raw_matrix_reference`, the oracle
+        the equivalence tests and the ``familiarity_raw`` benchmark compare
+        against (``np.hypot`` / ``np.exp`` may differ from the scalar
+        ``math`` calls in the final ulp, so the comparison is a tight
+        ``allclose`` rather than bitwise).
         """
         workers = [self.pool.get(worker_id) for worker_id in self._worker_ids]
         num_workers, num_landmarks = len(workers), len(self._landmark_ids)
@@ -147,17 +125,6 @@ class FamiliarityModel:
         alpha = self.config.familiarity_alpha
         return alpha * profile_term + (1.0 - alpha) * history_term
 
-    def build_raw_matrix_reference(self) -> np.ndarray:
-        """The original per-pair double loop — the vectorized kernel's oracle."""
-        matrix = np.zeros((len(self._worker_ids), len(self._landmark_ids)))
-        for worker_id in self._worker_ids:
-            worker = self.pool.get(worker_id)
-            row = self._worker_index[worker_id]
-            for landmark_id in self._landmark_ids:
-                column = self._landmark_index[landmark_id]
-                matrix[row, column] = self.raw_score(worker, landmark_id)
-        return matrix
-
     # ------------------------------------------------------------ completion
     def fit(self, use_pmf: bool = True) -> np.ndarray:
         """Build the matrix, optionally complete it with PMF, and accumulate.
@@ -185,28 +152,12 @@ class FamiliarityModel:
         maximum neighbour count).  Because each column still receives its
         contributions in the exact neighbour order of the sequential loop —
         and elementwise multiply/add are the same IEEE operations either way
-        — the result is bit-identical to :meth:`_accumulate_reference`.
+        — the result is bit-identical to
+        :func:`repro.core.reference.accumulate_reference`.
         """
         accumulated = np.zeros_like(completed)
         for destinations, sources, weights in self._accumulation_rounds():
             accumulated[:, destinations] += completed[:, sources] * weights
-        return accumulated
-
-    def _accumulate_reference(self, completed: np.ndarray) -> np.ndarray:
-        """The original sequential accumulation — the oracle for the
-        vectorized path (equivalence tests and benchmarks compare the two)."""
-        radius = self.config.knowledge_radius_m
-        sigma = radius / 3.0
-        accumulated = np.zeros_like(completed)
-        for landmark_id in self._landmark_ids:
-            column = self._landmark_index[landmark_id]
-            anchor = self.catalog.get(landmark_id).anchor
-            neighbours = self.catalog.within_radius(anchor, radius)
-            for neighbour in neighbours:
-                neighbour_column = self._landmark_index[neighbour.landmark_id]
-                distance = anchor.distance_to(neighbour.anchor)
-                weight = _gaussian_weight(distance, sigma)
-                accumulated[:, column] += weight * completed[:, neighbour_column]
         return accumulated
 
     def _accumulation_rounds(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -37,7 +37,7 @@ from .early_stop import EarlyStopMonitor
 from .evaluation import EvaluationDecision, EvaluationOutcome, RouteEvaluator, grade_answers
 from .familiarity import FamiliarityModel
 from .rewards import RewardLedger
-from .task import Task, TaskResult, WorkerResponse, reissue_task_id
+from .task import ResponseBlock, Task, TaskResult, WorkerResponse, reissue_task_id
 from .task_generation import TaskGenerator
 from .truth import TruthDatabase, VerifiedTruth
 from .worker import WorkerPool
@@ -50,19 +50,23 @@ class CrowdBackend(abc.ABC):
     Production deployments would push questions to mobile clients; the
     reproduction uses :class:`repro.crowd.simulator.SimulatedCrowd`.
 
-    Backends may additionally expose ``collect_responses_block(task,
-    worker_ids) -> Optional[ResponseBlock]`` — the columnar fast path the
-    planner prefers when present.  A block-capable backend may return
-    ``None`` to decline a particular call (the planner then falls back to
-    :meth:`collect_responses`); when it does return a block, materializing
-    it must yield exactly what :meth:`collect_responses` would have
-    returned — the columnar representation is a performance channel, never
-    a semantic one.
+    The planner tries the columnar channel, :meth:`collect_responses_block`,
+    first; a backend declines it (the default) by returning ``None``, and the
+    planner then calls :meth:`collect_responses`.
     """
 
     @abc.abstractmethod
     def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
         """Return the workers' responses in arrival order."""
+
+    def collect_responses_block(self, task: Task, worker_ids: Sequence[int]) -> Optional[ResponseBlock]:
+        """The responses as one columnar block, or ``None`` to decline.
+
+        A returned block must materialize to exactly what
+        :meth:`collect_responses` would have returned — the columnar
+        representation is a performance channel, never a semantic one.
+        """
+        return None
 
 
 @dataclass
@@ -117,8 +121,8 @@ class QueryShard:
 
     ``indices`` are submission positions into the original query list, in
     ascending (submission) order; ``destination_cells`` is the reach-expanded
-    set of destination grid cells whose truth partition the shard must be
-    shipped (see :meth:`TruthDatabase.partition_by_cells`).
+    set of destination grid cells whose truth view the shard is seeded with
+    (see :meth:`TruthDatabase.view_by_cells`).
 
     Sub-shards produced by :func:`repro.serving.shards.split_oversized`
     additionally carry chain edges: ``predecessors`` are the shard ids whose
@@ -554,14 +558,13 @@ class CrowdPlanner:
             )
 
         worker_ids = self.worker_selector.select(task, self.config.workers_per_task)
-        collect_block = getattr(self.crowd_backend, "collect_responses_block", None)
         for worker_id in worker_ids:
             self.worker_pool.assign(worker_id)
         try:
             # Prefer the columnar channel: responses arrive as flat numpy
             # columns and answer objects are materialized only for the
             # collected arrival prefix, when the TaskResult is built.
-            block = collect_block(task, worker_ids) if collect_block is not None else None
+            block = self.crowd_backend.collect_responses_block(task, worker_ids)
             if block is None:
                 responses = self.crowd_backend.collect_responses(task, worker_ids)
         finally:

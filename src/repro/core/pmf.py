@@ -17,13 +17,16 @@ only (COO index arrays): predictions, errors and gradients are computed over
 the ``nnz`` observed cells instead of materialising dense ``n×m``
 intermediates, with scipy's sparse matmul when available (a pure-numpy
 scatter-add fallback otherwise).  The original dense ``np.where``-masked
-updates are kept behind ``method="dense"`` as the verification oracle.
+updates are preserved in :mod:`repro.core.reference` as the verification
+oracle; it overrides only :meth:`ProbabilisticMatrixFactorization._loss`,
+so both run the same descent loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -75,12 +78,16 @@ class ProbabilisticMatrixFactorization:
     ):
         if latent_dim < 1:
             raise ConfigurationError("latent_dim must be at least 1")
-        if learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        # ``math.isfinite`` first: NaN fails no ordering comparison.
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ConfigurationError("learning_rate must be positive and finite")
         if max_iterations < 1:
             raise ConfigurationError("max_iterations must be at least 1")
-        if regularization_workers < 0 or regularization_landmarks < 0:
-            raise ConfigurationError("regularization terms must be non-negative")
+        for regularization in (regularization_workers, regularization_landmarks):
+            if not (math.isfinite(regularization) and regularization >= 0):
+                raise ConfigurationError("regularization terms must be non-negative and finite")
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ConfigurationError("tolerance must be non-negative and finite")
         self.latent_dim = latent_dim
         self.regularization_workers = regularization_workers
         self.regularization_landmarks = regularization_landmarks
@@ -93,20 +100,11 @@ class ProbabilisticMatrixFactorization:
         self.report: Optional[PMFTrainingReport] = None
 
     # -------------------------------------------------------------- training
-    def fit(
-        self,
-        matrix: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-        method: str = "sparse",
-    ) -> PMFTrainingReport:
+    def fit(self, matrix: np.ndarray, mask: Optional[np.ndarray] = None) -> PMFTrainingReport:
         """Fit latent factors to the observed entries of ``matrix``.
 
         ``mask`` marks observed entries (non-zero cells by default, matching
-        the paper's indicator ``I_ij``).  ``method`` selects the gradient
-        implementation: ``"sparse"`` (default) computes errors and gradients
-        over the observed COO entries only; ``"dense"`` is the original
-        ``np.where``-masked implementation, kept as a verification oracle —
-        both minimise the same objective and agree within float tolerance.
+        the paper's indicator ``I_ij``).
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -116,46 +114,13 @@ class ProbabilisticMatrixFactorization:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != matrix.shape:
             raise ConfigurationError("mask shape must match matrix shape")
-        if method not in ("sparse", "dense"):
-            raise ConfigurationError("method must be 'sparse' or 'dense'")
 
         n_workers, n_landmarks = matrix.shape
         rng = np.random.default_rng(self.seed)
         scale = 1.0 / max(1, self.latent_dim)
         workers = rng.normal(0.0, scale, size=(self.latent_dim, n_workers))
         landmarks = rng.normal(0.0, scale, size=(self.latent_dim, n_landmarks))
-
-        if method == "sparse":
-            rows, cols = np.nonzero(mask)
-            values = matrix[rows, cols]
-
-            def objective(w: np.ndarray, lm: np.ndarray) -> float:
-                errors = values - np.einsum("ij,ij->j", w[:, rows], lm[:, cols])
-                return float(
-                    errors @ errors
-                    + self.regularization_workers * (w**2).sum()
-                    + self.regularization_landmarks * (lm**2).sum()
-                )
-
-            def gradients(w: np.ndarray, lm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                errors = values - np.einsum("ij,ij->j", w[:, rows], lm[:, cols])
-                scattered_w, scattered_l = self._scatter_error_products(
-                    errors, rows, cols, w, lm, matrix.shape
-                )
-                gradient_w = -2.0 * scattered_w + 2.0 * self.regularization_workers * w
-                gradient_l = -2.0 * scattered_l + 2.0 * self.regularization_landmarks * lm
-                return gradient_w, gradient_l
-
-        else:
-
-            def objective(w: np.ndarray, lm: np.ndarray) -> float:
-                return self._objective(matrix, mask, w, lm)
-
-            def gradients(w: np.ndarray, lm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-                error = np.where(mask, matrix - w.T @ lm, 0.0)
-                gradient_w = -2.0 * (lm @ error.T) + 2.0 * self.regularization_workers * w
-                gradient_l = -2.0 * (w @ error) + 2.0 * self.regularization_landmarks * lm
-                return gradient_w, gradient_l
+        objective, gradients = self._loss(matrix, mask)
 
         learning_rate = self.learning_rate
         previous_objective = objective(workers, landmarks)
@@ -190,6 +155,33 @@ class ProbabilisticMatrixFactorization:
         )
         return self.report
 
+    def _loss(self, matrix: np.ndarray, mask: np.ndarray) -> Tuple[Callable, Callable]:
+        """The objective and its gradients as functions of ``(W, L)``.
+
+        Errors and gradients are computed over the observed COO entries only.
+        """
+        rows, cols = np.nonzero(mask)
+        values = matrix[rows, cols]
+
+        def objective(w: np.ndarray, lm: np.ndarray) -> float:
+            errors = values - np.einsum("ij,ij->j", w[:, rows], lm[:, cols])
+            return float(
+                errors @ errors
+                + self.regularization_workers * (w**2).sum()
+                + self.regularization_landmarks * (lm**2).sum()
+            )
+
+        def gradients(w: np.ndarray, lm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            errors = values - np.einsum("ij,ij->j", w[:, rows], lm[:, cols])
+            scattered_w, scattered_l = self._scatter_error_products(
+                errors, rows, cols, w, lm, matrix.shape
+            )
+            gradient_w = -2.0 * scattered_w + 2.0 * self.regularization_workers * w
+            gradient_l = -2.0 * scattered_l + 2.0 * self.regularization_landmarks * lm
+            return gradient_w, gradient_l
+
+        return objective, gradients
+
     @staticmethod
     def _scatter_error_products(
         errors: np.ndarray,
@@ -215,21 +207,6 @@ class ProbabilisticMatrixFactorization:
         np.add.at(scattered_w.T, rows, (landmarks[:, cols] * errors).T)
         np.add.at(scattered_l.T, cols, (workers[:, rows] * errors).T)
         return scattered_w, scattered_l
-
-    def _objective(
-        self,
-        matrix: np.ndarray,
-        mask: np.ndarray,
-        workers: np.ndarray,
-        landmarks: np.ndarray,
-    ) -> float:
-        prediction = workers.T @ landmarks
-        residual = np.where(mask, matrix - prediction, 0.0)
-        return float(
-            (residual**2).sum()
-            + self.regularization_workers * (workers**2).sum()
-            + self.regularization_landmarks * (landmarks**2).sum()
-        )
 
     # ------------------------------------------------------------ prediction
     def predict(self) -> np.ndarray:

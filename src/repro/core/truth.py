@@ -6,6 +6,11 @@ the crowd voted — it is stored as a :class:`VerifiedTruth`.  Subsequent
 requests whose endpoints fall within the reuse radius of a stored truth and
 whose departure time falls in the same time slot are answered immediately,
 which is the main lever the paper uses to keep crowdsourcing cost down.
+
+Serving shards read the store through copy-on-write destination-cell views
+(:meth:`TruthDatabase.view_by_cells`); the materialised partition they
+replaced is preserved as :func:`repro.core.reference.partition_by_cells`,
+the views' oracle.
 """
 
 from __future__ import annotations
@@ -147,46 +152,28 @@ class TruthDatabase:
         self._origin_index.insert(truth.truth_id, truth.origin)
         self._destination_index.insert(truth.truth_id, truth.destination)
 
-    # ------------------------------------------------------------ partitioning
+    # ------------------------------------------------------------------ views
     def destination_cell_of(self, point: Point) -> Tuple[int, int]:
         """The destination-index grid cell ``point`` falls in."""
         return self._destination_index.cell_of(point)
 
-    def partition_by_cells(self, cells: Iterable[Tuple[int, int]]) -> "TruthDatabase":
-        """A new store holding the truths whose *destination* falls in ``cells``.
-
-        This is the shard-shipping primitive of the serving layer: each shard
-        of a batch receives the partition covering its queries' destination
-        cells (expanded by the interaction reach, see
-        :meth:`~repro.core.planner.CrowdPlanner.shard_plan`), which is a
-        superset of every truth its queries can observe — lookups filter by
-        exact radius, so surplus truths are harmless, while a missing one
-        would change an answer.  Truths keep their ids and relative insertion
-        order, so distance-tie-breaking inside the partition agrees with the
-        parent store.  The partition is an independent store: truths recorded
-        into it do not appear in the parent (merge them back explicitly with
-        :meth:`absorb`).
-        """
-        partition = TruthDatabase(self.network, self.config)
-        # The destination index already buckets truths by exactly these
-        # cells, so the partition is built in O(its size), not O(store);
-        # index insertion order is record order, so relative id order (the
-        # lookup tie-break) is preserved.
-        for truth_id in self._destination_index.items_in_cells(cells):
-            partition._adopt(self._truths[truth_id])
-        return partition
-
     def view_by_cells(self, cells: Iterable[Tuple[int, int]]) -> "TruthDatabaseView":
         """A copy-on-write view of the truths whose destination falls in ``cells``.
 
-        Semantically identical to :meth:`partition_by_cells` — same member
-        set, same lookup/neighbourhood answers, same ``all()`` order — but
-        built in O(members) *without copying* the member truths into new
-        spatial indexes: reads consult this store's indexes filtered by the
-        membership set, while writes (:meth:`record`) land in a private
-        overlay.  This is how serving shards are seeded: a shard ships (or,
-        under ``fork``, inherits) only the destination-cell index slice
-        instead of a materialised partition.  The base store must not be
+        This is the shard-seeding primitive of the serving layer: each shard
+        of a batch sees the truths of its queries' destination cells
+        (expanded by the interaction reach, see
+        :meth:`~repro.core.planner.CrowdPlanner.shard_plan`), a superset of
+        every truth its queries can observe — lookups filter by exact radius,
+        so surplus truths are harmless, while a missing one would change an
+        answer.  The view is built in O(members) *without copying* the
+        member truths into new spatial indexes: reads consult this store's
+        indexes filtered by the membership set, in this store's record order
+        (so lookup tie-breaks agree), while writes (:meth:`record`) land in
+        a private overlay; merge them back explicitly with :meth:`absorb`.
+        Its answers equal those of a materialised partition over the same
+        cells (:func:`repro.core.reference.partition_by_cells`, the oracle
+        the truth-view tests compare against).  The base store must not be
         mutated while the view is live (the serving layer merges shard
         writes back only after every shard has finished).
         """
@@ -378,12 +365,13 @@ class TruthDatabaseView(TruthDatabase):
     view's private overlay (the structures inherited from
     :class:`TruthDatabase` act as the overlay), so the base store is never
     touched.  Answers — ``lookup``, ``truths_near``, ``all()`` order,
-    ``len`` — are identical to a :meth:`TruthDatabase.partition_by_cells`
-    partition over the same cells (the shard tests assert this), while
-    construction is O(members) set/list building with no index copies.
+    ``len`` — are identical to a materialised partition over the same cells
+    (:func:`repro.core.reference.partition_by_cells`; the shard tests assert
+    this), while construction is O(members) set/list building with no index
+    copies.
 
-    The base store must stay unmutated while the view is live; views are not
-    themselves partitionable (build views from the base instead).
+    The base store must stay unmutated while the view is live; there are no
+    views over views (build views from the base instead).
     """
 
     def __init__(self, base: TruthDatabase, cells: Iterable[Tuple[int, int]]):
@@ -437,9 +425,3 @@ class TruthDatabaseView(TruthDatabase):
             if truth_id in self._member_ids
         ]
         return _merge_ranked(members, self._destination_index.within_radius(point, radius_m))
-
-    def partition_by_cells(self, cells: Iterable[Tuple[int, int]]) -> "TruthDatabase":
-        raise TruthStoreError("cannot partition a view; partition the base store")
-
-    def view_by_cells(self, cells: Iterable[Tuple[int, int]]) -> "TruthDatabaseView":
-        raise TruthStoreError("cannot build a view over a view; use the base store")

@@ -18,6 +18,7 @@ random workers yield noise.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -49,8 +50,9 @@ class AnswerBehaviorModel:
     base_accuracy: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.knowledge_radius_m <= 0:
-            raise ConfigurationError("knowledge_radius_m must be positive")
+        # ``math.isfinite`` first: NaN fails no ordering comparison.
+        if not (math.isfinite(self.knowledge_radius_m) and self.knowledge_radius_m > 0):
+            raise ConfigurationError("knowledge_radius_m must be positive and finite")
         if not 0.0 <= self.base_accuracy <= self.max_accuracy <= 1.0:
             raise ConfigurationError("need 0 <= base_accuracy <= max_accuracy <= 1")
 

@@ -1,0 +1,190 @@
+"""Reference crowd simulators (pre-columnar era).
+
+:class:`~repro.crowd.simulator.SimulatedCrowd` answers through the columnar
+channel: a compiled question tree walked into the flat columns of a
+:class:`~repro.core.task.ResponseBlock`.  The crowds here are the original
+formulations, kept as behavioural oracles the way
+:mod:`repro.routing.reference` keeps the closure-cost route sources.  Each
+overrides :meth:`collect_responses` and declines the columnar channel (the
+:class:`~repro.core.planner.CrowdBackend` default), so a planner fed by one
+runs the object path end to end:
+
+* :class:`SequentialCrowd` — the original question-by-question simulation,
+  one scalar behaviour-model call per question (the ``crowd_batch`` oracle);
+* :class:`EagerObjectCrowd` — one vectorized behaviour-model evaluation per
+  crew, then a tree walk building :class:`~repro.core.task.Answer` objects
+  eagerly (the ``crowd_columnar`` oracle).
+
+All three consume the task's content-derived RNG in the identical order
+(one uniform draw plus one exponential draw per question, workers in
+assignment order), so they return identical responses;
+``tests/crowd/test_simulator_batched.py`` and
+``tests/crowd/test_response_block.py`` assert it.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, List, Sequence
+
+import numpy as np
+
+from ..core.planner import CrowdBackend
+from ..core.task import Answer, Task, WorkerResponse
+from ..exceptions import CrowdPlannerError
+from ..utils.rng import derive_rng
+from .simulator import SimulatedCrowd
+
+
+def _task_rng(crowd: SimulatedCrowd, task: Task) -> random.Random:
+    """The task's content-derived RNG: the same stream the columnar path
+    rebuilds from its cached seed (see ``SimulatedCrowd._task_signature``)."""
+    return derive_rng(crowd.seed, crowd._task_signature(task))
+
+
+def _arrival_order(responses: List[WorkerResponse]) -> List[WorkerResponse]:
+    responses.sort(key=lambda response: (response.total_response_time_s, response.worker_id))
+    return responses
+
+
+def _question_landmarks(task: Task) -> List[int]:
+    """Landmark ids questioned anywhere in the task's tree, in first-seen
+    preorder (deduplicated)."""
+    seen: Dict[int, None] = {}
+    stack = [task.question_tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        seen.setdefault(node.landmark_id, None)
+        stack.append(node.no_child)
+        stack.append(node.yes_child)
+    return list(seen)
+
+
+class SequentialCrowd(SimulatedCrowd):
+    """The original question-by-question simulation (the oracle)."""
+
+    collect_responses_block = CrowdBackend.collect_responses_block
+
+    def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
+        if not worker_ids:
+            raise CrowdPlannerError("collect_responses called with no workers")
+        rng = _task_rng(self, task)
+        truth_landmarks = self._ground_truth_landmarks(task.query)
+        return _arrival_order(
+            [self._simulate_worker(task, worker_id, truth_landmarks, rng) for worker_id in worker_ids]
+        )
+
+    def _simulate_worker(
+        self,
+        task: Task,
+        worker_id: int,
+        truth_landmarks: frozenset,
+        rng: random.Random,
+    ) -> WorkerResponse:
+        worker = self.pool.get(worker_id)
+        node = task.question_tree.root
+        answers: List[Answer] = []
+        per_question_time = 1.0 / max(worker.response_rate, 1e-9) / max(1, task.max_questions())
+        total_time = 0.0
+        while not node.is_leaf:
+            landmark_id = node.landmark_id
+            anchor = self.catalog.get(landmark_id).anchor
+            truthful = landmark_id in truth_landmarks
+            says_yes = self.behavior.answer(worker, anchor, truthful, rng)
+            elapsed = rng.expovariate(1.0 / per_question_time) if per_question_time > 0 else 0.0
+            total_time += elapsed
+            answers.append(
+                Answer(
+                    worker_id=worker_id,
+                    landmark_id=landmark_id,
+                    says_yes=says_yes,
+                    response_time_s=elapsed,
+                )
+            )
+            node = node.yes_child if says_yes else node.no_child
+        return WorkerResponse(
+            worker_id=worker_id,
+            answers=answers,
+            chosen_route_index=task.route_index(node.decided_route),
+            total_response_time_s=total_time,
+        )
+
+
+class EagerObjectCrowd(SimulatedCrowd):
+    """The batched object path: one vectorized behaviour-model evaluation
+    per crew, then answer objects built eagerly (the pre-columnar default)."""
+
+    collect_responses_block = CrowdBackend.collect_responses_block
+
+    def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
+        if not worker_ids:
+            raise CrowdPlannerError("collect_responses called with no workers")
+        rng = _task_rng(self, task)
+        truth_landmarks = self._cached_truth_landmarks(task.query)
+
+        # One pass over the question tree resolves every questioned landmark's
+        # anchor and truth flag for the whole task.
+        question_landmarks = _question_landmarks(task)
+        anchors = [self.catalog.get(lid).anchor for lid in question_landmarks]
+        xs = np.array([anchor.x for anchor in anchors], dtype=np.float64)
+        ys = np.array([anchor.y for anchor in anchors], dtype=np.float64)
+        position = {lid: i for i, lid in enumerate(question_landmarks)}
+        truthful = [lid in truth_landmarks for lid in question_landmarks]
+        max_questions = max(1, task.max_questions())
+
+        workers = [self.pool.get(worker_id) for worker_id in worker_ids]
+        accuracy_matrix = self.behavior.answer_accuracies_matrix(workers, xs, ys)
+        return _arrival_order(
+            [
+                self._walk_tree(task, worker, rng, position, truthful, row.tolist(), max_questions)
+                for worker, row in zip(workers, accuracy_matrix)
+            ]
+        )
+
+    def _walk_tree(
+        self,
+        task: Task,
+        worker,
+        rng: random.Random,
+        position: Dict[int, int],
+        truthful: List[bool],
+        accuracies: List[float],
+        max_questions: int,
+    ) -> WorkerResponse:
+        """Tree walk over precomputed per-landmark accuracy and truth tables.
+
+        Consumes the RNG exactly like :meth:`SequentialCrowd._simulate_worker`:
+        one uniform draw (the answer) then one exponential draw (the
+        per-question time) per question, in traversal order.
+        """
+        node = task.question_tree.root
+        answers: List[Answer] = []
+        per_question_time = 1.0 / max(worker.response_rate, 1e-9) / max_questions
+        total_time = 0.0
+        while not node.is_leaf:
+            landmark_id = node.landmark_id
+            index = position[landmark_id]
+            truthful_answer = truthful[index]
+            if rng.random() < accuracies[index]:
+                says_yes = truthful_answer
+            else:
+                says_yes = not truthful_answer
+            elapsed = rng.expovariate(1.0 / per_question_time) if per_question_time > 0 else 0.0
+            total_time += elapsed
+            answers.append(
+                Answer(
+                    worker_id=worker.worker_id,
+                    landmark_id=landmark_id,
+                    says_yes=says_yes,
+                    response_time_s=elapsed,
+                )
+            )
+            node = node.yes_child if says_yes else node.no_child
+        return WorkerResponse(
+            worker_id=worker.worker_id,
+            answers=answers,
+            chosen_route_index=task.route_index(node.decided_route),
+            total_response_time_s=total_time,
+        )

@@ -14,17 +14,12 @@ index arrays, and every worker's walk appends scalars to flat columns — a
 :class:`~repro.core.task.ResponseBlock` — instead of building
 :class:`~repro.core.task.Answer`/:class:`~repro.core.task.WorkerResponse`
 object trees.  Objects are materialized lazily at the planner boundary
-(:meth:`ResponseBlock.materialize`).  Two oracles are preserved:
-
-* :meth:`SimulatedCrowd.collect_responses_objects` — the batched tree walk
-  that builds answer objects eagerly (what the columnar path is benchmarked
-  and equivalence-tested against in the ``crowd_columnar`` suite);
-* :meth:`SimulatedCrowd.collect_responses_sequential` — the original
-  question-by-question simulation (the oracle of the ``crowd_batch`` suite).
-
-All three paths consume the task's derived RNG in the identical order (one
-uniform draw plus one exponential draw per question, workers in assignment
-order), so they return identical responses.
+(:meth:`ResponseBlock.materialize`).  The original object-building
+simulations are preserved in :mod:`repro.crowd.reference` as the oracles
+the columnar path is equivalence-tested and benchmarked against; all paths
+consume the task's derived RNG in the identical order (one uniform draw
+plus one exponential draw per question, workers in assignment order), so
+they return identical responses.
 
 Randomness is *content-keyed*: each task's RNG is derived from the simulator
 seed plus a signature of the task itself (query endpoints, departure time,
@@ -46,13 +41,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.planner import CrowdBackend
-from ..core.task import Answer, ResponseBlock, Task, WorkerResponse
+from ..core.task import ResponseBlock, Task, WorkerResponse
 from ..core.worker import WorkerPool
 from ..exceptions import CrowdPlannerError
 from ..landmarks.model import LandmarkCatalog
 from ..routing.base import RouteQuery
 from ..trajectory.calibration import AnchorCalibrator
-from ..utils.rng import SeedSequence, derive_rng
+from ..utils.rng import SeedSequence
 from .behavior import AnswerBehaviorModel
 
 GroundTruthProvider = Callable[[RouteQuery], Sequence[int]]
@@ -112,7 +107,7 @@ class _CompiledTree:
 
         # Preorder flatten; children are appended after their parent, so the
         # node at index 0 is the root.  Landmark first-seen order matches the
-        # object path's `_question_landmarks` (yes-subtree first).
+        # reference object path's question order (yes-subtree first).
         stack = [(task.question_tree.root, -1, True)]
         while stack:
             node, parent, is_yes = stack.pop()
@@ -335,55 +330,6 @@ class SimulatedCrowd(CrowdBackend):
             answer_time_s=np.array(o_time, dtype=np.float64),
         )
 
-    def collect_responses_objects(
-        self, task: Task, worker_ids: Sequence[int]
-    ) -> List[WorkerResponse]:
-        """The batched object path (the columnar path's preserved oracle).
-
-        One vectorized behaviour-model evaluation per crew, then a
-        per-worker tree walk building :class:`Answer` objects eagerly —
-        the pre-columnar default, kept for the ``crowd_columnar``
-        equivalence assertion and benchmark pair.
-        """
-        if not worker_ids:
-            raise CrowdPlannerError("collect_responses called with no workers")
-        rng = self._task_rng(task)
-        truth_landmarks = self._cached_truth_landmarks(task.query)
-
-        # One pass over the question tree resolves every questioned landmark's
-        # anchor and truth flag for the whole task.
-        question_landmarks = self._question_landmarks(task)
-        anchors = [self.catalog.get(lid).anchor for lid in question_landmarks]
-        xs = np.array([anchor.x for anchor in anchors], dtype=np.float64)
-        ys = np.array([anchor.y for anchor in anchors], dtype=np.float64)
-        position = {lid: i for i, lid in enumerate(question_landmarks)}
-        truthful = [lid in truth_landmarks for lid in question_landmarks]
-        max_questions = max(1, task.max_questions())
-
-        workers = [self.pool.get(worker_id) for worker_id in worker_ids]
-        accuracy_matrix = self.behavior.answer_accuracies_matrix(workers, xs, ys)
-        responses = []
-        for worker, row in zip(workers, accuracy_matrix):
-            responses.append(
-                self._walk_tree(task, worker, rng, position, truthful, row.tolist(), max_questions)
-            )
-        responses.sort(key=lambda response: (response.total_response_time_s, response.worker_id))
-        return responses
-
-    def collect_responses_sequential(
-        self, task: Task, worker_ids: Sequence[int]
-    ) -> List[WorkerResponse]:
-        """The original question-by-question simulation (the batched oracle)."""
-        if not worker_ids:
-            raise CrowdPlannerError("collect_responses called with no workers")
-        rng = self._task_rng(task)
-        truth_landmarks = self._ground_truth_landmarks(task.query)
-        responses = []
-        for worker_id in worker_ids:
-            responses.append(self._simulate_worker(task, worker_id, truth_landmarks, rng))
-        responses.sort(key=lambda response: (response.total_response_time_s, response.worker_id))
-        return responses
-
     # ------------------------------------------------- population accuracies
     def refresh_population_accuracies(self) -> None:
         """Precompute the population ``(worker, landmark)`` accuracy matrix.
@@ -442,18 +388,6 @@ class SimulatedCrowd(CrowdBackend):
             self._compiled_trees[task.question_tree] = tree
         return tree
 
-    def _task_rng(self, task: Task) -> random.Random:
-        """Derive the task's RNG from its *content* rather than a counter.
-
-        The signature (:meth:`_task_signature`) covers everything that
-        distinguishes one crowd task from another, so identical tasks sample
-        identical randomness no matter when, in what order, or in which
-        process they are collected.  (Within one planner batch the same task
-        content cannot reach the crowd twice: the first resolution records a
-        verified truth that answers any od-identical repeat.)
-        """
-        return derive_rng(self.seed, self._task_signature(task))
-
     @staticmethod
     def _task_signature(task: Task) -> str:
         """The task-content string the per-task RNG is derived from.
@@ -476,21 +410,6 @@ class SimulatedCrowd(CrowdBackend):
             ),
         )
 
-    @staticmethod
-    def _question_landmarks(task: Task) -> List[int]:
-        """Landmark ids questioned anywhere in the task's tree, in first-seen
-        preorder (deduplicated)."""
-        seen: Dict[int, None] = {}
-        stack = [task.question_tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            seen.setdefault(node.landmark_id, None)
-            stack.append(node.no_child)
-            stack.append(node.yes_child)
-        return list(seen)
-
     def _ground_truth_landmarks(self, query: RouteQuery) -> frozenset:
         path = list(self.ground_truth(query))
         if len(path) < 2:
@@ -506,88 +425,3 @@ class SimulatedCrowd(CrowdBackend):
             cached = self._ground_truth_landmarks(query)
             self._truth_cache[key] = cached
         return cached
-
-    def _walk_tree(
-        self,
-        task: Task,
-        worker,
-        rng: random.Random,
-        position: Dict[int, int],
-        truthful: List[bool],
-        accuracies: List[float],
-        max_questions: int,
-    ) -> WorkerResponse:
-        """Tree walk over precomputed per-landmark accuracy and truth tables.
-
-        Consumes the RNG exactly like :meth:`_simulate_worker`: one uniform
-        draw (the answer) then one exponential draw (the per-question time)
-        per question, in traversal order.
-        """
-        node = task.question_tree.root
-        answers: List[Answer] = []
-        per_question_time = 1.0 / max(worker.response_rate, 1e-9) / max_questions
-        total_time = 0.0
-        while not node.is_leaf:
-            landmark_id = node.landmark_id
-            index = position[landmark_id]
-            truthful_answer = truthful[index]
-            if rng.random() < accuracies[index]:
-                says_yes = truthful_answer
-            else:
-                says_yes = not truthful_answer
-            elapsed = rng.expovariate(1.0 / per_question_time) if per_question_time > 0 else 0.0
-            total_time += elapsed
-            answers.append(
-                Answer(
-                    worker_id=worker.worker_id,
-                    landmark_id=landmark_id,
-                    says_yes=says_yes,
-                    response_time_s=elapsed,
-                )
-            )
-            node = node.yes_child if says_yes else node.no_child
-        decided = node.decided_route
-        chosen_index = task.route_index(decided)
-        return WorkerResponse(
-            worker_id=worker.worker_id,
-            answers=answers,
-            chosen_route_index=chosen_index,
-            total_response_time_s=total_time,
-        )
-
-    def _simulate_worker(
-        self,
-        task: Task,
-        worker_id: int,
-        truth_landmarks: frozenset,
-        rng: random.Random,
-    ) -> WorkerResponse:
-        worker = self.pool.get(worker_id)
-        node = task.question_tree.root
-        answers: List[Answer] = []
-        per_question_time = 1.0 / max(worker.response_rate, 1e-9) / max(1, task.max_questions())
-        total_time = 0.0
-        while not node.is_leaf:
-            landmark_id = node.landmark_id
-            anchor = self.catalog.get(landmark_id).anchor
-            truthful = landmark_id in truth_landmarks
-            says_yes = self.behavior.answer(worker, anchor, truthful, rng)
-            elapsed = rng.expovariate(1.0 / per_question_time) if per_question_time > 0 else 0.0
-            total_time += elapsed
-            answers.append(
-                Answer(
-                    worker_id=worker_id,
-                    landmark_id=landmark_id,
-                    says_yes=says_yes,
-                    response_time_s=elapsed,
-                )
-            )
-            node = node.yes_child if says_yes else node.no_child
-        decided = node.decided_route
-        chosen_index = task.route_index(decided)
-        return WorkerResponse(
-            worker_id=worker_id,
-            answers=answers,
-            chosen_route_index=chosen_index,
-            total_response_time_s=total_time,
-        )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.familiarity import FamiliarityModel
+from repro.core.reference import accumulate_reference, build_raw_matrix_reference
 from repro.landmarks.model import Landmark, LandmarkKind
 from repro.spatial import Point
 
@@ -20,7 +21,7 @@ def model(scenario):
 class TestRawMatrixEquivalence:
     def test_matches_double_loop_oracle(self, model):
         fast = model.build_raw_matrix()
-        oracle = model.build_raw_matrix_reference()
+        oracle = build_raw_matrix_reference(model)
         assert fast.shape == oracle.shape
         np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=1e-15)
         # "No information" entries must agree exactly: the PMF treats zeros
@@ -38,7 +39,7 @@ class TestRawMatrixEquivalence:
         worker.record_answer(landmark_id, correct=True)
         worker.record_answer(landmark_id, correct=False)
         fast = model.build_raw_matrix()
-        oracle = model.build_raw_matrix_reference()
+        oracle = build_raw_matrix_reference(model)
         np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=1e-15)
         row = model._worker_index[worker_id]
         column = model._landmark_index[landmark_id]
@@ -54,13 +55,13 @@ class TestRawMatrixEquivalence:
             worker.familiar_places.clear()
         model = FamiliarityModel(pool, scenario.catalog)
         np.testing.assert_allclose(
-            model.build_raw_matrix(), model.build_raw_matrix_reference(), rtol=1e-12, atol=1e-15
+            model.build_raw_matrix(), build_raw_matrix_reference(model), rtol=1e-12, atol=1e-15
         )
 
     def test_fit_consumes_vectorized_kernel(self, scenario):
         model = FamiliarityModel(scenario.worker_pool, scenario.catalog)
         accumulated = model.fit(use_pmf=False)
-        oracle = model._accumulate_reference(model.build_raw_matrix())
+        oracle = accumulate_reference(model, model.build_raw_matrix())
         assert np.array_equal(accumulated, oracle)
 
 
@@ -70,14 +71,14 @@ class TestAccumulateEquivalence:
         rng = np.random.default_rng(seed)
         completed = rng.random((len(model.worker_ids), len(model.landmark_ids)))
         vectorized = model._accumulate(completed)
-        reference = model._accumulate_reference(completed)
+        reference = accumulate_reference(model, completed)
         assert np.array_equal(vectorized, reference)
 
     @pytest.mark.parametrize("use_pmf", [True, False])
     def test_bit_identical_through_fit(self, scenario, use_pmf):
         model = FamiliarityModel(scenario.worker_pool, scenario.catalog)
         accumulated = model.fit(use_pmf=use_pmf)
-        assert np.array_equal(accumulated, model._accumulate_reference(model.completed_matrix()))
+        assert np.array_equal(accumulated, accumulate_reference(model, model.completed_matrix()))
 
     def test_zero_matrix_stays_zero(self, model):
         completed = np.zeros((len(model.worker_ids), len(model.landmark_ids)))
@@ -112,4 +113,4 @@ class TestStructureCache:
             )
         )
         assert model._accumulation_rounds() is not stale_rounds
-        assert np.array_equal(model._accumulate(completed), model._accumulate_reference(completed))
+        assert np.array_equal(model._accumulate(completed), accumulate_reference(model, completed))

@@ -2,14 +2,15 @@
 
 ``TruthDatabase.view_by_cells`` is the serving layer's shard-seeding
 primitive: reads must answer exactly like a materialised
-``partition_by_cells`` over the same cells (member set, lookup tie-breaks,
-neighbourhood enumeration order, ``all()`` order), while writes stay in the
-view and never touch the base store.
+``repro.core.reference.partition_by_cells`` over the same cells (member set,
+lookup tie-breaks, neighbourhood enumeration order, ``all()`` order), while
+writes stay in the view and never touch the base store.
 """
 
 import pytest
 
 from repro.config import PlannerConfig
+from repro.core.reference import partition_by_cells
 from repro.core.truth import TruthDatabase, TruthDatabaseView
 from repro.exceptions import TruthStoreError
 from repro.roadnet.shortest_path import dijkstra_path
@@ -50,14 +51,14 @@ def _cells_of(db, count):
 class TestViewReadEquivalence:
     def test_members_and_order_match_partition(self, populated_db):
         cells = _cells_of(populated_db, 3)
-        partition = populated_db.partition_by_cells(cells)
+        partition = partition_by_cells(populated_db, cells)
         view = populated_db.view_by_cells(cells)
         assert len(view) == len(partition)
         assert _truth_tuples(view.all()) == _truth_tuples(partition.all())
 
     def test_lookup_and_neighbourhood_match_partition(self, populated_db, small_network):
         cells = _cells_of(populated_db, 4)
-        partition = populated_db.partition_by_cells(cells)
+        partition = partition_by_cells(populated_db, cells)
         view = populated_db.view_by_cells(cells)
         nodes = small_network.node_ids()
         for origin in nodes[::5]:
@@ -79,7 +80,7 @@ class TestViewReadEquivalence:
     def test_get_resolves_members_and_rejects_others(self, populated_db):
         cells = _cells_of(populated_db, 2)
         view = populated_db.view_by_cells(cells)
-        partition = populated_db.partition_by_cells(cells)
+        partition = partition_by_cells(populated_db, cells)
         member = partition.all()[0]
         assert view.get(member.truth_id).truth_id == member.truth_id
         outside = [t for t in populated_db.all() if t.truth_id not in view._member_ids]
@@ -138,7 +139,5 @@ class TestViewGuards:
         assert isinstance(view, TruthDatabaseView)
         with pytest.raises(TruthStoreError):
             view.view_by_cells(cells)
-        with pytest.raises(TruthStoreError):
-            view.partition_by_cells(cells)
         with pytest.raises(TruthStoreError):
             TruthDatabaseView(view, cells)

@@ -10,6 +10,7 @@ import pytest
 from repro.config import PlannerConfig
 from repro.core.familiarity import FamiliarityModel
 from repro.core.pmf import ProbabilisticMatrixFactorization
+from repro.core.reference import DenseProbabilisticMatrixFactorization, raw_score
 from repro.core.response_time import ResponseTimeModel
 from repro.core.worker import AnswerRecord, Worker, WorkerPool
 from repro.exceptions import ConfigurationError, WorkerSelectionError
@@ -143,6 +144,14 @@ class TestPMF:
             ProbabilisticMatrixFactorization(learning_rate=0)
         with pytest.raises(ConfigurationError):
             ProbabilisticMatrixFactorization(max_iterations=0)
+        # NaN fails every ordering comparison, so it needs its own check.
+        for parameter in ("learning_rate", "regularization_workers", "regularization_landmarks"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError):
+                    ProbabilisticMatrixFactorization(**{parameter: value})
+        for tolerance in (float("nan"), float("inf"), -1e-6):
+            with pytest.raises(ConfigurationError):
+                ProbabilisticMatrixFactorization(tolerance=tolerance)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(ConfigurationError):
@@ -183,10 +192,6 @@ class TestPMF:
         with pytest.raises(ConfigurationError):
             pmf.fit(np.zeros((2, 2)), mask=np.zeros((3, 3), dtype=bool))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ConfigurationError):
-            ProbabilisticMatrixFactorization().fit(np.eye(3), method="magic")
-
     def test_sparse_matches_dense_training(self):
         # The observed-entry (COO) gradient path must minimise the same
         # objective as the original dense masked implementation.
@@ -198,9 +203,9 @@ class TestPMF:
         observed = np.where(mask, matrix, 0.0)
 
         sparse_pmf = ProbabilisticMatrixFactorization(latent_dim=4, max_iterations=150)
-        dense_pmf = ProbabilisticMatrixFactorization(latent_dim=4, max_iterations=150)
-        sparse_report = sparse_pmf.fit(observed, mask, method="sparse")
-        dense_report = dense_pmf.fit(observed, mask, method="dense")
+        dense_pmf = DenseProbabilisticMatrixFactorization(latent_dim=4, max_iterations=150)
+        sparse_report = sparse_pmf.fit(observed, mask)
+        dense_report = dense_pmf.fit(observed, mask)
 
         assert sparse_report.final_objective == pytest.approx(
             dense_report.final_objective, rel=1e-6
@@ -228,16 +233,16 @@ class TestFamiliarityModel:
         self.model = FamiliarityModel(self.pool, self.catalog, self.config)
 
     def test_raw_score_higher_for_local_worker(self):
-        local = self.model.raw_score(self.pool.get(0), 0)
-        remote = self.model.raw_score(self.pool.get(1), 0)
+        local = raw_score(self.model, self.pool.get(0), 0)
+        remote = raw_score(self.model, self.pool.get(1), 0)
         assert local > remote
         assert remote == pytest.approx((1 - self.config.familiarity_alpha) * 0.0)
 
     def test_raw_score_includes_answer_history(self):
         worker = self.pool.get(1)
-        before = self.model.raw_score(worker, 1)
+        before = raw_score(self.model, worker, 1)
         worker.record_answer(1, correct=True)
-        after = self.model.raw_score(worker, 1)
+        after = raw_score(self.model, worker, 1)
         assert after > before
 
     def test_accumulated_requires_fit(self):

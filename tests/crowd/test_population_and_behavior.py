@@ -48,6 +48,9 @@ class TestAnswerBehavior:
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             AnswerBehaviorModel(knowledge_radius_m=0)
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                AnswerBehaviorModel(knowledge_radius_m=radius)
         with pytest.raises(ConfigurationError):
             AnswerBehaviorModel(base_accuracy=0.9, max_accuracy=0.5)
 

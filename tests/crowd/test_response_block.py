@@ -3,8 +3,8 @@
 The columnar fast path (:meth:`SimulatedCrowd.collect_responses_block`) must
 be a pure representation change: materializing its columns yields exactly
 the :class:`WorkerResponse` objects of the preserved object path
-(:meth:`collect_responses_objects`) — and therefore of the original
-sequential simulation — for any seed and any worker crew.  The hypothesis
+(:class:`repro.crowd.reference.EagerObjectCrowd`) — and therefore of the
+original sequential simulation — for any seed and any worker crew.  The hypothesis
 property runs in the fast tier (few, cheap examples over a shared
 scenario); the planner-level test pins that a planner fed by blocks is
 fingerprint-identical to one on the pure object path.
@@ -17,11 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.aggregation import AnswerAggregator
 from repro.core.planner import CrowdPlanner
 from repro.core.task_generation import TaskGenerator
+from repro.crowd.reference import EagerObjectCrowd, SequentialCrowd
 from repro.crowd.simulator import SimulatedCrowd
 from repro.exceptions import TaskGenerationError
 from repro.serving import recommendation_fingerprint
-
-from .object_path import ObjectPathCrowd
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +49,8 @@ def crowd_tasks(scenario):
     return tasks
 
 
-def _fresh_crowd(scenario, seed):
-    return SimulatedCrowd(
+def _fresh_crowd(scenario, seed, crowd_class=SimulatedCrowd):
+    return crowd_class(
         pool=scenario.worker_pool,
         catalog=scenario.catalog,
         calibrator=scenario.calibrator,
@@ -77,9 +76,9 @@ class TestBlockEquivalenceProperty:
         ids = scenario.worker_pool.ids()
         crew = random.Random(crew_seed).sample(ids, random.Random(crew_seed + 1).randint(1, len(ids)))
         columnar = _fresh_crowd(scenario, seed)
-        oracle = _fresh_crowd(scenario, seed)
+        oracle = _fresh_crowd(scenario, seed, crowd_class=EagerObjectCrowd)
         block = columnar.collect_responses_block(task, crew)
-        expected = oracle.collect_responses_objects(task, crew)
+        expected = oracle.collect_responses(task, crew)
         assert block.to_responses() == expected
         # Column-level invariants against the objects.
         assert block.worker_ids.tolist() == [r.worker_id for r in expected]
@@ -147,7 +146,7 @@ class TestBlockEquivalenceProperty:
             )
 
     def test_batched_false_declines_block(self, scenario, crowd_tasks):
-        crowd = ObjectPathCrowd(
+        crowd = SequentialCrowd(
             pool=scenario.worker_pool,
             catalog=scenario.catalog,
             calibrator=scenario.calibrator,
@@ -203,4 +202,4 @@ class TestPlannerBlockParity:
                 rewards,
             )
 
-        assert run(SimulatedCrowd) == run(ObjectPathCrowd)
+        assert run(SimulatedCrowd) == run(SequentialCrowd)

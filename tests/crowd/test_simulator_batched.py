@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core.task_generation import TaskGenerator
+from repro.crowd.reference import SequentialCrowd
 from repro.crowd.simulator import SimulatedCrowd
 from repro.exceptions import TaskGenerationError
-
-from .object_path import ObjectPathCrowd
 
 
 @pytest.fixture(scope="module")
@@ -53,28 +52,28 @@ class TestBatchedEquivalence:
     def test_responses_identical_across_seeds(self, scenario, crowd_tasks, seed):
         worker_ids = scenario.worker_pool.ids()
         batched = _fresh_crowd(scenario, seed)
-        sequential = _fresh_crowd(scenario, seed)
+        sequential = _fresh_crowd(scenario, seed, crowd_class=SequentialCrowd)
         for task in crowd_tasks:
             assert batched.collect_responses(task, worker_ids) == (
-                sequential.collect_responses_sequential(task, worker_ids)
+                sequential.collect_responses(task, worker_ids)
             )
 
     def test_batched_false_uses_sequential_path(self, scenario, crowd_tasks):
         worker_ids = scenario.worker_pool.ids()[:6]
-        plain = _fresh_crowd(scenario, 5, crowd_class=ObjectPathCrowd)
+        plain = _fresh_crowd(scenario, 5, crowd_class=SequentialCrowd)
         oracle = _fresh_crowd(scenario, 5)
         task = crowd_tasks[0]
         assert plain.collect_responses(task, worker_ids) == (
-            oracle.collect_responses_sequential(task, worker_ids)
+            oracle.collect_responses(task, worker_ids)
         )
 
     def test_subset_of_workers(self, scenario, crowd_tasks):
         worker_ids = scenario.worker_pool.ids()[:3]
         batched = _fresh_crowd(scenario, 11)
-        sequential = _fresh_crowd(scenario, 11)
+        sequential = _fresh_crowd(scenario, 11, crowd_class=SequentialCrowd)
         for task in crowd_tasks:
             assert batched.collect_responses(task, worker_ids) == (
-                sequential.collect_responses_sequential(task, worker_ids)
+                sequential.collect_responses(task, worker_ids)
             )
 
     def test_truth_cache_reused_across_tasks_for_same_query(self, scenario, crowd_tasks):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.planner import CrowdPlannerError
+from repro.core.reference import partition_by_cells
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +115,7 @@ class TestTruthPartitioning:
         assert len(truths) > 0
         all_cells = {truths.destination_cell_of(t.destination) for t in truths.all()}
         some_cells = set(list(all_cells)[: max(1, len(all_cells) // 2)])
-        partition = truths.partition_by_cells(some_cells)
+        partition = partition_by_cells(truths, some_cells)
         expected = [
             t.truth_id
             for t in truths.all()

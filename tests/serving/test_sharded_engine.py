@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.core.planner import QueryShard, ShardPlan
+from repro.core.reference import partition_by_cells
 from repro.serving import RecommendationService, recommendation_fingerprint
 
 from .sim_pool import simulated_service
@@ -143,7 +144,7 @@ class TestTruthViewShardEquivalence:
                 view_outcome = execute_shard_job(planner, job)
 
                 # The former scheme: a clone over a materialised partition.
-                partition = planner.truths.partition_by_cells(shard.destination_cells)
+                partition = partition_by_cells(planner.truths, shard.destination_cells)
                 clone = CrowdPlanner(
                     network=planner.network,
                     catalog=planner.catalog,
