@@ -1,6 +1,7 @@
 """Hot-path microbenchmarks: compiled routing core vs. reference, spatial
 index queries, sparse vs. dense PMF training, time-dependent fastest routing
-vs. its per-edge closure, the crowd-evaluation pipeline
+and the simulated crowd's ground-truth routing vs. their per-edge closures,
+the crowd-evaluation pipeline
 (compiled popularity routing, vectorized familiarity kernels, batched crowd
 simulation) vs. its preserved sequential oracles, sharded serving vs.
 sequential ``recommend_batch``, the cross-batch pipelined
@@ -73,6 +74,8 @@ from repro.serving import (
     recommendation_fingerprint,
 )
 from repro.spatial import GridIndex, Point
+from repro.trajectory.generator import TrajectoryGenerator
+from repro.trajectory.reference import ClosureTrajectoryGenerator
 
 CITY = GridCityConfig(rows=10, cols=10, block_size_m=220.0, seed=23)
 K_ALTERNATIVES = 5
@@ -301,6 +304,46 @@ def test_fastest_routing_reference(benchmark, fastest_setup):
     benchmark(_run_fastest, reference_service, queries)
 
 
+# ------------------------------------------------------ ground-truth routing
+@pytest.fixture(scope="module")
+def ground_truth_setup(serving_city):
+    """Paired ground-truth route searches over the serving city: a
+    ``TrajectoryGenerator`` (one compiled population preference vector per
+    network version) vs. ``ClosureTrajectoryGenerator`` (the per-edge
+    preference closure on every search), both configured like the
+    scenario's own generator, over 20 distinct od pairs."""
+    scenario, _ = serving_city
+    generator = scenario.trajectory_generator
+    compiled_generator = TrajectoryGenerator(
+        scenario.network, generator.config, travel_time_model=generator.travel_time_model
+    )
+    reference_generator = ClosureTrajectoryGenerator(
+        scenario.network, generator.config, travel_time_model=generator.travel_time_model
+    )
+    pairs = random_od_pairs(scenario.network, 20, min_distance_m=1500.0, seed=17)
+    return compiled_generator, reference_generator, pairs
+
+
+def _run_ground_truth(generator, pairs):
+    # Every round starts from a cold route memo, so each pair is searched.
+    generator._preferred_routes.clear()
+    return [generator.population_preferred_route(origin, destination) for origin, destination in pairs]
+
+
+@pytest.mark.benchmark(group="ground_truth_routing")
+def test_ground_truth_routing_compiled(benchmark, ground_truth_setup):
+    compiled_generator, reference_generator, pairs = ground_truth_setup
+    expected = _run_ground_truth(reference_generator, pairs)
+    assert _run_ground_truth(compiled_generator, pairs) == expected
+    benchmark(_run_ground_truth, compiled_generator, pairs)
+
+
+@pytest.mark.benchmark(group="ground_truth_routing")
+def test_ground_truth_routing_reference(benchmark, ground_truth_setup):
+    _, reference_generator, pairs = ground_truth_setup
+    benchmark(_run_ground_truth, reference_generator, pairs)
+
+
 # --------------------------------------------------------------- familiarity
 @pytest.fixture(scope="module")
 def familiarity_setup(bench_scenario):
@@ -446,7 +489,7 @@ def serving_city():
     """An 18x18 city with independent od neighbourhoods, one pre-fitted
     familiarity model, and a planner factory — shared by every serving
     benchmark (``crowd_shard``, ``crowd_stream``, ...) and by
-    ``fastest_routing``.
+    ``fastest_routing`` and ``ground_truth_routing``.
 
     Answers do not depend on worker answer histories or reward balances
     while the familiarity model is frozen, so planners built by the factory

@@ -3,8 +3,8 @@
 
 The JSON file is the repo's performance trajectory: each entry records the
 per-benchmark timings pytest-benchmark measured plus the compiled-vs-reference
-speedup per group.  Future perf PRs regenerate the file and are judged
-against the recorded speedups.
+speedup per group (the ratio of the two sides' minimum round times).  Future
+perf PRs regenerate the file and are judged against the recorded speedups.
 
 Usage::
 
@@ -27,8 +27,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "benchmarks" / "bench_hot_paths.py"
 
 #: benchmark groups where a ``*_compiled``/``*_sparse`` fast path is paired
-#: with a ``*_reference``/``*_dense`` oracle; the ratio of their mean times
-#: is the group's recorded speedup.
+#: with a ``*_reference``/``*_dense`` oracle; the ratio of their minimum
+#: round times is the group's recorded speedup.  The minimum is each side's
+#: round least disturbed by other load on the machine; a slow stretch that
+#: outlasts a whole side still moves it (see docs/benchmarks.md).
 _PAIRED_SUFFIXES = (("_compiled", "_reference"), ("_sparse", "_dense"))
 
 #: extra-info keys the hotspot suite reports (``benchmark.extra_info``):
@@ -72,6 +74,7 @@ def summarise(raw: dict) -> dict:
         name = entry["name"]
         benchmarks[name] = {
             "group": entry.get("group"),
+            "min_s": stats["min"],
             "mean_s": stats["mean"],
             "stddev_s": stats["stddev"],
             "rounds": stats["rounds"],
@@ -85,7 +88,7 @@ def summarise(raw: dict) -> dict:
             profile = {key: extra[key] for key in _SKEW_KEYS}
             benchmarks[name].update(profile)
             skew[entry.get("group")] = profile
-        groups.setdefault(entry.get("group"), {})[name] = stats["mean"]
+        groups.setdefault(entry.get("group"), {})[name] = stats["min"]
 
     speedups = {}
     for group, members in groups.items():

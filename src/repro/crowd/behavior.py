@@ -19,14 +19,11 @@ random workers yield noise.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..spatial import Point
-from ..core.worker import Worker
 
 
 @dataclass(frozen=True)
@@ -56,44 +53,6 @@ class AnswerBehaviorModel:
         if not 0.0 <= self.base_accuracy <= self.max_accuracy <= 1.0:
             raise ConfigurationError("need 0 <= base_accuracy <= max_accuracy <= 1")
 
-    def knowledge_of(self, worker: Worker, landmark_anchor: Point) -> float:
-        """The worker's true knowledge of the landmark's area, in [0, 1].
-
-        Knowledge decays linearly with the distance from the nearest anchor
-        and reaches zero at twice the knowledge radius.
-        """
-        nearest = min(anchor.distance_to(landmark_anchor) for anchor in worker.anchors())
-        if nearest <= self.knowledge_radius_m:
-            return 1.0 - 0.5 * (nearest / self.knowledge_radius_m)
-        if nearest >= 2 * self.knowledge_radius_m:
-            return 0.0
-        return 0.5 * (2.0 - nearest / self.knowledge_radius_m)
-
-    def answer_accuracy(self, worker: Worker, landmark_anchor: Point) -> float:
-        """Probability the worker answers a question about this landmark correctly."""
-        knowledge = self.knowledge_of(worker, landmark_anchor)
-        return self.base_accuracy + (self.max_accuracy - self.base_accuracy) * knowledge
-
-    def answer_accuracies(self, worker: Worker, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Per-landmark answer accuracies for one worker, vectorized.
-
-        ``xs``/``ys`` are the anchor coordinates of the landmarks to evaluate.
-        This is the batched crowd simulator's one-evaluation-per-worker path:
-        the nearest-anchor distance, the piecewise-linear knowledge decay and
-        the accuracy blend are computed for the whole landmark set in numpy
-        with the same arithmetic as the scalar methods.  (``np.hypot`` may
-        disagree with ``math.hypot`` in the final ulp, so individual
-        accuracies can differ from :meth:`answer_accuracy` by ~1e-16; a
-        sampled answer only changes if a uniform draw lands inside that
-        window, and the batched-vs-sequential equivalence tests pin exact
-        response equality on seeded scenarios.)
-        """
-        anchors = worker.anchors()
-        ax = np.array([anchor.x for anchor in anchors], dtype=np.float64)
-        ay = np.array([anchor.y for anchor in anchors], dtype=np.float64)
-        nearest = np.hypot(xs[None, :] - ax[:, None], ys[None, :] - ay[:, None]).min(axis=0)
-        return self._accuracies_from_nearest(nearest)
-
     def answer_accuracies_matrix(self, workers, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``(worker, landmark)`` answer-accuracy matrix for a whole crew.
 
@@ -102,7 +61,7 @@ class AnswerBehaviorModel:
         ``inf`` (an infinitely far anchor never wins the nearest-anchor
         minimum), so the batched crowd simulator pays numpy dispatch once per
         task rather than once per worker.  Row ``i`` is bit-identical to
-        ``answer_accuracies(workers[i], xs, ys)``.
+        :func:`repro.crowd.reference.answer_accuracies` for ``workers[i]``.
         """
         anchor_lists = [worker.anchors() for worker in workers]
         width = max((len(anchors) for anchors in anchor_lists), default=1)
@@ -120,8 +79,8 @@ class AnswerBehaviorModel:
     def _accuracies_from_nearest(self, nearest: np.ndarray) -> np.ndarray:
         """Piecewise-linear knowledge decay + accuracy blend, elementwise.
 
-        Mirrors :meth:`knowledge_of` / :meth:`answer_accuracy` operation for
-        operation.
+        Mirrors the scalar :func:`repro.crowd.reference.knowledge_of` /
+        :func:`repro.crowd.reference.answer_accuracy` operation for operation.
         """
         radius = self.knowledge_radius_m
         ratio = nearest / radius
@@ -131,15 +90,3 @@ class AnswerBehaviorModel:
             np.where(nearest >= 2.0 * radius, 0.0, 0.5 * (2.0 - ratio)),
         )
         return self.base_accuracy + (self.max_accuracy - self.base_accuracy) * knowledge
-
-    def answer(
-        self,
-        worker: Worker,
-        landmark_anchor: Point,
-        truthful_answer: bool,
-        rng: random.Random,
-    ) -> bool:
-        """Sample the worker's yes/no answer given the ground-truth answer."""
-        if rng.random() < self.answer_accuracy(worker, landmark_anchor):
-            return truthful_answer
-        return not truthful_answer

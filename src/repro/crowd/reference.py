@@ -15,6 +15,14 @@ runs the object path end to end:
   crew, then a tree walk building :class:`~repro.core.task.Answer` objects
   eagerly (the ``crowd_columnar`` oracle).
 
+The per-worker behaviour-model formulations :class:`SequentialCrowd` answers
+through live here too, as free functions over an
+:class:`~repro.crowd.behavior.AnswerBehaviorModel`: the scalar
+:func:`knowledge_of` / :func:`answer_accuracy` / :func:`answer` chain and the
+one-worker vectorized :func:`answer_accuracies`, which the production
+:meth:`~repro.crowd.behavior.AnswerBehaviorModel.answer_accuracies_matrix`
+reproduces row for row.
+
 All three consume the task's content-derived RNG in the identical order
 (one uniform draw plus one exponential draw per question, workers in
 assignment order), so they return identical responses;
@@ -31,9 +39,68 @@ import numpy as np
 
 from ..core.planner import CrowdBackend
 from ..core.task import Answer, Task, WorkerResponse
+from ..core.worker import Worker
 from ..exceptions import CrowdPlannerError
+from ..spatial import Point
 from ..utils.rng import derive_rng
+from .behavior import AnswerBehaviorModel
 from .simulator import SimulatedCrowd
+
+
+def knowledge_of(behavior: AnswerBehaviorModel, worker: Worker, landmark_anchor: Point) -> float:
+    """The worker's true knowledge of the landmark's area, in [0, 1].
+
+    Knowledge decays linearly with the distance from the nearest anchor
+    and reaches zero at twice the knowledge radius.
+    """
+    radius = behavior.knowledge_radius_m
+    nearest = min(anchor.distance_to(landmark_anchor) for anchor in worker.anchors())
+    if nearest <= radius:
+        return 1.0 - 0.5 * (nearest / radius)
+    if nearest >= 2 * radius:
+        return 0.0
+    return 0.5 * (2.0 - nearest / radius)
+
+
+def answer_accuracy(behavior: AnswerBehaviorModel, worker: Worker, landmark_anchor: Point) -> float:
+    """Probability the worker answers a question about this landmark correctly."""
+    knowledge = knowledge_of(behavior, worker, landmark_anchor)
+    return behavior.base_accuracy + (behavior.max_accuracy - behavior.base_accuracy) * knowledge
+
+
+def answer_accuracies(
+    behavior: AnswerBehaviorModel, worker: Worker, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Per-landmark answer accuracies for one worker, vectorized.
+
+    ``xs``/``ys`` are the anchor coordinates of the landmarks to evaluate.
+    The nearest-anchor distance, the piecewise-linear knowledge decay and
+    the accuracy blend are computed for the whole landmark set in numpy
+    with the same arithmetic as the scalar functions.  (``np.hypot`` may
+    disagree with ``math.hypot`` in the final ulp, so individual accuracies
+    can differ from :func:`answer_accuracy` by ~1e-16; a sampled answer only
+    changes if a uniform draw lands inside that window, and the
+    batched-vs-sequential equivalence tests pin exact response equality on
+    seeded scenarios.)
+    """
+    anchors = worker.anchors()
+    ax = np.array([anchor.x for anchor in anchors], dtype=np.float64)
+    ay = np.array([anchor.y for anchor in anchors], dtype=np.float64)
+    nearest = np.hypot(xs[None, :] - ax[:, None], ys[None, :] - ay[:, None]).min(axis=0)
+    return behavior._accuracies_from_nearest(nearest)
+
+
+def answer(
+    behavior: AnswerBehaviorModel,
+    worker: Worker,
+    landmark_anchor: Point,
+    truthful_answer: bool,
+    rng: random.Random,
+) -> bool:
+    """Sample the worker's yes/no answer given the ground-truth answer."""
+    if rng.random() < answer_accuracy(behavior, worker, landmark_anchor):
+        return truthful_answer
+    return not truthful_answer
 
 
 def _task_rng(crowd: SimulatedCrowd, task: Task) -> random.Random:
@@ -92,7 +159,7 @@ class SequentialCrowd(SimulatedCrowd):
             landmark_id = node.landmark_id
             anchor = self.catalog.get(landmark_id).anchor
             truthful = landmark_id in truth_landmarks
-            says_yes = self.behavior.answer(worker, anchor, truthful, rng)
+            says_yes = answer(self.behavior, worker, anchor, truthful, rng)
             elapsed = rng.expovariate(1.0 / per_question_time) if per_question_time > 0 else 0.0
             total_time += elapsed
             answers.append(

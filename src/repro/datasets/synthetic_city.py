@@ -72,7 +72,15 @@ class SyntheticCityConfig:
 
 @dataclass
 class Scenario:
-    """A fully built synthetic CrowdPlanner deployment."""
+    """A fully built synthetic CrowdPlanner deployment.
+
+    Ground truth (:meth:`ground_truth_path`, and the simulated crowd's
+    answers) is ``trajectory_generator.population_preferred_route``: the
+    route minimising the unperturbed population preference cost, searched
+    over one CSR-order vector of
+    :meth:`~repro.trajectory.generator.TrajectoryGenerator.preference_cost`
+    values that the generator builds once per network version.
+    """
 
     config: SyntheticCityConfig
     network: RoadNetwork
@@ -222,8 +230,6 @@ def build_scenario(config: Optional[SyntheticCityConfig] = None) -> Scenario:
         WorkerPopulationConfig(num_workers=config.num_workers, seed=config.seed + 4),
     )
 
-    scenario_holder: Dict[str, Scenario] = {}
-
     def ground_truth(query: RouteQuery) -> List[int]:
         return trajectory_generator.population_preferred_route(query.origin, query.destination)
 
@@ -236,7 +242,7 @@ def build_scenario(config: Optional[SyntheticCityConfig] = None) -> Scenario:
         seed=config.seed + 5,
     )
 
-    scenario = Scenario(
+    return Scenario(
         config=config,
         network=network,
         catalog=catalog,
@@ -249,5 +255,3 @@ def build_scenario(config: Optional[SyntheticCityConfig] = None) -> Scenario:
         travel_time_model=travel_time_model,
         hot_pairs=list(hot_pairs),
     )
-    scenario_holder["scenario"] = scenario
-    return scenario

@@ -64,6 +64,10 @@ DEFAULT_PROFILES: Dict[RoadClass, SpeedProfile] = {
     RoadClass.LOCAL: SpeedProfile(peak_multiplier=1.3),
 }
 
+#: Profile of a road class missing from a model's ``profiles``: built and
+#: validated once here, not on every travel-time evaluation.
+DEFAULT_PROFILE = SpeedProfile()
+
 
 class TravelTimeModel:
     """Computes time-dependent edge and path travel times.
@@ -91,7 +95,7 @@ class TravelTimeModel:
 
     def edge_travel_time(self, edge: RoadEdge, departure_time_s: float = 9 * 3600.0) -> float:
         """Traversal time of ``edge`` in seconds when entered at ``departure_time_s``."""
-        profile = self.profiles.get(edge.road_class, SpeedProfile())
+        profile = self.profiles.get(edge.road_class, DEFAULT_PROFILE)
         return edge.free_flow_travel_time_s * profile.multiplier(departure_time_s)
 
     def path_travel_time(
@@ -126,9 +130,8 @@ class TravelTimeModel:
         product as :meth:`edge_travel_time`, so the vector is bit-identical
         to ``compiled.cost_vector(self.edge_cost_at(departure_time_s))``.
         """
-        default = SpeedProfile()
         multipliers = [
-            self.profiles.get(road_class, default).multiplier(departure_time_s)
+            self.profiles.get(road_class, DEFAULT_PROFILE).multiplier(departure_time_s)
             for road_class in compiled.road_classes
         ]
         free_flow = compiled.metric_costs(METRIC_TIME)

@@ -18,6 +18,13 @@ generator reproduces that divergence explicitly:
 The route minimising the *unperturbed* population preference cost is recorded
 as the ground-truth driver-preferred route for each od-pair, which the
 experiments use as the gold standard when scoring recommendation sources.
+
+Both routes are searched over preference costs compiled into a CSR-order
+vector by calling :meth:`~TrajectoryGenerator.preference_cost` once per
+edge, so every float is the one the per-edge closure would return: the
+population vector is built once per network version, a driver's once per
+driver rather than once per trip.  :mod:`repro.trajectory.reference` keeps
+the per-search closure formulation as the oracle.
 """
 
 from __future__ import annotations
@@ -113,6 +120,11 @@ class TrajectoryGenerator:
         self.noise_model = noise_model or GPSNoiseModel()
         self._rng = derive_rng(self.config.seed, "trajectory-generator")
         self._preferred_routes: Dict[Tuple[int, int], List[int]] = {}
+        # CSR-order preference cost vectors, valid for one network version:
+        # the population's, and the most recent driver's (``generate`` walks
+        # drivers in order, so one driver slot is enough).
+        self._population_costs: Optional[Tuple[int, List[float]]] = None
+        self._driver_costs: Optional[Tuple[int, DriverProfile, List[float]]] = None
 
     # ------------------------------------------------------------ population
     def generate_drivers(self) -> List[DriverProfile]:
@@ -186,31 +198,58 @@ class TrajectoryGenerator:
         perceived_time = self.config.time_weight * time_s * 10.0 * w_time
         return perceived_length + perceived_time + light_penalty * w_lights
 
+    def population_cost_vector(self) -> List[float]:
+        """Unperturbed :meth:`preference_cost` of every edge, in CSR order.
+
+        Built once per network version.  A rebuild also drops the per-od
+        route memo, whose routes were searched on the old network.
+        """
+        version = self.network.version
+        if self._population_costs is None or self._population_costs[0] != version:
+            costs = self.network.compiled().cost_vector(self.preference_cost)
+            self._population_costs = (version, costs)
+            self._preferred_routes.clear()
+        return self._population_costs[1]
+
+    def driver_cost_vector(self, driver: DriverProfile) -> List[float]:
+        """``driver``'s perturbed :meth:`preference_cost` of every edge, in
+        CSR order: built once per driver (and network version), not once per
+        trip."""
+        version = self.network.version
+        cached = self._driver_costs
+        if cached is None or cached[0] != version or cached[1] != driver:
+            costs = self.network.compiled().cost_vector(
+                lambda edge: self.preference_cost(edge, driver)
+            )
+            cached = self._driver_costs = (version, driver, costs)
+        return cached[2]
+
     def population_preferred_route(self, origin: int, destination: int) -> List[int]:
         """The route minimising the unperturbed population preference cost.
 
         This is the ground-truth "best route" experienced drivers would pick,
-        memoised per od-pair.
+        searched over :meth:`population_cost_vector` and memoised per
+        od-pair.
         """
+        costs = self.population_cost_vector()
         key = (origin, destination)
         if key not in self._preferred_routes:
-            self._preferred_routes[key] = dijkstra_path(
-                self.network, origin, destination, cost=self.preference_cost
-            )
+            self._preferred_routes[key] = dijkstra_path(self.network, origin, destination, cost=costs)
         return list(self._preferred_routes[key])
 
     def driver_route(self, driver: DriverProfile, origin: int, destination: int, rng: random.Random) -> List[int]:
         """The route an individual driver follows for one trip.
 
         The driver evaluates a small menu of alternatives (k-shortest by their
-        personal cost) and usually takes the best one, occasionally exploring
-        another alternative.
+        personal cost, :meth:`driver_cost_vector`) and usually takes the best
+        one, occasionally exploring another alternative.
         """
-        def personal_cost(edge: RoadEdge) -> float:
-            return self.preference_cost(edge, driver)
-
         alternatives = k_shortest_paths(
-            self.network, origin, destination, self.config.route_alternatives, cost=personal_cost
+            self.network,
+            origin,
+            destination,
+            self.config.route_alternatives,
+            cost=self.driver_cost_vector(driver),
         )
         if not alternatives:
             raise NoPathError(origin, destination)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.crowd.behavior import AnswerBehaviorModel
 from repro.crowd.population import WorkerPopulationConfig, generate_worker_pool
+from repro.crowd.reference import answer, answer_accuracy, knowledge_of
 from repro.exceptions import ConfigurationError
 from repro.spatial import Point
 
@@ -58,8 +59,8 @@ class TestAnswerBehavior:
         pool = generate_worker_pool(small_network, WorkerPopulationConfig(num_workers=5, seed=5))
         model = AnswerBehaviorModel(knowledge_radius_m=2000.0)
         worker = pool.get(0)
-        near = model.knowledge_of(worker, worker.home)
-        far = model.knowledge_of(worker, Point(worker.home.x + 50_000, worker.home.y))
+        near = knowledge_of(model, worker, worker.home)
+        far = knowledge_of(model, worker, Point(worker.home.x + 50_000, worker.home.y))
         assert near > far
         assert far == 0.0
 
@@ -67,15 +68,15 @@ class TestAnswerBehavior:
         pool = generate_worker_pool(small_network, WorkerPopulationConfig(num_workers=5, seed=6))
         model = AnswerBehaviorModel(base_accuracy=0.5, max_accuracy=0.95)
         worker = pool.get(0)
-        assert model.answer_accuracy(worker, worker.home) <= 0.95
-        assert model.answer_accuracy(worker, Point(1e7, 1e7)) == pytest.approx(0.5)
+        assert answer_accuracy(model, worker, worker.home) <= 0.95
+        assert answer_accuracy(model, worker, Point(1e7, 1e7)) == pytest.approx(0.5)
 
     def test_knowledgeable_worker_answers_mostly_correctly(self, small_network):
         pool = generate_worker_pool(small_network, WorkerPopulationConfig(num_workers=5, seed=7))
         model = AnswerBehaviorModel(max_accuracy=0.95)
         worker = pool.get(0)
         rng = random.Random(11)
-        answers = [model.answer(worker, worker.home, True, rng) for _ in range(300)]
+        answers = [answer(model, worker, worker.home, True, rng) for _ in range(300)]
         assert sum(answers) / len(answers) > 0.8
 
     def test_clueless_worker_answers_randomly(self, small_network):
@@ -84,5 +85,5 @@ class TestAnswerBehavior:
         worker = pool.get(0)
         rng = random.Random(13)
         faraway = Point(1e7, 1e7)
-        answers = [model.answer(worker, faraway, True, rng) for _ in range(400)]
+        answers = [answer(model, worker, faraway, True, rng) for _ in range(400)]
         assert 0.35 < sum(answers) / len(answers) < 0.65

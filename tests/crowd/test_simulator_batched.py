@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.task_generation import TaskGenerator
-from repro.crowd.reference import SequentialCrowd
+from repro.crowd.reference import SequentialCrowd, answer_accuracies, answer_accuracy
 from repro.crowd.simulator import SimulatedCrowd
 from repro.exceptions import TaskGenerationError
 
@@ -158,8 +158,8 @@ class TestVectorizedAccuracies:
         xs = np.array([landmark.anchor.x for landmark in landmarks])
         ys = np.array([landmark.anchor.y for landmark in landmarks])
         for worker in scenario.worker_pool.workers()[:10]:
-            vectorized = behavior.answer_accuracies(worker, xs, ys)
-            scalar = [behavior.answer_accuracy(worker, lm.anchor) for lm in landmarks]
+            vectorized = answer_accuracies(behavior, worker, xs, ys)
+            scalar = [answer_accuracy(behavior, worker, lm.anchor) for lm in landmarks]
             # np.hypot may differ from math.hypot in the final ulp, so the
             # comparison allows that window (the response-level tests above
             # pin exact equality).
@@ -174,7 +174,7 @@ class TestVectorizedAccuracies:
         matrix = behavior.answer_accuracies_matrix(workers, xs, ys)
         assert matrix.shape == (len(workers), len(landmarks))
         for worker, row in zip(workers, matrix):
-            assert np.array_equal(row, behavior.answer_accuracies(worker, xs, ys))
+            assert np.array_equal(row, answer_accuracies(behavior, worker, xs, ys))
 
     def test_accuracy_bounds(self, scenario):
         behavior = scenario.crowd.behavior
