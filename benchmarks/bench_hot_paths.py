@@ -6,8 +6,9 @@ the crowd-evaluation pipeline
 simulation) vs. its preserved sequential oracles, sharded serving vs.
 sequential ``recommend_batch``, the cross-batch pipelined
 scheduler vs. the per-batch barrier, and the intra-component sub-shard
-chain vs. the monolithic hotspot plan, and hotspot sub-shard execution on
-a structurally copied worker pool vs. a deep-copied one.
+chain vs. the monolithic hotspot plan, hotspot sub-shard execution on
+a copy-on-first-touch worker pool vs. a deep-copied one, and hotspot shard
+planning with closure-built cell sets vs. per-cell expansion.
 
 These benchmarks seed the repo's performance trajectory: run them through
 ``scripts/bench_to_json.py`` to (re)generate ``BENCH_hot_paths.json`` at the
@@ -32,6 +33,7 @@ import signal
 import threading
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from repro.core.reference import (
     DenseProbabilisticMatrixFactorization,
     accumulate_reference,
     build_raw_matrix_reference,
+    set_shard_plan,
 )
 from repro.core.task_generation import TaskGenerator
 from repro.crowd.reference import EagerObjectCrowd, SequentialCrowd
@@ -980,9 +983,10 @@ def test_crowd_hotspot_reference(benchmark, hotspot_setup):
 
 # --------------------------------------------------------------- shard clone
 class _DeepCopiedPool(WorkerPool):
-    """The former shard-clone pool copy: ``copy.deepcopy`` of the pool."""
+    """The former shard-clone pool: ``copy.deepcopy`` of the whole pool
+    where the clone now takes a copy-on-first-touch overlay."""
 
-    def copy(self):
+    def overlay(self):
         return copy.deepcopy(self)
 
 
@@ -1033,7 +1037,7 @@ def shard_clone_setup(serving_city):
     ``hotspot_repeat`` regime, where truth reuse answers most queries and
     the clone a worker builds per sub-shard is most of the hop.
 
-    Before timing, the structural pool copy and the deep copy are asserted
+    Before timing, the pool overlay and the deep copy are asserted
     to give identical outcomes (answers, statistics, recorded truths) on the
     chain-head sub-shards of the cold batch, which send queries to the crowd
     and so write the copied pool, and on the timed sub-shards.
@@ -1059,8 +1063,9 @@ def shard_clone_setup(serving_city):
 
 @pytest.mark.benchmark(group="shard_clone")
 def test_shard_clone_compiled(benchmark, shard_clone_setup):
-    """``execute_shard_job`` on each chain-head sub-shard: the clone copies
-    the worker pool structurally and its truth view walks populated cells."""
+    """``execute_shard_job`` on each chain-head sub-shard: the clone's
+    worker pool is an overlay that copies a worker on first touch, and its
+    truth view walks populated cells."""
     planner, _, jobs, expected = shard_clone_setup
     assert benchmark(_run_shard_jobs, planner, jobs) == expected
 
@@ -1071,6 +1076,47 @@ def test_shard_clone_reference(benchmark, shard_clone_setup):
     the 28-worker pool."""
     _, reference, jobs, expected = shard_clone_setup
     assert benchmark(_run_shard_jobs, reference, jobs) == expected
+
+
+# ---------------------------------------------------------------- shard plan
+def _plan_batches(planner, batches, plan):
+    """Plan and hotspot-split every batch the way the pooled service does."""
+    return [
+        split_oversized(planner, plan(batch, 2), batch, HOTSPOT_FRACTION) for batch in batches
+    ]
+
+
+@pytest.fixture(scope="module")
+def shard_plan_setup(serving_city):
+    """The hotspot workload as four 40-query batches (the ``hotspot_repeat``
+    batch size), with the closure-based and set-based plans asserted equal
+    before timing."""
+    scenario, build_planner = serving_city
+    workload = _hotspot_workload(scenario)
+    batches = [workload[start : start + 40] for start in range(0, len(workload), 40)]
+    planner = build_planner()
+    expected = _plan_batches(planner, batches, partial(set_shard_plan, planner))
+    assert _plan_batches(planner, batches, planner.shard_plan) == expected
+    assert all(plan.chain_depth() >= 2 for plan in expected)
+    return planner, batches, expected
+
+
+@pytest.mark.benchmark(group="shard_plan")
+def test_shard_plan_compiled(benchmark, shard_plan_setup):
+    """``shard_plan`` + ``split_oversized``: each shard's cells are a union
+    of memoised per-centre squares (warm after the first round, as they are
+    for a service's repeated hot pairs)."""
+    planner, batches, expected = shard_plan_setup
+    assert benchmark(_plan_batches, planner, batches, planner.shard_plan) == expected
+
+
+@pytest.mark.benchmark(group="shard_plan")
+def test_shard_plan_reference(benchmark, shard_plan_setup):
+    """The same plans with every shard's cells added one at a time
+    (``repro.core.reference.set_shard_plan``)."""
+    planner, batches, expected = shard_plan_setup
+    plan = partial(set_shard_plan, planner)
+    assert benchmark(_plan_batches, planner, batches, plan) == expected
 
 
 # ------------------------------------------------------------ crowd straggler

@@ -17,6 +17,7 @@ workflow:
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -122,7 +123,8 @@ class QueryShard:
     ``indices`` are submission positions into the original query list, in
     ascending (submission) order; ``destination_cells`` is the reach-expanded
     set of destination grid cells whose truth view the shard is seeded with
-    (see :meth:`TruthDatabase.view_by_cells`).
+    (see :meth:`TruthDatabase.view_by_cells`) — a :class:`CellClosure` when
+    :meth:`CrowdPlanner.shard_plan` built it, any frozenset otherwise.
 
     Sub-shards produced by :func:`repro.serving.shards.split_oversized`
     additionally carry chain edges: ``predecessors`` are the shard ids whose
@@ -193,6 +195,74 @@ class ShardPlan:
                 (depth.get(pred, 0) for pred in shard.predecessors), default=0
             )
         return max(depth.values())
+
+
+#: Radix of :func:`_pack_coarse`: digits (coarse cells, possibly negative)
+#: stay far below half of it, so packing is injective and linear.
+_COARSE_RADIX = 1 << 32
+
+
+def _pack_coarse(digits: Sequence[int]) -> int:
+    """One int per coarse od-cell; neighbours differ by a packed offset."""
+    code = 0
+    for digit in digits:
+        code = code * _COARSE_RADIX + digit
+    return code
+
+
+#: Packed offsets of the 41 neighbouring coarse cells lexicographically at or
+#: after a cell (itself included): visiting only these sees each pair of
+#: neighbouring buckets once.
+_FORWARD_OFFSETS = tuple(
+    sorted(
+        code
+        for code in {_pack_coarse(delta) for delta in itertools.product((-1, 0, 1), repeat=4)}
+        if code >= 0
+    )
+)
+
+
+# A reach-7 square is ~20 KB, so the memo stays under ~20 MB however many
+# destinations a service sees; hot destinations are far fewer.
+@functools.lru_cache(maxsize=1024)
+def _reach_square(x: int, y: int, reach: int) -> FrozenSet[Tuple[int, int]]:
+    """The cells within ``reach`` of cell ``(x, y)`` on both axes."""
+    span = range(-reach, reach + 1)
+    return frozenset((x + dx, y + dy) for dx in span for dy in span)
+
+
+class CellClosure(frozenset):
+    """A reach-expanded set of destination cells that remembers its centres.
+
+    It is the frozenset of every cell within ``reach`` of some cell in
+    ``centres`` and behaves as that frozenset everywhere (truth views,
+    batch dependencies, equality with a plain frozenset).  Only its wire form
+    differs: it pickles as ``(sorted centres, reach)`` and is rebuilt on
+    load by :func:`reach_closure`, so a shard job carries a few centres
+    instead of hundreds of cells.
+    """
+
+    __slots__ = ("centres", "reach")
+
+    def __reduce__(self):
+        return reach_closure, (tuple(sorted(self.centres)), self.reach)
+
+
+def reach_closure(centres, reach: int) -> CellClosure:
+    """The :class:`CellClosure` of ``centres`` at ``reach``.
+
+    A C-level union of per-centre squares; the squares are memoised by
+    ``(centre, reach)`` (hot destinations repeat batch after batch).  The
+    unions are not: one per distinct centre combination would hold a large
+    set per combination ever planned.
+    """
+    centres = frozenset(centres)
+    closure = CellClosure(
+        frozenset().union(*[_reach_square(x, y, reach) for x, y in centres])
+    )
+    closure.centres = centres
+    closure.reach = reach
+    return closure
 
 
 class CrowdPlanner:
@@ -378,6 +448,9 @@ class CrowdPlanner:
         :mod:`repro.serving.pipeline` intersects the reach-expanded
         ``destination_cells`` of consecutive batches' shards to decide which
         in-flight batches a shard must wait for.
+
+        A shard's ``destination_cells`` is a :class:`CellClosure`: the union
+        of memoised per-centre squares, which pickles as its centres.
         """
         if shards < 1:
             raise CrowdPlannerError("shard_plan needs at least one shard")
@@ -385,6 +458,52 @@ class CrowdPlanner:
         radius = max(self.config.truth_reuse_radius_m, self.evaluator.neighbourhood_radius_m)
         reach = int(radius // cell) + 1
 
+        # Largest component first, earliest query breaking ties, onto the
+        # least-loaded shard — deterministic for a fixed workload.
+        built = sorted(
+            self._interaction_components(queries, reach),
+            key=lambda item: (-len(item[0]), item[0][0]),
+        )
+        shard_count = max(1, min(shards, len(built)))
+        loads = [0] * shard_count
+        assigned: List[List[Tuple[List[int], FrozenSet[Tuple[int, int]]]]] = [
+            [] for _ in range(shard_count)
+        ]
+        for component in built:
+            target = min(range(shard_count), key=lambda s: (loads[s], s))
+            assigned[target].append(component)
+            loads[target] += len(component[0])
+        shards_built = []
+        for shard_id, members in enumerate(assigned):
+            if not members:
+                continue
+            shards_built.append(
+                QueryShard(
+                    shard_id=shard_id,
+                    indices=tuple(sorted(itertools.chain.from_iterable(c[0] for c in members))),
+                    destination_cells=reach_closure(
+                        frozenset().union(*(c[1] for c in members)), reach
+                    ),
+                    components=len(members),
+                )
+            )
+        return ShardPlan(
+            shards=tuple(shards_built),
+            num_queries=len(queries),
+            interaction_radius_m=radius,
+            cell_size_m=cell,
+            cell_reach=reach,
+        )
+
+    def _interaction_components(
+        self, queries: Sequence[RouteQuery], reach: int
+    ) -> List[Tuple[List[int], FrozenSet[Tuple[int, int]]]]:
+        """The batch's interaction-closed components (see :meth:`shard_plan`).
+
+        Each component is ``(sorted submission indices, destination-cell
+        centres)``: the destination cells of its od-cell groups, whose
+        ``reach`` squares form the cells its truth view must cover.
+        """
         groups = self.od_cell_groups(queries)
         keys = list(groups)
         parent = list(range(len(keys)))
@@ -402,78 +521,41 @@ class CrowdPlanner:
 
         # Groups within reach in every od-cell axis must share a component.
         # Bucketing by reach-sized coarse cells bounds the pair checks: any
-        # two groups within reach differ by at most one coarse cell per axis.
-        buckets: Dict[Tuple[int, int, int, int], List[int]] = {}
+        # two groups within reach differ by at most one coarse cell per axis,
+        # so each pair of neighbouring buckets is one forward offset apart.
+        buckets: Dict[int, List[int]] = {}
         for index, key in enumerate(keys):
-            coarse = tuple(value // reach for value in key)
-            buckets.setdefault(coarse, []).append(index)
-        offsets = [-1, 0, 1]
-        for coarse, members in buckets.items():
-            for da in offsets:
-                for db in offsets:
-                    for dc in offsets:
-                        for dd in offsets:
-                            other = (coarse[0] + da, coarse[1] + db, coarse[2] + dc, coarse[3] + dd)
-                            neighbours = buckets.get(other)
-                            if neighbours is None or other < coarse:
-                                continue
-                            for i in members:
-                                for j in neighbours:
-                                    if i >= j and other == coarse:
-                                        continue
-                                    if all(
-                                        abs(keys[i][axis] - keys[j][axis]) <= reach
-                                        for axis in range(4)
-                                    ):
-                                        union(i, j)
+            buckets.setdefault(_pack_coarse([value // reach for value in key]), []).append(index)
+        for code, members in buckets.items():
+            for offset in _FORWARD_OFFSETS:
+                neighbours = buckets.get(code + offset)
+                if neighbours is None:
+                    continue
+                for i in members:
+                    a0, a1, a2, a3 = keys[i]
+                    for j in neighbours:
+                        if offset == 0 and j <= i:
+                            continue
+                        b0, b1, b2, b3 = keys[j]
+                        if (
+                            abs(a0 - b0) <= reach
+                            and abs(a1 - b1) <= reach
+                            and abs(a2 - b2) <= reach
+                            and abs(a3 - b3) <= reach
+                        ):
+                            union(i, j)
 
         components: Dict[int, List[int]] = {}
         for index in range(len(keys)):
             components.setdefault(find(index), []).append(index)
-        # (indices, destination cells) per component, submission-ordered.
         built = []
         for group_indices in components.values():
-            indices: List[int] = []
-            cells = set()
-            for gi in group_indices:
-                key = keys[gi]
-                indices.extend(groups[key])
-                for dx in range(-reach, reach + 1):
-                    for dy in range(-reach, reach + 1):
-                        cells.add((key[2] + dx, key[3] + dy))
-            indices.sort()
-            built.append((indices, cells))
-        # Largest component first, earliest query breaking ties, onto the
-        # least-loaded shard — deterministic for a fixed workload.
-        built.sort(key=lambda item: (-len(item[0]), item[0][0]))
-        shard_count = max(1, min(shards, len(built)))
-        loads = [0] * shard_count
-        assigned: List[List[Tuple[List[int], set]]] = [[] for _ in range(shard_count)]
-        for component in built:
-            target = min(range(shard_count), key=lambda s: (loads[s], s))
-            assigned[target].append(component)
-            loads[target] += len(component[0])
-        shards_built = []
-        for shard_id, component_list in enumerate(assigned):
-            if not component_list:
-                continue
-            indices = sorted(itertools.chain.from_iterable(c[0] for c in component_list))
-            cells = set().union(*(c[1] for c in component_list))
-            shards_built.append(
-                QueryShard(
-                    shard_id=shard_id,
-                    indices=tuple(indices),
-                    destination_cells=frozenset(cells),
-                    components=len(component_list),
-                )
+            indices = sorted(
+                itertools.chain.from_iterable(groups[keys[gi]] for gi in group_indices)
             )
-        return ShardPlan(
-            shards=tuple(shards_built),
-            num_queries=len(queries),
-            interaction_radius_m=radius,
-            cell_size_m=cell,
-            cell_reach=reach,
-        )
+            centres = frozenset((keys[gi][2], keys[gi][3]) for gi in group_indices)
+            built.append((indices, centres))
+        return built
 
     def warm_batch(self, queries: Sequence[RouteQuery]) -> None:
         """One-off warm-ups before a batch: compile the road network's

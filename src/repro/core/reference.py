@@ -15,17 +15,25 @@ oracles, the way :mod:`repro.roadnet.reference` keeps the original searches:
   the scalar loops over it (the ``familiarity_raw`` and ``familiarity``
   oracles);
 * :func:`partition_by_cells` — the materialised truth partition that
-  :meth:`~repro.core.truth.TruthDatabase.view_by_cells` must answer like.
+  :meth:`~repro.core.truth.TruthDatabase.view_by_cells` must answer like;
+* :func:`expand_cells` and :func:`set_shard_plan` — the per-cell reach
+  expansion and the shard plan built on it (the ``shard_plan`` oracle):
+  :meth:`~repro.core.planner.CrowdPlanner.shard_plan`, with its packed
+  neighbour buckets and :class:`~repro.core.planner.CellClosure` cells,
+  must return the same plans.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..routing.base import RouteQuery
 from .familiarity import FamiliarityModel, _gaussian_weight
+from .planner import CrowdPlanner, QueryShard, ShardPlan
 from .pmf import ProbabilisticMatrixFactorization
 from .truth import TruthDatabase
 from .worker import Worker
@@ -123,3 +131,102 @@ def partition_by_cells(store: TruthDatabase, cells: Iterable[Tuple[int, int]]) -
     for truth_id in store._destination_index.items_in_cells(cells):
         partition._adopt(store._truths[truth_id])
     return partition
+
+
+def expand_cells(centres: Iterable[Tuple[int, int]], reach: int) -> FrozenSet[Tuple[int, int]]:
+    """Every cell within ``reach`` of a centre, added one cell at a time."""
+    cells: Set[Tuple[int, int]] = set()
+    for x, y in centres:
+        for dx in range(-reach, reach + 1):
+            for dy in range(-reach, reach + 1):
+                cells.add((x + dx, y + dy))
+    return frozenset(cells)
+
+
+def set_shard_plan(
+    planner: CrowdPlanner, queries: Sequence[RouteQuery], shards: int
+) -> ShardPlan:
+    """:meth:`~repro.core.planner.CrowdPlanner.shard_plan` as it was before
+    cell closures: groups linked by probing all 81 neighbouring coarse
+    buckets, and each component's destination cells expanded cell by cell
+    (:func:`expand_cells`) into a plain frozenset."""
+    cell = planner.truths.reuse_cell_size_m
+    radius = max(planner.config.truth_reuse_radius_m, planner.evaluator.neighbourhood_radius_m)
+    reach = int(radius // cell) + 1
+
+    groups = planner.od_cell_groups(queries)
+    keys = list(groups)
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    buckets: Dict[Tuple[int, ...], List[int]] = {}
+    for index, key in enumerate(keys):
+        coarse = tuple(value // reach for value in key)
+        buckets.setdefault(coarse, []).append(index)
+    offsets = [-1, 0, 1]
+    for coarse, members in buckets.items():
+        for da in offsets:
+            for db in offsets:
+                for dc in offsets:
+                    for dd in offsets:
+                        other = (coarse[0] + da, coarse[1] + db, coarse[2] + dc, coarse[3] + dd)
+                        neighbours = buckets.get(other)
+                        if neighbours is None or other < coarse:
+                            continue
+                        for i in members:
+                            for j in neighbours:
+                                if i >= j and other == coarse:
+                                    continue
+                                if all(
+                                    abs(keys[i][axis] - keys[j][axis]) <= reach
+                                    for axis in range(4)
+                                ):
+                                    union(i, j)
+
+    components: Dict[int, List[int]] = {}
+    for index in range(len(keys)):
+        components.setdefault(find(index), []).append(index)
+    built = []
+    for group_indices in components.values():
+        indices: List[int] = []
+        for gi in group_indices:
+            indices.extend(groups[keys[gi]])
+        indices.sort()
+        cells = expand_cells([(keys[gi][2], keys[gi][3]) for gi in group_indices], reach)
+        built.append((indices, cells))
+    built.sort(key=lambda item: (-len(item[0]), item[0][0]))
+    shard_count = max(1, min(shards, len(built)))
+    loads = [0] * shard_count
+    assigned: List[List[Tuple[List[int], FrozenSet[Tuple[int, int]]]]] = [
+        [] for _ in range(shard_count)
+    ]
+    for component in built:
+        target = min(range(shard_count), key=lambda s: (loads[s], s))
+        assigned[target].append(component)
+        loads[target] += len(component[0])
+    return ShardPlan(
+        shards=tuple(
+            QueryShard(
+                shard_id=shard_id,
+                indices=tuple(sorted(itertools.chain.from_iterable(c[0] for c in members))),
+                destination_cells=frozenset().union(*(c[1] for c in members)),
+                components=len(members),
+            )
+            for shard_id, members in enumerate(assigned)
+            if members
+        ),
+        num_queries=len(queries),
+        interaction_radius_m=radius,
+        cell_size_m=cell,
+        cell_reach=reach,
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from ..exceptions import WorkerSelectionError
 from ..spatial import Point
@@ -82,10 +82,19 @@ class Worker:
 
 
 class WorkerPool:
-    """The registry of all workers known to the system."""
+    """The registry of all workers known to the system.
+
+    Every write to a worker goes through :meth:`get` (task assignment and
+    release, rewards, answer recording).  That is what lets :meth:`overlay`
+    hand out a copy-on-first-touch view of the pool: iteration and
+    :meth:`workers` are for reading.
+    """
 
     def __init__(self, workers: Optional[Iterable[Worker]] = None):
         self._workers: Dict[int, Worker] = {}
+        # Ids whose entry in ``_workers`` is still another pool's object
+        # (see :meth:`overlay`); :meth:`get` copies such a worker first.
+        self._borrowed: Set[int] = set()
         if workers:
             for worker in workers:
                 self.add(worker)
@@ -105,31 +114,51 @@ class WorkerPool:
         self._workers[worker.worker_id] = worker
 
     def get(self, worker_id: int) -> Worker:
+        """The worker with ``worker_id``, copied first if still borrowed.
+
+        The copy is structural, not ``copy.deepcopy``: the :class:`Worker`
+        is shallow-copied and given its own ``familiar_places`` list and
+        ``answer_history`` of fresh :class:`AnswerRecord` objects, while the
+        frozen :class:`~repro.spatial.Point` anchors are shared.
+        """
         try:
-            return self._workers[worker_id]
+            worker = self._workers[worker_id]
         except KeyError:
             raise WorkerSelectionError(f"unknown worker id {worker_id}") from None
+        if worker_id in self._borrowed:
+            self._borrowed.discard(worker_id)
+            worker = copy.copy(worker)
+            worker.familiar_places = list(worker.familiar_places)
+            worker.answer_history = {
+                landmark_id: AnswerRecord(record.correct, record.wrong)
+                for landmark_id, record in worker.answer_history.items()
+            }
+            self._workers[worker_id] = worker
+        return worker
+
+    def overlay(self) -> "WorkerPool":
+        """A pool that copies each worker from this one on its first :meth:`get`.
+
+        Building it costs one dict copy; a worker is copied only when the
+        overlay first hands it out, so a shard clone whose queries never
+        reach the crowd copies none.  Writes through the overlay never reach
+        this pool, but the overlay reads the workers it has not copied yet
+        live: this pool must not be written while the overlay is in use.
+        """
+        twin = copy.copy(self)
+        twin._workers = dict(self._workers)
+        twin._borrowed = set(self._workers)
+        return twin
 
     def copy(self) -> "WorkerPool":
         """An independent copy whose workers can be mutated freely.
 
-        A structural copy, not ``copy.deepcopy``: each :class:`Worker` is
-        shallow-copied and given its own ``familiar_places`` list and
-        ``answer_history`` of fresh :class:`AnswerRecord` objects, while the
-        frozen :class:`~repro.spatial.Point` anchors are shared.  Serving pays
-        this once per shard clone, so it stays about ten times cheaper than a
-        deep copy of the same pool.
+        An :meth:`overlay` with every worker copied up front, so neither pool
+        sees the other's later writes.
         """
-        twin = copy.copy(self)
-        twin._workers = {}
-        for worker_id, worker in self._workers.items():
-            clone = copy.copy(worker)
-            clone.familiar_places = list(worker.familiar_places)
-            clone.answer_history = {
-                landmark_id: AnswerRecord(record.correct, record.wrong)
-                for landmark_id, record in worker.answer_history.items()
-            }
-            twin._workers[worker_id] = clone
+        twin = self.overlay()
+        for worker_id in self._workers:
+            twin.get(worker_id)
         return twin
 
     def ids(self) -> List[int]:

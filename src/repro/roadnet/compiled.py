@@ -106,6 +106,16 @@ class _LazyHeuristicColumn:
         return value
 
 
+def check_non_negative(costs: Sequence[float]) -> None:
+    """Raise unless every cost is non-negative (``inf`` allowed, NaN not)."""
+    # ``min`` alone is not enough: a NaN compares false both ways, so
+    # whether it hides depends on where it sits.  Any NaN makes the sum NaN
+    # (``inf`` stays allowed — it marks an untraversable edge), and with no
+    # NaN present ``min`` is exact.
+    if len(costs) and (math.isnan(sum(costs)) or min(costs) < 0):
+        raise RoadNetworkError("edge costs must be non-negative")
+
+
 class CompiledGraph:
     """Immutable CSR snapshot of a road network for fast repeated searches."""
 
@@ -158,6 +168,9 @@ class CompiledGraph:
         }
         self._metric_tokens: Dict[str, object] = {}
         self._metric_adjacency: Dict[str, List[List[Tuple[float, int, int]]]] = {}
+        # The last callable-derived vector and its relaxation lists, keyed by
+        # identity (see :meth:`relaxation_lists`).
+        self._vector_adjacency: Optional[Tuple[Sequence[float], List[List[Tuple[float, int, int]]]]] = None
         self._arrays: Optional[Dict[str, np.ndarray]] = None
         self._location_index: Optional[Dict[Tuple[float, float], int]] = None
         self._state_pool: List[_SearchState] = []
@@ -288,8 +301,11 @@ class CompiledGraph:
         This is the shape the search inner loops consume: one list indexing
         plus a tuple unpack per relaxation, instead of separate ``indptr`` /
         ``neighbor`` / ``costs`` lookups.  Lists for the named metric vectors
-        are built once and cached; callable-derived vectors get a fresh
-        (O(E)) build, which is the same order as evaluating the callable.
+        are built once and cached.  Any other vector is range-checked
+        (:func:`check_non_negative`) and built in O(E), and the last such
+        vector keeps its lists in a one-slot cache keyed by identity, so a
+        caller passing the same cached vector again (a driver's trips) pays
+        neither twice.  Such a vector must not be changed in place.
         """
         for metric, vector in self._metric_costs.items():
             if costs is vector:
@@ -298,7 +314,13 @@ class CompiledGraph:
                     cached = self._build_relaxation_lists(costs)
                     self._metric_adjacency[metric] = cached
                 return cached
-        return self._build_relaxation_lists(costs)
+        slot = self._vector_adjacency
+        if slot is not None and slot[0] is costs:
+            return slot[1]
+        check_non_negative(costs)
+        adjacency = self._build_relaxation_lists(costs)
+        self._vector_adjacency = (costs, adjacency)
+        return adjacency
 
     def _build_relaxation_lists(self, costs: Sequence[float]) -> List[List[Tuple[float, int, int]]]:
         indptr, neighbor = self.indptr, self.neighbor

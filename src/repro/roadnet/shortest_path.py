@@ -31,11 +31,10 @@ tie-breaking, same floating-point accumulation order).
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import NoPathError, RoadNetworkError
-from .compiled import CompiledGraph, METRIC_LENGTH, METRIC_TIME
+from .compiled import CompiledGraph, METRIC_LENGTH, METRIC_TIME, check_non_negative
 from .graph import RoadEdge, RoadNetwork
 
 EdgeCost = Callable[[RoadEdge], float]
@@ -101,15 +100,6 @@ def _endpoint_indices(
     return compiled.index_of[origin], compiled.index_of[destination]
 
 
-def _check_non_negative(costs: Sequence[float]) -> None:
-    # ``min`` alone is not enough: a NaN compares false both ways, so
-    # whether it hides depends on where it sits.  Any NaN makes the sum NaN
-    # (``inf`` stays allowed — it marks an untraversable edge), and with no
-    # NaN present ``min`` is exact.
-    if len(costs) and (math.isnan(sum(costs)) or min(costs) < 0):
-        raise RoadNetworkError("edge costs must be non-negative")
-
-
 def dijkstra_path(
     network: RoadNetwork,
     origin: int,
@@ -130,7 +120,7 @@ def dijkstra_path(
         raise NoPathError(origin, destination)
     costs, is_metric = resolve_cost_vector(compiled, cost)
     if not is_metric:
-        _check_non_negative(costs)
+        check_non_negative(costs)
 
     index_of = compiled.index_of
     blocked_nodes = (
@@ -224,9 +214,8 @@ def k_shortest_paths(
         return []
     compiled = network.compiled()
     source, target = _endpoint_indices(network, compiled, origin, destination)
-    costs, is_metric = resolve_cost_vector(compiled, cost)
-    if not is_metric:
-        _check_non_negative(costs)
+    costs, _ = resolve_cost_vector(compiled, cost)
+    # Range-checks a per-call vector, unless it was the last one searched.
     adjacency = compiled.relaxation_lists(costs)
 
     shortest = compiled.dijkstra(adjacency, source, target)

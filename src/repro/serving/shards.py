@@ -100,17 +100,19 @@ def build_shard_clone(planner: CrowdPlanner, destination_cells) -> CrowdPlanner:
 
     A clone is built for every shard and sub-shard a worker runs, so its
     fixed cost is paid per hop of a hotspot chain.  The worker pool is
-    therefore copied structurally (:meth:`~repro.core.worker.WorkerPool.copy`:
-    fresh per-worker mutable state, shared frozen anchors) rather than
-    deep-copied, and the view touches only the populated cells of the
-    destination index.
+    therefore an :meth:`~repro.core.worker.WorkerPool.overlay` that copies a
+    worker only when the clone first touches it (most shards never reach the
+    crowd), and the view touches only the populated cells of the destination
+    index.  Both read the base planner live, so the base must not be written
+    while a clone is in use: clones live only inside
+    :func:`execute_shard_job`, and merges replay onto the parent afterwards.
     """
     clone = CrowdPlanner(
         network=planner.network,
         catalog=planner.catalog,
         calibrator=planner.calibrator,
         sources=planner.sources,
-        worker_pool=planner.worker_pool.copy(),
+        worker_pool=planner.worker_pool.overlay(),
         crowd_backend=planner.crowd_backend,
         config=planner.config,
         familiarity=planner.familiarity,
@@ -350,10 +352,15 @@ def _stage_dataflow(
 
     succ: List[List[int]] = [[] for _ in range(count)]
     for g in range(count):
-        key_g = keys[g]
+        a0, a1, a2, a3 = keys[g]
         for h in range(g + 1, count):
-            key_h = keys[h]
-            if any(abs(key_g[axis] - key_h[axis]) > reach for axis in range(4)):
+            b0, b1, b2, b3 = keys[h]
+            if (
+                abs(a0 - b0) > reach
+                or abs(a1 - b1) > reach
+                or abs(a2 - b2) > reach
+                or abs(a3 - b3) > reach
+            ):
                 continue
             if members[g][-1] < members[h][0]:
                 succ[g].append(h)

@@ -11,7 +11,10 @@ Fault kinds:
     SIGKILL the chosen worker, then dispatch to it anyway — models a worker
     that died between scheduling decisions (detected via EOF/liveness).
 ``kill_after``
-    Dispatch normally, then SIGKILL — models a crash mid-execution.
+    SIGSTOP the worker, dispatch to it, then SIGKILL — models a crash
+    mid-execution.  The stop comes first so the worker cannot serve the
+    shard and reply before the kill lands; the send to a stopped reader
+    must therefore fit in the pipe buffer, which the fault asserts.
 ``hang``
     Dispatch normally, then SIGSTOP — the worker is alive but silent (no
     reply, no heartbeat), the case only the deadline supervisor can catch.
@@ -54,6 +57,8 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from multiprocessing.reduction import ForkingPickler
+
 from repro.config import ServiceConfig
 from repro.serving.service import DEFAULT_TENANT, PooledBackend, _PoolWorker
 
@@ -67,6 +72,10 @@ FAST_SUPERVISION = dict(
 )
 
 FAULT_KINDS = ("kill_before", "kill_after", "hang", "drop", "delay", "desync", "slow")
+
+#: The smallest pipe buffer a send to a stopped worker may rely on: Linux
+#: pipes hold 64 KiB by default (socketpairs hold more).
+PIPE_BUFFER_BYTES = 64 * 1024
 
 
 class _PoisonDelta:
@@ -101,6 +110,7 @@ class FaultInjectingBackend(PooledBackend):
         self.slow_total_s = slow_total_s
         self.dispatch_ordinal = 0
         self.injected: List[str] = []
+        self._reader_stopped = False
         self._slow_threads: List[threading.Thread] = []
 
     def _dispatch(self, worker: _PoolWorker, jobs) -> bool:
@@ -114,8 +124,14 @@ class FaultInjectingBackend(PooledBackend):
             worker.process.join(timeout=2.0)
             return super()._dispatch(worker, jobs)
         if fault == "kill_after":
-            sent = super()._dispatch(worker, jobs)
-            if sent:
+            if not worker.alive:
+                return super()._dispatch(worker, jobs)
+            os.kill(worker.pid, signal.SIGSTOP)
+            self._reader_stopped = True
+            try:
+                sent = super()._dispatch(worker, jobs)
+            finally:
+                self._reader_stopped = False
                 os.kill(worker.pid, signal.SIGKILL)
                 worker.process.join(timeout=2.0)
             return sent
@@ -146,6 +162,14 @@ class FaultInjectingBackend(PooledBackend):
                 self._start_duty_cycle(worker.pid)
             return sent
         raise AssertionError(f"unknown fault kind {fault!r}")
+
+    def _send(self, worker: _PoolWorker, message) -> bool:
+        if self._reader_stopped:
+            size = len(ForkingPickler.dumps(message))
+            assert size < PIPE_BUFFER_BYTES, (
+                f"a {size}-byte message to a stopped worker would block the send"
+            )
+        return super()._send(worker, message)
 
     def _start_duty_cycle(self, pid: int) -> None:
         """SIGSTOP now, then CONT/STOP slices until ``slow_total_s`` elapses.
