@@ -203,10 +203,12 @@ class ServiceConfig(PlannerConfig):
         ``heartbeat_interval_s`` with margin; only latency (never results)
         depends on it.
     hedge_after_s:
-        Straggler budget for hedged execution.  A dispatched shard whose
-        wall-clock exceeds this budget while its worker still heartbeats
-        (slow, not hung) is speculatively re-dispatched to an idle worker;
-        the first outcome wins and the duplicate is discarded by shard id.
+        Straggler budget for hedged execution.  A dispatch unit (a worker's
+        hand-off-closed share of a batch, see
+        :func:`repro.serving.shards.dispatch_units`) whose wall-clock
+        exceeds this budget while its worker still heartbeats (slow, not
+        hung) is speculatively copied, whole, to an idle worker; the first
+        outcome wins and the duplicate is discarded.
         Safe because the crowd RNG is content-keyed, so duplicate outcomes
         are bit-identical — only latency depends on the hedge.  The
         overtaken worker is given ``rpc_deadline_s`` (non-renewable) to

@@ -158,6 +158,12 @@ class ShardPlan:
     radius).  Queries in different components can therefore be answered in
     different processes, in any order, without observing each other, which is
     what makes sharded execution bit-identical to sequential execution.
+
+    ``od_cell_groups`` is the batch's :meth:`CrowdPlanner.od_cell_groups`
+    map the plan was linked from (``None`` for a plan built by hand), kept
+    so :func:`repro.serving.shards.split_oversized` restages oversized
+    shards without regrouping the batch.  It is derived data: plans compare
+    equal without it.
     """
 
     shards: Tuple[QueryShard, ...]
@@ -165,6 +171,9 @@ class ShardPlan:
     interaction_radius_m: float
     cell_size_m: float
     cell_reach: int
+    od_cell_groups: Optional[Dict[tuple, List[int]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def num_components(self) -> int:
@@ -460,8 +469,9 @@ class CrowdPlanner:
 
         # Largest component first, earliest query breaking ties, onto the
         # least-loaded shard — deterministic for a fixed workload.
+        groups = self.od_cell_groups(queries)
         built = sorted(
-            self._interaction_components(queries, reach),
+            self._interaction_components(groups, reach),
             key=lambda item: (-len(item[0]), item[0][0]),
         )
         shard_count = max(1, min(shards, len(built)))
@@ -493,18 +503,19 @@ class CrowdPlanner:
             interaction_radius_m=radius,
             cell_size_m=cell,
             cell_reach=reach,
+            od_cell_groups=groups,
         )
 
     def _interaction_components(
-        self, queries: Sequence[RouteQuery], reach: int
+        self, groups: Dict[tuple, List[int]], reach: int
     ) -> List[Tuple[List[int], FrozenSet[Tuple[int, int]]]]:
-        """The batch's interaction-closed components (see :meth:`shard_plan`).
+        """The batch's interaction-closed components (see :meth:`shard_plan`)
+        over its od-cell ``groups``.
 
         Each component is ``(sorted submission indices, destination-cell
         centres)``: the destination cells of its od-cell groups, whose
         ``reach`` squares form the cells its truth view must cover.
         """
-        groups = self.od_cell_groups(queries)
         keys = list(groups)
         parent = list(range(len(keys)))
 

@@ -45,6 +45,7 @@ SCHEMA = {
             ("independent_shards", "sum", 0),
             ("cross_batch_edges", "sum", 0),
             ("serialized_batches", "sum", 0),
+            ("dispatch_units", "sum", 0),
         ),
     ),
     "sharding": (

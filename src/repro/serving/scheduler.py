@@ -8,14 +8,18 @@ planner: workers are opaque hashable handles, times arrive as arguments and
 merging stays in the backend, so a test can drive every decision with
 scripted events and a fake clock.
 
-It owns the ``ready`` queue (dependency merged; (batch, shard) order
-favours the merge frontier), ``blocked[d]`` (waiting for batch ``d`` to
-merge), ``chain_blocked[b]`` (waiting for intra-batch hand-off truths, see
-:class:`~repro.serving.shards.ChainState`), one :class:`Flight` per busy
-worker plus the ``copies`` of each shard, the ``lame`` hedge losers (a
-dict the backend keeps across windows), the merge frontier and the respawn
-budget.  :meth:`~WindowScheduler.tick` yields decisions — ``("dispatch",
-worker, job)``, ``("hedge", worker, job)``, ``("respawn", attempt)``,
+What it schedules are :class:`~repro.serving.shards.DispatchUnit` s: the
+hand-off-closed groups of a batch's shards that
+:func:`~repro.serving.shards.dispatch_units` builds, each sent as one
+message and answered by one reply.  A unit never waits on another unit's
+hand-off (the worker relays those inside the unit), only on its cross-batch
+dependency.  The scheduler owns the ``ready`` queue (dependency merged;
+(batch, unit) order favours the merge frontier), ``blocked[d]`` (waiting
+for batch ``d`` to merge), one :class:`Flight` per busy worker plus the
+``copies`` of each unit, the ``lame`` hedge losers (a dict the backend
+keeps across windows), the merge frontier and the respawn budget.
+:meth:`~WindowScheduler.tick` yields decisions — ``("dispatch", worker,
+unit)``, ``("hedge", worker, unit)``, ``("respawn", attempt)``,
 ``("degrade", {batch: jobs})`` — lazily, so a dispatch the transport could
 not send (:meth:`~WindowScheduler.unsent`) goes to the next idle worker in
 the same tick.  :meth:`~WindowScheduler.outcome`,
@@ -31,13 +35,13 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ServingError
-from .shards import ChainState, ShardJob, ShardOutcome, handoff_id_base
+from .shards import DispatchUnit, ShardJob, ShardOutcome
 
-#: A queued shard: ``(batch_index, job, resubmitted)`` — the flag survives
+#: A queued unit: ``(batch_index, unit, resubmitted)`` — the flag survives
 #: requeues so the final outcome is attributed to supervision.
-Entry = Tuple[int, ShardJob, bool]
+Entry = Tuple[int, DispatchUnit, bool]
 
-#: Shards are identified across duplicate dispatches by (batch, shard id).
+#: Units are identified across duplicate dispatches by (batch, unit id).
 Key = Tuple[int, int]
 
 
@@ -45,52 +49,44 @@ class Flight(NamedTuple):
     """One worker's in-flight dispatch."""
 
     batch: int
-    job: ShardJob
+    unit: DispatchUnit
     resubmitted: bool
     started: float
-    hedge: bool  # the speculative copy of an overdue shard
+    hedge: bool  # the speculative copy of an overdue unit
 
     @property
     def key(self) -> Key:
-        return (self.batch, self.job.shard_id)
+        return (self.batch, self.unit.unit_id)
 
 
 class WindowScheduler:
     """Scheduling state of one window (see the module docstring).
 
-    ``deps[b][i]`` is the batch shard ``i`` of batch ``b`` waits on (``-1``
-    for none); ``lame`` is the backend's lame-worker dict; ``record`` is a
-    counter sink (``record(key, value=1)``); ``encoder`` encodes hand-off
-    payloads (see :class:`ChainState`).  ``hedge_after_s`` enables
-    hedging, ``lame_grace_s`` is a hedge loser's hard deadline and
-    ``max_respawns`` the window's respawn budget (0 when nothing can fork).
+    ``units_per_batch[b]`` are batch ``b``'s dispatch units, each waiting on
+    its ``dependency``; ``lame`` is the backend's lame-worker dict;
+    ``record`` is a counter sink (``record(key, value=1)``).
+    ``hedge_after_s`` enables hedging, ``lame_grace_s`` is a hedge loser's
+    hard deadline and ``max_respawns`` the window's respawn budget (0 when
+    nothing can fork).
     """
 
     def __init__(
         self,
-        jobs_per_batch: Sequence[Sequence[ShardJob]],
-        deps: Sequence[Sequence[int]],
+        units_per_batch: Sequence[Sequence[DispatchUnit]],
         lame: Dict[Any, float],
         record: Callable[..., None],
-        encoder: Optional[Callable[[list], object]] = None,
         hedge_after_s: Optional[float] = None,
         lame_grace_s: float = 0.0,
         max_respawns: int = 0,
     ):
-        # Per-batch hand-off chains: id bases are pre-computed stripes above
-        # the current watermark, so retagged hand-off ids of a later batch
-        # stay above everything merged while earlier batches complete.
-        self.chains = [
-            ChainState(jobs, handoff_id_base(offset), encoder)
-            for offset, jobs in enumerate(jobs_per_batch)
-        ]
         self.lame = lame
         self._record = record
         self.hedge_after_s = hedge_after_s
         self.lame_grace_s = lame_grace_s
         self.max_respawns = max_respawns
-        count = len(jobs_per_batch)
-        self.total = [len(jobs) for jobs in jobs_per_batch]
+        count = len(units_per_batch)
+        # Shards per batch: a batch merges once each has an outcome.
+        self.total = [sum(len(unit.jobs) for unit in units) for units in units_per_batch]
         self.done: List[List[ShardOutcome]] = [[] for _ in range(count)]
         self.resubmitted: List[Set[int]] = [set() for _ in range(count)]
         self.first: List[Optional[float]] = [None] * count
@@ -98,23 +94,22 @@ class WindowScheduler:
         self.completed: Set[Key] = set()
         self.ready: "deque[Entry]" = deque()
         self.blocked: Dict[int, List[Entry]] = {}
-        self.chain_blocked: Dict[int, List[Entry]] = {}
         self.inflight: Dict[Any, Flight] = {}
         self.copies: Dict[Key, List[Any]] = {}
         self.merged = 0
         self.respawns = 0
         self.failure: Optional[str] = None
-        for batch, (jobs, batch_deps) in enumerate(zip(jobs_per_batch, deps)):
-            for job, dep in zip(jobs, batch_deps):
-                if dep < 0:
-                    self._release((batch, job, False))
+        for batch, units in enumerate(units_per_batch):
+            for unit in units:
+                if unit.dependency < 0:
+                    self.ready.append((batch, unit, False))
                 else:
-                    self.blocked.setdefault(dep, []).append((batch, job, False))
+                    self.blocked.setdefault(unit.dependency, []).append((batch, unit, False))
 
     # ------------------------------------------------------------- queries
     def pending(self) -> bool:
-        """Whether any shard still waits to be dispatched."""
-        return bool(self.ready or self.blocked or self.chain_blocked)
+        """Whether any unit still waits to be dispatched."""
+        return bool(self.ready or self.blocked)
 
     def active(self) -> bool:
         """Whether the window still needs the transport: work left to
@@ -130,12 +125,15 @@ class WindowScheduler:
     def tick(self, now: float, workers: Sequence[Any]) -> Iterator[tuple]:
         """The next decisions, given the live workers in pool order.
 
-        Each idle worker pulls the next ready shard (one job per dispatch,
-        like ``Pool.map`` with chunk size 1, so a giant shard never
-        serialises the small ones behind it).  With nothing left to
-        dispatch, overdue shards are hedged onto idle workers.  With work
-        left, nothing in flight and no worker alive, the window respawns
-        (budget permitting) or degrades the rest to in-process execution.
+        Each idle worker pulls the next ready unit.  A unit is already a
+        worker's share of its batch and dependency class (at most one unit
+        per worker each), and it carries every hand-off its shards need, so
+        one message per worker per batch replaces a round trip per
+        sub-shard; finer chunks would only buy back the round trips.  With
+        nothing left to dispatch, overdue units are hedged onto idle
+        workers.  With work left, nothing in flight and no worker alive, the
+        window respawns (budget permitting) or degrades the rest to
+        in-process execution.
         """
         if self.failure is not None:
             return
@@ -145,13 +143,13 @@ class WindowScheduler:
                 break
             if worker in self.inflight or worker in self.lame:
                 continue
-            batch, job, resubmitted = self.ready.popleft()
-            job.adopt = self.chains[batch].payload(job)
-            flight = self._launch(worker, Flight(batch, job, resubmitted, now, False))
-            yield ("dispatch", worker, job)
+            batch, unit, resubmitted = self.ready.popleft()
+            flight = self._launch(worker, Flight(batch, unit, resubmitted, now, False))
+            yield ("dispatch", worker, unit)
             if self.inflight.get(worker) is not flight:
                 gone.add(worker)
                 continue
+            self._record("dispatch_units")
             if self.first[batch] is None:
                 self.first[batch] = now
             if batch > self.merged:
@@ -165,22 +163,22 @@ class WindowScheduler:
             yield from self._respawn() or [("degrade", self._drain())]
             return
         if self.pending() and not self.ready and not self.inflight:  # pragma: no cover
-            # Unreachable while chain predecessors precede their consumers,
-            # which split_oversized guarantees; fail loudly over spinning.
-            raise ServingError("window dispatch deadlocked on the sub-shard chain")
+            # Unreachable while every dependency names an earlier batch,
+            # which batch_dependencies guarantees; fail loudly over spinning.
+            raise ServingError("window dispatch deadlocked on a cross-batch dependency")
 
     def unsent(self, worker: Any) -> None:
         """The transport could not send ``worker``'s dispatch: requeue it at
         the front (a failed hedge copy is simply dropped)."""
         flight = self._land(worker)
         if not flight.hedge:
-            self.ready.appendleft((flight.batch, flight.job, flight.resubmitted))
+            self.ready.appendleft((flight.batch, flight.unit, flight.resubmitted))
 
     def outcome(self, worker: Any, outcomes: List[ShardOutcome], now: float) -> List[int]:
-        """``worker`` replied with its shard's outcomes.
+        """``worker`` replied with its unit's outcomes.
 
         A lame worker's stale reply just returns it to service.  The first
-        copy of a shard to finish wins: other copies go lame, and a later
+        copy of a unit to finish wins: other copies go lame, and a later
         duplicate is discarded — bit-identical by the content-keyed crowd
         RNG, so dropping it is a pure no-op.  Returns the batches to merge.
         """
@@ -198,17 +196,15 @@ class WindowScheduler:
                 self._record("hedges_wasted")
             self.lame[peer] = now + self.lame_grace_s
         if flight.resubmitted:
-            self.resubmitted[flight.batch].add(flight.job.shard_id)
-        for outcome in outcomes:
-            self.chains[flight.batch].record(outcome)
+            self.resubmitted[flight.batch].update(job.shard_id for job in flight.unit.jobs)
+        self.completed.add(flight.key)
         return self._complete(flight.batch, outcomes, now)
 
     def inline(
         self, batch: int, outcomes: List[ShardOutcome], started: float, now: float
     ) -> List[int]:
-        """The degrade tail executed ``batch``'s remaining shards in-process
-        (their hand-off chain already recorded).  Returns the batches to
-        merge."""
+        """The degrade tail executed ``batch``'s remaining shards in-process.
+        Returns the batches to merge."""
         if self.first[batch] is None:
             self.first[batch] = started
         return self._complete(batch, outcomes, now)
@@ -216,23 +212,25 @@ class WindowScheduler:
     def lost(self, worker: Any) -> List[tuple]:
         """``worker`` is gone (crash, hang, desync, stale error).
 
-        A lame worker just leaves the lame set.  An in-flight shard is
+        A lame worker just leaves the lame set.  An in-flight unit is
         requeued *resubmitted* at the *front* of the ready queue — its
         dependency is satisfied and the frontier may be waiting on it —
-        unless it already completed or a duplicate copy still covers it.
-        Either way a replacement is requested while the budget lasts.
+        unless it already completed or a duplicate copy still covers it
+        (``resubmitted_shards`` counts one per lost dispatch, whatever the
+        unit's size).  Either way a replacement is requested while the
+        budget lasts.
         """
         if self.lame.pop(worker, None) is not None or worker not in self.inflight:
             return []
         flight = self._land(worker)
         if flight.key not in self.completed and flight.key not in self.copies:
-            self.ready.appendleft((flight.batch, flight.job, True))
+            self.ready.appendleft((flight.batch, flight.unit, True))
             self._record("resubmitted_shards")
         return self._respawn()
 
     def error(self, worker: Any, text: str) -> None:
         """A shard execution failed (the worker's state is intact; ``None``
-        for the in-process tail).  Dispatching stops, in-flight shards
+        for the in-process tail).  Dispatching stops, in-flight units
         drain — their frontier batches may still merge — and the backend
         returns the merged prefix."""
         if worker is not None:
@@ -251,22 +249,21 @@ class WindowScheduler:
 
     def advance(self) -> List[int]:
         """Advance the merge frontier over every fully-executed batch at the
-        head of the window, releasing the shards blocked on each.  Returns
+        head of the window, releasing the units blocked on each.  Returns
         those batches: the backend merges them, strictly in order, before
         anything else is dispatched."""
         merged: List[int] = []
         total, done = self.total, self.done
         while self.merged < len(total) and len(done[self.merged]) == total[self.merged]:
             merged.append(self.merged)
-            for entry in self.blocked.pop(self.merged, ()):
-                self._release(entry)
+            self.ready.extend(self.blocked.pop(self.merged, ()))
             self.merged += 1
         return merged
 
     # ------------------------------------------------------------ internal
     def _hedge(self, now: float, idle: List[Any], gone: Set[Any]) -> Iterator[tuple]:
         """Duplicate overdue dispatches onto idle workers, oldest first (it
-        gates the batch).  One hedge per shard: racing more than two copies
+        gates the batch).  One hedge per unit: racing more than two copies
         buys nothing the content-keyed RNG has not already guaranteed."""
         overdue = sorted(
             (
@@ -284,7 +281,7 @@ class WindowScheduler:
             while idle:
                 worker = idle.pop(0)
                 copy = self._launch(worker, flight._replace(started=now, hedge=True))
-                yield ("hedge", worker, flight.job)
+                yield ("hedge", worker, flight.unit)
                 if self.inflight.get(worker) is copy:
                     self._record("hedges_issued")
                     break
@@ -312,44 +309,21 @@ class WindowScheduler:
         return flight
 
     def _complete(self, batch: int, outcomes: List[ShardOutcome], now: float) -> List[int]:
-        """Record outcomes whose hand-off truths the chain already holds."""
-        self.completed.update((batch, outcome.shard_id) for outcome in outcomes)
         self.done[batch].extend(outcomes)
         self.last[batch] = now
-        self._release_chain(batch)
         return self.advance()
-
-    def _release(self, entry: Entry) -> None:
-        """Queue an entry whose cross-batch dependency is satisfied."""
-        if entry[1].predecessors and not self.chains[entry[0]].ready(entry[1]):
-            self.chain_blocked.setdefault(entry[0], []).append(entry)
-        else:
-            self.ready.append(entry)
-
-    def _release_chain(self, batch: int) -> None:
-        """Move newly hand-off-ready sub-shards of one batch to ready."""
-        waiting = self.chain_blocked.pop(batch, None)
-        if not waiting:
-            return
-        still: List[Entry] = []
-        for entry in waiting:
-            (self.ready if self.chains[batch].ready(entry[1]) else still).append(entry)
-        if still:
-            self.chain_blocked[batch] = still
 
     def _drain(self) -> Dict[int, List[ShardJob]]:
         """Empty every queue into ``{batch: jobs}`` for the in-process tail,
         which runs them in strict batch order with frontier merges between
         batches, so each shard executes against exactly the sequential
-        prefix."""
+        prefix.  A batch's remaining units are hand-off-closed, so their
+        jobs together are too."""
         remaining: Dict[int, List[ShardJob]] = {}
-        for batch, job, resubmitted in itertools.chain(
-            self.ready, *self.blocked.values(), *self.chain_blocked.values()
-        ):
-            remaining.setdefault(batch, []).append(job)
+        for batch, unit, resubmitted in itertools.chain(self.ready, *self.blocked.values()):
+            remaining.setdefault(batch, []).extend(unit.jobs)
             if resubmitted:
-                self.resubmitted[batch].add(job.shard_id)
+                self.resubmitted[batch].update(job.shard_id for job in unit.jobs)
         self.ready.clear()
         self.blocked.clear()
-        self.chain_blocked.clear()
         return remaining

@@ -52,7 +52,6 @@ import time
 import traceback
 import warnings
 from collections import OrderedDict, deque
-from functools import partial
 from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -75,7 +74,16 @@ from .protocol import (
     wrap_requests,
 )
 from .scheduler import WindowScheduler
-from .shards import ShardJob, execute_jobs_inline, merge_shard_outcomes, split_oversized
+from .shards import (
+    ChainState,
+    DispatchUnit,
+    ShardJob,
+    dispatch_units,
+    execute_jobs_inline,
+    handoff_id_base,
+    merge_shard_outcomes,
+    split_oversized,
+)
 from .worker import pool_worker_main
 
 QueryLike = Union[RouteQuery, RecommendRequest]
@@ -345,7 +353,8 @@ class PooledBackend(ServingBackend):
         """The one execution path: plan, dispatch and merge a window.
 
         Plans each batch and applies the ``max_shard_fraction`` split
-        (:meth:`_split_plan`), builds the jobs and the window's
+        (:meth:`_split_plan`), groups each batch's jobs into hand-off-closed
+        dispatch units (:meth:`_units`), builds the window's
         :class:`WindowScheduler`, ensures the pool where ``fork`` exists
         (polling lame workers and replacing dead ones on a warm pool), runs
         :meth:`_drive` and applies the sync cadence.  Everything recorded
@@ -371,28 +380,17 @@ class PooledBackend(ServingBackend):
             # inherit the compiled graph and source caches instead of rebuilding
             # them per process.
             planner.warm_batch([query for queries in window for query in queries])
-            jobs_per_batch: List[List[ShardJob]] = [
-                [
-                    ShardJob(
-                        shard_id=shard.shard_id,
-                        indices=shard.indices,
-                        destination_cells=shard.destination_cells,
-                        queries=[queries[index] for index in shard.indices],
-                        predecessors=shard.predecessors,
-                        handoff_from=shard.handoff_from,
-                        tenant=tenant,
-                    )
-                    for shard in plan.shards
-                ]
-                for queries, plan in zip(window, split_plans)
+            units_per_batch = [
+                self._units(queries, plan, batch_deps, offset, tenant)
+                for offset, (queries, plan, batch_deps) in enumerate(
+                    zip(window, split_plans, deps)
+                )
             ]
             can_fork = self._can_fork()
             sched = WindowScheduler(
-                jobs_per_batch,
-                deps,
+                units_per_batch,
                 self._lame,
                 self.counters.record,
-                encoder=partial(encode_truth_delta, network=self.planner.network),
                 hedge_after_s=self.config.hedge_after_s,
                 lame_grace_s=self.config.rpc_deadline_s,
                 max_respawns=self.config.max_respawns_per_batch if can_fork else 0,
@@ -420,6 +418,38 @@ class PooledBackend(ServingBackend):
             ):
                 self._push_sync(tenant)
         return executions
+
+    def _units(
+        self,
+        queries: List[RouteQuery],
+        plan: ShardPlan,
+        deps: List[int],
+        offset: int,
+        tenant: str,
+    ) -> List[DispatchUnit]:
+        """The dispatch units of the window's ``offset``-th batch: at most
+        one per pool worker and cross-batch dependency (see
+        :func:`~repro.serving.shards.dispatch_units`).
+
+        Its jobs carry the batch's hand-off id base, a per-batch stripe
+        above the current watermark, so retagged hand-off ids of a later
+        batch stay above everything merged while earlier batches complete.
+        """
+        base = handoff_id_base(offset)
+        jobs = [
+            ShardJob(
+                shard_id=shard.shard_id,
+                indices=shard.indices,
+                destination_cells=shard.destination_cells,
+                queries=[queries[index] for index in shard.indices],
+                predecessors=shard.predecessors,
+                handoff_from=shard.handoff_from,
+                handoff_base=base,
+                tenant=tenant,
+            )
+            for shard in plan.shards
+        ]
+        return dispatch_units(jobs, deps, self.resolved_pool_size())
 
     def _drive(
         self,
@@ -469,8 +499,8 @@ class PooledBackend(ServingBackend):
         def apply(decisions) -> None:
             for kind, *args in decisions:
                 if kind in ("dispatch", "hedge"):
-                    worker, job = args
-                    if self._dispatch(worker, [job]):
+                    worker, unit = args
+                    if self._dispatch(worker, list(unit.jobs)):
                         worker.touch()
                     else:
                         sched.unsent(worker)
@@ -506,16 +536,19 @@ class PooledBackend(ServingBackend):
         """Run the window's remaining shards in-process — all of them without
         ``fork``, the rest of the window after a lost pool — batch by batch
         with frontier merges between batches, so each shard executes against
-        exactly the sequential prefix and results are unchanged.  An
-        execution error takes the same path as a worker's ``"error"``
-        reply."""
+        exactly the sequential prefix and results are unchanged.  A batch's
+        remaining jobs are hand-off-closed and run on one chain, on the
+        batch's hand-off base.  An execution error takes the same path as a
+        worker's ``"error"`` reply."""
         if self._can_fork():
             # A lost pool: every batch with shards run in-process is degraded.
             self.counters.record("degraded_batches", len(remaining))
         for index in sorted(remaining):
+            jobs = remaining[index]
             started = time.monotonic()
             try:
-                outcomes = execute_jobs_inline(planner, remaining[index], sched.chains[index])
+                chain = ChainState(jobs, jobs[0].handoff_base)
+                outcomes = execute_jobs_inline(planner, jobs, chain)
             except Exception:
                 sched.error(None, traceback.format_exc())
                 return

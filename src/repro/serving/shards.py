@@ -24,12 +24,17 @@ od-cell groups are condensed into atomic units (strongly connected pieces of
 the visibility graph), the units form a DAG whose edges follow submission
 order, and oversized units are sliced into contiguous submission-index
 chunks.  Each sub-shard declares ``predecessors`` (completion gates) and
-``handoff_from`` (whose recorded truths it must adopt before running); the
-parent relays those hand-off deltas worker→worker with provisional truth
-ids from :func:`handoff_id_base`, and :class:`ChainState` tracks the whole
-dance per batch.  Merges still replay in strict submission order, so the
-serving contract is untouched — the pipeline only changes *where* and *when*
-slices of the component execute.
+``handoff_from`` (whose recorded truths it must adopt before running).
+:func:`dispatch_units` groups a batch's jobs into hand-off-closed
+:class:`DispatchUnit` s — weak components of that DAG, packed onto at most
+one unit per pool worker and cross-batch dependency — and each unit
+travels as one message.  The worker runs a unit in shard-id order
+(:func:`execute_jobs_inline`), relaying hand-offs between its own clones
+through a :class:`ChainState` with provisional truth ids from
+:func:`handoff_id_base`, so no hand-off crosses a pipe.  Merges still
+replay in strict submission order, so the serving contract is untouched —
+the pipeline only changes *where* and *when* slices of the component
+execute.
 
 Everything that crosses a process boundary (:class:`ShardJob` down,
 :class:`ShardOutcome` up) is plain picklable data; planner substrate never
@@ -57,9 +62,10 @@ class ShardJob:
 
     ``predecessors``/``handoff_from`` mirror the sub-shard chain edges of
     :class:`~repro.core.planner.QueryShard` (empty for ordinary component
-    shards); ``adopt`` is filled in by the dispatcher just before the job is
-    sent — the upstream hand-off truths (a plain list or a columnar
-    :class:`~repro.serving.protocol.TruthDeltaBlock`) the executing clone
+    shards).  ``handoff_base`` is the parent's :func:`handoff_id_base` for
+    the job's batch, the provisional-id base of its hand-off chain.
+    ``adopt`` is filled in by the :class:`ChainState` running the job, just
+    before it executes — the upstream hand-off truths the executing clone
     adopts before running its slice.  ``tenant`` names the workspace whose
     truth store the job executes against (``""`` is the backend's default,
     single-tenant planner); pool workers use it to select the matching warm
@@ -72,8 +78,28 @@ class ShardJob:
     queries: List[RouteQuery]
     predecessors: Tuple[int, ...] = ()
     handoff_from: Tuple[int, ...] = ()
+    handoff_base: int = 0
     adopt: Optional[object] = None
     tenant: str = ""
+
+
+@dataclass(frozen=True)
+class DispatchUnit:
+    """A hand-off-closed set of one batch's jobs: one message, one reply.
+
+    Every ``predecessors``/``handoff_from`` id of a job lies in the unit,
+    ``jobs`` are in shard-id order (a topological order of the chain) and
+    all of them wait on the same cross-batch ``dependency`` (see
+    :func:`~repro.serving.pipeline.batch_dependencies`; ``-1`` for none).
+    """
+
+    dependency: int
+    jobs: Tuple[ShardJob, ...]
+
+    @property
+    def unit_id(self) -> int:
+        """The unit's first shard id: unique within its batch."""
+        return self.jobs[0].shard_id
 
 
 @dataclass
@@ -317,15 +343,16 @@ def _strongly_connected(succ: Sequence[Sequence[int]]) -> List[int]:
 
 
 def _stage_dataflow(
-    planner: CrowdPlanner,
     shard: QueryShard,
-    queries: Sequence[RouteQuery],
+    groups: Dict[tuple, List[int]],
     max_size: int,
     reach: int,
 ) -> List[Tuple[List[int], List[int], List[int]]]:
     """Slice one oversized shard into an ordered dataflow of sub-shards.
 
-    The shard's od-cell groups form a *visibility graph*: a truth recorded
+    ``groups`` are the batch's od-cell groups; a shard holds whole groups,
+    and these (in first-query order) are the shard's own.  They form a
+    *visibility graph*: a truth recorded
     by a query of group ``g`` is observable by a query of group ``h`` only
     when every od-cell axis differs by at most ``reach`` (the same test that
     linked them into one component).  Each linked pair gets directed edges
@@ -344,10 +371,9 @@ def _stage_dataflow(
     direct predecessor shares no linked group pair, so all its truths are
     out of radius of every query of this node.
     """
-    local_queries = [queries[index] for index in shard.indices]
-    groups = planner.od_cell_groups(local_queries)
-    keys = list(groups)
-    members = [sorted(shard.indices[local] for local in groups[key]) for key in keys]
+    indices_of_shard = set(shard.indices)
+    keys = [key for key, members in groups.items() if members[0] in indices_of_shard]
+    members = [groups[key] for key in keys]
     count = len(keys)
 
     succ: List[List[int]] = [[] for _ in range(count)]
@@ -437,12 +463,17 @@ def split_oversized(
     topological order.  Shard ids are renumbered densely in emission order,
     so ascending shard id remains a valid execution order for the whole
     plan — which is exactly the order the inline/degraded paths use.
+    The od-cell groups come from the plan (``plan.od_cell_groups``); only
+    a plan built without them regroups ``queries``.
     """
     if max_fraction >= 1.0 or not plan.shards or plan.num_queries == 0:
         return plan
     max_size = max(1, int(max_fraction * plan.num_queries))
     if all(len(shard) <= max_size for shard in plan.shards):
         return plan
+    groups = plan.od_cell_groups
+    if groups is None:
+        groups = planner.od_cell_groups(queries)
     rebuilt: List[QueryShard] = []
     for shard in sorted(plan.shards, key=lambda item: item.shard_id):
         if len(shard) <= max_size:
@@ -450,7 +481,7 @@ def split_oversized(
             continue
         first = len(rebuilt)
         for indices, pred_locals, handoff_locals in _stage_dataflow(
-            planner, shard, queries, max_size, plan.cell_reach
+            shard, groups, max_size, plan.cell_reach
         ):
             rebuilt.append(
                 QueryShard(
@@ -469,37 +500,86 @@ def split_oversized(
     return dataclasses.replace(plan, shards=tuple(rebuilt))
 
 
+def dispatch_units(
+    jobs: Sequence[ShardJob], dependencies: Sequence[int], slots: int
+) -> List[DispatchUnit]:
+    """Group one batch's jobs into hand-off-closed dispatch units.
+
+    Jobs linked through ``predecessors`` or ``handoff_from`` share a weak
+    component of the sub-shard DAG, and a component never splits.  Within
+    each cross-batch dependency class (``dependencies[i]`` is job ``i``'s),
+    components are packed largest first (by query count, earliest shard id
+    breaking ties) onto the least-loaded of at most ``slots`` units — the
+    way :meth:`~repro.core.planner.CrowdPlanner.shard_plan` packs
+    components onto shards.  Keeping the classes apart means a unit never
+    waits on a batch some of its shards could have overlapped.  Returns the
+    units in order of their first shard id, each unit's jobs in shard-id
+    order.
+    """
+    parent = {job.shard_id: job.shard_id for job in jobs}
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for job in jobs:
+        for source in (*job.predecessors, *job.handoff_from):
+            root, other = find(job.shard_id), find(source)
+            if root != other:
+                parent[max(root, other)] = min(root, other)
+    components: Dict[int, List[int]] = {}
+    for position, job in enumerate(jobs):
+        components.setdefault(find(job.shard_id), []).append(position)
+    classes: Dict[int, List[Tuple[int, int, List[int]]]] = {}
+    for members in components.values():
+        dependency = dependencies[members[0]]
+        if any(dependencies[position] != dependency for position in members):
+            raise ServingError("a sub-shard chain spans two cross-batch dependencies")
+        load = sum(len(jobs[position].indices) for position in members)
+        first = min(jobs[position].shard_id for position in members)
+        classes.setdefault(dependency, []).append((-load, first, members))
+    units: List[DispatchUnit] = []
+    for dependency, built in classes.items():
+        built.sort(key=lambda item: item[:2])
+        count = min(slots, len(built))
+        loads = [0] * count
+        packed: List[List[ShardJob]] = [[] for _ in range(count)]
+        for negative_load, _, members in built:
+            target = min(range(count), key=lambda slot: (loads[slot], slot))
+            packed[target].extend(jobs[position] for position in members)
+            loads[target] -= negative_load
+        units.extend(
+            DispatchUnit(dependency, tuple(sorted(unit, key=lambda job: job.shard_id)))
+            for unit in packed
+            if unit
+        )
+    units.sort(key=lambda unit: unit.unit_id)
+    return units
+
+
 class ChainState:
-    """Parent-side bookkeeping of one batch's sub-shard hand-off chain.
+    """Bookkeeping of one hand-off-closed set of sub-shards as it runs.
 
     Tracks which sub-shards completed, retags every producer's new truths
     with provisional ids (``id_base + submission_index`` — see
-    :func:`handoff_id_base`), and builds each downstream job's adopt payload
-    — encoded with ``encoder`` (the pooled backend passes the columnar
-    codec) or left a plain list.  Payloads are memoised per
-    ``handoff_from`` signature, so a resubmitted job rebuilds byte-identical
-    state.
+    :func:`handoff_id_base`) and builds each downstream job's adopt payload:
+    the producers' retagged truths, a plain list in truth-id order.
+    Payloads are memoised per ``handoff_from`` signature.  A pool worker
+    keeps one per dispatch unit and the in-process tail one per batch, each
+    on the base the parent computed for the batch, so every hand-off stays
+    inside the process that runs both ends of it.
     """
 
-    def __init__(
-        self,
-        jobs: Sequence[ShardJob],
-        id_base: int,
-        encoder: Optional[Callable[[List[VerifiedTruth]], object]] = None,
-    ):
+    def __init__(self, jobs: Sequence[ShardJob], id_base: int):
         self.id_base = id_base
-        self._encoder = encoder
         self._producers: Set[int] = {
             shard_id for job in jobs for shard_id in job.handoff_from
         }
         self._truths: Dict[int, List[VerifiedTruth]] = {}
         self._completed: Set[int] = set()
-        self._payloads: Dict[Tuple[int, ...], object] = {}
-
-    @property
-    def active(self) -> bool:
-        """Whether any job of this batch waits on another's truths."""
-        return bool(self._producers)
+        self._payloads: Dict[Tuple[int, ...], List[VerifiedTruth]] = {}
 
     def record(self, outcome: ShardOutcome) -> None:
         """Note a completed sub-shard; retain its truths if consumed later."""
@@ -514,7 +594,7 @@ class ChainState:
         """Whether every predecessor sub-shard has completed."""
         return all(pred in self._completed for pred in job.predecessors)
 
-    def payload(self, job: ShardJob) -> Optional[object]:
+    def payload(self, job: ShardJob) -> Optional[List[VerifiedTruth]]:
         """The adopt payload for ``job`` (``None`` when it has no hand-off)."""
         if not job.handoff_from:
             return None
@@ -523,40 +603,44 @@ class ChainState:
         if cached is not None:
             return cached
         missing = [sid for sid in key if sid not in self._completed]
-        if missing:  # pragma: no cover - dispatch guard
+        if missing:  # pragma: no cover - execution-order guard
             raise ServingError(
                 f"hand-off truths of sub-shards {missing} are not available yet"
             )
-        truths = sorted(
+        payload = sorted(
             (truth for sid in key for truth in self._truths.get(sid, ())),
             key=lambda truth: truth.truth_id,
         )
-        payload: object = truths
-        if self._encoder is not None and truths:
-            payload = self._encoder(truths)
         self._payloads[key] = payload
         return payload
 
 
 def execute_jobs_inline(
-    planner: CrowdPlanner, jobs: Sequence[ShardJob], chain: ChainState
+    planner: CrowdPlanner,
+    jobs: Sequence[ShardJob],
+    chain: ChainState,
+    execute: Optional[Callable[[CrowdPlanner, ShardJob], ShardOutcome]] = None,
 ) -> List[ShardOutcome]:
-    """Execute one batch's jobs in-process in shard-id order, driving its
-    hand-off ``chain``: the pooled backend's in-process tail, which serves
-    every window on a platform without ``fork`` and the rest of a window
-    whose pool was lost with the respawn budget spent.
+    """Execute hand-off-closed ``jobs`` in shard-id order, driving their
+    ``chain``: how a pool worker runs a dispatch unit, and the pooled
+    backend's in-process tail a batch's remaining jobs (every window on a
+    platform without ``fork``, and the rest of a window whose pool was lost
+    with the respawn budget spent).  ``execute`` runs one job (default
+    :func:`execute_shard_job`).
 
     Shard ids are a topological order of the chain DAG (``split_oversized``
     renumbers them that way), so ascending execution satisfies every
     predecessor before its consumers and reproduces the sequential prefix
     exactly.
     """
+    if execute is None:
+        execute = execute_shard_job
     outcomes: List[ShardOutcome] = []
     for job in sorted(jobs, key=lambda item: item.shard_id):
-        if not chain.ready(job):  # pragma: no cover - topo-order guard
+        if not chain.ready(job):  # a producer missing or ordered after its consumer
             raise ServingError(f"sub-shard {job.shard_id} is not executable in shard-id order")
         job.adopt = chain.payload(job)
-        outcome = execute_shard_job(planner, job)
+        outcome = execute(planner, job)
         outcomes.append(outcome)
         chain.record(outcome)
     return outcomes

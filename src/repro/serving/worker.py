@@ -15,7 +15,7 @@ from typing import Dict
 from ..core.planner import CrowdPlanner
 from ..exceptions import ServingError
 from .metrics import DEFAULT_TENANT
-from .shards import build_tenant_planner, execute_shard_job
+from .shards import ChainState, build_tenant_planner, execute_jobs_inline, execute_shard_job
 
 #: :func:`serve_message`'s answer to ``stop``: leave the loop.
 STOP = object()
@@ -33,6 +33,12 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
     warm base may be partially updated, so the parent must retire this
     worker — while a failure during shard execution leaves every base
     intact (``error``).
+
+    A ``run`` message carries one dispatch unit: hand-off-closed jobs in
+    shard-id order.  They run through :func:`execute_jobs_inline` with a
+    worker-local :class:`ChainState` on the parent's hand-off id base (the
+    jobs' ``handoff_base``), so a consumer adopts its producers' retagged
+    truths as a plain list, without a round trip through the parent.
     """
     kind = message[0]
     if kind == "stop":
@@ -61,8 +67,12 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
         return ("desync", pid, traceback.format_exc())
     if kind == "sync":
         return ("synced", pid)
+    jobs = message[4]
     try:
-        outcomes = [execute_shard_job(base, job) for job in message[4]]
+        # ``execute_shard_job`` is looked up here, per message, so a
+        # substitute bound on this module takes effect.
+        chain = ChainState(jobs, jobs[0].handoff_base)
+        outcomes = execute_jobs_inline(base, jobs, chain, execute_shard_job)
     except Exception:
         return ("error", pid, traceback.format_exc())
     return ("done", pid, outcomes)

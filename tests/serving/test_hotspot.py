@@ -22,6 +22,7 @@ from repro.serving import RecommendationService, recommendation_fingerprint
 from repro.serving.shards import (
     ChainState,
     ShardJob,
+    dispatch_units,
     execute_jobs_inline,
     handoff_id_base,
     merge_shard_outcomes,
@@ -256,6 +257,39 @@ class TestHotspotDiagnostics:
         ServiceConfig.from_planner_config(planner.config, max_shard_fraction=0.5).validate()
 
 
+def _chained_dispatch_ordinals(planner, batches, pool_size):
+    """Per batch, the global dispatch ordinals of its units carrying a
+    hand-off, when each batch is served as a one-batch window on a
+    fault-free pool of ``pool_size``: such a window sends its units in unit
+    order, one to each idle worker (at most ``pool_size`` of them, so all in
+    its first tick)."""
+    ordinals, sent = [], 0
+    for queries in batches:
+        plan = split_oversized(planner, planner.shard_plan(queries, pool_size), queries, FRACTION)
+        jobs = [
+            ShardJob(
+                shard_id=shard.shard_id,
+                indices=shard.indices,
+                destination_cells=shard.destination_cells,
+                queries=[],
+                predecessors=shard.predecessors,
+                handoff_from=shard.handoff_from,
+            )
+            for shard in plan.shards
+        ]
+        units = dispatch_units(jobs, [-1] * len(jobs), pool_size)
+        assert len(units) <= pool_size
+        ordinals.append(
+            [
+                sent + position
+                for position, unit in enumerate(units)
+                if any(job.handoff_from for job in unit.jobs)
+            ]
+        )
+        sent += len(units)
+    return ordinals
+
+
 @needs_fork
 @pytest.mark.chaos
 class TestMidChainFaults:
@@ -275,11 +309,16 @@ class TestMidChainFaults:
     def test_mid_chain_fault_reproduces_oracle(
         self, build_serving_planner, dominant_workload, sequential_oracle, kind
     ):
-        # Ordinals 2-4 land on sub-shard dispatches of the dominant chain
-        # (its head slices dispatch first, so these hit producers whose
-        # deltas downstream slices are already waiting for).
+        # Fault the first dispatch of a unit carrying the dominant chain
+        # (its producers and the consumers awaiting their hand-offs all ride
+        # in it), and the dispatch after it: for kill_before, the retry of
+        # that unit on the surviving worker, so the pool is lost and must
+        # respawn.
+        ((chained, *_),) = _chained_dispatch_ordinals(
+            build_serving_planner(), [list(dominant_workload)], pool_size=2
+        )
         planner, backend, fingerprints, stats = self._run(
-            build_serving_planner, dominant_workload, {2: kind, 4: kind}
+            build_serving_planner, dominant_workload, {chained: kind, chained + 1: kind}
         )
         assert backend.injected, "fault schedule never fired"
         assert fingerprints == sequential_oracle["dominant"]["fingerprints"]
@@ -311,8 +350,11 @@ class TestMidChainFaults:
     ):
         """The window dispatcher recovers a hung chain producer too."""
         planner = build_serving_planner()
+        batches = [list(dominant_workload[start : start + 80]) for start in (0, 80)]
+        # The second batch's first unit carrying a hand-off.
+        _, (hung, *_) = _chained_dispatch_ordinals(build_serving_planner(), batches, 2)
         backend = FaultInjectingBackend(
-            schedule={3: "hang"}, pool_size=2, max_shard_fraction=FRACTION
+            schedule={hung: "hang"}, pool_size=2, max_shard_fraction=FRACTION
         )
         config = ServiceConfig.from_planner_config(
             planner.config, backend="pooled", pool_size=2, pipeline_window=3
