@@ -40,7 +40,7 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.core.familiarity import FamiliarityModel
-from repro.core.planner import CrowdPlanner
+from repro.core.planner import CrowdPlanner, PlannerStatistics
 from repro.core.pmf import ProbabilisticMatrixFactorization
 from repro.core.reference import (
     DenseProbabilisticMatrixFactorization,
@@ -68,7 +68,7 @@ from repro.routing.web_service import FastestRouteService
 from repro.core.truth import TruthDatabase
 from repro.core.worker import WorkerPool
 from repro.serving.service import PooledBackend
-from repro.serving.shards import ShardJob, execute_shard_job, split_oversized
+from repro.serving.shards import ShardJob, execute_unit, split_oversized
 from repro.serving import (
     RecommendationService,
     TruthJournal,
@@ -999,9 +999,12 @@ def _deep_copy_planner(planner):
 
 
 def _outcome_key(outcome):
+    counted = PlannerStatistics()
+    for result in outcome.results:
+        counted.count(result)
     return (
         [recommendation_fingerprint(result) for result in outcome.results],
-        outcome.statistics_delta,
+        counted.as_dict(),
         [
             (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
             for t in outcome.new_truths
@@ -1028,7 +1031,7 @@ def _chain_head_jobs(planner, batch):
 
 
 def _run_shard_jobs(planner, jobs):
-    return [_outcome_key(execute_shard_job(planner, job)) for job in jobs]
+    return [_outcome_key(outcome) for job in jobs for outcome in execute_unit(planner, [job])]
 
 
 @pytest.fixture(scope="module")
@@ -1046,7 +1049,7 @@ def shard_clone_setup(serving_city):
     workload = _hotspot_workload(scenario)
     planner = build_planner()
     cold = _chain_head_jobs(planner, workload)
-    outcomes = [execute_shard_job(planner, job) for job in cold]
+    outcomes = [outcome for job in cold for outcome in execute_unit(planner, [job])]
     assert [_outcome_key(outcome) for outcome in outcomes] == _run_shard_jobs(
         _deep_copy_planner(planner), cold
     )
@@ -1063,7 +1066,7 @@ def shard_clone_setup(serving_city):
 
 @pytest.mark.benchmark(group="shard_clone")
 def test_shard_clone_compiled(benchmark, shard_clone_setup):
-    """``execute_shard_job`` on each chain-head sub-shard: the clone's
+    """``execute_unit(planner, [job])`` on each chain-head sub-shard: the clone's
     worker pool is an overlay that copies a worker on first touch, and its
     truth view walks populated cells."""
     planner, _, jobs, expected = shard_clone_setup

@@ -14,13 +14,14 @@ backend:
    component is one shard, however large;
 2. with ``max_shard_fraction=0.1`` — ``split_oversized`` restages the
    component's od-cell groups as an ordered dataflow of sub-shards, each at
-   most 10% of the batch, connected by explicit truth-delta hand-offs that
-   consumers adopt before executing their slice.
+   most 10% of the batch, linked by hand-off edges.  A producer and its
+   consumers travel as one dispatch unit, whose worker answers the unit's
+   queries on one clone in submission order.
 
 The split is made visible, not just claimed: the sub-shard chain (ids,
 sizes, hand-off edges) is printed, ``service.statistics()["sharding"]``
 reports the largest shard fraction before/after splitting plus the chain
-depth, and provenance shows the sub-shards spreading across workers.
+depth, and provenance shows which worker served each sub-shard.
 Merges still happen in strict submission order with truth ids issued by the
 parent, so both runs are bit-identical to the sequential oracle — the
 serving contract is fraction-independent (see docs/serving-invariants.md).
@@ -101,7 +102,7 @@ def main() -> None:
 
     # What splitting does to the plan: the monolithic plan's largest shard
     # against the staged sub-shard chain.  "s3 <- Δ{1, 2}" reads "sub-shard 3
-    # adopts the hand-off deltas of sub-shards 1 and 2 before executing".
+    # can see the truths recorded by sub-shards 1 and 2".
     monolithic = sequential_planner.shard_plan(workload, POOL_SIZE)
     planner = build_planner(scenario, familiarity)
     backend_config = ServiceConfig.from_planner_config(
@@ -134,8 +135,8 @@ def main() -> None:
     print(f"  {len(workload) / chain_s:7,.0f} queries/s   sharding stats: {chain_stats}")
 
     # The chain shows up in provenance: the hotspot's sub-shards carry
-    # distinct shard ids and spread across the pool instead of pinning one
-    # worker for the whole component.
+    # distinct shard ids.  A component's sub-shards form one dispatch unit,
+    # so they all name the one worker that ran it.
     by_shard = {}
     for response in chain_responses:
         prov = response.provenance

@@ -1,0 +1,121 @@
+"""Closed-loop split probe: pooled hotspot serving at two split fractions vs inline.
+
+Run with::
+
+    python scripts/split_probe.py [--runs 3] [--seed 1]
+
+Serves the closed-loop batches of servebench's ``hotspot_repeat`` workload
+(one pass: 108 batches of 40 queries at seed 1) through a fresh
+``RecommendationService`` in three configurations:
+
+* pooled, 2 workers, window 4, ``max_shard_fraction`` 0.1 (the workload's
+  own knobs);
+* the same at ``max_shard_fraction`` 1.0 (no split);
+* inline (the sequential oracle as a backend).
+
+Each run is a forked child of this process, taken after servebench's
+inline warm-up pass, so every run starts from the same warm state.  A
+pooled run forks its workers before the clock starts.  The probe prints
+each configuration's minimum over ``--runs`` runs in ms per batch, and
+fails unless every run's answer digest is the same (and, at the default
+seed, equal to the committed closed-loop digest).  It only reads
+``servebench``; it changes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from repro.serving import RecommendationService  # noqa: E402
+from servebench.driver import closed_loop  # noqa: E402
+from servebench.workloads import (  # noqa: E402
+    DEFAULT_DIGESTS,
+    DEFAULT_SECONDS,
+    DEFAULT_SEED,
+    WORKLOADS,
+    build_substrate_timed,
+    digest_results,
+    forked,
+)
+
+WORKLOAD = WORKLOADS["hotspot_repeat"]
+
+#: Label -> service overrides of the workload's own configuration.
+CONFIGURATIONS = {
+    "pooled, fraction 0.1": {"max_shard_fraction": 0.1},
+    "pooled, fraction 1.0": {"max_shard_fraction": 1.0},
+    "inline": {"backend": "inline"},
+}
+
+
+def warm_up(substrate, seed: int) -> None:
+    """servebench's warm-up: another seed's traffic through a throwaway
+    inline service, so the shared routing state is warm before any fork."""
+    planner = substrate.planner()
+    config = WORKLOAD.service_config(planner, backend="inline")
+    with RecommendationService(planner, config) as service:
+        for batch in WORKLOAD.warmup_batches(substrate.scenario.network, seed):
+            service.results(service.submit(batch))
+
+
+def serve_once(substrate, batches, overrides):
+    """(ms per batch, answer digest) of one closed-loop pass, in a forked child."""
+
+    def task():
+        planner = substrate.planner()
+        config = WORKLOAD.service_config(planner, **overrides)
+        with RecommendationService(planner, config) as service:
+            ensure_pool = getattr(service.backend, "_ensure_pool", None)
+            if ensure_pool is not None:
+                ensure_pool()
+            phase = closed_loop(service, batches, config.pipeline_window)
+        if any(not record.ok for record in phase.records):
+            raise RuntimeError("a batch failed")
+        results = [response.result for record in phase.records for response in record.responses]
+        return 1000.0 * phase.elapsed_s / len(batches), digest_results(results)
+
+    return forked(task)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=3, help="runs per configuration (min is kept)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="workload seed")
+    args = parser.parse_args(argv)
+
+    started = time.perf_counter()
+    substrate, _, _ = build_substrate_timed(time.perf_counter)
+    warm_up(substrate, args.seed)
+    batches, _ = WORKLOAD.inputs(substrate.scenario.network, args.seed, DEFAULT_SECONDS)
+    print(f"set-up {time.perf_counter() - started:.1f} s; {len(batches)} closed-loop batches")
+
+    best = {}
+    digests = set()
+    for _ in range(args.runs):
+        # Alternate the configurations, so a slow spell on a shared machine
+        # hits each of them rather than one.
+        for label, overrides in CONFIGURATIONS.items():
+            ms, digest = serve_once(substrate, batches, overrides)
+            best[label] = min(ms, best.get(label, ms))
+            digests.add(digest)
+            print(f"  {label}: {ms:.2f} ms per batch ({digest[:8]})")
+    print(f"minimum of {args.runs} runs, ms per batch:")
+    for label in CONFIGURATIONS:
+        print(f"  {label:22s} {best[label]:6.2f}")
+    if len(digests) != 1:
+        raise SystemExit(f"answer digests differ: {sorted(digests)}")
+    (digest,) = digests
+    if args.seed == DEFAULT_SEED and digest != DEFAULT_DIGESTS[WORKLOAD.name].closed:
+        raise SystemExit(f"answer digest {digest[:12]} != committed closed-loop digest")
+    print(f"all digests equal: {digest[:12]}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -159,12 +159,15 @@ class ServiceConfig(PlannerConfig):
     max_shard_fraction:
         Hotspot-splitting knob of the pooled backend: any interaction
         component holding more than this fraction of a batch is staged as an
-        ordered dataflow of sub-shards connected by truth-delta hand-offs
-        (see :func:`repro.serving.shards.split_oversized`), so a dominant
-        city-center destination stops serialising the whole pool.  ``None``
-        (the default) keeps components whole.  Merges, truth-id issuance and
-        journaling stay in strict submission order, so results are identical
-        for every value — only parallelism depends on it.
+        ordered dataflow of sub-shards linked by hand-off edges (see
+        :func:`repro.serving.shards.split_oversized`).  ``None`` (the
+        default) keeps components whole.  A split component is one weak
+        component of the sub-shard DAG, so it still travels as one dispatch
+        unit to one worker and runs there as one sequential pass: the
+        fraction decides the plan's shape (``service.plan()``), the
+        ``sharding`` counters and what servebench's ``hotspot_repeat``
+        regime guard sees, while answers and dispatch units are the same
+        for every value.
     max_pending_batches:
         Submission-queue bound: :meth:`RecommendationService.submit` raises
         :class:`~repro.exceptions.ServingError` once this many submitted

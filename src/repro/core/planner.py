@@ -110,10 +110,30 @@ class PlannerStatistics:
             "questions_asked": self.questions_asked,
         }
 
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Add per-shard counter deltas (the serving engine's merge step)."""
-        for name, value in delta.items():
-            setattr(self, name, getattr(self, name) + int(value))
+    def count(self, result: RecommendationResult) -> None:
+        """Count one answered request: ``requests``, its method's counter
+        and, for a crowd answer, the task and the questions it asked.
+
+        The counters are a function of the results alone, so the serving
+        merge counts a batch's merged results exactly as
+        :meth:`CrowdPlanner.recommend` counted them where they ran.
+        """
+        self.requests += 1
+        if result.task_result is not None:
+            self.crowd_tasks += 1
+            self.questions_asked += result.task_result.total_questions_asked
+        else:
+            name = _METHOD_COUNTERS[result.method]
+            setattr(self, name, getattr(self, name) + 1)
+
+
+#: The :class:`PlannerStatistics` counter of each non-crowd answer method.
+_METHOD_COUNTERS = {
+    "truth_reuse": "truth_hits",
+    "agreement": "agreement_answers",
+    "confident": "confident_answers",
+    "single_candidate": "single_candidate_answers",
+}
 
 
 @dataclass(frozen=True)
@@ -357,12 +377,15 @@ class CrowdPlanner:
     # ------------------------------------------------------------- interface
     def recommend(self, query: RouteQuery) -> RecommendationResult:
         """Answer one route-recommendation request through the full pipeline."""
-        self.statistics.requests += 1
+        result = self._answer(query)
+        self.statistics.count(result)
+        return result
 
+    def _answer(self, query: RouteQuery) -> RecommendationResult:
+        """:meth:`recommend`'s pipeline, before the answer is counted."""
         # Step 1: truth reuse.
         truth = self.truths.lookup(query)
         if truth is not None:
-            self.statistics.truth_hits += 1
             return RecommendationResult(
                 query=query,
                 route=truth.route,
@@ -377,7 +400,6 @@ class CrowdPlanner:
                 f"no source produced a route between {query.origin} and {query.destination}"
             )
         if len(candidates) == 1:
-            self.statistics.single_candidate_answers += 1
             self.truths.record(query, candidates[0], verified_by="single_candidate", confidence=0.5)
             return RecommendationResult(
                 query=query,
@@ -390,7 +412,6 @@ class CrowdPlanner:
         # Step 3: automatic evaluation.
         outcome = self.evaluator.evaluate(query, candidates)
         if outcome.decision is EvaluationDecision.AGREEMENT:
-            self.statistics.agreement_answers += 1
             self.truths.record(query, outcome.best_route, verified_by="agreement", confidence=0.9)
             return RecommendationResult(
                 query=query,
@@ -401,7 +422,6 @@ class CrowdPlanner:
                 evaluation=outcome,
             )
         if outcome.decision is EvaluationDecision.CONFIDENT:
-            self.statistics.confident_answers += 1
             confidence = max(outcome.confidences.values())
             self.truths.record(query, outcome.best_route, verified_by="confidence", confidence=confidence)
             return RecommendationResult(
@@ -639,7 +659,6 @@ class CrowdPlanner:
             # All candidates pass the same landmarks; pick the best supported
             # one — the crowd could not tell them apart anyway.
             best = sorted(candidates, key=lambda c: (-c.support, c.source))[0]
-            self.statistics.single_candidate_answers += 1
             self.truths.record(query, best, verified_by="indistinguishable", confidence=0.6)
             return RecommendationResult(
                 query=query,
@@ -676,9 +695,6 @@ class CrowdPlanner:
             result = self.aggregator.collect_with_early_stop(
                 task, responses, expected_total=len(worker_ids)
             )
-        self.statistics.crowd_tasks += 1
-        self.statistics.questions_asked += result.total_questions_asked
-
         if block is not None:
             self._update_answer_history_block(result, block)
         else:

@@ -33,7 +33,10 @@ class _TruthIdSequence:
     parent process (:meth:`TruthDatabase.adopt_all`), its local sequence must
     jump past the adopted ids so locally recorded truths keep the sequential
     invariant "newer truth => larger id" — the id is the deterministic
-    tie-break of :meth:`TruthDatabase.lookup`.
+    tie-break of :meth:`TruthDatabase.lookup`.  It is the only source of
+    truth ids: even a dispatch unit's sub-shard hand-offs are truths one
+    shard clone records in submission order
+    (:func:`repro.serving.shards.execute_unit`).
     """
 
     __slots__ = ("_next",)
@@ -53,20 +56,6 @@ class _TruthIdSequence:
 
 
 _truth_ids = _TruthIdSequence()
-
-
-def truth_id_watermark() -> int:
-    """The next truth id this process would issue (exclusive upper bound of
-    every id issued so far).
-
-    The sub-shard hand-off machinery (:func:`repro.serving.shards
-    .handoff_id_base`) uses this to pick provisional truth-id regions that
-    are strictly greater than any id currently visible in this process, so
-    retagged hand-off truths always rank *newer* than base truths inside a
-    worker clone — preserving the lookup tie-break order a sequential run
-    would have seen.
-    """
-    return _truth_ids._next
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ What it schedules are :class:`~repro.serving.shards.DispatchUnit` s: the
 hand-off-closed groups of a batch's shards that
 :func:`~repro.serving.shards.dispatch_units` builds, each sent as one
 message and answered by one reply.  A unit never waits on another unit's
-hand-off (the worker relays those inside the unit), only on its cross-batch
-dependency.  The scheduler owns the ``ready`` queue (dependency merged;
-(batch, unit) order favours the merge frontier), ``blocked[d]`` (waiting
-for batch ``d`` to merge), one :class:`Flight` per busy worker plus the
-``copies`` of each unit, the ``lame`` hedge losers (a dict the backend
-keeps across windows), the merge frontier and the respawn budget.
+hand-off (a unit holds every producer of its consumers and runs as one
+sequential pass), only on its cross-batch dependency.  The scheduler owns
+the ``ready`` queue (dependency merged; (batch, unit) order favours the
+merge frontier), ``blocked[d]`` (waiting for batch ``d`` to merge), one
+:class:`Flight` per busy worker plus the ``copies`` of each unit, the
+``lame`` hedge losers (a dict the backend keeps across windows), the merge
+frontier and the respawn budget.
 :meth:`~WindowScheduler.tick` yields decisions — ``("dispatch", worker,
 unit)``, ``("hedge", worker, unit)``, ``("respawn", attempt)``,
 ``("degrade", {batch: jobs})`` — lazily, so a dispatch the transport could

@@ -75,12 +75,10 @@ from .protocol import (
 )
 from .scheduler import WindowScheduler
 from .shards import (
-    ChainState,
     DispatchUnit,
     ShardJob,
     dispatch_units,
-    execute_jobs_inline,
-    handoff_id_base,
+    execute_unit,
     merge_shard_outcomes,
     split_oversized,
 )
@@ -381,10 +379,8 @@ class PooledBackend(ServingBackend):
             # them per process.
             planner.warm_batch([query for queries in window for query in queries])
             units_per_batch = [
-                self._units(queries, plan, batch_deps, offset, tenant)
-                for offset, (queries, plan, batch_deps) in enumerate(
-                    zip(window, split_plans, deps)
-                )
+                self._units(queries, plan, batch_deps, tenant)
+                for queries, plan, batch_deps in zip(window, split_plans, deps)
             ]
             can_fork = self._can_fork()
             sched = WindowScheduler(
@@ -424,18 +420,11 @@ class PooledBackend(ServingBackend):
         queries: List[RouteQuery],
         plan: ShardPlan,
         deps: List[int],
-        offset: int,
         tenant: str,
     ) -> List[DispatchUnit]:
-        """The dispatch units of the window's ``offset``-th batch: at most
-        one per pool worker and cross-batch dependency (see
-        :func:`~repro.serving.shards.dispatch_units`).
-
-        Its jobs carry the batch's hand-off id base, a per-batch stripe
-        above the current watermark, so retagged hand-off ids of a later
-        batch stay above everything merged while earlier batches complete.
-        """
-        base = handoff_id_base(offset)
+        """The dispatch units of one batch of the window: at most one per
+        pool worker and cross-batch dependency (see
+        :func:`~repro.serving.shards.dispatch_units`)."""
         jobs = [
             ShardJob(
                 shard_id=shard.shard_id,
@@ -444,7 +433,6 @@ class PooledBackend(ServingBackend):
                 queries=[queries[index] for index in shard.indices],
                 predecessors=shard.predecessors,
                 handoff_from=shard.handoff_from,
-                handoff_base=base,
                 tenant=tenant,
             )
             for shard in plan.shards
@@ -537,18 +525,16 @@ class PooledBackend(ServingBackend):
         ``fork``, the rest of the window after a lost pool — batch by batch
         with frontier merges between batches, so each shard executes against
         exactly the sequential prefix and results are unchanged.  A batch's
-        remaining jobs are hand-off-closed and run on one chain, on the
-        batch's hand-off base.  An execution error takes the same path as a
-        worker's ``"error"`` reply."""
+        remaining jobs are hand-off-closed and run as one
+        :func:`~repro.serving.shards.execute_unit`.  An execution error
+        takes the same path as a worker's ``"error"`` reply."""
         if self._can_fork():
             # A lost pool: every batch with shards run in-process is degraded.
             self.counters.record("degraded_batches", len(remaining))
         for index in sorted(remaining):
-            jobs = remaining[index]
             started = time.monotonic()
             try:
-                chain = ChainState(jobs, jobs[0].handoff_base)
-                outcomes = execute_jobs_inline(planner, jobs, chain)
+                outcomes = execute_unit(planner, remaining[index])
             except Exception:
                 sched.error(None, traceback.format_exc())
                 return

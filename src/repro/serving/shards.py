@@ -1,17 +1,18 @@
 """Shard execution and merge primitives shared by every pooled path.
 
-A *shard job* is the unit of work the serving layer hands to a worker — a
-slice of a batch (whole interaction-closed components, see
+A *shard job* is the unit of work the serving layer plans — a slice of a
+batch (whole interaction-closed components, see
 :meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
 cells whose truth slice the shard may observe.  The primitives here are used
 identically by the persistent pool workers (:mod:`repro.serving.worker`)
-and the pooled backend's in-process tail (:func:`execute_jobs_inline`):
+and the pooled backend's in-process tail:
 
 * :func:`build_shard_clone` — a planner over a copy-on-write
   :meth:`~repro.core.truth.TruthDatabase.view_by_cells` slice of the base
-  planner's truth store, with isolated evaluator/worker-pool/statistics;
-* :func:`execute_shard_job` — run one job on a clone, collecting results,
-  the statistics delta and the newly recorded truths;
+  planner's truth store, with an isolated evaluator and worker pool;
+* :func:`execute_unit` — run a hand-off-closed set of jobs on one clone,
+  in submission order, and slice the results and newly recorded truths back
+  into one :class:`ShardOutcome` per job;
 * :func:`merge_shard_outcomes` — replay every shard's writes onto the parent
   planner in submission order, reproducing the exact state a sequential run
   would have left.
@@ -23,18 +24,18 @@ re-stages it as an **ordered dataflow of sub-shards**.  The component's
 od-cell groups are condensed into atomic units (strongly connected pieces of
 the visibility graph), the units form a DAG whose edges follow submission
 order, and oversized units are sliced into contiguous submission-index
-chunks.  Each sub-shard declares ``predecessors`` (completion gates) and
-``handoff_from`` (whose recorded truths it must adopt before running).
+chunks.  Each sub-shard declares ``predecessors`` and ``handoff_from``
+(the sub-shards whose recorded truths it can observe).
 :func:`dispatch_units` groups a batch's jobs into hand-off-closed
 :class:`DispatchUnit` s — weak components of that DAG, packed onto at most
 one unit per pool worker and cross-batch dependency — and each unit
-travels as one message.  The worker runs a unit in shard-id order
-(:func:`execute_jobs_inline`), relaying hand-offs between its own clones
-through a :class:`ChainState` with provisional truth ids from
-:func:`handoff_id_base`, so no hand-off crosses a pipe.  Merges still
-replay in strict submission order, so the serving contract is untouched —
-the pipeline only changes *where* and *when* slices of the component
-execute.
+travels as one message.  A worker runs a unit with :func:`execute_unit`:
+one ``recommend_batch`` over the unit's queries in submission order, which
+is the sequential oracle restricted to the unit, so a consumer sees its
+producers' truths because they were recorded earlier in the same run.
+Merges still replay in strict submission order, so the serving contract is
+untouched — the pipeline only changes *where* and *when* slices of the
+component execute.
 
 Everything that crosses a process boundary (:class:`ShardJob` down,
 :class:`ShardOutcome` up) is plain picklable data; planner substrate never
@@ -48,28 +49,26 @@ import dataclasses
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.planner import CrowdPlanner, QueryShard, RecommendationResult, ShardPlan
-from ..core.truth import VerifiedTruth, truth_id_watermark
+from ..core.truth import VerifiedTruth
 from ..exceptions import ServingError
 from ..routing.base import RouteQuery
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardJob:
     """One shard of one batch, ready to be executed anywhere.
 
     ``predecessors``/``handoff_from`` mirror the sub-shard chain edges of
     :class:`~repro.core.planner.QueryShard` (empty for ordinary component
-    shards).  ``handoff_base`` is the parent's :func:`handoff_id_base` for
-    the job's batch, the provisional-id base of its hand-off chain.
-    ``adopt`` is filled in by the :class:`ChainState` running the job, just
-    before it executes — the upstream hand-off truths the executing clone
-    adopts before running its slice.  ``tenant`` names the workspace whose
-    truth store the job executes against (``""`` is the backend's default,
-    single-tenant planner); pool workers use it to select the matching warm
-    truth base.
+    shards).  ``tenant`` names the workspace whose truth store the job
+    executes against (``""`` is the backend's default, single-tenant
+    planner); pool workers use it to select the matching warm truth base.
+    Nothing writes a job once it is built, so the first dispatch, a
+    resubmission, a hedge copy and the in-process tail all send the same
+    job.
     """
 
     shard_id: int
@@ -78,8 +77,6 @@ class ShardJob:
     queries: List[RouteQuery]
     predecessors: Tuple[int, ...] = ()
     handoff_from: Tuple[int, ...] = ()
-    handoff_base: int = 0
-    adopt: Optional[object] = None
     tenant: str = ""
 
 
@@ -88,8 +85,8 @@ class DispatchUnit:
     """A hand-off-closed set of one batch's jobs: one message, one reply.
 
     Every ``predecessors``/``handoff_from`` id of a job lies in the unit,
-    ``jobs`` are in shard-id order (a topological order of the chain) and
-    all of them wait on the same cross-batch ``dependency`` (see
+    ``jobs`` are in shard-id order and all of them wait on the same
+    cross-batch ``dependency`` (see
     :func:`~repro.serving.pipeline.batch_dependencies`; ``-1`` for none).
     """
 
@@ -109,7 +106,6 @@ class ShardOutcome:
     shard_id: int
     indices: Tuple[int, ...]
     results: List[RecommendationResult]
-    statistics_delta: Dict[str, int]
     new_truths: List[VerifiedTruth]
     worker_pid: int
     tenant: str = ""
@@ -121,17 +117,16 @@ def build_shard_clone(planner: CrowdPlanner, destination_cells) -> CrowdPlanner:
     Road network, catalogue, sources, task generator, crowd backend and the
     fitted familiarity model are shared (read-only during a batch); the truth
     store (a copy-on-write destination-cell view), evaluator, worker pool,
-    rewards and statistics are isolated so a shard's writes never leak into
-    another shard or the base planner.
+    rewards and statistics are isolated so a unit's writes never leak into
+    another unit or the base planner.
 
-    A clone is built for every shard and sub-shard a worker runs, so its
-    fixed cost is paid per hop of a hotspot chain.  The worker pool is
-    therefore an :meth:`~repro.core.worker.WorkerPool.overlay` that copies a
-    worker only when the clone first touches it (most shards never reach the
+    A clone is built for every dispatch unit a worker runs.  The worker
+    pool is an :meth:`~repro.core.worker.WorkerPool.overlay` that copies a
+    worker only when the clone first touches it (most units never reach the
     crowd), and the view touches only the populated cells of the destination
     index.  Both read the base planner live, so the base must not be written
-    while a clone is in use: clones live only inside
-    :func:`execute_shard_job`, and merges replay onto the parent afterwards.
+    while a clone is in use: clones live only inside :func:`execute_unit`,
+    and merges replay onto the parent afterwards.
     """
     clone = CrowdPlanner(
         network=planner.network,
@@ -184,53 +179,59 @@ def build_tenant_planner(template: CrowdPlanner, config=None) -> CrowdPlanner:
     )
 
 
-def execute_shard_job(planner: CrowdPlanner, job: ShardJob) -> ShardOutcome:
-    """Execute ``job`` on a fresh clone of ``planner``; the base planner's
-    truth store is read, never written.
+def _writers(indices: Sequence[int], results: Sequence[RecommendationResult]) -> List[int]:
+    """The entries of ``indices`` whose result recorded a truth, in order:
+    every result but a truth-reuse hit records exactly one."""
+    return [index for index, result in zip(indices, results) if result.method != "truth_reuse"]
 
-    A sub-shard's hand-off delta (``job.adopt``) lands in the clone's
-    copy-on-write overlay *before* the truth cursor is taken, so adopted
-    upstream truths are visible to the slice (with ids newer than every base
-    truth, matching sequential recording order) but are never re-reported as
-    this shard's own writes.
+
+def execute_unit(planner: CrowdPlanner, jobs: Sequence[ShardJob]) -> List[ShardOutcome]:
+    """Run hand-off-closed ``jobs`` as the sequential oracle restricted to
+    them; the base planner is read, never written.
+
+    Every ``predecessors``/``handoff_from`` id must name one of ``jobs``
+    (else :class:`~repro.exceptions.ServingError`): a consumer never runs
+    without its producers.  One clone over the union of the jobs' cells
+    answers all their queries with one ``recommend_batch``, in ascending
+    submission index — not shard-id order, because two unlinked producers
+    of one consumer can interleave in submission order, and lookups break
+    distance ties on truth id.  The results and new truths are then sliced
+    back into one outcome per job, in ``jobs`` order.  This is how a pool
+    worker runs a dispatch unit, and how the pooled backend's in-process
+    tail runs a batch's remaining jobs.
     """
-    clone = build_shard_clone(planner, job.destination_cells)
-    if job.adopt:
-        clone.truths.adopt_all(job.adopt)
-    before = len(clone.truths)
-    results = clone.recommend_batch(job.queries)
-    return ShardOutcome(
-        shard_id=job.shard_id,
-        indices=job.indices,
-        results=results,
-        statistics_delta=clone.statistics.as_dict(),
-        new_truths=clone.truths.all()[before:],
-        worker_pid=os.getpid(),
-        tenant=job.tenant,
+    members = {job.shard_id for job in jobs}
+    for job in jobs:
+        missing = sorted(set(job.predecessors + job.handoff_from) - members)
+        if missing:
+            raise ServingError(
+                f"sub-shard {job.shard_id} needs sub-shards {missing} outside its unit"
+            )
+    cells = list({id(job.destination_cells): job.destination_cells for job in jobs}.values())
+    clone = build_shard_clone(planner, cells[0] if len(cells) == 1 else frozenset().union(*cells))
+    order = sorted(
+        (index, position, local)
+        for position, job in enumerate(jobs)
+        for local, index in enumerate(job.indices)
     )
-
-
-def tag_outcome_truths(outcome: ShardOutcome) -> List[Tuple[int, VerifiedTruth]]:
-    """Pair each newly recorded truth with the submission index that wrote it.
-
-    Every result other than a truth-reuse hit recorded exactly one truth in
-    its shard, in shard execution order, so walking results and truths in
-    lockstep recovers the (global submission index, truth) pairing the merge
-    and the hand-off chain both rely on.
-    """
-    tagged: List[Tuple[int, VerifiedTruth]] = []
-    truth_iter = iter(outcome.new_truths)
-    for local, original in enumerate(outcome.indices):
-        if outcome.results[local].method != "truth_reuse":
-            try:
-                tagged.append((original, next(truth_iter)))
-            except StopIteration:  # pragma: no cover - defensive
-                raise ServingError(
-                    "shard recorded fewer truths than its results imply"
-                ) from None
-    if next(truth_iter, None) is not None:  # pragma: no cover - defensive
-        raise ServingError("shard recorded more truths than its results imply")
-    return tagged
+    before = len(clone.truths)
+    results = clone.recommend_batch([jobs[position].queries[local] for _, position, local in order])
+    new_truths = clone.truths.truths_since(before)
+    owners = [position for _, position, _ in order]
+    writers = _writers(owners, results)
+    if len(writers) != len(new_truths):  # pragma: no cover - defensive
+        raise ServingError("a unit recorded a different number of truths than its results imply")
+    job_results: List[List[RecommendationResult]] = [[] for _ in jobs]
+    job_truths: List[List[VerifiedTruth]] = [[] for _ in jobs]
+    for position, result in zip(owners, results):
+        job_results[position].append(result)
+    for position, truth in zip(writers, new_truths):
+        job_truths[position].append(truth)
+    pid = os.getpid()
+    return [
+        ShardOutcome(job.shard_id, job.indices, job_results[p], job_truths[p], pid, job.tenant)
+        for p, job in enumerate(jobs)
+    ]
 
 
 def merge_shard_outcomes(
@@ -240,60 +241,36 @@ def merge_shard_outcomes(
 ) -> List[RecommendationResult]:
     """Reassemble submission order and replay shard writes onto the parent.
 
-    Truths are paired back to their submission indices
-    (:func:`tag_outcome_truths`), sorted, and re-recorded globally in
-    submission order — the order the sequential path would have used.  Crowd
-    task results replay worker answer histories and rewards (with task ids
-    re-issued from the parent's sequence), and statistics counters are
-    summed.
+    Truths are paired back to the submission indices that wrote them,
+    sorted, and re-recorded globally in submission order — the order the
+    sequential path would have used.  Each result is then counted into the
+    parent's statistics (:meth:`~repro.core.planner.PlannerStatistics.count`)
+    and its crowd task, if any, replays worker answer histories and rewards
+    (with task ids re-issued from the parent's sequence).
     """
     ordered: List[Optional[RecommendationResult]] = [None] * num_queries
     tagged_truths: List[Tuple[int, VerifiedTruth]] = []
     for outcome in outcomes:
-        tagged_truths.extend(tag_outcome_truths(outcome))
+        writers = _writers(outcome.indices, outcome.results)
+        if len(writers) != len(outcome.new_truths):  # pragma: no cover - defensive
+            raise ServingError("a shard recorded a different number of truths than its results imply")
+        tagged_truths.extend(zip(writers, outcome.new_truths))
         for local, original in enumerate(outcome.indices):
             if ordered[original] is not None:
                 raise ServingError(f"query {original} served by more than one shard")
             ordered[original] = outcome.results[local]
-        planner.statistics.merge(outcome.statistics_delta)
     tagged_truths.sort(key=lambda item: item[0])
     planner.truths.absorb([truth for _, truth in tagged_truths])
     for result in ordered:
         if result is None:  # pragma: no cover - defensive
             raise ServingError("a query was not covered by any shard")
+        planner.statistics.count(result)
         if result.task_result is not None:
             planner.replay_task_result(result.task_result)
     return ordered  # type: ignore[return-value]
 
 
 # ------------------------------------------------- intra-component pipeline
-#: Provisional hand-off truth ids live in their own high region so they rank
-#: strictly newer than every parent-issued id a worker clone can see.  The
-#: region advances past the current watermark per window; batches within a
-#: window take disjoint ``HANDOFF_BATCH_BITS`` stripes inside it.
-HANDOFF_REGION_BITS = 40
-HANDOFF_BATCH_BITS = 30
-
-
-def handoff_id_base(batch_offset: int = 0) -> int:
-    """Base for the provisional truth ids of one batch's hand-off chain.
-
-    Retagged hand-off truths carry ``base + submission_index``: unique,
-    ordered exactly as a sequential run would have issued them relative to
-    each other, and — because the region sits strictly above the current
-    :func:`~repro.core.truth.truth_id_watermark` — newer than every truth a
-    clone's base view can contain.  The per-batch stripe keeps later
-    batches' bases above any ids the parent issues while earlier batches of
-    the same window merge (a window never issues anywhere near
-    ``2**HANDOFF_BATCH_BITS`` ids).  The provisional ids never reach the
-    parent store: the merge re-issues real ids in submission order, exactly
-    as for unchained shards.
-    """
-    watermark = truth_id_watermark()
-    region = ((watermark >> HANDOFF_REGION_BITS) + 1) << HANDOFF_REGION_BITS
-    return region + (batch_offset << HANDOFF_BATCH_BITS)
-
-
 def _strongly_connected(succ: Sequence[Sequence[int]]) -> List[int]:
     """Tarjan's SCC (iterative) — returns a component id per node."""
     count = len(succ)
@@ -429,7 +406,7 @@ def _stage_dataflow(
         size = -(-len(indices) // chunks)
         direct = sorted(pred_units[unit], key=lambda p: unit_slices[p][0])
         pred_last = [unit_slices[p][-1] for p in direct]
-        handoff_base = sorted(s for p in direct for s in unit_slices[p])
+        upstream = sorted(s for p in direct for s in unit_slices[p])
         slices: List[int] = []
         for chunk_index in range(chunks):
             chunk = indices[chunk_index * size : (chunk_index + 1) * size]
@@ -437,7 +414,7 @@ def _stage_dataflow(
                 break
             position = len(nodes)
             preds = list(pred_last) if not slices else [slices[-1]]
-            nodes.append((chunk, preds, handoff_base + slices))
+            nodes.append((chunk, preds, upstream + slices))
             slices.append(position)
         unit_slices[unit] = slices
         for downstream in sorted(succ_units[unit]):
@@ -557,90 +534,3 @@ def dispatch_units(
         )
     units.sort(key=lambda unit: unit.unit_id)
     return units
-
-
-class ChainState:
-    """Bookkeeping of one hand-off-closed set of sub-shards as it runs.
-
-    Tracks which sub-shards completed, retags every producer's new truths
-    with provisional ids (``id_base + submission_index`` — see
-    :func:`handoff_id_base`) and builds each downstream job's adopt payload:
-    the producers' retagged truths, a plain list in truth-id order.
-    Payloads are memoised per ``handoff_from`` signature.  A pool worker
-    keeps one per dispatch unit and the in-process tail one per batch, each
-    on the base the parent computed for the batch, so every hand-off stays
-    inside the process that runs both ends of it.
-    """
-
-    def __init__(self, jobs: Sequence[ShardJob], id_base: int):
-        self.id_base = id_base
-        self._producers: Set[int] = {
-            shard_id for job in jobs for shard_id in job.handoff_from
-        }
-        self._truths: Dict[int, List[VerifiedTruth]] = {}
-        self._completed: Set[int] = set()
-        self._payloads: Dict[Tuple[int, ...], List[VerifiedTruth]] = {}
-
-    def record(self, outcome: ShardOutcome) -> None:
-        """Note a completed sub-shard; retain its truths if consumed later."""
-        self._completed.add(outcome.shard_id)
-        if outcome.shard_id in self._producers and outcome.shard_id not in self._truths:
-            self._truths[outcome.shard_id] = [
-                dataclasses.replace(truth, truth_id=self.id_base + original)
-                for original, truth in tag_outcome_truths(outcome)
-            ]
-
-    def ready(self, job: ShardJob) -> bool:
-        """Whether every predecessor sub-shard has completed."""
-        return all(pred in self._completed for pred in job.predecessors)
-
-    def payload(self, job: ShardJob) -> Optional[List[VerifiedTruth]]:
-        """The adopt payload for ``job`` (``None`` when it has no hand-off)."""
-        if not job.handoff_from:
-            return None
-        key = tuple(job.handoff_from)
-        cached = self._payloads.get(key)
-        if cached is not None:
-            return cached
-        missing = [sid for sid in key if sid not in self._completed]
-        if missing:  # pragma: no cover - execution-order guard
-            raise ServingError(
-                f"hand-off truths of sub-shards {missing} are not available yet"
-            )
-        payload = sorted(
-            (truth for sid in key for truth in self._truths.get(sid, ())),
-            key=lambda truth: truth.truth_id,
-        )
-        self._payloads[key] = payload
-        return payload
-
-
-def execute_jobs_inline(
-    planner: CrowdPlanner,
-    jobs: Sequence[ShardJob],
-    chain: ChainState,
-    execute: Optional[Callable[[CrowdPlanner, ShardJob], ShardOutcome]] = None,
-) -> List[ShardOutcome]:
-    """Execute hand-off-closed ``jobs`` in shard-id order, driving their
-    ``chain``: how a pool worker runs a dispatch unit, and the pooled
-    backend's in-process tail a batch's remaining jobs (every window on a
-    platform without ``fork``, and the rest of a window whose pool was lost
-    with the respawn budget spent).  ``execute`` runs one job (default
-    :func:`execute_shard_job`).
-
-    Shard ids are a topological order of the chain DAG (``split_oversized``
-    renumbers them that way), so ascending execution satisfies every
-    predecessor before its consumers and reproduces the sequential prefix
-    exactly.
-    """
-    if execute is None:
-        execute = execute_shard_job
-    outcomes: List[ShardOutcome] = []
-    for job in sorted(jobs, key=lambda item: item.shard_id):
-        if not chain.ready(job):  # a producer missing or ordered after its consumer
-            raise ServingError(f"sub-shard {job.shard_id} is not executable in shard-id order")
-        job.adopt = chain.payload(job)
-        outcome = execute(planner, job)
-        outcomes.append(outcome)
-        chain.record(outcome)
-    return outcomes

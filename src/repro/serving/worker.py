@@ -2,7 +2,9 @@
 
 :class:`~repro.serving.service.PooledBackend` forks one process per pool
 worker straight into :func:`pool_worker_main`, which feeds every parent
-message to :func:`serve_message` until its pipe closes.
+message to :func:`serve_message` until its pipe closes.  A ``run`` message
+is one dispatch unit, answered by one
+:func:`~repro.serving.shards.execute_unit` on the worker's warm base.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict
 from ..core.planner import CrowdPlanner
 from ..exceptions import ServingError
 from .metrics import DEFAULT_TENANT
-from .shards import ChainState, build_tenant_planner, execute_jobs_inline, execute_shard_job
+from .shards import build_tenant_planner, execute_unit
 
 #: :func:`serve_message`'s answer to ``stop``: leave the loop.
 STOP = object()
@@ -35,10 +37,9 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
     intact (``error``).
 
     A ``run`` message carries one dispatch unit: hand-off-closed jobs in
-    shard-id order.  They run through :func:`execute_jobs_inline` with a
-    worker-local :class:`ChainState` on the parent's hand-off id base (the
-    jobs' ``handoff_base``), so a consumer adopts its producers' retagged
-    truths as a plain list, without a round trip through the parent.
+    shard-id order.  :func:`~repro.serving.shards.execute_unit` runs them
+    on one clone of the tenant's base, in submission order, so a consumer
+    sees its producers' truths without a round trip through the parent.
     """
     kind = message[0]
     if kind == "stop":
@@ -67,12 +68,10 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
         return ("desync", pid, traceback.format_exc())
     if kind == "sync":
         return ("synced", pid)
-    jobs = message[4]
     try:
-        # ``execute_shard_job`` is looked up here, per message, so a
-        # substitute bound on this module takes effect.
-        chain = ChainState(jobs, jobs[0].handoff_base)
-        outcomes = execute_jobs_inline(base, jobs, chain, execute_shard_job)
+        # ``execute_unit`` is looked up here, per message, so a substitute
+        # bound on this module takes effect.
+        outcomes = execute_unit(base, message[4])
     except Exception:
         return ("error", pid, traceback.format_exc())
     return ("done", pid, outcomes)
@@ -94,8 +93,8 @@ def pool_worker_main(
     :class:`~repro.serving.protocol.TruthDeltaBlock` that
     :meth:`TruthDatabase.adopt_all` decodes against the fork-inherited
     network, preserving parent ids and so lookup tie-breaks — and each
-    shard then executes on a fresh clone over a copy-on-write slice of the
-    warm base.  Each message is served by :func:`serve_message`.  Strict
+    dispatch unit then executes on a fresh clone over a copy-on-write slice
+    of the warm base.  Each message is served by :func:`serve_message`.  Strict
     request/reply: every *substantive* message gets exactly one response.
 
     Tenancy: the worker keeps one warm truth base *per workspace* —

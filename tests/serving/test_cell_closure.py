@@ -22,13 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.planner import CellClosure, reach_closure
 from repro.core.reference import expand_cells, set_shard_plan
 from repro.routing.base import RouteQuery
-from repro.serving.shards import (
-    ChainState,
-    ShardJob,
-    execute_jobs_inline,
-    handoff_id_base,
-    split_oversized,
-)
+from repro.serving.shards import ShardJob, execute_unit, split_oversized
 
 #: The hotspot regime: 40-query batches split at a tenth of the batch.
 FRACTION = 0.1
@@ -212,7 +206,7 @@ class TestPoolOverlay:
         jobs = _jobs(plan, queries)
         before = copy.deepcopy(planner.worker_pool.workers())
 
-        outcomes = execute_jobs_inline(planner, jobs, ChainState(jobs, handoff_id_base()))
+        outcomes = execute_unit(planner, jobs)
 
         chained = {job.shard_id for job in jobs if job.predecessors or job.handoff_from}
         assert any(

@@ -2,11 +2,12 @@
 
 :func:`~repro.serving.shards.dispatch_units` is held to its structural
 contract over random split plans and over the serving and dominant
-workloads; running a chained unit with a worker-local plain-list
-:class:`~repro.serving.shards.ChainState` is checked against the path where
-each consumer adopted a parent-encoded ``TruthDeltaBlock``; the largest unit
-of the dominant workload must fit a pipe buffer; and the parent must group
-each batch's od cells once.
+workloads; :func:`~repro.serving.shards.execute_unit` must equal the
+sequential oracle over each unit's queries in submission order (results,
+new truths and counted statistics), including where shard-id order would
+break a lookup tie differently; the largest unit of the dominant workload
+must fit a pipe buffer; and the parent must group each batch's od cells
+once.
 """
 
 from __future__ import annotations
@@ -18,20 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ServiceConfig
+from repro.core.planner import CrowdPlanner, PlannerStatistics
 from repro.exceptions import ServingError
 from repro.routing.base import RouteQuery
 from repro.serving import RecommendationService, recommendation_fingerprint
 from repro.serving.pipeline import batch_dependencies
-from repro.serving.protocol import encode_truth_delta
-from repro.serving.shards import (
-    ChainState,
-    ShardJob,
-    dispatch_units,
-    execute_jobs_inline,
-    execute_shard_job,
-    handoff_id_base,
-    split_oversized,
-)
+from repro.serving.shards import ShardJob, dispatch_units, execute_unit, split_oversized
 from repro.serving.worker import serve_message
 
 from .faults import PIPE_BUFFER_BYTES
@@ -40,7 +33,7 @@ from .sim_pool import SimulatedPool
 FRACTION = 0.1
 
 
-def _jobs(plan, queries, base=0):
+def _jobs(plan, queries):
     return [
         ShardJob(
             shard_id=shard.shard_id,
@@ -49,10 +42,48 @@ def _jobs(plan, queries, base=0):
             queries=[queries[index] for index in shard.indices],
             predecessors=shard.predecessors,
             handoff_from=shard.handoff_from,
-            handoff_base=base,
         )
         for shard in plan.shards
     ]
+
+
+def _content(truths):
+    """Truths without their ids, which are process-global serials."""
+    return [replace(truth, truth_id=0) for truth in truths]
+
+
+def _assert_unit_matches_oracle(base, fresh, jobs):
+    """``execute_unit(base, jobs)`` equals ``fresh.recommend_batch`` over
+    the jobs' queries in submission order: every job's results and new
+    truths, in order, and the statistics counted from the results.
+    ``fresh`` must hold what ``base`` holds."""
+    outcomes = execute_unit(base, jobs)
+    assert [outcome.shard_id for outcome in outcomes] == [job.shard_id for job in jobs]
+    owner = {index: job.shard_id for job in jobs for index in job.indices}
+    query_of = {
+        index: query for job in jobs for index, query in zip(job.indices, job.queries)
+    }
+    indices = sorted(owner)
+    before = len(fresh.truths)
+    oracle = fresh.recommend_batch([query_of[index] for index in indices])
+    expected_truths = {job.shard_id: [] for job in jobs}
+    writers = [index for index, result in zip(indices, oracle) if result.method != "truth_reuse"]
+    new_truths = fresh.truths.truths_since(before)
+    assert len(new_truths) == len(writers)
+    for index, truth in zip(writers, new_truths):
+        expected_truths[owner[index]].append(truth)
+    expected = dict(zip(indices, oracle))
+    counted = PlannerStatistics()
+    for job, outcome in zip(jobs, outcomes):
+        assert outcome.indices == job.indices
+        assert [recommendation_fingerprint(r) for r in outcome.results] == [
+            recommendation_fingerprint(expected[index]) for index in job.indices
+        ]
+        assert _content(outcome.new_truths) == _content(expected_truths[job.shard_id])
+        for result in outcome.results:
+            counted.count(result)
+    assert counted.as_dict() == fresh.statistics.as_dict()
+    return outcomes
 
 
 def _shape(units):
@@ -102,6 +133,33 @@ def node_pools(serving_scenario):
     return nodes, edge
 
 
+def _draw_plan(data, planner, node_pools):
+    """A random batch's split plan as jobs, with a random cross-batch
+    dependency per component cell set and a random pool size."""
+    nodes, edge = node_pools
+    endpoint = st.one_of(st.sampled_from(edge), st.sampled_from(nodes))
+    pairs = data.draw(
+        st.lists(
+            st.tuples(endpoint, endpoint).filter(lambda od: od[0] != od[1]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    queries = [RouteQuery(origin, destination) for origin, destination in pairs]
+    slots = data.draw(st.integers(min_value=1, max_value=4))
+    fraction = data.draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+    plan = split_oversized(planner, planner.shard_plan(queries, slots), queries, fraction)
+    jobs = _jobs(plan, queries)
+    dep_of_cells = {}
+    deps = []
+    for job in jobs:
+        key = id(job.destination_cells)
+        if key not in dep_of_cells:
+            dep_of_cells[key] = data.draw(st.integers(min_value=-1, max_value=2))
+        deps.append(dep_of_cells[key])
+    return jobs, deps, slots
+
+
 class TestUnitContract:
     @pytest.mark.property
     @settings(max_examples=40, deadline=None)
@@ -110,29 +168,7 @@ class TestUnitContract:
         """Random batches (the cell-closure suite's strategy), random pool
         sizes and fractions, and a random cross-batch dependency per
         component cell set."""
-        nodes, edge = node_pools
-        endpoint = st.one_of(st.sampled_from(edge), st.sampled_from(nodes))
-        pairs = data.draw(
-            st.lists(
-                st.tuples(endpoint, endpoint).filter(lambda od: od[0] != od[1]),
-                min_size=1,
-                max_size=40,
-            )
-        )
-        queries = [RouteQuery(origin, destination) for origin, destination in pairs]
-        slots = data.draw(st.integers(min_value=1, max_value=4))
-        fraction = data.draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
-        plan = split_oversized(
-            plan_planner, plan_planner.shard_plan(queries, slots), queries, fraction
-        )
-        jobs = _jobs(plan, queries)
-        dep_of_cells = {}
-        deps = []
-        for job in jobs:
-            key = id(job.destination_cells)
-            if key not in dep_of_cells:
-                dep_of_cells[key] = data.draw(st.integers(min_value=-1, max_value=2))
-            deps.append(dep_of_cells[key])
+        jobs, deps, slots = _draw_plan(data, plan_planner, node_pools)
         _assert_unit_contract(jobs, deps, slots, dispatch_units(jobs, deps, slots))
 
     @pytest.mark.parametrize("slots", [1, 2, 4])
@@ -172,70 +208,121 @@ class TestWorkerLocalChain:
         planner = build_serving_planner()
         queries = list(dominant_workload)
         plan = split_oversized(planner, planner.shard_plan(queries, 2), queries, FRACTION)
-        base = handoff_id_base()
-        jobs = _jobs(plan, queries, base)
+        jobs = _jobs(plan, queries)
         units = dispatch_units(jobs, [-1] * len(jobs), 2)
         assert any(job.handoff_from for unit in units for job in unit.jobs)
-        return planner, base, units
+        return planner, units
 
-    def test_plain_list_chain_equals_parent_encoded_hand_offs(self, dominant_units):
-        """Each unit run the way a worker now runs it equals the same jobs
-        run the way the parent relayed hand-offs before: every consumer
-        adopting a ``TruthDeltaBlock`` encoded from the parent's chain."""
-        planner, base, units = dominant_units
+    def test_dominant_units_equal_the_oracle(self, build_serving_planner, dominant_units):
+        """Each chained unit of the dominant workload, run on one clone,
+        equals the sequential oracle over the unit's queries."""
+        planner, units = dominant_units
         for unit in units:
-            local = ChainState(unit.jobs, base)
-            outcomes = execute_jobs_inline(planner, unit.jobs, local)
-            local_payloads = {job.shard_id: job.adopt for job in unit.jobs}
+            _assert_unit_matches_oracle(planner, build_serving_planner(), unit.jobs)
 
-            relay = ChainState(unit.jobs, base)
-            relayed = []
-            for job in unit.jobs:
-                truths = relay.payload(job)
-                job.adopt = encode_truth_delta(truths, planner.network) if truths else truths
-                relayed.append(execute_shard_job(planner, job))
-                relay.record(relayed[-1])
-                if truths:
-                    # The provisional ids are the same on both paths.
-                    assert job.adopt.decode_truths(planner.network) == local_payloads[job.shard_id]
-
-            assert [outcome.shard_id for outcome in outcomes] == [
-                outcome.shard_id for outcome in relayed
-            ]
-            for mine, theirs in zip(outcomes, relayed):
-                assert [recommendation_fingerprint(r) for r in mine.results] == [
-                    recommendation_fingerprint(r) for r in theirs.results
-                ]
-                assert mine.statistics_delta == theirs.statistics_delta
-                # Ids are process-global serials: compare the truths' content.
-                assert [replace(t, truth_id=0) for t in mine.new_truths] == [
-                    replace(t, truth_id=0) for t in theirs.new_truths
-                ]
-
-    def test_worker_runs_a_unit_on_the_shipped_base(self, dominant_units):
-        """A pool worker's chain retags on the parent's hand-off base, which
-        rides on the jobs, and its outcomes are the in-process run's."""
-        planner, base, units = dominant_units
+    def test_worker_serves_a_unit_through_execute_unit(self, dominant_units):
+        """A pool worker answers a ``run`` message with the in-process run's
+        outcomes, results and new truths alike."""
+        planner, units = dominant_units
         unit = next(unit for unit in units if any(job.handoff_from for job in unit.jobs))
-        expected = execute_jobs_inline(planner, unit.jobs, ChainState(unit.jobs, base))
-        jobs = list(unit.jobs)
-        kind, pid, outcomes = serve_message({"": planner}, ("run", "", None, [], jobs), 7)
+        expected = execute_unit(planner, unit.jobs)
+        kind, pid, outcomes = serve_message({"": planner}, ("run", "", None, [], list(unit.jobs)), 7)
         assert (kind, pid) == ("done", 7)
-        adopted = [truth for job in jobs if job.adopt for truth in job.adopt]
-        assert adopted, "the unit must hand truths on"
-        indices = {index for job in jobs for index in job.indices}
-        assert all(truth.truth_id - base in indices for truth in adopted)
-        assert [
-            [recommendation_fingerprint(r) for r in outcome.results] for outcome in outcomes
-        ] == [[recommendation_fingerprint(r) for r in outcome.results] for outcome in expected]
+        assert [(o.shard_id, o.indices, o.worker_pid) for o in outcomes] == [
+            (o.shard_id, o.indices, o.worker_pid) for o in expected
+        ]
+        for mine, theirs in zip(outcomes, expected):
+            assert [recommendation_fingerprint(r) for r in mine.results] == [
+                recommendation_fingerprint(r) for r in theirs.results
+            ]
+            assert _content(mine.new_truths) == _content(theirs.new_truths)
 
     def test_a_consumer_without_its_producer_is_refused(self, dominant_units):
-        """The shard-id-order guard: a consumer whose producer is not in
-        its unit (or not yet run) never executes."""
-        planner, base, units = dominant_units
+        """The closure check: a consumer whose producer is not in its unit
+        never executes."""
+        planner, units = dominant_units
         consumer = next(job for unit in units for job in unit.jobs if job.predecessors)
         with pytest.raises(ServingError):
-            execute_jobs_inline(planner, [consumer], ChainState([consumer], base))
+            execute_unit(planner, [consumer])
+
+
+class TestUnitExecution:
+    @pytest.mark.property
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_units_equal_the_oracle_over_their_queries(
+        self, plan_planner, build_serving_planner, node_pools, data
+    ):
+        """Every unit of a random split plan, run by ``execute_unit``, equals
+        ``recommend_batch`` on a fresh planner over the unit's queries in
+        submission order."""
+        assert len(plan_planner.truths) == 0
+        jobs, deps, slots = _draw_plan(data, plan_planner, node_pools)
+        for unit in dispatch_units(jobs, deps, slots):
+            _assert_unit_matches_oracle(plan_planner, build_serving_planner(), unit.jobs)
+
+    def test_interleaved_producers_resolve_ties_as_the_oracle(
+        self, serving_scenario, serving_familiarity
+    ):
+        """Jobs ``(0, 2)``, ``(1,)`` and ``(3,)``: query 3 reuses a truth,
+        tied on origin distance between the truths of queries 1 and 2.  The
+        oracle recorded query 1's first, so its smaller id wins; running the
+        jobs in shard-id order would record query 2's first."""
+        config = replace(serving_scenario.config.planner_config, truth_reuse_radius_m=400.0)
+        radius = config.truth_reuse_radius_m
+
+        def build():
+            return CrowdPlanner(
+                network=serving_scenario.network,
+                catalog=serving_scenario.catalog,
+                calibrator=serving_scenario.calibrator,
+                sources=serving_scenario.sources,
+                worker_pool=serving_scenario.worker_pool,
+                crowd_backend=serving_scenario.crowd,
+                config=config,
+                familiarity=serving_familiarity,
+            )
+
+        network = serving_scenario.network
+        nodes = sorted(network.node_ids())
+
+        def distance(a, b):
+            return network.node_location(a).distance_to(network.node_location(b))
+
+        # Two destinations out of each other's radius with a third within
+        # both; one origin, so every origin distance is 0.
+        first, between, second = next(
+            (a, c, b)
+            for c in nodes
+            for a in nodes
+            for b in nodes
+            if distance(a, c) <= radius and distance(c, b) <= radius and distance(a, b) > radius
+        )
+        origin = next(node for node in nodes if min(distance(node, d) for d in (first, second)) > 3 * radius)
+        far = [n for n in nodes if min(distance(n, m) for m in (origin, first, second)) > 3 * radius]
+        assert len(far) > 1
+        queries = [
+            RouteQuery(far[0], far[-1]),
+            RouteQuery(origin, first),
+            RouteQuery(origin, second),
+            RouteQuery(origin, between),
+        ]
+        jobs = [
+            ShardJob(0, (0, 2), frozenset(), [queries[0], queries[2]]),
+            ShardJob(1, (1,), frozenset(), [queries[1]]),
+            ShardJob(2, (3,), frozenset(), [queries[3]], predecessors=(0, 1), handoff_from=(0, 1)),
+        ]
+        oracle = build()
+        outcomes = _assert_unit_matches_oracle(build(), oracle, jobs)
+        # The tie is real: queries 1 and 2 each recorded a truth at origin
+        # distance 0 from query 3, on different routes, and query 3 reused
+        # query 1's.
+        first_answer, second_answer = outcomes[1].results[0], outcomes[0].results[1]
+        reused = outcomes[2].results[0]
+        assert first_answer.method != "truth_reuse" and second_answer.method != "truth_reuse"
+        assert reused.method == "truth_reuse"
+        assert first_answer.route.path != second_answer.route.path
+        assert reused.route.path == first_answer.route.path
 
 
 class TestWireSize:
@@ -247,7 +334,7 @@ class TestWireSize:
         planner = build_serving_planner()
         queries = list(dominant_workload)
         plan = split_oversized(planner, planner.shard_plan(queries, 2), queries, FRACTION)
-        jobs = _jobs(plan, queries, handoff_id_base())
+        jobs = _jobs(plan, queries)
         units = dispatch_units(jobs, [-1] * len(jobs), 2)
         largest = max(
             len(ForkingPickler.dumps(("run", "", None, [], list(unit.jobs)))) for unit in units

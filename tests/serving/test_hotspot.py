@@ -6,8 +6,8 @@ size bound, topological ids, hand-off edges), visibility soundness (two
 sub-shards with no hand-off relation share no linked query pair), the
 diagnostics surfaced through ``service.plan()`` / ``service.statistics()``,
 and — on the forked pool — mid-chain fault recovery: killing or hanging a
-worker that holds a sub-shard whose delta downstream slices await must
-reproduce the sequential fingerprints exactly.
+worker that holds a chained dispatch unit must reproduce the sequential
+fingerprints exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ import pytest
 from repro.config import ServiceConfig
 from repro.serving import RecommendationService, recommendation_fingerprint
 from repro.serving.shards import (
-    ChainState,
     ShardJob,
     dispatch_units,
-    execute_jobs_inline,
-    handoff_id_base,
+    execute_unit,
     merge_shard_outcomes,
     split_oversized,
 )
@@ -131,40 +129,55 @@ class TestSplitPlan:
                             f"but queries {i},{j} interact"
                         )
 
-    def test_chain_state_retags_and_memoises(self, split_case):
+    def test_consumer_sees_its_producers_truths(self, split_case, build_serving_planner):
+        """A consumer run with its hand-off closure answers as the sequential
+        oracle over those queries, and differently from the consumer run
+        without its producers: their truths reach it inside the one run."""
         planner, queries, _, split = split_case
-        consumer = next(s for s in split.shards if s.handoff_from)
-        from repro.serving.shards import ShardJob, execute_shard_job
+        shards = {shard.shard_id: shard for shard in split.shards}
 
-        jobs = {
-            shard.shard_id: ShardJob(
+        def job(shard, chained=True):
+            return ShardJob(
                 shard_id=shard.shard_id,
                 indices=shard.indices,
                 destination_cells=shard.destination_cells,
                 queries=[queries[i] for i in shard.indices],
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
+                predecessors=shard.predecessors if chained else (),
+                handoff_from=shard.handoff_from if chained else (),
             )
-            for shard in split.shards
-        }
-        base = handoff_id_base()
-        chain = ChainState(list(jobs.values()), base)
-        job = jobs[consumer.shard_id]
-        assert not chain.ready(job)
-        for src in sorted(set(job.handoff_from)):
-            chain.record(execute_shard_job(planner, jobs[src]))
-        assert chain.ready(job)
-        payload = chain.payload(job)
-        assert payload is chain.payload(job)  # memoised for resubmission
-        ids = [truth.truth_id for truth in payload]
-        assert ids == sorted(ids)
-        assert all(truth_id >= base for truth_id in ids)
+
+        def closure(shard_id):
+            members, stack = {shard_id}, [shard_id]
+            while stack:
+                shard = shards[stack.pop()]
+                for source in set(shard.predecessors + shard.handoff_from) - members:
+                    members.add(source)
+                    stack.append(source)
+            return sorted(members)
+
+        checked = 0
+        for consumer in (shard for shard in split.shards if shard.handoff_from):
+            jobs = [job(shards[shard_id]) for shard_id in closure(consumer.shard_id)]
+            outcomes = execute_unit(planner, jobs)
+            indices = sorted(index for unit_job in jobs for index in unit_job.indices)
+            oracle = build_serving_planner().recommend_batch([queries[i] for i in indices])
+            expected = dict(zip(indices, (recommendation_fingerprint(r) for r in oracle)))
+            for outcome in outcomes:
+                assert [recommendation_fingerprint(r) for r in outcome.results] == [
+                    expected[index] for index in outcome.indices
+                ]
+            (alone,) = execute_unit(planner, [job(consumer, chained=False)])
+            served = next(o for o in outcomes if o.shard_id == consumer.shard_id)
+            checked += [recommendation_fingerprint(r) for r in alone.results] != [
+                recommendation_fingerprint(r) for r in served.results
+            ]
+        assert checked, "no consumer's answers depend on its producers' truths"
 
 
 class TestShardCloneCost:
-    """A sub-shard's fixed cost: every hop of a chain builds a shard clone,
-    so the clone copies the worker pool structurally.  A deep copy per clone
-    (most of a hop's cost on a 28-worker pool) must not come back."""
+    """A dispatch unit's fixed cost: every unit builds a shard clone, whose
+    worker pool copies a worker only on first touch.  A deep copy per clone
+    (most of a unit's cost on a 28-worker pool) must not come back."""
 
     def test_split_chain_executes_without_deep_copy(
         self, split_case, sequential_oracle, monkeypatch
@@ -182,13 +195,12 @@ class TestShardCloneCost:
             for shard in split.shards
         ]
         assert any(job.handoff_from for job in jobs)
-        chain = ChainState(jobs, handoff_id_base())
 
         def refuse(*args, **kwargs):
             raise AssertionError("a shard clone made a deep copy")
 
         monkeypatch.setattr(copy, "deepcopy", refuse)
-        outcomes = execute_jobs_inline(planner, jobs, chain)
+        outcomes = execute_unit(planner, jobs)
         monkeypatch.undo()
         results = merge_shard_outcomes(planner, len(queries), outcomes)
         assert [recommendation_fingerprint(r) for r in results] == (

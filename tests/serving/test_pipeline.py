@@ -26,9 +26,9 @@ from repro.serving import (
     PooledBackend,
     RecommendationService,
     recommendation_fingerprint,
-    shards,
     worker,
 )
+from repro.serving import service as service_module
 from repro.serving.pipeline import batch_dependencies, window_parallelism
 
 from .faults import FaultInjectingBackend
@@ -400,14 +400,14 @@ class TestWindowFaults:
         # Batch 1's shards fail on the workers until the fault clears.
         poisoned = set(batches[1])
         assert not poisoned & set(batches[0] + batches[2])
-        real_execute = worker.execute_shard_job
+        real_execute = worker.execute_unit
 
-        def failing_execute(base, job):
-            if poisoned & set(job.queries):
+        def failing_execute(base, jobs):
+            if any(poisoned & set(job.queries) for job in jobs):
                 raise RuntimeError("transient shard failure")
-            return real_execute(base, job)
+            return real_execute(base, jobs)
 
-        monkeypatch.setattr(worker, "execute_shard_job", failing_execute)
+        monkeypatch.setattr(worker, "execute_unit", failing_execute)
         with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             tickets = [service.submit(batch) for batch in batches]
             # The window executes batch 1, fails on batch 2: the prefix is
@@ -488,14 +488,14 @@ class TestWindowFaults:
         )
         chunks = _chunks(serving_workload, 3)
         poisoned = {id(query) for query in chunks[1]}
-        real_execute = shards.execute_shard_job
+        real_execute = service_module.execute_unit
 
-        def failing_execute(base, job):
-            if any(id(query) in poisoned for query in job.queries):
+        def failing_execute(base, jobs):
+            if any(id(query) in poisoned for job in jobs for query in job.queries):
                 raise RuntimeError("injected shard execution failure")
-            return real_execute(base, job)
+            return real_execute(base, jobs)
 
-        monkeypatch.setattr(shards, "execute_shard_job", failing_execute)
+        monkeypatch.setattr(service_module, "execute_unit", failing_execute)
         with RecommendationService(planner, config=config, backend=backend) as service:
             tickets = [service.submit(chunk) for chunk in chunks]
             first = service.results(tickets[0])

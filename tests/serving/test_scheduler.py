@@ -6,7 +6,7 @@ degrade tail are checked deterministically, and a hypothesis property
 explores random dispatch units, dependencies and event orders in
 milliseconds.  The scheduler sees only units; that a unit's shards run
 producers first is held by ``test_dispatch_units.py`` (closure) and by
-``execute_jobs_inline``'s shard-id-order guard.
+``execute_unit``'s closure check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _job(shard_id, predecessors=(), handoff_from=()):
 
 
 def _outcome(unit):
-    return [ShardOutcome(job.shard_id, (), [], {}, [], worker_pid=0) for job in unit.jobs]
+    return [ShardOutcome(job.shard_id, (), [], [], worker_pid=0) for job in unit.jobs]
 
 
 def _units(jobs_per_batch, deps=None):
