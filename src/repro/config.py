@@ -10,6 +10,7 @@ scattering magic numbers through the code base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
@@ -172,12 +173,6 @@ class ServiceConfig(PlannerConfig):
         Submission-queue bound: :meth:`RecommendationService.submit` raises
         :class:`~repro.exceptions.ServingError` once this many submitted
         batches await collection.
-    merge_every_batches:
-        Cadence at which the parent pushes merged truth deltas to pool
-        workers that sat out recent batches.  Workers taking part in a batch
-        always receive the deltas they are missing with their shard
-        dispatch, so this only bounds how stale an *idle* worker's warm
-        partition may grow — it never affects results.
     journal_path:
         Directory of the :class:`~repro.serving.journal.TruthJournal`.
         When set, the service appends every batch's truth delta to an
@@ -235,7 +230,8 @@ class ServiceConfig(PlannerConfig):
         Bounded exponential backoff (with jitter) between mid-batch
         respawns: the n-th respawn of a batch waits
         ``min(respawn_backoff_s * 2**n, respawn_backoff_max_s)`` plus a
-        random jitter of up to ``respawn_backoff_s``.
+        random jitter of up to ``respawn_backoff_s``.  The base must be
+        finite; the maximum may be infinite.
     pipeline_window:
         Window size: the most consecutive pending batches the service hands
         to the backend in one
@@ -258,7 +254,6 @@ class ServiceConfig(PlannerConfig):
     pool_size: Optional[int] = None
     max_shard_fraction: Optional[float] = None
     max_pending_batches: int = 16
-    merge_every_batches: int = 1
     journal_path: Optional[str] = None
     journal_fsync: bool = True
     snapshot_every_truths: int = 512
@@ -293,8 +288,8 @@ class ServiceConfig(PlannerConfig):
             )
         if self.max_respawns_per_batch < 0:
             raise ConfigurationError("max_respawns_per_batch must be non-negative")
-        if not self.respawn_backoff_s >= 0:
-            raise ConfigurationError("respawn_backoff_s must be non-negative")
+        if not 0 <= self.respawn_backoff_s < math.inf:
+            raise ConfigurationError("respawn_backoff_s must be finite and non-negative")
         if not self.respawn_backoff_max_s >= self.respawn_backoff_s:
             raise ConfigurationError(
                 "respawn_backoff_max_s must be at least respawn_backoff_s"
@@ -311,8 +306,6 @@ class ServiceConfig(PlannerConfig):
             )
         if self.max_pending_batches < 1:
             raise ConfigurationError("max_pending_batches must be at least 1")
-        if self.merge_every_batches < 1:
-            raise ConfigurationError("merge_every_batches must be at least 1")
         if self.pipeline_window < 1:
             raise ConfigurationError("pipeline_window must be at least 1")
 

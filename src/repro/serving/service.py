@@ -179,12 +179,14 @@ class PooledBackend(ServingBackend):
 
     Workers are forked once (on the first batch) and inherit the full
     planner substrate — including state that cannot be pickled — through
-    ``fork``.  Across batches each worker keeps its base truth store in
-    sync with the parent via streamed deltas, so consecutive batches pay
-    only shard-clone construction, never a fork or a whole-store clone.
+    ``fork``.  Across batches each worker keeps its base truth store warm:
+    every ``run`` message carries the truths the parent merged since that
+    worker's cursor, so a worker idle for a few windows catches up on its
+    next dispatch, and consecutive batches pay only shard-clone
+    construction, never a fork or a whole-store clone.
 
     Every window, a lone batch included, takes one execution path,
-    :meth:`_serve_window`: a
+    :meth:`execute_window`: a
     :class:`~repro.serving.scheduler.WindowScheduler` decides, and this
     backend's transport (:meth:`_drive`) forks, sends, kills and reads
     replies.  On a platform without ``fork`` no pool is started and every
@@ -215,10 +217,9 @@ class PooledBackend(ServingBackend):
     def __init__(self, config: ServiceConfig):
         super().__init__()
         self.config = config
-        self.batches_executed = 0
         # Workers overtaken by a hedge ("lame"): each still owes one stale
         # reply under the strict request/reply protocol, so it is excluded
-        # from dispatch and sync until drained.  Value = the hard,
+        # from dispatch until drained.  Value = the hard,
         # non-heartbeat-renewable deadline (monotonic) after which the
         # crawler is killed (see ``_poll_lame``).
         self._lame: Dict[_PoolWorker, float] = {}
@@ -309,7 +310,7 @@ class PooledBackend(ServingBackend):
         return plan, split_oversized(planner, plan, queries, fraction)
 
     def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
-        """The plan :meth:`_serve_window` executes a batch under, splits
+        """The plan :meth:`execute_window` executes a batch under, splits
         included."""
         return self._split_plan(planner, queries)[1]
 
@@ -326,41 +327,36 @@ class PooledBackend(ServingBackend):
     def execute_window(
         self, batches: Sequence[Sequence[RouteQuery]], tenant: str = DEFAULT_TENANT
     ) -> List[BatchExecution]:
-        """Overlap a window of consecutive batches on the pool (DAG dispatch).
+        """The one execution path: plan, dispatch and merge a window of
+        consecutive batches on the pool (DAG dispatch).
 
-        Each batch is shard-planned as usual, then
+        Plans each batch and applies the ``max_shard_fraction`` split
+        (:meth:`_split_plan`), then
         :func:`~repro.serving.pipeline.batch_dependencies` reduces the
         cross-batch interaction-closure tests to one dependency per shard: a
         shard may dispatch as soon as every batch up to and including its
         dependency has merged — it need not wait for the whole previous
-        batch.  Merges still happen strictly in submission order (the window
+        batch.  Each batch's jobs are grouped into hand-off-closed dispatch
+        units (:meth:`_units`) for the window's :class:`WindowScheduler`;
+        where ``fork`` exists the pool is ensured (polling lame workers and
+        replacing dead ones on a warm pool) and :meth:`_drive` runs the
+        window.  Merges happen strictly in submission order (the window
         contract), so parent truth-id issuance — and with it every
         fingerprint — is identical to the sequential oracle.  A lone batch
         is a one-batch window with nothing to overlap.
 
-        Supervision is per window: ``max_respawns_per_batch`` acts as a
-        per-*window* respawn budget, and ``warm_pool``/``respawn_count``
-        provenance fields are window-level (all batches of a window report
-        the same warm flag and the respawns seen up to their own merge).
+        Everything recorded meanwhile is charged to ``tenant``.
+        Window-structure counters (the ``pipeline`` group) count only
+        windows of two or more batches.  Supervision is per window:
+        ``max_respawns_per_batch`` acts as a per-*window* respawn budget,
+        and ``warm_pool``/``respawn_count`` provenance fields are
+        window-level (all batches of a window report the same warm flag and
+        the respawns seen up to their own merge).
         """
         if self.planner is None:
             raise ServingError("backend is not bound to a planner")
-        return self._serve_window([list(queries) for queries in batches], tenant)
-
-    def _serve_window(self, window: List[List[RouteQuery]], tenant: str) -> List[BatchExecution]:
-        """The one execution path: plan, dispatch and merge a window.
-
-        Plans each batch and applies the ``max_shard_fraction`` split
-        (:meth:`_split_plan`), groups each batch's jobs into hand-off-closed
-        dispatch units (:meth:`_units`), builds the window's
-        :class:`WindowScheduler`, ensures the pool where ``fork`` exists
-        (polling lame workers and replacing dead ones on a warm pool), runs
-        :meth:`_drive` and applies the sync cadence.  Everything recorded
-        meanwhile — the cadence sync included — is charged to ``tenant``.
-        Window-structure counters (the ``pipeline`` group) count only
-        windows of two or more batches.
-        """
         planner = self._planner_for(tenant)
+        window = [list(queries) for queries in batches]
         with self.counters.charging(tenant):
             split_plans: List[ShardPlan] = []
             plan_times: List[float] = []
@@ -399,20 +395,10 @@ class PooledBackend(ServingBackend):
                 # what the window runs on).
                 self._poll_lame(sched)
                 warm = not self._ensure_pool()
-            batches_before = self.batches_executed
             executions = self._drive(sched, planner, window, plan_times, warm)
             if len(window) > 1:
                 self.counters.record("windows")
             self.counters.record(BATCHES, len(executions))
-            # Sync cadence at the window edge (never mid-window: a blocking
-            # "synced" round-trip while shards are in flight would swallow their
-            # "done" replies).  Crossing any multiple of the cadence inside the
-            # window triggers one sync here.
-            if self._workers and (
-                self.batches_executed // self.config.merge_every_batches
-                > batches_before // self.config.merge_every_batches
-            ):
-                self._push_sync(tenant)
         return executions
 
     def _units(
@@ -462,7 +448,6 @@ class PooledBackend(ServingBackend):
                 started = time.perf_counter()
                 results = merge_shard_outcomes(planner, size, outcomes)
                 merge_s = time.perf_counter() - started
-                self.batches_executed += 1
                 origins: List[Tuple[Optional[int], Optional[int]]] = [(None, None)] * size
                 for outcome in outcomes:
                     for query_index in outcome.indices:
@@ -710,11 +695,11 @@ class PooledBackend(ServingBackend):
         tenant.
 
         Empty deltas (the steady-state case for workers dispatched every
-        batch) skip encoding entirely.  Workers synced to the same point
-        share one encoding: after any batch every participant sits at the
-        same cursor, so the per-tenant one-entry memo (keyed by cursor +
-        store length — truths are append-only) turns N per-worker encodings
-        of the identical delta into one.
+        batch) skip encoding entirely.  Workers dispatched at the same merge
+        point share one encoding: workers that last heard from the parent at
+        the same merge sit at the same cursor, so the per-tenant one-entry
+        memo (keyed by cursor + store length — truths are append-only) turns
+        N per-worker encodings of the identical delta into one.
         """
         planner = self._planner_for(tenant)
         delta = planner.truth_delta(cursor)
@@ -751,35 +736,6 @@ class PooledBackend(ServingBackend):
             return False
         worker.cursors[tenant] = self._planner_for(tenant).truth_cursor()
         return True
-
-    def _push_sync(self, tenant: str = DEFAULT_TENANT) -> None:
-        """Stream one tenant's merged truth deltas to workers that are
-        behind (cadence).  Workers that have never served the tenant are
-        skipped — they warm up lazily at their first dispatch for it."""
-        total = self._planner_for(tenant).truth_cursor()
-        synced: List[_PoolWorker] = []
-        for worker in self._alive_workers():
-            if worker in self._lame:
-                # An outstanding (stale) reply is still owed: interleaving a
-                # sync round-trip would break the request/reply protocol.
-                # The worker re-syncs lazily at its next dispatch instead.
-                continue
-            cursor = worker.cursors.get(tenant)
-            if cursor is None or cursor >= total:
-                continue
-            message = ("sync", tenant, None, self._wire_delta(tenant, cursor))
-            if self._send(worker, message):
-                worker.cursors[tenant] = total
-                worker.touch()
-                synced.append(worker)
-        while synced:
-            for worker, reply in self._poll(synced, 0.02, self.config.rpc_deadline_s):
-                synced.remove(worker)
-                if reply is None or reply[0] != "synced":
-                    # Death, hang, or a partial adopt ("desync"): either way
-                    # this worker's warm base can no longer be trusted —
-                    # retire it rather than serve stale lookups from it later.
-                    worker.mark_dead()
 
 
 # ---------------------------------------------------------------- the service

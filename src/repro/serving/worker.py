@@ -24,7 +24,7 @@ STOP = object()
 
 
 def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
-    """Serve one ``sync`` / ``run`` / ``drop`` / ``stop`` message.
+    """Serve one ``run`` / ``drop`` / ``stop`` message.
 
     ``bases`` maps tenant names to the worker's warm planners (the default
     tenant ``""`` is the fork-inherited root).  Returns the reply to send,
@@ -50,10 +50,10 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
         # delta.
         bases.pop(message[1], None)
         return None
-    if kind not in ("sync", "run"):  # pragma: no cover - protocol guard
+    if kind != "run":  # pragma: no cover - protocol guard
         return ("error", pid, f"unknown message kind {kind!r}")
-    # ("sync"|"run", tenant, spec, delta[, jobs])
-    tenant, spec, delta = message[1], message[2], message[3]
+    # ("run", tenant, spec, delta, jobs)
+    tenant, spec, delta, jobs = message[1:]
     try:
         base = bases.get(tenant)
         if base is None:
@@ -66,12 +66,10 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
         base.truths.adopt_all(delta)
     except Exception:
         return ("desync", pid, traceback.format_exc())
-    if kind == "sync":
-        return ("synced", pid)
     try:
         # ``execute_unit`` is looked up here, per message, so a substitute
         # bound on this module takes effect.
-        outcomes = execute_unit(base, message[4])
+        outcomes = execute_unit(base, jobs)
     except Exception:
         return ("error", pid, traceback.format_exc())
     return ("done", pid, outcomes)
@@ -87,9 +85,9 @@ def pool_worker_main(
     """Long-lived pool worker loop (child process, entered right after fork).
 
     The worker's ``planner`` is its fork-inherited copy of the parent's —
-    the *base* whose truth store is kept warm across batches: ``run`` and
-    ``sync`` messages carry the truths the parent merged since this worker
-    last heard from it, as a columnar
+    the *base* whose truth store is kept warm across batches: each ``run``
+    message carries the truths the parent merged since this worker last
+    heard from it — however many windows it sat idle — as a columnar
     :class:`~repro.serving.protocol.TruthDeltaBlock` that
     :meth:`TruthDatabase.adopt_all` decodes against the fork-inherited
     network, preserving parent ids and so lookup tie-breaks — and each
@@ -99,8 +97,8 @@ def pool_worker_main(
 
     Tenancy: the worker keeps one warm truth base *per workspace* —
     ``tenants`` maps workspace names to their fork-inherited planners, and
-    the default tenant ``""`` is ``planner`` itself.  Every ``sync``/``run``
-    message names its tenant and may carry a :class:`~repro.config.
+    the default tenant ``""`` is ``planner`` itself.  Every ``run`` message
+    names its tenant and may carry a :class:`~repro.config.
     PlannerConfig` spec; a tenant registered after this worker forked is
     built lazily from that spec via :func:`build_tenant_planner` (sharing
     the fork-inherited substrate and *frozen* familiarity, so the lazy copy

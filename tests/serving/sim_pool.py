@@ -1,9 +1,9 @@
 """An in-process worker pool for the pooled backend's contract tests.
 
 :class:`SimulatedPool` is the real :class:`~repro.serving.service.PooledBackend`
-— window scheduler, ``_drive``, ``_poll``, lame draining, ``_push_sync``,
-respawn and the degrade tail — with every forked worker replaced by a
-:class:`SimWorker` living in the test process.  A ``SimWorker`` is both
+— window scheduler, ``_drive``, ``_poll``, lame draining, the truth delta
+each ``run`` carries, respawn and the degrade tail — with every forked
+worker replaced by a :class:`SimWorker` living in the test process.  A ``SimWorker`` is both
 handles ``_PoolWorker`` holds: the process (``pid``, ``is_alive``, ``kill``,
 ``join``) and the parent's pipe end (``send``, ``poll``, ``recv``).  Messages
 and replies cross it pickled, as they cross a real pipe, and the worker side

@@ -205,8 +205,7 @@ class TestDegenerateWindows:
         self, build_serving_planner, serving_workload
     ):
         """An empty batch is a batch whatever the window size: it advances
-        ``batches_executed`` (the sync cadence) and the tenant's batch count
-        alike at windows 1 and 4."""
+        the tenant's batch count alike at windows 1 and 4."""
         counts = {}
         for window in (1, 4):
             planner = build_serving_planner()
@@ -214,13 +213,9 @@ class TestDegenerateWindows:
                 batches = [serving_workload[:10], [], serving_workload[10:20]]
                 tickets = [service.submit(batch) for batch in batches]
                 sizes = [len(service.results(ticket)) for ticket in tickets]
-                backend = service.backend
-                counts[window] = (
-                    backend.batches_executed,
-                    backend.counters.breakdown(DEFAULT_TENANT)["batches"],
-                )
+                counts[window] = service.backend.counters.breakdown(DEFAULT_TENANT)["batches"]
             assert sizes == [10, 0, 10]
-        assert counts[1] == counts[4] == (3, 3)
+        assert counts[1] == counts[4] == 3
 
     @needs_fork
     def test_lone_batches_on_forked_pool_count_no_windows(

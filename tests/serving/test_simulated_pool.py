@@ -17,9 +17,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ServiceConfig
-from repro.serving import PooledBackend, RecommendationService, recommendation_fingerprint
+from repro.serving import (
+    DEFAULT_TENANT,
+    PooledBackend,
+    RecommendationService,
+    recommendation_fingerprint,
+)
 
-from .sim_pool import simulated_service
+from .sim_pool import SimulatedPool, simulated_service
 
 
 def _truth_tuples(planner):
@@ -150,3 +155,68 @@ def test_no_fork_platform_serves_windows_in_process(
     assert stats["pipeline"]["windows"] >= 1
     assert stats["sharding"]["max_chain_depth"] >= 2
     assert stats["supervision"]["degraded_batches"] == 0
+
+
+class RecordingPool(SimulatedPool):
+    """A simulated pool that logs every message sent to a worker, each
+    ``run`` with the worker's cursor, the parent's cursor at send time and
+    the parent's cursor when the window began."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.sent = []
+        self.window_start = 0
+
+    def execute_window(self, batches, tenant=DEFAULT_TENANT):
+        self.window_start = self.planner.truth_cursor()
+        return super().execute_window(batches, tenant)
+
+    def _spawn_worker(self):
+        handle = super()._spawn_worker()
+        send = handle.conn.send
+
+        def record(message):
+            if message[0] == "run":
+                cursors = (handle.cursors.get(message[1], 0), self.planner.truth_cursor())
+                self.sent.append((message, cursors, self.window_start))
+            else:
+                self.sent.append((message, None, None))
+            send(message)
+
+        handle.conn.send = record
+        return handle
+
+
+def _wire_tuples(truths):
+    return [
+        (t.truth_id, t.origin, t.destination, t.time_slot, t.route.path, t.verified_by)
+        for t in truths
+    ]
+
+
+def test_idle_worker_catches_up_on_its_next_run(
+    build_serving_planner, serving_workload, sequential_oracle
+):
+    """A worker is brought current only by the delta on its next ``run``:
+    each one carries exactly the parent's truths between that worker's
+    cursor and the parent's, including truths merged in windows the worker
+    sat out."""
+    planner = build_serving_planner()
+    config = ServiceConfig.from_planner_config(
+        planner.config, backend="pooled", pool_size=2, pipeline_window=4
+    )
+    pool = RecordingPool(config)
+    with RecommendationService(planner, config, pool) as service:
+        tickets = [service.submit(serving_workload[i : i + 10]) for i in range(0, 160, 10)]
+        responses = [r for ticket in tickets for r in service.results(ticket)]
+    oracle = sequential_oracle["plain"]
+    assert [recommendation_fingerprint(r.result) for r in responses] == oracle["fingerprints"]
+    assert {message[0] for message, _, _ in pool.sent} <= {"run", "drop", "stop"}
+    runs = [(message, cursors, start) for message, cursors, start in pool.sent if cursors]
+    for message, (cursor, parent_cursor), _ in runs:
+        delta = message[3]
+        decoded = delta.decode_truths(planner.network) if len(delta) else []
+        assert _wire_tuples(decoded) == _wire_tuples(planner.truth_delta(cursor, parent_cursor))
+    # Some run reached a worker already behind when its window began: the
+    # run's own delta brought it current.
+    assert any(0 < cursor < start for _, (cursor, _), start in runs)

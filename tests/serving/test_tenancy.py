@@ -14,8 +14,6 @@ the supervision fallout is attributed to the faulted tenant only.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,12 +21,7 @@ from hypothesis import strategies as st
 
 from repro.config import PlannerConfig, ServiceConfig
 from repro.exceptions import ServingError, WorkspaceManifestError
-from repro.serving import (
-    DEFAULT_TENANT,
-    PooledBackend,
-    WorkspaceService,
-    recommendation_fingerprint,
-)
+from repro.serving import WorkspaceService, recommendation_fingerprint
 
 from .faults import FAST_SUPERVISION, FaultInjectingBackend
 from .sim_pool import SimulatedPool
@@ -380,45 +373,6 @@ class TestTenantFaultIsolation:
                         "degraded_batches",
                     )
                 ), f"fault fallout leaked into tenant {name}: {stats[name]}"
-
-    def test_worker_hung_in_cadence_sync_is_charged_to_its_tenant(
-        self, build_serving_planner, tenant_batches, tenant_oracles
-    ):
-        """A worker that hangs in the window-edge truth sync is killed there;
-        the kill belongs to the tenant whose window triggered the sync."""
-
-        class HangInSync(PooledBackend):
-            hung_pid = None
-
-            def _push_sync(self, tenant=DEFAULT_TENANT):
-                total = self._planner_for(tenant).truth_cursor()
-                behind = [
-                    worker
-                    for worker in self._workers
-                    if worker.alive and worker.cursors.get(tenant, total) < total
-                ]
-                if behind and self.hung_pid is None:
-                    self.hung_pid = behind[0].pid
-                    os.kill(behind[0].pid, signal.SIGSTOP)
-                super()._push_sync(tenant)
-
-        template = build_serving_planner()
-        config = _tenant_config(
-            template, backend="pooled", pool_size=2, merge_every_batches=1, **FAST_SUPERVISION
-        )
-        pool = HangInSync(config)
-        with WorkspaceService(template, config=config, pool=pool) as svc:
-            workspace = svc.create_workspace("alpha")
-            fingerprints = [
-                recommendation_fingerprint(response.result)
-                for batch in tenant_batches["alpha"]
-                for response in workspace.recommend_batch(batch)
-            ]
-            stats = svc.statistics()["pool"]
-        assert pool.hung_pid is not None
-        assert fingerprints == tenant_oracles["alpha"]["fingerprints"]
-        assert stats["supervision"]["hung_workers_killed"] == 1
-        assert stats["tenants"]["alpha"]["hung_workers_killed"] == 1
 
 
 @needs_fork

@@ -164,9 +164,9 @@ class TestCodecRoundTrip:
     reason="platform has no fork start method",
 )
 class TestServiceWireParity:
-    def _run(self, build_serving_planner, workload, **backend_kwargs):
+    def _run(self, build_serving_planner, workload):
         planner = build_serving_planner()
-        backend = PooledBackend(ServiceConfig(pool_size=2, **backend_kwargs))
+        backend = PooledBackend(ServiceConfig(pool_size=2))
         with RecommendationService(planner, backend=backend) as service:
             responses = []
             # Several batches so later dispatches carry non-empty deltas.
@@ -187,11 +187,3 @@ class TestServiceWireParity:
         columnar = self._run(build_serving_planner, serving_workload)
         assert columnar[0] == sequential_oracle["plain"]["fingerprints"]
         assert columnar[2] == sequential_oracle["plain"]["truths"]
-
-    def test_dirty_merge_cadence_syncs_columnar(
-        self, build_serving_planner, serving_workload, sequential_oracle
-    ):
-        """merge_every_batches > 1 leaves idle workers dirty between
-        cadences; the catch-up sync ships columnar deltas too."""
-        responses = self._run(build_serving_planner, serving_workload, merge_every_batches=3)
-        assert responses[0] == sequential_oracle["plain"]["fingerprints"]

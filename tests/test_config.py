@@ -70,7 +70,6 @@ class TestServiceConfig:
             ("backend", "bogus"),
             ("pool_size", 0),
             ("max_pending_batches", 0),
-            ("merge_every_batches", 0),
             ("max_shard_fraction", 0),
             ("max_shard_fraction", 1.5),
             ("heartbeat_interval_s", 0),
@@ -97,6 +96,13 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig(**{field: value})
 
+    def test_infinite_respawn_backoff_rejected(self):
+        """An infinite base would reach ``time.sleep`` at the first respawn;
+        only the maximum may be infinite."""
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(respawn_backoff_s=math.inf, respawn_backoff_max_s=math.inf)
+        ServiceConfig(respawn_backoff_s=0.05, respawn_backoff_max_s=math.inf)
+
     def test_from_planner_config_lifts_planner_fields(self):
         planner_config = PlannerConfig(workers_per_task=7, random_seed=99)
         config = ServiceConfig.from_planner_config(planner_config, pool_size=3, backend="inline")
@@ -111,9 +117,9 @@ class TestServiceConfig:
         assert config.planner_config() == planner_config
 
     def test_to_dict_includes_serving_fields(self):
-        data = ServiceConfig(pool_size=4, merge_every_batches=2).to_dict()
+        data = ServiceConfig(pool_size=4, pipeline_window=2).to_dict()
         assert data["pool_size"] == 4
-        assert data["merge_every_batches"] == 2
+        assert data["pipeline_window"] == 2
         assert data["workers_per_task"] == DEFAULT_CONFIG.workers_per_task
 
     def test_is_a_planner_config(self):
