@@ -7,8 +7,9 @@ simulation) vs. its preserved sequential oracles, sharded serving vs.
 sequential ``recommend_batch``, the cross-batch pipelined
 scheduler vs. the per-batch barrier, and the intra-component sub-shard
 chain vs. the monolithic hotspot plan, hotspot sub-shard execution on
-a copy-on-first-touch worker pool vs. a deep-copied one, and hotspot shard
-planning with closure-built cell sets vs. per-cell expansion.
+a copy-on-first-touch worker pool vs. a deep-copied one, hotspot shard
+planning with closure-built cell sets vs. per-cell expansion, and the
+memoised truth lookup vs. the unmemoised scan.
 
 These benchmarks seed the repo's performance trajectory: run them through
 ``scripts/bench_to_json.py`` to (re)generate ``BENCH_hot_paths.json`` at the
@@ -46,6 +47,7 @@ from repro.core.reference import (
     DenseProbabilisticMatrixFactorization,
     accumulate_reference,
     build_raw_matrix_reference,
+    lookup_reference,
     set_shard_plan,
 )
 from repro.core.task_generation import TaskGenerator
@@ -1120,6 +1122,45 @@ def test_shard_plan_reference(benchmark, shard_plan_setup):
     planner, batches, expected = shard_plan_setup
     plan = partial(set_shard_plan, planner)
     assert benchmark(_plan_batches, planner, batches, plan) == expected
+
+
+# -------------------------------------------------------------- truth lookup
+def _lookup_all(lookup, queries):
+    return [getattr(lookup(query), "truth_id", None) for query in queries]
+
+
+@pytest.fixture(scope="module")
+def truth_lookup_setup(serving_city):
+    """The hotspot workload answered once, then its 40-query batches
+    repeated five times: ``hotspot_repeat``'s regime, where nearly every
+    lookup repeats a key already answered.  The memoised and reference
+    answers are asserted identical before timing."""
+    scenario, build_planner = serving_city
+    workload = _hotspot_workload(scenario)
+    planner = build_planner()
+    planner.recommend_batch(workload)
+    store = planner.truths
+    queries = workload * 5
+    expected = _lookup_all(partial(lookup_reference, store), queries)
+    assert _lookup_all(store.lookup, queries) == expected
+    assert sum(truth_id is not None for truth_id in expected) > 0.9 * len(queries)
+    return store, queries, expected
+
+
+@pytest.mark.benchmark(group="truth_lookup")
+def test_truth_lookup_compiled(benchmark, truth_lookup_setup):
+    """``TruthDatabase.lookup``: one dict hit per repeated (origin,
+    destination, slot) key."""
+    store, queries, expected = truth_lookup_setup
+    assert benchmark(_lookup_all, store.lookup, queries) == expected
+
+
+@pytest.mark.benchmark(group="truth_lookup")
+def test_truth_lookup_reference(benchmark, truth_lookup_setup):
+    """The unmemoised scan (``repro.core.reference.lookup_reference``): two
+    radius queries, an intersection and a sort per call."""
+    store, queries, expected = truth_lookup_setup
+    assert benchmark(_lookup_all, partial(lookup_reference, store), queries) == expected
 
 
 # ------------------------------------------------------------ crowd straggler

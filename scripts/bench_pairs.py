@@ -9,7 +9,11 @@ sides alike.  For each metric it prints the median and quartiles per side,
 the change's win fraction over the pairs (using each metric's ``better``
 direction from ``BENCHMARK.json``), and whether the change's median beats
 the parent's by more than the parent's interquartile range.  It also counts
-the correct runs and the failed operations of each side.
+the correct runs and the failed operations of each side, and reports the
+pair-order effect: per metric, the median ratio of the run that went first
+in a pair to the run that went second, flagged when it departs from 1 by
+more than the change's median gap does (the order then moves the metric as
+much as the change).
 
 Usage::
 
@@ -107,14 +111,39 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def order(pair: int) -> Sequence[str]:
+    """The sides of pair ``pair`` in the order they run: the parent goes
+    first in even pairs, the change in odd ones."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def order_effect(pairs: List[tuple], parent_median: float, change_median: float) -> Dict:
+    """Median first-run / second-run ratio over ``(pair, parent, change)``
+    values, and whether it departs from 1 by more than the change's median
+    gap (``None`` where a ratio is undefined)."""
+    ratios = []
+    for pair, parent, change in pairs:
+        first, second = (parent, change) if order(pair)[0] == "parent" else (change, parent)
+        if second == 0:
+            return {"first_over_second": None, "order_exceeds_gap": None}
+        ratios.append(first / second)
+    ratio = statistics.median(ratios)
+    gap = abs(change_median / parent_median - 1.0) if parent_median else None
+    return {
+        "first_over_second": ratio,
+        "order_exceeds_gap": None if gap is None else abs(ratio - 1.0) > gap,
+    }
+
+
 def summarise(runs: Dict[str, List[Dict]], better: Dict[str, str]) -> List[Dict]:
-    """Per metric: quartiles per side, the change's pair wins, and the verdict."""
+    """Per metric: quartiles per side, the change's pair wins, the verdict
+    and the pair-order effect (:func:`order_effect`)."""
     names = sorted({name for side in SIDES for run in runs[side] for name in run["metrics"]})
     rows = []
     for name in names:
         pairs = [
-            (parent["metrics"][name], change["metrics"][name])
-            for parent, change in zip(runs["parent"], runs["change"])
+            (pair, parent["metrics"][name], change["metrics"][name])
+            for pair, (parent, change) in enumerate(zip(runs["parent"], runs["change"]))
             if isinstance(parent["metrics"].get(name), (int, float))
             and isinstance(change["metrics"].get(name), (int, float))
         ]
@@ -123,15 +152,16 @@ def summarise(runs: Dict[str, List[Dict]], better: Dict[str, str]) -> List[Dict]
         row = {
             "metric": name,
             "pairs": len(pairs),
-            "parent": quartiles([p for p, _ in pairs]),
-            "change": quartiles([c for _, c in pairs]),
+            "parent": quartiles([p for _, p, _ in pairs]),
+            "change": quartiles([c for _, _, c in pairs]),
             "better": better.get(name),
             "wins": None,
             "beats_parent_iqr": None,
         }
+        row.update(order_effect(pairs, row["parent"][1], row["change"][1]))
         if row["better"] in ("higher", "lower"):
             sign = 1.0 if row["better"] == "higher" else -1.0
-            row["wins"] = sum(1 for p, c in pairs if sign * (c - p) > 0)
+            row["wins"] = sum(1 for _, p, c in pairs if sign * (c - p) > 0)
             q1, median, q3 = row["parent"]
             row["beats_parent_iqr"] = sign * (row["change"][1] - median) > q3 - q1
         rows.append(row)
@@ -151,14 +181,21 @@ def report(rows: List[Dict], runs: Dict[str, List[Dict]]) -> str:
             f"{side}: {correct}/{len(runs[side])} runs correct, {failed} failed operations"
         )
     lines.append(
-        f"{'metric':<48} {'parent q1/med/q3':>26} {'change q1/med/q3':>26} {'wins':>6}  gain>IQR"
+        f"{'metric':<48} {'parent q1/med/q3':>26} {'change q1/med/q3':>26} {'wins':>6}"
+        "  gain>IQR  1st/2nd"
     )
     for row in rows:
         parent = "/".join(_fmt(v) for v in row["parent"])
         change = "/".join(_fmt(v) for v in row["change"])
         wins = "-" if row["wins"] is None else f"{row['wins']}/{row['pairs']}"
         verdict = "-" if row["beats_parent_iqr"] is None else ("yes" if row["beats_parent_iqr"] else "no")
-        lines.append(f"{row['metric']:<48} {parent:>26} {change:>26} {wins:>6}  {verdict}")
+        ratio = row["first_over_second"]
+        order_text = "-" if ratio is None else f"{ratio:.3f}"
+        if row["order_exceeds_gap"]:
+            order_text += " ORDER>GAP"
+        lines.append(
+            f"{row['metric']:<48} {parent:>26} {change:>26} {wins:>6}  {verdict:>8}  {order_text}"
+        )
     return "\n".join(lines)
 
 
@@ -171,8 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     runs: Dict[str, List[Dict]] = {side: [] for side in SIDES}
     for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
+        for side in order(pair):
             run = run_once(checkouts[side], args)
             runs[side].append(run)
             headline = {k: v for k, v in run["metrics"].items() if k == "throughput_qps"}

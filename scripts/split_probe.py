@@ -16,10 +16,12 @@ Serves the closed-loop batches of servebench's ``hotspot_repeat`` workload
 Each run is a forked child of this process, taken after servebench's
 inline warm-up pass, so every run starts from the same warm state.  A
 pooled run forks its workers before the clock starts.  The probe prints
-each configuration's minimum over ``--runs`` runs in ms per batch, and
-fails unless every run's answer digest is the same (and, at the default
-seed, equal to the committed closed-loop digest).  It only reads
-``servebench``; it changes nothing there.
+each configuration's minimum over ``--runs`` runs in ms per batch and its
+``pipeline.dispatch_units`` and ``pipeline.settled_queries`` (both are
+deterministic for the closed loop; both read 0 inline), and fails unless
+every run's answer digest is the same (and, at the default seed, equal to
+the committed closed-loop digest).  It only reads ``servebench``; it
+changes nothing there.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def warm_up(substrate, seed: int) -> None:
 
 
 def serve_once(substrate, batches, overrides):
-    """(ms per batch, answer digest) of one closed-loop pass, in a forked child."""
+    """(ms per batch, answer digest, (dispatch units, settled queries)) of
+    one closed-loop pass, in a forked child."""
 
     def task():
         planner = substrate.planner()
@@ -75,10 +78,12 @@ def serve_once(substrate, batches, overrides):
             if ensure_pool is not None:
                 ensure_pool()
             phase = closed_loop(service, batches, config.pipeline_window)
+            pipeline = service.statistics()["pipeline"]
         if any(not record.ok for record in phase.records):
             raise RuntimeError("a batch failed")
         results = [response.result for record in phase.records for response in record.responses]
-        return 1000.0 * phase.elapsed_s / len(batches), digest_results(results)
+        counts = (pipeline["dispatch_units"], pipeline.get("settled_queries", 0))
+        return 1000.0 * phase.elapsed_s / len(batches), digest_results(results), counts
 
     return forked(task)
 
@@ -96,18 +101,20 @@ def main(argv=None) -> int:
     print(f"set-up {time.perf_counter() - started:.1f} s; {len(batches)} closed-loop batches")
 
     best = {}
+    counts = {}
     digests = set()
     for _ in range(args.runs):
         # Alternate the configurations, so a slow spell on a shared machine
         # hits each of them rather than one.
         for label, overrides in CONFIGURATIONS.items():
-            ms, digest = serve_once(substrate, batches, overrides)
+            ms, digest, counts[label] = serve_once(substrate, batches, overrides)
             best[label] = min(ms, best.get(label, ms))
             digests.add(digest)
             print(f"  {label}: {ms:.2f} ms per batch ({digest[:8]})")
-    print(f"minimum of {args.runs} runs, ms per batch:")
+    print(f"minimum of {args.runs} runs, ms per batch; dispatch units; settled queries:")
     for label in CONFIGURATIONS:
-        print(f"  {label:22s} {best[label]:6.2f}")
+        units, settled = counts[label]
+        print(f"  {label:22s} {best[label]:6.2f} {units:6d} {settled:6d}")
     if len(digests) != 1:
         raise SystemExit(f"answer digests differ: {sorted(digests)}")
     (digest,) = digests

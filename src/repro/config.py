@@ -92,8 +92,8 @@ class PlannerConfig:
             raise ConfigurationError("confidence_threshold must be in (0, 1]")
         if not 0.0 < self.agreement_threshold <= 1.0:
             raise ConfigurationError("agreement_threshold must be in (0, 1]")
-        if not self.truth_reuse_radius_m > 0:
-            raise ConfigurationError("truth_reuse_radius_m must be positive")
+        if not 0 < self.truth_reuse_radius_m < math.inf:
+            raise ConfigurationError("truth_reuse_radius_m must be positive and finite")
         if self.truth_time_slot_minutes <= 0:
             raise ConfigurationError("truth_time_slot_minutes must be positive")
         if self.worker_quota < 1:

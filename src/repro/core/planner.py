@@ -32,6 +32,7 @@ from ..exceptions import (
 from ..landmarks.model import LandmarkCatalog
 from ..roadnet.graph import RoadNetwork
 from ..routing.base import CandidateRoute, RouteQuery, RouteSource
+from ..spatial import GridIndex, Point, rank_tolerance
 from ..trajectory.calibration import AnchorCalibrator
 from .aggregation import AnswerAggregator
 from .early_stop import EarlyStopMonitor
@@ -294,6 +295,13 @@ def reach_closure(centres, reach: int) -> CellClosure:
     return closure
 
 
+def _reuse_result(query: RouteQuery, truth: VerifiedTruth) -> RecommendationResult:
+    """The answer to ``query`` served from the stored ``truth``."""
+    return RecommendationResult(
+        query=query, route=truth.route, method="truth_reuse", confidence=truth.confidence
+    )
+
+
 class CrowdPlanner:
     """End-to-end crowd-based route recommendation system."""
 
@@ -386,12 +394,7 @@ class CrowdPlanner:
         # Step 1: truth reuse.
         truth = self.truths.lookup(query)
         if truth is not None:
-            return RecommendationResult(
-                query=query,
-                route=truth.route,
-                method="truth_reuse",
-                confidence=truth.confidence,
-            )
+            return _reuse_result(query, truth)
 
         # Step 2: candidate generation.
         candidates = self.generate_candidates(query)
@@ -637,6 +640,61 @@ class CrowdPlanner:
         finally:
             self._batch_candidate_memo = None
         return results
+
+    def settled_hits(
+        self, batches: Sequence[Sequence[RouteQuery]]
+    ) -> List[Dict[int, RecommendationResult]]:
+        """Per batch of a window, ``{index: result}`` for the queries the
+        truth store as it is now already answers, whatever the window writes.
+
+        The pass walks the window's queries in submission order and keeps
+        the window's *pending writes*.  It rests on three facts: a truth
+        reuse writes nothing; every other answer records exactly one truth,
+        at its own query's endpoints and slot, with an id larger than any
+        stored one; and :meth:`TruthDatabase.lookup` ranks by (origin
+        distance, truth id).  So a query is *settled* with its memoised
+        match ``T`` when no pending write could rank before ``T``: none in
+        its slot within the reuse radius at both ends at an origin distance
+        up to ``T``'s.  The distance comparison errs toward not settling by
+        the grid index's :func:`~repro.spatial.rank_tolerance`, so a write
+        tied with ``T`` blocks it too.  A query some pending write answers
+        writes nothing; a query nothing answers is a miss and adds a pending
+        write.
+        The pending writes are indexed by origin per slot, so a write-heavy
+        window costs O(local) per query.
+        """
+        truths = self.truths
+        locate = self.network.node_location
+        radius = self.config.truth_reuse_radius_m
+        tolerance = rank_tolerance(radius)
+        pending: Dict[int, GridIndex[int]] = {}
+        destinations: List[Point] = []
+        settled: List[Dict[int, RecommendationResult]] = []
+        for queries in batches:
+            hits: Dict[int, RecommendationResult] = {}
+            for index, query in enumerate(queries):
+                found = truths.match(query)
+                slot = truths.time_slot_of(query.departure_time_s)
+                writes = pending.get(slot)
+                if writes is None and found is not None:
+                    hits[index] = _reuse_result(query, found[1])
+                    continue
+                origin, destination = locate(query.origin), locate(query.destination)
+                rivals = [] if writes is None else [
+                    distance
+                    for item, distance in writes.within_radius(origin, radius)
+                    if destinations[item].distance_to(destination) <= radius
+                ]
+                if found is None:
+                    if not rivals:
+                        if writes is None:
+                            writes = pending[slot] = GridIndex(truths.reuse_cell_size_m)
+                        writes.insert(len(destinations), origin)
+                        destinations.append(destination)
+                elif not rivals or min(rivals) > found[0] + tolerance:
+                    hits[index] = _reuse_result(query, found[1])
+            settled.append(hits)
+        return settled
 
     # ----------------------------------------------------------------- crowd
     def _crowdsource(

@@ -14,6 +14,9 @@ oracles, the way :mod:`repro.roadnet.reference` keeps the original searches:
   :func:`accumulate_reference` — the paper's per-pair familiarity score and
   the scalar loops over it (the ``familiarity_raw`` and ``familiarity``
   oracles);
+* :func:`lookup_reference` — the unmemoised truth-reuse scan that
+  :meth:`~repro.core.truth.TruthDatabase.lookup` must answer like (the
+  ``truth_lookup`` oracle);
 * :func:`partition_by_cells` — the materialised truth partition that
   :meth:`~repro.core.truth.TruthDatabase.view_by_cells` must answer like;
 * :func:`expand_cells` and :func:`set_shard_plan` — the per-cell reach
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from ..routing.base import RouteQuery
 from .familiarity import FamiliarityModel, _gaussian_weight
 from .planner import CrowdPlanner, QueryShard, ShardPlan
 from .pmf import ProbabilisticMatrixFactorization
-from .truth import TruthDatabase
+from .truth import TruthDatabase, VerifiedTruth
 from .worker import Worker
 
 
@@ -117,6 +120,32 @@ def accumulate_reference(model: FamiliarityModel, completed: np.ndarray) -> np.n
             neighbour_column = model._landmark_index[neighbour.landmark_id]
             accumulated[:, column] += weight * completed[:, neighbour_column]
     return accumulated
+
+
+def lookup_reference(store: TruthDatabase, query: RouteQuery) -> Optional[VerifiedTruth]:
+    """:meth:`TruthDatabase.lookup` as it was before the memo: two radius
+    queries, their intersection and a sort, on every call (views included,
+    through their match overrides)."""
+    network = store.network
+    origin = network.node_location(query.origin)
+    destination = network.node_location(query.destination)
+    slot = store.time_slot_of(query.departure_time_s)
+    radius = store.config.truth_reuse_radius_m
+    near_destination = {
+        truth_id for truth_id, _ in store._destination_matches(destination, radius)
+    }
+    matches: List[Tuple[float, VerifiedTruth]] = []
+    for truth_id, origin_distance in store._origin_matches(origin, radius):
+        if truth_id not in near_destination:
+            continue
+        truth = store._truth_by_id(truth_id)
+        if truth.time_slot != slot:
+            continue
+        matches.append((origin_distance, truth))
+    if not matches:
+        return None
+    matches.sort(key=lambda item: (item[0], item[1].truth_id))
+    return matches[0][1]
 
 
 def partition_by_cells(store: TruthDatabase, cells: Iterable[Tuple[int, int]]) -> TruthDatabase:

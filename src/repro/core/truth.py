@@ -7,6 +7,12 @@ requests whose endpoints fall within the reuse radius of a stored truth and
 whose departure time falls in the same time slot are answered immediately,
 which is the main lever the paper uses to keep crowdsourcing cost down.
 
+A lookup depends only on the query's origin node, destination node and time
+slot and on the store's contents, so every store memoises its answers per
+``(origin, destination, slot)`` key and clears the memo on every insert.
+The unmemoised scan is preserved as
+:func:`repro.core.reference.lookup_reference`, the memo's oracle.
+
 Serving shards read the store through copy-on-write destination-cell views
 (:meth:`TruthDatabase.view_by_cells`); the materialised partition they
 replaced is preserved as :func:`repro.core.reference.partition_by_cells`,
@@ -88,6 +94,9 @@ class TruthDatabase:
         # queries instead of scanning every origin match with a Python-level
         # distance check.
         self._destination_index: GridIndex[int] = GridIndex(cell_size=cell_size)
+        # ``(origin node, destination node, slot) -> (origin distance,
+        # truth)`` or ``None``: every lookup answered since the last insert.
+        self._memo: Dict[Tuple[int, int, int], Optional[Tuple[float, VerifiedTruth]]] = {}
 
     def __len__(self) -> int:
         return len(self._truths)
@@ -136,7 +145,10 @@ class TruthDatabase:
         return truth
 
     def _adopt(self, truth: VerifiedTruth) -> None:
-        """Insert an already-built truth, keeping its id (partition/merge path)."""
+        """Insert an already-built truth, keeping its id — the one insert
+        path behind :meth:`record`, :meth:`absorb` and :meth:`adopt_all`.
+        Any insert may change any memoised answer, so it clears the memo."""
+        self._memo.clear()
         self._truths[truth.truth_id] = truth
         self._origin_index.insert(truth.truth_id, truth.origin)
         self._destination_index.insert(truth.truth_id, truth.destination)
@@ -259,27 +271,43 @@ class TruthDatabase:
         """Return a reusable truth for ``query`` or ``None``.
 
         A truth is reusable when both endpoints are within the reuse radius
-        and the departure-time slot matches.  The closest-origin match wins.
+        and the departure-time slot matches.  The closest-origin match wins,
+        the smaller truth id breaking distance ties.  The answer is
+        memoised per ``(origin, destination, slot)`` until the next insert,
+        so a repeated key costs one dict lookup (see :meth:`match`).
         """
+        found = self.match(query)
+        return None if found is None else found[1]
+
+    def match(self, query: RouteQuery) -> Optional[Tuple[float, VerifiedTruth]]:
+        """:meth:`lookup`'s answer with its origin distance, or ``None``.
+
+        The distance is the one the ranking used; the serving layer's settle
+        pass (:meth:`~repro.core.planner.CrowdPlanner.settled_hits`)
+        compares it with the truths a window will write.
+        """
+        slot = self.time_slot_of(query.departure_time_s)
+        key = (query.origin, query.destination, slot)
+        memo = self._memo
+        if key in memo:
+            return memo[key]
         origin = self.network.node_location(query.origin)
         destination = self.network.node_location(query.destination)
-        slot = self.time_slot_of(query.departure_time_s)
         radius = self.config.truth_reuse_radius_m
         near_destination = {
             truth_id for truth_id, _ in self._destination_matches(destination, radius)
         }
-        matches: List[Tuple[float, VerifiedTruth]] = []
+        best: Optional[Tuple[float, VerifiedTruth]] = None
         for truth_id, origin_distance in self._origin_matches(origin, radius):
             if truth_id not in near_destination:
                 continue
             truth = self._truth_by_id(truth_id)
             if truth.time_slot != slot:
                 continue
-            matches.append((origin_distance, truth))
-        if not matches:
-            return None
-        matches.sort(key=lambda item: (item[0], item[1].truth_id))
-        return matches[0][1]
+            if best is None or (origin_distance, truth_id) < (best[0], best[1].truth_id):
+                best = (origin_distance, truth)
+        memo[key] = best
+        return best
 
     def truths_near(
         self,
@@ -360,7 +388,10 @@ class TruthDatabaseView(TruthDatabase):
     copies.
 
     The base store must stay unmutated while the view is live; there are no
-    views over views (build views from the base instead).
+    views over views (build views from the base instead).  A view keeps its
+    own lookup memo: its answers differ from the base's (fewer base truths,
+    plus the overlay), and every overlay write goes through :meth:`_adopt`,
+    which clears it.
     """
 
     def __init__(self, base: TruthDatabase, cells: Iterable[Tuple[int, int]]):

@@ -46,6 +46,7 @@ SCHEMA = {
             ("cross_batch_edges", "sum", 0),
             ("serialized_batches", "sum", 0),
             ("dispatch_units", "sum", 0),
+            ("settled_queries", "sum", 0),
         ),
     ),
     "sharding": (

@@ -56,7 +56,7 @@ from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..config import ServiceConfig
-from ..core.planner import CrowdPlanner, ShardPlan
+from ..core.planner import CrowdPlanner, RecommendationResult, ShardPlan
 from ..exceptions import JournalError, OverloadError, ServingError
 from ..routing.base import RouteQuery
 from .journal import TruthJournal
@@ -77,6 +77,7 @@ from .scheduler import WindowScheduler
 from .shards import (
     DispatchUnit,
     ShardJob,
+    ShardOutcome,
     dispatch_units,
     execute_unit,
     merge_shard_outcomes,
@@ -192,6 +193,12 @@ class PooledBackend(ServingBackend):
     replies.  On a platform without ``fork`` no pool is started and every
     window runs through the in-process tail — the same clone-and-merge
     machinery — so results are identical everywhere.
+
+    A query the parent's store already answers never reaches a worker: each
+    window starts with :meth:`CrowdPlanner.settled_hits`, the queries it
+    settles are answered in the parent as truth reuses (provenance: their
+    plan shard and the parent's pid), and only the rest are dispatched
+    (the ``settled_queries`` counter).
 
     Truth deltas stream to workers as a columnar
     :class:`~repro.serving.protocol.TruthDeltaBlock` — node-index arrays,
@@ -336,7 +343,9 @@ class PooledBackend(ServingBackend):
         cross-batch interaction-closure tests to one dependency per shard: a
         shard may dispatch as soon as every batch up to and including its
         dependency has merged — it need not wait for the whole previous
-        batch.  Each batch's jobs are grouped into hand-off-closed dispatch
+        batch.  The window's settled truth reuses
+        (:meth:`CrowdPlanner.settled_hits`) leave their jobs, and each
+        batch's remaining jobs are grouped into hand-off-closed dispatch
         units (:meth:`_units`) for the window's :class:`WindowScheduler`;
         where ``fork`` exists the pool is ensured (polling lame workers and
         replacing dead ones on a warm pool) and :meth:`_drive` runs the
@@ -374,10 +383,13 @@ class PooledBackend(ServingBackend):
             # inherit the compiled graph and source caches instead of rebuilding
             # them per process.
             planner.warm_batch([query for queries in window for query in queries])
-            units_per_batch = [
-                self._units(queries, plan, batch_deps, tenant)
-                for queries, plan, batch_deps in zip(window, split_plans, deps)
-            ]
+            units_per_batch, settled = [], []
+            for queries, plan, batch_deps, hits in zip(
+                window, split_plans, deps, planner.settled_hits(window)
+            ):
+                units, outcomes = self._units(queries, plan, batch_deps, tenant, hits)
+                units_per_batch.append(units)
+                settled.append(outcomes)
             can_fork = self._can_fork()
             sched = WindowScheduler(
                 units_per_batch,
@@ -395,7 +407,7 @@ class PooledBackend(ServingBackend):
                 # what the window runs on).
                 self._poll_lame(sched)
                 warm = not self._ensure_pool()
-            executions = self._drive(sched, planner, window, plan_times, warm)
+            executions = self._drive(sched, planner, window, settled, plan_times, warm)
             if len(window) > 1:
                 self.counters.record("windows")
             self.counters.record(BATCHES, len(executions))
@@ -407,43 +419,61 @@ class PooledBackend(ServingBackend):
         plan: ShardPlan,
         deps: List[int],
         tenant: str,
-    ) -> List[DispatchUnit]:
-        """The dispatch units of one batch of the window: at most one per
+        settled: Dict[int, RecommendationResult],
+    ) -> Tuple[List[DispatchUnit], List[ShardOutcome]]:
+        """The dispatch units of one batch of the window — at most one per
         pool worker and cross-batch dependency (see
-        :func:`~repro.serving.shards.dispatch_units`)."""
-        jobs = [
-            ShardJob(
-                shard_id=shard.shard_id,
-                indices=shard.indices,
-                destination_cells=shard.destination_cells,
-                queries=[queries[index] for index in shard.indices],
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
-                tenant=tenant,
+        :func:`~repro.serving.shards.dispatch_units`) — and the outcomes of
+        its ``settled`` queries (:meth:`CrowdPlanner.settled_hits`).
+
+        Settled queries leave their jobs and are answered by the parent: one
+        outcome per plan shard, with no truths.  An emptied job stays in its
+        unit, so sub-shard chains stay closed, and a unit with no query left
+        is never dispatched."""
+        pid = os.getpid()
+        jobs, outcomes = [], []
+        for shard in plan.shards:
+            kept = tuple(index for index in shard.indices if index not in settled)
+            jobs.append(
+                ShardJob(
+                    shard_id=shard.shard_id,
+                    indices=kept,
+                    destination_cells=shard.destination_cells,
+                    queries=[queries[index] for index in kept],
+                    predecessors=shard.predecessors,
+                    handoff_from=shard.handoff_from,
+                    tenant=tenant,
+                )
             )
-            for shard in plan.shards
-        ]
-        return dispatch_units(jobs, deps, self.resolved_pool_size())
+            if len(kept) < len(shard.indices):
+                done = tuple(index for index in shard.indices if index in settled)
+                results = [settled[index] for index in done]
+                outcomes.append(ShardOutcome(shard.shard_id, done, results, [], pid, tenant))
+        units = dispatch_units(jobs, deps, self.resolved_pool_size())
+        return [unit for unit in units if any(job.indices for job in unit.jobs)], outcomes
 
     def _drive(
         self,
         sched: WindowScheduler,
         planner: CrowdPlanner,
         window: List[List[RouteQuery]],
+        settled: List[List[ShardOutcome]],
         plan_times: List[float],
         warm: bool,
     ) -> List[BatchExecution]:
         """The transport loop of one window: carry out ``sched``'s decisions
         on the pool, feed it every reply, and merge each batch it completes
-        into the parent, strictly in submission order.  A shard execution
-        error (a worker's ``"error"`` reply or the in-process tail raising)
-        returns the merged prefix — the window contract — and raises when
-        there is none."""
+        into the parent, strictly in submission order, together with its
+        ``settled`` outcomes (answered in the parent, never resubmitted).
+        A shard execution error (a worker's ``"error"`` reply or the
+        in-process tail raising) returns the merged prefix — the window
+        contract — and raises when there is none."""
         executions: List[BatchExecution] = []
 
         def merge(batches: List[int]) -> None:
             for index in batches:
-                size, outcomes = len(window[index]), sched.done[index]
+                size, dispatched = len(window[index]), sched.done[index]
+                outcomes = dispatched + settled[index]
                 before = planner.truth_cursor()
                 started = time.perf_counter()
                 results = merge_shard_outcomes(planner, size, outcomes)
@@ -452,7 +482,15 @@ class PooledBackend(ServingBackend):
                 for outcome in outcomes:
                     for query_index in outcome.indices:
                         origins[query_index] = (outcome.shard_id, outcome.worker_pid)
+                self.counters.record(
+                    "settled_queries", sum(len(outcome.indices) for outcome in settled[index])
+                )
                 resubmitted = sched.resubmitted[index]
+                flags = [False] * size
+                for outcome in dispatched:
+                    if outcome.shard_id in resubmitted:
+                        for query_index in outcome.indices:
+                            flags[query_index] = True
                 executions.append(
                     BatchExecution(
                         results=results,
@@ -461,9 +499,7 @@ class PooledBackend(ServingBackend):
                         execute_s=sched.execute_s(index),
                         merge_s=merge_s,
                         warm_pool=warm,
-                        resubmitted=(
-                            [origin[0] in resubmitted for origin in origins] if resubmitted else None
-                        ),
+                        resubmitted=flags if resubmitted else None,
                         respawn_count=sched.respawns,
                         truth_span=(before, planner.truth_cursor()),
                     )

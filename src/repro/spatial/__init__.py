@@ -3,7 +3,7 @@
 from .point import Point, euclidean_distance, haversine_distance
 from .bbox import BoundingBox
 from .polyline import Polyline
-from .grid_index import GridIndex
+from .grid_index import GridIndex, rank_tolerance
 from .distance import (
     point_to_segment_distance,
     project_point_on_segment,
@@ -17,6 +17,7 @@ __all__ = [
     "BoundingBox",
     "Polyline",
     "GridIndex",
+    "rank_tolerance",
     "point_to_segment_distance",
     "project_point_on_segment",
     "route_length",

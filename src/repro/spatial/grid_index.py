@@ -30,12 +30,21 @@ T = TypeVar("T")
 _VECTORIZE_THRESHOLD = 16
 
 
+def rank_tolerance(radius: float) -> float:
+    """The band within which a radius query's two distance functions may
+    disagree: ``np.hypot`` ranks vectorized candidates and ``math.hypot``
+    the rest, and the two can differ in the last ulp.  Callers that compare
+    distances the index ranked (not just its in-or-out decisions) widen
+    their comparisons by this much."""
+    return 4.0 * float(np.finfo(np.float64).eps) * max(radius, 1.0)
+
+
 class GridIndex(Generic[T]):
     """Maps items to planar locations and supports nearest / radius queries."""
 
     def __init__(self, cell_size: float = 500.0):
-        if cell_size <= 0:
-            raise SpatialError("cell_size must be positive")
+        if not 0 < cell_size < math.inf:
+            raise SpatialError("cell_size must be positive and finite")
         self.cell_size = float(cell_size)
         self._cells: Dict[Tuple[int, int], List[int]] = {}
         self._item_slot: Dict[T, int] = {}
@@ -209,7 +218,7 @@ class GridIndex(Generic[T]):
         distances = np.hypot(dx, dy)
         inside = distances <= radius
         if math.isfinite(radius):
-            tolerance = 4.0 * np.finfo(np.float64).eps * max(radius, 1.0)
+            tolerance = rank_tolerance(radius)
             for j in np.nonzero(np.abs(distances - radius) <= tolerance)[0]:
                 exact = math.hypot(float(dx[j]), float(dy[j]))
                 distances[j] = exact
@@ -225,8 +234,8 @@ class GridIndex(Generic[T]):
         Results are sorted by increasing distance; ties break on insertion
         order, so the ranking is deterministic for any item type.
         """
-        if radius < 0:
-            raise SpatialError("radius must be non-negative")
+        if not 0 <= radius < math.inf:
+            raise SpatialError("radius must be non-negative and finite")
         if not self._item_slot:
             return []
         return self._ranked_within(self._candidate_slots(center, radius), center, radius)

@@ -169,13 +169,16 @@ class TestPersistentPool:
             warm_per_batch = []
             for batch in batches:
                 responses = service.results(service.submit(batch))
-                pids_per_batch.append({r.provenance.worker_pid for r in responses})
+                # Settled truth reuses are answered by the parent itself.
+                in_parent = [r for r in responses if r.provenance.worker_pid == os.getpid()]
+                assert all(r.provenance.truth_reused for r in in_parent)
+                pids_per_batch.append({r.provenance.worker_pid for r in responses} - {os.getpid()})
                 warm_per_batch.append(all(r.provenance.warm_pool for r in responses))
             pool_pids = set(service.worker_pids())
         assert len(batches) >= 3
         assert len(pool_pids) == 2
         for pids in pids_per_batch:
-            assert pids <= pool_pids  # every batch served by the original workers
+            assert pids <= pool_pids  # every worker answer came from the original workers
         assert set().union(*pids_per_batch) == pool_pids
         assert warm_per_batch[0] is False  # the pool forks on the first batch
         assert all(warm_per_batch[1:])     # and is never re-forked afterwards
@@ -188,6 +191,22 @@ class TestPersistentPool:
             repeat = service.results(service.submit(serving_workload))
         assert all(response.method == "truth_reuse" for response in repeat)
         assert all(response.provenance.truth_reused for response in repeat)
+
+    def test_repeat_batch_is_settled_without_a_dispatch(
+        self, build_serving_planner, serving_workload
+    ):
+        """A batch the parent's store already answers whole is settled in
+        the parent: no unit reaches the pool."""
+        planner = build_serving_planner()
+        with _service(planner, "pooled", 2) as service:
+            service.results(service.submit(serving_workload))
+            before = service.statistics()["pipeline"]
+            repeat = service.results(service.submit(serving_workload))
+            after = service.statistics()["pipeline"]
+        assert after["dispatch_units"] == before["dispatch_units"]
+        assert after["settled_queries"] - before["settled_queries"] == len(serving_workload)
+        assert {r.provenance.worker_pid for r in repeat} == {os.getpid()}
+        assert not any(r.provenance.resubmitted for r in repeat)
 
     def test_explicit_plan_on_forked_pool(
         self, build_serving_planner, serving_workload, sequential_oracle

@@ -40,25 +40,30 @@ def workloads(build_serving_planner, serving_workload, dominant_workload, sequen
     ``clustered`` is the plain workload with each interaction-closed
     component made contiguous and cut only between components: its batches
     share no cells, so a window overlaps whole batches and a later batch can
-    finish, and wait to merge, before an earlier one."""
+    finish, and wait to merge, before an earlier one.  ``repeated`` serves
+    half the plain workload, then repeats it, then a stretch half repeated
+    and half fresh, so windows mix queries the parent settles with queries
+    it dispatches."""
     atomic = build_serving_planner().shard_plan(serving_workload, len(serving_workload))
     clustered = [serving_workload[i] for shard in atomic.shards for i in shard.indices]
     boundaries = list(itertools.accumulate(len(shard.indices) for shard in atomic.shards))[:-1]
-    planner = build_serving_planner()
-    results = planner.recommend_batch(clustered)
+    repeated = serving_workload[:80] * 2 + serving_workload[40:120]
+
+    def oracle(workload):
+        planner = build_serving_planner()
+        results = planner.recommend_batch(workload)
+        return {
+            "fingerprints": [recommendation_fingerprint(result) for result in results],
+            "statistics": planner.statistics.as_dict(),
+            "truths": _truth_tuples(planner),
+        }
+
     anywhere = range(1, len(serving_workload))
     return {
         "plain": (serving_workload, anywhere, sequential_oracle["plain"]),
         "dominant": (dominant_workload, anywhere, sequential_oracle["dominant"]),
-        "clustered": (
-            clustered,
-            boundaries,
-            {
-                "fingerprints": [recommendation_fingerprint(result) for result in results],
-                "statistics": planner.statistics.as_dict(),
-                "truths": _truth_tuples(planner),
-            },
-        ),
+        "clustered": (clustered, boundaries, oracle(clustered)),
+        "repeated": (repeated, range(1, len(repeated)), oracle(repeated)),
     }
 
 
@@ -70,7 +75,7 @@ class TestSimulatedPoolProperty:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        workload_name=st.sampled_from(["plain", "dominant", "clustered"]),
+        workload_name=st.sampled_from(["plain", "dominant", "clustered", "repeated"]),
         cuts=st.sets(st.integers(min_value=0, max_value=10**6), max_size=7),
         pool_size=st.integers(min_value=1, max_value=4),
         pipeline_window=st.integers(min_value=1, max_value=4),
@@ -82,6 +87,8 @@ class TestSimulatedPoolProperty:
     # and must wait to merge; the second also loses workers mid-chain.
     @example("clustered", {0, 1, 2, 3}, 4, 4, None, 0, set())
     @example("clustered", {0, 1, 2, 3}, 2, 3, 0.1, 1, {2, 5})
+    # Settled and dispatched queries share windows, and a worker is lost.
+    @example("repeated", {79, 119, 159, 199}, 2, 3, 0.1, 2, {1})
     def test_any_schedule_matches_sequential(
         self,
         build_serving_planner,

@@ -1,6 +1,8 @@
 """Tests for repro.spatial.grid_index, including a property-based check
 against a brute-force linear scan."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +17,22 @@ class TestBasicOperations:
     def test_invalid_cell_size(self):
         with pytest.raises(SpatialError):
             GridIndex(cell_size=0)
+
+    def test_non_finite_cell_size_rejected(self):
+        """A NaN cell size constructed, then its first insert raised a raw
+        ``ValueError`` converting the NaN cell to an integer."""
+        for cell_size in (math.nan, math.inf):
+            with pytest.raises(SpatialError):
+                GridIndex(cell_size=cell_size)
+
+    def test_non_finite_radius_rejected(self):
+        """An infinite radius reached ``int(inf)`` and raised a raw
+        ``OverflowError``."""
+        index = GridIndex(cell_size=100)
+        index.insert("a", Point(0, 0))
+        for radius in (math.nan, math.inf):
+            with pytest.raises(SpatialError):
+                index.within_radius(Point(0, 0), radius)
 
     def test_insert_and_contains(self):
         index = GridIndex(cell_size=100)

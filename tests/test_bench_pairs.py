@@ -48,3 +48,29 @@ def test_summary_counts_wins_in_each_metrics_direction(bench_pairs):
     assert rows["rss"]["beats_parent_iqr"] is False
     text = bench_pairs.report(list(rows.values()), runs)
     assert "parent: 3/3 runs correct, 0 failed operations" in text
+
+
+def test_order_effect_is_flagged_when_it_exceeds_the_change_gap(bench_pairs):
+    """Pairs alternate parent first / change first.  Here whichever side
+    runs first is 20% faster and the two sides are otherwise equal, so the
+    order moves the metric more than the change does."""
+    runs = {
+        "parent": [_run(qps=120.0), _run(qps=100.0), _run(qps=120.0), _run(qps=100.0)],
+        "change": [_run(qps=100.0), _run(qps=120.0), _run(qps=100.0), _run(qps=120.0)],
+    }
+    (row,) = bench_pairs.summarise(runs, {"qps": "higher"})
+    assert row["first_over_second"] == pytest.approx(1.2)
+    assert row["order_exceeds_gap"] is True
+    assert "1.200 ORDER>GAP" in bench_pairs.report([row], runs)
+
+
+def test_order_effect_within_the_change_gap_is_not_flagged(bench_pairs):
+    runs = {
+        "parent": [_run(qps=100.0), _run(qps=101.0)],
+        "change": [_run(qps=150.0), _run(qps=150.0)],
+    }
+    (row,) = bench_pairs.summarise(runs, {"qps": "higher"})
+    # Pair 1 ran the parent first (100/150), pair 2 the change (150/101).
+    assert row["first_over_second"] == pytest.approx((100 / 150 + 150 / 101) / 2)
+    assert row["order_exceeds_gap"] is False
+    assert "ORDER>GAP" not in bench_pairs.report([row], runs)

@@ -39,6 +39,13 @@ class TestPlannerConfigValidation:
         with pytest.raises(ConfigurationError):
             PlannerConfig(**{field: value})
 
+    def test_infinite_truth_reuse_radius_rejected(self):
+        """An infinite radius passed validation, then made shard planning's
+        cell reach ``int(inf // inf)`` and the truth store's first radius
+        query raise a raw ``ValueError``."""
+        with pytest.raises(ConfigurationError):
+            PlannerConfig(truth_reuse_radius_m=math.inf)
+
     def test_with_overrides_returns_new_validated_config(self):
         config = PlannerConfig().with_overrides(workers_per_task=9)
         assert config.workers_per_task == 9
