@@ -17,11 +17,14 @@ Each run is a forked child of this process, taken after servebench's
 inline warm-up pass, so every run starts from the same warm state.  A
 pooled run forks its workers before the clock starts.  The probe prints
 each configuration's minimum over ``--runs`` runs in ms per batch and its
-``pipeline.dispatch_units`` and ``pipeline.settled_queries`` (both are
-deterministic for the closed loop; both read 0 inline), and fails unless
-every run's answer digest is the same (and, at the default seed, equal to
-the committed closed-loop digest).  It only reads ``servebench``; it
-changes nothing there.
+``pipeline.dispatch_units``, ``pipeline.settled_queries`` and
+``pipeline.cross_batch_edges`` (all deterministic for the closed loop; all
+read 0 inline).  It fails unless every run's answer digest is the same
+(and, at the default seed, equal to the committed closed-loop digest), and
+unless both pooled fractions settle the same queries: settling happens
+before planning, so it never depends on the split.  Counters a checkout
+does not have read 0, so the probe also runs in an older checkout.  It only
+reads ``servebench``; it changes nothing there.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ def warm_up(substrate, seed: int) -> None:
 
 
 def serve_once(substrate, batches, overrides):
-    """(ms per batch, answer digest, (dispatch units, settled queries)) of
-    one closed-loop pass, in a forked child."""
+    """(ms per batch, answer digest, (dispatch units, settled queries,
+    cross-batch edges)) of one closed-loop pass, in a forked child."""
 
     def task():
         planner = substrate.planner()
@@ -82,7 +85,9 @@ def serve_once(substrate, batches, overrides):
         if any(not record.ok for record in phase.records):
             raise RuntimeError("a batch failed")
         results = [response.result for record in phase.records for response in record.responses]
-        counts = (pipeline["dispatch_units"], pipeline.get("settled_queries", 0))
+        counts = tuple(
+            pipeline.get(name, 0) for name in ("dispatch_units", "settled_queries", "cross_batch_edges")
+        )
         return 1000.0 * phase.elapsed_s / len(batches), digest_results(results), counts
 
     return forked(task)
@@ -111,12 +116,15 @@ def main(argv=None) -> int:
             best[label] = min(ms, best.get(label, ms))
             digests.add(digest)
             print(f"  {label}: {ms:.2f} ms per batch ({digest[:8]})")
-    print(f"minimum of {args.runs} runs, ms per batch; dispatch units; settled queries:")
+    print(f"minimum of {args.runs} runs, ms per batch; dispatch units; settled queries; cross-batch edges:")
     for label in CONFIGURATIONS:
-        units, settled = counts[label]
-        print(f"  {label:22s} {best[label]:6.2f} {units:6d} {settled:6d}")
+        units, settled, edges = counts[label]
+        print(f"  {label:22s} {best[label]:6.2f} {units:6d} {settled:6d} {edges:6d}")
     if len(digests) != 1:
         raise SystemExit(f"answer digests differ: {sorted(digests)}")
+    split, whole = (counts[f"pooled, fraction {fraction}"][1] for fraction in ("0.1", "1.0"))
+    if split != whole:
+        raise SystemExit(f"settled queries depend on the split: {split} vs {whole}")
     (digest,) = digests
     if args.seed == DEFAULT_SEED and digest != DEFAULT_DIGESTS[WORKLOAD.name].closed:
         raise SystemExit(f"answer digest {digest[:12]} != committed closed-loop digest")

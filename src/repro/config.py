@@ -94,14 +94,14 @@ class PlannerConfig:
             raise ConfigurationError("agreement_threshold must be in (0, 1]")
         if not 0 < self.truth_reuse_radius_m < math.inf:
             raise ConfigurationError("truth_reuse_radius_m must be positive and finite")
-        if self.truth_time_slot_minutes <= 0:
-            raise ConfigurationError("truth_time_slot_minutes must be positive")
+        if not 0 < self.truth_time_slot_minutes < math.inf:
+            raise ConfigurationError("truth_time_slot_minutes must be positive and finite")
         if self.worker_quota < 1:
             raise ConfigurationError("worker_quota must be at least 1")
         if not 0.0 < self.response_time_threshold <= 1.0:
             raise ConfigurationError("response_time_threshold must be in (0, 1]")
-        if not self.knowledge_radius_m > 0:
-            raise ConfigurationError("knowledge_radius_m must be positive")
+        if not 0 < self.knowledge_radius_m < math.inf:
+            raise ConfigurationError("knowledge_radius_m must be positive and finite")
         if not 0.0 <= self.familiarity_alpha <= 1.0:
             raise ConfigurationError("familiarity_alpha must be in [0, 1]")
         if not 0.0 <= self.familiarity_beta < 1.0:
@@ -168,7 +168,9 @@ class ServiceConfig(PlannerConfig):
         fraction decides the plan's shape (``service.plan()``), the
         ``sharding`` counters and what servebench's ``hotspot_repeat``
         regime guard sees, while answers and dispatch units are the same
-        for every value.
+        for every value.  A pooled window plans only the queries it
+        dispatches (settled truth reuses are answered before planning), so
+        there the fraction is of a batch's dispatched remainder.
     max_pending_batches:
         Submission-queue bound: :meth:`RecommendationService.submit` raises
         :class:`~repro.exceptions.ServingError` once this many submitted

@@ -25,6 +25,7 @@ walks.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -85,8 +86,8 @@ class RouteEvaluator:
         config: PlannerConfig = DEFAULT_CONFIG,
         neighbourhood_radius_m: float = 1_500.0,
     ):
-        if neighbourhood_radius_m <= 0:
-            raise RoutingError("neighbourhood_radius_m must be positive")
+        if not 0 < neighbourhood_radius_m < math.inf:
+            raise RoutingError("neighbourhood_radius_m must be positive and finite")
         self.network = network
         self.truths = truths
         self.config = config

@@ -105,11 +105,13 @@ class ResultProvenance:
 
     ``shard_id``/``worker_pid`` identify the shard and OS process that served
     the request (``shard_id`` is ``None`` for the inline backend, which does
-    not shard; ``worker_pid`` is the serving process — the parent's own pid
-    when no pool worker was involved).  ``warm_pool`` records whether the
-    batch ran on an already-forked pool (the amortisation the persistent
-    backend exists for), and ``truth_reused`` whether the answer came
-    straight from the verified-truth store.
+    not shard, and for a pooled truth reuse the parent settled before
+    planning, which belongs to no shard; ``worker_pid`` is the serving
+    process — the parent's own pid when no pool worker was involved).
+    ``warm_pool`` records whether the batch ran on an already-forked pool
+    (the amortisation the persistent backend exists for), and
+    ``truth_reused`` whether the answer came straight from the
+    verified-truth store.
 
     ``resubmitted`` marks a result whose shard was re-executed after the
     supervisor declared its original worker dead mid-batch (``worker_pid``

@@ -53,10 +53,22 @@ import traceback
 import warnings
 from collections import OrderedDict, deque
 from multiprocessing.connection import wait as mp_wait
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..config import ServiceConfig
-from ..core.planner import CrowdPlanner, RecommendationResult, ShardPlan
+from ..core.planner import CrowdPlanner, ShardPlan
 from ..exceptions import JournalError, OverloadError, ServingError
 from ..routing.base import RouteQuery
 from .journal import TruthJournal
@@ -89,6 +101,22 @@ QueryLike = Union[RouteQuery, RecommendRequest]
 
 #: :meth:`_PoolWorker.read`'s "nothing but heartbeats waiting" marker.
 _SILENT = object()
+
+#: The plan of a batch the window's settle pass answers whole.
+_EMPTY_PLAN = ShardPlan(shards=(), num_queries=0, interaction_radius_m=0.0, cell_size_m=0.0, cell_reach=0)
+
+
+def _lifted(plan: ShardPlan, positions: Sequence[int]) -> ShardPlan:
+    """``plan`` with each shard index ``i`` replaced by ``positions[i]``.
+
+    The shards keep their ``destination_cells`` objects, which
+    :func:`~repro.serving.pipeline.batch_dependencies` shares scans by.
+    The od-cell groups index the planned subset, so they are dropped."""
+    shards = tuple(
+        dataclasses.replace(shard, indices=tuple(positions[index] for index in shard.indices))
+        for shard in plan.shards
+    )
+    return dataclasses.replace(plan, shards=shards, od_cell_groups=None)
 
 
 # ------------------------------------------------------------ inline backend
@@ -194,11 +222,11 @@ class PooledBackend(ServingBackend):
     window runs through the in-process tail — the same clone-and-merge
     machinery — so results are identical everywhere.
 
-    A query the parent's store already answers never reaches a worker: each
-    window starts with :meth:`CrowdPlanner.settled_hits`, the queries it
-    settles are answered in the parent as truth reuses (provenance: their
-    plan shard and the parent's pid), and only the rest are dispatched
-    (the ``settled_queries`` counter).
+    A query the parent's store already answers never reaches a worker, nor
+    a plan: each window starts with :meth:`CrowdPlanner.settled_hits`, the
+    queries it settles are answered in the parent as truth reuses
+    (provenance: no shard, the parent's pid; the ``settled_queries``
+    counter), and only the rest are shard-planned and dispatched.
 
     Truth deltas stream to workers as a columnar
     :class:`~repro.serving.protocol.TruthDeltaBlock` — node-index arrays,
@@ -305,20 +333,32 @@ class PooledBackend(ServingBackend):
 
     # ------------------------------------------------------ hotspot splitting
     def _split_plan(
-        self, planner: CrowdPlanner, queries: Sequence[RouteQuery]
+        self, planner: CrowdPlanner, queries: Sequence[RouteQuery], settled: Container[int] = ()
     ) -> Tuple[ShardPlan, ShardPlan]:
         """One batch's shard plan over the pool, and that plan with its
         oversized components split into sub-shard chains when
-        ``max_shard_fraction`` is set (the plan itself otherwise)."""
-        plan = planner.shard_plan(queries, self.resolved_pool_size())
+        ``max_shard_fraction`` is set (the plan itself otherwise).
+
+        Only the queries not in ``settled`` are planned, so ``num_queries``
+        and the split's fraction count those; their shard indices are lifted
+        back to positions in ``queries``.  With nothing left to plan both
+        plans are empty and ``shard_plan`` is not called."""
+        kept = [index for index in range(len(queries)) if index not in settled]
+        if not kept:
+            return _EMPTY_PLAN, _EMPTY_PLAN
+        subset = queries if len(kept) == len(queries) else [queries[index] for index in kept]
+        plan = planner.shard_plan(subset, self.resolved_pool_size())
         fraction = self.config.max_shard_fraction
-        if fraction is None:
-            return plan, plan
-        return plan, split_oversized(planner, plan, queries, fraction)
+        split = plan if fraction is None else split_oversized(planner, plan, subset, fraction)
+        if subset is queries:
+            return plan, split
+        lifted = _lifted(plan, kept)
+        return lifted, lifted if split is plan else _lifted(split, kept)
 
     def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
-        """The plan :meth:`execute_window` executes a batch under, splits
-        included."""
+        """The plan of ``queries`` as given, splits included: the plan
+        :meth:`execute_window` executes them under when none of them is
+        settled (a window plans only its unsettled queries)."""
         return self._split_plan(planner, queries)[1]
 
     def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
@@ -337,15 +377,17 @@ class PooledBackend(ServingBackend):
         """The one execution path: plan, dispatch and merge a window of
         consecutive batches on the pool (DAG dispatch).
 
-        Plans each batch and applies the ``max_shard_fraction`` split
-        (:meth:`_split_plan`), then
+        Settles first: :meth:`CrowdPlanner.settled_hits` names the window's
+        truth reuses the parent's store already answers, and each batch
+        keeps them as one parent-side outcome with no truths.  Then plans
+        each batch's remaining queries only and applies the
+        ``max_shard_fraction`` split (:meth:`_split_plan`; a batch with
+        nothing left gets an empty plan), and
         :func:`~repro.serving.pipeline.batch_dependencies` reduces the
         cross-batch interaction-closure tests to one dependency per shard: a
         shard may dispatch as soon as every batch up to and including its
         dependency has merged — it need not wait for the whole previous
-        batch.  The window's settled truth reuses
-        (:meth:`CrowdPlanner.settled_hits`) leave their jobs, and each
-        batch's remaining jobs are grouped into hand-off-closed dispatch
+        batch.  Each batch's jobs are grouped into hand-off-closed dispatch
         units (:meth:`_units`) for the window's :class:`WindowScheduler`;
         where ``fork`` exists the pool is ensured (polling lame workers and
         replacing dead ones on a warm pool) and :meth:`_drive` runs the
@@ -367,12 +409,14 @@ class PooledBackend(ServingBackend):
         planner = self._planner_for(tenant)
         window = [list(queries) for queries in batches]
         with self.counters.charging(tenant):
+            hits = planner.settled_hits(window)
             split_plans: List[ShardPlan] = []
             plan_times: List[float] = []
-            for queries in window:
+            for queries, settled in zip(window, hits):
                 started = time.perf_counter()
-                plan, split_plan = self._split_plan(planner, queries)
-                self._note_plan(plan, split_plan)
+                plan, split_plan = self._split_plan(planner, queries, settled)
+                if plan.shards:
+                    self._note_plan(plan, split_plan)
                 split_plans.append(split_plan)
                 plan_times.append(time.perf_counter() - started)
             deps = batch_dependencies(split_plans)
@@ -383,13 +427,15 @@ class PooledBackend(ServingBackend):
             # inherit the compiled graph and source caches instead of rebuilding
             # them per process.
             planner.warm_batch([query for queries in window for query in queries])
-            units_per_batch, settled = [], []
-            for queries, plan, batch_deps, hits in zip(
-                window, split_plans, deps, planner.settled_hits(window)
-            ):
-                units, outcomes = self._units(queries, plan, batch_deps, tenant, hits)
-                units_per_batch.append(units)
-                settled.append(outcomes)
+            units_per_batch = [
+                self._units(queries, plan, batch_deps, tenant)
+                for queries, plan, batch_deps in zip(window, split_plans, deps)
+            ]
+            pid = os.getpid()
+            settled_outcomes = [
+                [ShardOutcome(None, tuple(found), list(found.values()), [], pid, tenant)] if found else []
+                for found in hits
+            ]
             can_fork = self._can_fork()
             sched = WindowScheduler(
                 units_per_batch,
@@ -407,50 +453,31 @@ class PooledBackend(ServingBackend):
                 # what the window runs on).
                 self._poll_lame(sched)
                 warm = not self._ensure_pool()
-            executions = self._drive(sched, planner, window, settled, plan_times, warm)
+            executions = self._drive(sched, planner, window, settled_outcomes, plan_times, warm)
             if len(window) > 1:
                 self.counters.record("windows")
             self.counters.record(BATCHES, len(executions))
         return executions
 
     def _units(
-        self,
-        queries: List[RouteQuery],
-        plan: ShardPlan,
-        deps: List[int],
-        tenant: str,
-        settled: Dict[int, RecommendationResult],
-    ) -> Tuple[List[DispatchUnit], List[ShardOutcome]]:
-        """The dispatch units of one batch of the window — at most one per
+        self, queries: List[RouteQuery], plan: ShardPlan, deps: List[int], tenant: str
+    ) -> List[DispatchUnit]:
+        """The dispatch units of one batch of the window: at most one per
         pool worker and cross-batch dependency (see
-        :func:`~repro.serving.shards.dispatch_units`) — and the outcomes of
-        its ``settled`` queries (:meth:`CrowdPlanner.settled_hits`).
-
-        Settled queries leave their jobs and are answered by the parent: one
-        outcome per plan shard, with no truths.  An emptied job stays in its
-        unit, so sub-shard chains stay closed, and a unit with no query left
-        is never dispatched."""
-        pid = os.getpid()
-        jobs, outcomes = [], []
-        for shard in plan.shards:
-            kept = tuple(index for index in shard.indices if index not in settled)
-            jobs.append(
-                ShardJob(
-                    shard_id=shard.shard_id,
-                    indices=kept,
-                    destination_cells=shard.destination_cells,
-                    queries=[queries[index] for index in kept],
-                    predecessors=shard.predecessors,
-                    handoff_from=shard.handoff_from,
-                    tenant=tenant,
-                )
+        :func:`~repro.serving.shards.dispatch_units`)."""
+        jobs = [
+            ShardJob(
+                shard_id=shard.shard_id,
+                indices=shard.indices,
+                destination_cells=shard.destination_cells,
+                queries=[queries[index] for index in shard.indices],
+                predecessors=shard.predecessors,
+                handoff_from=shard.handoff_from,
+                tenant=tenant,
             )
-            if len(kept) < len(shard.indices):
-                done = tuple(index for index in shard.indices if index in settled)
-                results = [settled[index] for index in done]
-                outcomes.append(ShardOutcome(shard.shard_id, done, results, [], pid, tenant))
-        units = dispatch_units(jobs, deps, self.resolved_pool_size())
-        return [unit for unit in units if any(job.indices for job in unit.jobs)], outcomes
+            for shard in plan.shards
+        ]
+        return dispatch_units(jobs, deps, self.resolved_pool_size())
 
     def _drive(
         self,
@@ -1090,10 +1117,12 @@ class RecommendationService:
         return stats
 
     def plan(self, queries: Sequence[QueryLike]) -> ShardPlan:
-        """The shard plan a batch would execute under (diagnostics).
+        """The shard plan of a batch as given (diagnostics).
 
         Includes the backend's hotspot splitting: with ``max_shard_fraction``
-        configured, oversized shards appear as their sub-shard chains.
+        configured, oversized shards appear as their sub-shard chains.  It
+        plans every query, settling none; a pooled window plans only the
+        queries its settle pass leaves (:meth:`PooledBackend.execute_window`).
         """
         resolved = [
             query.query if isinstance(query, RecommendRequest) else query for query in queries

@@ -101,9 +101,12 @@ class DispatchUnit:
 
 @dataclass
 class ShardOutcome:
-    """Everything a shard execution produced, in shard submission order."""
+    """Everything a shard execution produced, in shard submission order.
 
-    shard_id: int
+    ``shard_id`` is ``None`` for the outcome of a batch's settled truth
+    reuses, which the parent answers outside any plan shard."""
+
+    shard_id: Optional[int]
     indices: Tuple[int, ...]
     results: List[RecommendationResult]
     new_truths: List[VerifiedTruth]

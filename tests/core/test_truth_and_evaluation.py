@@ -1,5 +1,7 @@
 """Tests for the truth database and the automatic route evaluator."""
 
+import math
+
 import pytest
 
 from repro.config import PlannerConfig
@@ -143,3 +145,11 @@ class TestRouteEvaluator:
     def test_invalid_neighbourhood_radius(self, truth_db, small_network):
         with pytest.raises(RoutingError):
             RouteEvaluator(small_network, truth_db, neighbourhood_radius_m=0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_neighbourhood_radius(self, truth_db, small_network, radius):
+        """An infinite radius made shard planning's cell reach
+        ``int(inf // cell)`` raise a raw ValueError, and a NaN one made
+        ``truths_near`` raise SpatialError."""
+        with pytest.raises(RoutingError):
+            RouteEvaluator(small_network, truth_db, neighbourhood_radius_m=radius)

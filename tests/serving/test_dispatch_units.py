@@ -7,11 +7,13 @@ sequential oracle over each unit's queries in submission order (results,
 new truths and counted statistics), including where shard-id order would
 break a lookup tie differently; the largest unit of the dominant workload
 must fit a pipe buffer; and the parent must group each batch's od cells
-once.
+once, over only the queries its window's settle pass left it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
 
@@ -348,16 +350,24 @@ class TestPlanGroupsOnce:
         self, build_serving_planner, dominant_workload, sequential_oracle, window
     ):
         """``split_oversized`` restages from the plan's own od-cell groups:
-        the parent groups a batch's od cells once, in ``shard_plan``."""
+        the parent groups a batch's od cells once, in ``shard_plan``, over
+        the queries the window's settle pass left it (none when it left
+        none)."""
         planner = build_serving_planner()
-        calls = []
-        group = planner.od_cell_groups
+        calls, left = [], []
+        group, settle = planner.od_cell_groups, planner.settled_hits
 
         def counting(queries):
             calls.append(len(queries))
             return group(queries)
 
+        def settling(window):
+            hits = settle(window)
+            left.extend(len(queries) - len(found) for queries, found in zip(window, hits))
+            return hits
+
         planner.od_cell_groups = counting
+        planner.settled_hits = settling
         config = ServiceConfig(pool_size=2, max_shard_fraction=FRACTION, pipeline_window=window)
         batches = [list(dominant_workload[start : start + 40]) for start in range(0, 160, 40)]
         with RecommendationService(planner, config, SimulatedPool(config)) as service:
@@ -365,8 +375,54 @@ class TestPlanGroupsOnce:
             responses = [r for ticket in tickets for r in service.results(ticket)]
             stats = service.statistics()
         assert stats["sharding"]["sub_shards_total"] > 0
-        assert calls == [40] * len(batches)
+        assert len(left) == len(batches)
+        assert calls == [count for count in left if count]
+        assert stats["pipeline"]["settled_queries"] == 40 * len(batches) - sum(left)
         assert [recommendation_fingerprint(r.result) for r in responses] == (
             sequential_oracle["dominant"]["fingerprints"]
         )
         assert 0 < stats["pipeline"]["dispatch_units"] <= 2 * len(batches)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="platform has no fork start method",
+)
+class TestSettleBeforePlanning:
+    def test_repeat_batch_is_neither_planned_nor_waited_on(self, build_serving_planner, serving_workload):
+        """A window of a fresh batch and then a repeat of an earlier one:
+        the settle pass answers the repeat whole in the parent before any
+        planning, so it makes no ``shard_plan`` call and no cross-batch
+        edge, and answers stay the sequential oracle's."""
+        first, fresh = list(serving_workload[:40]), list(serving_workload[40:80])
+        oracle = build_serving_planner()
+        expected = [
+            recommendation_fingerprint(result)
+            for batch in (first, fresh, first)
+            for result in oracle.recommend_batch(batch)
+        ]
+        planner = build_serving_planner()
+        config = ServiceConfig(pool_size=2, max_shard_fraction=FRACTION, pipeline_window=2)
+        with RecommendationService(planner, config) as service:
+            responses = service.results(service.submit(first))
+            before = service.statistics()["pipeline"]
+            calls = []
+            plan = planner.shard_plan
+
+            def counting(queries, shards):
+                calls.append(len(queries))
+                return plan(queries, shards)
+
+            planner.shard_plan = counting
+            tickets = [service.submit(fresh), service.submit(first)]
+            served_fresh, repeat = (service.results(ticket) for ticket in tickets)
+            after = service.statistics()["pipeline"]
+        assert after["windows"] - before["windows"] == 1
+        assert len(calls) == 1, "only the fresh batch is planned"
+        assert after["cross_batch_edges"] == before["cross_batch_edges"]
+        assert after["settled_queries"] - before["settled_queries"] == 80 - calls[0]
+        assert all(r.provenance.shard_id is None for r in repeat)
+        assert {r.provenance.worker_pid for r in repeat} == {os.getpid()}
+        assert all(r.provenance.truth_reused for r in repeat)
+        fingerprints = [recommendation_fingerprint(r.result) for r in responses + served_fresh + repeat]
+        assert fingerprints == expected

@@ -33,6 +33,13 @@ class TestPlannerConfigValidation:
             ("truth_reuse_radius_m", math.nan),
             ("knowledge_radius_m", math.nan),
             ("reward_per_question", math.nan),
+            # A NaN slot width made ``time_slot_of`` raise a raw ValueError
+            # (an infinite one is no slot at all), and an infinite knowledge
+            # radius made the familiarity model's landmark radius query
+            # raise SpatialError.
+            ("truth_time_slot_minutes", math.nan),
+            ("truth_time_slot_minutes", math.inf),
+            ("knowledge_radius_m", math.inf),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
