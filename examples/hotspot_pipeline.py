@@ -1,4 +1,4 @@
-"""Hotspot pipelining: stage an oversized component as a sub-shard chain.
+"""Hotspot split: report an oversized component as a sub-shard chain.
 
 Run with::
 
@@ -6,25 +6,24 @@ Run with::
 
 The script builds a city-center hotspot workload — 30% of all queries share
 one dominant destination — so interaction-closed sharding puts half the
-batch into a single component that one worker would serve alone while the
-rest of the pool idles.  The batch is then served twice through the pooled
-backend:
+batch into a single component that one worker serves alone.  The batch is
+then served twice through the pooled backend:
 
-1. with ``max_shard_fraction=None`` — the monolithic plan: the hotspot
-   component is one shard, however large;
-2. with ``max_shard_fraction=0.1`` — ``split_oversized`` restages the
+1. with ``max_shard_fraction=None`` — the component plan is reported as
+   is: the hotspot component is one shard, however large;
+2. with ``max_shard_fraction=0.1`` — ``split_oversized`` reports the
    component's od-cell groups as an ordered dataflow of sub-shards, each at
-   most 10% of the batch, linked by hand-off edges.  A producer and its
-   consumers travel as one dispatch unit, whose worker answers the unit's
-   queries on one clone in submission order.
+   most 10% of the batch, linked by hand-off edges.
 
-The split is made visible, not just claimed: the sub-shard chain (ids,
-sizes, hand-off edges) is printed, ``service.statistics()["sharding"]``
-reports the largest shard fraction before/after splitting plus the chain
-depth, and provenance shows which worker served each sub-shard.
-Merges still happen in strict submission order with truth ids issued by the
-parent, so both runs are bit-identical to the sequential oracle — the
-serving contract is fraction-independent (see docs/serving-invariants.md).
+The split is a diagnostic: the sub-shard chain (ids, sizes, hand-off
+edges) is printed and ``service.statistics()["sharding"]`` reports the
+largest shard fraction before/after splitting plus the chain depth, but
+both runs dispatch the same component plan, one message per shard, as
+provenance shows.  Every hand-off the split names lies inside one
+component shard, which its worker answers in submission order.  Merges
+happen in strict submission order with truth ids issued by the parent, so
+both runs are bit-identical to the sequential oracle (see
+docs/serving-invariants.md).
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ def main() -> None:
     )
     print(f"Workload: {len(workload)} queries, 30% sharing one city-center destination\n")
 
-    # What splitting does to the plan: the monolithic plan's largest shard
-    # against the staged sub-shard chain.  "s3 <- Δ{1, 2}" reads "sub-shard 3
+    # What the split reports: the component plan's largest shard against
+    # the sub-shard chain.  "s3 <- Δ{1, 2}" reads "sub-shard 3
     # can see the truths recorded by sub-shards 1 and 2".
     monolithic = sequential_planner.shard_plan(workload, POOL_SIZE)
     planner = build_planner(scenario, familiarity)
@@ -110,7 +109,7 @@ def main() -> None:
     )
     with RecommendationService(planner, config=backend_config) as service:
         split = service.plan(workload)
-    print(f"Monolithic plan: {len(monolithic.shards)} shards, largest "
+    print(f"Component plan: {len(monolithic.shards)} shards, largest "
           f"{monolithic.largest_shard_fraction():.0%} of the batch")
     print(f"Split plan (max_shard_fraction={FRACTION}): {len(split.shards)} sub-shards, "
           f"largest {split.largest_shard_fraction():.0%}, chain depth {split.chain_depth()}")
@@ -126,29 +125,28 @@ def main() -> None:
     oracle = sequential_planner.recommend_batch(workload)
     oracle_fp = [recommendation_fingerprint(r) for r in oracle]
 
-    print(f"Serving the monolithic plan (pool of {POOL_SIZE})...")
+    print(f"Serving with no split reported (pool of {POOL_SIZE})...")
     mono_responses, mono_stats, mono_s = serve(scenario, familiarity, workload, None)
     print(f"  {len(workload) / mono_s:7,.0f} queries/s   sharding stats: {mono_stats}")
 
-    print(f"Serving the sub-shard chain (max_shard_fraction={FRACTION})...")
+    print(f"Serving with the split reported (max_shard_fraction={FRACTION})...")
     chain_responses, chain_stats, chain_s = serve(scenario, familiarity, workload, FRACTION)
     print(f"  {len(workload) / chain_s:7,.0f} queries/s   sharding stats: {chain_stats}")
 
-    # The chain shows up in provenance: the hotspot's sub-shards carry
-    # distinct shard ids.  A component's sub-shards form one dispatch unit,
-    # so they all name the one worker that ran it.
+    # Provenance names the dispatched shards: the component plan's, one
+    # message each, whatever the split reported.
     by_shard = {}
     for response in chain_responses:
         prov = response.provenance
         by_shard.setdefault(prov.shard_id, set()).add(prov.worker_pid)
-    print("\nSub-shard placement (shard id -> worker pids):")
+    print("\nDispatched shards (shard id -> worker pids):")
     for shard_id in sorted(by_shard):
         print(f"  s{shard_id}: {sorted(by_shard[shard_id])}")
 
     mono_fp = [recommendation_fingerprint(r.result) for r in mono_responses]
     chain_fp = [recommendation_fingerprint(r.result) for r in chain_responses]
-    print(f"\nMonolithic answers identical to sequential: {mono_fp == oracle_fp}")
-    print(f"Chained answers identical to sequential:    {chain_fp == oracle_fp}")
+    print(f"\nNo-split answers identical to sequential:   {mono_fp == oracle_fp}")
+    print(f"Split-run answers identical to sequential:  {chain_fp == oracle_fp}")
 
 
 if __name__ == "__main__":

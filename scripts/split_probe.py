@@ -21,8 +21,10 @@ each configuration's minimum over ``--runs`` runs in ms per batch and its
 ``pipeline.cross_batch_edges`` (all deterministic for the closed loop; all
 read 0 inline).  It fails unless every run's answer digest is the same
 (and, at the default seed, equal to the committed closed-loop digest), and
-unless both pooled fractions settle the same queries: settling happens
-before planning, so it never depends on the split.  Counters a checkout
+unless both pooled fractions settle the same queries and send the same
+number of dispatches: settling happens before planning, and a window
+dispatches the component plan, one message per shard, so neither reads
+the split.  Counters a checkout
 does not have read 0, so the probe also runs in an older checkout.  It only
 reads ``servebench``; it changes nothing there.
 """
@@ -122,9 +124,11 @@ def main(argv=None) -> int:
         print(f"  {label:22s} {best[label]:6.2f} {units:6d} {settled:6d} {edges:6d}")
     if len(digests) != 1:
         raise SystemExit(f"answer digests differ: {sorted(digests)}")
-    split, whole = (counts[f"pooled, fraction {fraction}"][1] for fraction in ("0.1", "1.0"))
-    if split != whole:
-        raise SystemExit(f"settled queries depend on the split: {split} vs {whole}")
+    split, whole = (counts[f"pooled, fraction {fraction}"] for fraction in ("0.1", "1.0"))
+    if split[1] != whole[1]:
+        raise SystemExit(f"settled queries depend on the split: {split[1]} vs {whole[1]}")
+    if split[0] != whole[0]:
+        raise SystemExit(f"dispatches depend on the split: {split[0]} vs {whole[0]}")
     (digest,) = digests
     if args.seed == DEFAULT_SEED and digest != DEFAULT_DIGESTS[WORKLOAD.name].closed:
         raise SystemExit(f"answer digest {digest[:12]} != committed closed-loop digest")

@@ -11,10 +11,23 @@ scattering magic numbers through the code base.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
 from .exceptions import ConfigurationError
+
+
+def _require_integers(config: Any, names) -> None:
+    """Reject a non-integer value of any field in ``names``: the value must
+    pass :func:`operator.index`, so a float — NaN included, which fails
+    every range check — never reaches a count."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -37,8 +50,10 @@ class PlannerConfig:
     truth_time_slot_minutes:
         Width of the departure-time slot attached to each verified truth.
     min_landmark_set_size_slack:
-        Extra landmarks (beyond ``ceil(log2(n))``) the landmark selector is
-        allowed to consider.
+        Reserved: nothing reads it.  The landmark selector
+        (:mod:`repro.core.landmark_selection`) bounds its sets by
+        ``ceil(log2(n)) <= |L| <= n`` alone.  The field stays because
+        workspace manifests record every field of this class.
     worker_quota:
         ``eta_#q`` — maximum number of outstanding tasks per worker.
     response_time_threshold:
@@ -87,7 +102,9 @@ class PlannerConfig:
         """Raise :class:`ConfigurationError` if any parameter is out of range.
 
         Float checks state what is valid and reject the rest, so a NaN —
-        which fails every comparison — is rejected too."""
+        which fails every comparison — is rejected too.  Integer fields
+        must be integers."""
+        _require_integers(self, ("worker_quota", "workers_per_task", "pmf_latent_dim"))
         if not 0.0 < self.confidence_threshold <= 1.0:
             raise ConfigurationError("confidence_threshold must be in (0, 1]")
         if not 0.0 < self.agreement_threshold <= 1.0:
@@ -158,19 +175,18 @@ class ServiceConfig(PlannerConfig):
         Worker-process count of the pooled backend; ``None`` means one per
         available CPU.
     max_shard_fraction:
-        Hotspot-splitting knob of the pooled backend: any interaction
-        component holding more than this fraction of a batch is staged as an
-        ordered dataflow of sub-shards linked by hand-off edges (see
+        Hotspot-split diagnostic of the pooled backend: any interaction
+        component holding more than this fraction of a batch is reported
+        as an ordered dataflow of sub-shards linked by hand-off edges (see
         :func:`repro.serving.shards.split_oversized`).  ``None`` (the
-        default) keeps components whole.  A split component is one weak
-        component of the sub-shard DAG, so it still travels as one dispatch
-        unit to one worker and runs there as one sequential pass: the
-        fraction decides the plan's shape (``service.plan()``), the
-        ``sharding`` counters and what servebench's ``hotspot_repeat``
-        regime guard sees, while answers and dispatch units are the same
-        for every value.  A pooled window plans only the queries it
-        dispatches (settled truth reuses are answered before planning), so
-        there the fraction is of a batch's dispatched remainder.
+        default) reports components whole.  The split is never executed:
+        a window dispatches each shard of the component plan as one
+        message, so the fraction decides only the shape ``service.plan()``
+        returns, the ``sharding`` counters and what servebench's
+        ``hotspot_repeat`` regime guard sees; answers and dispatches are
+        the same for every value.  A pooled window plans only the queries
+        it dispatches (settled truth reuses are answered before planning),
+        so there the fraction is of a batch's dispatched remainder.
     max_pending_batches:
         Submission-queue bound: :meth:`RecommendationService.submit` raises
         :class:`~repro.exceptions.ServingError` once this many submitted
@@ -203,12 +219,12 @@ class ServiceConfig(PlannerConfig):
         ``heartbeat_interval_s`` with margin; only latency (never results)
         depends on it.
     hedge_after_s:
-        Straggler budget for hedged execution.  A dispatch unit (a worker's
-        hand-off-closed share of a batch, see
-        :func:`repro.serving.shards.dispatch_units`) whose wall-clock
-        exceeds this budget while its worker still heartbeats (slow, not
-        hung) is speculatively copied, whole, to an idle worker; the first
-        outcome wins and the duplicate is discarded.
+        Straggler budget for hedged execution.  A dispatched shard (a
+        worker's share of a batch: one shard of the component plan, one
+        message) whose wall-clock exceeds this budget while its worker
+        still heartbeats (slow, not hung) is speculatively copied to an
+        idle worker; the first outcome wins and the duplicate is
+        discarded.
         Safe because the crowd RNG is content-keyed, so duplicate outcomes
         are bit-identical — only latency depends on the hedge.  The
         overtaken worker is given ``rpc_deadline_s`` (non-renewable) to
@@ -270,6 +286,8 @@ class ServiceConfig(PlannerConfig):
 
     def validate(self) -> None:
         super().validate()
+        names = ("max_pending_batches", "pipeline_window", "max_respawns_per_batch", "snapshot_every_truths")
+        _require_integers(self, names if self.pool_size is None else names + ("pool_size",))
         if self.snapshot_every_truths < 1:
             raise ConfigurationError("snapshot_every_truths must be at least 1")
         if not self.heartbeat_interval_s > 0:

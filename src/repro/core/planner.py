@@ -147,13 +147,13 @@ class QueryShard:
     (see :meth:`TruthDatabase.view_by_cells`) — a :class:`CellClosure` when
     :meth:`CrowdPlanner.shard_plan` built it, any frozenset otherwise.
 
-    Sub-shards produced by :func:`repro.serving.shards.split_oversized`
-    additionally carry chain edges: ``predecessors`` are the shard ids whose
-    completion makes this sub-shard dispatchable, and ``handoff_from`` the
-    shard ids whose recorded truths must be adopted before it runs (a
-    superset of ``predecessors`` — the whole upstream slice of its dataflow).
-    Both are empty for ordinary component shards, which remain mutually
-    interaction-free.
+    Sub-shards produced by :func:`repro.serving.shards.split_oversized` (a
+    diagnostic of plan shape) additionally carry chain edges:
+    ``predecessors`` are the shard ids that must finish before this
+    sub-shard could start, and ``handoff_from`` the shard ids whose recorded
+    truths it can observe (a superset of ``predecessors`` — the whole
+    upstream slice of its dataflow).  Both are empty for ordinary component
+    shards, which remain mutually interaction-free.
     """
 
     shard_id: int
@@ -212,8 +212,8 @@ class ShardPlan:
         ``1`` for any non-empty plan without sub-shards (every shard is its
         own chain of one), ``0`` for an empty plan.  After
         :func:`repro.serving.shards.split_oversized` this is the critical
-        path of the dataflow DAG — how many sub-shards must run strictly one
-        after another before the split component is fully served.
+        path of the dataflow DAG — how many sub-shards would run strictly
+        one after another if the split component were staged.
         """
         if not self.shards:
             return 0
@@ -617,25 +617,18 @@ class CrowdPlanner:
         * every source's :meth:`RouteSource.prepare_batch` hook runs once
           (e.g. the MPR miner compiles its popularity cost vector before the
           first query instead of inside it);
-        * queries are grouped by od-cell (:meth:`od_cell_groups`) and, within
-          multi-member groups, od-identical queries share one candidate
-          generation pass — sound because sources answer a fixed query
+        * od-identical queries (same origin, destination and departure
+          time) share one candidate generation pass through a per-batch
+          memo — sound because sources answer a fixed query
           deterministically, and worthwhile because production traffic is
           dominated by repeated hot od-pairs.
         """
         queries = list(queries)
         self.warm_batch(queries)
-        shareable = {
-            index
-            for members in self.od_cell_groups(queries).values()
-            if len(members) > 1
-            for index in members
-        }
-        memo: Dict[tuple, List[CandidateRoute]] = {}
         results: List[RecommendationResult] = []
+        self._batch_candidate_memo = {}
         try:
-            for index, query in enumerate(queries):
-                self._batch_candidate_memo = memo if index in shareable else None
+            for query in queries:
                 results.append(self.recommend(query))
         finally:
             self._batch_candidate_memo = None

@@ -40,9 +40,8 @@ class _TruthIdSequence:
     jump past the adopted ids so locally recorded truths keep the sequential
     invariant "newer truth => larger id" — the id is the deterministic
     tie-break of :meth:`TruthDatabase.lookup`.  It is the only source of
-    truth ids: even a dispatch unit's sub-shard hand-offs are truths one
-    shard clone records in submission order
-    (:func:`repro.serving.shards.execute_unit`).
+    truth ids: a shard clone records its truths in submission order
+    (:func:`repro.serving.shards.execute_shard`).
     """
 
     __slots__ = ("_next",)

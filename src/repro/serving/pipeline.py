@@ -13,9 +13,7 @@ same batch is.
 rolling ``cell -> last writing batch`` map: walking the window's shard plans
 in submission order, a shard's dependency is the highest-numbered earlier
 batch that touched any of its cells (``-1`` when it is independent of every
-in-flight batch).  The map is read and written once per distinct cell set
-of a batch, not once per shard: the sub-shards of a split hotspot component
-all carry that component's one set.  The DAG dispatcher in
+in-flight batch).  The DAG dispatcher in
 :class:`~repro.serving.service.PooledBackend` may dispatch a shard as soon
 as all batches up to and including its dependency have **merged**; merges
 themselves stay strictly in submission order, which is what keeps truth-id
@@ -69,34 +67,26 @@ def batch_dependencies(plans: Sequence[ShardPlan]) -> List[List[int]]:
     Dependencies are transitively consistent by construction: merges happen
     in batch order, so "batches ``<= dep`` merged" subsumes every earlier
     dependency.
-
-    Shards that share one ``destination_cells`` object (the sub-shards
-    :func:`~repro.serving.shards.split_oversized` emits for one component)
-    share one scan of the rolling map, so a batch costs O(cells of its
-    distinct sets), however many sub-shards its hotspot was split into.
     """
     cell_last_batch: Dict[Cell, int] = {}
     deps: List[List[int]] = []
     for batch_index, plan in enumerate(plans):
-        # Keyed by identity: a plain ``set`` is not hashable, and equal but
-        # distinct sets merely cost a repeated scan.
-        cell_sets = {id(shard.destination_cells): shard.destination_cells for shard in plan.shards}
-        set_dep: Dict[int, int] = {}
-        for key, cells in cell_sets.items():
-            # The first batch depends on nothing.
-            set_dep[key] = (
-                max(map(cell_last_batch.get, cells, repeat(-1)), default=-1)
+        deps.append(
+            [
+                # The first batch depends on nothing.
+                max(map(cell_last_batch.get, shard.destination_cells, repeat(-1)), default=-1)
                 if cell_last_batch
                 else -1
-            )
-        deps.append([set_dep[id(shard.destination_cells)] for shard in plan.shards])
+                for shard in plan.shards
+            ]
+        )
         if batch_index == len(plans) - 1:
             break  # no later batch reads the last batch's writes
         # Record writes only after computing this batch's deps: shards of
         # the same batch never depend on each other here (the shard plan
         # already made them interaction-closed siblings).
-        for cells in cell_sets.values():
-            cell_last_batch.update(dict.fromkeys(cells, batch_index))
+        for shard in plan.shards:
+            cell_last_batch.update(dict.fromkeys(shard.destination_cells, batch_index))
     return deps
 
 

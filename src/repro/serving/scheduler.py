@@ -8,19 +8,18 @@ planner: workers are opaque hashable handles, times arrive as arguments and
 merging stays in the backend, so a test can drive every decision with
 scripted events and a fake clock.
 
-What it schedules are :class:`~repro.serving.shards.DispatchUnit` s: the
-hand-off-closed groups of a batch's shards that
-:func:`~repro.serving.shards.dispatch_units` builds, each sent as one
-message and answered by one reply.  A unit never waits on another unit's
-hand-off (a unit holds every producer of its consumers and runs as one
-sequential pass), only on its cross-batch dependency.  The scheduler owns
-the ``ready`` queue (dependency merged; (batch, unit) order favours the
-merge frontier), ``blocked[d]`` (waiting for batch ``d`` to merge), one
-:class:`Flight` per busy worker plus the ``copies`` of each unit, the
-``lame`` hedge losers (a dict the backend keeps across windows), the merge
-frontier and the respawn budget.
+What it schedules are :class:`~repro.serving.shards.ShardJob` s: the
+shards of each batch's component plan, each sent as one message and
+answered by one reply.  A shard never waits on another shard of its batch
+(the plan made them interaction-closed siblings), only on its cross-batch
+dependency (:func:`~repro.serving.pipeline.batch_dependencies`).  The
+scheduler owns the ``ready`` queue (dependency merged; (batch, shard) order
+favours the merge frontier), ``blocked[d]`` (waiting for batch ``d`` to
+merge), one :class:`Flight` per busy worker plus the ``copies`` of each
+shard, the ``lame`` hedge losers (a dict the backend keeps across windows),
+the merge frontier and the respawn budget.
 :meth:`~WindowScheduler.tick` yields decisions — ``("dispatch", worker,
-unit)``, ``("hedge", worker, unit)``, ``("respawn", attempt)``,
+job)``, ``("hedge", worker, job)``, ``("respawn", attempt)``,
 ``("degrade", {batch: jobs})`` — lazily, so a dispatch the transport could
 not send (:meth:`~WindowScheduler.unsent`) goes to the next idle worker in
 the same tick.  :meth:`~WindowScheduler.outcome`,
@@ -36,13 +35,13 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ServingError
-from .shards import DispatchUnit, ShardJob, ShardOutcome
+from .shards import ShardJob, ShardOutcome
 
-#: A queued unit: ``(batch_index, unit, resubmitted)`` — the flag survives
+#: A queued shard: ``(batch_index, job, resubmitted)`` — the flag survives
 #: requeues so the final outcome is attributed to supervision.
-Entry = Tuple[int, DispatchUnit, bool]
+Entry = Tuple[int, ShardJob, bool]
 
-#: Units are identified across duplicate dispatches by (batch, unit id).
+#: Shards are identified across duplicate dispatches by (batch, shard id).
 Key = Tuple[int, int]
 
 
@@ -50,21 +49,23 @@ class Flight(NamedTuple):
     """One worker's in-flight dispatch."""
 
     batch: int
-    unit: DispatchUnit
+    job: ShardJob
     resubmitted: bool
     started: float
-    hedge: bool  # the speculative copy of an overdue unit
+    hedge: bool  # the speculative copy of an overdue shard
 
     @property
     def key(self) -> Key:
-        return (self.batch, self.unit.unit_id)
+        return (self.batch, self.job.shard_id)
 
 
 class WindowScheduler:
     """Scheduling state of one window (see the module docstring).
 
-    ``units_per_batch[b]`` are batch ``b``'s dispatch units, each waiting on
-    its ``dependency``; ``lame`` is the backend's lame-worker dict;
+    ``jobs_per_batch[b]`` are batch ``b``'s shards and ``deps[b]`` their
+    cross-batch dependencies (``-1`` for none), as
+    :func:`~repro.serving.pipeline.batch_dependencies` returns them;
+    ``lame`` is the backend's lame-worker dict;
     ``record`` is a counter sink (``record(key, value=1)``).
     ``hedge_after_s`` enables hedging, ``lame_grace_s`` is a hedge loser's
     hard deadline and ``max_respawns`` the window's respawn budget (0 when
@@ -73,7 +74,8 @@ class WindowScheduler:
 
     def __init__(
         self,
-        units_per_batch: Sequence[Sequence[DispatchUnit]],
+        jobs_per_batch: Sequence[Sequence[ShardJob]],
+        deps: Sequence[Sequence[int]],
         lame: Dict[Any, float],
         record: Callable[..., None],
         hedge_after_s: Optional[float] = None,
@@ -85,9 +87,9 @@ class WindowScheduler:
         self.hedge_after_s = hedge_after_s
         self.lame_grace_s = lame_grace_s
         self.max_respawns = max_respawns
-        count = len(units_per_batch)
+        count = len(jobs_per_batch)
         # Shards per batch: a batch merges once each has an outcome.
-        self.total = [sum(len(unit.jobs) for unit in units) for units in units_per_batch]
+        self.total = [len(jobs) for jobs in jobs_per_batch]
         self.done: List[List[ShardOutcome]] = [[] for _ in range(count)]
         self.resubmitted: List[Set[int]] = [set() for _ in range(count)]
         self.first: List[Optional[float]] = [None] * count
@@ -100,16 +102,16 @@ class WindowScheduler:
         self.merged = 0
         self.respawns = 0
         self.failure: Optional[str] = None
-        for batch, units in enumerate(units_per_batch):
-            for unit in units:
-                if unit.dependency < 0:
-                    self.ready.append((batch, unit, False))
+        for batch, (jobs, batch_deps) in enumerate(zip(jobs_per_batch, deps)):
+            for job, dependency in zip(jobs, batch_deps):
+                if dependency < 0:
+                    self.ready.append((batch, job, False))
                 else:
-                    self.blocked.setdefault(unit.dependency, []).append((batch, unit, False))
+                    self.blocked.setdefault(dependency, []).append((batch, job, False))
 
     # ------------------------------------------------------------- queries
     def pending(self) -> bool:
-        """Whether any unit still waits to be dispatched."""
+        """Whether any shard still waits to be dispatched."""
         return bool(self.ready or self.blocked)
 
     def active(self) -> bool:
@@ -126,15 +128,13 @@ class WindowScheduler:
     def tick(self, now: float, workers: Sequence[Any]) -> Iterator[tuple]:
         """The next decisions, given the live workers in pool order.
 
-        Each idle worker pulls the next ready unit.  A unit is already a
-        worker's share of its batch and dependency class (at most one unit
-        per worker each), and it carries every hand-off its shards need, so
-        one message per worker per batch replaces a round trip per
-        sub-shard; finer chunks would only buy back the round trips.  With
-        nothing left to dispatch, overdue units are hedged onto idle
-        workers.  With work left, nothing in flight and no worker alive, the
-        window respawns (budget permitting) or degrades the rest to
-        in-process execution.
+        Each idle worker pulls the next ready shard.  A shard is already a
+        worker's share of its batch (the plan packs at most one per
+        worker), and it needs no other shard's writes, so it is one
+        message.  With nothing left to dispatch, overdue shards are hedged
+        onto idle workers.  With work left, nothing in flight and no worker
+        alive, the window respawns (budget permitting) or degrades the rest
+        to in-process execution.
         """
         if self.failure is not None:
             return
@@ -144,9 +144,9 @@ class WindowScheduler:
                 break
             if worker in self.inflight or worker in self.lame:
                 continue
-            batch, unit, resubmitted = self.ready.popleft()
-            flight = self._launch(worker, Flight(batch, unit, resubmitted, now, False))
-            yield ("dispatch", worker, unit)
+            batch, job, resubmitted = self.ready.popleft()
+            flight = self._launch(worker, Flight(batch, job, resubmitted, now, False))
+            yield ("dispatch", worker, job)
             if self.inflight.get(worker) is not flight:
                 gone.add(worker)
                 continue
@@ -173,13 +173,13 @@ class WindowScheduler:
         the front (a failed hedge copy is simply dropped)."""
         flight = self._land(worker)
         if not flight.hedge:
-            self.ready.appendleft((flight.batch, flight.unit, flight.resubmitted))
+            self.ready.appendleft((flight.batch, flight.job, flight.resubmitted))
 
-    def outcome(self, worker: Any, outcomes: List[ShardOutcome], now: float) -> List[int]:
-        """``worker`` replied with its unit's outcomes.
+    def outcome(self, worker: Any, outcome: ShardOutcome, now: float) -> List[int]:
+        """``worker`` replied with its shard's outcome.
 
         A lame worker's stale reply just returns it to service.  The first
-        copy of a unit to finish wins: other copies go lame, and a later
+        copy of a shard to finish wins: other copies go lame, and a later
         duplicate is discarded — bit-identical by the content-keyed crowd
         RNG, so dropping it is a pure no-op.  Returns the batches to merge.
         """
@@ -197,9 +197,9 @@ class WindowScheduler:
                 self._record("hedges_wasted")
             self.lame[peer] = now + self.lame_grace_s
         if flight.resubmitted:
-            self.resubmitted[flight.batch].update(job.shard_id for job in flight.unit.jobs)
+            self.resubmitted[flight.batch].add(flight.job.shard_id)
         self.completed.add(flight.key)
-        return self._complete(flight.batch, outcomes, now)
+        return self._complete(flight.batch, [outcome], now)
 
     def inline(
         self, batch: int, outcomes: List[ShardOutcome], started: float, now: float
@@ -213,25 +213,24 @@ class WindowScheduler:
     def lost(self, worker: Any) -> List[tuple]:
         """``worker`` is gone (crash, hang, desync, stale error).
 
-        A lame worker just leaves the lame set.  An in-flight unit is
+        A lame worker just leaves the lame set.  An in-flight shard is
         requeued *resubmitted* at the *front* of the ready queue — its
         dependency is satisfied and the frontier may be waiting on it —
         unless it already completed or a duplicate copy still covers it
-        (``resubmitted_shards`` counts one per lost dispatch, whatever the
-        unit's size).  Either way a replacement is requested while the
-        budget lasts.
+        (``resubmitted_shards`` counts one per lost dispatch).  Either way a
+        replacement is requested while the budget lasts.
         """
         if self.lame.pop(worker, None) is not None or worker not in self.inflight:
             return []
         flight = self._land(worker)
         if flight.key not in self.completed and flight.key not in self.copies:
-            self.ready.appendleft((flight.batch, flight.unit, True))
+            self.ready.appendleft((flight.batch, flight.job, True))
             self._record("resubmitted_shards")
         return self._respawn()
 
     def error(self, worker: Any, text: str) -> None:
         """A shard execution failed (the worker's state is intact; ``None``
-        for the in-process tail).  Dispatching stops, in-flight units
+        for the in-process tail).  Dispatching stops, in-flight shards
         drain — their frontier batches may still merge — and the backend
         returns the merged prefix."""
         if worker is not None:
@@ -250,7 +249,7 @@ class WindowScheduler:
 
     def advance(self) -> List[int]:
         """Advance the merge frontier over every fully-executed batch at the
-        head of the window, releasing the units blocked on each.  Returns
+        head of the window, releasing the shards blocked on each.  Returns
         those batches: the backend merges them, strictly in order, before
         anything else is dispatched."""
         merged: List[int] = []
@@ -264,7 +263,7 @@ class WindowScheduler:
     # ------------------------------------------------------------ internal
     def _hedge(self, now: float, idle: List[Any], gone: Set[Any]) -> Iterator[tuple]:
         """Duplicate overdue dispatches onto idle workers, oldest first (it
-        gates the batch).  One hedge per unit: racing more than two copies
+        gates the batch).  One hedge per shard: racing more than two copies
         buys nothing the content-keyed RNG has not already guaranteed."""
         overdue = sorted(
             (
@@ -282,7 +281,7 @@ class WindowScheduler:
             while idle:
                 worker = idle.pop(0)
                 copy = self._launch(worker, flight._replace(started=now, hedge=True))
-                yield ("hedge", worker, flight.unit)
+                yield ("hedge", worker, flight.job)
                 if self.inflight.get(worker) is copy:
                     self._record("hedges_issued")
                     break
@@ -318,13 +317,12 @@ class WindowScheduler:
         """Empty every queue into ``{batch: jobs}`` for the in-process tail,
         which runs them in strict batch order with frontier merges between
         batches, so each shard executes against exactly the sequential
-        prefix.  A batch's remaining units are hand-off-closed, so their
-        jobs together are too."""
+        prefix."""
         remaining: Dict[int, List[ShardJob]] = {}
-        for batch, unit, resubmitted in itertools.chain(self.ready, *self.blocked.values()):
-            remaining.setdefault(batch, []).extend(unit.jobs)
+        for batch, job, resubmitted in itertools.chain(self.ready, *self.blocked.values()):
+            remaining.setdefault(batch, []).append(job)
             if resubmitted:
-                self.resubmitted[batch].update(job.shard_id for job in unit.jobs)
+                self.resubmitted[batch].add(job.shard_id)
         self.ready.clear()
         self.blocked.clear()
         return remaining

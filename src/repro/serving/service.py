@@ -86,15 +86,7 @@ from .protocol import (
     wrap_requests,
 )
 from .scheduler import WindowScheduler
-from .shards import (
-    DispatchUnit,
-    ShardJob,
-    ShardOutcome,
-    dispatch_units,
-    execute_unit,
-    merge_shard_outcomes,
-    split_oversized,
-)
+from .shards import ShardJob, ShardOutcome, execute_shard, merge_shard_outcomes, split_oversized
 from .worker import pool_worker_main
 
 QueryLike = Union[RouteQuery, RecommendRequest]
@@ -109,8 +101,6 @@ _EMPTY_PLAN = ShardPlan(shards=(), num_queries=0, interaction_radius_m=0.0, cell
 def _lifted(plan: ShardPlan, positions: Sequence[int]) -> ShardPlan:
     """``plan`` with each shard index ``i`` replaced by ``positions[i]``.
 
-    The shards keep their ``destination_cells`` objects, which
-    :func:`~repro.serving.pipeline.batch_dependencies` shares scans by.
     The od-cell groups index the planned subset, so they are dropped."""
     shards = tuple(
         dataclasses.replace(shard, indices=tuple(positions[index] for index in shard.indices))
@@ -243,7 +233,7 @@ class PooledBackend(ServingBackend):
     identical results.  Lost capacity is restored at the next window edge.
 
     Every knob (pool size, supervision deadlines, respawn budget, hedging,
-    hotspot splitting) is read from the
+    the hotspot-split diagnostic) is read from the
     :class:`~repro.config.ServiceConfig` the pool is built from.
     """
 
@@ -331,35 +321,40 @@ class PooledBackend(ServingBackend):
     def close(self) -> None:
         self._stop_pool()
 
-    # ------------------------------------------------------ hotspot splitting
-    def _split_plan(
-        self, planner: CrowdPlanner, queries: Sequence[RouteQuery], settled: Container[int] = ()
-    ) -> Tuple[ShardPlan, ShardPlan]:
-        """One batch's shard plan over the pool, and that plan with its
-        oversized components split into sub-shard chains when
-        ``max_shard_fraction`` is set (the plan itself otherwise).
+    # -------------------------------------------------------------- planning
+    def _split(self, planner: CrowdPlanner, plan: ShardPlan, queries: Sequence[RouteQuery]) -> ShardPlan:
+        """``plan`` with its oversized components split into sub-shard
+        chains when ``max_shard_fraction`` is set (``plan`` otherwise): a
+        diagnostic of plan shape, never executed."""
+        fraction = self.config.max_shard_fraction
+        return plan if fraction is None else split_oversized(planner, plan, queries, fraction)
+
+    def _plan(
+        self, planner: CrowdPlanner, queries: Sequence[RouteQuery], settled: Container[int]
+    ) -> ShardPlan:
+        """One batch's component plan over the pool: the plan a window
+        dispatches, one job per shard.
 
         Only the queries not in ``settled`` are planned, so ``num_queries``
         and the split's fraction count those; their shard indices are lifted
-        back to positions in ``queries``.  With nothing left to plan both
-        plans are empty and ``shard_plan`` is not called."""
+        back to positions in ``queries``.  The split of the planned subset
+        feeds the ``sharding`` counters only.  With nothing left to plan
+        the plan is empty and ``shard_plan`` is not called."""
         kept = [index for index in range(len(queries)) if index not in settled]
         if not kept:
-            return _EMPTY_PLAN, _EMPTY_PLAN
+            return _EMPTY_PLAN
         subset = queries if len(kept) == len(queries) else [queries[index] for index in kept]
         plan = planner.shard_plan(subset, self.resolved_pool_size())
-        fraction = self.config.max_shard_fraction
-        split = plan if fraction is None else split_oversized(planner, plan, subset, fraction)
-        if subset is queries:
-            return plan, split
-        lifted = _lifted(plan, kept)
-        return lifted, lifted if split is plan else _lifted(split, kept)
+        self._note_plan(plan, self._split(planner, plan, subset))
+        return plan if subset is queries else _lifted(plan, kept)
 
     def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
-        """The plan of ``queries`` as given, splits included: the plan
-        :meth:`execute_window` executes them under when none of them is
-        settled (a window plans only its unsettled queries)."""
-        return self._split_plan(planner, queries)[1]
+        """The plan of ``queries`` as given, splits included: the shape the
+        ``sharding`` counters report.  A window dispatches the component
+        plan underneath, one shard per message."""
+        if not queries:
+            return _EMPTY_PLAN
+        return self._split(planner, planner.shard_plan(queries, self.resolved_pool_size()), queries)
 
     def _note_plan(self, before: ShardPlan, after: ShardPlan) -> None:
         """Record one batch's skew diagnostics (the ``sharding`` group)."""
@@ -380,18 +375,16 @@ class PooledBackend(ServingBackend):
         Settles first: :meth:`CrowdPlanner.settled_hits` names the window's
         truth reuses the parent's store already answers, and each batch
         keeps them as one parent-side outcome with no truths.  Then plans
-        each batch's remaining queries only and applies the
-        ``max_shard_fraction`` split (:meth:`_split_plan`; a batch with
+        each batch's remaining queries only (:meth:`_plan`; a batch with
         nothing left gets an empty plan), and
         :func:`~repro.serving.pipeline.batch_dependencies` reduces the
         cross-batch interaction-closure tests to one dependency per shard: a
         shard may dispatch as soon as every batch up to and including its
         dependency has merged — it need not wait for the whole previous
-        batch.  Each batch's jobs are grouped into hand-off-closed dispatch
-        units (:meth:`_units`) for the window's :class:`WindowScheduler`;
-        where ``fork`` exists the pool is ensured (polling lame workers and
-        replacing dead ones on a warm pool) and :meth:`_drive` runs the
-        window.  Merges happen strictly in submission order (the window
+        batch.  Each shard is one job (:meth:`_jobs`) for the window's
+        :class:`WindowScheduler`; where ``fork`` exists the pool is ensured
+        (polling lame workers and replacing dead ones on a warm pool) and
+        :meth:`_drive` runs the window.  Merges happen strictly in submission order (the window
         contract), so parent truth-id issuance — and with it every
         fingerprint — is identical to the sequential oracle.  A lone batch
         is a one-batch window with nothing to overlap.
@@ -410,16 +403,13 @@ class PooledBackend(ServingBackend):
         window = [list(queries) for queries in batches]
         with self.counters.charging(tenant):
             hits = planner.settled_hits(window)
-            split_plans: List[ShardPlan] = []
+            plans: List[ShardPlan] = []
             plan_times: List[float] = []
             for queries, settled in zip(window, hits):
                 started = time.perf_counter()
-                plan, split_plan = self._split_plan(planner, queries, settled)
-                if plan.shards:
-                    self._note_plan(plan, split_plan)
-                split_plans.append(split_plan)
+                plans.append(self._plan(planner, queries, settled))
                 plan_times.append(time.perf_counter() - started)
-            deps = batch_dependencies(split_plans)
+            deps = batch_dependencies(plans)
             if len(window) > 1:
                 for key, value in window_parallelism(deps).items():
                     self.counters.record(key, value)
@@ -427,10 +417,7 @@ class PooledBackend(ServingBackend):
             # inherit the compiled graph and source caches instead of rebuilding
             # them per process.
             planner.warm_batch([query for queries in window for query in queries])
-            units_per_batch = [
-                self._units(queries, plan, batch_deps, tenant)
-                for queries, plan, batch_deps in zip(window, split_plans, deps)
-            ]
+            jobs_per_batch = [self._jobs(queries, plan, tenant) for queries, plan in zip(window, plans)]
             pid = os.getpid()
             settled_outcomes = [
                 [ShardOutcome(None, tuple(found), list(found.values()), [], pid, tenant)] if found else []
@@ -438,7 +425,8 @@ class PooledBackend(ServingBackend):
             ]
             can_fork = self._can_fork()
             sched = WindowScheduler(
-                units_per_batch,
+                jobs_per_batch,
+                deps,
                 self._lame,
                 self.counters.record,
                 hedge_after_s=self.config.hedge_after_s,
@@ -459,25 +447,19 @@ class PooledBackend(ServingBackend):
             self.counters.record(BATCHES, len(executions))
         return executions
 
-    def _units(
-        self, queries: List[RouteQuery], plan: ShardPlan, deps: List[int], tenant: str
-    ) -> List[DispatchUnit]:
-        """The dispatch units of one batch of the window: at most one per
-        pool worker and cross-batch dependency (see
-        :func:`~repro.serving.shards.dispatch_units`)."""
-        jobs = [
+    @staticmethod
+    def _jobs(queries: List[RouteQuery], plan: ShardPlan, tenant: str) -> List[ShardJob]:
+        """One batch's jobs: one per shard of its component plan."""
+        return [
             ShardJob(
                 shard_id=shard.shard_id,
                 indices=shard.indices,
                 destination_cells=shard.destination_cells,
                 queries=[queries[index] for index in shard.indices],
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
                 tenant=tenant,
             )
             for shard in plan.shards
         ]
-        return dispatch_units(jobs, deps, self.resolved_pool_size())
 
     def _drive(
         self,
@@ -535,8 +517,8 @@ class PooledBackend(ServingBackend):
         def apply(decisions) -> None:
             for kind, *args in decisions:
                 if kind in ("dispatch", "hedge"):
-                    worker, unit = args
-                    if self._dispatch(worker, list(unit.jobs)):
+                    worker, job = args
+                    if self._dispatch(worker, job):
                         worker.touch()
                     else:
                         sched.unsent(worker)
@@ -572,17 +554,17 @@ class PooledBackend(ServingBackend):
         """Run the window's remaining shards in-process — all of them without
         ``fork``, the rest of the window after a lost pool — batch by batch
         with frontier merges between batches, so each shard executes against
-        exactly the sequential prefix and results are unchanged.  A batch's
-        remaining jobs are hand-off-closed and run as one
-        :func:`~repro.serving.shards.execute_unit`.  An execution error
-        takes the same path as a worker's ``"error"`` reply."""
+        exactly the sequential prefix and results are unchanged.  Each
+        remaining job is one :func:`~repro.serving.shards.execute_shard`.
+        An execution error takes the same path as a worker's ``"error"``
+        reply."""
         if self._can_fork():
             # A lost pool: every batch with shards run in-process is degraded.
             self.counters.record("degraded_batches", len(remaining))
         for index in sorted(remaining):
             started = time.monotonic()
             try:
-                outcomes = execute_unit(planner, remaining[index])
+                outcomes = [execute_shard(planner, job) for job in remaining[index]]
             except Exception:
                 sched.error(None, traceback.format_exc())
                 return
@@ -784,18 +766,19 @@ class PooledBackend(ServingBackend):
             return None
         return self._planner_for(tenant).config
 
-    def _dispatch(self, worker: _PoolWorker, jobs: List[ShardJob]) -> bool:
-        """Send a run message (with the worker's missing truth deltas).
+    def _dispatch(self, worker: _PoolWorker, job: ShardJob) -> bool:
+        """Send a run message: one job, with the worker's missing truth
+        deltas.
 
-        The tenant rides on the jobs themselves (a dispatch never mixes
-        tenants); a worker that predates the tenant's registration gets the
-        planner spec and, via cursor 0, the tenant's whole store as the
-        delta — after which it is as warm as a fork-inherited sibling.
+        The tenant rides on the job itself; a worker that predates the
+        tenant's registration gets the planner spec and, via cursor 0, the
+        tenant's whole store as the delta — after which it is as warm as a
+        fork-inherited sibling.
         """
-        tenant = jobs[0].tenant if jobs else DEFAULT_TENANT
+        tenant = job.tenant
         spec = self._dispatch_spec(worker, tenant)
         cursor = worker.cursors.get(tenant, 0)
-        if not self._send(worker, ("run", tenant, spec, self._wire_delta(tenant, cursor), jobs)):
+        if not self._send(worker, ("run", tenant, spec, self._wire_delta(tenant, cursor), job)):
             return False
         worker.cursors[tenant] = self._planner_for(tenant).truth_cursor()
         return True
@@ -1119,10 +1102,12 @@ class RecommendationService:
     def plan(self, queries: Sequence[QueryLike]) -> ShardPlan:
         """The shard plan of a batch as given (diagnostics).
 
-        Includes the backend's hotspot splitting: with ``max_shard_fraction``
-        configured, oversized shards appear as their sub-shard chains.  It
-        plans every query, settling none; a pooled window plans only the
-        queries its settle pass leaves (:meth:`PooledBackend.execute_window`).
+        Includes the backend's hotspot split: with ``max_shard_fraction``
+        configured, oversized shards appear as their sub-shard chains.  The
+        split is a diagnostic; a pooled window dispatches the component
+        plan underneath.  It plans every query, settling none; a pooled
+        window plans only the queries its settle pass leaves
+        (:meth:`PooledBackend.execute_window`).
         """
         resolved = [
             query.query if isinstance(query, RecommendRequest) else query for query in queries

@@ -1,7 +1,7 @@
 """Shard execution and merge primitives shared by every pooled path.
 
-A *shard job* is the unit of work the serving layer plans — a slice of a
-batch (whole interaction-closed components, see
+A *shard job* is the unit of work the serving layer dispatches — one shard
+of a batch's component plan (whole interaction-closed components, see
 :meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
 cells whose truth slice the shard may observe.  The primitives here are used
 identically by the persistent pool workers (:mod:`repro.serving.worker`)
@@ -10,32 +10,27 @@ and the pooled backend's in-process tail:
 * :func:`build_shard_clone` — a planner over a copy-on-write
   :meth:`~repro.core.truth.TruthDatabase.view_by_cells` slice of the base
   planner's truth store, with an isolated evaluator and worker pool;
-* :func:`execute_unit` — run a hand-off-closed set of jobs on one clone,
-  in submission order, and slice the results and newly recorded truths back
-  into one :class:`ShardOutcome` per job;
+* :func:`execute_shard` — run one job on one clone, in submission order,
+  into one :class:`ShardOutcome`;
 * :func:`merge_shard_outcomes` — replay every shard's writes onto the parent
   planner in submission order, reproducing the exact state a sequential run
   would have left.
 
-On top of those primitives sits the *intra-component pipeline*: when one
-interaction component is too large to split (a city-center hotspot — every
-query within reach of one dominant destination), :func:`split_oversized`
-re-stages it as an **ordered dataflow of sub-shards**.  The component's
-od-cell groups are condensed into atomic units (strongly connected pieces of
-the visibility graph), the units form a DAG whose edges follow submission
+One shard is one message: no truth crosses between the shards of a batch,
+so none of them waits on another or needs another's writes.
+
+:func:`split_oversized` is a diagnostic of plan shape, not an execution
+step.  When one interaction component is too large (a city-center hotspot —
+every query within reach of one dominant destination), it re-stages the
+component as an **ordered dataflow of sub-shards**: the component's od-cell
+groups are condensed into atomic units (strongly connected pieces of the
+visibility graph), the units form a DAG whose edges follow submission
 order, and oversized units are sliced into contiguous submission-index
 chunks.  Each sub-shard declares ``predecessors`` and ``handoff_from``
-(the sub-shards whose recorded truths it can observe).
-:func:`dispatch_units` groups a batch's jobs into hand-off-closed
-:class:`DispatchUnit` s — weak components of that DAG, packed onto at most
-one unit per pool worker and cross-batch dependency — and each unit
-travels as one message.  A worker runs a unit with :func:`execute_unit`:
-one ``recommend_batch`` over the unit's queries in submission order, which
-is the sequential oracle restricted to the unit, so a consumer sees its
-producers' truths because they were recorded earlier in the same run.
-Merges still replay in strict submission order, so the serving contract is
-untouched — the pipeline only changes *where* and *when* slices of the
-component execute.
+(the sub-shards whose recorded truths it can observe).  The serving layer
+reports that shape (``service.plan()`` and the ``sharding`` counters) and
+dispatches the component plan: a split component runs as one shard, which
+is the sub-shard chain run in submission order.
 
 Everything that crosses a process boundary (:class:`ShardJob` down,
 :class:`ShardOutcome` up) is plain picklable data; planner substrate never
@@ -61,42 +56,18 @@ from ..routing.base import RouteQuery
 class ShardJob:
     """One shard of one batch, ready to be executed anywhere.
 
-    ``predecessors``/``handoff_from`` mirror the sub-shard chain edges of
-    :class:`~repro.core.planner.QueryShard` (empty for ordinary component
-    shards).  ``tenant`` names the workspace whose truth store the job
-    executes against (``""`` is the backend's default, single-tenant
-    planner); pool workers use it to select the matching warm truth base.
-    Nothing writes a job once it is built, so the first dispatch, a
-    resubmission, a hedge copy and the in-process tail all send the same
-    job.
+    ``tenant`` names the workspace whose truth store the job executes
+    against (``""`` is the backend's default, single-tenant planner); pool
+    workers use it to select the matching warm truth base.  Nothing writes
+    a job once it is built, so the first dispatch, a resubmission, a hedge
+    copy and the in-process tail all send the same job.
     """
 
     shard_id: int
     indices: Tuple[int, ...]
     destination_cells: FrozenSet[Tuple[int, int]]
     queries: List[RouteQuery]
-    predecessors: Tuple[int, ...] = ()
-    handoff_from: Tuple[int, ...] = ()
     tenant: str = ""
-
-
-@dataclass(frozen=True)
-class DispatchUnit:
-    """A hand-off-closed set of one batch's jobs: one message, one reply.
-
-    Every ``predecessors``/``handoff_from`` id of a job lies in the unit,
-    ``jobs`` are in shard-id order and all of them wait on the same
-    cross-batch ``dependency`` (see
-    :func:`~repro.serving.pipeline.batch_dependencies`; ``-1`` for none).
-    """
-
-    dependency: int
-    jobs: Tuple[ShardJob, ...]
-
-    @property
-    def unit_id(self) -> int:
-        """The unit's first shard id: unique within its batch."""
-        return self.jobs[0].shard_id
 
 
 @dataclass
@@ -120,16 +91,16 @@ def build_shard_clone(planner: CrowdPlanner, destination_cells) -> CrowdPlanner:
     Road network, catalogue, sources, task generator, crowd backend and the
     fitted familiarity model are shared (read-only during a batch); the truth
     store (a copy-on-write destination-cell view), evaluator, worker pool,
-    rewards and statistics are isolated so a unit's writes never leak into
-    another unit or the base planner.
+    rewards and statistics are isolated so a shard's writes never leak into
+    another shard or the base planner.
 
-    A clone is built for every dispatch unit a worker runs.  The worker
-    pool is an :meth:`~repro.core.worker.WorkerPool.overlay` that copies a
-    worker only when the clone first touches it (most units never reach the
-    crowd), and the view touches only the populated cells of the destination
-    index.  Both read the base planner live, so the base must not be written
-    while a clone is in use: clones live only inside :func:`execute_unit`,
-    and merges replay onto the parent afterwards.
+    A clone is built for every shard a worker runs.  The worker pool is an
+    :meth:`~repro.core.worker.WorkerPool.overlay` that copies a worker only
+    when the clone first touches it (most shards never reach the crowd),
+    and the view touches only the populated cells of the destination index.
+    Both read the base planner live, so the base must not be written while
+    a clone is in use: clones live only inside :func:`execute_shard`, and
+    merges replay onto the parent afterwards.
     """
     clone = CrowdPlanner(
         network=planner.network,
@@ -182,59 +153,21 @@ def build_tenant_planner(template: CrowdPlanner, config=None) -> CrowdPlanner:
     )
 
 
-def _writers(indices: Sequence[int], results: Sequence[RecommendationResult]) -> List[int]:
-    """The entries of ``indices`` whose result recorded a truth, in order:
-    every result but a truth-reuse hit records exactly one."""
-    return [index for index, result in zip(indices, results) if result.method != "truth_reuse"]
+def execute_shard(planner: CrowdPlanner, job: ShardJob) -> ShardOutcome:
+    """Run one shard as the sequential oracle restricted to its queries; the
+    base planner is read, never written.
 
-
-def execute_unit(planner: CrowdPlanner, jobs: Sequence[ShardJob]) -> List[ShardOutcome]:
-    """Run hand-off-closed ``jobs`` as the sequential oracle restricted to
-    them; the base planner is read, never written.
-
-    Every ``predecessors``/``handoff_from`` id must name one of ``jobs``
-    (else :class:`~repro.exceptions.ServingError`): a consumer never runs
-    without its producers.  One clone over the union of the jobs' cells
-    answers all their queries with one ``recommend_batch``, in ascending
-    submission index — not shard-id order, because two unlinked producers
-    of one consumer can interleave in submission order, and lookups break
-    distance ties on truth id.  The results and new truths are then sliced
-    back into one outcome per job, in ``jobs`` order.  This is how a pool
-    worker runs a dispatch unit, and how the pooled backend's in-process
-    tail runs a batch's remaining jobs.
+    One clone over the shard's cells answers its queries with one
+    ``recommend_batch``, in submission order.  This is how a pool worker
+    answers a ``run`` message, and how the pooled backend's in-process tail
+    runs each remaining shard.
     """
-    members = {job.shard_id for job in jobs}
-    for job in jobs:
-        missing = sorted(set(job.predecessors + job.handoff_from) - members)
-        if missing:
-            raise ServingError(
-                f"sub-shard {job.shard_id} needs sub-shards {missing} outside its unit"
-            )
-    cells = list({id(job.destination_cells): job.destination_cells for job in jobs}.values())
-    clone = build_shard_clone(planner, cells[0] if len(cells) == 1 else frozenset().union(*cells))
-    order = sorted(
-        (index, position, local)
-        for position, job in enumerate(jobs)
-        for local, index in enumerate(job.indices)
-    )
+    clone = build_shard_clone(planner, job.destination_cells)
     before = len(clone.truths)
-    results = clone.recommend_batch([jobs[position].queries[local] for _, position, local in order])
-    new_truths = clone.truths.truths_since(before)
-    owners = [position for _, position, _ in order]
-    writers = _writers(owners, results)
-    if len(writers) != len(new_truths):  # pragma: no cover - defensive
-        raise ServingError("a unit recorded a different number of truths than its results imply")
-    job_results: List[List[RecommendationResult]] = [[] for _ in jobs]
-    job_truths: List[List[VerifiedTruth]] = [[] for _ in jobs]
-    for position, result in zip(owners, results):
-        job_results[position].append(result)
-    for position, truth in zip(writers, new_truths):
-        job_truths[position].append(truth)
-    pid = os.getpid()
-    return [
-        ShardOutcome(job.shard_id, job.indices, job_results[p], job_truths[p], pid, job.tenant)
-        for p, job in enumerate(jobs)
-    ]
+    results = clone.recommend_batch(job.queries)
+    return ShardOutcome(
+        job.shard_id, job.indices, results, clone.truths.truths_since(before), os.getpid(), job.tenant
+    )
 
 
 def merge_shard_outcomes(
@@ -254,7 +187,12 @@ def merge_shard_outcomes(
     ordered: List[Optional[RecommendationResult]] = [None] * num_queries
     tagged_truths: List[Tuple[int, VerifiedTruth]] = []
     for outcome in outcomes:
-        writers = _writers(outcome.indices, outcome.results)
+        # Every result but a truth-reuse hit recorded exactly one truth.
+        writers = [
+            index
+            for index, result in zip(outcome.indices, outcome.results)
+            if result.method != "truth_reuse"
+        ]
         if len(writers) != len(outcome.new_truths):  # pragma: no cover - defensive
             raise ServingError("a shard recorded a different number of truths than its results imply")
         tagged_truths.extend(zip(writers, outcome.new_truths))
@@ -273,7 +211,7 @@ def merge_shard_outcomes(
     return ordered  # type: ignore[return-value]
 
 
-# ------------------------------------------------- intra-component pipeline
+# ------------------------------------------- hotspot split (a diagnostic)
 def _strongly_connected(succ: Sequence[Sequence[int]]) -> List[int]:
     """Tarjan's SCC (iterative) — returns a component id per node."""
     count = len(succ)
@@ -441,8 +379,8 @@ def split_oversized(
     guarantee already covers them); each oversized shard is re-staged as the
     dataflow of :func:`_stage_dataflow`, its sub-shards emitted in
     topological order.  Shard ids are renumbered densely in emission order,
-    so ascending shard id remains a valid execution order for the whole
-    plan — which is exactly the order the inline/degraded paths use.
+    so ascending shard id is a topological order of the whole plan.  The
+    serving layer reports the result and executes ``plan`` itself.
     The od-cell groups come from the plan (``plan.od_cell_groups``); only
     a plan built without them regroups ``queries``.
     """
@@ -478,62 +416,3 @@ def split_oversized(
                 )
             )
     return dataclasses.replace(plan, shards=tuple(rebuilt))
-
-
-def dispatch_units(
-    jobs: Sequence[ShardJob], dependencies: Sequence[int], slots: int
-) -> List[DispatchUnit]:
-    """Group one batch's jobs into hand-off-closed dispatch units.
-
-    Jobs linked through ``predecessors`` or ``handoff_from`` share a weak
-    component of the sub-shard DAG, and a component never splits.  Within
-    each cross-batch dependency class (``dependencies[i]`` is job ``i``'s),
-    components are packed largest first (by query count, earliest shard id
-    breaking ties) onto the least-loaded of at most ``slots`` units — the
-    way :meth:`~repro.core.planner.CrowdPlanner.shard_plan` packs
-    components onto shards.  Keeping the classes apart means a unit never
-    waits on a batch some of its shards could have overlapped.  Returns the
-    units in order of their first shard id, each unit's jobs in shard-id
-    order.
-    """
-    parent = {job.shard_id: job.shard_id for job in jobs}
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for job in jobs:
-        for source in (*job.predecessors, *job.handoff_from):
-            root, other = find(job.shard_id), find(source)
-            if root != other:
-                parent[max(root, other)] = min(root, other)
-    components: Dict[int, List[int]] = {}
-    for position, job in enumerate(jobs):
-        components.setdefault(find(job.shard_id), []).append(position)
-    classes: Dict[int, List[Tuple[int, int, List[int]]]] = {}
-    for members in components.values():
-        dependency = dependencies[members[0]]
-        if any(dependencies[position] != dependency for position in members):
-            raise ServingError("a sub-shard chain spans two cross-batch dependencies")
-        load = sum(len(jobs[position].indices) for position in members)
-        first = min(jobs[position].shard_id for position in members)
-        classes.setdefault(dependency, []).append((-load, first, members))
-    units: List[DispatchUnit] = []
-    for dependency, built in classes.items():
-        built.sort(key=lambda item: item[:2])
-        count = min(slots, len(built))
-        loads = [0] * count
-        packed: List[List[ShardJob]] = [[] for _ in range(count)]
-        for negative_load, _, members in built:
-            target = min(range(count), key=lambda slot: (loads[slot], slot))
-            packed[target].extend(jobs[position] for position in members)
-            loads[target] -= negative_load
-        units.extend(
-            DispatchUnit(dependency, tuple(sorted(unit, key=lambda job: job.shard_id)))
-            for unit in packed
-            if unit
-        )
-    units.sort(key=lambda unit: unit.unit_id)
-    return units

@@ -3,8 +3,8 @@
 :class:`~repro.serving.service.PooledBackend` forks one process per pool
 worker straight into :func:`pool_worker_main`, which feeds every parent
 message to :func:`serve_message` until its pipe closes.  A ``run`` message
-is one dispatch unit, answered by one
-:func:`~repro.serving.shards.execute_unit` on the worker's warm base.
+is one shard, answered by one :func:`~repro.serving.shards.execute_shard`
+on the worker's warm base.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict
 from ..core.planner import CrowdPlanner
 from ..exceptions import ServingError
 from .metrics import DEFAULT_TENANT
-from .shards import build_tenant_planner, execute_unit
+from .shards import build_tenant_planner, execute_shard
 
 #: :func:`serve_message`'s answer to ``stop``: leave the loop.
 STOP = object()
@@ -34,12 +34,8 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
     resolving the tenant base or adopting its delta is a ``desync`` — the
     warm base may be partially updated, so the parent must retire this
     worker — while a failure during shard execution leaves every base
-    intact (``error``).
-
-    A ``run`` message carries one dispatch unit: hand-off-closed jobs in
-    shard-id order.  :func:`~repro.serving.shards.execute_unit` runs them
-    on one clone of the tenant's base, in submission order, so a consumer
-    sees its producers' truths without a round trip through the parent.
+    intact (``error``).  A ``run`` message carries one shard job, and its
+    ``done`` reply one outcome.
     """
     kind = message[0]
     if kind == "stop":
@@ -52,8 +48,8 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
         return None
     if kind != "run":  # pragma: no cover - protocol guard
         return ("error", pid, f"unknown message kind {kind!r}")
-    # ("run", tenant, spec, delta, jobs)
-    tenant, spec, delta, jobs = message[1:]
+    # ("run", tenant, spec, delta, job)
+    tenant, spec, delta, job = message[1:]
     try:
         base = bases.get(tenant)
         if base is None:
@@ -67,12 +63,12 @@ def serve_message(bases: Dict[str, CrowdPlanner], message, pid: int):
     except Exception:
         return ("desync", pid, traceback.format_exc())
     try:
-        # ``execute_unit`` is looked up here, per message, so a substitute
+        # ``execute_shard`` is looked up here, per message, so a substitute
         # bound on this module takes effect.
-        outcomes = execute_unit(base, jobs)
+        outcome = execute_shard(base, job)
     except Exception:
         return ("error", pid, traceback.format_exc())
-    return ("done", pid, outcomes)
+    return ("done", pid, outcome)
 
 
 def pool_worker_main(
@@ -91,7 +87,7 @@ def pool_worker_main(
     :class:`~repro.serving.protocol.TruthDeltaBlock` that
     :meth:`TruthDatabase.adopt_all` decodes against the fork-inherited
     network, preserving parent ids and so lookup tie-breaks — and each
-    dispatch unit then executes on a fresh clone over a copy-on-write slice
+    shard then executes on a fresh clone over a copy-on-write slice
     of the warm base.  Each message is served by :func:`serve_message`.  Strict
     request/reply: every *substantive* message gets exactly one response.
 

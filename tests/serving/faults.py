@@ -60,7 +60,7 @@ from typing import Dict, List, Optional
 from multiprocessing.reduction import ForkingPickler
 
 from repro.config import ServiceConfig
-from repro.serving.service import DEFAULT_TENANT, PooledBackend, _PoolWorker
+from repro.serving.service import PooledBackend, _PoolWorker
 
 #: Supervision knobs tight enough for fast tests: a hung worker is declared
 #: dead within ~0.6 s and respawn backoff adds at most ~0.1 s per fork.
@@ -113,30 +113,30 @@ class FaultInjectingBackend(PooledBackend):
         self._reader_stopped = False
         self._slow_threads: List[threading.Thread] = []
 
-    def _dispatch(self, worker: _PoolWorker, jobs) -> bool:
+    def _dispatch(self, worker: _PoolWorker, job) -> bool:
         fault = self.schedule.get(self.dispatch_ordinal)
         self.dispatch_ordinal += 1
         if fault is None:
-            return super()._dispatch(worker, jobs)
+            return super()._dispatch(worker, job)
         self.injected.append(fault)
         if fault == "kill_before":
             os.kill(worker.pid, signal.SIGKILL)
             worker.process.join(timeout=2.0)
-            return super()._dispatch(worker, jobs)
+            return super()._dispatch(worker, job)
         if fault == "kill_after":
             if not worker.alive:
-                return super()._dispatch(worker, jobs)
+                return super()._dispatch(worker, job)
             os.kill(worker.pid, signal.SIGSTOP)
             self._reader_stopped = True
             try:
-                sent = super()._dispatch(worker, jobs)
+                sent = super()._dispatch(worker, job)
             finally:
                 self._reader_stopped = False
                 os.kill(worker.pid, signal.SIGKILL)
                 worker.process.join(timeout=2.0)
             return sent
         if fault == "hang":
-            sent = super()._dispatch(worker, jobs)
+            sent = super()._dispatch(worker, job)
             if sent:
                 os.kill(worker.pid, signal.SIGSTOP)
             return sent
@@ -146,18 +146,18 @@ class FaultInjectingBackend(PooledBackend):
             return True
         if fault == "delay":
             time.sleep(self.delay_s)
-            return super()._dispatch(worker, jobs)
+            return super()._dispatch(worker, job)
         if fault == "desync":
             # Mirror the real dispatch's tenant threading so the fault lands
             # in the right workspace's stream (and only there).
-            tenant = jobs[0].tenant if jobs else DEFAULT_TENANT
+            tenant = job.tenant
             spec = self._dispatch_spec(worker, tenant)
-            if not self._send(worker, ("run", tenant, spec, _PoisonDelta(), jobs)):
+            if not self._send(worker, ("run", tenant, spec, _PoisonDelta(), job)):
                 return False
             worker.cursors[tenant] = self._planner_for(tenant).truth_cursor()
             return True
         if fault == "slow":
-            sent = super()._dispatch(worker, jobs)
+            sent = super()._dispatch(worker, job)
             if sent:
                 self._start_duty_cycle(worker.pid)
             return sent

@@ -143,10 +143,10 @@ class SimulatedPool(PooledBackend):
             conn.serve()
         return [conn]
 
-    def _dispatch(self, worker: _PoolWorker, jobs) -> bool:
+    def _dispatch(self, worker: _PoolWorker, job) -> bool:
         ordinal = self.dispatches
         self.dispatches += 1
-        sent = super()._dispatch(worker, jobs)
+        sent = super()._dispatch(worker, job)
         if ordinal in self.kill_at:
             worker.process.kill()
         return sent

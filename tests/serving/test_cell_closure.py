@@ -6,7 +6,8 @@ squares that pickles as its centres).  These tests hold it to the set-based
 oracle in :mod:`repro.core.reference` — plans before and after
 :func:`split_oversized` must be identical — check the round trip through
 pickle, bound a hotspot sub-shard's run message, and check that running
-crowd-bound sub-shards never writes the base planner's worker pool.
+the crowd-bound shard the split chains never writes the base planner's
+worker pool.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.planner import CellClosure, reach_closure
 from repro.core.reference import expand_cells, set_shard_plan
 from repro.routing.base import RouteQuery
-from repro.serving.shards import ShardJob, execute_unit, split_oversized
+from repro.serving.shards import ShardJob, execute_shard, split_oversized
 
 #: The hotspot regime: 40-query batches split at a tenth of the batch.
 FRACTION = 0.1
@@ -40,8 +41,6 @@ def _jobs(plan, queries):
             indices=shard.indices,
             destination_cells=shard.destination_cells,
             queries=[queries[index] for index in shard.indices],
-            predecessors=shard.predecessors,
-            handoff_from=shard.handoff_from,
         )
         for shard in plan.shards
     ]
@@ -190,9 +189,9 @@ class TestWireForm:
         plan = split_oversized(plan_planner, plan_planner.shard_plan(queries, 2), queries, FRACTION)
         assert plan.chain_depth() >= 2
         for job in _jobs(plan, queries):
-            message = ("run", "", None, [], [job])
+            message = ("run", "", None, [], job)
             assert len(ForkingPickler.dumps(message)) < 1024
-            (loaded,) = pickle.loads(ForkingPickler.dumps(message))[4]
+            loaded = pickle.loads(ForkingPickler.dumps(message))[4]
             assert loaded.destination_cells == job.destination_cells
 
 
@@ -202,17 +201,17 @@ class TestPoolOverlay:
     ):
         planner = build_serving_planner()
         queries = list(dominant_workload)
-        plan = split_oversized(planner, planner.shard_plan(queries, 2), queries, FRACTION)
-        jobs = _jobs(plan, queries)
+        plan = planner.shard_plan(queries, 2)
+        split = split_oversized(planner, plan, queries, FRACTION)
+        chained = {index for sub in split.shards if sub.handoff_from for index in sub.indices}
         before = copy.deepcopy(planner.worker_pool.workers())
 
-        outcomes = execute_unit(planner, jobs)
+        outcomes = [execute_shard(planner, job) for job in _jobs(plan, queries)]
 
-        chained = {job.shard_id for job in jobs if job.predecessors or job.handoff_from}
         assert any(
             result.used_crowd
             for outcome in outcomes
-            if outcome.shard_id in chained
-            for result in outcome.results
-        ), "the workload must send some sub-shard to the crowd"
+            for index, result in zip(outcome.indices, outcome.results)
+            if index in chained
+        ), "the workload must send some sub-shard's query to the crowd"
         assert planner.worker_pool.workers() == before

@@ -1,13 +1,18 @@
-"""Dispatch units: hand-off-closed groups of a batch's shards, one message each.
+"""Dispatch: one shard of a batch's component plan, one message.
 
-:func:`~repro.serving.shards.dispatch_units` is held to its structural
-contract over random split plans and over the serving and dominant
-workloads; :func:`~repro.serving.shards.execute_unit` must equal the
-sequential oracle over each unit's queries in submission order (results,
-new truths and counted statistics), including where shard-id order would
-break a lookup tie differently; the largest unit of the dominant workload
-must fit a pipe buffer; and the parent must group each batch's od cells
-once, over only the queries its window's settle pass left it.
+The pooled backend dispatches the plan
+:meth:`~repro.core.planner.CrowdPlanner.shard_plan` returns, one
+:class:`~repro.serving.shards.ShardJob` per shard, and
+:func:`~repro.serving.shards.split_oversized` only reports plan shape.
+That is sound because the split refines the component plan: every
+sub-shard and every hand-off it names lie inside one component shard, with
+the same cells and so the same cross-batch dependency.  Held over random
+batches and over the serving and dominant workloads;
+:func:`~repro.serving.shards.execute_shard` must equal the sequential
+oracle over each shard's queries (results, new truths and counted
+statistics); the largest dominant run message must fit a pipe buffer; and
+the parent must group each batch's od cells once, over only the queries
+its window's settle pass left it.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ServiceConfig
-from repro.core.planner import CrowdPlanner, PlannerStatistics
-from repro.exceptions import ServingError
+from repro.core.planner import PlannerStatistics
 from repro.routing.base import RouteQuery
 from repro.serving import RecommendationService, recommendation_fingerprint
 from repro.serving.pipeline import batch_dependencies
-from repro.serving.shards import ShardJob, dispatch_units, execute_unit, split_oversized
+from repro.serving.shards import ShardJob, execute_shard, split_oversized
 from repro.serving.worker import serve_message
 
 from .faults import PIPE_BUFFER_BYTES
@@ -42,8 +46,6 @@ def _jobs(plan, queries):
             indices=shard.indices,
             destination_cells=shard.destination_cells,
             queries=[queries[index] for index in shard.indices],
-            predecessors=shard.predecessors,
-            handoff_from=shard.handoff_from,
         )
         for shard in plan.shards
     ]
@@ -54,65 +56,51 @@ def _content(truths):
     return [replace(truth, truth_id=0) for truth in truths]
 
 
-def _assert_unit_matches_oracle(base, fresh, jobs):
-    """``execute_unit(base, jobs)`` equals ``fresh.recommend_batch`` over
-    the jobs' queries in submission order: every job's results and new
-    truths, in order, and the statistics counted from the results.
-    ``fresh`` must hold what ``base`` holds."""
-    outcomes = execute_unit(base, jobs)
-    assert [outcome.shard_id for outcome in outcomes] == [job.shard_id for job in jobs]
-    owner = {index: job.shard_id for job in jobs for index in job.indices}
-    query_of = {
-        index: query for job in jobs for index, query in zip(job.indices, job.queries)
-    }
-    indices = sorted(owner)
+def _assert_shard_matches_oracle(base, fresh, job):
+    """``execute_shard(base, job)`` equals ``fresh.recommend_batch`` over
+    the job's queries: results and new truths, in order, and the statistics
+    counted from the results.  ``fresh`` must hold what ``base`` holds."""
+    outcome = execute_shard(base, job)
+    assert (outcome.shard_id, outcome.indices) == (job.shard_id, job.indices)
     before = len(fresh.truths)
-    oracle = fresh.recommend_batch([query_of[index] for index in indices])
-    expected_truths = {job.shard_id: [] for job in jobs}
-    writers = [index for index, result in zip(indices, oracle) if result.method != "truth_reuse"]
-    new_truths = fresh.truths.truths_since(before)
-    assert len(new_truths) == len(writers)
-    for index, truth in zip(writers, new_truths):
-        expected_truths[owner[index]].append(truth)
-    expected = dict(zip(indices, oracle))
-    counted = PlannerStatistics()
-    for job, outcome in zip(jobs, outcomes):
-        assert outcome.indices == job.indices
-        assert [recommendation_fingerprint(r) for r in outcome.results] == [
-            recommendation_fingerprint(expected[index]) for index in job.indices
-        ]
-        assert _content(outcome.new_truths) == _content(expected_truths[job.shard_id])
-        for result in outcome.results:
-            counted.count(result)
-    assert counted.as_dict() == fresh.statistics.as_dict()
-    return outcomes
-
-
-def _shape(units):
-    return [
-        (unit.dependency, [(job.shard_id, job.indices) for job in unit.jobs]) for unit in units
+    oracle = fresh.recommend_batch(job.queries)
+    assert [recommendation_fingerprint(r) for r in outcome.results] == [
+        recommendation_fingerprint(r) for r in oracle
     ]
+    assert _content(outcome.new_truths) == _content(fresh.truths.truths_since(before))
+    counted = PlannerStatistics()
+    for result in outcome.results:
+        counted.count(result)
+    assert counted.as_dict() == fresh.statistics.as_dict()
+    return outcome
 
 
-def _assert_unit_contract(jobs, deps, slots, units):
-    """Units partition the jobs, are hand-off-closed, ordered, one
-    dependency each, at most ``slots`` per dependency, and deterministic."""
-    dep_of = {job.shard_id: dep for job, dep in zip(jobs, deps)}
-    ids = [job.shard_id for unit in units for job in unit.jobs]
-    assert sorted(ids) == sorted(job.shard_id for job in jobs)
-    assert len(ids) == len(set(ids))
-    per_dependency = {}
-    for unit in units:
-        members = {job.shard_id for job in unit.jobs}
-        for job in unit.jobs:
-            assert set(job.predecessors) <= members, "a producer left its consumer's unit"
-            assert set(job.handoff_from) <= members, "a hand-off crosses units"
-            assert dep_of[job.shard_id] == unit.dependency
-        assert [job.shard_id for job in unit.jobs] == sorted(members)
-        per_dependency[unit.dependency] = per_dependency.get(unit.dependency, 0) + 1
-    assert all(count <= slots for count in per_dependency.values())
-    assert [unit.unit_id for unit in units] == sorted(unit.unit_id for unit in units)
-    assert _shape(dispatch_units(jobs, deps, slots)) == _shape(units)
+def _owners(plan, split):
+    """The component shard of every sub-shard of ``split``, asserting that
+    the split refines ``plan``: each sub-shard lies inside one component
+    shard, carries its cells, and names hand-offs only inside it."""
+    shard_of = {index: shard for shard in plan.shards for index in shard.indices}
+    owners = {}
+    for sub in split.shards:
+        (owner,) = {shard_of[index].shard_id for index in sub.indices}
+        owners[sub.shard_id] = owner
+        assert sub.destination_cells == shard_of[sub.indices[0]].destination_cells
+    for sub in split.shards:
+        assert {owners[source] for source in sub.predecessors + sub.handoff_from} <= {
+            owners[sub.shard_id]
+        }, "a hand-off crosses component shards"
+    return owners
+
+
+def _assert_dispatch_contract(plan, split, slots):
+    """At most ``slots`` shards, partitioning the batch in shard-id order,
+    each refined by the split."""
+    assert len(plan.shards) <= slots
+    assert sorted(index for shard in plan.shards for index in shard.indices) == list(
+        range(plan.num_queries)
+    )
+    assert [shard.shard_id for shard in plan.shards] == sorted(shard.shard_id for shard in plan.shards)
+    return _owners(plan, split)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +124,8 @@ def node_pools(serving_scenario):
 
 
 def _draw_plan(data, planner, node_pools):
-    """A random batch's split plan as jobs, with a random cross-batch
-    dependency per component cell set and a random pool size."""
+    """A random batch's component plan and its split, at a random pool
+    size and fraction."""
     nodes, edge = node_pools
     endpoint = st.one_of(st.sampled_from(edge), st.sampled_from(nodes))
     pairs = data.draw(
@@ -150,16 +138,8 @@ def _draw_plan(data, planner, node_pools):
     queries = [RouteQuery(origin, destination) for origin, destination in pairs]
     slots = data.draw(st.integers(min_value=1, max_value=4))
     fraction = data.draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
-    plan = split_oversized(planner, planner.shard_plan(queries, slots), queries, fraction)
-    jobs = _jobs(plan, queries)
-    dep_of_cells = {}
-    deps = []
-    for job in jobs:
-        key = id(job.destination_cells)
-        if key not in dep_of_cells:
-            dep_of_cells[key] = data.draw(st.integers(min_value=-1, max_value=2))
-        deps.append(dep_of_cells[key])
-    return jobs, deps, slots
+    plan = planner.shard_plan(queries, slots)
+    return queries, plan, split_oversized(planner, plan, queries, fraction), slots
 
 
 class TestUnitContract:
@@ -168,84 +148,78 @@ class TestUnitContract:
     @given(data=st.data())
     def test_random_split_plans(self, plan_planner, node_pools, data):
         """Random batches (the cell-closure suite's strategy), random pool
-        sizes and fractions, and a random cross-batch dependency per
-        component cell set."""
-        jobs, deps, slots = _draw_plan(data, plan_planner, node_pools)
-        _assert_unit_contract(jobs, deps, slots, dispatch_units(jobs, deps, slots))
+        sizes and fractions: the dispatched plan holds at most one shard
+        per worker, and the split only refines it."""
+        _, plan, split, slots = _draw_plan(data, plan_planner, node_pools)
+        _assert_dispatch_contract(plan, split, slots)
 
     @pytest.mark.parametrize("slots", [1, 2, 4])
     @pytest.mark.parametrize("workload_name", ["serving", "dominant"])
     def test_workload_windows(
         self, plan_planner, serving_workload, dominant_workload, workload_name, slots
     ):
-        """40-query batches as one window, with their real dependencies."""
+        """40-query batches as one window: every sub-shard waits on the
+        same batch as its component shard, so the split never changes what
+        a dispatch waits on, and no dependency class exceeds the pool."""
         workload = serving_workload if workload_name == "serving" else dominant_workload
         batches = [list(workload[start : start + 40]) for start in range(0, len(workload), 40)]
-        plans = [
-            split_oversized(plan_planner, plan_planner.shard_plan(batch, slots), batch, FRACTION)
-            for batch in batches
+        plans = [plan_planner.shard_plan(batch, slots) for batch in batches]
+        splits = [
+            split_oversized(plan_planner, plan, batch, FRACTION) for plan, batch in zip(plans, batches)
         ]
-        window_deps = batch_dependencies(plans)
         chained = 0
-        for batch, plan, deps in zip(batches, plans, window_deps):
-            jobs = _jobs(plan, batch)
-            units = dispatch_units(jobs, deps, slots)
-            _assert_unit_contract(jobs, deps, slots, units)
-            chained += any(job.handoff_from for job in jobs)
+        for plan, split, deps, split_deps in zip(
+            plans, splits, batch_dependencies(plans), batch_dependencies(splits)
+        ):
+            owners = _assert_dispatch_contract(plan, split, slots)
+            dep_of = {shard.shard_id: dep for shard, dep in zip(plan.shards, deps)}
+            for sub, dep in zip(split.shards, split_deps):
+                assert dep == dep_of[owners[sub.shard_id]]
+            chained += any(sub.handoff_from for sub in split.shards)
         if workload_name == "dominant":
             assert chained, "the dominant workload must split into chains"
-
-    def test_a_chain_spanning_two_dependencies_is_refused(self):
-        jobs = [
-            ShardJob(0, (0,), frozenset(), []),
-            ShardJob(1, (1,), frozenset(), [], predecessors=(0,), handoff_from=(0,)),
-        ]
-        with pytest.raises(ServingError):
-            dispatch_units(jobs, [-1, 0], 2)
 
 
 class TestWorkerLocalChain:
     @pytest.fixture()
     def dominant_units(self, build_serving_planner, dominant_workload):
+        """The dominant workload's component shards at pool size 2, and the
+        shard the split stages as a chain."""
         planner = build_serving_planner()
         queries = list(dominant_workload)
-        plan = split_oversized(planner, planner.shard_plan(queries, 2), queries, FRACTION)
+        plan = planner.shard_plan(queries, 2)
+        split = split_oversized(planner, plan, queries, FRACTION)
+        owners = _owners(plan, split)
+        chained = {owners[sub.shard_id] for sub in split.shards if sub.handoff_from}
+        assert chained
         jobs = _jobs(plan, queries)
-        units = dispatch_units(jobs, [-1] * len(jobs), 2)
-        assert any(job.handoff_from for unit in units for job in unit.jobs)
-        return planner, units
+        return planner, jobs, next(job for job in jobs if job.shard_id in chained)
 
     def test_dominant_units_equal_the_oracle(self, build_serving_planner, dominant_units):
-        """Each chained unit of the dominant workload, run on one clone,
-        equals the sequential oracle over the unit's queries."""
-        planner, units = dominant_units
-        for unit in units:
-            _assert_unit_matches_oracle(planner, build_serving_planner(), unit.jobs)
+        """Each component shard of the dominant workload, the one the split
+        chains included, run on one clone, equals the sequential oracle
+        over its queries."""
+        planner, jobs, _ = dominant_units
+        for job in jobs:
+            _assert_shard_matches_oracle(planner, build_serving_planner(), job)
 
     def test_worker_serves_a_unit_through_execute_unit(self, dominant_units):
-        """A pool worker answers a ``run`` message with the in-process run's
-        outcomes, results and new truths alike."""
-        planner, units = dominant_units
-        unit = next(unit for unit in units if any(job.handoff_from for job in unit.jobs))
-        expected = execute_unit(planner, unit.jobs)
-        kind, pid, outcomes = serve_message({"": planner}, ("run", "", None, [], list(unit.jobs)), 7)
+        """A pool worker answers a one-job ``run`` message with the
+        in-process ``execute_shard`` outcome, results and new truths
+        alike."""
+        planner, _, job = dominant_units
+        expected = execute_shard(planner, job)
+        kind, pid, outcome = serve_message({"": planner}, ("run", "", None, [], job), 7)
         assert (kind, pid) == ("done", 7)
-        assert [(o.shard_id, o.indices, o.worker_pid) for o in outcomes] == [
-            (o.shard_id, o.indices, o.worker_pid) for o in expected
+        assert (outcome.shard_id, outcome.indices, outcome.worker_pid) == (
+            expected.shard_id,
+            expected.indices,
+            expected.worker_pid,
+        )
+        assert [recommendation_fingerprint(r) for r in outcome.results] == [
+            recommendation_fingerprint(r) for r in expected.results
         ]
-        for mine, theirs in zip(outcomes, expected):
-            assert [recommendation_fingerprint(r) for r in mine.results] == [
-                recommendation_fingerprint(r) for r in theirs.results
-            ]
-            assert _content(mine.new_truths) == _content(theirs.new_truths)
-
-    def test_a_consumer_without_its_producer_is_refused(self, dominant_units):
-        """The closure check: a consumer whose producer is not in its unit
-        never executes."""
-        planner, units = dominant_units
-        consumer = next(job for unit in units for job in unit.jobs if job.predecessors)
-        with pytest.raises(ServingError):
-            execute_unit(planner, [consumer])
+        assert _content(outcome.new_truths) == _content(expected.new_truths)
 
 
 class TestUnitExecution:
@@ -255,76 +229,13 @@ class TestUnitExecution:
     def test_units_equal_the_oracle_over_their_queries(
         self, plan_planner, build_serving_planner, node_pools, data
     ):
-        """Every unit of a random split plan, run by ``execute_unit``, equals
-        ``recommend_batch`` on a fresh planner over the unit's queries in
-        submission order."""
+        """Every shard of a random component plan, run by
+        ``execute_shard``, equals ``recommend_batch`` on a fresh planner
+        over the shard's queries in submission order."""
         assert len(plan_planner.truths) == 0
-        jobs, deps, slots = _draw_plan(data, plan_planner, node_pools)
-        for unit in dispatch_units(jobs, deps, slots):
-            _assert_unit_matches_oracle(plan_planner, build_serving_planner(), unit.jobs)
-
-    def test_interleaved_producers_resolve_ties_as_the_oracle(
-        self, serving_scenario, serving_familiarity
-    ):
-        """Jobs ``(0, 2)``, ``(1,)`` and ``(3,)``: query 3 reuses a truth,
-        tied on origin distance between the truths of queries 1 and 2.  The
-        oracle recorded query 1's first, so its smaller id wins; running the
-        jobs in shard-id order would record query 2's first."""
-        config = replace(serving_scenario.config.planner_config, truth_reuse_radius_m=400.0)
-        radius = config.truth_reuse_radius_m
-
-        def build():
-            return CrowdPlanner(
-                network=serving_scenario.network,
-                catalog=serving_scenario.catalog,
-                calibrator=serving_scenario.calibrator,
-                sources=serving_scenario.sources,
-                worker_pool=serving_scenario.worker_pool,
-                crowd_backend=serving_scenario.crowd,
-                config=config,
-                familiarity=serving_familiarity,
-            )
-
-        network = serving_scenario.network
-        nodes = sorted(network.node_ids())
-
-        def distance(a, b):
-            return network.node_location(a).distance_to(network.node_location(b))
-
-        # Two destinations out of each other's radius with a third within
-        # both; one origin, so every origin distance is 0.
-        first, between, second = next(
-            (a, c, b)
-            for c in nodes
-            for a in nodes
-            for b in nodes
-            if distance(a, c) <= radius and distance(c, b) <= radius and distance(a, b) > radius
-        )
-        origin = next(node for node in nodes if min(distance(node, d) for d in (first, second)) > 3 * radius)
-        far = [n for n in nodes if min(distance(n, m) for m in (origin, first, second)) > 3 * radius]
-        assert len(far) > 1
-        queries = [
-            RouteQuery(far[0], far[-1]),
-            RouteQuery(origin, first),
-            RouteQuery(origin, second),
-            RouteQuery(origin, between),
-        ]
-        jobs = [
-            ShardJob(0, (0, 2), frozenset(), [queries[0], queries[2]]),
-            ShardJob(1, (1,), frozenset(), [queries[1]]),
-            ShardJob(2, (3,), frozenset(), [queries[3]], predecessors=(0, 1), handoff_from=(0, 1)),
-        ]
-        oracle = build()
-        outcomes = _assert_unit_matches_oracle(build(), oracle, jobs)
-        # The tie is real: queries 1 and 2 each recorded a truth at origin
-        # distance 0 from query 3, on different routes, and query 3 reused
-        # query 1's.
-        first_answer, second_answer = outcomes[1].results[0], outcomes[0].results[1]
-        reused = outcomes[2].results[0]
-        assert first_answer.method != "truth_reuse" and second_answer.method != "truth_reuse"
-        assert reused.method == "truth_reuse"
-        assert first_answer.route.path != second_answer.route.path
-        assert reused.route.path == first_answer.route.path
+        queries, plan, _, _ = _draw_plan(data, plan_planner, node_pools)
+        for job in _jobs(plan, queries):
+            _assert_shard_matches_oracle(plan_planner, build_serving_planner(), job)
 
 
 class TestWireSize:
@@ -335,12 +246,8 @@ class TestWireSize:
         while the whole run message fits the pipe buffer."""
         planner = build_serving_planner()
         queries = list(dominant_workload)
-        plan = split_oversized(planner, planner.shard_plan(queries, 2), queries, FRACTION)
-        jobs = _jobs(plan, queries)
-        units = dispatch_units(jobs, [-1] * len(jobs), 2)
-        largest = max(
-            len(ForkingPickler.dumps(("run", "", None, [], list(unit.jobs)))) for unit in units
-        )
+        jobs = _jobs(planner.shard_plan(queries, 2), queries)
+        largest = max(len(ForkingPickler.dumps(("run", "", None, [], job))) for job in jobs)
         assert largest < PIPE_BUFFER_BYTES
 
 

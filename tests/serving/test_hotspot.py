@@ -1,13 +1,13 @@
-"""Intra-component pipeline (hotspot splitting) tests.
+"""Hotspot split diagnostic tests.
 
-Covers the :func:`~repro.serving.shards.split_oversized` stage and the
-sub-shard hand-off chain end to end: structural plan invariants (coverage,
-size bound, topological ids, hand-off edges), visibility soundness (two
+Covers :func:`~repro.serving.shards.split_oversized`, which reports plan
+shape and is never executed: structural plan invariants (coverage, size
+bound, topological ids, hand-off edges), visibility soundness (two
 sub-shards with no hand-off relation share no linked query pair), the
 diagnostics surfaced through ``service.plan()`` / ``service.statistics()``,
-and — on the forked pool — mid-chain fault recovery: killing or hanging a
-worker that holds a chained dispatch unit must reproduce the sequential
-fingerprints exactly.
+and — on the forked pool — fault recovery on the hotspot: killing or
+hanging a worker that holds the component shard the split would chain must
+reproduce the sequential fingerprints exactly.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.serving import RecommendationService, recommendation_fingerprint
-from repro.serving.shards import (
-    ShardJob,
-    dispatch_units,
-    execute_unit,
-    merge_shard_outcomes,
-    split_oversized,
-)
+from repro.serving.shards import ShardJob, execute_shard, merge_shard_outcomes, split_oversized
 
 from .faults import FaultInjectingBackend
 from .sim_pool import SimulatedPool
@@ -129,78 +123,35 @@ class TestSplitPlan:
                             f"but queries {i},{j} interact"
                         )
 
-    def test_consumer_sees_its_producers_truths(self, split_case, build_serving_planner):
-        """A consumer run with its hand-off closure answers as the sequential
-        oracle over those queries, and differently from the consumer run
-        without its producers: their truths reach it inside the one run."""
-        planner, queries, _, split = split_case
-        shards = {shard.shard_id: shard for shard in split.shards}
-
-        def job(shard, chained=True):
-            return ShardJob(
-                shard_id=shard.shard_id,
-                indices=shard.indices,
-                destination_cells=shard.destination_cells,
-                queries=[queries[i] for i in shard.indices],
-                predecessors=shard.predecessors if chained else (),
-                handoff_from=shard.handoff_from if chained else (),
-            )
-
-        def closure(shard_id):
-            members, stack = {shard_id}, [shard_id]
-            while stack:
-                shard = shards[stack.pop()]
-                for source in set(shard.predecessors + shard.handoff_from) - members:
-                    members.add(source)
-                    stack.append(source)
-            return sorted(members)
-
-        checked = 0
-        for consumer in (shard for shard in split.shards if shard.handoff_from):
-            jobs = [job(shards[shard_id]) for shard_id in closure(consumer.shard_id)]
-            outcomes = execute_unit(planner, jobs)
-            indices = sorted(index for unit_job in jobs for index in unit_job.indices)
-            oracle = build_serving_planner().recommend_batch([queries[i] for i in indices])
-            expected = dict(zip(indices, (recommendation_fingerprint(r) for r in oracle)))
-            for outcome in outcomes:
-                assert [recommendation_fingerprint(r) for r in outcome.results] == [
-                    expected[index] for index in outcome.indices
-                ]
-            (alone,) = execute_unit(planner, [job(consumer, chained=False)])
-            served = next(o for o in outcomes if o.shard_id == consumer.shard_id)
-            checked += [recommendation_fingerprint(r) for r in alone.results] != [
-                recommendation_fingerprint(r) for r in served.results
-            ]
-        assert checked, "no consumer's answers depend on its producers' truths"
-
 
 class TestShardCloneCost:
-    """A dispatch unit's fixed cost: every unit builds a shard clone, whose
+    """A dispatch's fixed cost: every shard builds a shard clone, whose
     worker pool copies a worker only on first touch.  A deep copy per clone
-    (most of a unit's cost on a 28-worker pool) must not come back."""
+    (most of a shard's cost on a 28-worker pool) must not come back."""
 
     def test_split_chain_executes_without_deep_copy(
         self, split_case, sequential_oracle, monkeypatch
     ):
-        planner, queries, _, split = split_case
+        """The component shards of the dominant workload, the one the split
+        chains included, run without a deep copy and merge into the
+        oracle's answers."""
+        planner, queries, raw, split = split_case
+        assert any(shard.handoff_from for shard in split.shards)
         jobs = [
             ShardJob(
                 shard_id=shard.shard_id,
                 indices=shard.indices,
                 destination_cells=shard.destination_cells,
                 queries=[queries[i] for i in shard.indices],
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
             )
-            for shard in split.shards
+            for shard in raw.shards
         ]
-        assert any(job.handoff_from for job in jobs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a shard clone made a deep copy")
 
         monkeypatch.setattr(copy, "deepcopy", refuse)
-        outcomes = execute_unit(planner, jobs)
+        outcomes = [execute_shard(planner, job) for job in jobs]
         monkeypatch.undo()
         results = merge_shard_outcomes(planner, len(queries), outcomes)
         assert [recommendation_fingerprint(r) for r in results] == (
@@ -235,8 +186,8 @@ class TestHotspotDiagnostics:
     def test_inprocess_chain_is_not_a_degraded_batch(
         self, build_serving_planner, dominant_workload, sequential_oracle
     ):
-        """Every shard of the chains runs on a live (simulated) pool; with no
-        pool lost, that is not a degradation."""
+        """Every shard, the one the split chains included, runs on a live
+        (simulated) pool; with no pool lost, that is not a degradation."""
         planner = build_serving_planner()
         backend = SimulatedPool(ServiceConfig(pool_size=4, max_shard_fraction=FRACTION))
         half = len(dominant_workload) // 2
@@ -270,42 +221,32 @@ class TestHotspotDiagnostics:
 
 
 def _chained_dispatch_ordinals(planner, batches, pool_size):
-    """Per batch, the global dispatch ordinals of its units carrying a
-    hand-off, when each batch is served as a one-batch window on a
-    fault-free pool of ``pool_size``: such a window sends its units in unit
-    order, one to each idle worker (at most ``pool_size`` of them, so all in
-    its first tick)."""
+    """Per batch, the global dispatch ordinals of its shards the split
+    stages as chains, when each batch is served as a one-batch window on a
+    fault-free pool of ``pool_size``: such a window sends its shards in
+    shard order, one to each idle worker (at most ``pool_size`` of them, so
+    all in its first tick)."""
     ordinals, sent = [], 0
     for queries in batches:
-        plan = split_oversized(planner, planner.shard_plan(queries, pool_size), queries, FRACTION)
-        jobs = [
-            ShardJob(
-                shard_id=shard.shard_id,
-                indices=shard.indices,
-                destination_cells=shard.destination_cells,
-                queries=[],
-                predecessors=shard.predecessors,
-                handoff_from=shard.handoff_from,
-            )
-            for shard in plan.shards
-        ]
-        units = dispatch_units(jobs, [-1] * len(jobs), pool_size)
-        assert len(units) <= pool_size
+        plan = planner.shard_plan(queries, pool_size)
+        split = split_oversized(planner, plan, queries, FRACTION)
+        chained = {index for sub in split.shards if sub.handoff_from for index in sub.indices}
+        assert len(plan.shards) <= pool_size
         ordinals.append(
             [
                 sent + position
-                for position, unit in enumerate(units)
-                if any(job.handoff_from for job in unit.jobs)
+                for position, shard in enumerate(plan.shards)
+                if chained.intersection(shard.indices)
             ]
         )
-        sent += len(units)
+        sent += len(plan.shards)
     return ordinals
 
 
 @needs_fork
 @pytest.mark.chaos
 class TestMidChainFaults:
-    """Kill/hang a worker holding a sub-shard that downstream slices await."""
+    """Kill/hang a worker holding the component shard the split chains."""
 
     def _run(self, build_serving_planner, workload, schedule, **backend_kwargs):
         planner = build_serving_planner()
@@ -321,10 +262,10 @@ class TestMidChainFaults:
     def test_mid_chain_fault_reproduces_oracle(
         self, build_serving_planner, dominant_workload, sequential_oracle, kind
     ):
-        # Fault the first dispatch of a unit carrying the dominant chain
-        # (its producers and the consumers awaiting their hand-offs all ride
-        # in it), and the dispatch after it: for kill_before, the retry of
-        # that unit on the surviving worker, so the pool is lost and must
+        # Fault the first dispatch of the shard holding the dominant chain
+        # (its producers and the consumers of their truths all ride in it),
+        # and the dispatch after it: for kill_before, the retry of that
+        # shard on the surviving worker, so the pool is lost and must
         # respawn.
         ((chained, *_),) = _chained_dispatch_ordinals(
             build_serving_planner(), [list(dominant_workload)], pool_size=2
@@ -345,8 +286,9 @@ class TestMidChainFaults:
     def test_whole_pool_loss_degrades_chain_inline(
         self, build_serving_planner, dominant_workload, sequential_oracle
     ):
-        """Both workers die mid-chain with the breaker closed: the remaining
-        sub-shards (hand-offs included) degrade to in-process execution."""
+        """Both workers die on the hotspot with the breaker closed: the
+        remaining shards (the chained component included) degrade to
+        in-process execution."""
         planner, backend, fingerprints, stats = self._run(
             build_serving_planner,
             dominant_workload,
@@ -360,10 +302,10 @@ class TestMidChainFaults:
     def test_windowed_stream_with_mid_chain_hang(
         self, build_serving_planner, dominant_workload, sequential_oracle
     ):
-        """The window dispatcher recovers a hung chain producer too."""
+        """The window dispatcher recovers a hung hotspot shard too."""
         planner = build_serving_planner()
         batches = [list(dominant_workload[start : start + 80]) for start in (0, 80)]
-        # The second batch's first unit carrying a hand-off.
+        # The second batch's first shard the split chains.
         _, (hung, *_) = _chained_dispatch_ordinals(build_serving_planner(), batches, 2)
         backend = FaultInjectingBackend(
             schedule={hung: "hang"}, pool_size=2, max_shard_fraction=FRACTION

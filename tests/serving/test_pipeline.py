@@ -156,8 +156,8 @@ def _window_plans(draw):
 
 
 class TestBatchDependenciesEquivalence:
-    """``batch_dependencies`` scans each distinct cell-set object once; it
-    must answer exactly like the per-shard, per-cell loop it replaced."""
+    """``batch_dependencies`` must answer exactly like the per-shard,
+    per-cell loop it replaced, whatever objects carry the cell sets."""
 
     @pytest.mark.property
     @settings(max_examples=200, deadline=None)
@@ -395,14 +395,14 @@ class TestWindowFaults:
         # Batch 1's shards fail on the workers until the fault clears.
         poisoned = set(batches[1])
         assert not poisoned & set(batches[0] + batches[2])
-        real_execute = worker.execute_unit
+        real_execute = worker.execute_shard
 
-        def failing_execute(base, jobs):
-            if any(poisoned & set(job.queries) for job in jobs):
+        def failing_execute(base, job):
+            if poisoned & set(job.queries):
                 raise RuntimeError("transient shard failure")
-            return real_execute(base, jobs)
+            return real_execute(base, job)
 
-        monkeypatch.setattr(worker, "execute_unit", failing_execute)
+        monkeypatch.setattr(worker, "execute_shard", failing_execute)
         with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             tickets = [service.submit(batch) for batch in batches]
             # The window executes batch 1, fails on batch 2: the prefix is
@@ -483,14 +483,14 @@ class TestWindowFaults:
         )
         chunks = _chunks(serving_workload, 3)
         poisoned = {id(query) for query in chunks[1]}
-        real_execute = service_module.execute_unit
+        real_execute = service_module.execute_shard
 
-        def failing_execute(base, jobs):
-            if any(id(query) in poisoned for job in jobs for query in job.queries):
+        def failing_execute(base, job):
+            if any(id(query) in poisoned for query in job.queries):
                 raise RuntimeError("injected shard execution failure")
-            return real_execute(base, jobs)
+            return real_execute(base, job)
 
-        monkeypatch.setattr(service_module, "execute_unit", failing_execute)
+        monkeypatch.setattr(service_module, "execute_shard", failing_execute)
         with RecommendationService(planner, config=config, backend=backend) as service:
             tickets = [service.submit(chunk) for chunk in chunks]
             first = service.results(tickets[0])

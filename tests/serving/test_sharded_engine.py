@@ -123,7 +123,7 @@ class TestTruthViewShardEquivalence:
         import copy
 
         from repro.core.planner import CrowdPlanner
-        from repro.serving.shards import ShardJob, execute_unit
+        from repro.serving.shards import ShardJob, execute_shard
 
         methods = []
         # The dominant workload's tail sends queries to the crowd.
@@ -141,7 +141,7 @@ class TestTruthViewShardEquivalence:
                     destination_cells=shard.destination_cells,
                     queries=[tail[index] for index in shard.indices],
                 )
-                (view_outcome,) = execute_unit(planner, [job])
+                view_outcome = execute_shard(planner, job)
 
                 # The former scheme: a clone over a materialised partition.
                 partition = partition_by_cells(planner.truths, shard.destination_cells)

@@ -84,7 +84,7 @@ class TestSimulatedPoolProperty:
         kill_at=st.sets(st.integers(min_value=0, max_value=40), max_size=4),
     )
     # Pinned: whole independent batches overlap, so later ones finish first
-    # and must wait to merge; the second also loses workers mid-chain.
+    # and must wait to merge; the second also loses workers on the hotspot.
     @example("clustered", {0, 1, 2, 3}, 4, 4, None, 0, set())
     @example("clustered", {0, 1, 2, 3}, 2, 3, 0.1, 1, {2, 5})
     # Settled and dispatched queries share windows, and a worker is lost.
@@ -145,7 +145,7 @@ def test_no_fork_platform_serves_windows_in_process(
     build_serving_planner, dominant_workload, sequential_oracle
 ):
     """Without ``fork`` no pool starts: the window path runs every shard —
-    hotspot chains included — in the in-process tail, which is not a
+    the one the split chains included — in the in-process tail, which is not a
     degradation, and answers stay the oracle's."""
     planner = build_serving_planner()
     config = ServiceConfig.from_planner_config(
@@ -227,3 +227,33 @@ def test_idle_worker_catches_up_on_its_next_run(
     # Some run reached a worker already behind when its window began: the
     # run's own delta brought it current.
     assert any(0 < cursor < start for _, (cursor, _), start in runs)
+
+
+def test_dispatch_ignores_the_split(build_serving_planner, dominant_workload, sequential_oracle):
+    """The split is a diagnostic: at fractions 0.1, 1.0 and ``None`` every
+    ``run`` message carries one shard, the same shard index sets are sent
+    in the same order, and answers stay the oracle's.  At 0.1 the
+    ``sharding`` counters still report the hotspot's chains."""
+    oracle = sequential_oracle["dominant"]
+    sent = {}
+    for fraction in (0.1, 1.0, None):
+        planner = build_serving_planner()
+        config = ServiceConfig.from_planner_config(
+            planner.config,
+            backend="pooled",
+            pool_size=2,
+            pipeline_window=2,
+            max_shard_fraction=fraction,
+        )
+        pool = RecordingPool(config)
+        with RecommendationService(planner, config, pool) as service:
+            tickets = [service.submit(dominant_workload[i : i + 40]) for i in range(0, 160, 40)]
+            responses = [r for ticket in tickets for r in service.results(ticket)]
+            sharding = service.statistics()["sharding"]
+        assert [recommendation_fingerprint(r.result) for r in responses] == oracle["fingerprints"]
+        sent[fraction] = [message[4].indices for message, _, _ in pool.sent if message[0] == "run"]
+        if fraction == 0.1:
+            assert sharding["max_chain_depth"] >= 2
+            assert sharding["sub_shards_total"] > 0
+    assert sent[0.1]
+    assert sent[0.1] == sent[1.0] == sent[None]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG, DEFAULT_SERVICE_CONFIG, PlannerConfig, ServiceConfig
@@ -43,6 +44,14 @@ class TestPlannerConfigValidation:
         ],
     )
     def test_invalid_values_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            PlannerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["worker_quota", "workers_per_task", "pmf_latent_dim"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        """Integer knobs must pass ``operator.index``: NaN passed every
+        ``< 1`` check, and a float of whole value is still not a count."""
         with pytest.raises(ConfigurationError):
             PlannerConfig(**{field: value})
 
@@ -109,6 +118,29 @@ class TestServiceConfig:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "pool_size",
+            "max_pending_batches",
+            "pipeline_window",
+            "max_respawns_per_batch",
+            "snapshot_every_truths",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        """NaN passed every ``< 1`` check: ``max_pending_batches=nan`` never
+        shed, ``max_respawns_per_batch=nan`` removed the respawn breaker, and
+        ``pipeline_window=2.5`` failed only at the first ``results()``."""
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**{field: value})
+
+    def test_integer_likes_accepted(self):
+        """Anything ``operator.index`` accepts is a count."""
+        config = ServiceConfig(pool_size=np.int64(2), pipeline_window=True, max_respawns_per_batch=0)
+        assert config.pool_size == 2
 
     def test_infinite_respawn_backoff_rejected(self):
         """An infinite base would reach ``time.sleep`` at the first respawn;
