@@ -1,4 +1,4 @@
-"""Pipelined streaming: overlap batches whose od-cell closures are disjoint.
+"""Pipelined streaming: plan a window of batches as one component plan.
 
 Run with::
 
@@ -10,20 +10,20 @@ of queries, so consecutive batches often touch disjoint parts of the city
 (think district-by-district commute waves).  The stream is then served
 twice through the persistent pooled backend:
 
-1. with ``pipeline_window=1`` — the per-batch barrier: batch N+1 waits for
-   batch N's straggler shard even when the two share no od cell;
+1. with ``pipeline_window=1`` — the per-batch barrier: each batch is
+   planned and dispatched alone, and batch N+1 waits for batch N's
+   straggler shard even when the two share no od cell;
 2. with ``pipeline_window=4`` — up to four pending batches form a window,
-   ``repro.serving.pipeline.batch_dependencies`` computes which shards of
-   later batches interact with in-flight earlier ones, and the DAG
-   dispatcher starts the independent shards immediately.
+   planned as one batch: one ``shard_plan`` call over the window's queries
+   in submission order, at most one shard per worker, a shard holding
+   queries of any of the window's batches, all shards dispatched at once.
 
-Overlap is made visible, not just claimed: the cross-batch dependency DAG
-is printed per shard, ``service.statistics()["pipeline"]`` counts the
-dispatches that jumped ahead of the merge frontier, and provenance batch
-and shard ids show where every answer was produced.  Merges still happen
-strictly in submission order, so both runs are bit-identical to the
-sequential oracle — the serving contract holds for every window size (see
-docs/serving-invariants.md).
+The window's plan is printed — which batches each shard holds queries of —
+and ``service.statistics()["pipeline"]`` counts the ``run`` messages each
+run sent; provenance batch and shard ids show where every answer was
+produced.  Batches still merge strictly in submission order, so both runs
+are bit-identical to the sequential oracle — the serving contract holds
+for every window size (see docs/serving-invariants.md).
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from repro.datasets.workloads import (
     LargeBatchWorkloadConfig,
     generate_large_batch_workload,
 )
-from repro.serving import (
-    RecommendationService,
-    batch_dependencies,
-    recommendation_fingerprint,
-    window_parallelism,
-)
+from repro.serving import RecommendationService, recommendation_fingerprint
 
 POOL_SIZE = 4
 WINDOW = 4
@@ -71,8 +66,7 @@ def neighbourhood_stream(planner, network):
 
     One large clustered workload is planned into interaction-closed shards,
     and each shard's queries become one batch: a skewed arrival order in
-    which consecutive batches frequently touch disjoint od cells — exactly
-    the stream shape the cross-batch dispatcher exists for.
+    which consecutive batches frequently touch disjoint od cells.
     """
     big = generate_large_batch_workload(
         network, LargeBatchWorkloadConfig(num_queries=240, num_clusters=8, seed=17)
@@ -100,7 +94,7 @@ def serve(scenario, familiarity, batches, window):
         started = time.perf_counter()
         # Submit the whole stream before redeeming anything: consecutive
         # batches are then actually pending together, which is what hands
-        # the backend full windows to overlap.  (service.stream() does the
+        # the backend full windows to plan.  (service.stream() does the
         # same prefetch internally when pipeline_window > 1.)
         tickets = [service.submit(batch) for batch in batches]
         for ticket in tickets:
@@ -128,20 +122,21 @@ def main() -> None:
     print(f"Workload: {total} queries in {len(batches)} neighbourhood batches "
           f"of {[len(b) for b in batches]}\n")
 
-    # What the dispatcher will see: the cross-batch dependency DAG.  A shard
-    # marked "free" interacts with no earlier batch and may start the moment
-    # a worker is idle; "batch b" means it must wait for batch b's merge —
-    # but not for the batches in between.
-    plans = [sequential_planner.shard_plan(batch, POOL_SIZE) for batch in batches]
-    deps = batch_dependencies(plans)
-    print("Cross-batch dependency DAG (submission order):")
-    for batch_index, batch_deps in enumerate(deps):
-        rendered = ", ".join(
-            f"shard {shard}→{'free' if dep < 0 else f'batch {dep}'}"
-            for shard, dep in enumerate(batch_deps)
-        )
-        print(f"  batch {batch_index}: {rendered}")
-    print("  summary:", window_parallelism(deps))
+    # What the pooled backend dispatches for each window: one component
+    # plan over the window's queries (a fresh store settles none of them),
+    # its shards' indices lifted to positions in the concatenated batches.
+    print(f"Each window's one plan (pipeline_window={WINDOW}, at most {POOL_SIZE} shards):")
+    for first in range(0, len(batches), WINDOW):
+        window = batches[first : first + WINDOW]
+        owner = [first + batch for batch, queries in enumerate(window) for _ in queries]
+        plan = sequential_planner.shard_plan([q for queries in window for q in queries], POOL_SIZE)
+        print(f"  window of batches {first}..{first + len(window) - 1}:")
+        for shard in plan.shards:
+            held = {}
+            for index in shard.indices:
+                held[owner[index]] = held.get(owner[index], 0) + 1
+            rendered = ", ".join(f"batch {batch}: {count}" for batch, count in sorted(held.items()))
+            print(f"    shard {shard.shard_id} ({shard.components} components): {rendered}")
 
     print("\nServing sequentially (the oracle)...")
     oracle = []
@@ -153,15 +148,15 @@ def main() -> None:
     barrier_responses, barrier_stats, barrier_s = serve(scenario, familiarity, batches, 1)
     print(f"  {total / barrier_s:7,.0f} queries/s   pipeline stats: {barrier_stats}")
 
-    print(f"Serving with the DAG dispatcher  (pipeline_window={WINDOW}, pool of {POOL_SIZE})...")
+    print(f"Serving one plan per window (pipeline_window={WINDOW}, pool of {POOL_SIZE})...")
     windowed_responses, windowed_stats, windowed_s = serve(scenario, familiarity, batches, WINDOW)
     print(f"  {total / windowed_s:7,.0f} queries/s   pipeline stats: {windowed_stats}")
-    print(f"  {windowed_stats['overlapped_dispatches']} shard dispatch(es) jumped "
-          "ahead of the merge frontier")
+    print(f"  run messages: {barrier_stats['dispatch_units']} batch by batch, "
+          f"{windowed_stats['dispatch_units']} with one plan per window")
 
-    # Overlap shows up in provenance too: responses carry the batch and
-    # shard that produced them, and batches merged strictly in submission
-    # order even though their shards interleaved on the pool.
+    # Provenance shows the plan: responses carry the batch and the shard
+    # that produced them, a shard serves several batches, and batches still
+    # merged strictly in submission order.
     by_batch = {}
     for response in windowed_responses:
         prov = response.provenance

@@ -186,7 +186,8 @@ class ServiceConfig(PlannerConfig):
         ``hotspot_repeat`` regime guard sees; answers and dispatches are
         the same for every value.  A pooled window plans only the queries
         it dispatches (settled truth reuses are answered before planning),
-        so there the fraction is of a batch's dispatched remainder.
+        as one plan, so there the fraction is of the window's dispatched
+        remainder.
     max_pending_batches:
         Submission-queue bound: :meth:`RecommendationService.submit` raises
         :class:`~repro.exceptions.ServingError` once this many submitted
@@ -257,10 +258,9 @@ class ServiceConfig(PlannerConfig):
         every batch executes inside such a window, so this is a size, never
         a choice of code path.  ``1`` (the default) serves one batch per
         window: a per-batch barrier.  With a larger window the pooled
-        backend dispatches a shard of batch N+1 as soon as every earlier
-        in-flight batch whose reach-expanded destination cells intersect the
-        shard's has merged (see :mod:`repro.serving.pipeline`), keeping the
-        pool saturated across batch boundaries, and
+        backend plans the window's queries as one component plan and
+        dispatches every shard at once, a shard holding queries of any of
+        the window's batches, and
         :meth:`~repro.serving.RecommendationService.stream` keeps up to a
         window's worth of batches outstanding so its redemptions form full
         windows.  Merges stay strictly in submission order, so results are

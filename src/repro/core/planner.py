@@ -337,9 +337,6 @@ class CrowdPlanner:
         self.aggregator = AnswerAggregator(config, EarlyStopMonitor(config))
         self.rewards = RewardLedger(worker_pool, config)
         self.statistics = PlannerStatistics()
-        # Per-batch candidate-generation memo (see recommend_batch); None
-        # outside a batch.
-        self._batch_candidate_memo: Optional[Dict[tuple, List[CandidateRoute]]] = None
 
     # -------------------------------------------------------------- plumbing
     def prepare_workers(self, use_pmf: bool = True) -> None:
@@ -358,16 +355,10 @@ class CrowdPlanner:
     def generate_candidates(self, query: RouteQuery) -> List[CandidateRoute]:
         """Collect candidate routes from every source, dropping failures and duplicates.
 
-        Inside :meth:`recommend_batch`, od-identical queries share one
-        generation pass through the per-batch memo (every in-repo source is
-        deterministic for a fixed query, so sharing cannot change results).
+        Sources that ignore the departure time memoise their answers per od
+        pair (:class:`~repro.routing.base.OdMemo`), so a repeated pair
+        costs no search.
         """
-        memo = self._batch_candidate_memo
-        key = (query.origin, query.destination, query.departure_time_s)
-        if memo is not None:
-            cached = memo.get(key)
-            if cached is not None:
-                return list(cached)
         candidates: List[CandidateRoute] = []
         seen_paths = set()
         for source in self.sources:
@@ -378,8 +369,6 @@ class CrowdPlanner:
                 continue
             seen_paths.add(candidate.path)
             candidates.append(candidate)
-        if memo is not None:
-            memo[key] = list(candidates)
         return candidates
 
     # ------------------------------------------------------------- interface
@@ -476,10 +465,9 @@ class CrowdPlanner:
         partition covering its ``destination_cells``) reproduces the
         sequential batch exactly; the serving layer
         (:class:`repro.serving.RecommendationService` and its pooled backend)
-        is built on this guarantee — including across batch boundaries, where
-        :mod:`repro.serving.pipeline` intersects the reach-expanded
-        ``destination_cells`` of consecutive batches' shards to decide which
-        in-flight batches a shard must wait for.
+        is built on this guarantee — including across batch boundaries: the
+        pooled backend plans a whole window of batches as one call, since
+        the closure argument never reads batch boundaries.
 
         A shard's ``destination_cells`` is a :class:`CellClosure`: the union
         of memoised per-centre squares, which pickles as its centres.
@@ -609,30 +597,18 @@ class CrowdPlanner:
         Semantically identical to calling :meth:`recommend` per query —
         including the truth store accumulating between requests, so later
         queries in the batch can be served by truths recorded for earlier
-        ones.  Three batch-level optimisations keep per-request latency flat
+        ones.  Two batch-level warm-ups keep per-request latency flat
         without changing any answer:
 
-        * the road network's compiled flat-array view is warmed up front, so
+        * the road network's compiled flat-array view is built up front, so
           the first request does not pay the one-off CSR build;
         * every source's :meth:`RouteSource.prepare_batch` hook runs once
           (e.g. the MPR miner compiles its popularity cost vector before the
-          first query instead of inside it);
-        * od-identical queries (same origin, destination and departure
-          time) share one candidate generation pass through a per-batch
-          memo — sound because sources answer a fixed query
-          deterministically, and worthwhile because production traffic is
-          dominated by repeated hot od-pairs.
+          first query instead of inside it).
         """
         queries = list(queries)
         self.warm_batch(queries)
-        results: List[RecommendationResult] = []
-        self._batch_candidate_memo = {}
-        try:
-            for query in queries:
-                results.append(self.recommend(query))
-        finally:
-            self._batch_candidate_memo = None
-        return results
+        return [self.recommend(query) for query in queries]
 
     def settled_hits(
         self, batches: Sequence[Sequence[RouteQuery]]

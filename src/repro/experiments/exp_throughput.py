@@ -6,7 +6,7 @@ replays the same steady stream (clustered neighbourhoods with a dominant
 destination cell mixed in — the skew case) through every configured backend:
 the ``inline`` sequential oracle, the ``pooled`` persistent worker pool at
 several pool sizes, ``pipelined`` — the same pool with
-``pipeline_window`` batches overlapped by the cross-batch DAG dispatcher —
+``pipeline_window`` batches planned and dispatched as one window —
 plus ``per_batch``, a service opened and closed around every batch (a fresh
 pool fork per batch), as the amortisation baseline.  The
 pipelined runs submit the whole stream before collecting, so consecutive

@@ -354,6 +354,7 @@ class CompiledGraph:
                 "y": np.asarray(self.ys, dtype=np.float64),
                 METRIC_LENGTH: np.asarray(self._metric_costs[METRIC_LENGTH], dtype=np.float64),
                 METRIC_TIME: np.asarray(self._metric_costs[METRIC_TIME], dtype=np.float64),
+                "edge_class": np.asarray(self.edge_class, dtype=np.intp),
             }
         return self._arrays
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..exceptions import ConfigurationError
 from .compiled import METRIC_TIME, CompiledGraph
 from .graph import RoadClass, RoadEdge, RoadNetwork
@@ -126,16 +128,20 @@ class TravelTimeModel:
 
         The congestion multiplier depends only on (road class, time), so it
         is evaluated once per class present in the graph and applied through
-        the compiled per-edge class index.  Each entry is the same float
-        product as :meth:`edge_travel_time`, so the vector is bit-identical
-        to ``compiled.cost_vector(self.edge_cost_at(departure_time_s))``.
+        the compiled per-edge class index, as one numpy multiply over the
+        compiled arrays.  Each entry is the same IEEE float64 product as
+        :meth:`edge_travel_time`, so the vector is bit-identical to
+        ``compiled.cost_vector(self.edge_cost_at(departure_time_s))``.
         """
-        multipliers = [
-            self.profiles.get(road_class, DEFAULT_PROFILE).multiplier(departure_time_s)
-            for road_class in compiled.road_classes
-        ]
-        free_flow = compiled.metric_costs(METRIC_TIME)
-        return [time * multipliers[cls] for time, cls in zip(free_flow, compiled.edge_class)]
+        multipliers = np.array(
+            [
+                self.profiles.get(road_class, DEFAULT_PROFILE).multiplier(departure_time_s)
+                for road_class in compiled.road_classes
+            ],
+            dtype=np.float64,
+        )
+        arrays = compiled.arrays()
+        return (arrays[METRIC_TIME] * multipliers[arrays["edge_class"]]).tolist()
 
     def edge_cost_at(self, departure_time_s: float):
         """Return an edge-cost function (for Dijkstra/A*) frozen at a departure time."""

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..exceptions import RoutingError
+from ..exceptions import InsufficientSupportError, RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..spatial import Point
 
@@ -154,3 +154,58 @@ class RouteSource(abc.ABC):
         :meth:`recommend` returns for any individual query — batching is a
         performance channel, never a semantic one.
         """
+
+
+class _Refusal(NamedTuple):
+    """A memoised :class:`InsufficientSupportError`: its four fields, not
+    the exception, whose traceback would pin the frames that raised it."""
+
+    origin: Any
+    destination: Any
+    support: int
+    required: int
+
+
+class OdMemo:
+    """A bounded memo of one source's answers per ``(origin, destination)``.
+
+    A source whose answer does not read the departure time computes it
+    once per od pair.  Each answer is valid for a *stamp*: every piece of
+    state and every parameter it was computed from (the network version,
+    the trajectory store's size, the transfer network's version, ...).
+    Asking with a different stamp clears the memo, so an answer computed
+    before a mutation is never served after it.  An
+    :class:`~repro.exceptions.InsufficientSupportError` is memoised as its
+    fields and raised afresh on each hit; any other error is not memoised.
+    Past ``limit`` entries the oldest is dropped: 256 pairs hold a
+    hotspot's working set many times over, while traffic of distinct pairs,
+    which the memo cannot help, keeps few routes alive.
+    """
+
+    def __init__(self, limit: int = 256):
+        self.limit = limit
+        self._stamp: Hashable = None
+        self._entries: Dict[Tuple[int, int], Any] = {}
+
+    def get(self, stamp: Hashable, query: RouteQuery, compute: Callable[[], Any]) -> Any:
+        """The memoised answer for ``query``'s od pair, or ``compute()``'s."""
+        entries = self._entries
+        if stamp != self._stamp:
+            entries.clear()
+            self._stamp = stamp
+        key = (query.origin, query.destination)
+        entry = entries.get(key)
+        if entry is None:
+            try:
+                entry = compute()
+            except InsufficientSupportError as exc:
+                entry = _Refusal(exc.origin, exc.destination, exc.support, exc.required)
+            if len(entries) >= self.limit:
+                del entries[next(iter(entries))]
+            entries[key] = entry
+        if type(entry) is _Refusal:
+            raise InsufficientSupportError(*entry)
+        return entry
+
+    def clear(self) -> None:
+        self._entries.clear()

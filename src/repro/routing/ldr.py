@@ -17,11 +17,16 @@ from typing import Dict, List, Tuple
 from ..exceptions import InsufficientSupportError, RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.storage import TrajectoryStore
-from .base import CandidateRoute, RouteQuery, RouteSource
+from .base import CandidateRoute, OdMemo, RouteQuery, RouteSource
 
 
 class LocalDriverRouteMiner(RouteSource):
-    """Recommends the habitual route of the most experienced local driver."""
+    """Recommends the habitual route of the most experienced local driver.
+
+    Habits ignore the departure time, so answers (and refusals) are
+    memoised per od pair (:class:`~repro.routing.base.OdMemo`), stamped
+    with the network version, the store's size and the miner's parameters.
+    """
 
     name = "LDR"
 
@@ -38,8 +43,13 @@ class LocalDriverRouteMiner(RouteSource):
         self.store = store
         self.min_support = min_support
         self.support_radius_m = support_radius_m
+        self._memo = OdMemo()
 
     def recommend(self, query: RouteQuery) -> CandidateRoute:
+        stamp = (self.network.version, len(self.store), self.min_support, self.support_radius_m)
+        return self._memo.get(stamp, query, lambda: self._mine(query))
+
+    def _mine(self, query: RouteQuery) -> CandidateRoute:
         origin_location = self.network.node_location(query.origin)
         destination_location = self.network.node_location(query.destination)
         trajectory_ids = self.store.find_by_od(

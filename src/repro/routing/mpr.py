@@ -17,7 +17,7 @@ from ..exceptions import InsufficientSupportError, RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import dijkstra_path
 from ..trajectory.storage import TrajectoryStore
-from .base import CandidateRoute, RouteQuery, RouteSource
+from .base import CandidateRoute, OdMemo, RouteQuery, RouteSource
 from .popularity import TransferNetwork
 
 
@@ -43,6 +43,11 @@ class MostPopularRouteMiner(RouteSource):
     transfer network's version), so routing skips a per-relaxation Python
     closure.  The closure path survives as the oracle
     :class:`~repro.routing.reference.ClosureMostPopularRouteMiner`.
+
+    Popularity ignores the departure time, so answers (and refusals) are
+    memoised per od pair (:class:`~repro.routing.base.OdMemo`), stamped
+    with the network version, the store's size, the transfer network's
+    version and the miner's parameters.
     """
 
     name = "MPR"
@@ -64,6 +69,7 @@ class MostPopularRouteMiner(RouteSource):
         self.smoothing = smoothing
         self.support_radius_m = support_radius_m
         self.transfer = transfer_network or TransferNetwork(network, store)
+        self._memo = OdMemo()
 
     def _popularity_cost_spec(self):
         """The ``cost`` argument for the popularity search: a registered
@@ -76,6 +82,17 @@ class MostPopularRouteMiner(RouteSource):
         self._popularity_cost_spec()
 
     def recommend(self, query: RouteQuery) -> CandidateRoute:
+        stamp = (
+            self.network.version,
+            len(self.store),
+            self.transfer.version,
+            self.min_support,
+            self.smoothing,
+            self.support_radius_m,
+        )
+        return self._memo.get(stamp, query, lambda: self._mine(query))
+
+    def _mine(self, query: RouteQuery) -> CandidateRoute:
         origin_location = self.network.node_location(query.origin)
         destination_location = self.network.node_location(query.destination)
         support = self.store.support_between(

@@ -17,18 +17,26 @@ from ..exceptions import RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..roadnet.shortest_path import CostSpec, dijkstra_path, k_shortest_paths, length_cost
 from ..roadnet.travel_time import TravelTimeModel
-from .base import CandidateRoute, RouteQuery, RouteSource
+from .base import CandidateRoute, OdMemo, RouteQuery, RouteSource
 
 
 class ShortestRouteService(RouteSource):
-    """A map service returning the minimum-distance route."""
+    """A map service returning the minimum-distance route.
+
+    Distance ignores the departure time, so routes are memoised per od pair
+    (:class:`~repro.routing.base.OdMemo`, stamped with the network version).
+    """
 
     name = "shortest"
 
     def __init__(self, network: RoadNetwork):
         self.network = network
+        self._memo = OdMemo()
 
     def recommend(self, query: RouteQuery) -> CandidateRoute:
+        return self._memo.get(self.network.version, query, lambda: self._search(query))
+
+    def _search(self, query: RouteQuery) -> CandidateRoute:
         path = dijkstra_path(self.network, query.origin, query.destination, cost=length_cost)
         return CandidateRoute(
             path=path,
@@ -77,7 +85,10 @@ class AlternativeAwareService(RouteSource):
 
     This mimics providers that do not return the strict shortest or strict
     fastest route but a compromise; it gives the candidate-route set a third,
-    distinct provider opinion.
+    distinct provider opinion.  The length alternatives and their lengths
+    ignore the departure time and are memoised per od pair
+    (:class:`~repro.routing.base.OdMemo`); the time-weighted score is
+    computed per query.
     """
 
     name = "web_alternatives"
@@ -97,16 +108,22 @@ class AlternativeAwareService(RouteSource):
         self.travel_time_model = travel_time_model or TravelTimeModel()
         self.alternatives = alternatives
         self.time_weight = time_weight
+        self._memo = OdMemo()
 
-    def recommend(self, query: RouteQuery) -> CandidateRoute:
+    def _length_alternatives(self, query: RouteQuery):
+        """The ``alternatives`` shortest paths by length, with their lengths."""
         paths = k_shortest_paths(
             self.network, query.origin, query.destination, self.alternatives, cost=length_cost
         )
         if not paths:
             raise RoutingError("no alternative paths found")
+        return tuple((path, self.network.path_length(path)) for path in paths)
+
+    def recommend(self, query: RouteQuery) -> CandidateRoute:
+        stamp = (self.network.version, self.alternatives)
+        alternatives = self._memo.get(stamp, query, lambda: self._length_alternatives(query))
         scored = []
-        for path in paths:
-            length = self.network.path_length(path)
+        for path, length in alternatives:
             time = self.travel_time_model.path_travel_time(
                 self.network, path, query.departure_time_s
             )

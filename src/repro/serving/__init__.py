@@ -16,11 +16,10 @@ path, which stays in place as the behavioural oracle:
 * :mod:`~repro.serving.shards` — the shard clone/execute/merge primitives
   every pooled path shares (interaction-closed shards over copy-on-write
   truth views, submission-order merge);
-* :mod:`~repro.serving.pipeline` — the cross-batch dependency analysis
-  behind ``ServiceConfig(pipeline_window=…)``: consecutive batches execute
-  as one window, and the pooled backend's DAG dispatcher overlaps shards
-  whose reach-expanded cell closures are disjoint while merges stay in
-  strict submission order;
+* :mod:`~repro.serving.pipeline` — the per-batch cross-batch dependency
+  analysis; behind ``ServiceConfig(pipeline_window=…)`` consecutive
+  batches execute as one window, which the pooled backend plans as one
+  component plan while merges stay in strict submission order;
 * :class:`TruthJournal` — the durability layer: an append-only, CRC-framed
   log of per-batch truth deltas with compacted snapshots, attached via
   ``ServiceConfig(journal_path=…)`` and replayed by

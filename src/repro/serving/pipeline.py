@@ -1,47 +1,20 @@
-"""Cross-batch shard dependency analysis — the pipelined scheduler's DAG.
+"""Cross-batch shard dependencies of per-batch plans — a diagnostic.
 
-:meth:`CrowdPlanner.shard_plan` proves that *within* one batch, shards whose
-reach-expanded destination cells are disjoint cannot observe each other's
-truth writes, which is what lets them run in parallel.  This module extends
-that interaction-closure argument **across batch boundaries**: a shard of
-batch N+1 needs to wait only for the in-flight batches whose shards' cell
-closures intersect its own — every other in-flight batch is invisible to it
-through the destination-keyed truth view, exactly as a sibling shard of the
-same batch is.
+:meth:`CrowdPlanner.shard_plan` proves that shards whose reach-expanded
+destination cells are disjoint cannot observe each other's truth writes.
+:func:`batch_dependencies` applies that test across the plans of
+consecutive batches: a shard of batch N depends on the latest earlier
+batch whose shards' cells intersect its own, reduced to one rolling
+``cell -> last writing batch`` map (``-1``: no dependency).
 
-:func:`batch_dependencies` reduces the pairwise intersection tests to one
-rolling ``cell -> last writing batch`` map: walking the window's shard plans
-in submission order, a shard's dependency is the highest-numbered earlier
-batch that touched any of its cells (``-1`` when it is independent of every
-in-flight batch).  The DAG dispatcher in
-:class:`~repro.serving.service.PooledBackend` may dispatch a shard as soon
-as all batches up to and including its dependency have **merged**; merges
-themselves stay strictly in submission order, which is what keeps truth-id
-issuance — and therefore every fingerprint — identical to the sequential
-oracle for any overlap schedule.
-
-Windows are always single-tenant: :class:`~repro.serving.tenancy.
-WorkspaceService` gives every workspace its own
-:class:`~repro.serving.RecommendationService`, so only batches of one
-tenant are ever pending together and the dependency analysis never has to
-reason about another tenant's truth writes (which its destination-keyed
-views could not see anyway — tenants own disjoint truth stores).
-
-Why the conservative cell-closure test is sufficient
-----------------------------------------------------
-All shard truth *reads* go through
-:meth:`TruthDatabase.view_by_cells(shard.destination_cells)
-<repro.core.truth.TruthDatabase.view_by_cells>` — a destination-keyed slice
-— and all shard truth *writes* land inside the shard's own (pre-expansion)
-destination cells, a subset of its expanded closure.  So batch M's writes
-can reach batch N's shard only when their expanded cell sets intersect.
-Dispatching shard S of batch N once batches ``0..m-1`` have merged (with
-``m > dep(S)``) gives S's worker a truth base that differs from the full
-sequential prefix ``0..N-1`` only by truths whose destination cells lie
-outside S's closure — truths the destination-keyed view filters out
-identically in both cases.  Adopting *more* merged batches than ``dep(S)``
-is therefore harmless, and adopting all batches through ``dep(S)`` is
-exactly enough.
+The pooled backend plans a whole window as one batch
+(:meth:`~repro.serving.service.PooledBackend.execute_window`): the closure
+argument never reads batch boundaries, so none of its shards waits on
+another and :func:`batch_dependencies` of its one plan is all ``-1``.  It
+still calls it once per window, and :func:`window_parallelism` turns the
+result into the ``pipeline`` counters (``independent_shards`` = shards per
+window, ``cross_batch_edges`` = ``serialized_batches`` = 0).  On per-batch
+plans the two functions show what planning batch by batch would wait on.
 """
 
 from __future__ import annotations

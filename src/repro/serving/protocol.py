@@ -18,9 +18,8 @@ vocabulary regardless of how batches are executed:
   of consecutive pending batches and returns the merged prefix of their
   executions (merges strictly in submission order, each stamped with its
   ``truth_span`` for per-batch journaling); a lone batch is a one-batch
-  window.  The pooled backend serves windows with the DAG-walking
-  dispatcher in :mod:`repro.serving.service`, whose shard-level dependency
-  analysis lives in :mod:`repro.serving.pipeline`.
+  window.  The pooled backend plans each window as one component plan
+  (:mod:`repro.serving.service`).
 
 The module also hosts the serving layer's two comparison/wire primitives:
 

@@ -1,4 +1,4 @@
-"""The window scheduler: DAG dispatch and supervision as a pure state machine.
+"""The window scheduler: dispatch and supervision as a pure state machine.
 
 :class:`WindowScheduler` decides what the pooled backend does with one
 window of batches; :class:`~repro.serving.service.PooledBackend` — the
@@ -9,18 +9,17 @@ merging stays in the backend, so a test can drive every decision with
 scripted events and a fake clock.
 
 What it schedules are :class:`~repro.serving.shards.ShardJob` s: the
-shards of each batch's component plan, each sent as one message and
-answered by one reply.  A shard never waits on another shard of its batch
-(the plan made them interaction-closed siblings), only on its cross-batch
-dependency (:func:`~repro.serving.pipeline.batch_dependencies`).  The
-scheduler owns the ``ready`` queue (dependency merged; (batch, shard) order
-favours the merge frontier), ``blocked[d]`` (waiting for batch ``d`` to
-merge), one :class:`Flight` per busy worker plus the ``copies`` of each
-shard, the ``lame`` hedge losers (a dict the backend keeps across windows),
-the merge frontier and the respawn budget.
+shards of the window's one component plan, one message and one reply
+each, all ready from the start (the plan made them interaction-closed
+siblings).  A shard may hold queries of several batches; batch ``b`` merges
+once every shard holding one of its queries has returned, in submission
+order.  The scheduler owns the ``ready`` queue, one :class:`Flight` per
+busy worker plus the ``copies`` of each shard, the ``lame`` hedge losers (a
+dict the backend keeps across windows), the merge frontier and the respawn
+budget.
 :meth:`~WindowScheduler.tick` yields decisions — ``("dispatch", worker,
 job)``, ``("hedge", worker, job)``, ``("respawn", attempt)``,
-``("degrade", {batch: jobs})`` — lazily, so a dispatch the transport could
+``("degrade", jobs)`` — lazily, so a dispatch the transport could
 not send (:meth:`~WindowScheduler.unsent`) goes to the next idle worker in
 the same tick.  :meth:`~WindowScheduler.outcome`,
 :meth:`~WindowScheduler.lost` and :meth:`~WindowScheduler.error` report
@@ -30,52 +29,45 @@ and every call that can complete a batch returns the batches to merge.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..exceptions import ServingError
 from .shards import ShardJob, ShardOutcome
 
-#: A queued shard: ``(batch_index, job, resubmitted)`` — the flag survives
-#: requeues so the final outcome is attributed to supervision.
-Entry = Tuple[int, ShardJob, bool]
-
-#: Shards are identified across duplicate dispatches by (batch, shard id).
-Key = Tuple[int, int]
+#: A queued shard: ``(job, resubmitted)`` — the flag survives requeues so
+#: the final outcome is attributed to supervision.
+Entry = Tuple[ShardJob, bool]
 
 
 class Flight(NamedTuple):
     """One worker's in-flight dispatch."""
 
-    batch: int
     job: ShardJob
     resubmitted: bool
     started: float
     hedge: bool  # the speculative copy of an overdue shard
 
     @property
-    def key(self) -> Key:
-        return (self.batch, self.job.shard_id)
+    def key(self) -> int:
+        """Shards are identified across duplicate dispatches by shard id."""
+        return self.job.shard_id
 
 
 class WindowScheduler:
     """Scheduling state of one window (see the module docstring).
 
-    ``jobs_per_batch[b]`` are batch ``b``'s shards and ``deps[b]`` their
-    cross-batch dependencies (``-1`` for none), as
-    :func:`~repro.serving.pipeline.batch_dependencies` returns them;
-    ``lame`` is the backend's lame-worker dict;
-    ``record`` is a counter sink (``record(key, value=1)``).
-    ``hedge_after_s`` enables hedging, ``lame_grace_s`` is a hedge loser's
-    hard deadline and ``max_respawns`` the window's respawn budget (0 when
-    nothing can fork).
+    ``jobs_per_batch[b]`` are the shards holding batch ``b``'s queries; a
+    shard holding queries of several batches is listed under each of them
+    (shard ids are unique in the window).  ``lame`` is the backend's
+    lame-worker dict; ``record`` is a counter sink (``record(key,
+    value=1)``).  ``hedge_after_s`` enables hedging, ``lame_grace_s`` is a
+    hedge loser's hard deadline and ``max_respawns`` the window's respawn
+    budget (0 when nothing can fork).
     """
 
     def __init__(
         self,
         jobs_per_batch: Sequence[Sequence[ShardJob]],
-        deps: Sequence[Sequence[int]],
         lame: Dict[Any, float],
         record: Callable[..., None],
         hedge_after_s: Optional[float] = None,
@@ -94,25 +86,26 @@ class WindowScheduler:
         self.resubmitted: List[Set[int]] = [set() for _ in range(count)]
         self.first: List[Optional[float]] = [None] * count
         self.last: List[Optional[float]] = [None] * count
-        self.completed: Set[Key] = set()
+        # Shard id -> the batches it holds queries of, in order.
+        self.batches_of: Dict[int, List[int]] = {}
+        self.completed: Set[int] = set()
         self.ready: "deque[Entry]" = deque()
-        self.blocked: Dict[int, List[Entry]] = {}
         self.inflight: Dict[Any, Flight] = {}
-        self.copies: Dict[Key, List[Any]] = {}
+        self.copies: Dict[int, List[Any]] = {}
         self.merged = 0
         self.respawns = 0
         self.failure: Optional[str] = None
-        for batch, (jobs, batch_deps) in enumerate(zip(jobs_per_batch, deps)):
-            for job, dependency in zip(jobs, batch_deps):
-                if dependency < 0:
-                    self.ready.append((batch, job, False))
-                else:
-                    self.blocked.setdefault(dependency, []).append((batch, job, False))
+        for batch, jobs in enumerate(jobs_per_batch):
+            for job in jobs:
+                batches = self.batches_of.setdefault(job.shard_id, [])
+                if not batches:
+                    self.ready.append((job, False))
+                batches.append(batch)
 
     # ------------------------------------------------------------- queries
     def pending(self) -> bool:
         """Whether any shard still waits to be dispatched."""
-        return bool(self.ready or self.blocked)
+        return bool(self.ready)
 
     def active(self) -> bool:
         """Whether the window still needs the transport: work left to
@@ -129,7 +122,7 @@ class WindowScheduler:
         """The next decisions, given the live workers in pool order.
 
         Each idle worker pulls the next ready shard.  A shard is already a
-        worker's share of its batch (the plan packs at most one per
+        worker's share of the window (the plan packs at most one per
         worker), and it needs no other shard's writes, so it is one
         message.  With nothing left to dispatch, overdue shards are hedged
         onto idle workers.  With work left, nothing in flight and no worker
@@ -144,36 +137,28 @@ class WindowScheduler:
                 break
             if worker in self.inflight or worker in self.lame:
                 continue
-            batch, job, resubmitted = self.ready.popleft()
-            flight = self._launch(worker, Flight(batch, job, resubmitted, now, False))
+            job, resubmitted = self.ready.popleft()
+            flight = self._launch(worker, Flight(job, resubmitted, now, False))
             yield ("dispatch", worker, job)
             if self.inflight.get(worker) is not flight:
                 gone.add(worker)
                 continue
             self._record("dispatch_units")
-            if self.first[batch] is None:
-                self.first[batch] = now
-            if batch > self.merged:
-                # Dispatched while an earlier batch is unmerged: genuine
-                # cross-batch overlap.
-                self._record("overlapped_dispatches")
+            for batch in self.batches_of[job.shard_id]:
+                if self.first[batch] is None:
+                    self.first[batch] = now
         if self.hedge_after_s is not None and not self.ready and self.inflight:
             idle = [w for w in workers if w not in self.inflight and w not in self.lame and w not in gone]
             yield from self._hedge(now, idle, gone)
-        if self.pending() and not self.inflight and all(w in gone for w in workers):
+        if self.ready and not self.inflight and all(w in gone for w in workers):
             yield from self._respawn() or [("degrade", self._drain())]
-            return
-        if self.pending() and not self.ready and not self.inflight:  # pragma: no cover
-            # Unreachable while every dependency names an earlier batch,
-            # which batch_dependencies guarantees; fail loudly over spinning.
-            raise ServingError("window dispatch deadlocked on a cross-batch dependency")
 
     def unsent(self, worker: Any) -> None:
         """The transport could not send ``worker``'s dispatch: requeue it at
         the front (a failed hedge copy is simply dropped)."""
         flight = self._land(worker)
         if not flight.hedge:
-            self.ready.appendleft((flight.batch, flight.job, flight.resubmitted))
+            self.ready.appendleft((flight.job, flight.resubmitted))
 
     def outcome(self, worker: Any, outcome: ShardOutcome, now: float) -> List[int]:
         """``worker`` replied with its shard's outcome.
@@ -197,34 +182,33 @@ class WindowScheduler:
                 self._record("hedges_wasted")
             self.lame[peer] = now + self.lame_grace_s
         if flight.resubmitted:
-            self.resubmitted[flight.batch].add(flight.job.shard_id)
+            self._mark_resubmitted(flight.key)
         self.completed.add(flight.key)
-        return self._complete(flight.batch, [outcome], now)
+        return self._complete(flight.key, outcome, now)
 
-    def inline(
-        self, batch: int, outcomes: List[ShardOutcome], started: float, now: float
-    ) -> List[int]:
-        """The degrade tail executed ``batch``'s remaining shards in-process.
+    def inline(self, outcome: ShardOutcome, started: float, now: float) -> List[int]:
+        """The degrade tail executed one remaining shard in-process.
         Returns the batches to merge."""
-        if self.first[batch] is None:
-            self.first[batch] = started
-        return self._complete(batch, outcomes, now)
+        for batch in self.batches_of[outcome.shard_id]:
+            if self.first[batch] is None:
+                self.first[batch] = started
+        return self._complete(outcome.shard_id, outcome, now)
 
     def lost(self, worker: Any) -> List[tuple]:
         """``worker`` is gone (crash, hang, desync, stale error).
 
         A lame worker just leaves the lame set.  An in-flight shard is
-        requeued *resubmitted* at the *front* of the ready queue — its
-        dependency is satisfied and the frontier may be waiting on it —
-        unless it already completed or a duplicate copy still covers it
-        (``resubmitted_shards`` counts one per lost dispatch).  Either way a
-        replacement is requested while the budget lasts.
+        requeued *resubmitted* at the *front* of the ready queue — the
+        merge frontier may be waiting on it — unless it already completed
+        or a duplicate copy still covers it (``resubmitted_shards`` counts
+        one per lost dispatch).  Either way a replacement is requested
+        while the budget lasts.
         """
         if self.lame.pop(worker, None) is not None or worker not in self.inflight:
             return []
         flight = self._land(worker)
         if flight.key not in self.completed and flight.key not in self.copies:
-            self.ready.appendleft((flight.batch, flight.job, True))
+            self.ready.appendleft((flight.job, True))
             self._record("resubmitted_shards")
         return self._respawn()
 
@@ -249,14 +233,12 @@ class WindowScheduler:
 
     def advance(self) -> List[int]:
         """Advance the merge frontier over every fully-executed batch at the
-        head of the window, releasing the shards blocked on each.  Returns
-        those batches: the backend merges them, strictly in order, before
-        anything else is dispatched."""
+        head of the window.  Returns those batches: the backend merges
+        them, strictly in order, before anything else is dispatched."""
         merged: List[int] = []
         total, done = self.total, self.done
         while self.merged < len(total) and len(done[self.merged]) == total[self.merged]:
             merged.append(self.merged)
-            self.ready.extend(self.blocked.pop(self.merged, ()))
             self.merged += 1
         return merged
 
@@ -308,21 +290,23 @@ class WindowScheduler:
             del self.copies[flight.key]
         return flight
 
-    def _complete(self, batch: int, outcomes: List[ShardOutcome], now: float) -> List[int]:
-        self.done[batch].extend(outcomes)
-        self.last[batch] = now
+    def _complete(self, shard_id: int, outcome: ShardOutcome, now: float) -> List[int]:
+        for batch in self.batches_of[shard_id]:
+            self.done[batch].append(outcome)
+            self.last[batch] = now
         return self.advance()
 
-    def _drain(self) -> Dict[int, List[ShardJob]]:
-        """Empty every queue into ``{batch: jobs}`` for the in-process tail,
-        which runs them in strict batch order with frontier merges between
-        batches, so each shard executes against exactly the sequential
-        prefix."""
-        remaining: Dict[int, List[ShardJob]] = {}
-        for batch, job, resubmitted in itertools.chain(self.ready, *self.blocked.values()):
-            remaining.setdefault(batch, []).append(job)
+    def _mark_resubmitted(self, shard_id: int) -> None:
+        for batch in self.batches_of[shard_id]:
+            self.resubmitted[batch].add(shard_id)
+
+    def _drain(self) -> List[ShardJob]:
+        """Empty the ready queue for the in-process tail, which runs the
+        jobs one by one and merges each batch as soon as its last shard has
+        returned (in submission order, as always)."""
+        for job, resubmitted in self.ready:
             if resubmitted:
-                self.resubmitted[batch].add(job.shard_id)
+                self._mark_resubmitted(job.shard_id)
+        jobs = [job for job, _ in self.ready]
         self.ready.clear()
-        self.blocked.clear()
-        return remaining
+        return jobs

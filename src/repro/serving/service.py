@@ -22,11 +22,10 @@ that answers a *stream* of query batches instead of one-shot calls.
   ``config.pipeline_window`` consecutive pending batches, handed to the
   backend's one execution method,
   :meth:`~repro.serving.protocol.ServingBackend.execute_window` (a lone
-  batch is a one-batch window); the pooled backend's DAG dispatcher
-  (dependencies from :mod:`repro.serving.pipeline`) overlaps shards across
-  batch boundaries wherever their interaction closures are disjoint, while
-  merges — and so all observable state — stay strictly in submission
-  order.
+  batch is a one-batch window); the pooled backend plans the window's
+  queries as one component plan and dispatches all its shards at once,
+  each holding queries of any of the window's batches, while merges — and
+  so all observable state — stay strictly in submission order.
 
 Service contract
 ----------------
@@ -55,7 +54,6 @@ from collections import OrderedDict, deque
 from multiprocessing.connection import wait as mp_wait
 from typing import (
     Any,
-    Container,
     Dict,
     Iterable,
     Iterator,
@@ -86,7 +84,14 @@ from .protocol import (
     wrap_requests,
 )
 from .scheduler import WindowScheduler
-from .shards import ShardJob, ShardOutcome, execute_shard, merge_shard_outcomes, split_oversized
+from .shards import (
+    ShardJob,
+    ShardOutcome,
+    execute_shard,
+    merge_shard_outcomes,
+    slice_outcome,
+    split_oversized,
+)
 from .worker import pool_worker_main
 
 QueryLike = Union[RouteQuery, RecommendRequest]
@@ -94,7 +99,7 @@ QueryLike = Union[RouteQuery, RecommendRequest]
 #: :meth:`_PoolWorker.read`'s "nothing but heartbeats waiting" marker.
 _SILENT = object()
 
-#: The plan of a batch the window's settle pass answers whole.
+#: The plan of a window its settle pass answers whole.
 _EMPTY_PLAN = ShardPlan(shards=(), num_queries=0, interaction_radius_m=0.0, cell_size_m=0.0, cell_reach=0)
 
 
@@ -329,24 +334,23 @@ class PooledBackend(ServingBackend):
         fraction = self.config.max_shard_fraction
         return plan if fraction is None else split_oversized(planner, plan, queries, fraction)
 
-    def _plan(
-        self, planner: CrowdPlanner, queries: Sequence[RouteQuery], settled: Container[int]
-    ) -> ShardPlan:
-        """One batch's component plan over the pool: the plan a window
+    def _plan(self, planner: CrowdPlanner, flat: List[RouteQuery], kept: List[int]) -> ShardPlan:
+        """The window's one component plan over the pool: the plan it
         dispatches, one job per shard.
 
-        Only the queries not in ``settled`` are planned, so ``num_queries``
-        and the split's fraction count those; their shard indices are lifted
-        back to positions in ``queries``.  The split of the planned subset
-        feeds the ``sharding`` counters only.  With nothing left to plan
-        the plan is empty and ``shard_plan`` is not called."""
-        kept = [index for index in range(len(queries)) if index not in settled]
+        ``flat`` is the window's queries (its batches concatenated) and
+        ``kept`` the positions the settle pass left.  Only those are
+        planned, in submission order, so ``num_queries`` and the split's
+        fraction count them; shard indices are lifted back to positions in
+        ``flat``.  The split feeds the ``sharding`` counters only.  With
+        nothing left to plan the plan is empty and ``shard_plan`` is not
+        called."""
         if not kept:
             return _EMPTY_PLAN
-        subset = queries if len(kept) == len(queries) else [queries[index] for index in kept]
+        subset = [flat[index] for index in kept]
         plan = planner.shard_plan(subset, self.resolved_pool_size())
         self._note_plan(plan, self._split(planner, plan, subset))
-        return plan if subset is queries else _lifted(plan, kept)
+        return _lifted(plan, kept)
 
     def plan(self, planner: CrowdPlanner, queries: Sequence[RouteQuery]) -> ShardPlan:
         """The plan of ``queries`` as given, splits included: the shape the
@@ -370,24 +374,24 @@ class PooledBackend(ServingBackend):
         self, batches: Sequence[Sequence[RouteQuery]], tenant: str = DEFAULT_TENANT
     ) -> List[BatchExecution]:
         """The one execution path: plan, dispatch and merge a window of
-        consecutive batches on the pool (DAG dispatch).
+        consecutive batches on the pool.
 
         Settles first: :meth:`CrowdPlanner.settled_hits` names the window's
         truth reuses the parent's store already answers, and each batch
         keeps them as one parent-side outcome with no truths.  Then plans
-        each batch's remaining queries only (:meth:`_plan`; a batch with
-        nothing left gets an empty plan), and
-        :func:`~repro.serving.pipeline.batch_dependencies` reduces the
-        cross-batch interaction-closure tests to one dependency per shard: a
-        shard may dispatch as soon as every batch up to and including its
-        dependency has merged — it need not wait for the whole previous
-        batch.  Each shard is one job (:meth:`_jobs`) for the window's
-        :class:`WindowScheduler`; where ``fork`` exists the pool is ensured
-        (polling lame workers and replacing dead ones on a warm pool) and
-        :meth:`_drive` runs the window.  Merges happen strictly in submission order (the window
-        contract), so parent truth-id issuance — and with it every
-        fingerprint — is identical to the sequential oracle.  A lone batch
-        is a one-batch window with nothing to overlap.
+        the rest, in submission order, as one component plan
+        (:meth:`_plan`).  Its shards are interaction-closed whichever
+        batches their queries come from, so each is one job, ready at once,
+        that runs its queries in submission order on one clone.  The
+        :class:`WindowScheduler` merges batch ``b`` once every shard holding
+        one of its queries has returned, strictly in submission order, each
+        outcome sliced to the batch, so parent truth-id issuance — and with
+        it every fingerprint — is the sequential oracle's.  Where ``fork``
+        exists the pool is ensured (polling lame workers and replacing dead
+        ones on a warm pool) and :meth:`_drive` runs the window.  A failed
+        shard returns the batches merged before it (the window contract);
+        when that leaves none, the head batch is retried alone, so only the
+        head batch's own failure raises.
 
         Everything recorded meanwhile is charged to ``tenant``.
         Window-structure counters (the ``pipeline`` group) count only
@@ -401,23 +405,34 @@ class PooledBackend(ServingBackend):
             raise ServingError("backend is not bound to a planner")
         planner = self._planner_for(tenant)
         window = [list(queries) for queries in batches]
+        flat = [query for queries in window for query in queries]
+        starts = [0, *itertools.accumulate(len(queries) for queries in window)][:-1]
         with self.counters.charging(tenant):
             hits = planner.settled_hits(window)
-            plans: List[ShardPlan] = []
-            plan_times: List[float] = []
-            for queries, settled in zip(window, hits):
-                started = time.perf_counter()
-                plans.append(self._plan(planner, queries, settled))
-                plan_times.append(time.perf_counter() - started)
-            deps = batch_dependencies(plans)
+            started = time.perf_counter()
+            kept = [
+                start + index
+                for start, queries, settled in zip(starts, window, hits)
+                for index in range(len(queries))
+                if index not in settled
+            ]
+            plan = self._plan(planner, flat, kept)
+            plan_s = time.perf_counter() - started
+            # One plan: every dependency is -1.  The call stays as the
+            # source of the pipeline counters, which servebench times by name.
+            parallelism = window_parallelism(batch_dependencies([plan]))
             if len(window) > 1:
-                for key, value in window_parallelism(deps).items():
+                for key, value in parallelism.items():
                     self.counters.record(key, value)
             # Warm shared read-only state before any fork so first-batch workers
             # inherit the compiled graph and source caches instead of rebuilding
             # them per process.
-            planner.warm_batch([query for queries in window for query in queries])
-            jobs_per_batch = [self._jobs(queries, plan, tenant) for queries, plan in zip(window, plans)]
+            planner.warm_batch(flat)
+            owner = [batch for batch, queries in enumerate(window) for _ in queries]
+            jobs_per_batch: List[List[ShardJob]] = [[] for _ in window]
+            for job in self._jobs(flat, plan, tenant):
+                for batch in sorted({owner[index] for index in job.indices}):
+                    jobs_per_batch[batch].append(job)
             pid = os.getpid()
             settled_outcomes = [
                 [ShardOutcome(None, tuple(found), list(found.values()), [], pid, tenant)] if found else []
@@ -426,7 +441,6 @@ class PooledBackend(ServingBackend):
             can_fork = self._can_fork()
             sched = WindowScheduler(
                 jobs_per_batch,
-                deps,
                 self._lame,
                 self.counters.record,
                 hedge_after_s=self.config.hedge_after_s,
@@ -441,7 +455,11 @@ class PooledBackend(ServingBackend):
                 # what the window runs on).
                 self._poll_lame(sched)
                 warm = not self._ensure_pool()
-            executions = self._drive(sched, planner, window, settled_outcomes, plan_times, warm)
+            executions = self._drive(sched, planner, window, starts, settled_outcomes, plan_s, warm)
+            if sched.failure is not None and not executions:
+                if len(window) > 1:
+                    return self.execute_window(batches[:1], tenant)
+                raise ServingError(f"shard execution failed:\n{sched.failure}")
             if len(window) > 1:
                 self.counters.record("windows")
             self.counters.record(BATCHES, len(executions))
@@ -449,7 +467,7 @@ class PooledBackend(ServingBackend):
 
     @staticmethod
     def _jobs(queries: List[RouteQuery], plan: ShardPlan, tenant: str) -> List[ShardJob]:
-        """One batch's jobs: one per shard of its component plan."""
+        """One job per shard of the window's component plan."""
         return [
             ShardJob(
                 shard_id=shard.shard_id,
@@ -466,22 +484,25 @@ class PooledBackend(ServingBackend):
         sched: WindowScheduler,
         planner: CrowdPlanner,
         window: List[List[RouteQuery]],
+        starts: List[int],
         settled: List[List[ShardOutcome]],
-        plan_times: List[float],
+        plan_s: float,
         warm: bool,
     ) -> List[BatchExecution]:
         """The transport loop of one window: carry out ``sched``'s decisions
         on the pool, feed it every reply, and merge each batch it completes
-        into the parent, strictly in submission order, together with its
+        into the parent, strictly in submission order: its share (from
+        ``starts[b]``) of every shard holding its queries, together with its
         ``settled`` outcomes (answered in the parent, never resubmitted).
-        A shard execution error (a worker's ``"error"`` reply or the
-        in-process tail raising) returns the merged prefix — the window
-        contract — and raises when there is none."""
+        The window's plan time is charged to its head batch.  A shard
+        execution error (a worker's ``"error"`` reply or the in-process tail
+        raising) stops dispatch and returns the merged prefix."""
         executions: List[BatchExecution] = []
 
         def merge(batches: List[int]) -> None:
             for index in batches:
-                size, dispatched = len(window[index]), sched.done[index]
+                size, start = len(window[index]), starts[index]
+                dispatched = [slice_outcome(outcome, start, start + size) for outcome in sched.done[index]]
                 outcomes = dispatched + settled[index]
                 before = planner.truth_cursor()
                 started = time.perf_counter()
@@ -504,7 +525,7 @@ class PooledBackend(ServingBackend):
                     BatchExecution(
                         results=results,
                         origins=origins,
-                        plan_s=plan_times[index],
+                        plan_s=plan_s if index == 0 else 0.0,
                         execute_s=sched.execute_s(index),
                         merge_s=merge_s,
                         warm_pool=warm,
@@ -546,29 +567,30 @@ class PooledBackend(ServingBackend):
                 else:  # EOF, exit, hang or desync: its warm base is gone or suspect
                     worker.mark_dead()
                     apply(sched.lost(worker))
-        if sched.failure is not None and not executions:
-            raise ServingError(f"shard execution failed:\n{sched.failure}")
         return executions
 
-    def _run_tail(self, sched: WindowScheduler, remaining, planner: CrowdPlanner, merge) -> None:
+    def _run_tail(
+        self, sched: WindowScheduler, jobs: List[ShardJob], planner: CrowdPlanner, merge
+    ) -> None:
         """Run the window's remaining shards in-process — all of them without
-        ``fork``, the rest of the window after a lost pool — batch by batch
-        with frontier merges between batches, so each shard executes against
-        exactly the sequential prefix and results are unchanged.  Each
-        remaining job is one :func:`~repro.serving.shards.execute_shard`.
-        An execution error takes the same path as a worker's ``"error"``
-        reply."""
+        ``fork``, the rest of the window after a lost pool — one
+        :func:`~repro.serving.shards.execute_shard` each, merging every
+        batch whose last shard returned.  A merge writes only truths of
+        other shards, which lie outside a later shard's interaction closure,
+        so results are unchanged.  An execution error takes the same path
+        as a worker's ``"error"`` reply."""
         if self._can_fork():
             # A lost pool: every batch with shards run in-process is degraded.
-            self.counters.record("degraded_batches", len(remaining))
-        for index in sorted(remaining):
+            degraded = {batch for job in jobs for batch in sched.batches_of[job.shard_id]}
+            self.counters.record("degraded_batches", len(degraded))
+        for job in jobs:
             started = time.monotonic()
             try:
-                outcomes = [execute_shard(planner, job) for job in remaining[index]]
+                outcome = execute_shard(planner, job)
             except Exception:
                 sched.error(None, traceback.format_exc())
                 return
-            merge(sched.inline(index, outcomes, started, time.monotonic()))
+            merge(sched.inline(outcome, started, time.monotonic()))
 
     # ------------------------------------------------------------- transport
     def _poll(self, workers, timeout: float, silence_s: Optional[float] = None):
@@ -1038,8 +1060,8 @@ class RecommendationService:
         With ``config.pipeline_window > 1`` the stream keeps up to a
         window's worth of submitted-but-unredeemed batches outstanding
         (bounded by ``max_pending_batches``), so redemptions hand the
-        backend full windows to overlap; at the default window of 1 each
-        batch is redeemed as soon as it is submitted, exactly as before.
+        backend full windows to plan; at the default window of 1 each batch
+        is redeemed as soon as it is submitted.
         """
         if not batch_size >= 1:
             raise ServingError("batch_size must be at least 1")
@@ -1079,7 +1101,7 @@ class RecommendationService:
         ``planner`` holds the resolution counters, ``supervision`` the
         backend's fault-handling aggregates plus the number of responses
         whose shard was resubmitted after a worker loss, ``pipeline`` the
-        cross-batch overlap and window-parallelism counters, ``sharding``
+        window, dispatch and settle counters, ``sharding``
         the skew diagnostics (largest-shard fraction before/after hotspot
         splitting and the sub-shard chain depth), ``resilience`` the
         graceful-degradation counters (hedges issued/won/wasted, stragglers
@@ -1100,14 +1122,12 @@ class RecommendationService:
         return stats
 
     def plan(self, queries: Sequence[QueryLike]) -> ShardPlan:
-        """The shard plan of a batch as given (diagnostics).
+        """The shard plan of a batch as given (diagnostics), settling none.
 
         Includes the backend's hotspot split: with ``max_shard_fraction``
-        configured, oversized shards appear as their sub-shard chains.  The
-        split is a diagnostic; a pooled window dispatches the component
-        plan underneath.  It plans every query, settling none; a pooled
-        window plans only the queries its settle pass leaves
-        (:meth:`PooledBackend.execute_window`).
+        configured, oversized shards appear as their sub-shard chains.  A
+        pooled window dispatches the component plan of its unsettled
+        queries (:meth:`PooledBackend.execute_window`).
         """
         resolved = [
             query.query if isinstance(query, RecommendRequest) else query for query in queries

@@ -1,7 +1,7 @@
 """Shard execution and merge primitives shared by every pooled path.
 
 A *shard job* is the unit of work the serving layer dispatches — one shard
-of a batch's component plan (whole interaction-closed components, see
+of a window's component plan (whole interaction-closed components, see
 :meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
 cells whose truth slice the shard may observe.  The primitives here are used
 identically by the persistent pool workers (:mod:`repro.serving.worker`)
@@ -12,11 +12,13 @@ and the pooled backend's in-process tail:
   planner's truth store, with an isolated evaluator and worker pool;
 * :func:`execute_shard` — run one job on one clone, in submission order,
   into one :class:`ShardOutcome`;
+* :func:`slice_outcome` — one batch's part of an outcome whose shard holds
+  queries of several batches;
 * :func:`merge_shard_outcomes` — replay every shard's writes onto the parent
   planner in submission order, reproducing the exact state a sequential run
   would have left.
 
-One shard is one message: no truth crosses between the shards of a batch,
+One shard is one message: no truth crosses between the shards of a window,
 so none of them waits on another or needs another's writes.
 
 :func:`split_oversized` is a diagnostic of plan shape, not an execution
@@ -39,6 +41,7 @@ travels — workers inherit it through ``fork``.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
 import heapq
@@ -54,7 +57,10 @@ from ..routing.base import RouteQuery
 
 @dataclass(frozen=True)
 class ShardJob:
-    """One shard of one batch, ready to be executed anywhere.
+    """One shard of one window, ready to be executed anywhere.
+
+    ``indices`` are the shard's positions in the window's queries (its
+    batches concatenated in submission order), ascending.
 
     ``tenant`` names the workspace whose truth store the job executes
     against (``""`` is the backend's default, single-tenant planner); pool
@@ -167,6 +173,24 @@ def execute_shard(planner: CrowdPlanner, job: ShardJob) -> ShardOutcome:
     results = clone.recommend_batch(job.queries)
     return ShardOutcome(
         job.shard_id, job.indices, results, clone.truths.truths_since(before), os.getpid(), job.tenant
+    )
+
+
+def slice_outcome(outcome: ShardOutcome, start: int, stop: int) -> ShardOutcome:
+    """One batch's share of a window shard: the (contiguous) part of
+    ``outcome`` at positions ``start <= i < stop``, re-based to ``start``,
+    with the truths its non-reuse results recorded."""
+    indices, results = outcome.indices, outcome.results
+    first, last = bisect.bisect_left(indices, start), bisect.bisect_left(indices, stop)
+    if start == 0 and first == 0 and last == len(indices):
+        return outcome
+    written = sum(result.method != "truth_reuse" for result in results[:first])
+    writes = sum(result.method != "truth_reuse" for result in results[first:last])
+    return dataclasses.replace(
+        outcome,
+        indices=tuple(index - start for index in indices[first:last]),
+        results=results[first:last],
+        new_truths=outcome.new_truths[written : written + writes],
     )
 
 

@@ -47,6 +47,9 @@ class TrajectoryStore:
         self._by_node: Dict[int, set] = defaultdict(set)
         self._origin_index: GridIndex[int] = GridIndex(cell_size=500.0)
         self._destination_index: GridIndex[int] = GridIndex(cell_size=500.0)
+        # find_by_od's last (origin, destination, radius) and its matches:
+        # the miners ask for one query's endpoints several times in a row.
+        self._last_od: Optional[Tuple[Tuple[Point, Point, float], List[int]]] = None
 
     def __len__(self) -> int:
         return len(self._trajectories)
@@ -66,6 +69,7 @@ class TrajectoryStore:
             self.network.validate_path(path)
         else:
             path = tuple(self.matcher.match(trajectory.locations()))
+        self._last_od = None
         self._trajectories[trajectory.trajectory_id] = trajectory
         self._matched_paths[trajectory.trajectory_id] = path
         for node in path:
@@ -135,15 +139,22 @@ class TrajectoryStore:
         """Ids of trajectories starting near ``origin`` and ending near ``destination``.
 
         ``time_slot`` optionally restricts results to departure times (seconds
-        since midnight) within ``[start, end)``.
+        since midnight) within ``[start, end)``.  The matches of the last
+        ``(origin, destination, radius_m)`` are kept until the next
+        :meth:`add`, and the slot is applied to them.
         """
-        near_origin = {tid for tid, _ in self._origin_index.within_radius(origin, radius_m)}
-        near_destination = {
-            tid for tid, _ in self._destination_index.within_radius(destination, radius_m)
-        }
-        matches = sorted(near_origin & near_destination)
+        key = (origin, destination, radius_m)
+        if self._last_od is not None and self._last_od[0] == key:
+            matches = self._last_od[1]
+        else:
+            near_origin = {tid for tid, _ in self._origin_index.within_radius(origin, radius_m)}
+            near_destination = {
+                tid for tid, _ in self._destination_index.within_radius(destination, radius_m)
+            }
+            matches = sorted(near_origin & near_destination)
+            self._last_od = (key, matches)
         if time_slot is None:
-            return matches
+            return list(matches)
         start, end = time_slot
         return [
             tid

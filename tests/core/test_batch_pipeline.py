@@ -1,6 +1,6 @@
-"""Batch-level planner plumbing: od-cell grouping, shared candidate
-generation, the truth database's destination index and cached route
-signatures."""
+"""Batch-level planner plumbing: od-cell grouping, the planner keeping no
+candidate memo of its own (sources memoise per od pair), the truth
+database's destination index and cached route signatures."""
 
 import pytest
 
@@ -52,20 +52,6 @@ class TestBatchSharing:
         planner.recommend_batch(queries)
         assert source.prepare_calls == 1
 
-    def test_candidate_memo_shares_identical_queries(self, scenario, counting_planner):
-        planner, source = counting_planner
-        query = scenario.sample_queries(1, seed=812)[0]
-        planner._batch_candidate_memo = {}
-        try:
-            first = planner.generate_candidates(query)
-            second = planner.generate_candidates(query)
-        finally:
-            planner._batch_candidate_memo = None
-        assert source.recommend_calls == 1
-        assert [c.path for c in first] == [c.path for c in second]
-        # The memo hands out copies, so callers cannot corrupt it.
-        assert first is not second
-
     def test_memo_disabled_outside_batches(self, scenario, counting_planner):
         planner, source = counting_planner
         query = scenario.sample_queries(1, seed=813)[0]
@@ -85,8 +71,7 @@ class TestBatchSharing:
 
     def test_batch_matches_sequential_with_shared_generation(self, scenario):
         queries = scenario.sample_queries(6, seed=815)
-        # Duplicate a query mid-batch so the memo and the truth store both
-        # participate.
+        # Duplicate a query mid-batch so the truth store answers it.
         queries = queries + [queries[0]]
 
         def build():

@@ -257,9 +257,9 @@ class TestPlanGroupsOnce:
         self, build_serving_planner, dominant_workload, sequential_oracle, window
     ):
         """``split_oversized`` restages from the plan's own od-cell groups:
-        the parent groups a batch's od cells once, in ``shard_plan``, over
-        the queries the window's settle pass left it (none when it left
-        none)."""
+        the parent groups a window's od cells once, in its one
+        ``shard_plan``, over the queries the window's settle pass left it
+        (none when it left none), so each batch is grouped once."""
         planner = build_serving_planner()
         calls, left = [], []
         group, settle = planner.od_cell_groups, planner.settled_hits
@@ -270,7 +270,7 @@ class TestPlanGroupsOnce:
 
         def settling(window):
             hits = settle(window)
-            left.extend(len(queries) - len(found) for queries, found in zip(window, hits))
+            left.append(sum(len(queries) - len(found) for queries, found in zip(window, hits)))
             return hits
 
         planner.od_cell_groups = counting
@@ -282,7 +282,7 @@ class TestPlanGroupsOnce:
             responses = [r for ticket in tickets for r in service.results(ticket)]
             stats = service.statistics()
         assert stats["sharding"]["sub_shards_total"] > 0
-        assert len(left) == len(batches)
+        assert len(left) == len(batches) // window
         assert calls == [count for count in left if count]
         assert stats["pipeline"]["settled_queries"] == 40 * len(batches) - sum(left)
         assert [recommendation_fingerprint(r.result) for r in responses] == (

@@ -7,7 +7,9 @@ sub-shards with no hand-off relation share no linked query pair), the
 diagnostics surfaced through ``service.plan()`` / ``service.statistics()``,
 and — on the forked pool — fault recovery on the hotspot: killing or
 hanging a worker that holds the component shard the split would chain must
-reproduce the sequential fingerprints exactly.
+reproduce the sequential fingerprints exactly.  The first window of
+servebench's ``hotspot_repeat`` closed loop, on a forked pool, is one plan:
+at most one ``run`` message per worker, with the oracle's answers.
 """
 
 from __future__ import annotations
@@ -320,3 +322,32 @@ class TestMidChainFaults:
                 produced.extend(_fingerprints(service.results(ticket)))
         assert produced == sequential_oracle["dominant"]["fingerprints"]
         assert _truth_tuples(planner) == sequential_oracle["dominant"]["truths"]
+
+
+@needs_fork
+def test_first_hotspot_window_sends_one_run_per_worker(build_serving_planner, serving_scenario):
+    """The first window of the ``hotspot_repeat`` closed loop (4 fresh
+    batches of 40, most of them misses) is planned as one component plan:
+    its workers get at most ``pool_size`` run messages between them, no
+    batch waits on another, and answers are the sequential oracle's."""
+    from servebench.workloads import DEFAULT_SECONDS, DEFAULT_SEED, WORKLOADS
+
+    workload = WORKLOADS["hotspot_repeat"]
+    closed, _ = workload.inputs(serving_scenario.network, DEFAULT_SEED, DEFAULT_SECONDS)
+    planner = build_serving_planner()
+    config = workload.service_config(planner)
+    window = closed[: config.pipeline_window]
+    oracle_planner = build_serving_planner()
+    oracle = [
+        recommendation_fingerprint(result)
+        for batch in window
+        for result in oracle_planner.recommend_batch(list(batch))
+    ]
+    with RecommendationService(planner, config) as service:
+        tickets = [service.submit(batch) for batch in window]
+        responses = [r for ticket in tickets for r in service.results(ticket)]
+        pipeline = service.statistics()["pipeline"]
+    assert _fingerprints(responses) == oracle
+    assert pipeline["windows"] == 1
+    assert 0 < pipeline["dispatch_units"] <= config.pool_size
+    assert pipeline["cross_batch_edges"] == 0

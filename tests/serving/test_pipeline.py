@@ -1,15 +1,16 @@
-"""Cross-batch pipelining: dependency DAG + windowed execution parity.
+"""Windows: one component plan per window + windowed execution parity.
 
-The acceptance gate of the rolling-window scheduler: for any
-``pipeline_window``, pool size and interleaving, windowed execution is
-fingerprint-identical to the sequential oracle — the DAG dispatcher may
-only change *timing*, never observable state.  Degenerate windows are
-pinned explicitly: window size 1 never leaves the barrier path, and a
-fully-dependent stream (every batch touching the same od cells)
-serialises batch by batch.  Fault handling rides along: a mid-window
-failure returns the merged prefix and keeps later tickets redeemable,
-and the chaos schedule (crash / hang / desync mid-window) must neither
-stall the DAG nor change a single fingerprint.
+The acceptance gate of window planning: for any ``pipeline_window``, pool
+size and interleaving, windowed execution is fingerprint-identical to the
+sequential oracle — planning a window as one batch may only change
+*timing*, never observable state.  Degenerate windows are pinned
+explicitly: window size 1 never leaves the one-batch path, and a
+fully-dependent stream (every batch touching the same od cells) runs each
+repeat on the shard of its first occurrence.  The per-batch dependency
+analysis (``batch_dependencies``) keeps its unit tests.  Fault handling
+rides along: a mid-window failure returns the merged prefix and keeps
+later tickets redeemable, and the chaos schedule (crash / hang / desync
+mid-window) must neither stall a window nor change a single fingerprint.
 """
 
 import multiprocessing
@@ -222,7 +223,7 @@ class TestDegenerateWindows:
         self, build_serving_planner, serving_workload, sequential_oracle
     ):
         """A lone batch on a real pool is a one-batch window: served by the
-        DAG dispatcher, yet counted in no window-structure statistic."""
+        window dispatcher, yet counted in no window-structure statistic."""
         planner = build_serving_planner()
         with _service(planner, pool_size=2, pipeline_window=4) as service:
             responses = [
@@ -240,15 +241,15 @@ class TestDegenerateWindows:
     def test_fully_dependent_stream_serializes(
         self, build_serving_planner, serving_workload
     ):
-        """Every batch touching the same od cells forces barrier order:
-        no dispatch may overlap an unmerged batch, and repeats are served
-        from the truths the earlier batches just recorded."""
+        """Every batch touching the same od cells: planned apart, each
+        shard would wait on the immediately preceding batch.  Planned as
+        one window, each repeat shares a shard with its first occurrence,
+        runs after it in submission order and is served from the truth it
+        just recorded — no shard waits on another."""
         planner = build_serving_planner()
         repeated = serving_workload[:12]
         plans = [planner.shard_plan(repeated, 2) for _ in range(4)]
         deps = batch_dependencies(plans)
-        # Identical batches: every shard waits on the immediately
-        # preceding batch, the degenerate fully-serialised window.
         assert all(dep == batch_index - 1 for batch_index, batch_deps
                    in enumerate(deps) if batch_index for dep in batch_deps)
         assert window_parallelism(deps)["serialized_batches"] == len(plans) - 1
@@ -262,9 +263,15 @@ class TestDegenerateWindows:
         with simulated_service(planner, pool_size=2, pipeline_window=4) as service:
             tickets = [service.submit(list(repeated)) for _ in range(4)]
             responses = [r for t in tickets for r in service.results(t)]
+            pipeline = service.statistics()["pipeline"]
         assert _fingerprints(responses) == oracle
         # The first batch computes, the repeats reuse its truths.
         assert all(r.method == "truth_reuse" for r in responses[len(repeated):])
+        assert pipeline["cross_batch_edges"] == pipeline["serialized_batches"] == 0
+        assert 0 < pipeline["dispatch_units"] <= 2
+        for position, response in enumerate(responses[len(repeated):]):
+            first = responses[position % len(repeated)]
+            assert response.provenance.shard_id == first.provenance.shard_id
 
 
 class TestWindowedContract:
@@ -341,13 +348,14 @@ class TestWindowedContract:
 
     @needs_fork
     def test_independent_batches_overlap(self, build_serving_planner, serving_workload):
-        """Two closure-disjoint batches genuinely overlap: the second
-        batch's shard is dispatched while the first is still unmerged."""
+        """Two closure-disjoint batches genuinely overlap: the window's one
+        plan has a shard per batch, both dispatched at once to different
+        workers, and neither waits on the other's merge."""
         planner = build_serving_planner()
         survey = planner.shard_plan(serving_workload, 16)
         # Two single-component shards with disjoint expanded closures:
-        # re-planned alone each stays a single shard, so with pool size 2
-        # the DAG dispatcher must put batch 1 in flight while batch 0 is.
+        # planned together at pool size 2 they stay two shards, one per
+        # batch.
         picked = []
         taken_cells = frozenset()
         for shard in survey.shards:
@@ -371,11 +379,19 @@ class TestWindowedContract:
         ]
         with _service(planner, pool_size=2, pipeline_window=2) as service:
             tickets = [service.submit(batch) for batch in batches]
-            responses = [r for t in tickets for r in service.results(t)]
+            served = [service.results(t) for t in tickets]
             stats = service.statistics()
-        assert _fingerprints(responses) == oracle
-        assert stats["pipeline"]["windows"] == 1
-        assert stats["pipeline"]["overlapped_dispatches"] >= 1
+        assert _fingerprints([r for batch in served for r in batch]) == oracle
+        pipeline = stats["pipeline"]
+        assert pipeline["windows"] == 1
+        assert pipeline["dispatch_units"] == pipeline["independent_shards"] == 2
+        assert pipeline["cross_batch_edges"] == pipeline["overlapped_dispatches"] == 0
+        shards, pids = (
+            [{getattr(r.provenance, field) for r in batch} for batch in served]
+            for field in ("shard_id", "worker_pid")
+        )
+        assert all(len(ids) == 1 for ids in shards + pids)
+        assert shards[0] != shards[1] and pids[0] != pids[1]
 
 
 class TestWindowFaults:

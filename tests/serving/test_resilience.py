@@ -128,7 +128,7 @@ class TestHedgedExecution:
     def test_hedged_window_matches_oracle(
         self, build_serving_planner, serving_workload, oracle
     ):
-        """The DAG dispatcher hedges too: a straggler inside a pipelined
+        """The window dispatcher hedges too: a straggler inside a pipelined
         window is absorbed without perturbing the strict merge order."""
         planner = build_serving_planner()
         config = dataclasses.replace(

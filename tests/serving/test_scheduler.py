@@ -3,8 +3,9 @@
 Workers are plain strings, the clock is a float the test advances, and
 every reply is a scripted call — so requeues, hedges, lame workers and the
 degrade tail are checked deterministically, and a hypothesis property
-explores random shards, dependencies and event orders in milliseconds.
-The scheduler sees only shard jobs, one per message.
+explores random shards, the batches they hold queries of and event orders
+in milliseconds.  The scheduler sees only shard jobs, one per message; a
+shard listed under several batches holds queries of each.
 """
 
 from __future__ import annotations
@@ -28,17 +29,15 @@ def _outcome(job):
     return ShardOutcome(job.shard_id, (), [], [], worker_pid=0)
 
 
-def _scheduler(jobs_per_batch, deps=None, **kwargs):
-    """A scheduler over ``jobs_per_batch``, shard ``i`` of batch ``b``
-    waiting on ``deps[b][i]`` (none by default)."""
-    if deps is None:
-        deps = [[-1] * len(jobs) for jobs in jobs_per_batch]
+def _scheduler(jobs_per_batch, **kwargs):
+    """A scheduler over ``jobs_per_batch``: the shards holding each
+    batch's queries."""
     counters = Counter()
 
     def record(key, value=1):
         counters[key] += value
 
-    sched = WindowScheduler(jobs_per_batch, deps, {}, record, **kwargs)
+    sched = WindowScheduler(jobs_per_batch, {}, record, **kwargs)
     return sched, counters
 
 
@@ -47,7 +46,7 @@ def _dispatches(decisions):
 
 
 def _queued(sched):
-    return [(batch, job.shard_id, resubmitted) for batch, job, resubmitted in sched.ready]
+    return [(job.shard_id, resubmitted) for job, resubmitted in sched.ready]
 
 
 class TestRequeue:
@@ -59,7 +58,7 @@ class TestRequeue:
             ("dispatch", "w1", 1),
         ]
         assert sched.lost("w0") == []  # no respawn budget
-        assert _queued(sched) == [(0, 0, True), (0, 2, False)]
+        assert _queued(sched) == [(0, True), (2, False)]
         assert counters["resubmitted_shards"] == 1
         assert _dispatches(sched.tick(1.0, ["w1", "w2"])) == [("dispatch", "w2", 0)]
         assert sched.outcome("w2", _outcome(sched.inflight["w2"].job), 2.0) == []
@@ -110,44 +109,47 @@ class TestRequeue:
 
 class TestHedging:
     def _hedged(self):
-        batch0, batch1 = [_job(0), _job(1)], [_job(0), _job(1)]
+        """Shard 1 holds queries of both batches; shard 0 straggles on
+        ``w0`` and is hedged onto ``w1``."""
+        jobs = [_job(0), _job(1), _job(2)]
         sched, counters = _scheduler(
-            [batch0, batch1], [[-1, -1], [0, 0]], hedge_after_s=1.0, lame_grace_s=5.0
+            [jobs[:2], jobs[1:]], hedge_after_s=1.0, lame_grace_s=5.0
         )
-        list(sched.tick(0.0, ["w0", "w1"]))
-        assert sched.outcome("w1", _outcome(batch0[1]), 0.5) == []
-        assert list(sched.tick(0.9, ["w0", "w1"])) == []  # not overdue yet
-        assert _dispatches(sched.tick(2.0, ["w0", "w1"])) == [("hedge", "w1", 0)]
+        list(sched.tick(0.0, ["w0", "w1", "w2"]))
+        assert sched.outcome("w1", _outcome(jobs[1]), 0.5) == []
+        assert list(sched.tick(0.9, ["w0", "w1", "w2"])) == []  # not overdue yet
+        assert _dispatches(sched.tick(2.0, ["w0", "w1", "w2"])) == [("hedge", "w1", 0)]
         assert counters["hedges_issued"] == 1
-        # The hedge wins: the original goes lame, batch 0 merges and
-        # releases batch 1.
-        assert sched.outcome("w1", _outcome(batch0[0]), 2.1) == [0]
+        # The hedge wins: the original goes lame and batch 0 merges; batch
+        # 1 still waits on shard 2.
+        assert sched.outcome("w1", _outcome(jobs[0]), 2.1) == [0]
         assert counters["hedges_won"] == 1
         assert sched.lame == {"w0": 7.1}
-        return sched, batch0, batch1
+        return sched, jobs
 
     def test_hedge_loser_is_lame_and_never_dispatched_before_it_drains(self):
-        sched, batch0, batch1 = self._hedged()
-        assert _dispatches(sched.tick(2.2, ["w0", "w1"])) == [("dispatch", "w1", 0)]
+        sched, jobs = self._hedged()
+        sched.lost("w2")
+        assert _dispatches(sched.tick(2.2, ["w0", "w1"])) == [("dispatch", "w1", 2)]
         assert list(sched.tick(2.3, ["w0", "w1"])) == []  # w0 still lame
         # The stale duplicate drains: w0 returns to service, and the
         # already-recorded shard is not recorded twice.
-        assert sched.outcome("w0", _outcome(batch0[0]), 3.0) == []
+        assert sched.outcome("w0", _outcome(jobs[0]), 3.0) == []
         assert not sched.lame
         assert len(sched.done[0]) == 2
-        assert _dispatches(sched.tick(3.1, ["w0", "w1"])) == [("dispatch", "w0", 1)]
+        assert sched.outcome("w1", _outcome(jobs[2]), 3.1) == [1]
 
     def test_lame_worker_past_its_deadline_expires(self):
-        sched, _, _ = self._hedged()
+        sched, _ = self._hedged()
         assert sched.expired(7.0) == []
         assert sched.expired(7.2) == ["w0"]
         assert not sched.lame
 
     def test_lost_lame_worker_just_leaves_the_lame_set(self):
-        sched, _, _ = self._hedged()
+        sched, _ = self._hedged()
         assert sched.lost("w0") == []
         assert not sched.lame
-        assert [job.shard_id for _, job, _ in sched.ready] == [0, 1]  # nothing requeued
+        assert not sched.ready  # nothing requeued
 
     def test_original_winning_wastes_the_hedge(self):
         jobs = [_job(0), _job(1)]
@@ -162,25 +164,26 @@ class TestHedging:
 
 class TestDegradeTail:
     def test_no_worker_and_no_budget_degrades_in_batch_order(self):
-        jobs = [[_job(0), _job(1)], [_job(0)], [_job(0), _job(1)]]
-        sched, _ = _scheduler(jobs, [[-1, -1], [0], [1, 1]])
+        """The tail runs every shard once, the one holding queries of three
+        batches included, and batches merge in order as their last shard
+        returns."""
+        jobs = [_job(0), _job(1), _job(2)]
+        sched, _ = _scheduler([jobs[:2], jobs[1:2], jobs[1:]])
         ((kind, remaining),) = list(sched.tick(0.0, []))
         assert kind == "degrade"
-        assert sorted(remaining) == [0, 1, 2]
-        assert [job.shard_id for job in remaining[2]] == [0, 1]
+        assert [job.shard_id for job in remaining] == [0, 1, 2]
         assert not sched.pending()
         merged = []
-        for batch in sorted(remaining):
-            outcomes = [_outcome(job) for job in remaining[batch]]
-            merged += sched.inline(batch, outcomes, 1.0 + batch, 1.5 + batch)
-        assert merged == [0, 1, 2]
-        assert sched.execute_s(2) == pytest.approx(0.5)
+        for position, job in enumerate(remaining):
+            merged.append(sched.inline(_outcome(job), 1.0 + position, 1.5 + position))
+        assert merged == [[], [0, 1], [2]]
+        assert sched.execute_s(2) == pytest.approx(1.5)
 
     def test_respawn_before_degrading(self):
         sched, _ = _scheduler([[_job(0)]], max_respawns=1)
         assert list(sched.tick(0.0, [])) == [("respawn", 0)]
         ((kind, remaining),) = list(sched.tick(0.1, []))
-        assert kind == "degrade" and list(remaining) == [0]
+        assert kind == "degrade" and [job.shard_id for job in remaining] == [0]
 
     def test_tail_marks_requeued_shards_resubmitted(self):
         jobs = [_job(0), _job(1)]
@@ -188,62 +191,61 @@ class TestDegradeTail:
         list(sched.tick(0.0, ["w0"]))
         sched.lost("w0")
         ((_, remaining),) = list(sched.tick(0.1, []))
-        assert [job.shard_id for job in remaining[0]] == [0, 1]
+        assert [job.shard_id for job in remaining] == [0, 1]
         assert sched.resubmitted[0] == {0}
 
 
 # ------------------------------------------------------------------ property
 @st.composite
 def _windows(draw):
-    """A random window: per batch, shards in shard-id order, each with one
-    cross-batch dependency on an earlier batch (or none)."""
-    jobs_per_batch, deps = [], []
-    for batch in range(draw(st.integers(min_value=1, max_value=4))):
-        count = draw(st.integers(min_value=0, max_value=4))
-        jobs_per_batch.append([_job(shard) for shard in range(count)])
-        deps.append(
-            draw(st.lists(st.integers(min_value=-1, max_value=batch - 1), min_size=count, max_size=count))
-        )
-    return jobs_per_batch, deps
+    """A random window: shards, each holding queries of a random set of
+    batches (a batch may have none), listed per batch in shard-id order."""
+    batches = draw(st.integers(min_value=1, max_value=4))
+    jobs_per_batch = [[] for _ in range(batches)]
+    for shard in range(draw(st.integers(min_value=0, max_value=6))):
+        job = _job(shard)
+        held = draw(st.sets(st.integers(min_value=0, max_value=batches - 1), min_size=1))
+        for batch in sorted(held):
+            jobs_per_batch[batch].append(job)
+    return jobs_per_batch
 
 
 class TestScheduleProperty:
     @pytest.mark.property
     @settings(max_examples=300, deadline=None)
     @given(
-        window=_windows(),
+        jobs_per_batch=_windows(),
         pool=st.integers(min_value=1, max_value=3),
         hedge_after_s=st.sampled_from([None, 0.5]),
         max_respawns=st.integers(min_value=0, max_value=2),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_random_event_orders_keep_the_window_contract(
-        self, window, pool, hedge_after_s, max_respawns, seed
+        self, jobs_per_batch, pool, hedge_after_s, max_respawns, seed
     ):
-        """Every (batch, shard) merges exactly once, batches merge in
-        submission order, no shard is dispatched before its cross-batch
-        dependency merged, and no lame worker is ever dispatched."""
+        """Every shard completes exactly once, batches merge exactly once
+        and in submission order, each only after every shard holding its
+        queries returned, the tail runs each remaining shard once, and no
+        lame worker is ever dispatched."""
         rng = random.Random(seed)
-        jobs_per_batch, deps = window
         sched, _ = _scheduler(
             jobs_per_batch,
-            deps,
             hedge_after_s=hedge_after_s,
             lame_grace_s=1.0,
             max_respawns=max_respawns,
         )
         workers = [f"w{index}" for index in range(pool)]
         spawned = iter(f"r{index}" for index in range(100))
-        place = {
-            id(job): (batch, position)
-            for batch, jobs in enumerate(jobs_per_batch)
-            for position, job in enumerate(jobs)
-        }
         held = {}  # worker -> job it was sent
+        returned = set()  # shard ids with a recorded outcome
         merged = []
         now = 0.0
 
         def merge(batches):
+            for batch in batches:
+                assert {job.shard_id for job in jobs_per_batch[batch]} <= returned, (
+                    "merged before every shard holding its queries returned"
+                )
             merged.extend(batches)
 
         def apply(decisions):
@@ -251,17 +253,14 @@ class TestScheduleProperty:
                 if kind == "respawn":
                     workers.append(next(spawned))
                 elif kind == "degrade":
-                    # The in-process tail: batch by batch.
-                    for batch in sorted(args[0]):
-                        assert set(range(batch)) <= set(merged), "tail ran out of order"
-                        outcomes = [_outcome(job) for job in args[0][batch]]
-                        merge(sched.inline(batch, outcomes, now, now))
+                    # The in-process tail: each remaining shard once.
+                    for job in args[0]:
+                        assert job.shard_id not in returned, "the tail reran a shard"
+                        returned.add(job.shard_id)
+                        merge(sched.inline(_outcome(job), now, now))
                 else:
                     worker, job = args
                     assert worker not in sched.lame, "dispatched to a lame worker"
-                    batch, position = place[id(job)]
-                    dep = deps[batch][position]
-                    assert dep < 0 or dep in merged, "dispatched before its dependency merged"
                     if rng.random() < 0.05:
                         workers.remove(worker)  # died before the send
                         sched.unsent(worker)
@@ -284,6 +283,8 @@ class TestScheduleProperty:
                     workers.remove(worker)
                     apply(sched.lost(worker))
                 elif worker in sched.lame or rng.random() < 0.8:
+                    if worker not in sched.lame and job.shard_id not in sched.completed:
+                        returned.add(job.shard_id)
                     merge(sched.outcome(worker, _outcome(job), now))
                 else:
                     held[worker] = job  # still running

@@ -6,7 +6,8 @@ explore schedules in milliseconds with no fork, signal or clock: the
 chunking, pool size, pipeline window, hotspot splitting, the order replies
 arrive in and which dispatches lose their worker.  Every schedule must
 reproduce the sequential oracle exactly: answers, planner statistics and
-the merged truth store.
+the merged truth store, with each batch's journaled ``truth_span`` holding
+exactly the truths its own answers recorded.
 """
 
 import itertools
@@ -43,11 +44,20 @@ def workloads(build_serving_planner, serving_workload, dominant_workload, sequen
     finish, and wait to merge, before an earlier one.  ``repeated`` serves
     half the plain workload, then repeats it, then a stretch half repeated
     and half fresh, so windows mix queries the parent settles with queries
-    it dispatches."""
+    it dispatches.  ``spanning`` cuts the plain workload into batches of ten
+    fresh queries, each followed by one query of each of the three batches
+    before it: an od key first missed in batch k repeats in batches
+    k+1..k+3, so a window's components span its batches."""
     atomic = build_serving_planner().shard_plan(serving_workload, len(serving_workload))
     clustered = [serving_workload[i] for shard in atomic.shards for i in shard.indices]
     boundaries = list(itertools.accumulate(len(shard.indices) for shard in atomic.shards))[:-1]
     repeated = serving_workload[:80] * 2 + serving_workload[40:120]
+    fresh = [serving_workload[start : start + 10] for start in range(0, 80, 10)]
+    spanning_batches = [
+        fresh[k] + [fresh[k - back][back - 1] for back in (1, 2, 3) if k - back >= 0]
+        for k in range(len(fresh))
+    ]
+    spanning = [query for batch in spanning_batches for query in batch]
 
     def oracle(workload):
         planner = build_serving_planner()
@@ -64,6 +74,11 @@ def workloads(build_serving_planner, serving_workload, dominant_workload, sequen
         "dominant": (dominant_workload, anywhere, sequential_oracle["dominant"]),
         "clustered": (clustered, boundaries, oracle(clustered)),
         "repeated": (repeated, range(1, len(repeated)), oracle(repeated)),
+        "spanning": (
+            spanning,
+            list(itertools.accumulate(len(batch) for batch in spanning_batches))[:-1],
+            oracle(spanning),
+        ),
     }
 
 
@@ -75,7 +90,7 @@ class TestSimulatedPoolProperty:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        workload_name=st.sampled_from(["plain", "dominant", "clustered", "repeated"]),
+        workload_name=st.sampled_from(["plain", "dominant", "clustered", "repeated", "spanning"]),
         cuts=st.sets(st.integers(min_value=0, max_value=10**6), max_size=7),
         pool_size=st.integers(min_value=1, max_value=4),
         pipeline_window=st.integers(min_value=1, max_value=4),
@@ -89,6 +104,8 @@ class TestSimulatedPoolProperty:
     @example("clustered", {0, 1, 2, 3}, 2, 3, 0.1, 1, {2, 5})
     # Settled and dispatched queries share windows, and a worker is lost.
     @example("repeated", {79, 119, 159, 199}, 2, 3, 0.1, 2, {1})
+    # Components span a window's batches; one of their shards is lost.
+    @example("spanning", set(range(7)), 2, 4, None, 3, {0})
     def test_any_schedule_matches_sequential(
         self,
         build_serving_planner,
@@ -116,6 +133,7 @@ class TestSimulatedPoolProperty:
             respawn_backoff_s=0.0,
             respawn_backoff_max_s=0.0,
         ) as service:
+            spans = _record_truth_spans(service.backend)
             tickets = [service.submit(chunk) for chunk in chunks]
             order = list(range(len(tickets)))
             random.Random(seed).shuffle(order)
@@ -126,12 +144,39 @@ class TestSimulatedPoolProperty:
         assert [recommendation_fingerprint(r.result) for r in responses] == oracle["fingerprints"]
         assert planner.statistics.as_dict() == oracle["statistics"]
         assert _truth_tuples(planner) == oracle["truths"]
+        # Each batch's truth span holds exactly the truths its own answers
+        # recorded, in order, and the spans tile the store.
+        assert [span[0] for span in spans] == [0] + [span[1] for span in spans[:-1]]
+        locate = planner.network.node_location
+        for (before, after), position in zip(spans, range(len(tickets))):
+            own = [
+                (locate(r.request.query.origin), locate(r.request.query.destination), r.result.route.path)
+                for r in collected[position]
+                if r.result.method != "truth_reuse"
+            ]
+            recorded = planner.truth_delta(before, upto=after)
+            assert [(t.origin, t.destination, t.route.path) for t in recorded] == own
         # Every killed worker's shard was detected lost and resubmitted once.
         kills = sum(1 for ordinal in kill_at if ordinal < dispatches)
         assert stats["supervision"]["resubmitted_shards"] == kills
         if pipeline_window > 1 and len(chunks) > 1:
             # The first redemption ran a real window, not a per-batch barrier.
             assert stats["pipeline"]["windows"] > 0
+
+
+def _record_truth_spans(backend):
+    """Collect the ``truth_span`` of every batch ``backend`` executes, in
+    submission order."""
+    spans = []
+    execute = backend.execute_window
+
+    def recording(batches, *args, **kwargs):
+        executions = execute(batches, *args, **kwargs)
+        spans.extend(execution.truth_span for execution in executions)
+        return executions
+
+    backend.execute_window = recording
+    return spans
 
 
 class NoForkPool(PooledBackend):

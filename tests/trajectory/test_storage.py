@@ -118,3 +118,42 @@ class TestQueries:
     def test_far_away_od_has_no_support(self, populated_store):
         store, _ = populated_store
         assert store.support_between(Point(1e7, 1e7), Point(2e7, 2e7), 100.0) == 0
+
+
+class TestFindByOdMemo:
+    def test_repeats_and_slots_match_an_unmemoised_store(self, small_network):
+        """The last od's matches are kept until the next ``add``: repeated
+        and slot-filtered calls, before and after an insert, answer as a
+        store that was just filled (and so has nothing memoised)."""
+        generator = TrajectoryGenerator(
+            small_network,
+            TrajectoryGeneratorConfig(num_drivers=5, num_hot_pairs=3, trips_per_driver=4, seed=41),
+        )
+        trajectories = generator.generate()
+        store = TrajectoryStore(small_network)
+        store.add_many(trajectories[1:])
+        first = trajectories[0]
+        origin = small_network.node_location(first.source_path[0])
+        destination = small_network.node_location(first.source_path[-1])
+        slot = (first.departure_time_s - 1.0, first.departure_time_s + 1.0)
+
+        def answers(target):
+            return [
+                target.find_by_od(origin, destination),
+                target.find_by_od(origin, destination, time_slot=slot),
+                target.find_by_od(origin, destination),
+                target.find_by_od(origin, destination, radius_m=50.0),
+            ]
+
+        def unmemoised(stored):
+            fresh = TrajectoryStore(small_network)
+            fresh.add_many(stored)
+            return answers(fresh)
+
+        before = answers(store)
+        assert before == unmemoised(trajectories[1:])
+        before[0].append(-1)  # callers get copies
+        store.add(first)
+        after = answers(store)
+        assert after == unmemoised(trajectories[1:] + trajectories[:1])
+        assert first.trajectory_id in after[0] and first.trajectory_id in after[1]
