@@ -479,7 +479,7 @@ def test_crowd_columnar_compiled(benchmark, crowd_setup, reference_crowds):
     eager = reference_crowds[1]
     blocks = benchmark(_run_crowd, crowd.collect_responses_block, crowd, tasks, worker_ids)
     expected = _run_crowd(eager.collect_responses, eager, tasks, worker_ids)
-    assert [block.to_responses() for block in blocks] == expected
+    assert [block.materialize() for block in blocks] == expected
 
 
 @pytest.mark.benchmark(group="crowd_columnar")

@@ -78,9 +78,9 @@ def main() -> None:
     worker_ids = selector.select(task, config.workers_per_task)
     print(f"\nTop-{len(worker_ids)} eligible workers (rated voting): {worker_ids}")
 
-    responses = scenario.crowd.collect_responses(task, worker_ids)
+    block = scenario.crowd.collect_responses_block(task, worker_ids)
     aggregator = AnswerAggregator(config)
-    result = aggregator.collect_with_early_stop(task, responses, expected_total=len(worker_ids))
+    result = aggregator.collect_block_with_early_stop(task, block, expected_total=len(worker_ids))
     print("\nWorker responses (arrival order):")
     for response in result.responses:
         answer_text = ", ".join(

@@ -2,9 +2,10 @@
 # CI entry point.
 #
 #   scripts/ci.sh            # fast tier: tests minus @slow, then the
-#                            # benchmark suites with timing disabled (so
-#                            # benchmark code is exercised for correctness
-#                            # without paying for timed rounds)
+#                            # hot-path and experiment benchmark suites
+#                            # with timing disabled (so benchmark code is
+#                            # exercised for correctness without paying
+#                            # for timed rounds)
 #   scripts/ci.sh --all      # full tier: every test including @slow
 #   scripts/ci.sh --chaos    # only the @chaos fault-injection suites
 #                            # (hedged stragglers, supervision, recovery):
@@ -73,7 +74,8 @@ else
 fi
 
 echo "== benchmarks (timing disabled) =="
-python -m pytest benchmarks/bench_hot_paths.py -q --benchmark-disable
+# The hot-path suites, then the experiment shape checks (E1-E8, F1, F2).
+python -m pytest benchmarks/bench_hot_paths.py benchmarks/bench_exp_*.py -q --benchmark-disable
 
 if [[ "$run_bench" == 1 ]]; then
     echo "== hot-path benchmark trajectory (timed) =="

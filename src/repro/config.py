@@ -49,11 +49,6 @@ class PlannerConfig:
         truth endpoint for the truth to be reused.
     truth_time_slot_minutes:
         Width of the departure-time slot attached to each verified truth.
-    min_landmark_set_size_slack:
-        Reserved: nothing reads it.  The landmark selector
-        (:mod:`repro.core.landmark_selection`) bounds its sets by
-        ``ceil(log2(n)) <= |L| <= n`` alone.  The field stays because
-        workspace manifests record every field of this class.
     worker_quota:
         ``eta_#q`` — maximum number of outstanding tasks per worker.
     response_time_threshold:
@@ -83,7 +78,6 @@ class PlannerConfig:
     agreement_threshold: float = 0.85
     truth_reuse_radius_m: float = 250.0
     truth_time_slot_minutes: int = 60
-    min_landmark_set_size_slack: int = 3
     worker_quota: int = 5
     response_time_threshold: float = 0.8
     knowledge_radius_m: float = 2_000.0

@@ -1,16 +1,15 @@
 """Aggregation of worker responses into a task result.
 
-Both response representations are supported: the object path
-(:class:`~repro.core.task.WorkerResponse` lists) and the columnar path
-(:class:`~repro.core.task.ResponseBlock`), whose votes are tallied straight
-off the ``chosen_route_index`` column without materializing any answer
-objects until the final :class:`TaskResult` is built.
+The crowd path hands the aggregator a :class:`~repro.core.task.ResponseBlock`,
+whose votes :meth:`AnswerAggregator.collect_block_with_early_stop` tallies
+straight off the ``chosen_route_index`` column; its oracle, the original
+re-tallying collector, is :func:`repro.core.reference.collect_with_early_stop`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import DEFAULT_CONFIG, PlannerConfig
 from ..exceptions import TaskGenerationError
@@ -71,44 +70,17 @@ class AnswerAggregator:
             stopped_early=stopped_early,
         )
 
-    def collect_with_early_stop(
-        self,
-        task: Task,
-        responses_in_arrival_order: Sequence[WorkerResponse],
-        expected_total: Optional[int] = None,
-    ) -> TaskResult:
-        """Process responses in arrival order, stopping as soon as allowed.
-
-        ``expected_total`` defaults to the number of supplied responses (i.e.
-        everyone who was assigned eventually answers).
-        """
-        if not responses_in_arrival_order:
-            raise TaskGenerationError("cannot aggregate an empty response set")
-        expected = expected_total if expected_total is not None else len(responses_in_arrival_order)
-        collected: List[WorkerResponse] = []
-        for response in responses_in_arrival_order:
-            collected.append(response)
-            votes = self.tally(collected)
-            decision = self.early_stop.evaluate(votes, expected)
-            if decision.should_stop:
-                return self.aggregate(task, collected, expected, stopped_early=len(collected) < len(responses_in_arrival_order))
-        return self.aggregate(task, collected, expected, stopped_early=False)
-
     def collect_block_with_early_stop(
         self,
         task: Task,
         block: ResponseBlock,
         expected_total: Optional[int] = None,
     ) -> TaskResult:
-        """Columnar twin of :meth:`collect_with_early_stop`.
+        """Count the block's votes in arrival order, stopping as soon as the
+        early-stop rule allows; ``expected_total`` defaults to ``len(block)``.
 
-        Walks the block's arrival-ordered ``chosen_route_index`` column,
-        accumulating votes incrementally (the object path re-tallies the
-        prefix after every response — same counts, quadratic work) and
-        evaluating the early-stop rule after each one.  Only the collected
-        arrival prefix is materialized into :class:`WorkerResponse` objects,
-        and the final :class:`TaskResult` is built by :meth:`aggregate` on
-        that prefix — the exact code path the object oracle ends in.
+        Only the collected arrival prefix is materialized, and the
+        :class:`TaskResult` is built by :meth:`aggregate` on it.
         """
         total = len(block)
         if total == 0:

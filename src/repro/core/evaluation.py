@@ -13,13 +13,8 @@ settle the request itself:
   system answers automatically; otherwise the request is handed to the crowd
   module.
 
-The module also hosts the *answer grading* step of the crowd path
-(:func:`grade_answers`): once a task's winning route is verified, every
-collected answer is evaluated for correctness against it — the signal the
-worker answer-history / familiarity layer consumes.  Grading operates on the
-columnar answer representation (:class:`~repro.core.task.ResponseBlock`
-columns) in one vectorized pass instead of per-:class:`Answer` attribute
-walks.
+Once the crowd has verified a winner, the planner grades the collected
+answers against it (``CrowdPlanner._update_answer_history``).
 """
 
 from __future__ import annotations
@@ -29,33 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from ..config import DEFAULT_CONFIG, PlannerConfig
 from ..exceptions import RoutingError
 from ..roadnet.graph import RoadNetwork
 from ..routing.base import CandidateRoute, RouteQuery
 from ..utils.stats import pairs
-from .route import LandmarkRoute
 from .truth import TruthDatabase
-
-
-def grade_answers(
-    winner: LandmarkRoute, landmark_ids: np.ndarray, says_yes: np.ndarray
-) -> np.ndarray:
-    """Correctness of each answer against the verified winning route.
-
-    An answer is correct when its yes/no agrees with whether the winner
-    passes the questioned landmark — elementwise
-    ``says_yes[i] == winner.passes(landmark_ids[i])``, vectorized:
-    membership of every questioned landmark in the winner's landmark set is
-    resolved with one :func:`numpy.isin` over the columns.
-    """
-    if landmark_ids.size == 0:
-        return np.zeros(0, dtype=bool)
-    winner_landmarks = np.fromiter(winner.landmark_set, dtype=np.int64)
-    passes = np.isin(landmark_ids, winner_landmarks)
-    return says_yes == passes
 
 
 class EvaluationDecision(enum.Enum):

@@ -36,10 +36,10 @@ from ..spatial import GridIndex, Point, rank_tolerance
 from ..trajectory.calibration import AnchorCalibrator
 from .aggregation import AnswerAggregator
 from .early_stop import EarlyStopMonitor
-from .evaluation import EvaluationDecision, EvaluationOutcome, RouteEvaluator, grade_answers
+from .evaluation import EvaluationDecision, EvaluationOutcome, RouteEvaluator
 from .familiarity import FamiliarityModel
 from .rewards import RewardLedger
-from .task import ResponseBlock, Task, TaskResult, WorkerResponse, reissue_task_id
+from .task import ResponseBlock, Task, TaskResult, reissue_task_id
 from .task_generation import TaskGenerator
 from .truth import TruthDatabase, VerifiedTruth
 from .worker import WorkerPool
@@ -51,24 +51,11 @@ class CrowdBackend(abc.ABC):
 
     Production deployments would push questions to mobile clients; the
     reproduction uses :class:`repro.crowd.simulator.SimulatedCrowd`.
-
-    The planner tries the columnar channel, :meth:`collect_responses_block`,
-    first; a backend declines it (the default) by returning ``None``, and the
-    planner then calls :meth:`collect_responses`.
     """
 
     @abc.abstractmethod
-    def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
-        """Return the workers' responses in arrival order."""
-
-    def collect_responses_block(self, task: Task, worker_ids: Sequence[int]) -> Optional[ResponseBlock]:
-        """The responses as one columnar block, or ``None`` to decline.
-
-        A returned block must materialize to exactly what
-        :meth:`collect_responses` would have returned — the columnar
-        representation is a performance channel, never a semantic one.
-        """
-        return None
+    def collect_responses_block(self, task: Task, worker_ids: Sequence[int]) -> ResponseBlock:
+        """Return the workers' responses, in arrival order, as one columnar block."""
 
 
 @dataclass
@@ -700,32 +687,17 @@ class CrowdPlanner:
         for worker_id in worker_ids:
             self.worker_pool.assign(worker_id)
         try:
-            # Prefer the columnar channel: responses arrive as flat numpy
-            # columns and answer objects are materialized only for the
-            # collected arrival prefix, when the TaskResult is built.
             block = self.crowd_backend.collect_responses_block(task, worker_ids)
-            if block is None:
-                responses = self.crowd_backend.collect_responses(task, worker_ids)
         finally:
             for worker_id in worker_ids:
                 self.worker_pool.release(worker_id)
 
-        if block is not None:
-            if not len(block):
-                raise WorkerSelectionError("the crowd backend returned no responses")
-            result = self.aggregator.collect_block_with_early_stop(
-                task, block, expected_total=len(worker_ids)
-            )
-        else:
-            if not responses:
-                raise WorkerSelectionError("the crowd backend returned no responses")
-            result = self.aggregator.collect_with_early_stop(
-                task, responses, expected_total=len(worker_ids)
-            )
-        if block is not None:
-            self._update_answer_history_block(result, block)
-        else:
-            self._update_answer_history(result)
+        if not len(block):
+            raise WorkerSelectionError("the crowd backend returned no responses")
+        result = self.aggregator.collect_block_with_early_stop(
+            task, block, expected_total=len(worker_ids)
+        )
+        self._update_answer_history(result)
         self.rewards.reward_task(result)
         self.truths.record(query, result.winning_route, verified_by="crowd", confidence=result.confidence)
         return RecommendationResult(
@@ -772,34 +744,10 @@ class CrowdPlanner:
         self.rewards.reward_task(result)
 
     def _update_answer_history(self, result: TaskResult) -> None:
-        """Credit each answered question as correct/wrong against the verified winner."""
-        winner = result.task.landmark_routes[result.winning_route_index]
+        """Credit each answered question as correct/wrong against the verified
+        winner: the live crowd path and :meth:`replay_task_result` both run it."""
+        passed = result.task.landmark_routes[result.winning_route_index].landmark_set
         for response in result.responses:
-            worker = self.worker_pool.get(response.worker_id)
+            record = self.worker_pool.get(response.worker_id).record_answer
             for answer in response.answers:
-                correct = answer.says_yes == winner.passes(answer.landmark_id)
-                worker.record_answer(answer.landmark_id, correct)
-
-    def _update_answer_history_block(self, result: TaskResult, block) -> None:
-        """Columnar twin of :meth:`_update_answer_history`.
-
-        Grades only the collected arrival prefix (exactly the answers inside
-        ``result.responses``) in one vectorized pass
-        (:func:`~repro.core.evaluation.grade_answers`), then credits the
-        per-worker histories in the same response/answer order as the object
-        path — the counters land identically.
-        """
-        collected = len(result.responses)
-        upto = block.questions_answered(collected)
-        winner = result.task.landmark_routes[result.winning_route_index]
-        landmark_ids = block.answer_landmark_ids[:upto]
-        correct = grade_answers(winner, landmark_ids, block.answer_says_yes[:upto])
-        landmarks = landmark_ids.tolist()
-        flags = correct.tolist()
-        offsets = block.answer_offsets.tolist()
-        worker_ids = block.worker_ids.tolist()
-        for row in range(collected):
-            worker = self.worker_pool.get(worker_ids[row])
-            record = worker.record_answer
-            for position in range(offsets[row], offsets[row + 1]):
-                record(landmarks[position], flags[position])
+                record(answer.landmark_id, answer.says_yes == (answer.landmark_id in passed))

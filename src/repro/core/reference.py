@@ -23,7 +23,10 @@ oracles, the way :mod:`repro.roadnet.reference` keeps the original searches:
   expansion and the shard plan built on it (the ``shard_plan`` oracle):
   :meth:`~repro.core.planner.CrowdPlanner.shard_plan`, with its packed
   neighbour buckets and :class:`~repro.core.planner.CellClosure` cells,
-  must return the same plans.
+  must return the same plans;
+* :func:`collect_with_early_stop` — the original object-path collector,
+  which re-tallies the arrival prefix after every response (the
+  ``AnswerAggregator.collect_block_with_early_stop`` oracle).
 """
 
 from __future__ import annotations
@@ -34,10 +37,13 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..exceptions import TaskGenerationError
 from ..routing.base import RouteQuery
+from .aggregation import AnswerAggregator
 from .familiarity import FamiliarityModel, _gaussian_weight
 from .planner import CrowdPlanner, QueryShard, ShardPlan
 from .pmf import ProbabilisticMatrixFactorization
+from .task import Task, TaskResult, WorkerResponse
 from .truth import TruthDatabase, VerifiedTruth
 from .worker import Worker
 
@@ -259,3 +265,21 @@ def set_shard_plan(
         cell_size_m=cell,
         cell_reach=reach,
     )
+
+
+def collect_with_early_stop(
+    aggregator: AnswerAggregator,
+    task: Task,
+    responses: Sequence[WorkerResponse],
+    expected_total: Optional[int] = None,
+) -> TaskResult:
+    """Re-tally the arrival prefix after every response and stop as soon
+    as the early-stop rule allows (``expected_total`` defaults to
+    ``len(responses)``)."""
+    if not responses:
+        raise TaskGenerationError("cannot aggregate an empty response set")
+    expected = len(responses) if expected_total is None else expected_total
+    for count in range(1, len(responses) + 1):
+        if aggregator.early_stop.evaluate(aggregator.tally(responses[:count]), expected).should_stop:
+            break
+    return aggregator.aggregate(task, responses[:count], expected, stopped_early=count < len(responses))

@@ -1,4 +1,6 @@
-"""Crowdsourcing task objects: questions, answers and task results."""
+"""Crowdsourcing task objects: questions, answers, task results, and the
+columnar :class:`ResponseBlock` in which every crowd backend returns a
+task's responses."""
 
 from __future__ import annotations
 
@@ -62,17 +64,11 @@ class ResponseBlock:
     instead of :class:`Answer`/:class:`WorkerResponse` object trees: one row
     per response in the per-response columns, one row per answered question
     in the per-answer columns, with ``answer_offsets`` slicing the answer
-    columns CSR-style per response.  Downstream consumers that only need
-    counts, votes or correctness (tallying, early stopping, answer-history
-    grading) read the columns directly; :class:`WorkerResponse` objects are
-    materialized lazily — and only for the arrival prefix that was actually
-    collected — at the planner boundary via :meth:`materialize`.
-
-    ``answer_correct`` records each answer's agreement with the simulation's
-    *ground truth* (a diagnostic column; grading against the crowd-verified
-    winner happens downstream, because the winner is only known after
-    aggregation), and ``answer_accuracy`` the behaviour-model accuracy the
-    answer was sampled under.
+    columns CSR-style per response.  It is the one form a crowd answer takes
+    between a :class:`~repro.core.planner.CrowdBackend` and the planner:
+    tallying and early stopping read the columns directly, and
+    :class:`WorkerResponse` objects are materialized only for the arrival
+    prefix that was actually collected, via :meth:`materialize`.
     """
 
     task: Task
@@ -85,37 +81,15 @@ class ResponseBlock:
     #: per-answer columns (response order, question order within a response)
     answer_landmark_ids: np.ndarray   # int64
     answer_says_yes: np.ndarray       # bool
-    answer_correct: np.ndarray        # bool (vs ground truth)
-    answer_accuracy: np.ndarray       # float64
     answer_time_s: np.ndarray         # float64
-    _materialized: Optional[List[WorkerResponse]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.worker_ids)
 
-    @property
-    def num_answers(self) -> int:
-        return len(self.answer_landmark_ids)
-
-    def questions_answered(self, upto: Optional[int] = None) -> int:
-        """Total questions answered by the first ``upto`` responses (all by
-        default) — ``sum(r.questions_answered)`` without materializing."""
-        position = len(self) if upto is None else upto
-        return int(self.answer_offsets[position])
-
     def materialize(self, upto: Optional[int] = None) -> List[WorkerResponse]:
         """Materialize the first ``upto`` responses (all by default) as
-        :class:`WorkerResponse` objects, identical to the object path's.
-
-        The full materialization is cached (benchmark equivalence checks and
-        repeated planner-boundary reads pay the object construction once);
-        prefixes reuse the cache when present.
-        """
+        :class:`WorkerResponse` objects, identical to the object path's."""
         count = len(self) if upto is None else min(upto, len(self))
-        if self._materialized is not None:
-            return self._materialized[:count]
         offsets = self.answer_offsets
         # Convert only what the prefix needs: an early-stopped task
         # materializes nothing of the uncollected tail.
@@ -146,13 +120,7 @@ class ResponseBlock:
                     total_response_time_s=totals[row],
                 )
             )
-        if count == len(self):
-            self._materialized = responses
         return responses
-
-    def to_responses(self) -> List[WorkerResponse]:
-        """Every response as objects (cached full materialization)."""
-        return self.materialize()
 
 
 @dataclass

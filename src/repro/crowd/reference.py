@@ -5,9 +5,9 @@ channel: a compiled question tree walked into the flat columns of a
 :class:`~repro.core.task.ResponseBlock`.  The crowds here are the original
 formulations, kept as behavioural oracles the way
 :mod:`repro.routing.reference` keeps the closure-cost route sources.  Each
-overrides :meth:`collect_responses` and declines the columnar channel (the
-:class:`~repro.core.planner.CrowdBackend` default), so a planner fed by one
-runs the object path end to end:
+overrides :meth:`collect_responses` and packs those objects into the block
+the planner reads with :func:`block_of`, so a planner fed by one runs its
+one crowd path on the original simulation's answers:
 
 * :class:`SequentialCrowd` — the original question-by-question simulation,
   one scalar behaviour-model call per question (the ``crowd_batch`` oracle);
@@ -37,8 +37,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.planner import CrowdBackend
-from ..core.task import Answer, Task, WorkerResponse
+from ..core.task import Answer, ResponseBlock, Task, WorkerResponse
 from ..core.worker import Worker
 from ..exceptions import CrowdPlannerError
 from ..spatial import Point
@@ -129,10 +128,31 @@ def _question_landmarks(task: Task) -> List[int]:
     return list(seen)
 
 
-class SequentialCrowd(SimulatedCrowd):
-    """The original question-by-question simulation (the oracle)."""
+def block_of(task: Task, responses: Sequence[WorkerResponse]) -> ResponseBlock:
+    """Pack object responses, in their order, into a :class:`ResponseBlock`
+    that materializes back to them."""
+    answers = [answer for response in responses for answer in response.answers]
+    return ResponseBlock(
+        task=task,
+        worker_ids=np.array([r.worker_id for r in responses], dtype=np.int64),
+        chosen_route_index=np.array([r.chosen_route_index for r in responses], dtype=np.int64),
+        total_response_time_s=np.array([r.total_response_time_s for r in responses], dtype=np.float64),
+        answer_offsets=np.cumsum([0] + [len(r.answers) for r in responses], dtype=np.int64),
+        answer_landmark_ids=np.array([a.landmark_id for a in answers], dtype=np.int64),
+        answer_says_yes=np.array([a.says_yes for a in answers], dtype=bool),
+        answer_time_s=np.array([a.response_time_s for a in answers], dtype=np.float64),
+    )
 
-    collect_responses_block = CrowdBackend.collect_responses_block
+
+class _ObjectCrowd(SimulatedCrowd):
+    """A crowd whose simulation builds objects: its block is their packing."""
+
+    def collect_responses_block(self, task: Task, worker_ids: Sequence[int]) -> ResponseBlock:
+        return block_of(task, self.collect_responses(task, worker_ids))
+
+
+class SequentialCrowd(_ObjectCrowd):
+    """The original question-by-question simulation (the oracle)."""
 
     def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
         if not worker_ids:
@@ -179,11 +199,9 @@ class SequentialCrowd(SimulatedCrowd):
         )
 
 
-class EagerObjectCrowd(SimulatedCrowd):
+class EagerObjectCrowd(_ObjectCrowd):
     """The batched object path: one vectorized behaviour-model evaluation
     per crew, then answer objects built eagerly (the pre-columnar default)."""
-
-    collect_responses_block = CrowdBackend.collect_responses_block
 
     def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
         if not worker_ids:

@@ -7,14 +7,17 @@ answer from the worker's :class:`~repro.crowd.behavior.AnswerBehaviorModel`
 from the worker's exponential rate, and returns the responses in arrival
 order — which is what makes early stopping meaningful.
 
-The default path is *columnar*: the behaviour model is evaluated once per
+The simulation is *columnar*: the behaviour model is evaluated once per
 crew over the task's full landmark set (a single vectorized accuracy
 computation), the question tree is flattened once per task into parallel
-index arrays, and every worker's walk appends scalars to flat columns — a
-:class:`~repro.core.task.ResponseBlock` — instead of building
-:class:`~repro.core.task.Answer`/:class:`~repro.core.task.WorkerResponse`
-object trees.  Objects are materialized lazily at the planner boundary
-(:meth:`ResponseBlock.materialize`).  The original object-building
+index arrays, and every worker's walk appends its answered landmarks,
+yes/no answers and times to flat columns — the
+:class:`~repro.core.task.ResponseBlock` that
+:meth:`SimulatedCrowd.collect_responses_block`, the one
+:class:`~repro.core.planner.CrowdBackend` method, returns.  Objects are
+materialized only where read: the planner materializes the collected
+arrival prefix, and :meth:`SimulatedCrowd.collect_responses` the whole
+block for experiments and tests.  The original object-building
 simulations are preserved in :mod:`repro.crowd.reference` as the oracles
 the columnar path is equivalence-tested and benchmarked against; all paths
 consume the task's derived RNG in the identical order (one uniform draw
@@ -218,11 +221,13 @@ class SimulatedCrowd(CrowdBackend):
 
     # ------------------------------------------------------------- interface
     def collect_responses(self, task: Task, worker_ids: Sequence[int]) -> List[WorkerResponse]:
-        """Simulate every assigned worker and return responses in arrival order."""
-        return self.collect_responses_block(task, worker_ids).to_responses()
+        """The responses as objects, in arrival order: the materialized
+        block, for experiments and tests that read answers one by one."""
+        return self.collect_responses_block(task, worker_ids).materialize()
 
     def collect_responses_block(self, task: Task, worker_ids: Sequence[int]) -> ResponseBlock:
-        """The columnar fast path: one :class:`ResponseBlock` per task."""
+        """Simulate every assigned worker: one :class:`ResponseBlock` per
+        task, responses in arrival order."""
         if not worker_ids:
             raise CrowdPlannerError("collect_responses called with no workers")
         tree = self._compiled_tree(task)
@@ -253,11 +258,9 @@ class SimulatedCrowd(CrowdBackend):
         response_workers: List[int] = []
         chosen: List[int] = []
         totals: List[float] = []
-        counts: List[int] = []
+        starts: List[int] = []  # each response's first answer row
         ans_landmark: List[int] = []
         ans_yes: List[bool] = []
-        ans_correct: List[bool] = []
-        ans_accuracy: List[float] = []
         ans_time: List[float] = []
 
         landmark_ids = tree.landmark_ids
@@ -266,6 +269,7 @@ class SimulatedCrowd(CrowdBackend):
         rng_random = rng.random
         log = math.log
         for worker, row in zip(workers, accuracies):
+            starts.append(len(ans_landmark))
             per_question_time = 1.0 / max(worker.response_rate, 1e-9) / max_questions
             # rng.expovariate(lambd) is exactly -log(1 - random()) / lambd;
             # inlining it (with lambd rounded once, like the oracle's
@@ -273,50 +277,36 @@ class SimulatedCrowd(CrowdBackend):
             # method dispatch per question.
             lambd = 1.0 / per_question_time if per_question_time > 0 else 0.0
             total_time = 0.0
-            questions = 0
             node = 0
             pos = landmark_pos[0]
             while pos >= 0:
-                accuracy = row[pos]
                 truthful_answer = truthful[pos]
-                says_yes = truthful_answer if rng_random() < accuracy else not truthful_answer
+                says_yes = truthful_answer if rng_random() < row[pos] else not truthful_answer
                 elapsed = -log(1.0 - rng_random()) / lambd if lambd else 0.0
                 total_time += elapsed
-                questions += 1
                 ans_landmark.append(landmark_ids[pos])
                 ans_yes.append(says_yes)
-                ans_correct.append(says_yes == truthful_answer)
-                ans_accuracy.append(accuracy)
                 ans_time.append(elapsed)
                 node = yes_child[node] if says_yes else no_child[node]
                 pos = landmark_pos[node]
             response_workers.append(worker.worker_id)
             chosen.append(tree.route_index[node])
             totals.append(total_time)
-            counts.append(questions)
+        starts.append(len(ans_landmark))
 
         # Arrival order: total response time, worker id breaking ties —
         # identical to the object paths' sort.
         order = sorted(range(len(workers)), key=lambda i: (totals[i], response_workers[i]))
-        starts = [0] * len(workers)
-        acc = 0
-        for i, count in enumerate(counts):
-            starts[i] = acc
-            acc += count
-        offsets = [0] * (len(workers) + 1)
+        offsets = [0]
         o_landmark: List[int] = []
         o_yes: List[bool] = []
-        o_correct: List[bool] = []
-        o_accuracy: List[float] = []
         o_time: List[float] = []
-        for out_row, i in enumerate(order):
-            begin, end = starts[i], starts[i] + counts[i]
+        for i in order:
+            begin, end = starts[i], starts[i + 1]
             o_landmark.extend(ans_landmark[begin:end])
             o_yes.extend(ans_yes[begin:end])
-            o_correct.extend(ans_correct[begin:end])
-            o_accuracy.extend(ans_accuracy[begin:end])
             o_time.extend(ans_time[begin:end])
-            offsets[out_row + 1] = len(o_landmark)
+            offsets.append(len(o_landmark))
         return ResponseBlock(
             task=task,
             worker_ids=np.array([response_workers[i] for i in order], dtype=np.int64),
@@ -325,8 +315,6 @@ class SimulatedCrowd(CrowdBackend):
             answer_offsets=np.array(offsets, dtype=np.int64),
             answer_landmark_ids=np.array(o_landmark, dtype=np.int64),
             answer_says_yes=np.array(o_yes, dtype=bool),
-            answer_correct=np.array(o_correct, dtype=bool),
-            answer_accuracy=np.array(o_accuracy, dtype=np.float64),
             answer_time_s=np.array(o_time, dtype=np.float64),
         )
 

@@ -71,11 +71,13 @@ def run(scenario: Scenario, config: Optional[EarlyStopExperimentConfig] = None) 
                 worker_ids = selector.select(task, config.workers_per_task)
             except WorkerSelectionError:
                 continue
-            responses = scenario.crowd.collect_responses(task, worker_ids)
+            block = scenario.crowd.collect_responses_block(task, worker_ids)
             if disable_early_stop:
-                outcome = aggregator.aggregate(task, responses)
+                outcome = aggregator.aggregate(task, block.materialize())
             else:
-                outcome = aggregator.collect_with_early_stop(task, responses, expected_total=len(worker_ids))
+                outcome = aggregator.collect_block_with_early_stop(
+                    task, block, expected_total=len(worker_ids)
+                )
             truth = scenario.ground_truth_path(task.query)
             qualities.append(route_quality(scenario.network, outcome.winning_route.path, truth))
             responses_used.append(float(len(outcome.responses)))

@@ -143,9 +143,11 @@ def run(scenario: Scenario, config: Optional[ThroughputExperimentConfig] = None)
             with RecommendationService(planner, service_config) as service:
                 serve = _serve_stream_pipelined if pipelined else _serve_stream
                 responses, elapsed = serve(service, batches)
+                # A settled truth reuse is answered in the parent outside any
+                # shard (shard_id None): only shard-served pids show reuse.
                 pids_per_batch = {}
                 for response in responses:
-                    if response.provenance.worker_pid is not None:
+                    if response.provenance.shard_id is not None:
                         pids_per_batch.setdefault(response.provenance.batch_id, set()).add(
                             response.provenance.worker_pid
                         )

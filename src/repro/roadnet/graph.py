@@ -30,24 +30,12 @@ class RoadClass(enum.Enum):
     def default_speed_kmh(self) -> float:
         return _DEFAULT_SPEEDS[self]
 
-    @property
-    def traffic_light_probability(self) -> float:
-        """Probability that an intersection on this road class is signalised."""
-        return _LIGHT_PROBABILITY[self]
-
 
 _DEFAULT_SPEEDS = {
     RoadClass.HIGHWAY: 100.0,
     RoadClass.ARTERIAL: 60.0,
     RoadClass.COLLECTOR: 45.0,
     RoadClass.LOCAL: 30.0,
-}
-
-_LIGHT_PROBABILITY = {
-    RoadClass.HIGHWAY: 0.02,
-    RoadClass.ARTERIAL: 0.55,
-    RoadClass.COLLECTOR: 0.35,
-    RoadClass.LOCAL: 0.15,
 }
 
 
@@ -241,13 +229,6 @@ class RoadNetwork:
         """Total length of a node path, in metres."""
         self.validate_path(path)
         return sum(self._edges[(a, b)].length_m for a, b in zip(path, path[1:]))
-
-    def path_free_flow_time(self, path: Sequence[int]) -> float:
-        """Free-flow travel time of a node path, in seconds."""
-        self.validate_path(path)
-        return sum(
-            self._edges[(a, b)].free_flow_travel_time_s for a, b in zip(path, path[1:])
-        )
 
     def path_points(self, path: Sequence[int]) -> List[Point]:
         """Return the intersection coordinates along a node path."""

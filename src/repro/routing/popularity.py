@@ -217,9 +217,3 @@ class TransferNetwork:
         ordered = sorted(self._edge_counts.items(), key=lambda item: (-item[1], item[0]))
         return ordered[:count]
 
-
-def path_support(store: TrajectoryStore, network: RoadNetwork, path: Sequence[int], radius_m: float = 300.0) -> int:
-    """Number of historical trajectories whose od matches the path's endpoints."""
-    origin = network.node_location(path[0])
-    destination = network.node_location(path[-1])
-    return store.support_between(origin, destination, radius_m)

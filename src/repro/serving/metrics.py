@@ -44,7 +44,6 @@ SCHEMA = {
             ("overlapped_dispatches", "sum", 0),
             ("independent_shards", "sum", 0),
             ("cross_batch_edges", "sum", 0),
-            ("serialized_batches", "sum", 0),
             ("dispatch_units", "sum", 0),
             ("settled_queries", "sum", 0),
         ),

@@ -13,7 +13,7 @@ argument never reads batch boundaries, so none of its shards waits on
 another and :func:`batch_dependencies` of its one plan is all ``-1``.  It
 still calls it once per window, and :func:`window_parallelism` turns the
 result into the ``pipeline`` counters (``independent_shards`` = shards per
-window, ``cross_batch_edges`` = ``serialized_batches`` = 0).  On per-batch
+window, ``cross_batch_edges`` = 0).  On per-batch
 plans the two functions show what planning batch by batch would wait on.
 """
 
@@ -68,27 +68,8 @@ def window_parallelism(deps: Sequence[Sequence[int]]) -> Dict[str, int]:
 
     ``independent_shards`` counts shards that could dispatch before *any*
     merge (``dep == -1``); ``cross_batch_edges`` counts shard->batch wait
-    edges; ``serialized_batches`` counts batches whose every shard depends
-    on the immediately preceding batch — the fully-dependent degenerate case
-    that forces barrier-equivalent scheduling.
+    edges.
     """
-    independent = 0
-    edges = 0
-    serialized = 0
-    for batch_index, batch_deps in enumerate(deps):
-        for dep in batch_deps:
-            if dep == -1:
-                independent += 1
-            else:
-                edges += 1
-        if (
-            batch_index > 0
-            and batch_deps
-            and all(dep == batch_index - 1 for dep in batch_deps)
-        ):
-            serialized += 1
-    return {
-        "independent_shards": independent,
-        "cross_batch_edges": edges,
-        "serialized_batches": serialized,
-    }
+    independent = sum(dep == -1 for batch_deps in deps for dep in batch_deps)
+    edges = sum(len(batch_deps) for batch_deps in deps) - independent
+    return {"independent_shards": independent, "cross_batch_edges": edges}

@@ -373,11 +373,6 @@ class TruthDeltaBlock:
         "origin_overrides",
         "destination_overrides",
         "irregular_meta",
-        # The workspace this delta belongs to ("" = the default tenant).
-        # Rides the wire envelope so a pool worker can adopt the rows into
-        # the matching per-tenant warm truth base without trusting message
-        # framing alone.
-        "tenant",
     )
 
     def __len__(self) -> int:
@@ -404,7 +399,6 @@ class TruthDeltaBlock:
             "origin_overrides": self.origin_overrides,
             "destination_overrides": self.destination_overrides,
             "irregular_meta": self.irregular_meta,
-            "tenant": self.tenant,
         }
 
     def __setstate__(self, state) -> None:
@@ -425,8 +419,6 @@ class TruthDeltaBlock:
             "irregular_meta",
         ):
             object.__setattr__(self, name, state[name])
-        # Blocks serialised before the tenancy subsystem carry no tag.
-        object.__setattr__(self, "tenant", state.get("tenant", ""))
 
     def wire_bytes(self) -> int:
         """Size of this block as it crosses the worker pipe (pickled)."""
@@ -510,9 +502,7 @@ def _int_dtype_for(maximum: int):
     return np.int32 if maximum < 2**31 else np.int64
 
 
-def encode_truth_delta(
-    truths: Sequence[VerifiedTruth], network: RoadNetwork, tenant: str = ""
-) -> TruthDeltaBlock:
+def encode_truth_delta(truths: Sequence[VerifiedTruth], network: RoadNetwork) -> TruthDeltaBlock:
     """Encode a truth delta into its columnar wire form.
 
     ``network`` must be the store's road network — endpoints are looked up in
@@ -520,11 +510,9 @@ def encode_truth_delta(
     function is total: endpoints off the network and non-float metadata fall
     back to small per-row override tables instead of failing, so any delta a
     :class:`~repro.core.truth.TruthDatabase` can hold is encodable.
-    ``tenant`` tags the block with its workspace (``""`` = default tenant).
     """
     location_index = network.compiled().node_index_by_location()
     block = TruthDeltaBlock.__new__(TruthDeltaBlock)
-    block.tenant = tenant
 
     truth_ids: List[int] = []
     origin_index: List[int] = []

@@ -435,7 +435,7 @@ class PooledBackend(ServingBackend):
                     jobs_per_batch[batch].append(job)
             pid = os.getpid()
             settled_outcomes = [
-                [ShardOutcome(None, tuple(found), list(found.values()), [], pid, tenant)] if found else []
+                [ShardOutcome(None, tuple(found), list(found.values()), [], pid)] if found else []
                 for found in hits
             ]
             can_fork = self._can_fork()
@@ -758,8 +758,8 @@ class PooledBackend(ServingBackend):
 
     def _wire_delta(self, tenant: str, cursor: int):
         """One tenant's truths recorded since ``cursor``, as a
-        :class:`~repro.serving.protocol.TruthDeltaBlock` tagged with the
-        tenant.
+        :class:`~repro.serving.protocol.TruthDeltaBlock` (the ``run``
+        message names the tenant).
 
         Empty deltas (the steady-state case for workers dispatched every
         batch) skip encoding entirely.  Workers dispatched at the same merge
@@ -776,7 +776,7 @@ class PooledBackend(ServingBackend):
         cached = self._wire_cache.get(tenant)
         if cached is not None and cached[0] == key:
             return cached[1]
-        block = encode_truth_delta(delta, planner.network, tenant=tenant)
+        block = encode_truth_delta(delta, planner.network)
         self._wire_cache[tenant] = (key, block)
         return block
 

@@ -88,7 +88,6 @@ class ShardOutcome:
     results: List[RecommendationResult]
     new_truths: List[VerifiedTruth]
     worker_pid: int
-    tenant: str = ""
 
 
 def build_shard_clone(planner: CrowdPlanner, destination_cells) -> CrowdPlanner:
@@ -172,7 +171,7 @@ def execute_shard(planner: CrowdPlanner, job: ShardJob) -> ShardOutcome:
     before = len(clone.truths)
     results = clone.recommend_batch(job.queries)
     return ShardOutcome(
-        job.shard_id, job.indices, results, clone.truths.truths_since(before), os.getpid(), job.tenant
+        job.shard_id, job.indices, results, clone.truths.truths_since(before), os.getpid()
     )
 
 

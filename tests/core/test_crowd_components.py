@@ -10,6 +10,7 @@ from repro.core.rewards import RewardLedger
 from repro.core.task import Answer, WorkerResponse
 from repro.core.task_generation import TaskGenerator
 from repro.core.worker_selection import WorkerSelector
+from repro.crowd.reference import block_of
 from repro.exceptions import TaskGenerationError, WorkerSelectionError
 
 
@@ -181,7 +182,9 @@ class TestAggregation:
         config, _, _, task = selection_setup
         aggregator = AnswerAggregator(config.with_overrides(early_stop_confidence=0.6))
         responses = [_response(i, 0) for i in range(1, 6)]
-        result = aggregator.collect_with_early_stop(task, responses, expected_total=5)
+        result = aggregator.collect_block_with_early_stop(
+            task, block_of(task, responses), expected_total=5
+        )
         assert result.stopped_early
         assert len(result.responses) < 5
 
@@ -189,7 +192,9 @@ class TestAggregation:
         config, _, _, task = selection_setup
         aggregator = AnswerAggregator(config.with_overrides(early_stop_confidence=0.95))
         responses = [_response(1, 0), _response(2, 1), _response(3, 0), _response(4, 1)]
-        result = aggregator.collect_with_early_stop(task, responses, expected_total=6)
+        result = aggregator.collect_block_with_early_stop(
+            task, block_of(task, responses), expected_total=6
+        )
         assert len(result.responses) == 4
         assert not result.stopped_early
 

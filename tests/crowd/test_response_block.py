@@ -1,13 +1,16 @@
 """Columnar crowd responses: ``ResponseBlock`` ≡ the object-path oracle.
 
-The columnar fast path (:meth:`SimulatedCrowd.collect_responses_block`) must
+The columnar simulator (:meth:`SimulatedCrowd.collect_responses_block`) must
 be a pure representation change: materializing its columns yields exactly
 the :class:`WorkerResponse` objects of the preserved object path
 (:class:`repro.crowd.reference.EagerObjectCrowd`) — and therefore of the
 original sequential simulation — for any seed and any worker crew.  The hypothesis
 property runs in the fast tier (few, cheap examples over a shared
-scenario); the planner-level test pins that a planner fed by blocks is
-fingerprint-identical to one on the pure object path.
+scenario).  A block is the only form a crowd answer takes on its way to the
+planner: the planner-level tests pin that a planner fed the columnar
+simulator is fingerprint-identical to one fed the original simulation's
+answers (packed with :func:`repro.crowd.reference.block_of`), and that a
+backend implementing nothing but the block method serves the crowd path.
 """
 
 import numpy as np
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.aggregation import AnswerAggregator
-from repro.core.planner import CrowdPlanner
+from repro.core.planner import CrowdBackend, CrowdPlanner
+from repro.core.reference import collect_with_early_stop
 from repro.core.task_generation import TaskGenerator
-from repro.crowd.reference import EagerObjectCrowd, SequentialCrowd
+from repro.crowd.reference import EagerObjectCrowd, SequentialCrowd, block_of
 from repro.crowd.simulator import SimulatedCrowd
 from repro.exceptions import TaskGenerationError
 from repro.serving import recommendation_fingerprint
@@ -79,7 +83,7 @@ class TestBlockEquivalenceProperty:
         oracle = _fresh_crowd(scenario, seed, crowd_class=EagerObjectCrowd)
         block = columnar.collect_responses_block(task, crew)
         expected = oracle.collect_responses(task, crew)
-        assert block.to_responses() == expected
+        assert block.materialize() == expected
         # Column-level invariants against the objects.
         assert block.worker_ids.tolist() == [r.worker_id for r in expected]
         assert block.chosen_route_index.tolist() == [r.chosen_route_index for r in expected]
@@ -100,37 +104,20 @@ class TestBlockEquivalenceProperty:
     def test_materialize_prefix_matches_full(self, scenario, crowd_tasks):
         crowd = _fresh_crowd(scenario, 7)
         block = crowd.collect_responses_block(crowd_tasks[0], scenario.worker_pool.ids())
-        full = block.to_responses()
+        full = block.materialize()
         for upto in (0, 1, len(block) // 2, len(block), len(block) + 3):
             assert block.materialize(upto) == full[:upto]
-        assert block.questions_answered() == sum(r.questions_answered for r in full)
-
-    def test_accuracy_and_correctness_columns(self, scenario, crowd_tasks):
-        """Diagnostic columns: correctness agrees with the ground-truth
-        landmark set, accuracies with the behaviour model."""
-        task = crowd_tasks[0]
-        crowd = _fresh_crowd(scenario, 19)
-        block = crowd.collect_responses_block(task, scenario.worker_pool.ids()[:6])
-        truth_landmarks = crowd._cached_truth_landmarks(task.query)
-        expected_correct = [
-            says_yes == (landmark in truth_landmarks)
-            for landmark, says_yes in zip(
-                block.answer_landmark_ids.tolist(), block.answer_says_yes.tolist()
-            )
-        ]
-        assert block.answer_correct.tolist() == expected_correct
-        assert (block.answer_accuracy >= crowd.behavior.base_accuracy).all()
-        assert (block.answer_accuracy <= crowd.behavior.max_accuracy).all()
+        assert block.answer_offsets[-1] == sum(r.questions_answered for r in full)
 
     def test_block_aggregation_matches_object_aggregation(self, scenario, crowd_tasks):
-        """collect_block_with_early_stop ≡ collect_with_early_stop on the
-        materialized responses, field for field."""
+        """collect_block_with_early_stop ≡ the re-tallying reference
+        collector on the materialized responses, field for field."""
         aggregator = AnswerAggregator(scenario.config.planner_config)
         crowd = _fresh_crowd(scenario, 3)
         for task in crowd_tasks:
             block = crowd.collect_responses_block(task, scenario.worker_pool.ids())
-            expected = aggregator.collect_with_early_stop(
-                task, block.to_responses(), expected_total=len(block)
+            expected = collect_with_early_stop(
+                aggregator, task, block.materialize(), expected_total=len(block)
             )
             result = aggregator.collect_block_with_early_stop(
                 task, block, expected_total=len(block)
@@ -145,61 +132,106 @@ class TestBlockEquivalenceProperty:
                 for key, value in result.votes.items()
             )
 
-    def test_batched_false_declines_block(self, scenario, crowd_tasks):
-        crowd = SequentialCrowd(
-            pool=scenario.worker_pool,
+    @pytest.mark.parametrize("crowd_class", [SequentialCrowd, EagerObjectCrowd])
+    def test_reference_crowds_pack_their_objects(self, scenario, crowd_tasks, crowd_class):
+        """A reference crowd's block is its object responses, packed."""
+        crowd = _fresh_crowd(scenario, 5, crowd_class=crowd_class)
+        crew = scenario.worker_pool.ids()[:6]
+        for task in crowd_tasks:
+            expected = crowd.collect_responses(task, crew)
+            assert crowd.collect_responses_block(task, crew).materialize() == expected
+            assert block_of(task, expected).materialize() == expected
+
+
+def _serve(scenario, make_backend, answer):
+    """Answer with a planner over a copy of the scenario's pool whose crowd
+    backend is ``make_backend(pool)``: its fingerprints, statistics, worker
+    answer histories and rewards."""
+    import copy
+
+    pool = copy.deepcopy(scenario.worker_pool)
+    planner = CrowdPlanner(
+        network=scenario.network,
+        catalog=scenario.catalog,
+        calibrator=scenario.calibrator,
+        sources=scenario.sources,
+        worker_pool=pool,
+        crowd_backend=make_backend(pool),
+        config=scenario.config.planner_config,
+        familiarity=scenario.build_planner().familiarity,
+    )
+    results = answer(planner)
+    histories = {
+        worker.worker_id: {
+            landmark: (record.correct, record.wrong)
+            for landmark, record in worker.answer_history.items()
+        }
+        for worker in pool.workers()
+    }
+    rewards = {worker.worker_id: worker.reward_points for worker in pool.workers()}
+    return (
+        [recommendation_fingerprint(result) for result in results],
+        planner.statistics.as_dict(),
+        histories,
+        rewards,
+    )
+
+
+def _crowd_factory(scenario, crowd_class):
+    def make(pool):
+        return crowd_class(
+            pool=pool,
             catalog=scenario.catalog,
             calibrator=scenario.calibrator,
             ground_truth=scenario.crowd.ground_truth,
             behavior=scenario.crowd.behavior,
-            seed=5,
+            seed=scenario.crowd.seed,
         )
-        assert crowd.collect_responses_block(crowd_tasks[0], scenario.worker_pool.ids()) is None
+
+    return make
 
 
 class TestPlannerBlockParity:
     def test_planner_fingerprints_identical_to_object_path(self, scenario):
-        """End to end: a planner consuming blocks is bit-identical (results,
-        statistics, worker histories, rewards) to one on the object path."""
-        import copy
-
+        """End to end: a planner fed the columnar simulator is bit-identical
+        (results, statistics, worker histories, rewards) to one fed the
+        original question-by-question simulation."""
         queries = scenario.sample_queries(30, seed=881)
-        familiarity = scenario.build_planner().familiarity
 
         def run(crowd_class):
-            pool = copy.deepcopy(scenario.worker_pool)
-            crowd = crowd_class(
-                pool=pool,
-                catalog=scenario.catalog,
-                calibrator=scenario.calibrator,
-                ground_truth=scenario.crowd.ground_truth,
-                behavior=scenario.crowd.behavior,
-                seed=scenario.crowd.seed,
-            )
-            planner = CrowdPlanner(
-                network=scenario.network,
-                catalog=scenario.catalog,
-                calibrator=scenario.calibrator,
-                sources=scenario.sources,
-                worker_pool=pool,
-                crowd_backend=crowd,
-                config=scenario.config.planner_config,
-                familiarity=familiarity,
-            )
-            results = planner.recommend_batch(queries)
-            histories = {
-                worker.worker_id: {
-                    landmark: (record.correct, record.wrong)
-                    for landmark, record in worker.answer_history.items()
-                }
-                for worker in pool.workers()
-            }
-            rewards = {worker.worker_id: worker.reward_points for worker in pool.workers()}
-            return (
-                [recommendation_fingerprint(result) for result in results],
-                planner.statistics.as_dict(),
-                histories,
-                rewards,
+            return _serve(
+                scenario,
+                _crowd_factory(scenario, crowd_class),
+                lambda planner: planner.recommend_batch(queries),
             )
 
         assert run(SimulatedCrowd) == run(SequentialCrowd)
+
+
+class _BlockOnlyBackend(CrowdBackend):
+    """Implements the protocol's one method and nothing else."""
+
+    def __init__(self, crowd):
+        self.crowd = crowd
+
+    def collect_responses_block(self, task, worker_ids):
+        return self.crowd.collect_responses_block(task, worker_ids)
+
+
+class TestCrowdBackendProtocol:
+    def test_block_is_the_only_abstract_method(self):
+        assert CrowdBackend.__abstractmethods__ == {"collect_responses_block"}
+
+    def test_block_only_backend_serves_the_crowd_path(self, scenario):
+        """``recommend`` through a backend with nothing but the block method
+        leaves the answers, worker histories and rewards the scenario's
+        crowd leaves."""
+        queries = scenario.sample_queries(30, seed=881)
+        make_crowd = _crowd_factory(scenario, SimulatedCrowd)
+
+        def answer(planner):
+            return [planner.recommend(query) for query in queries]
+
+        served = _serve(scenario, lambda pool: _BlockOnlyBackend(make_crowd(pool)), answer)
+        assert served[1]["crowd_tasks"] > 0
+        assert served == _serve(scenario, make_crowd, answer)

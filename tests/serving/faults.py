@@ -16,8 +16,10 @@ Fault kinds:
     shard and reply before the kill lands; the send to a stopped reader
     must therefore fit in the pipe buffer, which the fault asserts.
 ``hang``
-    Dispatch normally, then SIGSTOP — the worker is alive but silent (no
-    reply, no heartbeat), the case only the deadline supervisor can catch.
+    SIGSTOP the worker, then dispatch to it — the worker is alive but silent
+    (no reply, no heartbeat), the case only the deadline supervisor can
+    catch.  As for ``kill_after``, the stop comes first so the worker cannot
+    serve the shard and reply before it lands.
 ``drop``
     Pretend the dispatch succeeded without sending it — models a lost
     protocol message; the idle worker never beats, so the supervisor must
@@ -136,10 +138,14 @@ class FaultInjectingBackend(PooledBackend):
                 worker.process.join(timeout=2.0)
             return sent
         if fault == "hang":
-            sent = super()._dispatch(worker, job)
-            if sent:
-                os.kill(worker.pid, signal.SIGSTOP)
-            return sent
+            if not worker.alive:
+                return super()._dispatch(worker, job)
+            os.kill(worker.pid, signal.SIGSTOP)
+            self._reader_stopped = True
+            try:
+                return super()._dispatch(worker, job)
+            finally:
+                self._reader_stopped = False
         if fault == "drop":
             # The parent believes the worker is busy; the worker never hears
             # a thing (and, being idle, never heartbeats).

@@ -13,6 +13,7 @@ the supervision fallout is attributed to the faulted tenant only.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 
 import pytest
@@ -325,6 +326,28 @@ class TestWorkspaceRecovery:
         with pytest.raises(WorkspaceManifestError, match="planner_config") as excinfo:
             WorkspaceService.recover_all(build_serving_planner(), tmp_path, config=config)
         assert excinfo.value.directory == broken
+
+    def test_manifest_with_a_removed_field_is_a_typed_error(
+        self, build_serving_planner, tmp_path
+    ):
+        """A manifest recorded by a version whose PlannerConfig had a field
+        this one lacks (``min_landmark_set_size_slack``) is refused, naming
+        the directory."""
+        template = build_serving_planner()
+        config = _tenant_config(template, backend="inline")
+        older = tmp_path / "older"
+        older.mkdir()
+        fields = {**PlannerConfig().to_dict(), "min_landmark_set_size_slack": 3}
+        (older / "workspace.json").write_text(
+            json.dumps({"name": "older", "planner_config": fields})
+        )
+
+        with pytest.raises(
+            WorkspaceManifestError, match="does not match PlannerConfig"
+        ) as excinfo:
+            WorkspaceService.recover_all(build_serving_planner(), tmp_path, config=config)
+        assert excinfo.value.directory == older
+        assert "min_landmark_set_size_slack" in str(excinfo.value)
 
 
 @needs_fork

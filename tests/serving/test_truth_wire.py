@@ -106,6 +106,25 @@ class TestCodecRoundTrip:
         assert decoded[0].route.metadata == {"count": 4, "note_m": 1.5}
         assert type(decoded[0].route.metadata["count"]) is int
 
+    def test_decodes_blocks_pickled_with_a_tenant_key(
+        self, build_serving_planner, serving_workload, monkeypatch
+    ):
+        """Journals written while blocks carried a ``tenant`` tag still
+        decode: the old key is ignored."""
+        planner = build_serving_planner()
+        planner.recommend_batch(serving_workload[:20])
+        delta = planner.truths.all()
+        block = encode_truth_delta(delta, planner.network)
+        current = TruthDeltaBlock.__getstate__
+        monkeypatch.setattr(
+            TruthDeltaBlock, "__getstate__", lambda self: {**current(self), "tenant": "north"}
+        )
+        old = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        wired = pickle.loads(old)
+        assert not hasattr(wired, "tenant")
+        assert wired.decode_truths(planner.network) == delta
+
     @settings(
         max_examples=20, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
