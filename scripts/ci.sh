@@ -73,6 +73,12 @@ else
     python -m pytest -x -q -m "not slow" --durations=15 ${cov_args[@]+"${cov_args[@]}"}
 fi
 
+echo "== source size (non-blank lines of .py files) =="
+# Printed on every run so each change's net line delta shows in the log.
+for dir in src/repro tests; do
+    printf '%8d  %s\n' "$(find "$dir" -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$')" "$dir"
+done
+
 echo "== benchmarks (timing disabled) =="
 # The hot-path suites, then the experiment shape checks (E1-E8, F1, F2).
 python -m pytest benchmarks/bench_hot_paths.py benchmarks/bench_exp_*.py -q --benchmark-disable

@@ -574,9 +574,7 @@ class CrowdPlanner:
         once in the parent so forked workers inherit the state)."""
         self.network.compiled()
         for source in self.sources:
-            prepare = getattr(source, "prepare_batch", None)
-            if prepare is not None:
-                prepare(queries)
+            source.prepare_batch(queries)
 
     def recommend_batch(self, queries: Sequence[RouteQuery]) -> List[RecommendationResult]:
         """Answer a batch of route-recommendation requests in order.

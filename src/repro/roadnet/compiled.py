@@ -36,7 +36,6 @@ mirrors via :meth:`CompiledGraph.arrays`.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from collections import OrderedDict
@@ -235,60 +234,6 @@ class CompiledGraph:
                 raise RoadNetworkError("edge costs must be non-negative")
         self._metric_costs[metric] = vector
         self._metric_tokens[metric] = token
-        self._metric_adjacency.pop(metric, None)
-
-    def patch_metric(self, metric: str, entries: Sequence[Tuple[int, float]], token: object = None) -> None:
-        """Update individual entries of a registered metric in place.
-
-        ``entries`` are ``(csr_position, cost)`` pairs (positions as in
-        :attr:`edge_pos`); untouched entries keep their values, and cached
-        relaxation lists are rebuilt only for the nodes owning a patched
-        edge — this is what makes incremental cost updates (live popularity
-        ingest) O(dirty edges) instead of O(E).  The same non-negativity
-        rules as :meth:`register_metric` apply, and the freshness token is
-        replaced so consumers can tell the patched vector from a stale one.
-        """
-        if metric in (METRIC_LENGTH, METRIC_TIME):
-            raise RoadNetworkError(f"cannot patch the built-in metric {metric!r}")
-        vector = self._metric_costs.get(metric)
-        if vector is None:
-            raise RoadNetworkError(f"unknown cost metric {metric!r}; register it first")
-        edge_count = self.edge_count
-        # Validate every entry before the first write: a bad entry must not
-        # leave the vector partially patched under its old (well-formed)
-        # token, which a later incremental repair would stamp fresh.
-        validated = []
-        dirty_nodes = set()
-        for position, value in entries:
-            value = float(value)
-            if math.isnan(value) or value < 0:
-                raise RoadNetworkError("edge costs must be non-negative")
-            if not 0 <= position < edge_count:
-                raise RoadNetworkError(f"edge position {position} out of range for {edge_count} edges")
-            validated.append((position, value))
-            dirty_nodes.add(bisect.bisect_right(self.indptr, position) - 1)
-        for position, value in validated:
-            vector[position] = value
-        self._metric_tokens[metric] = token
-        adjacency = self._metric_adjacency.get(metric)
-        if adjacency is not None:
-            indptr, neighbor = self.indptr, self.neighbor
-            for node in dirty_nodes:
-                adjacency[node] = [
-                    (vector[pos], neighbor[pos], pos)
-                    for pos in range(indptr[node], indptr[node + 1])
-                ]
-
-    def unregister_metric(self, metric: str) -> None:
-        """Drop a registered metric and its caches (unknown names are a no-op).
-
-        Lets owners of short-lived derived metrics bound the graph's memory;
-        the built-in metrics cannot be removed.
-        """
-        if metric in (METRIC_LENGTH, METRIC_TIME):
-            raise RoadNetworkError(f"cannot remove the built-in metric {metric!r}")
-        self._metric_costs.pop(metric, None)
-        self._metric_tokens.pop(metric, None)
         self._metric_adjacency.pop(metric, None)
 
     def cost_vector(self, cost) -> List[float]:

@@ -12,25 +12,22 @@ Python closure once per Dijkstra relaxation; :meth:`compiled_cost_metric`
 instead compiles the full per-edge cost vector once and registers it on the
 road network's :class:`~repro.roadnet.compiled.CompiledGraph`, keyed by the
 transfer network's ``version``, so repeated popularity searches reuse both the
-vector and its cached relaxation lists.  The scalar methods are retained as
-the oracle the compiled vector is tested against.
+vector and its cached relaxation lists, and any change to the statistics
+recompiles the whole vector.  The scalar methods are retained as the oracle
+the compiled vector is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict, deque
-from typing import Deque, Dict, FrozenSet, List, Sequence, Tuple
+from collections import defaultdict
+from typing import Dict, List, Sequence, Tuple
 
 from ..roadnet.graph import RoadNetwork
 from ..trajectory.storage import TrajectoryStore
 
 _transfer_uids = itertools.count(1)
-
-#: How many ingest batches the dirty-node journal remembers.  A compiled
-#: cost vector older than this window falls back to a full recompile.
-_INGEST_JOURNAL_LIMIT = 128
 
 
 class TransferNetwork:
@@ -45,10 +42,6 @@ class TransferNetwork:
         self._node_out_counts: Dict[int, int] = defaultdict(int)
         self._node_counts: Dict[int, int] = defaultdict(int)
         self._total_trajectories = 0
-        # (version, dirty source nodes) per ingest_path call: the nodes whose
-        # out-edge popularity costs that ingest changed.  compiled_cost_metric
-        # uses it to patch a registered vector forward instead of recompiling.
-        self._ingest_journal: Deque[Tuple[int, FrozenSet[int]]] = deque(maxlen=_INGEST_JOURNAL_LIMIT)
         self._build()
 
     def _build(self) -> None:
@@ -77,16 +70,10 @@ class TransferNetwork:
         """Fold one additional matched node path into the statistics.
 
         Lets a live deployment keep the transfer network warm as new
-        trajectories arrive, without rebuilding from the whole store.  The
-        nodes whose outgoing transition probabilities change (every non-final
-        path node: their out-counts grow, which rescales *all* their
-        out-edges) are journalled, so the next :meth:`compiled_cost_metric`
-        call patches just those nodes' edges — O(path out-degree) — instead
-        of recompiling the whole O(E) cost vector.
+        trajectories arrive, without rebuilding from the whole store.
         """
         self._ingest(path)
         self._version += 1
-        self._ingest_journal.append((self._version, frozenset(path[:-1])))
 
     def refresh(self) -> None:
         """Rebuild the statistics from the backing store from scratch."""
@@ -96,8 +83,6 @@ class TransferNetwork:
         self._total_trajectories = 0
         self._build()
         self._version += 1
-        # Everything may have changed; compiled vectors must fully recompile.
-        self._ingest_journal.clear()
 
     # ------------------------------------------------------------------ stats
     @property
@@ -141,15 +126,7 @@ class TransferNetwork:
         is bit-identical to what the former per-relaxation closure produced)
         and registered once per ``(transfer version, smoothing)`` state; both
         graph mutation (a fresh compiled view) and statistic updates (a new
-        ``version``) invalidate it.
-
-        Invalidation by :meth:`ingest_path` is repaired *incrementally*: the
-        registered vector is patched forward using the dirty-node journal —
-        only the out-edges of nodes whose statistics actually changed are
-        recomputed (O(ingested paths), not O(E)), with values bit-identical
-        to a full recompile since both run the same scalar cost method.  A
-        vector older than the journal window, a :meth:`refresh`, a different
-        smoothing or a fresh compiled view fall back to the full build.
+        ``version``) make the next call recompile it in full.
         """
         compiled = network.compiled()
         # One metric name per transfer network: smoothing lives in the
@@ -157,54 +134,14 @@ class TransferNetwork:
         # accumulating one entry per (uid, smoothing) pair on the graph.
         metric = f"popularity#{self._uid}"
         token = (self._version, smoothing)
-        if compiled.has_metric(metric):
-            current = compiled.metric_token(metric)
-            if current == token:
-                return metric
-            if self._patch_compiled_metric(compiled, metric, current, smoothing):
-                return metric
+        if compiled.metric_token(metric) == token:
+            return metric
         costs = [
             self.edge_popularity_cost(edge.source, edge.target, smoothing)
             for edge in compiled.edge_records
         ]
         compiled.register_metric(metric, costs, token=token)
         return metric
-
-    def _patch_compiled_metric(self, compiled, metric: str, current_token, smoothing: float) -> bool:
-        """Patch a stale registered vector forward from the ingest journal.
-
-        Returns ``False`` when incremental repair is not possible (unknown or
-        differently-smoothed token, or journal entries missing for any
-        version between the vector's and ours — e.g. after a refresh or past
-        the journal window), in which case the caller recompiles in full.
-        """
-        if not isinstance(current_token, tuple) or len(current_token) != 2:
-            return False
-        old_version, old_smoothing = current_token
-        if old_smoothing != smoothing or not isinstance(old_version, int):
-            return False
-        if old_version > self._version:
-            return False
-        pending = [(version, nodes) for version, nodes in self._ingest_journal if version > old_version]
-        if len(pending) != self._version - old_version:
-            return False
-        dirty_nodes = set()
-        for _, nodes in pending:
-            dirty_nodes.update(nodes)
-        indptr, index_of = compiled.indptr, compiled.index_of
-        edge_records = compiled.edge_records
-        entries = []
-        for node in dirty_nodes:
-            node_index = index_of.get(node)
-            if node_index is None:
-                continue  # path node absent from this compiled view
-            for position in range(indptr[node_index], indptr[node_index + 1]):
-                edge = edge_records[position]
-                entries.append(
-                    (position, self.edge_popularity_cost(edge.source, edge.target, smoothing))
-                )
-        compiled.patch_metric(metric, entries, token=(self._version, smoothing))
-        return True
 
     def coverage(self) -> float:
         """Fraction of road-network edges traversed by at least one trajectory."""

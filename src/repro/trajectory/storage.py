@@ -1,13 +1,14 @@
 """In-memory trajectory store with the query shapes popular-route mining needs.
 
-The store indexes trajectories by their matched road-graph node path (computed
-once at insert time with a :class:`~repro.roadnet.map_matching.MapMatcher`),
-by origin/destination proximity and by departure-time slot.
+The store keeps each trajectory's matched road-graph node path (computed once
+at insert time with a :class:`~repro.roadnet.map_matching.MapMatcher`) and
+indexes trajectories by origin/destination proximity; departure-time slots
+filter the od matches.  Edge and node traversal counts live in
+:class:`~repro.routing.popularity.TransferNetwork`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import TrajectoryError
@@ -43,8 +44,6 @@ class TrajectoryStore:
         self.use_source_paths = use_source_paths
         self._trajectories: Dict[int, Trajectory] = {}
         self._matched_paths: Dict[int, Tuple[int, ...]] = {}
-        self._by_edge: Dict[Tuple[int, int], set] = defaultdict(set)
-        self._by_node: Dict[int, set] = defaultdict(set)
         self._origin_index: GridIndex[int] = GridIndex(cell_size=500.0)
         self._destination_index: GridIndex[int] = GridIndex(cell_size=500.0)
         # find_by_od's last (origin, destination, radius) and its matches:
@@ -72,10 +71,6 @@ class TrajectoryStore:
         self._last_od = None
         self._trajectories[trajectory.trajectory_id] = trajectory
         self._matched_paths[trajectory.trajectory_id] = path
-        for node in path:
-            self._by_node[node].add(trajectory.trajectory_id)
-        for edge in zip(path, path[1:]):
-            self._by_edge[edge].add(trajectory.trajectory_id)
         self._origin_index.insert(trajectory.trajectory_id, self.network.node_location(path[0]))
         self._destination_index.insert(
             trajectory.trajectory_id, self.network.node_location(path[-1])
@@ -108,26 +103,6 @@ class TrajectoryStore:
 
     def all_ids(self) -> List[int]:
         return list(self._trajectories)
-
-    def trajectories_through_edge(self, source: int, target: int) -> List[int]:
-        """Ids of trajectories traversing the directed edge (source, target)."""
-        return sorted(self._by_edge.get((source, target), ()))
-
-    def trajectories_through_node(self, node_id: int) -> List[int]:
-        """Ids of trajectories passing through an intersection."""
-        return sorted(self._by_node.get(node_id, ()))
-
-    def edge_support(self, source: int, target: int) -> int:
-        """Number of trajectories traversing the directed edge."""
-        return len(self._by_edge.get((source, target), ()))
-
-    def node_support(self, node_id: int) -> int:
-        """Number of trajectories passing through an intersection."""
-        return len(self._by_node.get(node_id, ()))
-
-    def node_visit_counts(self) -> Dict[int, int]:
-        """Visit counts per intersection (used by significance inference)."""
-        return {node: len(ids) for node, ids in self._by_node.items()}
 
     def find_by_od(
         self,

@@ -1,5 +1,7 @@
 """Tests for the popular-route miners (MPR, LDR, MFP) and the transfer network."""
 
+from collections import Counter
+
 import pytest
 
 from repro.exceptions import InsufficientSupportError, RoutingError
@@ -34,8 +36,12 @@ class TestTransferNetwork:
         store, _, _ = mining_setup
         transfer = TransferNetwork(small_network, store)
         assert transfer.total_trajectories == len(store)
-        (edge, count) = transfer.hottest_edges(1)[0]
-        assert count == store.edge_support(*edge)
+        traversals = Counter()
+        for trajectory_id in store.all_ids():
+            path = store.matched_path(trajectory_id)
+            traversals.update(zip(path, path[1:]))
+        for edge in small_network.edges():
+            assert transfer.edge_count(*edge.key) == traversals[edge.key]
 
     def test_transition_probabilities_sum_to_at_most_one(self, small_network, mining_setup):
         store, _, _ = mining_setup
@@ -94,7 +100,9 @@ class TestMPR:
         miner = MostPopularRouteMiner(small_network, store, min_support=1)
         origin, destination = hot_pairs[0]
         route = miner.recommend(RouteQuery(origin, destination))
-        supported_edges = sum(1 for e in zip(route.path, route.path[1:]) if store.edge_support(*e) > 0)
+        supported_edges = sum(
+            1 for e in zip(route.path, route.path[1:]) if miner.transfer.edge_count(*e) > 0
+        )
         assert supported_edges / (len(route.path) - 1) > 0.5
 
 

@@ -105,47 +105,28 @@ class TestCompiledCostVector:
 
 
 class TestIncrementalIngest:
-    """``ingest_path`` must patch only dirty edges, never recompile O(E)."""
+    """After ``ingest_path`` the next compile serves the fresh vector and lists."""
 
     def _fresh(self, small_network, store):
         # A private transfer network so metric state cannot leak across tests.
         return TransferNetwork(small_network, store)
-
-    def test_patch_in_place_bit_identical_to_full_recompile(self, small_network, mining_setup):
-        store, hot_pairs = mining_setup
-        transfer = self._fresh(small_network, store)
-        compiled = small_network.compiled()
-        metric = transfer.compiled_cost_metric(small_network)
-        vector_before = compiled.metric_costs(metric)
-
-        for origin, destination in hot_pairs[:3]:
-            transfer.ingest_path(dijkstra_path(small_network, origin, destination))
-        assert transfer.compiled_cost_metric(small_network) == metric
-        patched = compiled.metric_costs(metric)
-        # Patched in place: same list object, not a re-registered vector.
-        assert patched is vector_before
-        oracle = [
-            transfer.edge_popularity_cost(edge.source, edge.target, 0.1)
-            for edge in compiled.edge_records
-        ]
-        assert patched == oracle
 
     def test_patch_repairs_cached_relaxation_lists(self, small_network, mining_setup):
         store, hot_pairs = mining_setup
         transfer = self._fresh(small_network, store)
         compiled = small_network.compiled()
         metric = transfer.compiled_cost_metric(small_network)
-        adjacency = compiled.relaxation_lists(compiled.metric_costs(metric))
+        stale = compiled.relaxation_lists(compiled.metric_costs(metric))
 
         origin, destination = hot_pairs[0]
         transfer.ingest_path(dijkstra_path(small_network, origin, destination))
         transfer.compiled_cost_metric(small_network)
-        repaired = compiled.relaxation_lists(compiled.metric_costs(metric))
-        assert repaired is adjacency  # updated in place, not rebuilt
         vector = compiled.metric_costs(metric)
-        for per_node in repaired:
-            for cost, _, position in per_node:
-                assert cost == vector[position]
+        cached = compiled.relaxation_lists(vector)
+        # A copy is not a registered vector, so its lists are built from scratch.
+        fresh = compiled.relaxation_lists(list(vector))
+        assert cached == fresh
+        assert cached != stale
 
     def test_routing_stays_equal_to_closure_after_live_ingest(self, small_network, mining_setup):
         store, hot_pairs = mining_setup
@@ -180,25 +161,6 @@ class TestIncrementalIngest:
         ]
         assert compiled.metric_costs(metric) == oracle
 
-    def test_vector_older_than_journal_window_recompiles(self, small_network, mining_setup):
-        from repro.routing import popularity
-
-        store, hot_pairs = mining_setup
-        transfer = self._fresh(small_network, store)
-        compiled = small_network.compiled()
-        metric = transfer.compiled_cost_metric(small_network)
-        vector_before = compiled.metric_costs(metric)
-        path = dijkstra_path(small_network, *hot_pairs[0])
-        for _ in range(popularity._INGEST_JOURNAL_LIMIT + 5):
-            transfer.ingest_path(path)
-        assert transfer.compiled_cost_metric(small_network) == metric
-        assert compiled.metric_costs(metric) is not vector_before  # full rebuild
-        oracle = [
-            transfer.edge_popularity_cost(edge.source, edge.target, 0.1)
-            for edge in compiled.edge_records
-        ]
-        assert compiled.metric_costs(metric) == oracle
-
     def test_smoothing_change_recompiles(self, small_network, mining_setup):
         store, hot_pairs = mining_setup
         transfer = self._fresh(small_network, store)
@@ -211,34 +173,6 @@ class TestIncrementalIngest:
             for edge in compiled.edge_records
         ]
         assert compiled.metric_costs(metric) == oracle
-
-
-class TestPatchMetricValidation:
-    def test_rejects_builtin_unknown_and_bad_values(self, small_network):
-        compiled = small_network.compiled()
-        with pytest.raises(RoadNetworkError):
-            compiled.patch_metric("length", [(0, 1.0)])
-        with pytest.raises(RoadNetworkError):
-            compiled.patch_metric("never-registered", [(0, 1.0)])
-        compiled.register_metric("patchable", [1.0] * compiled.edge_count)
-        with pytest.raises(RoadNetworkError):
-            compiled.patch_metric("patchable", [(0, -1.0)])
-        with pytest.raises(RoadNetworkError):
-            compiled.patch_metric("patchable", [(compiled.edge_count, 1.0)])
-        compiled.patch_metric("patchable", [(0, 2.5)], token="t")
-        assert compiled.metric_costs("patchable")[0] == 2.5
-        assert compiled.metric_token("patchable") == "t"
-        compiled.unregister_metric("patchable")
-
-    def test_failed_patch_leaves_vector_untouched(self, small_network):
-        compiled = small_network.compiled()
-        compiled.register_metric("atomic", [1.0] * compiled.edge_count, token="v0")
-        with pytest.raises(RoadNetworkError):
-            # The valid first entry must not be applied when a later one fails.
-            compiled.patch_metric("atomic", [(0, 2.0), (1, float("nan"))], token="v1")
-        assert compiled.metric_costs("atomic")[0] == 1.0
-        assert compiled.metric_token("atomic") == "v0"
-        compiled.unregister_metric("atomic")
 
 
 class TestRegisterMetricValidation:

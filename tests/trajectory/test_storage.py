@@ -58,15 +58,6 @@ class TestInsertion:
 
 
 class TestQueries:
-    def test_edge_and_node_support_consistency(self, populated_store):
-        store, trajectories = populated_store
-        sample_path = store.matched_path(trajectories[0].trajectory_id)
-        first_edge = (sample_path[0], sample_path[1])
-        assert store.edge_support(*first_edge) >= 1
-        assert trajectories[0].trajectory_id in store.trajectories_through_edge(*first_edge)
-        assert store.node_support(sample_path[0]) >= 1
-        assert trajectories[0].trajectory_id in store.trajectories_through_node(sample_path[0])
-
     def test_find_by_od_returns_matching_trajectories(self, populated_store, small_network):
         store, trajectories = populated_store
         sample = trajectories[0]
@@ -108,12 +99,6 @@ class TestQueries:
         destination = small_network.node_location(path[-1])
         for stored_path in store.paths_between(origin, destination, 150.0):
             small_network.validate_path(stored_path)
-
-    def test_node_visit_counts_total(self, populated_store):
-        store, _ = populated_store
-        counts = store.node_visit_counts()
-        assert counts
-        assert all(count >= 1 for count in counts.values())
 
     def test_far_away_od_has_no_support(self, populated_store):
         store, _ = populated_store
