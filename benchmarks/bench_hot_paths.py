@@ -1027,7 +1027,6 @@ def _chain_head_jobs(planner, batch):
         ShardJob(
             shard_id=shard.shard_id,
             indices=shard.indices,
-            destination_cells=shard.destination_cells,
             queries=[batch[i] for i in shard.indices],
         )
         for shard in split.shards
@@ -1073,7 +1072,7 @@ def shard_clone_setup(serving_city):
 def test_shard_clone_compiled(benchmark, shard_clone_setup):
     """``execute_shard(planner, job)`` on each chain-head sub-shard: the clone's
     worker pool is an overlay that copies a worker on first touch, and its
-    truth view walks populated cells."""
+    truth store an O(1) overlay over the whole base store."""
     planner, _, jobs, expected = shard_clone_setup
     assert benchmark(_run_shard_jobs, planner, jobs) == expected
 
@@ -1081,7 +1080,7 @@ def test_shard_clone_compiled(benchmark, shard_clone_setup):
 @pytest.mark.benchmark(group="shard_clone")
 def test_shard_clone_reference(benchmark, shard_clone_setup):
     """The same sub-shards with the former per-clone ``copy.deepcopy`` of
-    the 28-worker pool."""
+    the 28-worker pool (the truth overlay is the same on both sides)."""
     _, reference, jobs, expected = shard_clone_setup
     assert benchmark(_run_shard_jobs, reference, jobs) == expected
 

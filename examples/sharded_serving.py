@@ -11,7 +11,7 @@ three ways:
 1. sequentially (`CrowdPlanner.recommend_batch` per batch — the oracle);
 2. through a session-based :class:`RecommendationService` with the
    persistent ``pooled`` backend — the pool is forked once, workers keep
-   their truth partitions warm between batches and the parent streams
+   their truth stores warm between batches and the parent streams
    merged truth deltas back, so per-batch wall time drops once the pool is
    warm;
 3. through a service opened and closed around every batch, which forks a

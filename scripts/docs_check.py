@@ -18,8 +18,12 @@ Checks, over ``README.md`` and ``docs/*.md``:
    class (``a / b:`` documents two), also read with ``ast``;
 5. every backticked dotted ``repro.…`` name resolves by import, as a
    module or as an attribute of one (so an oracle or API the docs name by
-   its dotted path cannot be moved or deleted without the docs following).
-   This check imports the package from ``src``, so it needs numpy.
+   its dotted path cannot be moved or deleted without the docs following);
+6. every fully qualified Sphinx cross-reference in ``src/repro/**/*.py``
+   (``:meth:`~repro.…` ``, ``:func:``, ``:class:``, ``:attr:``, ``:data:``,
+   ``:mod:``, ``:exc:``) resolves the same way, so a docstring cannot keep
+   naming a deleted method.
+   Checks 5 and 6 import the package from ``src``, so they need numpy.
 
 Run from anywhere: paths resolve against the repo root.  Exits non-zero
 with one line per problem (consumed by ``scripts/ci.sh`` and the CI lint
@@ -208,14 +212,35 @@ def _resolves(name: str) -> bool:
     return False
 
 
+def _import_from_src() -> None:
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+
+
 def _check_dotted_names(errors: list) -> None:
-    sys.path.insert(0, str(ROOT / "src"))
+    _import_from_src()
     for doc in _doc_files():
         if not doc.exists():
             continue  # reported by the link check
         for name in sorted(set(_DOTTED.findall(doc.read_text()))):
             if not _resolves(name):
                 errors.append(f"{doc.relative_to(ROOT)}: `{name}` does not resolve")
+
+
+#: A fully qualified Sphinx cross-reference, e.g. :meth:`~repro.core.truth.TruthDatabase.overlay`.
+_XREF = re.compile(r":(?:meth|func|class|attr|data|mod|exc):`~?(repro(?:\.\w+)+)`")
+
+
+def _check_xrefs(errors: list, sources=None) -> None:
+    """Check 6 over ``sources`` (default: every ``src/repro`` module)."""
+    _import_from_src()
+    if sources is None:
+        sources = sorted((ROOT / "src/repro").rglob("*.py"))
+    for path in sources:
+        for name in sorted(set(_XREF.findall(path.read_text()))):
+            if not _resolves(name):
+                where = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+                errors.append(f"{where}: cross-reference `{name}` does not resolve")
 
 
 def main() -> int:
@@ -225,6 +250,7 @@ def main() -> int:
     _check_statistics(errors)
     _check_config_knobs(errors)
     _check_dotted_names(errors)
+    _check_xrefs(errors)
     for error in errors:
         print(f"docs_check: {error}", file=sys.stderr)
     if errors:

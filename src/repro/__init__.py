@@ -32,7 +32,7 @@ Serving
 Steady request streams scale across OS processes through the session-based
 service (``repro.serving``): the planner's ``shard_plan`` splits each batch
 into interaction-closed od-cell components (no recorded truth can cross a
-shard boundary), a persistent forked worker pool keeps truth partitions warm
+shard boundary), a persistent forked worker pool keeps truth stores warm
 between batches, and the merged results are bit-identical to the sequential
 path — which stays in place as the oracle the serving benchmark suites and
 property tests compare against.  ``pool_size=1`` (or platforms without

@@ -130,9 +130,10 @@ class QueryShard:
 
     ``indices`` are submission positions into the original query list, in
     ascending (submission) order; ``destination_cells`` is the reach-expanded
-    set of destination grid cells whose truth view the shard is seeded with
-    (see :meth:`TruthDatabase.view_by_cells`) — a :class:`CellClosure` when
-    :meth:`CrowdPlanner.shard_plan` built it, any frozenset otherwise.
+    set of destination grid cells the shard's recorded truths can land in or
+    be read from.  It is a plan diagnostic: execution never reads it (a
+    shard clone reads the whole store through
+    :meth:`TruthDatabase.overlay`).
 
     Sub-shards produced by :func:`repro.serving.shards.split_oversized` (a
     diagnostic of plan shape) additionally carry chain edges:
@@ -248,38 +249,15 @@ def _reach_square(x: int, y: int, reach: int) -> FrozenSet[Tuple[int, int]]:
     return frozenset((x + dx, y + dy) for dx in span for dy in span)
 
 
-class CellClosure(frozenset):
-    """A reach-expanded set of destination cells that remembers its centres.
-
-    It is the frozenset of every cell within ``reach`` of some cell in
-    ``centres`` and behaves as that frozenset everywhere (truth views,
-    batch dependencies, equality with a plain frozenset).  Only its wire form
-    differs: it pickles as ``(sorted centres, reach)`` and is rebuilt on
-    load by :func:`reach_closure`, so a shard job carries a few centres
-    instead of hundreds of cells.
-    """
-
-    __slots__ = ("centres", "reach")
-
-    def __reduce__(self):
-        return reach_closure, (tuple(sorted(self.centres)), self.reach)
-
-
-def reach_closure(centres, reach: int) -> CellClosure:
-    """The :class:`CellClosure` of ``centres`` at ``reach``.
+def reach_closure(centres, reach: int) -> FrozenSet[Tuple[int, int]]:
+    """Every cell within ``reach`` of a cell in ``centres``.
 
     A C-level union of per-centre squares; the squares are memoised by
     ``(centre, reach)`` (hot destinations repeat batch after batch).  The
     unions are not: one per distinct centre combination would hold a large
     set per combination ever planned.
     """
-    centres = frozenset(centres)
-    closure = CellClosure(
-        frozenset().union(*[_reach_square(x, y, reach) for x, y in centres])
-    )
-    closure.centres = centres
-    closure.reach = reach
-    return closure
+    return frozenset().union(*[_reach_square(x, y, reach) for x, y in centres])
 
 
 def _reuse_result(query: RouteQuery, truth: VerifiedTruth) -> RecommendationResult:
@@ -448,16 +426,13 @@ class CrowdPlanner:
         neighbourhood radius, i.e. the farthest a truth recorded for one query
         can be seen by another — and whole components are packed onto shards
         largest-first.  Because no truth can cross a component boundary,
-        executing each shard's queries in submission order (with a truth
-        partition covering its ``destination_cells``) reproduces the
-        sequential batch exactly; the serving layer
+        executing each shard's queries in submission order (on an overlay
+        over the window-start store) reproduces the sequential batch
+        exactly; the serving layer
         (:class:`repro.serving.RecommendationService` and its pooled backend)
         is built on this guarantee — including across batch boundaries: the
         pooled backend plans a whole window of batches as one call, since
         the closure argument never reads batch boundaries.
-
-        A shard's ``destination_cells`` is a :class:`CellClosure`: the union
-        of memoised per-centre squares, which pickles as its centres.
         """
         if shards < 1:
             raise CrowdPlannerError("shard_plan needs at least one shard")
@@ -512,7 +487,7 @@ class CrowdPlanner:
 
         Each component is ``(sorted submission indices, destination-cell
         centres)``: the destination cells of its od-cell groups, whose
-        ``reach`` squares form the cells its truth view must cover.
+        ``reach`` squares form its shard's ``destination_cells``.
         """
         keys = list(groups)
         parent = list(range(len(keys)))

@@ -1,10 +1,10 @@
 """Reference implementations of the core models (pre-vectorized era).
 
 The production classes run one code path each: PMF trains on the observed
-COO entries only, the familiarity model builds and accumulates its matrix
-with numpy kernels, and serving shards read the truth store through
-copy-on-write views.  The originals they replaced live here as behavioural
-oracles, the way :mod:`repro.roadnet.reference` keeps the original searches:
+COO entries only, and the familiarity model builds and accumulates its
+matrix with numpy kernels.  The originals they replaced live here as
+behavioural oracles, the way :mod:`repro.roadnet.reference` keeps the
+original searches:
 
 * :class:`DenseProbabilisticMatrixFactorization` — PMF with the original
   dense ``np.where``-masked objective and gradients (the ``pmf_fit``
@@ -17,12 +17,14 @@ oracles, the way :mod:`repro.roadnet.reference` keeps the original searches:
 * :func:`lookup_reference` — the unmemoised truth-reuse scan that
   :meth:`~repro.core.truth.TruthDatabase.lookup` must answer like (the
   ``truth_lookup`` oracle);
-* :func:`partition_by_cells` — the materialised truth partition that
-  :meth:`~repro.core.truth.TruthDatabase.view_by_cells` must answer like;
+* :func:`partition_by_cells` — a materialised destination-cell truth
+  partition: shard clones once read the store through such a slice, and it
+  stays the oracle that a clone over the whole store answers like (over
+  every populated cell it is an independent copy of the store);
 * :func:`expand_cells` and :func:`set_shard_plan` — the per-cell reach
   expansion and the shard plan built on it (the ``shard_plan`` oracle):
   :meth:`~repro.core.planner.CrowdPlanner.shard_plan`, with its packed
-  neighbour buckets and :class:`~repro.core.planner.CellClosure` cells,
+  neighbour buckets and :func:`~repro.core.planner.reach_closure` cells,
   must return the same plans;
 * :func:`collect_with_early_stop` — the original object-path collector,
   which re-tallies the arrival prefix after every response (the
@@ -162,9 +164,11 @@ def partition_by_cells(store: TruthDatabase, cells: Iterable[Tuple[int, int]]) -
     is an independent store: truths recorded into it do not appear in
     ``store``.
     """
+    wanted = frozenset(cells)
     partition = TruthDatabase(store.network, store.config)
-    for truth_id in store._destination_index.items_in_cells(cells):
-        partition._adopt(store._truths[truth_id])
+    for truth in store.all():
+        if store.destination_cell_of(truth.destination) in wanted:
+            partition._adopt(truth)
     return partition
 
 

@@ -13,10 +13,9 @@ slot and on the store's contents, so every store memoises its answers per
 The unmemoised scan is preserved as
 :func:`repro.core.reference.lookup_reference`, the memo's oracle.
 
-Serving shards read the store through copy-on-write destination-cell views
-(:meth:`TruthDatabase.view_by_cells`); the materialised partition they
-replaced is preserved as :func:`repro.core.reference.partition_by_cells`,
-the views' oracle.
+Serving shards read the store through a copy-on-write overlay over the whole
+store (:meth:`TruthDatabase.overlay`); every truth a shard's queries could
+match is in it by construction.
 """
 
 from __future__ import annotations
@@ -152,35 +151,24 @@ class TruthDatabase:
         self._origin_index.insert(truth.truth_id, truth.origin)
         self._destination_index.insert(truth.truth_id, truth.destination)
 
-    # ------------------------------------------------------------------ views
+    # ---------------------------------------------------------------- overlay
     def destination_cell_of(self, point: Point) -> Tuple[int, int]:
         """The destination-index grid cell ``point`` falls in."""
         return self._destination_index.cell_of(point)
 
-    def view_by_cells(self, cells: Iterable[Tuple[int, int]]) -> "TruthDatabaseView":
-        """A copy-on-write view of the truths whose destination falls in ``cells``.
+    def overlay(self) -> "TruthDatabaseView":
+        """A copy-on-write overlay over this whole store, built in O(1).
 
-        This is the shard-seeding primitive of the serving layer: each shard
-        of a batch sees the truths of its queries' destination cells
-        (expanded by the interaction reach, see
-        :meth:`~repro.core.planner.CrowdPlanner.shard_plan`), a superset of
-        every truth its queries can observe — lookups filter by exact radius,
-        so surplus truths are harmless, while a missing one would change an
-        answer.  The view is built in O(members) *without copying* the
-        member truths into new spatial indexes: reads consult this store's
-        indexes filtered by the membership set, in this store's record order
-        (so lookup tie-breaks agree), while writes (:meth:`record`) land in
-        a private overlay; merge them back explicitly with :meth:`absorb`.
-        Its answers equal those of a materialised partition over the same
-        cells (:func:`repro.core.reference.partition_by_cells`, the oracle
-        the truth-view tests compare against).  The base store must not be
-        mutated while the view is live (the serving layer merges shard
-        writes back only after every shard has finished).
+        The serving layer's shard-seeding primitive, the counterpart of
+        :meth:`~repro.core.worker.WorkerPool.overlay`: reads see this store
+        plus the overlay's writes (:meth:`record`), which never reach this
+        store; merge them back explicitly with :meth:`absorb`.  This store
+        must not be mutated while the overlay is live.
         """
-        return TruthDatabaseView(self, cells)
+        return TruthDatabaseView(self)
 
     def absorb(self, truths: Iterable[VerifiedTruth]) -> List[VerifiedTruth]:
-        """Merge truths recorded in partitions back, assigning fresh ids.
+        """Merge truths recorded by shard clones back, assigning fresh ids.
 
         ``truths`` must be ordered the way a sequential run would have
         recorded them (the serving engine orders them by query submission
@@ -222,7 +210,7 @@ class TruthDatabase:
         if decode is not None:
             truths = decode(self.network)
         for truth in truths:
-            if truth.truth_id in self._truths:
+            if truth.truth_id in self:
                 raise TruthStoreError(f"truth id {truth.truth_id} already present")
             self._adopt(truth)
             _truth_ids.advance_past(truth.truth_id)
@@ -252,7 +240,7 @@ class TruthDatabase:
 
     # The two match helpers are the only spatial read primitives ``lookup``
     # and ``truths_near`` consume; :class:`TruthDatabaseView` overrides them
-    # (plus ``_truth_by_id``) to serve base-slice + overlay reads.
+    # (plus ``_truth_by_id``) to serve base + overlay reads.
     def _origin_matches(self, point: Point, radius_m: float) -> List[Tuple[int, float]]:
         """``(truth_id, distance)`` with origin within ``radius_m``, ranked
         by increasing distance with record-order tie-breaking."""
@@ -350,10 +338,10 @@ def _merge_ranked(
     """Merge two distance-ranked match lists, primary winning distance ties.
 
     Both inputs are sorted by increasing distance with record-order
-    tie-breaking; in a materialised partition every primary (base) truth was
-    inserted before any secondary (overlay) truth, so at equal distance the
-    primary entry enumerates first.  A stable two-way merge reproduces the
-    partition's enumeration exactly.
+    tie-breaking; every primary (base) truth was recorded before any
+    secondary (overlay) truth, so at equal distance the primary entry
+    enumerates first.  A stable two-way merge reproduces the enumeration of
+    one store holding both.
     """
     if not secondary:
         return primary
@@ -374,73 +362,54 @@ def _merge_ranked(
 
 
 class TruthDatabaseView(TruthDatabase):
-    """Copy-on-write destination-cell slice of a :class:`TruthDatabase`.
+    """Copy-on-write overlay over a whole :class:`TruthDatabase`
+    (:meth:`TruthDatabase.overlay`).
 
-    Reads see the base store's truths whose destination falls in the view's
-    cells plus everything recorded through the view; writes go only to the
-    view's private overlay (the structures inherited from
-    :class:`TruthDatabase` act as the overlay), so the base store is never
-    touched.  Answers — ``lookup``, ``truths_near``, ``all()`` order,
-    ``len`` — are identical to a materialised partition over the same cells
-    (:func:`repro.core.reference.partition_by_cells`; the shard tests assert
-    this), while construction is O(members) set/list building with no index
-    copies.
-
-    The base store must stay unmutated while the view is live; there are no
-    views over views (build views from the base instead).  A view keeps its
-    own lookup memo: its answers differ from the base's (fewer base truths,
-    plus the overlay), and every overlay write goes through :meth:`_adopt`,
-    which clears it.
+    Reads see every base truth plus everything recorded through the view;
+    writes go only to the structures inherited from :class:`TruthDatabase`,
+    so the base is never touched.  ``lookup``, ``truths_near``, ``all()``
+    order and ``len`` answer like one store holding the base's truths and
+    then the view's.  The base must stay unmutated while the view is live,
+    and there are no views over views.  A view keeps its own lookup memo,
+    cleared by every overlay write (:meth:`_adopt`).
     """
 
-    def __init__(self, base: TruthDatabase, cells: Iterable[Tuple[int, int]]):
+    def __init__(self, base: TruthDatabase):
         if isinstance(base, TruthDatabaseView):
             raise TruthStoreError("cannot build a view over a view; use the base store")
         super().__init__(base.network, base.config)
         self._base = base
-        # ``items_in_cells`` returns members in record order (ascending slot),
-        # which is also ascending truth-id order — the order a materialised
-        # partition would adopt them in.
-        self._member_order = base._destination_index.items_in_cells(cells)
-        self._member_ids = frozenset(self._member_order)
 
     # ------------------------------------------------------------- overrides
     def __len__(self) -> int:
-        return len(self._member_order) + len(self._truths)
+        return len(self._base) + len(self._truths)
 
     def __contains__(self, truth_id: int) -> bool:
-        return truth_id in self._truths or truth_id in self._member_ids
+        return truth_id in self._truths or truth_id in self._base
 
     def all(self) -> List[VerifiedTruth]:
-        base_truths = self._base._truths
-        return [base_truths[truth_id] for truth_id in self._member_order] + list(
-            self._truths.values()
-        )
+        return self._base.all() + list(self._truths.values())
 
     def truths_since(self, position: int) -> List[VerifiedTruth]:
-        return self.all()[max(position, 0):]
+        overlay_start = max(position - len(self._base), 0)
+        return self._base.truths_since(position) + list(
+            itertools.islice(self._truths.values(), overlay_start, None)
+        )
 
     def get(self, truth_id: int) -> VerifiedTruth:
-        if truth_id in self._truths:
-            return self._truths[truth_id]
-        if truth_id in self._member_ids:
-            return self._base._truths[truth_id]
-        raise TruthStoreError(f"unknown truth id {truth_id}")
+        truth = self._truths.get(truth_id)
+        return self._base.get(truth_id) if truth is None else truth
 
     _truth_by_id = get
 
     def _origin_matches(self, point: Point, radius_m: float) -> List[Tuple[int, float]]:
-        members = [
-            (truth_id, distance)
-            for truth_id, distance in self._base._origin_index.within_radius(point, radius_m)
-            if truth_id in self._member_ids
-        ]
-        return _merge_ranked(members, self._origin_index.within_radius(point, radius_m))
+        return _merge_ranked(
+            self._base._origin_matches(point, radius_m),
+            self._origin_index.within_radius(point, radius_m),
+        )
 
     def _destination_matches(self, point: Point, radius_m: float) -> List[Tuple[int, float]]:
-        members = [
-            (truth_id, distance)
-            for truth_id, distance in self._base._destination_index.within_radius(point, radius_m)
-            if truth_id in self._member_ids
-        ]
-        return _merge_ranked(members, self._destination_index.within_radius(point, radius_m))
+        return _merge_ranked(
+            self._base._destination_matches(point, radius_m),
+            self._destination_index.within_radius(point, radius_m),
+        )

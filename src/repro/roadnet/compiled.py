@@ -198,10 +198,6 @@ class CompiledGraph:
                 f"{sorted(self._metric_costs)}"
             ) from None
 
-    def has_metric(self, metric: str) -> bool:
-        """Whether ``metric`` names a built-in or registered cost vector."""
-        return metric in self._metric_costs
-
     def metric_token(self, metric: str) -> Optional[object]:
         """The freshness token a registered metric was stored under.
 

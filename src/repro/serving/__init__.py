@@ -15,7 +15,7 @@ path, which stays in place as the behavioural oracle:
   receive merged truth deltas streamed from the parent;
 * :mod:`~repro.serving.shards` — the shard clone/execute/merge primitives
   every pooled path shares (interaction-closed shards over copy-on-write
-  truth views, submission-order merge);
+  truth overlays, submission-order merge);
 * :mod:`~repro.serving.pipeline` — the per-batch cross-batch dependency
   analysis; behind ``ServiceConfig(pipeline_window=…)`` consecutive
   batches execute as one window, which the pooled backend plans as one

@@ -199,7 +199,7 @@ class _PoolWorker:
 
 
 class PooledBackend(ServingBackend):
-    """Persistent forked worker pool with warm truth partitions.
+    """Persistent forked worker pool with warm truth stores.
 
     Workers are forked once (on the first batch) and inherit the full
     planner substrate — including state that cannot be pickled — through
@@ -472,7 +472,6 @@ class PooledBackend(ServingBackend):
             ShardJob(
                 shard_id=shard.shard_id,
                 indices=shard.indices,
-                destination_cells=shard.destination_cells,
                 queries=[queries[index] for index in shard.indices],
                 tenant=tenant,
             )

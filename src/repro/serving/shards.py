@@ -2,14 +2,13 @@
 
 A *shard job* is the unit of work the serving layer dispatches — one shard
 of a window's component plan (whole interaction-closed components, see
-:meth:`~repro.core.planner.CrowdPlanner.shard_plan`) plus the destination
-cells whose truth slice the shard may observe.  The primitives here are used
-identically by the persistent pool workers (:mod:`repro.serving.worker`)
-and the pooled backend's in-process tail:
+:meth:`~repro.core.planner.CrowdPlanner.shard_plan`).  The primitives here
+are used identically by the persistent pool workers
+(:mod:`repro.serving.worker`) and the pooled backend's in-process tail:
 
 * :func:`build_shard_clone` — a planner over a copy-on-write
-  :meth:`~repro.core.truth.TruthDatabase.view_by_cells` slice of the base
-  planner's truth store, with an isolated evaluator and worker pool;
+  :meth:`~repro.core.truth.TruthDatabase.overlay` of the base planner's
+  whole truth store, with an isolated evaluator and worker pool;
 * :func:`execute_shard` — run one job on one clone, in submission order,
   into one :class:`ShardOutcome`;
 * :func:`slice_outcome` — one batch's part of an outcome whose shard holds
@@ -47,7 +46,7 @@ import dataclasses
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.planner import CrowdPlanner, QueryShard, RecommendationResult, ShardPlan
 from ..core.truth import VerifiedTruth
@@ -71,7 +70,6 @@ class ShardJob:
 
     shard_id: int
     indices: Tuple[int, ...]
-    destination_cells: FrozenSet[Tuple[int, int]]
     queries: List[RouteQuery]
     tenant: str = ""
 
@@ -90,36 +88,44 @@ class ShardOutcome:
     worker_pid: int
 
 
-def build_shard_clone(planner: CrowdPlanner, destination_cells) -> CrowdPlanner:
-    """A planner over the shard's truth slice and a private worker pool.
+def _planner_on(template: CrowdPlanner, worker_pool, config) -> CrowdPlanner:
+    """A planner on ``template``'s substrate (network, catalogue, sources,
+    task generator, crowd backend, fitted familiarity) with the given worker
+    pool and config, and a fresh truth store, evaluator, rewards and
+    statistics."""
+    return CrowdPlanner(
+        network=template.network,
+        catalog=template.catalog,
+        calibrator=template.calibrator,
+        sources=template.sources,
+        worker_pool=worker_pool,
+        crowd_backend=template.crowd_backend,
+        config=config,
+        familiarity=template.familiarity,
+        task_generator=template.task_generator,
+    )
 
-    Road network, catalogue, sources, task generator, crowd backend and the
-    fitted familiarity model are shared (read-only during a batch); the truth
-    store (a copy-on-write destination-cell view), evaluator, worker pool,
-    rewards and statistics are isolated so a shard's writes never leak into
-    another shard or the base planner.
+
+def build_shard_clone(planner: CrowdPlanner) -> CrowdPlanner:
+    """A planner over the base planner's truths and a private worker pool.
+
+    The substrate is shared (read-only during a batch); the truth store (a
+    copy-on-write :meth:`~repro.core.truth.TruthDatabase.overlay` over the
+    whole base store), evaluator, worker pool, rewards and statistics are
+    isolated so a shard's writes never leak into another shard or the base
+    planner.
 
     A clone is built for every shard a worker runs.  The worker pool is an
     :meth:`~repro.core.worker.WorkerPool.overlay` that copies a worker only
     when the clone first touches it (most shards never reach the crowd),
-    and the view touches only the populated cells of the destination index.
-    Both read the base planner live, so the base must not be written while
-    a clone is in use: clones live only inside :func:`execute_shard`, and
-    merges replay onto the parent afterwards.
+    and the truth overlay is built in O(1).  Both read the base planner
+    live, so the base must not be written while a clone is in use: clones
+    live only inside :func:`execute_shard`, and merges replay onto the
+    parent afterwards.
     """
-    clone = CrowdPlanner(
-        network=planner.network,
-        catalog=planner.catalog,
-        calibrator=planner.calibrator,
-        sources=planner.sources,
-        worker_pool=planner.worker_pool.overlay(),
-        crowd_backend=planner.crowd_backend,
-        config=planner.config,
-        familiarity=planner.familiarity,
-        task_generator=planner.task_generator,
-    )
-    clone.truths = planner.truths.view_by_cells(destination_cells)
-    # A shallow copy of the base planner's evaluator rebound to the slice:
+    clone = _planner_on(planner, planner.worker_pool.overlay(), planner.config)
+    clone.truths = planner.truths.overlay()
+    # A shallow copy of the base planner's evaluator rebound to the overlay:
     # preserves any evaluator subclass/state without assuming its
     # constructor signature.
     evaluator = copy.copy(planner.evaluator)
@@ -143,18 +149,8 @@ def build_tenant_planner(template: CrowdPlanner, config=None) -> CrowdPlanner:
     and every pool worker — behaviourally identical, which the per-tenant
     serving contract rests on.
     """
-    if config is None:
-        config = template.config
-    return CrowdPlanner(
-        network=template.network,
-        catalog=template.catalog,
-        calibrator=template.calibrator,
-        sources=template.sources,
-        worker_pool=template.worker_pool.copy(),
-        crowd_backend=template.crowd_backend,
-        config=config,
-        familiarity=template.familiarity,
-        task_generator=template.task_generator,
+    return _planner_on(
+        template, template.worker_pool.copy(), template.config if config is None else config
     )
 
 
@@ -162,12 +158,11 @@ def execute_shard(planner: CrowdPlanner, job: ShardJob) -> ShardOutcome:
     """Run one shard as the sequential oracle restricted to its queries; the
     base planner is read, never written.
 
-    One clone over the shard's cells answers its queries with one
-    ``recommend_batch``, in submission order.  This is how a pool worker
-    answers a ``run`` message, and how the pooled backend's in-process tail
-    runs each remaining shard.
+    One clone answers the shard's queries with one ``recommend_batch``, in
+    submission order.  This is how a pool worker answers a ``run`` message,
+    and how the pooled backend's in-process tail runs each remaining shard.
     """
-    clone = build_shard_clone(planner, job.destination_cells)
+    clone = build_shard_clone(planner)
     before = len(clone.truths)
     results = clone.recommend_batch(job.queries)
     return ShardOutcome(
@@ -428,10 +423,6 @@ def split_oversized(
                 QueryShard(
                     shard_id=len(rebuilt),
                     indices=tuple(indices),
-                    # The parent's reach-expanded closure stays sound for
-                    # every slice: the destination-keyed view only widens the
-                    # candidate set, and radius filtering prunes it exactly
-                    # as the sequential store would.
                     destination_cells=shard.destination_cells,
                     components=1,
                     predecessors=tuple(first + p for p in pred_locals),

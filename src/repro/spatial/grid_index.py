@@ -70,8 +70,8 @@ class GridIndex(Generic[T]):
     def cell_of(self, point: Point) -> Tuple[int, int]:
         """The grid-cell coordinates ``point`` falls in.
 
-        Exposed so consumers that partition data by spatial cell (the truth
-        store's destination partitioning, the planner's shard planning) can
+        Exposed so consumers that group data by spatial cell (the truth
+        store's destination cells, the planner's shard planning) can
         quantise with exactly the index's own boundary decisions.
         """
         return self._cell_of(point)
@@ -141,31 +141,6 @@ class GridIndex(Generic[T]):
 
     def items(self) -> List[T]:
         return list(self._item_slot)
-
-    def items_in_cells(self, cells: Iterable[Tuple[int, int]]) -> List[T]:
-        """Items whose locations fall in the given grid cells, in insertion order.
-
-        This is the partitioning read path (truth-store destination
-        partitions and the views shard clones are built on): O(matching
-        items), not O(index); duplicate cells in the input are harmless (each
-        item lives in exactly one cell and the cell set is deduplicated
-        first).  The loop runs over whichever side is smaller: the queried
-        cells, or the populated cells when the query names more cells than
-        the index holds — a reach-expanded shard closure asks for hundreds of
-        cells of which a handful are populated.
-        """
-        wanted = cells if isinstance(cells, (set, frozenset)) else set(cells)
-        populated = self._cells
-        slots: List[int] = []
-        if len(populated) < len(wanted):
-            for cell, cell_slots in populated.items():
-                if cell in wanted:
-                    slots.extend(cell_slots)
-        else:
-            for cell in wanted:
-                slots.extend(populated.get(cell, ()))
-        slots.sort()
-        return [self._slot_item[slot] for slot in slots]
 
     # --------------------------------------------------------------- queries
     def _candidate_slots(self, center: Point, radius: float) -> List[int]:

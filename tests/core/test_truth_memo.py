@@ -3,7 +3,7 @@
 ``TruthDatabase.lookup`` memoises its answer per (origin, destination,
 slot) and clears the memo on every insert; it must answer exactly like the
 unmemoised scan (``repro.core.reference.lookup_reference``) under any
-interleaving of writes, on base stores and on views.  ``CrowdPlanner.
+interleaving of writes, on base stores and on overlays.  ``CrowdPlanner.
 settled_hits`` must only settle a query whose sequential answer is the
 stored truth it names.  Both run on a tie-heavy city: nodes on an exact
 100 m lattice, with reuse radii at lattice distances, so equal origin
@@ -115,18 +115,14 @@ def _apply(store, operations):
     operations=st.lists(operation, max_size=25),
     view_operations=st.lists(operation, max_size=12),
     probes=st.lists(query, min_size=1, max_size=8),
-    cell_count=st.integers(min_value=1, max_value=6),
 )
-def test_memoised_lookup_equals_reference_scan(
-    radius, operations, view_operations, probes, cell_count
-):
+def test_memoised_lookup_equals_reference_scan(radius, operations, view_operations, probes):
     config = PlannerConfig(truth_reuse_radius_m=radius, truth_time_slot_minutes=60)
     store = TruthDatabase(LATTICE, config)
     _apply(store, operations)
     for q in probes:
         _same(store, q)
-    cells = sorted({store.destination_cell_of(t.destination) for t in store.all()})
-    view = store.view_by_cells(cells[:cell_count])
+    view = store.overlay()
     for q in probes:
         _same(view, q)
     _apply(view, view_operations)

@@ -1,10 +1,13 @@
-"""Copy-on-write truth views must be indistinguishable from partitions.
+"""Copy-on-write truth overlays must be indistinguishable from one store.
 
-``TruthDatabase.view_by_cells`` is the serving layer's shard-seeding
-primitive: reads must answer exactly like a materialised
-``repro.core.reference.partition_by_cells`` over the same cells (member set,
-lookup tie-breaks, neighbourhood enumeration order, ``all()`` order), while
-writes stay in the view and never touch the base store.
+``TruthDatabase.overlay`` is the serving layer's shard-seeding primitive:
+an overlay over the whole store must answer exactly like an independent
+store holding the base's truths followed by the overlay's writes (member
+set, lookup tie-breaks, neighbourhood enumeration order, ``all()`` order).
+The oracle is ``repro.core.reference.partition_by_cells`` over every
+populated destination cell — a materialised copy of the whole store — with
+the overlay's writes adopted under the same ids.  Writes stay in the
+overlay and never touch the base store.
 """
 
 import pytest
@@ -43,30 +46,53 @@ def _truth_tuples(truths):
     return [(t.truth_id, t.origin, t.destination, t.time_slot, t.route.path) for t in truths]
 
 
-def _cells_of(db, count):
-    cells = sorted({db.destination_cell_of(t.destination) for t in db.all()})
-    return cells[:count]
+def _whole_store(db, overlay=None):
+    """The oracle: a partition of ``db`` over every populated destination
+    cell, with ``overlay``'s writes adopted after it in record order."""
+    copy = partition_by_cells(db, {db.destination_cell_of(t.destination) for t in db.all()})
+    if overlay is not None:
+        for truth in overlay.truths_since(len(db)):
+            copy._adopt(truth)
+    return copy
+
+
+def _record_some(view, network, count):
+    """Overlay writes near the base's truths (same endpoints as some of
+    them, so lookups and neighbourhoods meet distance ties)."""
+    nodes = network.node_ids()
+    for index in range(count):
+        origin, destination = nodes[index * 3], nodes[-1 - index]
+        view.record(
+            RouteQuery(origin, destination, departure_time_s=9 * 3600.0),
+            CandidateRoute(
+                path=dijkstra_path(network, origin, destination), source="overlay", support=index
+            ),
+            "test",
+            0.9,
+        )
 
 
 class TestViewReadEquivalence:
-    def test_members_and_order_match_partition(self, populated_db):
-        cells = _cells_of(populated_db, 3)
-        partition = partition_by_cells(populated_db, cells)
-        view = populated_db.view_by_cells(cells)
-        assert len(view) == len(partition)
-        assert _truth_tuples(view.all()) == _truth_tuples(partition.all())
+    def test_members_and_order_match_partition(self, populated_db, small_network):
+        view = populated_db.overlay()
+        assert len(view) == len(populated_db)
+        assert _truth_tuples(view.all()) == _truth_tuples(_whole_store(populated_db).all())
+        _record_some(view, small_network, 4)
+        oracle = _whole_store(populated_db, view)
+        assert len(view) == len(oracle) == len(populated_db) + 4
+        assert _truth_tuples(view.all()) == _truth_tuples(oracle.all())
 
     def test_lookup_and_neighbourhood_match_partition(self, populated_db, small_network):
-        cells = _cells_of(populated_db, 4)
-        partition = partition_by_cells(populated_db, cells)
-        view = populated_db.view_by_cells(cells)
+        view = populated_db.overlay()
+        _record_some(view, small_network, 6)
+        oracle = _whole_store(populated_db, view)
         nodes = small_network.node_ids()
         for origin in nodes[::5]:
             for destination in nodes[::7]:
                 if origin == destination:
                     continue
                 query = RouteQuery(origin, destination, departure_time_s=9 * 3600.0)
-                expected = partition.lookup(query)
+                expected = oracle.lookup(query)
                 got = view.lookup(query)
                 assert (got.truth_id if got else None) == (
                     expected.truth_id if expected else None
@@ -74,39 +100,42 @@ class TestViewReadEquivalence:
                 o = small_network.node_location(origin)
                 d = small_network.node_location(destination)
                 assert _truth_tuples(view.truths_near(o, d, 1_500.0)) == _truth_tuples(
-                    partition.truths_near(o, d, 1_500.0)
+                    oracle.truths_near(o, d, 1_500.0)
                 )
 
-    def test_get_resolves_members_and_rejects_others(self, populated_db):
-        cells = _cells_of(populated_db, 2)
-        view = populated_db.view_by_cells(cells)
-        partition = partition_by_cells(populated_db, cells)
-        member = partition.all()[0]
-        assert view.get(member.truth_id).truth_id == member.truth_id
-        outside = [t for t in populated_db.all() if t.truth_id not in view._member_ids]
-        assert outside, "fixture must leave truths outside the view"
+    def test_get_resolves_members_and_rejects_others(self, populated_db, small_network):
+        view = populated_db.overlay()
+        _record_some(view, small_network, 1)
+        for truth in view.all():
+            assert truth.truth_id in view
+            assert view.get(truth.truth_id) is truth
+        unknown = max(t.truth_id for t in view.all()) + 1
+        assert unknown not in view
         with pytest.raises(TruthStoreError):
-            view.get(outside[0].truth_id)
+            view.get(unknown)
 
 
 class TestViewWrites:
     def test_records_stay_in_overlay(self, populated_db, small_network):
-        cells = _cells_of(populated_db, 3)
-        view = populated_db.view_by_cells(cells)
+        view = populated_db.overlay()
         base_before = len(populated_db)
         view_before = len(view)
         nodes = small_network.node_ids()
         path = dijkstra_path(small_network, nodes[0], nodes[-1])
-        query = RouteQuery(nodes[0], nodes[-1], departure_time_s=9 * 3600.0)
+        # Slot 10: the base holds this od pair in slot 9 only.
+        query = RouteQuery(nodes[0], nodes[-1], departure_time_s=10 * 3600.0)
+        assert populated_db.lookup(query) is None
         recorded = view.record(
             query, CandidateRoute(path=path, source="overlay", support=1), "test", 0.9
         )
         assert len(populated_db) == base_before  # base untouched
+        assert recorded.truth_id not in populated_db
         assert len(view) == view_before + 1
-        assert view.all()[-1].truth_id == recorded.truth_id  # appended, like a partition
+        assert view.all()[-1].truth_id == recorded.truth_id  # appended, like one store
         assert view.get(recorded.truth_id).verified_by == "test"
         assert view.truths_since(view_before) == [recorded]
         assert view.lookup(query).truth_id == recorded.truth_id
+        assert populated_db.lookup(query) is None
 
     def test_overlay_ids_stay_newer_than_adopted_ids(self, populated_db, small_network):
         """After adopt_all of high parent ids, local records must be higher
@@ -130,14 +159,16 @@ class TestViewWrites:
         base.adopt_all(truths)
         with pytest.raises(TruthStoreError):
             base.adopt_all(truths[:1])
+        # An overlay rejects the ids its base already holds.
+        with pytest.raises(TruthStoreError):
+            base.overlay().adopt_all(truths[:1])
 
 
 class TestViewGuards:
     def test_no_view_over_view(self, populated_db):
-        cells = _cells_of(populated_db, 2)
-        view = populated_db.view_by_cells(cells)
+        view = populated_db.overlay()
         assert isinstance(view, TruthDatabaseView)
         with pytest.raises(TruthStoreError):
-            view.view_by_cells(cells)
+            view.overlay()
         with pytest.raises(TruthStoreError):
-            TruthDatabaseView(view, cells)
+            TruthDatabaseView(view)

@@ -93,7 +93,7 @@ class TestCompiledCostVector:
         transfer = TransferNetwork(network, store)
         metric = transfer.compiled_cost_metric(network)
         before = network.compiled()
-        assert before.has_metric(metric)
+        assert before.metric_token(metric) is not None
 
         new_node = max(network.node_ids()) + 1
         network.add_node(RoadNode(new_node, Point(-500.0, -500.0)))

@@ -44,7 +44,6 @@ def _jobs(plan, queries):
         ShardJob(
             shard_id=shard.shard_id,
             indices=shard.indices,
-            destination_cells=shard.destination_cells,
             queries=[queries[index] for index in shard.indices],
         )
         for shard in plan.shards

@@ -143,7 +143,6 @@ class TestShardCloneCost:
             ShardJob(
                 shard_id=shard.shard_id,
                 indices=shard.indices,
-                destination_cells=shard.destination_cells,
                 queries=[queries[i] for i in shard.indices],
             )
             for shard in raw.shards

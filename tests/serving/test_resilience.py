@@ -164,13 +164,15 @@ class TestHedgedExecution:
             schedule={0: "slow"},
             pool_size=2,
             hedge_after_s=0.1,
-            # A <0.5% duty cycle: the loser accumulates almost no CPU (a few
-            # ms before the next batch edge, against tens of ms for its
-            # shard), so it cannot deliver its duplicate before the lame
-            # deadline expires.  A lame worker is past hang supervision, so
-            # its run slices need not fit a heartbeat.
+            # The loser stays stopped for its first 1.5 s, past the next
+            # batch edge (~1.1 s after dispatch: the lame deadline is
+            # ~0.8 s), so it cannot deliver its duplicate before the kill.
+            # Run slices inside that span would let a shard needing only a
+            # few ms of CPU finish and return the loser to service.  A lame
+            # worker is past hang supervision, so its stops need not fit a
+            # heartbeat.
             slow_total_s=8.0,
-            slow_stop_s=0.45,
+            slow_stop_s=1.5,
             slow_run_s=0.002,
         )
         service = RecommendationService(build_serving_planner(), backend=backend)

@@ -22,7 +22,7 @@ from repro.serving.shards import ShardJob, ShardOutcome
 
 
 def _job(shard_id):
-    return ShardJob(shard_id=shard_id, indices=(), destination_cells=frozenset(), queries=[])
+    return ShardJob(shard_id=shard_id, indices=(), queries=[])
 
 
 def _outcome(job):

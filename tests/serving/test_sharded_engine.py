@@ -138,7 +138,6 @@ class TestTruthViewShardEquivalence:
                 job = ShardJob(
                     shard_id=shard.shard_id,
                     indices=shard.indices,
-                    destination_cells=shard.destination_cells,
                     queries=[tail[index] for index in shard.indices],
                 )
                 view_outcome = execute_shard(planner, job)
@@ -176,6 +175,54 @@ class TestTruthViewShardEquivalence:
         # clone's worker pool: the structural pool copy is really written
         # and compared against the deep-copied one above.
         assert "crowd" in methods
+
+
+class TestOverlayMeetsMergedSiblings:
+    """A shard clone reads the whole store as it is at dispatch.  A
+    resubmitted, hedged or in-process-tail shard can meet a base that has
+    already merged other shards of its window; their truths lie outside its
+    interaction reach, so its outcome must equal its outcome on the
+    window-start store."""
+
+    def test_outcome_equals_window_start_outcome(
+        self, build_serving_planner, serving_workload, dominant_workload
+    ):
+        from dataclasses import replace
+
+        from repro.serving.shards import ShardJob, execute_shard, merge_shard_outcomes
+
+        def key(outcome):
+            return _fingerprints(outcome.results), [
+                (t.origin, t.destination, t.time_slot, t.route.path, t.verified_by, t.confidence)
+                for t in outcome.new_truths
+            ]
+
+        for workload in (serving_workload, dominant_workload):
+            planner = build_serving_planner()
+            planner.recommend_batch(workload[:40])
+            tail = workload[40:120]
+            plan = planner.shard_plan(tail, 4)
+            assert len(plan.shards) > 1
+            jobs = [
+                ShardJob(
+                    shard_id=shard.shard_id,
+                    indices=shard.indices,
+                    queries=[tail[index] for index in shard.indices],
+                )
+                for shard in plan.shards
+            ]
+            outcomes = [execute_shard(planner, job) for job in jobs]
+            expected = [key(outcome) for outcome in outcomes]
+            # Merge the shards one at a time (answers, truths and crowd side
+            # effects), re-running every shard not merged yet after each.
+            for merged, outcome in enumerate(outcomes[:-1]):
+                before = len(planner.truths)
+                size = len(outcome.indices)
+                merge_shard_outcomes(planner, size, [replace(outcome, indices=tuple(range(size)))])
+                assert len(planner.truths) == before + len(outcome.new_truths)
+                for later in range(merged + 1, len(jobs)):
+                    assert key(execute_shard(planner, jobs[later])) == expected[later]
+            assert any(outcome.new_truths for outcome in outcomes[:-1])
 
 
 @pytest.mark.property

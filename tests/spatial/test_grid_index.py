@@ -4,7 +4,7 @@ against a brute-force linear scan."""
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SpatialError
 from repro.spatial import GridIndex, Point
@@ -191,58 +191,3 @@ class TestAgainstLinearScan:
         expected = {name for name, p in points.items() if query.distance_to(p) <= radius}
         got = {item for item, _ in index.within_radius(query, radius)}
         assert got == expected
-
-
-_churn = st.lists(
-    st.tuples(
-        st.integers(0, 24),
-        st.one_of(st.none(), st.tuples(st.integers(0, 399), st.integers(0, 399))),
-    ),
-    min_size=4,
-    max_size=200,
-)
-_query_cells = st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 2)), max_size=8)
-
-
-class TestItemsInCells:
-    """``items_in_cells`` walks the queried cells or, when the query names
-    more cells than the index populates, the populated cells; both branches
-    must return the same list: the matching items in insertion order."""
-
-    pytestmark = [pytest.mark.property]
-
-    @given(_churn, _query_cells)
-    # Two cells whose items interleave in insertion order.
-    @example([(0, (10, 10)), (1, (160, 10)), (2, (20, 20))], [(0, 0), (1, 0)])
-    # Seventy moves of five items: the tombstones force a compaction.
-    @example(
-        [(i % 5, ((i * 37) % 400, (i * 91) % 400)) for i in range(70)],
-        [(x, y) for x in range(2) for y in range(3)],
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_both_branches_match_insertion_order_filter(self, ops, query):
-        index = GridIndex(cell_size=150.0)  # a 3x3 block of populated cells
-        for name, location in ops:
-            # ``None`` removes; re-inserting a name moves it.  Both leave
-            # tombstones, and enough of them trigger compaction.
-            if location is None:
-                if name in index:
-                    index.remove(name)
-            else:
-                index.insert(name, Point(*location))
-        wanted = set(query)
-        expected = [item for item in index.items() if index.cell_of(index.location_of(item)) in wanted]
-
-        populated = {index.cell_of(index.location_of(item)) for item in index.items()}
-        # Padding with unpopulated cells pushes the query past the populated
-        # count, so it takes the populated-cell walk.
-        padding = {(1000 + i, 1000) for i in range(len(populated) + 1)}
-        walks = {
-            "query": index.items_in_cells(frozenset(wanted)),
-            "populated": index.items_in_cells(frozenset(wanted | padding)),
-            "duplicates": index.items_in_cells(query + query),
-            "iterator": index.items_in_cells(iter(query)),
-            "padded iterator": index.items_in_cells(iter(list(wanted | padding) * 2)),
-        }
-        for name, items in walks.items():
-            assert items == expected, name
